@@ -107,20 +107,6 @@ impl SimStats {
         }
     }
 
-    /// Approximate resident size of this record in bytes: the struct
-    /// itself plus the heap the liveness histograms own. Used by the
-    /// experiment run cache for byte accounting; exactness is not
-    /// required, determinism for equal stats is.
-    pub fn approx_bytes(&self) -> usize {
-        let hist_elems: usize = self
-            .live_hist
-            .iter()
-            .chain(self.live_hist_imprecise.iter())
-            .map(Vec::capacity)
-            .sum();
-        std::mem::size_of::<Self>() + hist_elems * std::mem::size_of::<u64>()
-    }
-
     /// Committed instructions per cycle.
     pub fn commit_ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -12,8 +12,8 @@
 //! structured progress line on stderr as it finishes.
 
 use crate::runner::{
-    instructions_committed, phase_telemetry, runs_pruned, simulations_run, stall_telemetry,
-    RunCache, RunSpec, SimPool,
+    instructions_committed, phase_telemetry, simulations_run, stall_telemetry, RunCache, RunSpec,
+    SimPool,
 };
 use rf_core::{skip_telemetry, NullObserver, Observer as _, Pipeline, StallCause};
 use rf_obs::ledger::{
@@ -34,9 +34,6 @@ pub struct Entry {
     pub seconds: f64,
     /// Simulations executed during the harness (cache hits excluded).
     pub sims: u64,
-    /// Sweep points the analytic-model prefilter pruned during the
-    /// harness (substituted, not simulated; 0 unless `RF_PREFILTER=1`).
-    pub pruned: u64,
     /// Instructions committed by those simulations.
     pub committed: u64,
     /// Cycles simulated by those simulations.
@@ -331,7 +328,6 @@ impl SuiteBench {
     ) -> Result<String, String> {
         rf_obs::live::harness_started(name);
         let sims0 = simulations_run();
-        let pruned0 = runs_pruned();
         let committed0 = instructions_committed();
         let (cycles0, no_reg0, dq_full0, no_free0) = stall_telemetry();
         let (gen0, sim0) = phase_telemetry();
@@ -351,7 +347,6 @@ impl SuiteBench {
             name: name.to_owned(),
             seconds: start.elapsed().as_secs_f64(),
             sims: simulations_run() - sims0,
-            pruned: runs_pruned() - pruned0,
             committed: instructions_committed() - committed0,
             cycles: cycles1 - cycles0,
             stall_no_reg: no_reg1 - no_reg0,
@@ -442,8 +437,6 @@ impl SuiteBench {
         let _ = writeln!(out, "  \"commits_per_run\": {},", self.commits);
         let _ = writeln!(out, "  \"total_seconds\": {total:.3},");
         let _ = writeln!(out, "  \"simulations\": {sims},");
-        let pruned: u64 = self.entries.iter().map(|e| e.pruned).sum();
-        let _ = writeln!(out, "  \"pruned\": {pruned},");
         let _ = writeln!(out, "  \"instructions_committed\": {committed},");
         let _ = writeln!(out, "  \"sims_per_second\": {:.3},", rate(sims as f64, harness_time));
         let _ = writeln!(
@@ -453,16 +446,6 @@ impl SuiteBench {
         );
         let _ = writeln!(out, "  \"cache_hits\": {},", cache.hits());
         let _ = writeln!(out, "  \"cache_misses\": {},", cache.misses());
-        match cache.capacity() {
-            Some(cap) => {
-                let _ = writeln!(out, "  \"cache_capacity\": {cap},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"cache_capacity\": null,");
-            }
-        }
-        let _ = writeln!(out, "  \"cache_evictions\": {},", cache.evictions());
-        let _ = writeln!(out, "  \"cache_resident_bytes\": {},", cache.resident_bytes());
         match crate::runner::store_counters() {
             Some((hits, misses, writes)) => {
                 let _ = writeln!(
@@ -519,14 +502,13 @@ impl SuiteBench {
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"simulations\": {}, \
-                 \"pruned\": {}, \"instructions_committed\": {}, \"cycles\": {}, \
+                 \"instructions_committed\": {}, \"cycles\": {}, \
                  \"stall_no_reg\": {}, \"stall_dq_full\": {}, \"no_free_cycles\": {}, \
                  \"cycles_skipped\": {}, \"wakeup_events\": {}, \
                  \"cache_served\": {}, \"cycles_per_second\": {cps}",
                 e.name,
                 e.seconds,
                 e.sims,
-                e.pruned,
                 e.committed,
                 e.cycles,
                 e.stall_no_reg,
@@ -592,7 +574,6 @@ impl SuiteBench {
                 name: e.name.clone(),
                 seconds: e.seconds,
                 sims: e.sims,
-                pruned: e.pruned,
                 committed: e.committed,
                 cycles: e.cycles,
                 stall_no_reg: e.stall_no_reg,
@@ -639,9 +620,6 @@ impl SuiteBench {
             cycles: self.entries.iter().map(|e| e.cycles).sum(),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
-            cache_capacity: cache.capacity().map(|c| c as u64),
-            cache_evictions: cache.evictions(),
-            cache_resident_bytes: cache.resident_bytes(),
             harnesses,
             headlines,
             model_error: self.model_error.clone(),
@@ -808,11 +786,11 @@ mod tests {
     }
 
     #[test]
-    fn json_reports_cache_pressure_keys() {
+    fn json_reports_cache_and_store_keys() {
         let mut bench = SuiteBench::start(500);
         let _ = bench.time("noop", String::new);
         let json = bench.to_json();
-        for key in ["\"cache_capacity\"", "\"cache_evictions\"", "\"cache_resident_bytes\""] {
+        for key in ["\"cache_hits\"", "\"cache_misses\"", "\"store\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         rf_obs::json::validate(&json).expect("report must stay valid JSON");
@@ -839,7 +817,6 @@ mod tests {
             name: "fig3".into(),
             seconds: 1.25,
             sims: 9,
-            pruned: 0,
             committed: 90_000,
             cycles: 30_000,
             stall_no_reg: 5,
@@ -894,7 +871,6 @@ mod tests {
             name: "x".into(),
             seconds: 2.0,
             sims: 1,
-            pruned: 0,
             committed: 1,
             cycles: 1,
             stall_no_reg: 0,

@@ -11,15 +11,14 @@
 //! # Arguments (strict)
 //!
 //! ```text
-//! all [COMMITS] [--deadline-secs N] [--cache-cap N] [--help]
+//! all [COMMITS] [--deadline-secs N] [--help]
 //! ```
 //!
 //! `COMMITS` is the per-simulation commit budget (default: `RF_COMMITS`
 //! or 200000). `--deadline-secs N` bounds every simulation batch to `N`
 //! wall seconds (cooperative cancellation; overrunning specs fail, the
-//! suite keeps going). `--cache-cap N` bounds the shared run cache to
-//! `N` entries (LRU eviction). A malformed argument or environment
-//! variable exits 2 with a message — it no longer silently launches a
+//! suite keeps going). A malformed argument or environment variable
+//! exits 2 with a message — it no longer silently launches a
 //! full-scale run — and `--help` prints usage instead of simulating.
 //!
 //! # Fault tolerance
@@ -31,12 +30,12 @@
 //!
 //! RF_JOBS sets the number of parallel simulation workers (default: all
 //! cores); RF_CACHE=0/off/false/no disables the shared run cache;
-//! RF_CACHE_CAP bounds it; RF_STORE=1 layers the durable on-disk run
-//! store under the cache (warm re-runs replay results byte-identically
-//! from `RF_STORE_DIR`); RF_LOG=text|json emits a structured progress
-//! line on stderr as each harness finishes plus a final suite-summary
-//! record. With the `fault-probe` feature, RF_FAULT=<harness> injects a
-//! panicking simulation into that harness (the CI smoke path).
+//! RF_STORE=1 layers the durable on-disk run store under the cache
+//! (warm re-runs replay results byte-identically from `RF_STORE_DIR`);
+//! RF_LOG=text|json emits a structured progress line on stderr as each
+//! harness finishes plus a final suite-summary record. With the
+//! `fault-probe` feature, RF_FAULT=<harness> injects a panicking
+//! simulation into that harness (the CI smoke path).
 
 use rf_experiments::bench::{SanitizerStatus, SuiteBench};
 use rf_experiments::runner::{self, Scale};
@@ -52,7 +51,7 @@ use std::time::Duration;
 /// percentiles annotate the harness in `BENCH_suite.json`).
 const PROBE_COMMITS: u64 = 5_000;
 
-const USAGE: &str = "usage: all [COMMITS] [--deadline-secs N] [--cache-cap N] [--help]
+const USAGE: &str = "usage: all [COMMITS] [--deadline-secs N] [--help]
 
 Runs every table/figure harness, writes reports under results/, appends
 one record to the run-history ledger results/history/suite.jsonl
@@ -64,21 +63,16 @@ arguments:
                       (default: RF_COMMITS or 200000)
   --deadline-secs N   wall-clock budget per simulation batch; overrunning
                       specs fail with a deadline error, the suite goes on
-  --cache-cap N       bound the shared run cache to N entries (LRU)
 
 environment:
   RF_COMMITS      default commit budget
   RF_JOBS         parallel simulation workers (default: all cores)
   RF_CACHE        0/off/false/no disables the shared run cache
-  RF_CACHE_CAP    same as --cache-cap
   RF_STORE        1/on/true/yes enables the durable content-addressed
                   run store: executed results persist under RF_STORE_DIR
                   and warm re-runs are served from disk byte-identically
   RF_STORE_DIR    store directory (default: results/store)
   RF_LOG          text|json progress lines on stderr
-  RF_PREFILTER    1/on/true/yes lets the rf-model analytic prefilter
-                  prune saturated register-sweep points (substituted
-                  estimates; pruned counts land in the reports)
   RF_PROFILE      1/on/true/yes embeds rf-prof self-profiles in the
                   suite report and ledger record
   RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
@@ -120,19 +114,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     })?;
                 deadline_secs = Some(secs);
             }
-            "--cache-cap" => {
-                let raw =
-                    args.next().ok_or_else(|| "--cache-cap needs a value".to_owned())?;
-                let cap: u64 = raw
-                    .parse()
-                    .ok()
-                    .filter(|c: &u64| *c > 0)
-                    .ok_or_else(|| format!("--cache-cap {raw:?} is not a positive integer"))?;
-                // The cache reads RF_CACHE_CAP once on first use; set it
-                // now, before any simulation touches the global cache
-                // (startup is single-threaded).
-                std::env::set_var("RF_CACHE_CAP", cap.to_string());
-            }
             _ if arg.starts_with('-') => {
                 return Err(format!("unknown option {arg:?}"));
             }
@@ -169,7 +150,7 @@ fn fault_target() -> Option<String> {
 ///
 /// The baselines were already simulated by the figure harnesses, so the
 /// probe *peeks* at the shared run cache instead of re-running them:
-/// a non-counting read that leaves the cache hit/miss/eviction totals —
+/// a non-counting read that leaves the cache hit/miss totals —
 /// which must reconcile exactly with the final live-telemetry snapshot —
 /// untouched. Baselines absent from the cache (or the whole probe,
 /// under `RF_CACHE=0`) are skipped; `None` if nothing was comparable.

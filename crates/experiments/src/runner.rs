@@ -8,16 +8,16 @@
 //! `catch_unwind` (the panicking [`Pipeline`]'s state is discarded,
 //! never reused), and [`SimPool::try_run_many`] returns one
 //! `Result` per spec so a batch salvages every completed result around a
-//! failing one. The shared [`RunCache`] recovers from lock poisoning and
-//! supports a bounded-LRU mode (`RF_CACHE_CAP`), and batches accept an
-//! optional deadline with cooperative cancellation checked both in the
-//! worker loop and inside [`Pipeline`] runs via [`CancelToken`].
+//! failing one. The shared [`RunCache`] recovers from lock poisoning,
+//! and batches accept an optional deadline with cooperative
+//! cancellation checked both in the worker loop and inside [`Pipeline`]
+//! runs via [`CancelToken`].
 //!
 //! # Environment variables (strict)
 //!
-//! `RF_COMMITS`, `RF_JOBS`, `RF_CACHE`, and `RF_CACHE_CAP` are parsed
-//! strictly: a malformed value (for example `RF_COMMITS=200k`) is an
-//! error, never a silent fall-back to the default. Binaries should call
+//! `RF_COMMITS`, `RF_JOBS`, and `RF_CACHE` are parsed strictly: a
+//! malformed value (for example `RF_COMMITS=200k`) is an error, never a
+//! silent fall-back to the default. Binaries should call
 //! [`validate_env`] at startup to turn that into a clean exit instead of
 //! a panic.
 
@@ -61,8 +61,7 @@ fn env_u64(name: &str) -> Result<Option<u64>, String> {
 }
 
 /// Validates every runner environment variable (`RF_COMMITS`, `RF_JOBS`,
-/// `RF_CACHE`, `RF_CACHE_CAP`, `RF_PREFILTER`, `RF_STORE`,
-/// `RF_STORE_DIR`, `RF_PROFILE`, `RF_TELEMETRY`,
+/// `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`, `RF_TELEMETRY`,
 /// `RF_TELEMETRY_INTERVAL_MS`, `RF_METRICS_ADDR`)
 /// without acting on any of them, so a binary can fail fast with one
 /// clear message before doing work.
@@ -74,7 +73,6 @@ pub fn validate_env() -> Result<(), String> {
     Scale::try_from_env()?;
     SimPool::try_from_env()?;
     cache_env_mode()?;
-    prefilter_env_mode()?;
     store_env_mode()?;
     rf_prof::env_mode()?;
     rf_obs::live::env_config()?;
@@ -109,100 +107,6 @@ pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
             )),
         },
     }
-}
-
-/// Validates the `RF_PREFILTER` toggle for analytic-model sweep
-/// pre-filtering and returns whether it is enabled (unset means
-/// disabled — pruning substitutes model-backed estimates for dominated
-/// sweep points, so it is strictly opt-in).
-///
-/// # Errors
-///
-/// Returns a message naming the malformed value.
-pub fn prefilter_env_mode() -> Result<bool, String> {
-    match std::env::var("RF_PREFILTER") {
-        Err(_) => Ok(false),
-        Ok(raw) => match raw.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(false),
-            "1" | "on" | "true" | "yes" => Ok(true),
-            _ => Err(format!(
-                "RF_PREFILTER={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
-/// Computes the prefilter's pruning plan for one deduplicated batch:
-/// a map from pruned task index to the representative task index whose
-/// (simulated) result substitutes for it. Empty when `enabled` is
-/// false, when no group of tasks differs only in register count, or
-/// when the model finds fewer than two saturated members per group.
-/// Callers pass [`prefilter_env_mode`]'s verdict for `enabled`.
-fn prefilter_plan(tasks: &[&RunSpec], enabled: bool) -> HashMap<usize, usize> {
-    let mut plan = HashMap::new();
-    if !enabled || tasks.len() < 2 {
-        return plan;
-    }
-    let mut groups: HashMap<RunSpec, Vec<usize>> = HashMap::new();
-    for (t, spec) in tasks.iter().enumerate() {
-        let mut key = (*spec).clone();
-        key.regs = 0;
-        groups.entry(key).or_default().push(t);
-    }
-    for members in groups.into_values() {
-        if members.len() < 2 {
-            continue;
-        }
-        let lead = tasks[members[0]];
-        let insert_bw = lead.machine_config().effective_insert_bandwidth();
-        let Some(demand) = cached_demand(&lead.benchmark, lead.commits, lead.seed, insert_bw)
-        else {
-            continue;
-        };
-        let threshold = rf_model::saturation_regs(demand, lead.width);
-        let regs: Vec<usize> = members.iter().map(|&t| tasks[t].regs).collect();
-        if let Some((rep, pruned)) = rf_model::plan_regs_sweep(&regs, threshold) {
-            for p in pruned {
-                plan.insert(members[p], members[rep]);
-            }
-        }
-    }
-    plan
-}
-
-/// Memoized [`rf_model::demand_profile`]: the oracle pass is cheap
-/// relative to a simulation but not to a cache hit, and sweep harnesses
-/// re-plan the same workload for every batch.
-fn cached_demand(
-    bench: &str,
-    commits: u64,
-    seed: u64,
-    insert_bw: usize,
-) -> Option<[usize; 2]> {
-    type DemandKey = (String, u64, u64, usize);
-    static DEMANDS: OnceLock<Mutex<HashMap<DemandKey, Option<[usize; 2]>>>> = OnceLock::new();
-    let memo = DEMANDS.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (bench.to_owned(), commits, seed, insert_bw);
-    if let Some(found) = memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        return *found;
-    }
-    let demand = rf_model::demand_profile(bench, commits, seed, insert_bw);
-    memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, demand);
-    demand
-}
-
-/// Builds the stand-in statistics for a pruned sweep point from its
-/// representative's measured run: identical counters, with the liveness
-/// histograms zero-padded out to the pruned point's (larger) register
-/// file so downstream percentile code sees the expected bin count.
-fn substitute_stats(rep: &SimStats, regs: usize) -> SimStats {
-    let mut stats = rep.clone();
-    for hist in stats.live_hist.iter_mut().chain(stats.live_hist_imprecise.iter_mut()) {
-        if hist.len() < regs + 1 {
-            hist.resize(regs + 1, 0);
-        }
-    }
-    stats
 }
 
 impl Scale {
@@ -422,9 +326,6 @@ static SIM_NO_FREE_CYCLES: AtomicU64 = AtomicU64::new(0);
 static PHASE_GEN_NANOS: AtomicU64 = AtomicU64::new(0);
 /// Nanoseconds spent inside `Pipeline::run`, summed over workers.
 static PHASE_SIM_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Sweep points pruned by the analytic-model prefilter (`RF_PREFILTER=1`)
-/// instead of simulated, process-wide.
-static PRUNED_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of simulations actually executed so far in this process
 /// (run-cache hits do not count).
@@ -436,13 +337,6 @@ pub fn simulations_run() -> u64 {
 /// this process.
 pub fn instructions_committed() -> u64 {
     SIM_COMMITS.load(Ordering::Relaxed)
-}
-
-/// Sweep points the analytic-model prefilter pruned (substituted with a
-/// model-backed estimate instead of simulating) so far in this process.
-/// Always 0 unless `RF_PREFILTER=1`.
-pub fn runs_pruned() -> u64 {
-    PRUNED_RUNS.load(Ordering::Relaxed)
 }
 
 /// Process-wide stall attribution accumulated from every executed
@@ -503,11 +397,6 @@ pub enum RunError {
         /// The deadline that elapsed, in milliseconds.
         deadline_ms: u64,
     },
-    /// The run cache's lock was poisoned and could not be recovered.
-    /// [`RunCache`] recovers from poisoning in place, so this variant is
-    /// reserved for future lock strategies; no current code path
-    /// constructs it.
-    CachePoisoned,
 }
 
 impl std::fmt::Display for RunError {
@@ -526,7 +415,6 @@ impl std::fmt::Display for RunError {
                     *deadline_ms as f64 / 1e3
                 )
             }
-            RunError::CachePoisoned => write!(f, "run cache lock poisoned"),
         }
     }
 }
@@ -656,80 +544,42 @@ pub fn simulate(spec: &RunSpec) -> SimStats {
     try_simulate(spec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Parses the cache environment variables strictly, returning
-/// `(enabled, capacity)`.
+/// Parses `RF_CACHE` strictly, returning whether the run cache is
+/// enabled.
 ///
 /// `RF_CACHE` accepts `0`/`off`/`false`/`no` (disabled) and
 /// `1`/`on`/`true`/`yes` (enabled, the default when unset),
 /// case-insensitively; anything else is an error — `RF_CACHE=off` used
 /// to silently leave the cache enabled, which is exactly the trap this
-/// closes. `RF_CACHE_CAP` bounds the cache to that many entries (LRU
-/// eviction); it must be a positive integer (`RF_CACHE=0` is how you
-/// disable the cache, not `RF_CACHE_CAP=0`).
+/// closes.
 ///
 /// # Errors
 ///
-/// Returns a message naming the malformed variable and value.
-pub fn cache_env_mode() -> Result<(bool, Option<usize>), String> {
-    let enabled = match std::env::var("RF_CACHE") {
-        Err(_) => true,
+/// Returns a message naming the malformed value.
+pub fn cache_env_mode() -> Result<bool, String> {
+    match std::env::var("RF_CACHE") {
+        Err(_) => Ok(true),
         Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => false,
-            "1" | "on" | "true" | "yes" => true,
-            _ => {
-                return Err(format!(
-                    "RF_CACHE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-                ))
-            }
+            "0" | "off" | "false" | "no" => Ok(false),
+            "1" | "on" | "true" | "yes" => Ok(true),
+            _ => Err(format!(
+                "RF_CACHE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
+            )),
         },
-    };
-    let cap = match env_u64("RF_CACHE_CAP")? {
-        None => None,
-        Some(0) => {
-            return Err(
-                "RF_CACHE_CAP=0 would cache nothing; set RF_CACHE=0 to disable the cache"
-                    .to_owned(),
-            )
-        }
-        Some(n) => Some(n as usize),
-    };
-    Ok((enabled, cap))
+    }
 }
 
-/// The interior of a [`RunCache`]: the digest→entry map plus the LRU
-/// clock and byte accounting, all guarded by one mutex.
+/// One cached result with its originating spec, which lookups verify.
 ///
-/// Keys are the *stable* content digests from [`crate::codec`] — the
-/// same identity the on-disk store uses — not std's per-process
-/// randomized `Hash` of the spec. Each entry retains its full spec and
-/// lookups verify it, so even a digest collision cannot serve another
+/// Entries are keyed by the *stable* content digests from
+/// [`crate::codec`] — the same identity the on-disk store uses — not
+/// std's per-process randomized `Hash` of the spec. Because each entry
+/// retains its full spec, even a digest collision cannot serve another
 /// spec's results.
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<rf_store::Digest, CacheEntry>,
-    /// Monotonic use counter; each `get` hit and each `insert` stamps
-    /// the entry, so the minimum stamp is the least-recently-used entry.
-    clock: u64,
-    /// Approximate bytes resident across all entries.
-    bytes: u64,
-}
-
-/// One cached result with its originating spec (verified on lookup),
-/// LRU stamp, and size accounting.
 #[derive(Debug)]
 struct CacheEntry {
     spec: RunSpec,
     stats: Arc<SimStats>,
-    last_use: u64,
-    bytes: u64,
-}
-
-/// Approximate resident size of one cache entry: the entry (which embeds
-/// its spec) plus the spec's heap and the stats record. Deterministic
-/// for equal `(spec, stats)` pairs, which keeps the ledger's byte
-/// accounting reproducible.
-fn entry_bytes(spec: &RunSpec, stats: &SimStats) -> u64 {
-    (spec.benchmark.len() + std::mem::size_of::<CacheEntry>() + stats.approx_bytes()) as u64
 }
 
 /// A keyed memo of simulation results: [`RunSpec`] → [`SimStats`].
@@ -738,48 +588,34 @@ fn entry_bytes(spec: &RunSpec, stats: &SimStats) -> u64 {
 /// paper's baseline machine, for instance); routing their batches through
 /// a common cache means each distinct point is simulated once per
 /// process. The global instance is shared by all harnesses; tests can
-/// build private instances. Disabled caches always miss.
+/// build private instances. Disabled caches always miss. The cache is
+/// unbounded: the whole reference suite's results take about 18 MB.
 ///
-/// Two robustness properties:
-///
-/// - **Poison recovery.** A thread that panics while holding the map
-///   lock poisons the mutex; the cache recovers the guard instead of
-///   propagating the poison, so one dead worker cannot take the shared
-///   cache down with it. Recoveries are counted — a nonzero
-///   [`RunCache::poison_recoveries`] means some run died mid-update.
-///   (No current panic path holds the lock: simulations run outside it.)
-/// - **Bounded LRU mode.** With a capacity set ([`RunCache::bounded`],
-///   `RF_CACHE_CAP`, or `--cache-cap` on the suite binary), inserting
-///   beyond the capacity evicts least-recently-used entries; evictions
-///   and resident bytes are tracked for the suite report and ledger.
+/// A thread that panics while holding the map lock poisons the mutex;
+/// the cache recovers the guard instead of propagating the poison, so
+/// one dead worker cannot take the shared cache down with it.
+/// Recoveries are counted — a nonzero [`RunCache::poison_recoveries`]
+/// means some run died mid-update. (No current panic path holds the
+/// lock: simulations run outside it.)
 #[derive(Debug, Default)]
 pub struct RunCache {
-    inner: Mutex<CacheInner>,
+    map: Mutex<HashMap<rf_store::Digest, CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     poison_recoveries: AtomicU64,
     disabled: bool,
-    /// Maximum resident entries (`None` = unbounded).
-    cap: Option<usize>,
-    /// Whether lookups and evictions also feed the live-telemetry
-    /// counters ([`rf_obs::live`]). Only the global instance reports:
-    /// the suite's final snapshot must reconcile exactly with the
+    /// Whether lookups also feed the live-telemetry counters
+    /// ([`rf_obs::live`]). Only the global instance reports: the
+    /// suite's final snapshot must reconcile exactly with the
     /// `BENCH_suite.json` cache totals, which come from the global
     /// cache alone, and private/test caches would skew them.
     report_live: bool,
 }
 
 impl RunCache {
-    /// Creates an empty, enabled, unbounded cache.
+    /// Creates an empty, enabled cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty cache bounded to `cap` entries; inserting past
-    /// the bound evicts the least-recently-used entry.
-    pub fn bounded(cap: usize) -> Self {
-        Self { cap: Some(cap.max(1)), ..Self::default() }
     }
 
     /// Creates a cache that never stores or returns results (every lookup
@@ -789,33 +625,27 @@ impl RunCache {
     }
 
     /// The process-wide cache shared by every harness. `RF_CACHE`
-    /// disables it and `RF_CACHE_CAP` bounds it — see [`cache_env_mode`]
-    /// for the accepted values.
+    /// disables it — see [`cache_env_mode`] for the accepted values.
     ///
     /// # Panics
     ///
-    /// Panics when either variable is malformed (on first use only;
-    /// binaries should pre-validate with [`validate_env`]).
+    /// Panics when `RF_CACHE` is malformed (on first use only; binaries
+    /// should pre-validate with [`validate_env`]).
     pub fn global() -> &'static RunCache {
         static GLOBAL: OnceLock<RunCache> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let (enabled, cap) = cache_env_mode().unwrap_or_else(|e| panic!("{e}"));
-            let mut cache = match (enabled, cap) {
-                (false, _) => RunCache::disabled(),
-                (true, Some(cap)) => RunCache::bounded(cap),
-                (true, None) => RunCache::new(),
-            };
-            cache.report_live = true;
-            cache
+            let enabled = cache_env_mode().unwrap_or_else(|e| panic!("{e}"));
+            let cache = if enabled { RunCache::new() } else { RunCache::disabled() };
+            RunCache { report_live: true, ..cache }
         })
     }
 
-    /// Locks the interior, recovering (and counting) a poisoned lock: the
-    /// map is always structurally valid mid-operation because every
-    /// mutation completes before the guard drops, so the data a panicking
-    /// thread left behind is safe to keep serving.
-    fn inner(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().unwrap_or_else(|poisoned: PoisonError<_>| {
+    /// Locks the map, recovering (and counting) a poisoned lock: the map
+    /// is always structurally valid mid-operation because every mutation
+    /// completes before the guard drops, so the data a panicking thread
+    /// left behind is safe to keep serving.
+    fn map(&self) -> MutexGuard<'_, HashMap<rf_store::Digest, CacheEntry>> {
+        self.map.lock().unwrap_or_else(|poisoned: PoisonError<_>| {
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
         })
@@ -826,98 +656,44 @@ impl RunCache {
         !self.disabled
     }
 
-    /// The entry bound, if this cache is the bounded-LRU variant.
-    pub fn capacity(&self) -> Option<usize> {
-        self.cap
-    }
-
-    /// Looks up a spec, counting a hit or miss. A hit refreshes the
-    /// entry's LRU stamp.
+    /// Looks up a spec, counting a hit or miss.
     pub fn get(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
-        if self.disabled {
+        let found = self.peek(spec);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if self.report_live {
+                rf_obs::live::cache_hit();
+            }
+        } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             if self.report_live {
                 rf_obs::live::cache_miss();
-            }
-            return None;
-        }
-        let digest = crate::codec::spec_digest(spec);
-        let mut inner = self.inner();
-        inner.clock += 1;
-        let now = inner.clock;
-        let found = inner
-            .map
-            .get_mut(&digest)
-            .filter(|entry| entry.spec == *spec)
-            .map(|entry| {
-                entry.last_use = now;
-                Arc::clone(&entry.stats)
-            });
-        drop(inner);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.report_live {
-                    rf_obs::live::cache_hit();
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if self.report_live {
-                    rf_obs::live::cache_miss();
-                }
             }
         }
         found
     }
 
-    /// Looks up a spec *without* counting a hit or miss and without
-    /// refreshing the entry's LRU stamp — a pure read for post-run
-    /// probes (the model-error check re-reads suite results already in
-    /// the cache) that must not perturb cache telemetry or eviction
-    /// order. A disabled cache peeks as empty.
+    /// Looks up a spec *without* counting a hit or miss — a pure read
+    /// for post-run probes (the model-error check re-reads suite results
+    /// already in the cache) that must not perturb cache telemetry. A
+    /// disabled cache peeks as empty.
     pub fn peek(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
         if self.disabled {
             return None;
         }
-        self.inner()
-            .map
+        self.map()
             .get(&crate::codec::spec_digest(spec))
             .filter(|entry| entry.spec == *spec)
             .map(|entry| Arc::clone(&entry.stats))
     }
 
-    /// Stores a result (no-op when disabled), evicting
-    /// least-recently-used entries while over capacity.
+    /// Stores a result (no-op when disabled).
     pub fn insert(&self, spec: RunSpec, stats: Arc<SimStats>) {
         if self.disabled {
             return;
         }
-        let bytes = entry_bytes(&spec, &stats);
         let digest = crate::codec::spec_digest(&spec);
-        let mut inner = self.inner();
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(old) =
-            inner.map.insert(digest, CacheEntry { spec, stats, last_use: now, bytes })
-        {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        while self.cap.is_some_and(|cap| inner.map.len() > cap) {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k)
-                .expect("over-capacity map is non-empty");
-            let evicted = inner.map.remove(&victim).expect("victim just found");
-            inner.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if self.report_live {
-                rf_obs::live::cache_evicted(1);
-            }
-        }
+        self.map().insert(digest, CacheEntry { spec, stats });
     }
 
     /// Lookups served from the cache so far.
@@ -930,24 +706,14 @@ impl RunCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the LRU bound so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Times a poisoned lock was recovered (a worker died mid-update).
     pub fn poison_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes currently resident (keys plus stats records).
-    pub fn resident_bytes(&self) -> u64 {
-        self.inner().bytes
-    }
-
     /// Distinct results currently stored.
     pub fn len(&self) -> usize {
-        self.inner().map.len()
+        self.map().len()
     }
 
     /// Whether the cache holds no results.
@@ -1301,50 +1067,18 @@ impl SimPool {
             }
         }
 
-        // Analytic-model sweep pre-filtering (`RF_PREFILTER=1`): tasks
-        // identical except for their register count whose files the
-        // model proves saturated collapse onto the smallest saturated
-        // member; the rest are pruned and substituted below. A
-        // malformed RF_PREFILTER panics here; binaries pre-validate
-        // with `validate_env` to report it cleanly instead.
-        let prefilter = prefilter_env_mode().unwrap_or_else(|e| panic!("{e}"));
-        let pruned_to_rep = prefilter_plan(&tasks, prefilter);
-        let exec_idx: Vec<usize> =
-            (0..tasks.len()).filter(|t| !pruned_to_rep.contains_key(t)).collect();
-        let exec_tasks: Vec<&RunSpec> = exec_idx.iter().map(|&t| tasks[t]).collect();
-
-        // Insert into the cache in task order (not worker completion
-        // order) so LRU stamps — and therefore evictions under a bounded
-        // cache — are deterministic across worker counts. Substituted
-        // results never enter the cache: they are estimates, and must
-        // not masquerade as measurements for later non-prefilter runs.
-        let mut executed = self.execute(&exec_tasks, opts);
-        executed.sort_unstable_by_key(|(e, _)| *e);
-        let mut outcomes: Vec<Option<Result<Arc<SimStats>, RunError>>> =
-            vec![None; tasks.len()];
-        for (e, outcome) in executed {
-            let t = exec_idx[e];
+        // Insert into the cache and the durable store in task order, not
+        // worker completion order, so the store's append order (and so
+        // its segment layout) is the same for every worker count.
+        let mut executed = self.execute(&tasks, opts);
+        executed.sort_unstable_by_key(|(t, _)| *t);
+        for (t, outcome) in executed {
             if let Ok(stats) = &outcome {
                 cache.insert(tasks[t].clone(), Arc::clone(stats));
-                // Write-behind: only *executed* outcomes reach the
-                // durable store. Substituted (pruned) results are
-                // estimates and sit below this point, so they can
-                // never be persisted as measurements.
                 if let Some(tier) = tier {
                     tier.put(tasks[t], stats);
                 }
             }
-            outcomes[t] = Some(outcome);
-        }
-        for (&t, &rep) in &pruned_to_rep {
-            let outcome = outcomes[rep].clone().expect("representative executed");
-            PRUNED_RUNS.fetch_add(needers[t].len() as u64, Ordering::Relaxed);
-            rf_obs::live::sims_pruned(needers[t].len() as u64);
-            outcomes[t] =
-                Some(outcome.map(|stats| Arc::new(substitute_stats(&stats, tasks[t].regs))));
-        }
-        for (t, outcome) in outcomes.into_iter().enumerate() {
-            let outcome = outcome.expect("every task resolved");
             for &i in &needers[t] {
                 results[i] = Some(outcome.clone());
             }
@@ -1520,8 +1254,6 @@ pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::Exit
          RF_COMMITS     default commit budget\n  \
          RF_JOBS        parallel simulation workers (default: all cores)\n  \
          RF_CACHE       0/off/false/no disables the shared run cache\n  \
-         RF_CACHE_CAP   bound the run cache to N entries (LRU eviction)\n  \
-         RF_PREFILTER   1/on/true/yes prunes model-dominated sweep points\n  \
          RF_PROFILE     1/on/true/yes enables the rf-prof self-profiler"
     );
     let mut commits: Option<u64> = None;
@@ -1708,57 +1440,16 @@ mod tests {
         // while holding the guard.
         let poisoner = Arc::clone(&cache);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.lock().expect("not yet poisoned");
+            let _guard = poisoner.map.lock().expect("not yet poisoned");
             panic!("worker died holding the cache lock");
         })
         .join();
-        assert!(cache.inner.is_poisoned());
+        assert!(cache.map.is_poisoned());
         // Every operation still works, and the recovery is counted.
         assert_eq!(cache.get(&spec).as_deref(), Some(&*stats));
         cache.insert(RunSpec::baseline("espresso", 4).commits(1_000), stats);
         assert_eq!(cache.len(), 2);
         assert!(cache.poison_recoveries() > 0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = RunCache::bounded(2);
-        let a = RunSpec::baseline("espresso", 4).commits(1_000);
-        let b = RunSpec::baseline("compress", 4).commits(1_000);
-        let c = RunSpec::baseline("ora", 4).commits(1_000);
-        let stats = Arc::new(simulate(&a));
-        cache.insert(a.clone(), Arc::clone(&stats));
-        cache.insert(b.clone(), Arc::clone(&stats));
-        // Touch `a`, making `b` the LRU entry; the third insert must
-        // evict `b`.
-        assert!(cache.get(&a).is_some());
-        cache.insert(c.clone(), Arc::clone(&stats));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(&a).is_some());
-        assert!(cache.get(&c).is_some());
-        assert!(cache.get(&b).is_none());
-        assert!(cache.resident_bytes() > 0);
-        assert_eq!(cache.capacity(), Some(2));
-    }
-
-    #[test]
-    fn evicted_entry_resimulates_identically() {
-        // (d) LRU eviction keeps results deterministic: forcing an
-        // eviction and re-running the evicted spec reproduces the
-        // unbounded cache's stats exactly.
-        let reference = simulate(&RunSpec::baseline("espresso", 4).commits(2_000));
-        let cache = RunCache::bounded(1);
-        let pool = SimPool::new(2);
-        let specs = vec![
-            RunSpec::baseline("espresso", 4).commits(2_000),
-            RunSpec::baseline("compress", 4).commits(2_000),
-            RunSpec::baseline("espresso", 4).commits(2_000),
-        ];
-        let out = pool.try_run_many_cached(&specs, &cache);
-        assert!(cache.evictions() >= 1);
-        assert_eq!(**out[0].as_ref().expect("first run completes"), reference);
-        assert_eq!(**out[2].as_ref().expect("re-run after eviction"), reference);
     }
 
     #[test]
@@ -1802,15 +1493,13 @@ mod tests {
 
     #[test]
     fn strict_env_parsing_rejects_malformed_values() {
-        // Env mutation is process-global, so this test owns all ten
+        // Env mutation is process-global, so this test owns all eight
         // variables for its duration and restores them at the end; it is
         // the only test in this binary that touches them.
         let vars = [
             "RF_COMMITS",
             "RF_JOBS",
             "RF_CACHE",
-            "RF_CACHE_CAP",
-            "RF_PREFILTER",
             "RF_STORE",
             "RF_STORE_DIR",
             "RF_TELEMETRY",
@@ -1819,15 +1508,11 @@ mod tests {
         ];
         let saved: Vec<Option<String>> =
             vars.iter().map(|v| std::env::var(v).ok()).collect();
-        let cases: [(&str, &str, &str); 16] = [
+        let cases: [(&str, &str, &str); 12] = [
             ("RF_COMMITS", "200k", "RF_COMMITS"),
             ("RF_JOBS", "abc", "RF_JOBS"),
             ("RF_JOBS", "0", "RF_JOBS=0"),
             ("RF_CACHE", "maybe", "RF_CACHE"),
-            ("RF_CACHE_CAP", "-1", "RF_CACHE_CAP"),
-            ("RF_CACHE_CAP", "0", "RF_CACHE_CAP=0"),
-            ("RF_PREFILTER", "fast", "RF_PREFILTER"),
-            ("RF_PREFILTER", "2", "RF_PREFILTER"),
             ("RF_STORE", "maybe", "RF_STORE"),
             ("RF_STORE", "2", "RF_STORE"),
             ("RF_STORE_DIR", "  ", "RF_STORE_DIR"),
@@ -1853,11 +1538,6 @@ mod tests {
             std::env::set_var("RF_CACHE", ok);
             assert!(validate_env().is_ok(), "RF_CACHE={ok} should be accepted");
         }
-        for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
-            std::env::set_var("RF_PREFILTER", ok);
-            assert!(validate_env().is_ok(), "RF_PREFILTER={ok} should be accepted");
-        }
-        std::env::remove_var("RF_PREFILTER");
         // RF_STORE_DIR is honored (and a stray value tolerated) even
         // while the store itself stays off.
         for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
@@ -1874,57 +1554,12 @@ mod tests {
         std::env::remove_var("RF_STORE_DIR");
         assert_eq!(store_env_mode(), Ok(None));
         std::env::remove_var("RF_CACHE");
-        assert_eq!(cache_env_mode(), Ok((true, None)));
-        assert_eq!(prefilter_env_mode(), Ok(false));
+        assert_eq!(cache_env_mode(), Ok(true));
         for (var, value) in vars.iter().zip(saved) {
             match value {
                 Some(v) => std::env::set_var(var, v),
                 None => std::env::remove_var(var),
             }
-        }
-    }
-
-    #[test]
-    fn prefilter_plan_prunes_only_saturated_regs_groups() {
-        // compress's ideal demand is far below 600, so 600 (smallest
-        // saturated) represents 1024 and 2048; 40 stays simulated.
-        let group: Vec<RunSpec> = [40, 2048, 600, 1024]
-            .map(|r| RunSpec::baseline("compress", 4).regs(r).commits(2_000))
-            .into();
-        let other = RunSpec::baseline("espresso", 4).commits(2_000);
-        let mut tasks: Vec<&RunSpec> = group.iter().collect();
-        tasks.push(&other);
-
-        // Disabled: no plan regardless of structure.
-        assert!(prefilter_plan(&tasks, false).is_empty());
-
-        let plan = prefilter_plan(&tasks, true);
-        // 2048 (index 1) and 1024 (index 3) collapse onto 600 (index 2).
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.get(&1), Some(&2));
-        assert_eq!(plan.get(&3), Some(&2));
-        // The ungrouped espresso spec and the unsaturated point survive.
-        assert!(!plan.contains_key(&0) && !plan.contains_key(&4));
-
-        // A width change splits the group: nothing left to prune.
-        let wide = RunSpec::baseline("compress", 8).regs(2_048).commits(2_000);
-        let split: Vec<&RunSpec> = vec![&group[0], &wide];
-        assert!(prefilter_plan(&split, true).is_empty());
-    }
-
-    #[test]
-    fn substituted_stats_pad_histograms_and_keep_counters() {
-        let rep_spec = RunSpec::baseline("compress", 4).regs(600).commits(2_000);
-        let rep = simulate(&rep_spec);
-        let sub = substitute_stats(&rep, 2_048);
-        assert_eq!(sub.commit_ipc(), rep.commit_ipc());
-        assert_eq!(sub.cycles, rep.cycles);
-        for hist in sub.live_hist.iter().chain(sub.live_hist_imprecise.iter()) {
-            assert_eq!(hist.len(), 2_049);
-        }
-        // The padding is pure zeros: bin sums are unchanged.
-        for (s, r) in sub.live_hist.iter().zip(rep.live_hist.iter()) {
-            assert_eq!(s.iter().sum::<u64>(), r.iter().sum::<u64>());
         }
     }
 

@@ -20,16 +20,12 @@
 //! `[floor, ceiling]` bracket, so the cross-validation gate of
 //! `rfstudy model --check` holds by construction.
 //!
-//! [`prefilter`] reuses the same machinery to let sweep harnesses skip
-//! register-file sizes the model proves saturated (`RF_PREFILTER=1`):
-//! once every class's ideal-schedule demand plus a wrong-path margin
-//! fits, larger register files are predicted — and observed — to change
-//! nothing.
+//! The estimator is a cross-check, never a stand-in: every number in a
+//! report comes from a simulation, and `rfstudy model --check` measures
+//! how far the model's predictions fall from those simulations.
 
 pub mod estimate;
-pub mod prefilter;
 pub mod summary;
 
 pub use estimate::{evaluate, ModelEstimate};
-pub use prefilter::{demand_profile, plan_regs_sweep, saturation_regs};
 pub use summary::{summarize, summarize_profile, WorkloadSummary};

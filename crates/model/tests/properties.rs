@@ -4,9 +4,9 @@
 //! physical registers), and every register-pressure estimate must sit
 //! inside the static oracle's sound `[floor, ceiling]` bracket.
 //!
-//! These are the properties `rfstudy model --check` leans on: the
-//! prefilter prunes *larger* register files on the strength of
-//! monotonicity, and the `--check` gate asserts the bracket per config.
+//! These are the properties `rfstudy model --check` leans on: the model
+//! never predicts a wider machine or a larger register file to be
+//! slower, and the `--check` gate asserts the bracket per config.
 //! A calibration change that breaks either should fail here, on
 //! synthetic shapes, before it reaches the 72-config matrix.
 
@@ -63,9 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// More physical registers never cost predicted throughput: the
-    /// register term only ever widens the effective window. This is the
-    /// exact monotonicity the sweep prefilter banks on when it prunes
-    /// register files above the saturation point.
+    /// register term only ever widens the effective window.
     #[test]
     fn ipc_non_decreasing_in_phys_regs(
         bench_idx in 0usize..9,

@@ -22,9 +22,9 @@ use std::path::Path;
 /// `rfstudy report` can refuse records it does not understand.
 ///
 /// v2 added the per-harness `error` field (null for a harness that
-/// completed; the failure message for one that did not) and the cache
-/// pressure block (`config.cache_cap`, `totals.cache_evictions`,
-/// `totals.cache_resident_bytes`).
+/// completed; the failure message for one that did not) and the
+/// bounded run cache's pressure block (its entry cap in `config`, its
+/// eviction count and resident size in `totals`).
 ///
 /// v3 added the event-driven kernel's skip telemetry per harness —
 /// `cycles_skipped` and `wakeup_events` (both deterministic for a given
@@ -39,8 +39,8 @@ use std::path::Path;
 /// trend analysis skips them rather than averaging zeros.
 ///
 /// v5 added the analytic-model block: per-harness `pruned` (sweep
-/// points the `RF_PREFILTER=1` model prefilter substituted instead of
-/// simulating) and the top-level `model_error` cross-validation
+/// points whose results a model-driven sweep filter substituted instead
+/// of simulating) and the top-level `model_error` cross-validation
 /// telemetry (mean/worst absolute IPC error of `rf-model` against the
 /// simulator, null when the suite did not measure it).
 ///
@@ -54,7 +54,13 @@ use std::path::Path;
 /// durable run store's hit/miss/write counters (sims served from disk,
 /// lookups that fell through to execution, and results persisted), null
 /// when the store was off.
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8 removed the fields of two deleted features: v2's cache pressure
+/// block (the run cache is now an unbounded memo, so it has no cap, no
+/// evictions and no byte accounting) and v5's per-harness `pruned`
+/// count (no sweep point is substituted any more; every reported
+/// number comes from a simulation).
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -102,9 +108,6 @@ pub struct HarnessRecord {
     pub seconds: f64,
     /// Simulations executed (cache hits excluded).
     pub sims: u64,
-    /// Sweep points the analytic-model prefilter pruned (substituted,
-    /// not simulated; 0 unless `RF_PREFILTER=1`).
-    pub pruned: u64,
     /// Instructions committed by those simulations.
     pub committed: u64,
     /// Cycles simulated.
@@ -219,14 +222,6 @@ pub struct LedgerRecord {
     pub cache_hits: u64,
     /// Run-cache misses across the suite.
     pub cache_misses: u64,
-    /// Run-cache entry bound (`RF_CACHE_CAP`), when the bounded LRU mode
-    /// was active.
-    pub cache_capacity: Option<u64>,
-    /// Entries evicted by the LRU bound across the suite.
-    pub cache_evictions: u64,
-    /// Approximate bytes resident in the run cache at the end of the
-    /// suite.
-    pub cache_resident_bytes: u64,
     /// Per-harness breakdown, in suite order.
     pub harnesses: Vec<HarnessRecord>,
     /// Headline numbers extracted from the figure harnesses
@@ -269,7 +264,6 @@ impl LedgerRecord {
                     ("commits".to_owned(), int(self.commits)),
                     ("jobs".to_owned(), int(self.jobs)),
                     ("cache".to_owned(), Value::Bool(self.cache)),
-                    ("cache_cap".to_owned(), self.cache_capacity.map_or(Value::Null, int)),
                     ("sanitize".to_owned(), Value::Bool(self.sanitize)),
                 ]),
             ),
@@ -282,11 +276,6 @@ impl LedgerRecord {
                     ("cycles".to_owned(), int(self.cycles)),
                     ("cache_hits".to_owned(), int(self.cache_hits)),
                     ("cache_misses".to_owned(), int(self.cache_misses)),
-                    ("cache_evictions".to_owned(), int(self.cache_evictions)),
-                    (
-                        "cache_resident_bytes".to_owned(),
-                        int(self.cache_resident_bytes),
-                    ),
                 ]),
             ),
             (
@@ -359,7 +348,6 @@ fn harness_value(h: &HarnessRecord) -> Value {
         ("name".to_owned(), Value::String(h.name.clone())),
         ("seconds".to_owned(), num(round6(h.seconds))),
         ("sims".to_owned(), int(h.sims)),
-        ("pruned".to_owned(), int(h.pruned)),
         ("committed".to_owned(), int(h.committed)),
         ("cycles".to_owned(), int(h.cycles)),
         ("stall_no_reg".to_owned(), int(h.stall_no_reg)),
@@ -627,14 +615,10 @@ mod tests {
             cycles: 90_000,
             cache_hits: 40,
             cache_misses: 100,
-            cache_capacity: Some(64),
-            cache_evictions: 3,
-            cache_resident_bytes: 12_345,
             harnesses: vec![HarnessRecord {
                 name: "fig3".to_owned(),
                 seconds: 0.5,
                 sims: 50,
-                pruned: 4,
                 committed: 100_000,
                 cycles: 45_000,
                 stall_no_reg: 10,
@@ -695,7 +679,7 @@ mod tests {
         assert_eq!(v.get("totals").unwrap().get_f64("sims"), Some(100.0));
         let h = &v.get("harnesses").unwrap().as_array().unwrap()[0];
         assert_eq!(h.get_str("name"), Some("fig3"));
-        assert_eq!(h.get_f64("pruned"), Some(4.0));
+        assert!(h.get("pruned").is_none(), "v8 dropped the per-harness pruned count");
         assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get_f64("wakeup_events"), Some(1_500.0));
         assert_eq!(h.get_f64("cycles_per_second"), Some(90_000.0));
@@ -704,11 +688,16 @@ mod tests {
         assert_eq!(h.get("phase_seconds").unwrap().get_f64("simulate"), Some(0.4));
         assert_eq!(h.get("probe").unwrap().get_str("bench"), Some("gcc1"));
         assert_eq!(h.get("error"), Some(&Value::Null));
-        assert_eq!(v.get("config").unwrap().get_f64("cache_cap"), Some(64.0));
-        assert_eq!(v.get("totals").unwrap().get_f64("cache_evictions"), Some(3.0));
+        // v8 dropped the cache pressure block: config and totals hold
+        // exactly these keys.
+        let keys = |block: &str| -> Vec<String> {
+            let members = v.get(block).and_then(Value::as_object).expect(block);
+            members.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys("config"), ["commits", "jobs", "cache", "sanitize"]);
         assert_eq!(
-            v.get("totals").unwrap().get_f64("cache_resident_bytes"),
-            Some(12_345.0)
+            keys("totals"),
+            ["seconds", "sims", "committed", "cycles", "cache_hits", "cache_misses"]
         );
         assert_eq!(
             v.get("headlines").unwrap().get_f64("fig3.commit_ipc.4way_dq32"),
@@ -854,7 +843,7 @@ mod tests {
         assert!(h.get("profile").is_none(), "wall-time profile is volatile");
         assert!(p.get("model_error").is_none(), "model-error block is stripped");
         assert!(p.get("telemetry").is_none(), "live-telemetry block is stripped");
-        assert_eq!(h.get_f64("pruned"), Some(4.0), "pruned counts are deterministic");
+        assert_eq!(h.get_f64("stall_no_reg"), Some(10.0), "stall counts are deterministic");
         assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
     }

@@ -3,8 +3,8 @@
 //! Everything else in `rf-obs` is post-hoc: the ledger, the scorecard,
 //! and the profiler all report after a run finishes. This module is the
 //! live counterpart — a lock-free runtime of process-wide relaxed-atomic
-//! counters (sims started/completed/failed/cached/pruned, committed
-//! instructions, cycles stepped/skipped, cache hits/evictions) plus
+//! counters (sims started/completed/failed/cached, committed
+//! instructions, cycles stepped/skipped, cache hits/misses) plus
 //! per-worker busy-time cells, fed by cheap producer hooks in the run
 //! pool, the run cache, and the suite bench, and drained by a background
 //! sampler thread into three sinks:
@@ -49,7 +49,11 @@ use std::time::{Duration, Instant};
 
 /// Version of the `live.jsonl` record schema. Bump when a record's
 /// shape changes; readers refuse records they do not understand.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+///
+/// v2 dropped two counters of deleted features: the simulation points a
+/// model-driven sweep filter substituted, and the bounded run cache's
+/// LRU evictions.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
 /// Where the suite runner streams live snapshots (relative to the
 /// invocation directory, alongside `results/history/suite.jsonl`).
@@ -133,12 +137,10 @@ static SIMS_STARTED: AtomicU64 = AtomicU64::new(0);
 static SIMS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 static SIMS_FAILED: AtomicU64 = AtomicU64::new(0);
 static SIMS_CACHED: AtomicU64 = AtomicU64::new(0);
-static SIMS_PRUNED: AtomicU64 = AtomicU64::new(0);
 static INSTRUCTIONS_COMMITTED: AtomicU64 = AtomicU64::new(0);
 static CYCLES: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static STORE_HITS: AtomicU64 = AtomicU64::new(0);
 static STORE_MISSES: AtomicU64 = AtomicU64::new(0);
 static STORE_WRITES: AtomicU64 = AtomicU64::new(0);
@@ -221,14 +223,6 @@ pub fn cache_miss() {
     }
 }
 
-/// The global run cache evicted `n` entries to stay under its cap.
-#[inline]
-pub fn cache_evicted(n: u64) {
-    if is_enabled() {
-        CACHE_EVICTIONS.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 /// The durable run store served a simulation from disk. Unlike the
 /// cache hooks, the store hooks have no private/test instances — the
 /// store tier is inherently process-global — so they always reconcile
@@ -253,14 +247,6 @@ pub fn store_miss() {
 pub fn store_write() {
     if is_enabled() {
         STORE_WRITES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The model prefilter pruned `n` simulation points from a batch.
-#[inline]
-pub fn sims_pruned(n: u64) {
-    if is_enabled() {
-        SIMS_PRUNED.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -301,12 +287,10 @@ fn reset_counters() {
         &SIMS_COMPLETED,
         &SIMS_FAILED,
         &SIMS_CACHED,
-        &SIMS_PRUNED,
         &INSTRUCTIONS_COMMITTED,
         &CYCLES,
         &CACHE_HITS,
         &CACHE_MISSES,
-        &CACHE_EVICTIONS,
         &STORE_HITS,
         &STORE_MISSES,
         &STORE_WRITES,
@@ -338,8 +322,6 @@ pub struct CounterSnapshot {
     pub sims_failed: u64,
     /// Simulations served by the global run cache.
     pub sims_cached: u64,
-    /// Simulation points pruned by the model prefilter.
-    pub sims_pruned: u64,
     /// Instructions committed across completed simulations.
     pub instructions_committed: u64,
     /// Cycles stepped across completed simulations.
@@ -354,8 +336,6 @@ pub struct CounterSnapshot {
     pub cache_hits: u64,
     /// Global run-cache misses.
     pub cache_misses: u64,
-    /// Global run-cache LRU evictions.
-    pub cache_evictions: u64,
     /// Durable run-store hits (sims served from disk; 0 with `RF_STORE`
     /// off).
     pub store_hits: u64,
@@ -369,20 +349,18 @@ pub struct CounterSnapshot {
 impl CounterSnapshot {
     /// Canonical (name, value) order used by the JSONL records, the
     /// Prometheus rendering, and the final-snapshot digest.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 15] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 13] {
         [
             ("sims_started", self.sims_started),
             ("sims_completed", self.sims_completed),
             ("sims_failed", self.sims_failed),
             ("sims_cached", self.sims_cached),
-            ("sims_pruned", self.sims_pruned),
             ("instructions_committed", self.instructions_committed),
             ("cycles", self.cycles),
             ("cycles_skipped", self.cycles_skipped),
             ("wakeup_events", self.wakeup_events),
             ("cache_hits", self.cache_hits),
             ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
             ("store_hits", self.store_hits),
             ("store_misses", self.store_misses),
             ("store_writes", self.store_writes),
@@ -398,14 +376,12 @@ impl CounterSnapshot {
             sims_completed: g("sims_completed"),
             sims_failed: g("sims_failed"),
             sims_cached: g("sims_cached"),
-            sims_pruned: g("sims_pruned"),
             instructions_committed: g("instructions_committed"),
             cycles: g("cycles"),
             cycles_skipped: g("cycles_skipped"),
             wakeup_events: g("wakeup_events"),
             cache_hits: g("cache_hits"),
             cache_misses: g("cache_misses"),
-            cache_evictions: g("cache_evictions"),
             store_hits: g("store_hits"),
             store_misses: g("store_misses"),
             store_writes: g("store_writes"),
@@ -445,14 +421,12 @@ pub fn counters_now() -> CounterSnapshot {
         sims_completed: SIMS_COMPLETED.load(Ordering::Relaxed),
         sims_failed: SIMS_FAILED.load(Ordering::Relaxed),
         sims_cached: SIMS_CACHED.load(Ordering::Relaxed),
-        sims_pruned: SIMS_PRUNED.load(Ordering::Relaxed),
         instructions_committed: INSTRUCTIONS_COMMITTED.load(Ordering::Relaxed),
         cycles: CYCLES.load(Ordering::Relaxed),
         cycles_skipped: skipped.saturating_sub(SKIP_BASE_CYCLES.load(Ordering::Relaxed)),
         wakeup_events: wakeups.saturating_sub(SKIP_BASE_WAKEUPS.load(Ordering::Relaxed)),
         cache_hits: CACHE_HITS.load(Ordering::Relaxed),
         cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
-        cache_evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
         store_hits: STORE_HITS.load(Ordering::Relaxed),
         store_misses: STORE_MISSES.load(Ordering::Relaxed),
         store_writes: STORE_WRITES.load(Ordering::Relaxed),
@@ -990,14 +964,12 @@ mod tests {
             sims_completed: 38,
             sims_failed: 2,
             sims_cached: 13,
-            sims_pruned: 5,
             instructions_committed: 7_600_000,
             cycles: 3_000_000,
             cycles_skipped: 400_000,
             wakeup_events: 9_000,
             cache_hits: 13,
             cache_misses: 41,
-            cache_evictions: 3,
             store_hits: 9,
             store_misses: 32,
             store_writes: 30,
@@ -1102,8 +1074,10 @@ mod tests {
         sim_failed();
         cache_hit();
         cache_miss();
-        cache_evicted(2);
-        sims_pruned(3);
+        store_hit();
+        store_miss();
+        store_miss();
+        store_write();
         worker_task(1, 500);
         worker_task(MAX_WORKERS + 5, 7); // clamps into the last cell
         set_enabled(false);
@@ -1116,8 +1090,7 @@ mod tests {
         assert_eq!(c.cycles, 20);
         assert_eq!((c.sims_cached, c.cache_hits), (1, 1));
         assert_eq!(c.cache_misses, 1);
-        assert_eq!(c.cache_evictions, 2);
-        assert_eq!(c.sims_pruned, 3);
+        assert_eq!((c.store_hits, c.store_misses, c.store_writes), (1, 2, 1));
         let workers = workers_now();
         assert_eq!(workers.len(), MAX_WORKERS, "clamped id registers the last cell");
         assert_eq!(workers[1], WorkerSample { id: 1, busy_ns: 500, sims: 1 });

@@ -1005,6 +1005,18 @@ mod tests {
         }
     }
 
+    /// Restamps a fixture with another schema version, as a record an
+    /// older build appended would carry.
+    fn with_schema(mut record: Value, schema: u64) -> Value {
+        let Value::Object(members) = &mut record else { unreachable!() };
+        for (k, v) in members.iter_mut() {
+            if k == "schema" {
+                *v = Value::Number(schema as f64);
+            }
+        }
+        record
+    }
+
     fn ledger_of(scales: &[f64]) -> Vec<Value> {
         scales
             .iter()
@@ -1267,6 +1279,16 @@ mod tests {
         let missing = Options { baseline: Some("nope".to_owned()), ..Options::default() };
         assert!(analyze(&records, &missing).is_err());
         assert!(analyze(&[], &Options::default()).is_err());
+
+        // A latest record from before the last schema bump is refused.
+        let current = crate::ledger::SCHEMA_VERSION;
+        let mut stale = ledger_of(&[1.0]);
+        stale.push(with_schema(record("old", 1.0, &[]), current - 1));
+        let err = analyze(&stale, &Options::default()).expect_err("stale latest schema");
+        assert_eq!(
+            err,
+            format!("latest record has schema {}, this build reads {current}", current - 1)
+        );
     }
 
     #[test]
@@ -1302,6 +1324,22 @@ mod tests {
         assert_eq!(a.baseline_runs, 1, "only the comparable prior run counts");
         assert!(a.passed());
         assert!(!a.warnings.is_empty());
+
+        // Priors written before the last schema bump are dropped the
+        // same way, even at the same scale and jobs.
+        let current = crate::ledger::SCHEMA_VERSION;
+        let mut mixed: Vec<Value> =
+            ledger_of(&[1.0, 1.0]).into_iter().map(|r| with_schema(r, current - 1)).collect();
+        mixed.push(record("latest", 1.0, &[]));
+        let a = analyze(&mixed, &Options::default()).unwrap();
+        assert_eq!(a.baseline_runs, 0, "older-schema priors never enter the window");
+        assert!(
+            a.warnings
+                .iter()
+                .any(|w| w == "2 prior record(s) ignored (different scale/jobs/schema)"),
+            "warnings: {:?}",
+            a.warnings
+        );
     }
 
     #[test]

@@ -34,9 +34,6 @@ fn full_record() -> LedgerRecord {
         cycles: 98_765_432,
         cache_hits: 321,
         cache_misses: 913,
-        cache_capacity: Some(256),
-        cache_evictions: 17,
-        cache_resident_bytes: 1_048_576,
         harnesses: vec![
             HarnessRecord {
                 name: "table1".to_owned(),
@@ -49,7 +46,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 0,
                 cycles_skipped: 750_000,
                 wakeup_events: 31_000,
-                pruned: 6,
                 cache_served: false,
                 phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
                 profile: Some(rf_prof::ProfileNode {
@@ -95,7 +91,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 13,
                 cycles_skipped: 0,
                 wakeup_events: 0,
-                pruned: 0,
                 cache_served: false,
                 phase: PhaseRecord { generate: 0.001, simulate: 0.6, aggregate: 0.149 },
                 profile: None,
@@ -117,7 +112,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 0,
                 cycles_skipped: 0,
                 wakeup_events: 0,
-                pruned: 0,
                 cache_served: true,
                 phase: PhaseRecord { generate: 0.0, simulate: 0.0, aggregate: 0.012 },
                 profile: None,
@@ -164,9 +158,6 @@ fn minimal_record() -> LedgerRecord {
         cycles: 0,
         cache_hits: 0,
         cache_misses: 0,
-        cache_capacity: None,
-        cache_evictions: 0,
-        cache_resident_bytes: 0,
         harnesses: Vec::new(),
         headlines: Vec::new(),
         model_error: None,
@@ -211,7 +202,7 @@ fn golden_lines_parse_back_to_current_schema() {
             assert!(v.get(key).is_some(), "line {} missing {key}", i + 1);
         }
         let config = v.get("config").unwrap();
-        for key in ["commits", "jobs", "cache", "cache_cap", "sanitize"] {
+        for key in ["commits", "jobs", "cache", "sanitize"] {
             assert!(config.get(key).is_some(), "config missing {key}");
         }
         let totals = v.get("totals").unwrap();
@@ -222,8 +213,6 @@ fn golden_lines_parse_back_to_current_schema() {
             "cycles",
             "cache_hits",
             "cache_misses",
-            "cache_evictions",
-            "cache_resident_bytes",
         ] {
             assert!(totals.get(key).is_some(), "totals missing {key}");
         }
@@ -239,7 +228,6 @@ fn golden_lines_parse_back_to_current_schema() {
                 "no_free_cycles",
                 "cycles_skipped",
                 "wakeup_events",
-                "pruned",
                 "cache_served",
                 "cycles_per_second",
                 "phase_seconds",

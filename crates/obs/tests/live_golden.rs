@@ -23,14 +23,12 @@ fn counters() -> CounterSnapshot {
         sims_completed: 409,
         sims_failed: 3,
         sims_cached: 57,
-        sims_pruned: 24,
         instructions_committed: 81_800_000,
         cycles: 33_500_000,
         cycles_skipped: 4_200_000,
         wakeup_events: 96_000,
         cache_hits: 57,
         cache_misses: 436,
-        cache_evictions: 12,
         store_hits: 101,
         store_misses: 335,
         store_writes: 330,

@@ -12,7 +12,7 @@
 //!
 //! Profiling is off by default and controlled by the `RF_PROFILE`
 //! environment switch (`1/on/true/yes` or `0/off/false/no`, the same
-//! spellings as `RF_CACHE`/`RF_PREFILTER`), consulted once per process.
+//! spellings as `RF_CACHE`/`RF_STORE`), consulted once per process.
 //! `rfstudy profile` and the benchmarks flip it programmatically with
 //! [`set_enabled`]. When off, every span site reduces to one relaxed
 //! atomic load (coarse sites) or one thread-local read (hot sites) — a

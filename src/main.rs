@@ -706,12 +706,10 @@ fn render_top_frame(
     let rate = if window_s > 0.0 { delta_committed / window_s } else { 0.0 };
     let _ = writeln!(
         out,
-        "sims: {} done / {} failed / {} cached / {} pruned ({} started, {} in flight)   \
-         commits/s {}",
+        "sims: {} done / {} failed / {} cached ({} started, {} in flight)   commits/s {}",
         c.sims_completed,
         c.sims_failed,
         c.sims_cached,
-        c.sims_pruned,
         c.sims_started,
         c.sims_started.saturating_sub(c.sims_completed + c.sims_failed),
         human_count(rate),
@@ -720,10 +718,9 @@ fn render_top_frame(
     let hit_pct = if lookups > 0 { 100.0 * c.cache_hits as f64 / lookups as f64 } else { 0.0 };
     let _ = writeln!(
         out,
-        "cache: {} hits / {} misses ({hit_pct:.1}% hit rate)   evictions {}   committed {}",
+        "cache: {} hits / {} misses ({hit_pct:.1}% hit rate)   committed {}",
         c.cache_hits,
         c.cache_misses,
-        c.cache_evictions,
         human_count(c.instructions_committed as f64),
     );
     if !last.workers.is_empty() {
@@ -1085,14 +1082,12 @@ mod top_tests {
                 sims_completed: 7,
                 sims_failed: 1,
                 sims_cached: 2,
-                sims_pruned: 3,
                 instructions_committed: committed,
                 cycles: committed / 2,
                 cycles_skipped: 0,
                 wakeup_events: 0,
                 cache_hits: 2,
                 cache_misses: 6,
-                cache_evictions: 1,
                 store_hits: 0,
                 store_misses: 0,
                 store_writes: 0,
@@ -1120,7 +1115,7 @@ mod top_tests {
         assert!(frame.contains("1/3 harnesses   current fig4 (0.5s)"), "{frame}");
         // fig4 charged (3 - 0.5) + mystery charged 2.
         assert!(frame.contains("eta 4.5s"), "{frame}");
-        assert!(frame.contains("7 done / 1 failed / 2 cached / 3 pruned"), "{frame}");
+        assert!(frame.contains("7 done / 1 failed / 2 cached (10 started, 2 in flight)"), "{frame}");
         assert!(frame.contains("(25.0% hit rate)"), "{frame}");
         assert!(!frame.contains("FINISHED"));
 

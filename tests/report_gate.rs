@@ -36,7 +36,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         phase: PhaseRecord { generate: 0.001, simulate: seconds * 0.9, aggregate: 0.0 },
         profile: None,
         probe: None,
-        pruned: 0,
         error: None,
     };
     LedgerRecord {
@@ -52,9 +51,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         cycles: 320_000,
         cache_hits: 10,
         cache_misses: 70,
-        cache_capacity: None,
-        cache_evictions: 0,
-        cache_resident_bytes: 0,
         harnesses: vec![harness("fig3", 1.0 * scale), harness("fig6", 2.0 * scale)],
         headlines,
         model_error: None,
