@@ -3,7 +3,7 @@
 //! stepping rate of `Pipeline::step` without any run-loop bookkeeping.
 //! The starved/roomy pair brackets the kernel's idle-skip payoff (wide
 //! windows vs none); the step benchmark isolates the cost of one
-//! simulated cycle (issue scan, completion heap, accounting).
+//! simulated cycle (issue scan, completion wheel, accounting).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rf_core::Pipeline;

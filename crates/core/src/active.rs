@@ -3,7 +3,6 @@
 
 use rf_bpred::{HistoryCheckpoint, Prediction};
 use rf_isa::{OpKind, RegClass};
-use std::collections::VecDeque;
 
 /// Pipeline stage of an active instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +26,9 @@ pub struct BranchInfo {
     pub checkpoint: HistoryCheckpoint,
 }
 
-/// One renamed in-flight instruction.
-#[derive(Debug, Clone)]
+/// One renamed in-flight instruction: the hot per-entry state every
+/// pipeline phase reads. Rarely used fields live in [`ColdEntry`].
+#[derive(Debug, Clone, Copy)]
 pub struct ActiveEntry {
     /// Monotonic program-order sequence number.
     pub seq: u64,
@@ -50,20 +50,47 @@ pub struct ActiveEntry {
     /// pipeline: computed at insert, raised by completion wake-ups).
     /// Meaningful only while [`Stage::InQueue`].
     pub ready: bool,
-    /// Branch bookkeeping for conditional branches.
-    pub branch: Option<BranchInfo>,
     /// Program counter (predictor indexing).
     pub pc: u64,
+}
+
+/// The cold per-entry state of an in-flight instruction, kept in a side
+/// ring so the hot [`ActiveEntry`] ring stays small. Written whole at
+/// every push.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ColdEntry {
+    /// Branch bookkeeping for conditional branches.
+    pub branch: Option<BranchInfo>,
     /// Index of the non-pipelined divider occupied, if any.
     pub div_unit: Option<usize>,
 }
 
-/// The active list: a seq-indexed deque of in-flight instructions.
+/// The contents of a ring slot no live entry owns.
+const VACANT: ActiveEntry = ActiveEntry {
+    seq: 0,
+    kind: OpKind::IntAlu,
+    wrong_path: false,
+    stage: Stage::Completed,
+    complete_at: u64::MAX,
+    dest: None,
+    srcs: [None, None],
+    mem_addr: None,
+    ready: false,
+    pc: 0,
+};
+
+/// Initial ring capacity in entries (a power of two, a multiple of 64).
+const INITIAL_CAP: usize = 256;
+
+/// The active list: a seq-indexed ring of in-flight instructions.
 ///
 /// Sequence numbers are dense — every renamed instruction is appended —
-/// so `seq - front_seq` indexes the deque directly. Entries leave from
-/// the front at commit and from the back at squash; both preserve
-/// density.
+/// so the live window `front..next_seq` maps onto ring slots
+/// `seq & (cap - 1)` without collisions while the ring holds at most
+/// `cap` entries. Entries leave from the front at commit and from the
+/// back at squash; both preserve density. The hot entries, the cold side
+/// ring and the issue-scan bitset share one power-of-two capacity and
+/// grow together.
 ///
 /// # Examples
 ///
@@ -72,23 +99,34 @@ pub struct ActiveEntry {
 /// use rf_isa::OpKind;
 ///
 /// let mut list = ActiveList::new();
-/// let seq = list.push(OpKind::IntAlu, false, 0);
-/// assert_eq!(list.get(seq).unwrap().stage, Stage::InQueue);
-/// assert_eq!(list.len(), 1);
+/// let a = list.push(OpKind::IntAlu, false, 0);
+/// let b = list.push(OpKind::Load, false, 4);
+/// assert_eq!(list.get(a).unwrap().stage, Stage::InQueue);
+/// assert_eq!(list.len(), 2);
+/// // Commit retires the oldest entry; its sequence number goes stale.
+/// assert_eq!(list.pop_front().unwrap().seq, a);
+/// assert!(list.get(a).is_none());
+/// // Squash rolls back the youngest; the next push reuses its number.
+/// list.pop_back();
+/// assert_eq!(list.push(OpKind::Store, false, 8), b);
+/// assert_eq!(list.get(b).unwrap().kind, OpKind::Store);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActiveList {
-    entries: VecDeque<ActiveEntry>,
+    /// Hot entries, `cap` slots indexed by `seq & mask`.
+    entries: Vec<ActiveEntry>,
+    /// Cold entries, indexed like `entries`.
+    cold: Vec<ColdEntry>,
+    /// Sequence number of the oldest live entry.
+    head: u64,
     next_seq: u64,
-    /// Ring bitset over `seq & (scan_cap - 1)` marking the entries the
-    /// issue scan must visit: in-queue entries whose source registers are
-    /// all ready (the only possible issue candidates — address hazards
-    /// are tracked separately by the pipeline's incremental hazard
-    /// index). Live sequence numbers are dense and the ring is kept
-    /// larger than the list, so each live entry owns a distinct bit.
+    /// `cap - 1`, where `cap` is the shared ring capacity.
+    mask: u64,
+    /// Ring bitset over `seq & mask` marking the entries the issue scan
+    /// must visit: in-queue entries whose source registers are all ready
+    /// (the only possible issue candidates — address hazards are tracked
+    /// separately by the pipeline's incremental hazard index).
     scan_words: Vec<u64>,
-    /// Ring capacity in bits (a power of two, `scan_words.len() * 64`).
-    scan_cap: u64,
 }
 
 impl Default for ActiveList {
@@ -100,21 +138,37 @@ impl Default for ActiveList {
 impl ActiveList {
     /// Creates an empty list.
     pub fn new() -> Self {
-        Self::new_in(VecDeque::new(), Vec::new())
+        Self::new_in((Vec::new(), Vec::new(), Vec::new()))
     }
 
     /// As [`ActiveList::new`], reusing previously allocated buffers
     /// (contents are discarded, capacity is kept).
-    pub(crate) fn new_in(mut entries: VecDeque<ActiveEntry>, mut scan_words: Vec<u64>) -> Self {
+    pub(crate) fn new_in(
+        (mut entries, mut cold, mut scan_words): (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<u64>),
+    ) -> Self {
+        // Start at the capacity a previous run grew to, so a recycled
+        // ring does not grow (and reallocate) again.
+        let cap = match entries.capacity().min(cold.capacity()) {
+            0 => INITIAL_CAP,
+            recycled => (1 << recycled.ilog2()).max(INITIAL_CAP),
+        };
         entries.clear();
+        entries.resize(cap, VACANT);
+        cold.clear();
+        cold.resize(cap, ColdEntry::default());
         scan_words.clear();
-        scan_words.resize(4, 0);
-        Self { entries, next_seq: 0, scan_words, scan_cap: 256 }
+        scan_words.resize(cap / 64, 0);
+        Self { entries, cold, head: 0, next_seq: 0, mask: cap as u64 - 1, scan_words }
     }
 
     /// Tears the list down into its raw buffers for arena recycling.
-    pub(crate) fn into_buffers(self) -> (VecDeque<ActiveEntry>, Vec<u64>) {
-        (self.entries, self.scan_words)
+    pub(crate) fn into_buffers(self) -> (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<u64>) {
+        (self.entries, self.cold, self.scan_words)
+    }
+
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     /// Adds `seq` to the issue scan: called by the pipeline when an
@@ -122,7 +176,7 @@ impl ActiveList {
     /// wake-up).
     #[inline]
     pub(crate) fn scan_set(&mut self, seq: u64) {
-        let pos = (seq & (self.scan_cap - 1)) as usize;
+        let pos = self.slot(seq);
         self.scan_words[pos / 64] |= 1 << (pos % 64);
     }
 
@@ -130,27 +184,31 @@ impl ActiveList {
     /// being an issue candidate (issue, removal).
     #[inline]
     pub(crate) fn scan_retire(&mut self, seq: u64) {
-        let pos = (seq & (self.scan_cap - 1)) as usize;
+        let pos = self.slot(seq);
         self.scan_words[pos / 64] &= !(1 << (pos % 64));
     }
 
-    /// Doubles the ring and rebuilds it from the live window. The
-    /// rebuild predicate mirrors the maintenance rules exactly: a bit is
-    /// set for data-ready in-queue entries.
+    /// Doubles the shared capacity, moving the live window to its new
+    /// slots. Scan bits move with their entries.
     #[cold]
-    fn scan_grow(&mut self) {
-        self.scan_cap *= 2;
-        self.scan_words.clear();
-        self.scan_words.resize((self.scan_cap / 64) as usize, 0);
-        let mut to_set = Vec::new();
-        for e in &self.entries {
-            if e.stage == Stage::InQueue && e.ready {
-                to_set.push(e.seq);
+    fn grow(&mut self) {
+        let cap = 2 * self.entries.len();
+        let new_mask = cap as u64 - 1;
+        let mut entries = vec![VACANT; cap];
+        let mut cold = vec![ColdEntry::default(); cap];
+        let mut scan_words = vec![0u64; cap / 64];
+        for seq in self.head..self.next_seq {
+            let (old, new) = (self.slot(seq), (seq & new_mask) as usize);
+            entries[new] = self.entries[old];
+            cold[new] = self.cold[old];
+            if self.scan_words[old / 64] >> (old % 64) & 1 == 1 {
+                scan_words[new / 64] |= 1 << (new % 64);
             }
         }
-        for seq in to_set {
-            self.scan_set(seq);
-        }
+        self.entries = entries;
+        self.cold = cold;
+        self.scan_words = scan_words;
+        self.mask = new_mask;
     }
 
     /// Iterates, oldest to youngest, over the sequence numbers the issue
@@ -158,40 +216,45 @@ impl ActiveList {
     /// makes a scan of a mostly-waiting window O(set bits) instead of
     /// O(list length).
     pub(crate) fn scan_seqs(&self) -> ScanSeqs<'_> {
-        let (next, back) = match (self.entries.front(), self.entries.back()) {
-            (Some(f), Some(b)) => (f.seq, b.seq),
-            _ => (1, 0), // empty: next > back yields nothing
-        };
-        ScanSeqs { words: &self.scan_words, mask: self.scan_cap - 1, next, back }
+        ScanSeqs { words: &self.scan_words, mask: self.mask, next: self.head, end: self.next_seq }
     }
 
     /// Appends a fresh entry in the dispatch-queue stage, returning its
-    /// sequence number. Destination/source renaming is filled in by the
-    /// caller via [`ActiveList::get_mut`].
+    /// sequence number. Renaming can be filled in afterwards via
+    /// [`ActiveList::get_mut`] and [`ActiveList::cold_mut`].
     pub fn push(&mut self, kind: OpKind, wrong_path: bool, pc: u64) -> u64 {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push_back(ActiveEntry {
-            seq,
-            kind,
-            wrong_path,
-            stage: Stage::InQueue,
-            complete_at: u64::MAX,
-            dest: None,
-            srcs: [None, None],
-            mem_addr: None,
-            ready: false,
-            branch: None,
-            pc,
-            div_unit: None,
-        });
-        // A fresh entry is not in the scan until the pipeline marks it
-        // data-ready; growing here guarantees the ring always has a
-        // distinct bit per live entry before that happens.
-        if self.entries.len() as u64 >= self.scan_cap {
-            self.scan_grow();
-        }
+        self.push_entry(
+            ActiveEntry {
+                seq,
+                kind,
+                wrong_path,
+                stage: Stage::InQueue,
+                complete_at: u64::MAX,
+                dest: None,
+                srcs: [None, None],
+                mem_addr: None,
+                ready: false,
+                pc,
+            },
+            ColdEntry::default(),
+        );
         seq
+    }
+
+    /// Appends an entry the pipeline has already renamed, in one write.
+    /// Its `seq` must be [`ActiveList::next_seq`]. The entry is not in
+    /// the issue scan until the pipeline marks it: its slot's bit was
+    /// cleared when the slot's previous owner left.
+    pub(crate) fn push_entry(&mut self, entry: ActiveEntry, cold: ColdEntry) {
+        debug_assert_eq!(entry.seq, self.next_seq, "entries are pushed in seq order");
+        if self.len() == self.entries.len() {
+            self.grow();
+        }
+        let pos = self.slot(entry.seq);
+        self.entries[pos] = entry;
+        self.cold[pos] = cold;
+        self.next_seq += 1;
     }
 
     /// The sequence number the next pushed entry will get.
@@ -201,42 +264,63 @@ impl ActiveList {
 
     /// Number of in-flight entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        (self.next_seq - self.head) as usize
     }
 
     /// Whether no instructions are in flight.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.next_seq == self.head
+    }
+
+    /// Whether `seq` names a live entry.
+    #[inline]
+    fn live(&self, seq: u64) -> bool {
+        self.head <= seq && seq < self.next_seq
     }
 
     /// Looks up an entry by sequence number (`None` once committed or
     /// squashed).
+    #[inline]
     pub fn get(&self, seq: u64) -> Option<&ActiveEntry> {
-        let front = self.entries.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        self.entries.get((seq - front) as usize)
+        self.live(seq).then(|| &self.entries[self.slot(seq)])
     }
 
     /// Mutable lookup by sequence number.
+    #[inline]
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut ActiveEntry> {
-        let front = self.entries.front()?.seq;
-        if seq < front {
-            return None;
+        if self.live(seq) {
+            let pos = self.slot(seq);
+            Some(&mut self.entries[pos])
+        } else {
+            None
         }
-        self.entries.get_mut((seq - front) as usize)
+    }
+
+    /// Looks up an entry's cold state by sequence number.
+    pub fn cold(&self, seq: u64) -> Option<&ColdEntry> {
+        self.live(seq).then(|| &self.cold[self.slot(seq)])
+    }
+
+    /// Mutable lookup of an entry's cold state.
+    pub fn cold_mut(&mut self, seq: u64) -> Option<&mut ColdEntry> {
+        if self.live(seq) {
+            let pos = self.slot(seq);
+            Some(&mut self.cold[pos])
+        } else {
+            None
+        }
     }
 
     /// The oldest in-flight entry.
     pub fn front(&self) -> Option<&ActiveEntry> {
-        self.entries.front()
+        self.get(self.head)
     }
 
     /// Removes and returns the oldest entry (commit).
     pub fn pop_front(&mut self) -> Option<ActiveEntry> {
-        let e = self.entries.pop_front()?;
+        let e = *self.front()?;
         self.scan_retire(e.seq);
+        self.head += 1;
         Some(e)
     }
 
@@ -244,10 +328,10 @@ impl ActiveList {
     /// squashed sequence number is reused by the next push, keeping the
     /// list dense in `seq`; the pipeline must therefore purge every
     /// reference to squashed sequence numbers during recovery (it does:
-    /// fills are cancelled, outstanding-branch and pending-kill records
+    /// fills are cancelled, outstanding-barrier and pending-kill records
     /// are truncated to the squash boundary).
     pub fn pop_back(&mut self) -> Option<ActiveEntry> {
-        let e = self.entries.pop_back()?;
+        let e = *self.back()?;
         self.scan_retire(e.seq);
         self.next_seq = e.seq;
         Some(e)
@@ -255,17 +339,12 @@ impl ActiveList {
 
     /// The youngest in-flight entry.
     pub fn back(&self) -> Option<&ActiveEntry> {
-        self.entries.back()
+        self.get(self.next_seq.wrapping_sub(1))
     }
 
     /// Iterates oldest to youngest.
     pub fn iter(&self) -> impl Iterator<Item = &ActiveEntry> {
-        self.entries.iter()
-    }
-
-    /// Iterates mutably oldest to youngest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut ActiveEntry> {
-        self.entries.iter_mut()
+        (self.head..self.next_seq).map(|seq| &self.entries[self.slot(seq)])
     }
 }
 
@@ -281,7 +360,8 @@ pub(crate) struct ScanSeqs<'a> {
     words: &'a [u64],
     mask: u64,
     next: u64,
-    back: u64,
+    /// One past the youngest live sequence number.
+    end: u64,
 }
 
 impl Iterator for ScanSeqs<'_> {
@@ -289,7 +369,7 @@ impl Iterator for ScanSeqs<'_> {
 
     fn next(&mut self) -> Option<u64> {
         let mut s = self.next;
-        while s <= self.back {
+        while s < self.end {
             let pos = (s & self.mask) as usize;
             let rest = self.words[pos / 64] >> (pos % 64);
             if rest == 0 {
@@ -298,7 +378,7 @@ impl Iterator for ScanSeqs<'_> {
                 continue;
             }
             s += u64::from(rest.trailing_zeros());
-            if s > self.back {
+            if s >= self.end {
                 break;
             }
             self.next = s + 1;
@@ -341,6 +421,42 @@ mod tests {
         // ...and indexing still works.
         assert_eq!(list.get(c).unwrap().seq, c);
         assert_eq!(list.len(), 2);
+    }
+
+    #[test]
+    fn cold_state_follows_its_entry_through_growth() {
+        let mut list = ActiveList::new();
+        let mut seqs = Vec::new();
+        for i in 0..1_000u64 {
+            let seq = list.push(OpKind::FpDiv64, false, i);
+            list.cold_mut(seq).unwrap().div_unit = Some(i as usize);
+            seqs.push(seq);
+            // Retire from the front now and then so the window wraps.
+            if i % 4 == 0 {
+                list.pop_front();
+            }
+        }
+        assert!(list.len() > INITIAL_CAP, "the ring grew");
+        for seq in seqs.into_iter().filter(|&s| list.get(s).is_some()) {
+            assert_eq!(list.cold(seq).unwrap().div_unit, Some(list.get(seq).unwrap().pc as usize));
+        }
+        // A push resets the cold state a squashed entry left behind.
+        let back = list.back().unwrap().seq;
+        list.pop_back();
+        assert_eq!(list.push(OpKind::IntAlu, false, 0), back);
+        assert_eq!(list.cold(back).unwrap().div_unit, None);
+    }
+
+    #[test]
+    fn recycled_buffers_keep_their_grown_capacity() {
+        let mut list = ActiveList::new();
+        for _ in 0..1_000 {
+            list.push(OpKind::IntAlu, false, 0);
+        }
+        let list = ActiveList::new_in(list.into_buffers());
+        assert!(list.is_empty());
+        assert_eq!(list.entries.len(), 1024);
+        assert!(list.scan_seqs().next().is_none());
     }
 
     #[test]

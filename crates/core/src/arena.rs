@@ -2,7 +2,7 @@
 //!
 //! A sweep point costs a dozen heap allocations before the first cycle
 //! runs: per-register state, free/staged masks, the active list, the
-//! completion heap, and the issue-phase scratch buffers. None of them
+//! completion wheel, and the issue-phase scratch buffers. None of them
 //! outlive the run, so a thread that simulates thousands of sweep points
 //! (the experiment runner's worker threads) can hand the buffers of a
 //! finished run to the next [`Pipeline`](crate::Pipeline) instead of
@@ -17,13 +17,11 @@
 //! fault-isolation rule that a poisoned run leaks nothing into later
 //! ones.
 
-use crate::active::ActiveEntry;
+use crate::active::{ActiveEntry, ColdEntry};
 use crate::hazard::AddrMap;
 use crate::regfile::RegState;
-use rf_isa::RegClass;
+use rf_isa::{OpKind, RegClass};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::VecDeque;
 
 /// The recyclable allocations of one simulation run.
 #[derive(Debug, Default)]
@@ -34,16 +32,20 @@ pub(crate) struct RunBuffers {
     pub free_words: [Vec<u64>; 2],
     /// Staged-free bitmask words, one per class.
     pub staged_words: [Vec<u64>; 2],
-    /// Active-list entry storage.
-    pub entries: VecDeque<ActiveEntry>,
+    /// Active-list hot entry ring.
+    pub entries: Vec<ActiveEntry>,
+    /// Active-list cold entry ring.
+    pub cold: Vec<ColdEntry>,
     /// Active-list issue-scan ring words.
     pub scan_words: Vec<u64>,
-    /// Completion-heap storage.
-    pub completions: Vec<Reverse<(u64, u64)>>,
+    /// Completion-wheel slots.
+    pub wheel_slots: Vec<Vec<u64>>,
+    /// Completion-wheel occupancy words.
+    pub wheel_occupied: Vec<u64>,
     /// Issue-phase candidate scratch.
-    pub scratch_issue: Vec<u64>,
+    pub scratch_issue: Vec<(u64, OpKind)>,
     /// Issue-phase selection scratch.
-    pub scratch_selected: Vec<u64>,
+    pub scratch_selected: Vec<(u64, OpKind)>,
     /// Kill-engine drain scratch.
     pub scratch_kills: Vec<(RegClass, u32)>,
     /// Memory-disambiguation store-hazard map.
@@ -77,8 +79,12 @@ pub(crate) fn put(mut buffers: Box<RunBuffers>) {
         v.clear();
     }
     buffers.entries.clear();
+    buffers.cold.clear();
     buffers.scan_words.clear();
-    buffers.completions.clear();
+    for slot in &mut buffers.wheel_slots {
+        slot.clear();
+    }
+    buffers.wheel_occupied.clear();
     buffers.scratch_issue.clear();
     buffers.scratch_selected.clear();
     buffers.scratch_kills.clear();

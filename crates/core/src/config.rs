@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use rf_isa::IssueLimits;
+use rf_isa::{IssueLimits, OpKind};
 use rf_bpred::PredictorKind;
 use rf_mem::{CacheConfig, CacheOrg};
 use std::fmt;
@@ -283,6 +283,19 @@ impl MachineConfig {
         IssueLimits::for_width(self.width)
     }
 
+    /// The longest delay from issue to completion any instruction can
+    /// have on this machine: the slowest functional unit, or the slowest
+    /// load under this cache geometry. Bounds the completion wheel.
+    pub fn max_completion_delay(&self) -> u64 {
+        OpKind::ALL
+            .iter()
+            .filter(|&&kind| kind != OpKind::Load)
+            .map(|kind| u64::from(kind.latency()))
+            .chain([self.cache_config.max_load_latency()])
+            .max()
+            .expect("at least one operation kind")
+    }
+
     /// Dispatch-queue entries.
     pub fn dq_size(&self) -> usize {
         self.dq_size
@@ -364,6 +377,17 @@ mod tests {
         assert_eq!(c.exception_model(), ExceptionModel::Imprecise);
         assert_eq!(c.cache_org(), CacheOrg::Lockup);
         assert_eq!(c.sim_seed(), 99);
+    }
+
+    #[test]
+    fn completion_delay_bound_covers_the_slowest_unit_and_load() {
+        // Baseline: a miss (1 + 16 + 1) outlasts the 16-cycle divider.
+        assert_eq!(MachineConfig::new(4).max_completion_delay(), 18);
+        // A fast next level leaves the divider as the bound.
+        let fast = MachineConfig::new(4).cache_config(CacheConfig::new(8192, 1, 32, 1, 4));
+        assert_eq!(fast.max_completion_delay(), 16);
+        let slow = MachineConfig::new(4).cache_config(CacheConfig::new(8192, 1, 32, 1, 100));
+        assert_eq!(slow.max_completion_delay(), 102);
     }
 
     #[test]

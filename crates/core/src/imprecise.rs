@@ -10,11 +10,11 @@
 //!
 //! This module tracks the three moving parts:
 //!
-//! * the set of outstanding (inserted, not completed) correct-path
-//!   *exception barriers* — conditional branches always; loads and stores
-//!   too under the Alpha-style hybrid model, where memory operations may
-//!   fault precisely — whose minimum sequence number is the *barrier
-//!   watermark*;
+//! * the outstanding (inserted, not completed) correct-path *exception
+//!   barriers* — conditional branches always; loads and stores too under
+//!   the Alpha-style hybrid model, where memory operations may fault
+//!   precisely — kept as a ring sorted by sequence number, whose front is
+//!   the *barrier watermark*;
 //! * per virtual register, the queue of retired mappings in retirement
 //!   order, each tagged with the sequence number of the writer that
 //!   retired it;
@@ -22,7 +22,7 @@
 //!   not yet below the watermark).
 
 use rf_isa::RegClass;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A physical register whose mapping was just killed.
 pub type Killed = (RegClass, u32);
@@ -50,8 +50,11 @@ pub type Killed = (RegClass, u32);
 #[derive(Debug, Clone)]
 pub struct KillEngine {
     /// Outstanding exception barriers (branches; plus memory operations
-    /// under the hybrid model).
-    outstanding_branches: BTreeSet<u64>,
+    /// under the hybrid model), sorted by sequence number. Barriers are
+    /// inserted in program order, so insertion is a `push_back`; squash
+    /// truncates the back, and completion removes from the front or, for
+    /// an out-of-order completion, at a binary-searched position.
+    barriers: VecDeque<u64>,
     /// `retired[class][vreg]`: `(phys, killer_seq)` in retirement order.
     retired: Vec<Vec<VecDeque<(u32, u64)>>>,
     /// Completed writers awaiting branch clearance:
@@ -69,7 +72,7 @@ impl KillEngine {
     /// Creates an empty engine.
     pub fn new() -> Self {
         Self {
-            outstanding_branches: BTreeSet::new(),
+            barriers: VecDeque::new(),
             retired: vec![vec![VecDeque::new(); 31]; 2],
             pending: Vec::new(),
         }
@@ -78,19 +81,25 @@ impl KillEngine {
     /// The barrier watermark: all exception barriers with a sequence
     /// number below this have completed.
     pub fn watermark(&self) -> u64 {
-        self.outstanding_branches.first().copied().unwrap_or(u64::MAX)
+        self.barriers.front().copied().unwrap_or(u64::MAX)
     }
 
-    /// Records insertion of a correct-path conditional branch.
+    /// Records insertion of a correct-path conditional branch. Barriers
+    /// must be inserted in program order (younger than every outstanding
+    /// one).
     pub fn branch_inserted(&mut self, seq: u64) {
-        self.outstanding_branches.insert(seq);
+        debug_assert!(
+            self.barriers.back().is_none_or(|&last| last < seq),
+            "barriers are inserted in program order"
+        );
+        self.barriers.push_back(seq);
     }
 
     /// Records insertion of a non-branch exception barrier (a load or
     /// store under the Alpha-style hybrid model, where memory operations
     /// may raise precise exceptions and so gate early register freeing).
     pub fn barrier_inserted(&mut self, seq: u64) {
-        self.outstanding_branches.insert(seq);
+        self.branch_inserted(seq);
     }
 
     /// Records completion of a correct-path conditional branch, returning
@@ -105,8 +114,15 @@ impl KillEngine {
     /// the killed mappings to `out` instead of returning a fresh `Vec`.
     pub fn branch_completed_into(&mut self, seq: u64, out: &mut Vec<Killed>) {
         let _s = rf_prof::hot_span("kill_engine");
-        self.outstanding_branches.remove(&seq);
-        self.drain_cleared_into(out);
+        if self.barriers.front() == Some(&seq) {
+            self.barriers.pop_front();
+            self.drain_cleared_into(out);
+        } else if let Ok(i) = self.barriers.binary_search(&seq) {
+            // The watermark stays put, and every pending writer is at or
+            // above it (it was when it became pending, and each rise
+            // drains the ones it passes), so nothing can clear.
+            self.barriers.remove(i);
+        }
     }
 
     /// Records completion of a non-branch exception barrier.
@@ -117,11 +133,6 @@ impl KillEngine {
     /// Allocation-free form of [`KillEngine::barrier_completed`].
     pub fn barrier_completed_into(&mut self, seq: u64, out: &mut Vec<Killed>) {
         self.branch_completed_into(seq, out);
-    }
-
-    /// Removes a squashed branch from the outstanding set.
-    pub fn branch_squashed(&mut self, seq: u64) {
-        self.outstanding_branches.remove(&seq);
     }
 
     /// Records that renaming a new writer (sequence `killer_seq`) of
@@ -180,15 +191,10 @@ impl KillEngine {
     pub fn squash_younger_than_into(&mut self, boundary: u64, out: &mut Vec<Killed>) {
         let _s = rf_prof::hot_span("kill_engine");
         self.pending.retain(|&(_, _, seq)| seq <= boundary);
-        // Outstanding branches above the boundary are removed one by one
-        // by the pipeline via `branch_squashed`, but doing it wholesale
-        // here keeps the engine self-consistent even if it isn't.
-        while let Some(&last) = self.outstanding_branches.last() {
-            if last > boundary {
-                self.outstanding_branches.remove(&last);
-            } else {
-                break;
-            }
+        // Squashed barriers are exactly the ring's suffix above the
+        // boundary; the squash removes them itself.
+        while self.barriers.back().is_some_and(|&last| last > boundary) {
+            self.barriers.pop_back();
         }
         self.drain_cleared_into(out);
     }

@@ -63,8 +63,9 @@ pub mod obs;
 mod pipeline;
 mod regfile;
 mod stats;
+mod wheel;
 
-pub use active::{ActiveEntry, ActiveList, Stage};
+pub use active::{ActiveEntry, ActiveList, ColdEntry, Stage};
 pub use config::{ExceptionModel, MachineConfig, SchedPolicy};
 pub use fu::DividerPool;
 pub use imprecise::KillEngine;

@@ -1,6 +1,6 @@
 //! The cycle loop: complete → recover → commit → issue → insert → account.
 
-use crate::active::{ActiveList, BranchInfo, Stage};
+use crate::active::{ActiveEntry, ActiveList, BranchInfo, ColdEntry, Stage};
 use crate::config::{ExceptionModel, MachineConfig};
 use crate::fu::DividerPool;
 use crate::hazard::HazardIndex;
@@ -8,13 +8,12 @@ use crate::imprecise::KillEngine;
 use crate::obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
 use crate::regfile::{Category, PhysRegFile};
 use crate::stats::SimStats;
+use crate::wheel::CompletionWheel;
 use rf_bpred::AnyPredictor;
 use rf_isa::{Instruction, IssueClass, IssueLimits, OpKind, RegClass};
 use rf_mem::{DataCache, InstructionCache};
 use crate::arena::{self, RunBuffers};
 use rf_workload::{TraceGenerator, WrongPathGenerator};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,7 +150,8 @@ pub struct Pipeline<O: Observer = NullObserver> {
     active: ActiveList,
     kill: KillEngine,
     dividers: DividerPool,
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Issued instructions by completion cycle.
+    completions: CompletionWheel,
     now: u64,
     /// Dispatch-queue occupancy: `[non-FP, FP]` when queues are split,
     /// everything in slot 0 otherwise.
@@ -169,8 +169,8 @@ pub struct Pipeline<O: Observer = NullObserver> {
     /// run of `n` commits is exactly `n` (comparable IPCs across runs).
     commit_target: u64,
     // Scratch buffers reused across cycles.
-    scratch_issue: Vec<u64>,
-    scratch_selected: Vec<u64>,
+    scratch_issue: Vec<(u64, OpKind)>,
+    scratch_selected: Vec<(u64, OpKind)>,
     scratch_kills: Vec<(RegClass, u32)>,
     /// Incomplete stores by address (blocks younger loads and stores).
     store_hazards: HazardIndex,
@@ -241,8 +241,10 @@ impl<O: Observer> Pipeline<O> {
             config.icache_config().map(|(c, penalty)| InstructionCache::new(c, penalty));
         let RunBuffers {
             entries,
+            cold,
             scan_words,
-            completions,
+            wheel_slots,
+            wheel_occupied,
             scratch_issue,
             scratch_selected,
             scratch_kills,
@@ -265,10 +267,13 @@ impl<O: Observer> Pipeline<O> {
             bp: AnyPredictor::new(config.predictor_kind()),
             regs,
             map,
-            active: ActiveList::new_in(entries, scan_words),
+            active: ActiveList::new_in((entries, cold, scan_words)),
             kill: KillEngine::new(),
             dividers,
-            completions: BinaryHeap::from(completions),
+            completions: CompletionWheel::new_in(
+                config.max_completion_delay(),
+                (wheel_slots, wheel_occupied),
+            ),
             now: 0,
             dq_counts: [0, 0],
             pending_mispredict: None,
@@ -538,14 +543,17 @@ impl<O: Observer> Pipeline<O> {
         let [r0, r1] = regs;
         let (state0, free0, staged0) = r0.into_buffers();
         let (state1, free1, staged1) = r1.into_buffers();
-        let (entries, scan_words) = active.into_buffers();
+        let (entries, cold, scan_words) = active.into_buffers();
+        let (wheel_slots, wheel_occupied) = completions.into_buffers();
         arena::put(Box::new(RunBuffers {
             reg_state: [state0, state1],
             free_words: [free0, free1],
             staged_words: [staged0, staged1],
             entries,
+            cold,
             scan_words,
-            completions: completions.into_vec(),
+            wheel_slots,
+            wheel_occupied,
             scratch_issue,
             scratch_selected,
             scratch_kills,
@@ -607,53 +615,48 @@ impl<O: Observer> Pipeline<O> {
 
     /// Completes every issued instruction whose result arrives this cycle.
     ///
-    /// The heap pops in `(cycle, seq)` order, so a mispredicted branch
-    /// completes before any of the wrong-path instructions it spawned;
-    /// recovery runs *immediately* at its completion — before younger
-    /// completions are processed and, crucially, before the kill engine's
-    /// watermark is allowed to advance past wrong-path writers — so that
-    /// rollback still finds every retirement record intact.
+    /// The wheel yields the cycle's records in `seq` order, so a
+    /// mispredicted branch completes before any of the wrong-path
+    /// instructions it spawned; recovery runs *immediately* at its completion — before
+    /// younger completions are processed and, crucially, before the kill
+    /// engine's watermark is allowed to advance past wrong-path writers —
+    /// so that rollback still finds every retirement record intact. The
+    /// same order keeps predictor training in program order within a
+    /// cycle.
     fn complete_phase(&mut self) {
-        while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
-            if cycle > self.now {
-                break;
-            }
-            self.completions.pop();
+        let now = self.now;
+        let due = self.completions.take_due(now);
+        for &seq in &due {
             // Lazy validation: the entry may have been squashed (and its
-            // sequence number even reused) since this heap record was
-            // pushed.
-            let valid = self
+            // sequence number even reused) since this record was pushed.
+            let Some(entry) = self
                 .active
-                .get(seq)
-                .is_some_and(|e| e.stage == Stage::Issued && e.complete_at == cycle);
-            if !valid {
+                .get_mut(seq)
+                .filter(|e| e.stage == Stage::Issued && e.complete_at == now)
+            else {
                 continue;
-            }
+            };
+            entry.stage = Stage::Completed;
+            let entry = *entry;
             // Separate spans for the entry work and recovery leave the
-            // phase's self-time as the completion heap's own cost.
+            // phase's self-time as the completion wheel's own cost.
             let recover = {
                 let _s = self.pspan("cycle.complete.entry");
-                self.complete_entry(seq)
+                self.complete_entry(&entry)
             };
             if recover {
                 let _s = self.pspan("cycle.complete.recover");
                 self.recover(seq);
             }
         }
+        self.completions.restore(now, due);
     }
 
-    /// Completes one instruction; returns true if it is a mispredicted
-    /// correct-path branch (recovery needed).
-    fn complete_entry(&mut self, seq: u64) -> bool {
-        let entry = self.active.get_mut(seq).expect("validated by caller");
-        entry.stage = Stage::Completed;
-        let kind = entry.kind;
-        let wrong_path = entry.wrong_path;
-        let srcs = entry.srcs;
-        let dest = entry.dest;
-        let branch = entry.branch;
-        let pc = entry.pc;
-        let mem_addr = entry.mem_addr;
+    /// Completes one instruction (already marked [`Stage::Completed`]);
+    /// returns true if it is a mispredicted correct-path branch (recovery
+    /// needed).
+    fn complete_entry(&mut self, entry: &ActiveEntry) -> bool {
+        let &ActiveEntry { seq, kind, wrong_path, srcs, dest, pc, mem_addr, .. } = entry;
         // A completed memory operation stops being an address-hazard
         // source for younger loads and stores.
         if let Some(addr) = mem_addr {
@@ -714,6 +717,7 @@ impl<O: Observer> Pipeline<O> {
         // Conditional branches: train the predictor (correct path only)
         // and check for misprediction.
         if kind == OpKind::CondBranch {
+            let branch = self.active.cold(seq).and_then(|c| c.branch);
             if let Some(BranchInfo { prediction, actual, .. }) = branch {
                 if !wrong_path {
                     self.bp.train(pc, prediction, actual);
@@ -755,17 +759,13 @@ impl<O: Observer> Pipeline<O> {
     fn wake_readers(&mut self, class: RegClass, p: u32) {
         let mut list = std::mem::take(&mut self.waiters[class.index()][p as usize]);
         for seq in list.drain(..) {
-            let Some(e) = self.active.get(seq) else { continue };
+            let Some(e) = self.active.get_mut(seq) else { continue };
             if e.stage != Stage::InQueue || e.ready {
                 continue;
             }
-            let ready = e
-                .srcs
-                .iter()
-                .flatten()
-                .all(|&(c, src)| self.regs[c.index()].reg(src).ready);
-            if ready {
-                self.active.get_mut(seq).expect("checked live").ready = true;
+            let regs = &self.regs;
+            if e.srcs.iter().flatten().all(|&(c, src)| regs[c.index()].reg(src).ready) {
+                e.ready = true;
                 self.active.scan_set(seq);
             }
         }
@@ -808,7 +808,8 @@ impl<O: Observer> Pipeline<O> {
     /// cancels in-flight fills, restores the global history, and redirects
     /// fetch (resuming next cycle).
     fn recover(&mut self, branch_seq: u64) {
-        while self.active.back().is_some_and(|e| e.seq > branch_seq) {
+        while let Some(seq) = self.active.back().map(|e| e.seq).filter(|&s| s > branch_seq) {
+            let div_unit = self.active.cold(seq).and_then(|c| c.div_unit);
             let e = self.active.pop_back().expect("back exists");
             self.stats.squashed += 1;
             match e.stage {
@@ -820,7 +821,7 @@ impl<O: Observer> Pipeline<O> {
                     if e.kind == OpKind::Load {
                         self.cache.cancel(e.seq);
                     }
-                    if let Some(unit) = e.div_unit {
+                    if let Some(unit) = div_unit {
                         self.dividers.release_early(unit, self.now);
                     }
                 }
@@ -873,8 +874,8 @@ impl<O: Observer> Pipeline<O> {
 
         // Restore the global history to its pre-insertion value, then
         // shift in the actual direction.
-        let branch = self.active.get(branch_seq).expect("the branch itself survives");
-        let info = branch.branch.expect("recovery target is a branch");
+        let cold = self.active.cold(branch_seq).expect("the branch itself survives");
+        let info = cold.branch.expect("recovery target is a branch");
         self.bp.recover(info.checkpoint, info.actual);
 
         self.pending_mispredict = None;
@@ -992,6 +993,7 @@ impl<O: Observer> Pipeline<O> {
         // whose addresses had not yet been inserted at its check).
         for seq in self.active.scan_seqs() {
             let e = self.active.get(seq).expect("scan yields live entries");
+            let kind = e.kind;
             debug_assert_eq!(e.stage, Stage::InQueue);
             debug_assert!(e
                 .srcs
@@ -1025,7 +1027,7 @@ impl<O: Observer> Pipeline<O> {
                 }
                 _ => {}
             }
-            self.scratch_issue.push(seq);
+            self.scratch_issue.push((seq, kind));
         }
 
         // Pass 2: apply the budgets in policy order and issue.
@@ -1041,12 +1043,11 @@ impl<O: Observer> Pipeline<O> {
         // reset next cycle, dividers free at a known future cycle.
         let mut budget_blocked = false;
         let mut div_blocked = false;
-        for &seq in &candidates {
+        for &(seq, kind) in &candidates {
             if budget == 0 {
                 budget_blocked = true;
                 break;
             }
-            let kind = self.active.get(seq).expect("candidate is live").kind;
             let class = kind.issue_class();
             if class_budget[class.index()] == 0 {
                 budget_blocked = true;
@@ -1061,7 +1062,7 @@ impl<O: Observer> Pipeline<O> {
             }
             class_budget[class.index()] -= 1;
             budget -= 1;
-            selected.push(seq);
+            selected.push((seq, kind));
         }
         self.blocks =
             IssueBlocks { budget: budget_blocked, div: div_blocked, cache: cache_blocked };
@@ -1073,8 +1074,8 @@ impl<O: Observer> Pipeline<O> {
                 self.obs.stall(self.now, StallCause::FuBusy);
             }
         }
-        for &seq in &selected {
-            self.do_issue(seq);
+        for &(seq, kind) in &selected {
+            self.do_issue(seq, kind);
         }
         selected.clear();
         self.scratch_selected = selected;
@@ -1084,42 +1085,42 @@ impl<O: Observer> Pipeline<O> {
 
     /// Issues one selected instruction: computes its completion time,
     /// reserves resources, and updates register categories.
-    fn do_issue(&mut self, seq: u64) {
+    fn do_issue(&mut self, seq: u64, kind: OpKind) {
         let now = self.now;
-        let (kind, mem_addr) = {
-            let entry = self.active.get_mut(seq).expect("selected this cycle");
-            debug_assert_eq!(entry.stage, Stage::InQueue);
-            entry.stage = Stage::Issued;
-            (entry.kind, entry.mem_addr)
-        };
         // Issued instructions are no longer issue candidates. (Issued
         // memory operations stay in the hazard index until completion;
         // the scan itself only ever visits candidates.)
         self.active.scan_retire(seq);
+        let entry = self.active.get_mut(seq).expect("selected this cycle");
+        debug_assert_eq!(entry.stage, Stage::InQueue);
+        debug_assert_eq!(entry.kind, kind);
+        entry.stage = Stage::Issued;
+        let mut div_unit = None;
         let complete_at = match kind {
             OpKind::Load => {
-                let addr = mem_addr.expect("loads carry addresses");
+                let addr = entry.mem_addr.expect("loads carry addresses");
                 self.cache.load(addr, now, seq).complete_at()
             }
             OpKind::Store => {
-                let addr = mem_addr.expect("stores carry addresses");
+                let addr = entry.mem_addr.expect("stores carry addresses");
                 self.cache.store(addr, now);
                 now + u64::from(OpKind::Store.latency())
             }
             OpKind::FpDiv32 | OpKind::FpDiv64 => {
                 let latency = u64::from(kind.latency());
-                let unit = self
-                    .dividers
-                    .try_reserve(now, latency)
-                    .expect("reserved during selection");
-                self.active.get_mut(seq).expect("still present").div_unit = Some(unit);
+                div_unit = Some(
+                    self.dividers.try_reserve(now, latency).expect("reserved during selection"),
+                );
                 now + latency
             }
             _ => now + u64::from(kind.latency()),
         };
-        let entry = self.active.get_mut(seq).expect("still present");
         entry.complete_at = complete_at;
-        self.completions.push(Reverse((complete_at, seq)));
+        let &mut ActiveEntry { dest, pc, wrong_path, .. } = entry;
+        if div_unit.is_some() {
+            self.active.cold_mut(seq).expect("still present").div_unit = div_unit;
+        }
+        self.completions.push(now, complete_at, seq);
         self.dq_counts[Self::queue_of(self.config.has_split_queues(), kind)] -= 1;
         self.stats.issued += 1;
         match kind {
@@ -1127,18 +1128,17 @@ impl<O: Observer> Pipeline<O> {
             OpKind::CondBranch => self.stats.issued_cbr += 1,
             _ => {}
         }
-        if let Some((class, new, _, _)) = self.active.get(seq).expect("present").dest {
+        if let Some((class, new, _, _)) = dest {
             self.regs[class.index()].transition(new, Category::InFlight);
         }
         if O::ACTIVE {
-            let e = self.active.get(seq).expect("present");
             self.obs.event(TraceEvent {
-                cycle: self.now,
+                cycle: now,
                 seq,
                 kind: EventKind::Issue,
-                op: e.kind,
-                pc: e.pc,
-                wrong_path: e.wrong_path,
+                op: kind,
+                pc,
+                wrong_path,
                 dest: None,
                 freed: None,
             });
@@ -1241,7 +1241,7 @@ impl<O: Observer> Pipeline<O> {
 
     /// Renames and dispatches one instruction.
     fn insert_one(&mut self, inst: Instruction, on_wrong_path: bool) {
-        let seq = self.active.push(inst.kind(), on_wrong_path, inst.pc());
+        let seq = self.active.next_seq();
         // Sources first (an instruction reading and writing the same
         // virtual register reads the *old* mapping).
         let mut srcs = [None, None];
@@ -1305,12 +1305,21 @@ impl<O: Observer> Pipeline<O> {
                 _ => {}
             }
         }
-        let entry = self.active.get_mut(seq).expect("just pushed");
-        entry.srcs = srcs;
-        entry.dest = dest;
-        entry.branch = branch;
-        entry.mem_addr = mem_addr;
-        entry.ready = ready;
+        self.active.push_entry(
+            ActiveEntry {
+                seq,
+                kind: inst.kind(),
+                wrong_path: on_wrong_path,
+                stage: Stage::InQueue,
+                complete_at: u64::MAX,
+                dest,
+                srcs,
+                mem_addr,
+                ready,
+                pc: inst.pc(),
+            },
+            ColdEntry { branch, div_unit: None },
+        );
         if ready {
             self.active.scan_set(seq);
         }
@@ -1391,20 +1400,21 @@ impl<O: Observer> Pipeline<O> {
     /// mutates state, so a decision made now holds for every skipped
     /// cycle):
     ///
-    /// * **complete**: the completion heap pops nothing before its head
-    ///   cycle, which caps `wake`. Post-step the head is strictly in the
-    ///   future (the current step drained everything due).
+    /// * **complete**: the completion wheel yields nothing before its
+    ///   next occupied cycle, which caps `wake`. Post-step that cycle is
+    ///   strictly in the future (the current step drained everything
+    ///   due).
     /// * **commit**: in-order commit retires nothing while the active-list
     ///   head is not `Completed`; the head can only become `Completed`
-    ///   through the completion heap. An already-completed head vetoes the
+    ///   through the completion wheel. An already-completed head vetoes the
     ///   skip.
     /// * **issue**: completions are the only source of new data-readiness
     ///   and the only resolver of memory hazards, so no new candidate can
-    ///   appear before the heap head. A candidate passed over by the
-    ///   width/class budget could issue next cycle (budgets reset), so
-    ///   [`IssueBlocks::budget`] vetoes; a divider- or cache-blocked
-    ///   candidate wakes when the pool or lockup window frees, which caps
-    ///   `wake`.
+    ///   appear before the wheel's next occupied cycle. A candidate passed
+    ///   over by the width/class budget could issue next cycle (budgets
+    ///   reset), so [`IssueBlocks::budget`] vetoes; a divider- or
+    ///   cache-blocked candidate wakes when the pool or lockup window
+    ///   frees, which caps `wake`.
     /// * **insert**: classified by [`classify_idle_insert`]; anything
     ///   inserted this cycle vetoes (a just-inserted entry was not an
     ///   issue candidate this cycle but is one next cycle).
@@ -1434,7 +1444,7 @@ impl<O: Observer> Pipeline<O> {
         }
         let (stall, insert_cap) = self.classify_idle_insert()?;
         let mut wake = insert_cap;
-        if let Some(&Reverse((cycle, _))) = self.completions.peek() {
+        if let Some(cycle) = self.completions.next_due(self.now) {
             wake = wake.min(cycle);
         }
         if self.blocks.cache {

@@ -3,8 +3,11 @@
 //!
 //! The condition for a retired mapping `(phys, killer_seq)` of virtual
 //! register `v`: it is killed once *some* completed writer `W` of `v`
-//! with `W.seq >= killer_seq` exists such that every branch preceding `W`
-//! (i.e. with a smaller sequence number) has completed.
+//! with `W.seq >= killer_seq` exists such that every exception barrier
+//! preceding `W` (i.e. with a smaller sequence number) has completed.
+//! Barriers are branches, plus memory operations under the hybrid model;
+//! they complete out of program order, and a mispredicted branch squashes
+//! everything younger than itself.
 
 use proptest::prelude::*;
 use rf_core::KillEngine;
@@ -18,23 +21,37 @@ enum Event {
     BranchInsert,
     /// Complete the oldest outstanding branch.
     BranchCompleteOldest,
+    /// Insert a non-branch exception barrier (a hybrid-model memory
+    /// operation) with the next sequence number.
+    BarrierInsert,
+    /// Complete the outstanding barrier (branch or not) picked by this
+    /// index modulo their number: barriers complete out of program order.
+    BarrierCompleteAny(usize),
     /// Retire a mapping of vreg (picked mod 4) with the next seq as the
     /// killer, then later complete that killer.
     RetireAndCompleteWriter(u8),
+    /// Mispredict the outstanding branch picked by this index modulo
+    /// their number: roll back every younger retirement youngest-first,
+    /// squash the engine to the branch, then complete the branch, as the
+    /// pipeline's recovery does. Sequence numbers above it are reused.
+    Squash(usize),
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
     prop_oneof![
         Just(Event::BranchInsert),
         Just(Event::BranchCompleteOldest),
+        Just(Event::BarrierInsert),
+        (0usize..8).prop_map(Event::BarrierCompleteAny),
         (0u8..4).prop_map(Event::RetireAndCompleteWriter),
+        (0usize..8).prop_map(Event::Squash),
     ]
 }
 
 /// Brute-force evaluator over the full event history.
 #[derive(Default)]
 struct Reference {
-    branches: Vec<(u64, bool)>,            // (seq, completed)
+    branches: Vec<(u64, bool, bool)>,      // (seq, completed, is_branch)
     retired: Vec<(u8, u32, u64, bool)>,    // (vreg, phys, killer_seq, writer_done)
 }
 
@@ -43,7 +60,7 @@ impl Reference {
         let mut killed = BTreeSet::new();
         for &(vreg, phys, killer_seq, _) in &self.retired {
             // Any completed writer of vreg with seq >= killer_seq and all
-            // preceding branches complete?
+            // preceding barriers complete?
             let cleared = self.retired.iter().any(|&(v2, _, k2, done2)| {
                 v2 == vreg
                     && done2
@@ -51,7 +68,7 @@ impl Reference {
                     && self
                         .branches
                         .iter()
-                        .all(|&(bseq, bdone)| bdone || bseq > k2)
+                        .all(|&(bseq, bdone, _)| bdone || bseq > k2)
             });
             if cleared {
                 killed.insert(phys);
@@ -74,18 +91,43 @@ proptest! {
 
         for ev in events {
             match ev {
-                Event::BranchInsert => {
-                    eng.branch_inserted(seq);
-                    reference.branches.push((seq, false));
+                Event::BranchInsert | Event::BarrierInsert => {
+                    let is_branch = matches!(ev, Event::BranchInsert);
+                    if is_branch {
+                        eng.branch_inserted(seq);
+                    } else {
+                        eng.barrier_inserted(seq);
+                    }
+                    reference.branches.push((seq, false, is_branch));
                     seq += 1;
                 }
                 Event::BranchCompleteOldest => {
-                    if let Some(entry) =
-                        reference.branches.iter_mut().find(|(_, done)| !done)
+                    if let Some(entry) = reference
+                        .branches
+                        .iter_mut()
+                        .find(|&&mut (_, done, is_branch)| !done && is_branch)
                     {
                         entry.1 = true;
                         let bseq = entry.0;
                         for (_, p) in eng.branch_completed(bseq) {
+                            engine_killed.insert(p);
+                        }
+                    }
+                }
+                Event::BarrierCompleteAny(pick) => {
+                    let mut open: Vec<_> =
+                        reference.branches.iter_mut().filter(|b| !b.1).collect();
+                    if !open.is_empty() {
+                        let n = open.len();
+                        let entry = &mut open[pick % n];
+                        entry.1 = true;
+                        let (bseq, is_branch) = (entry.0, entry.2);
+                        let killed = if is_branch {
+                            eng.branch_completed(bseq)
+                        } else {
+                            eng.barrier_completed(bseq)
+                        };
+                        for (_, p) in killed {
                             engine_killed.insert(p);
                         }
                     }
@@ -102,6 +144,38 @@ proptest! {
                     }
                     let last = reference.retired.len() - 1;
                     reference.retired[last].3 = true;
+                }
+                Event::Squash(pick) => {
+                    let open: Vec<u64> = reference
+                        .branches
+                        .iter()
+                        .filter(|&&(_, done, is_branch)| !done && is_branch)
+                        .map(|&(bseq, _, _)| bseq)
+                        .collect();
+                    if !open.is_empty() {
+                        let boundary = open[pick % open.len()];
+                        while let Some(&(vreg, _, killer, _)) = reference.retired.last() {
+                            if killer <= boundary {
+                                break;
+                            }
+                            eng.rollback_retirement(RegClass::Int, vreg, killer);
+                            reference.retired.pop();
+                        }
+                        reference.branches.retain(|&(bseq, _, _)| bseq <= boundary);
+                        for (_, p) in eng.squash_younger_than(boundary) {
+                            engine_killed.insert(p);
+                        }
+                        for (_, p) in eng.branch_completed(boundary) {
+                            engine_killed.insert(p);
+                        }
+                        let entry = reference
+                            .branches
+                            .iter_mut()
+                            .find(|b| b.0 == boundary)
+                            .expect("the boundary survives its own squash");
+                        entry.1 = true;
+                        seq = boundary + 1;
+                    }
                 }
             }
             prop_assert_eq!(

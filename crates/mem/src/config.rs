@@ -93,6 +93,15 @@ impl CacheConfig {
         self.fetch_latency
     }
 
+    /// The longest issue-to-complete delay of a load: a hit
+    /// (`hit_latency` plus the load-delay slot) or a miss (a one-cycle
+    /// probe, the block fetch, and the register write on return). A
+    /// secondary miss merges into a fill issued earlier, so it returns no
+    /// later than a primary one.
+    pub fn max_load_latency(&self) -> u64 {
+        (self.hit_latency + crate::cache::LOAD_DELAY_SLOT).max(1 + self.fetch_latency + 1)
+    }
+
     /// The line-aligned address containing `addr`.
     #[inline]
     pub fn line_of(&self, addr: u64) -> u64 {
