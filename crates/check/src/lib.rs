@@ -41,17 +41,37 @@ pub use oracle::{analyze, ClassOracle, TraceOracle};
 pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use wstats::{workload_stats, WorkloadStats, DATAFLOW_WINDOWS};
 
-/// Whether sanitized simulation was requested, either at compile time
-/// (the `sanitize` cargo feature) or at run time (`RF_SANITIZE` set to
-/// anything but `0` or the empty string).
-pub fn sanitize_enabled() -> bool {
-    if cfg!(feature = "sanitize") {
-        return true;
-    }
+/// Parses the `RF_SANITIZE` switch strictly: `Ok(false)` when unset,
+/// `1/on/true/yes` or `0/off/false/no` (case-insensitive) otherwise.
+/// Binaries call this from their environment validators so a typo exits
+/// with a usage error instead of silently picking a mode.
+///
+/// # Errors
+///
+/// Returns a message naming the malformed value.
+pub fn env_mode() -> Result<bool, String> {
     match std::env::var("RF_SANITIZE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
+        Err(_) => Ok(false),
+        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
+            "0" | "off" | "false" | "no" => Ok(false),
+            "1" | "on" | "true" | "yes" => Ok(true),
+            _ => Err(format!(
+                "RF_SANITIZE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
+            )),
+        },
     }
+}
+
+/// Whether sanitized simulation was requested, either at compile time
+/// (the `sanitize` cargo feature) or at run time (`RF_SANITIZE`, see
+/// [`env_mode`]).
+///
+/// # Panics
+///
+/// Panics on a malformed `RF_SANITIZE` without the `sanitize` feature;
+/// binaries pre-validate with [`env_mode`] to report that cleanly.
+pub fn sanitize_enabled() -> bool {
+    cfg!(feature = "sanitize") || env_mode().unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@ use rf_isa::{Instruction, IssueClass, IssueLimits, OpKind, RegClass};
 use rf_mem::{DataCache, InstructionCache};
 use crate::arena::{self, RunBuffers};
 use rf_workload::{TraceGenerator, WrongPathGenerator};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use rf_prof::counters::Counter;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// If the machine makes no commit progress for this many cycles, the
@@ -28,20 +29,15 @@ const DEADLOCK_HORIZON: u64 = 200_000;
 /// cancelled multi-million-cycle run stops within microseconds.
 const CANCEL_POLL_MASK: u64 = 0x3FF;
 
-/// Process-wide total of cycles the event-driven kernel skipped (bulk
-/// accounted instead of simulated), flushed once per completed run.
-static SKIPPED_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide total of idle-skip jumps taken, flushed per completed run.
-static WAKEUP_EVENTS: AtomicU64 = AtomicU64::new(0);
-
 /// Process-wide fast-path telemetry: `(cycles_skipped, wakeup_events)`
-/// accumulated over every run completed in this process. A skipped cycle
-/// is one the event-driven kernel proved inert and accounted in bulk; a
-/// wakeup event is one idle-skip jump. Both are deterministic for a given
-/// set of executed runs. Runs that panic or are cancelled flush nothing.
+/// accumulated over every run completed in this process, read from the
+/// [`rf_prof::counters`] registry. A skipped cycle is one the
+/// event-driven kernel proved inert and accounted in bulk; a wakeup event
+/// is one idle-skip jump. Both are deterministic for a given set of
+/// executed runs. Runs that panic or are cancelled count nothing.
 pub fn skip_telemetry() -> (u64, u64) {
-    (SKIPPED_CYCLES.load(Ordering::Relaxed), WAKEUP_EVENTS.load(Ordering::Relaxed))
+    let c = rf_prof::counters::snapshot();
+    (c.get(Counter::CyclesSkipped), c.get(Counter::WakeupEvents))
 }
 
 /// Why the issue phase could not issue a ready candidate this cycle.
@@ -521,8 +517,8 @@ impl<O: Observer> Pipeline<O> {
             self.stats.icache_miss_rate = ic.miss_rate();
         }
         if self.skipped_cycles != 0 || self.wakeup_events != 0 {
-            SKIPPED_CYCLES.fetch_add(self.skipped_cycles, Ordering::Relaxed);
-            WAKEUP_EVENTS.fetch_add(self.wakeup_events, Ordering::Relaxed);
+            rf_prof::counters::count(Counter::CyclesSkipped, self.skipped_cycles);
+            rf_prof::counters::count(Counter::WakeupEvents, self.wakeup_events);
         }
         // The run completed: recycle its buffers for the next pipeline on
         // this thread (cancelled and panicked runs drop theirs instead).

@@ -72,7 +72,7 @@ environment:
                   run store: executed results persist under RF_STORE_DIR
                   and warm re-runs are served from disk byte-identically
   RF_STORE_DIR    store directory (default: results/store)
-  RF_LOG          text|json progress lines on stderr
+  RF_LOG          off|text|json progress lines on stderr (default off)
   RF_PROFILE      1/on/true/yes embeds rf-prof self-profiles in the
                   suite report and ledger record
   RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
@@ -150,10 +150,9 @@ fn fault_target() -> Option<String> {
 ///
 /// The baselines were already simulated by the figure harnesses, so the
 /// probe *peeks* at the shared run cache instead of re-running them:
-/// a non-counting read that leaves the cache hit/miss totals —
-/// which must reconcile exactly with the final live-telemetry snapshot —
-/// untouched. Baselines absent from the cache (or the whole probe,
-/// under `RF_CACHE=0`) are skipped; `None` if nothing was comparable.
+/// a non-counting read. Baselines absent from the cache (or the whole
+/// probe, under `RF_CACHE=0`) are skipped; `None` if nothing was
+/// comparable.
 fn model_error_probe(commits: u64) -> Option<ledger::ModelErrorRecord> {
     use rf_experiments::runner::{RunCache, RunSpec};
     if commits == 0 {
@@ -273,14 +272,15 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     bench.set_plan(&names, medians);
     // Live telemetry (RF_TELEMETRY=1): sampler + optional /metrics
     // endpoint over the harness loop; `finalize` below stops it before
-    // the out-of-band calibration passes so the final snapshot's
-    // counters reconcile exactly with the BENCH_suite.json totals.
+    // the out-of-band calibration passes, so the final snapshot covers
+    // the same work as the BENCH_suite.json totals.
     if let Some(cfg) = rf_obs::live::env_config().expect("telemetry env validated in main") {
         let jobs = rf_experiments::runner::SimPool::from_env().jobs() as u64;
         rf_obs::live::start(&cfg, scale.commits, jobs, experiments.len() as u64)?;
     }
     let mut headlines: Vec<(String, f64)> = Vec::new();
     let mut failures: Vec<(String, String)> = Vec::new();
+    let planned = experiments.len();
     for (name, run, probe_bench) in experiments {
         let outcome = if fault.as_deref() == Some(name) {
             bench.try_time(name, || run_fault_probe(scale.commits))
@@ -300,7 +300,8 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
                 let timed = bench.entries().last().expect("just recorded");
                 println!(
                     "== {name} ({:.1}s, {} sims) -> {path}\n{report}",
-                    timed.seconds, timed.sims
+                    timed.seconds,
+                    timed.sims()
                 );
             }
             Err(message) => {
@@ -312,9 +313,9 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
             }
         }
     }
-    // Stop the sampler while the suite's measured work is complete and
-    // the run cache is quiescent: the speedup calibration and sanitizer
-    // probes below are out-of-band re-measurements, not suite work.
+    // Stop the sampler once the suite's measured work is complete: the
+    // speedup calibration and sanitizer probes below are out-of-band
+    // re-measurements, not suite work.
     if let Some(t) = rf_obs::live::finalize() {
         println!(
             "telemetry: {} snapshots @ {}ms -> {} (digest {})",
@@ -382,7 +383,7 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     if failures.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {
-        eprintln!("suite FAILED: {}/12 harnesses did not complete", failures.len());
+        eprintln!("suite FAILED: {}/{planned} harnesses did not complete", failures.len());
         for (name, message) in &failures {
             eprintln!("  {name}: {message}");
         }

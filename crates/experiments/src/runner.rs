@@ -15,8 +15,11 @@
 //!
 //! # Environment variables (strict)
 //!
-//! `RF_COMMITS`, `RF_JOBS`, and `RF_CACHE` are parsed strictly: a
-//! malformed value (for example `RF_COMMITS=200k`) is an error, never a
+//! Every knob the runner and the suite read is parsed strictly:
+//! `RF_COMMITS`, `RF_JOBS`, `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`,
+//! `RF_PROFILE`, `RF_SANITIZE`, `RF_LOG`, `RF_TELEMETRY`,
+//! `RF_TELEMETRY_INTERVAL_MS` and `RF_METRICS_ADDR`. A malformed value
+//! (for example `RF_COMMITS=200k` or `RF_LOG=jsn`) is an error, never a
 //! silent fall-back to the default. Binaries should call
 //! [`validate_env`] at startup to turn that into a clean exit instead of
 //! a panic.
@@ -26,6 +29,7 @@ use rf_core::{
     CancelToken, ExceptionModel, MachineConfig, Pipeline, SchedPolicy, SimStats,
 };
 use rf_mem::{CacheConfig, CacheOrg};
+use rf_prof::counters::{self, Counter};
 use rf_workload::{spec92, TraceGenerator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,9 +64,7 @@ fn env_u64(name: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Validates every runner environment variable (`RF_COMMITS`, `RF_JOBS`,
-/// `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`, `RF_TELEMETRY`,
-/// `RF_TELEMETRY_INTERVAL_MS`, `RF_METRICS_ADDR`)
+/// Validates every runner environment variable (see the module docs)
 /// without acting on any of them, so a binary can fail fast with one
 /// clear message before doing work.
 ///
@@ -75,6 +77,8 @@ pub fn validate_env() -> Result<(), String> {
     cache_env_mode()?;
     store_env_mode()?;
     rf_prof::env_mode()?;
+    rf_check::env_mode()?;
+    crate::bench::LogMode::from_env()?;
     rf_obs::live::env_config()?;
     Ok(())
 }
@@ -306,66 +310,11 @@ impl RunSpec {
     }
 }
 
-/// Simulations executed process-wide (cache hits excluded); feeds the
-/// benchmark report.
-static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
-/// Instructions committed by executed simulations, process-wide.
-static SIM_COMMITS: AtomicU64 = AtomicU64::new(0);
-/// Cycles simulated by executed simulations, process-wide.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-/// Insert-stalled cycles (no free register), summed over executed
-/// simulations.
-static SIM_STALL_NO_REG: AtomicU64 = AtomicU64::new(0);
-/// Insert-stalled cycles (dispatch queue full), summed over executed
-/// simulations.
-static SIM_STALL_DQ_FULL: AtomicU64 = AtomicU64::new(0);
-/// Cycles with an empty free list (either class), summed over executed
-/// simulations.
-static SIM_NO_FREE_CYCLES: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent constructing trace generators, summed over workers.
-static PHASE_GEN_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent inside `Pipeline::run`, summed over workers.
-static PHASE_SIM_NANOS: AtomicU64 = AtomicU64::new(0);
-
 /// Number of simulations actually executed so far in this process
-/// (run-cache hits do not count).
+/// (run-cache hits do not count), read from the [`rf_prof::counters`]
+/// registry.
 pub fn simulations_run() -> u64 {
-    SIM_RUNS.load(Ordering::Relaxed)
-}
-
-/// Instructions committed by simulations actually executed so far in
-/// this process.
-pub fn instructions_committed() -> u64 {
-    SIM_COMMITS.load(Ordering::Relaxed)
-}
-
-/// Process-wide stall attribution accumulated from every executed
-/// simulation's statistics: `(cycles, no-free-reg insert stalls, dq-full
-/// insert stalls, empty-free-list cycles)`.
-///
-/// These come straight out of [`SimStats`], so they are free to collect
-/// (no observer attached) and deterministic across worker counts; the
-/// suite benchmark report differences them per harness.
-pub fn stall_telemetry() -> (u64, u64, u64, u64) {
-    (
-        SIM_CYCLES.load(Ordering::Relaxed),
-        SIM_STALL_NO_REG.load(Ordering::Relaxed),
-        SIM_STALL_DQ_FULL.load(Ordering::Relaxed),
-        SIM_NO_FREE_CYCLES.load(Ordering::Relaxed),
-    )
-}
-
-/// Phase CPU time accumulated by every executed simulation, in
-/// nanoseconds: `(generator construction, pipeline simulation)`.
-///
-/// Workers accumulate concurrently, so these are CPU-seconds: under
-/// `RF_JOBS` parallelism the simulate phase can legitimately exceed the
-/// harness's wall time. Trace *generation* is lazy (it interleaves with
-/// simulation inside `Pipeline::run`), so the generate phase covers
-/// generator construction only; the interleaved generation cost is part
-/// of the simulate phase by construction.
-pub fn phase_telemetry() -> (u64, u64) {
-    (PHASE_GEN_NANOS.load(Ordering::Relaxed), PHASE_SIM_NANOS.load(Ordering::Relaxed))
+    counters::snapshot().get(Counter::SimsCompleted)
 }
 
 /// Why a simulation point could not produce statistics.
@@ -443,9 +392,10 @@ pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one simulation point (always executes; no caching), isolating
 /// failures: an unknown benchmark, a panicking worker, or a fired
 /// cancellation token each map to a typed [`RunError`] instead of
-/// unwinding into the caller. On success the process-wide telemetry
-/// counters are updated exactly as they always were; a failed run
-/// contributes nothing to them.
+/// unwinding into the caller. Every run counts as started and then as
+/// completed or failed in the [`rf_prof::counters`] registry; only a
+/// completed run adds its committed instructions, cycles, stalls and
+/// phase times.
 ///
 /// # Errors
 ///
@@ -467,7 +417,11 @@ fn try_simulate_cancellable(
     cancel: Option<&CancelToken>,
     deadline_ms: u64,
 ) -> Result<SimStats, RunError> {
-    rf_obs::live::sim_started();
+    counters::count(Counter::SimsStarted, 1);
+    let failed = |e: RunError| {
+        counters::count(Counter::SimsFailed, 1);
+        Err(e)
+    };
     #[cfg(any(test, feature = "fault-probe"))]
     if spec.benchmark == FAULT_BENCHMARK {
         // The probe panics *inside* the isolation boundary, like a real
@@ -476,16 +430,14 @@ fn try_simulate_cancellable(
             panic!("injected fault probe");
         });
         let payload = caught.expect_err("probe always panics");
-        rf_obs::live::sim_failed();
-        return Err(RunError::WorkerPanic {
+        return failed(RunError::WorkerPanic {
             benchmark: spec.benchmark.clone(),
             payload: payload_text(payload.as_ref()),
         });
     }
-    let profile = spec92::by_name(&spec.benchmark).ok_or_else(|| {
-        rf_obs::live::sim_failed();
-        RunError::UnknownBenchmark { benchmark: spec.benchmark.clone() }
-    })?;
+    let Some(profile) = spec92::by_name(&spec.benchmark) else {
+        return failed(RunError::UnknownBenchmark { benchmark: spec.benchmark.clone() });
+    };
     let gen_start = Instant::now();
     let mut trace = {
         let _s = rf_prof::span("run.generate");
@@ -507,29 +459,30 @@ fn try_simulate_cancellable(
     let stats = match caught {
         Ok(Ok(stats)) => stats,
         Ok(Err(_cancelled)) => {
-            rf_obs::live::sim_failed();
-            return Err(RunError::DeadlineExceeded {
+            return failed(RunError::DeadlineExceeded {
                 benchmark: spec.benchmark.clone(),
                 deadline_ms,
             });
         }
         Err(payload) => {
-            rf_obs::live::sim_failed();
-            return Err(RunError::WorkerPanic {
+            return failed(RunError::WorkerPanic {
                 benchmark: spec.benchmark.clone(),
                 payload: payload_text(payload.as_ref()),
             });
         }
     };
-    PHASE_GEN_NANOS.fetch_add(gen_nanos, Ordering::Relaxed);
-    PHASE_SIM_NANOS.fetch_add(sim_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    SIM_RUNS.fetch_add(1, Ordering::Relaxed);
-    SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    SIM_STALL_NO_REG.fetch_add(stats.insert_stall_no_reg, Ordering::Relaxed);
-    SIM_STALL_DQ_FULL.fetch_add(stats.insert_stall_dq_full, Ordering::Relaxed);
-    SIM_NO_FREE_CYCLES.fetch_add(stats.no_free_any_cycles, Ordering::Relaxed);
-    rf_obs::live::sim_completed(stats.committed, stats.cycles);
+    for (counter, n) in [
+        (Counter::GenerateNs, gen_nanos),
+        (Counter::SimulateNs, sim_start.elapsed().as_nanos() as u64),
+        (Counter::InstructionsCommitted, stats.committed),
+        (Counter::Cycles, stats.cycles),
+        (Counter::StallNoReg, stats.insert_stall_no_reg),
+        (Counter::StallDqFull, stats.insert_stall_dq_full),
+        (Counter::NoFreeCycles, stats.no_free_any_cycles),
+        (Counter::SimsCompleted, 1),
+    ] {
+        counters::count(counter, n);
+    }
     Ok(stats)
 }
 
@@ -590,6 +543,9 @@ struct CacheEntry {
 /// process. The global instance is shared by all harnesses; tests can
 /// build private instances. Disabled caches always miss. The cache is
 /// unbounded: the whole reference suite's results take about 18 MB.
+/// Every instance counts its lookups both on itself ([`RunCache::hits`],
+/// [`RunCache::misses`]) and in the process-wide [`rf_prof::counters`]
+/// registry.
 ///
 /// A thread that panics while holding the map lock poisons the mutex;
 /// the cache recovers the guard instead of propagating the poison, so
@@ -604,12 +560,6 @@ pub struct RunCache {
     misses: AtomicU64,
     poison_recoveries: AtomicU64,
     disabled: bool,
-    /// Whether lookups also feed the live-telemetry counters
-    /// ([`rf_obs::live`]). Only the global instance reports: the
-    /// suite's final snapshot must reconcile exactly with the
-    /// `BENCH_suite.json` cache totals, which come from the global
-    /// cache alone, and private/test caches would skew them.
-    report_live: bool,
 }
 
 impl RunCache {
@@ -635,8 +585,7 @@ impl RunCache {
         static GLOBAL: OnceLock<RunCache> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let enabled = cache_env_mode().unwrap_or_else(|e| panic!("{e}"));
-            let cache = if enabled { RunCache::new() } else { RunCache::disabled() };
-            RunCache { report_live: true, ..cache }
+            if enabled { RunCache::new() } else { RunCache::disabled() }
         })
     }
 
@@ -659,17 +608,12 @@ impl RunCache {
     /// Looks up a spec, counting a hit or miss.
     pub fn get(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
         let found = self.peek(spec);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if self.report_live {
-                rf_obs::live::cache_hit();
-            }
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if self.report_live {
-                rf_obs::live::cache_miss();
-            }
-        }
+        let (mine, counter) = match found {
+            Some(_) => (&self.hits, Counter::CacheHits),
+            None => (&self.misses, Counter::CacheMisses),
+        };
+        mine.fetch_add(1, Ordering::Relaxed);
+        counters::count(counter, 1);
         found
     }
 
@@ -737,9 +681,6 @@ struct StoreTier {
     snapshot: rf_store::Snapshot,
     /// Digests appended by this process (the snapshot cannot see them).
     written: Mutex<std::collections::HashSet<rf_store::Digest>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
     /// Latch so a persistent I/O failure warns once, not per record.
     io_warned: std::sync::atomic::AtomicBool,
 }
@@ -765,9 +706,6 @@ impl StoreTier {
                     store,
                     snapshot,
                     written: Mutex::new(std::collections::HashSet::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    writes: AtomicU64::new(0),
                     io_warned: std::sync::atomic::AtomicBool::new(false),
                 }),
                 Err(e) => {
@@ -800,16 +738,8 @@ impl StoreTier {
                     None
                 }
             });
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_hit();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_miss();
-            }
-        }
+        let counter = if found.is_some() { Counter::StoreHits } else { Counter::StoreMisses };
+        counters::count(counter, 1);
         found
     }
 
@@ -830,10 +760,7 @@ impl StoreTier {
         }
         let payload = crate::codec::encode_stats(stats);
         match self.store.append(crate::codec::DIGEST_SCHEMA, digest, &key, &payload) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_write();
-            }
+            Ok(()) => counters::count(Counter::StoreWrites, 1),
             Err(e) => self.warn_io(&format!("append failed: {e}")),
         }
     }
@@ -848,19 +775,16 @@ impl StoreTier {
     }
 }
 
-/// The durable store tier's `(hits, misses, writes)` counters, `None`
+/// The durable store tier's `(hits, misses, writes)` counts so far in
+/// this process, read from the [`rf_prof::counters`] registry; `None`
 /// when `RF_STORE` is off (or the store failed to open). Misses count
 /// lookups that fell through to a real simulation; hits count sims
 /// served from disk.
 pub fn store_counters() -> Option<(u64, u64, u64)> {
-    StoreTier::global()
-        .map(|t| {
-            (
-                t.hits.load(Ordering::Relaxed),
-                t.misses.load(Ordering::Relaxed),
-                t.writes.load(Ordering::Relaxed),
-            )
-        })
+    let c = counters::snapshot();
+    StoreTier::global().map(|_| {
+        (c.get(Counter::StoreHits), c.get(Counter::StoreMisses), c.get(Counter::StoreWrites))
+    })
 }
 
 /// Flushes the durable store tier (fsyncs the active segment). A no-op
@@ -1493,7 +1417,7 @@ mod tests {
 
     #[test]
     fn strict_env_parsing_rejects_malformed_values() {
-        // Env mutation is process-global, so this test owns all eight
+        // Env mutation is process-global, so this test owns all ten
         // variables for its duration and restores them at the end; it is
         // the only test in this binary that touches them.
         let vars = [
@@ -1502,13 +1426,15 @@ mod tests {
             "RF_CACHE",
             "RF_STORE",
             "RF_STORE_DIR",
+            "RF_SANITIZE",
+            "RF_LOG",
             "RF_TELEMETRY",
             "RF_TELEMETRY_INTERVAL_MS",
             "RF_METRICS_ADDR",
         ];
         let saved: Vec<Option<String>> =
             vars.iter().map(|v| std::env::var(v).ok()).collect();
-        let cases: [(&str, &str, &str); 12] = [
+        let cases: [(&str, &str, &str); 16] = [
             ("RF_COMMITS", "200k", "RF_COMMITS"),
             ("RF_JOBS", "abc", "RF_JOBS"),
             ("RF_JOBS", "0", "RF_JOBS=0"),
@@ -1516,6 +1442,10 @@ mod tests {
             ("RF_STORE", "maybe", "RF_STORE"),
             ("RF_STORE", "2", "RF_STORE"),
             ("RF_STORE_DIR", "  ", "RF_STORE_DIR"),
+            ("RF_SANITIZE", "maybe", "RF_SANITIZE"),
+            ("RF_SANITIZE", "", "RF_SANITIZE"),
+            ("RF_LOG", "jsn", "RF_LOG"),
+            ("RF_LOG", "1", "RF_LOG"),
             ("RF_TELEMETRY", "maybe", "RF_TELEMETRY"),
             ("RF_TELEMETRY_INTERVAL_MS", "fast", "RF_TELEMETRY_INTERVAL_MS"),
             ("RF_TELEMETRY_INTERVAL_MS", "0", "RF_TELEMETRY_INTERVAL_MS value '0'"),
@@ -1538,6 +1468,21 @@ mod tests {
             std::env::set_var("RF_CACHE", ok);
             assert!(validate_env().is_ok(), "RF_CACHE={ok} should be accepted");
         }
+        // RF_SANITIZE takes the same spellings, and `off` really is off.
+        for (raw, on) in [("off", false), ("FALSE", false), ("no", false), ("0", false)]
+            .into_iter()
+            .chain([("on", true), ("True", true), ("yes", true), ("1", true)])
+        {
+            std::env::set_var("RF_SANITIZE", raw);
+            assert!(validate_env().is_ok(), "RF_SANITIZE={raw} should be accepted");
+            assert_eq!(rf_check::env_mode(), Ok(on), "RF_SANITIZE={raw}");
+        }
+        std::env::remove_var("RF_SANITIZE");
+        for ok in ["off", "text", "JSON"] {
+            std::env::set_var("RF_LOG", ok);
+            assert!(validate_env().is_ok(), "RF_LOG={ok} should be accepted");
+        }
+        std::env::remove_var("RF_LOG");
         // RF_STORE_DIR is honored (and a stray value tolerated) even
         // while the store itself stays off.
         for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {

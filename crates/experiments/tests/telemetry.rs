@@ -10,6 +10,7 @@
 
 use rf_obs::ledger;
 use rf_obs::live;
+use rf_prof::counters::Counter;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -88,35 +89,33 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_bench_report() {
         assert!(pair[1].seq > pair[0].seq, "seq must increase");
         assert!(pair[1].elapsed_s >= pair[0].elapsed_s, "time must advance");
         assert!(pair[1].suite.done >= pair[0].suite.done, "done must grow");
-        for ((name, a), (_, b)) in
-            pair[0].counters.as_pairs().iter().zip(pair[1].counters.as_pairs())
-        {
-            assert!(b >= *a, "counter {name} decreased: {a} -> {b}");
+        for ((name, a), (_, b)) in pair[0].counters.iter().zip(pair[1].counters.iter()) {
+            assert!(b >= a, "counter {name} decreased: {a} -> {b}");
         }
     }
     let last = snaps.last().unwrap();
     assert!(last.is_final, "the stream ends with the final snapshot");
     assert!(snaps.iter().rev().skip(1).all(|s| !s.is_final), "exactly one final snapshot");
-    let c = &last.counters;
+    let c = |counter| last.counters.get(counter);
     assert_eq!(
-        c.sims_started,
-        c.sims_completed + c.sims_failed,
+        c(Counter::SimsStarted),
+        c(Counter::SimsCompleted) + c(Counter::SimsFailed),
         "every started simulation resolves before finalize"
     );
-    assert_eq!(c.sims_failed, 0, "a clean suite fails nothing");
+    assert_eq!(c(Counter::SimsFailed), 0, "a clean suite fails nothing");
     assert_eq!(last.suite.done, last.suite.total, "all harnesses finished");
     let worker_sims: u64 = last.workers.iter().map(|w| w.sims).sum();
-    assert_eq!(worker_sims, c.sims_completed, "worker cells cover every executed sim");
+    assert_eq!(worker_sims, c(Counter::SimsCompleted), "worker cells cover every executed sim");
 
     // --- Exact reconciliation with the bench report. ---
     let bench =
         std::fs::read_to_string(on_dir.join("results/BENCH_suite.json")).unwrap();
     let bench = rf_obs::json::parse(&bench).expect("bench report is JSON");
     let total = |key: &str| bench.get_f64(key).unwrap_or_else(|| panic!("missing {key}")) as u64;
-    assert_eq!(c.sims_completed, total("simulations"));
-    assert_eq!(c.instructions_committed, total("instructions_committed"));
-    assert_eq!(c.cache_hits, total("cache_hits"));
-    assert_eq!(c.cache_misses, total("cache_misses"));
+    assert_eq!(c(Counter::SimsCompleted), total("simulations"));
+    assert_eq!(c(Counter::InstructionsCommitted), total("instructions_committed"));
+    assert_eq!(c(Counter::CacheHits), total("cache_hits"));
+    assert_eq!(c(Counter::CacheMisses), total("cache_misses"));
     let harness_cycles: u64 = bench
         .get("harnesses")
         .unwrap()
@@ -125,7 +124,7 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_bench_report() {
         .iter()
         .map(|h| h.get_f64("cycles").unwrap() as u64)
         .sum();
-    assert_eq!(c.cycles, harness_cycles, "cycles reconcile harness-by-harness");
+    assert_eq!(c(Counter::Cycles), harness_cycles, "cycles reconcile harness-by-harness");
 
     // --- The ledger's telemetry block ties back to the stream. ---
     let records = ledger::read_ledger(&on_dir.join(ledger::LEDGER_PATH)).unwrap();
@@ -139,7 +138,7 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_bench_report() {
         last.digest.as_deref(),
         "ledger digest repeats the final snapshot's"
     );
-    assert_eq!(last.digest.as_deref(), Some(live::digest_counters(c).as_str()));
+    assert_eq!(last.digest.as_deref(), Some(live::digest_counters(&last.counters).as_str()));
 
     // A telemetry-off run records no block at all.
     let off_records = ledger::read_ledger(&off_dir.join(ledger::LEDGER_PATH)).unwrap();

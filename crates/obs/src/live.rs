@@ -2,12 +2,12 @@
 //!
 //! Everything else in `rf-obs` is post-hoc: the ledger, the scorecard,
 //! and the profiler all report after a run finishes. This module is the
-//! live counterpart — a lock-free runtime of process-wide relaxed-atomic
-//! counters (sims started/completed/failed/cached, committed
-//! instructions, cycles stepped/skipped, cache hits/misses) plus
-//! per-worker busy-time cells, fed by cheap producer hooks in the run
-//! pool, the run cache, and the suite bench, and drained by a background
-//! sampler thread into three sinks:
+//! live counterpart. It renders the process-wide run-counter registry
+//! ([`rf_prof::counters`]: sims started/completed/failed, committed
+//! instructions, cycles, stalls, skipped cycles, phase times, cache and
+//! store lookups) as counts since [`start`], plus per-worker busy-time
+//! cells fed by the run pool and suite progress fed by the suite bench.
+//! A background sampler drains them into three sinks:
 //!
 //! 1. append-only snapshot records in `results/telemetry/live.jsonl`
 //!    (schema-versioned, one JSON object per line, atomic appends via
@@ -18,14 +18,13 @@
 //! 3. the `rfstudy top` terminal view, which tails the JSONL via
 //!    [`parse_stream`].
 //!
-//! Neutrality contract: when `RF_TELEMETRY` is off every producer hook
-//! is a single relaxed atomic load, nothing is spawned, and no file is
-//! touched — `results/*.txt` are byte-identical either way. When on,
-//! counters are monotone for the lifetime of the run and the final
-//! snapshot (written by [`finalize`] *before* any post-suite probes run)
-//! reconciles exactly with the corresponding `BENCH_suite.json` totals;
-//! `crates/experiments/tests/telemetry.rs` asserts both properties
-//! against the real suite binary.
+//! Neutrality contract: counting is always on; telemetry off spawns
+//! nothing and touches no file, so `results/*.txt` are byte-identical
+//! either way. When on, counters are monotone for the lifetime of the
+//! run and the final snapshot (written by [`finalize`] *before* any
+//! post-suite probes run) reconciles exactly with the corresponding
+//! `BENCH_suite.json` totals; `crates/experiments/tests/telemetry.rs`
+//! asserts both properties against the real suite binary.
 //!
 //! Knobs (strict-parsed by [`env_config`], like every other `RF_*`
 //! knob — malformed values exit 2 before any simulation starts):
@@ -39,6 +38,7 @@
 
 use crate::json::Value;
 use crate::ledger;
+use rf_prof::counters::{self, Counts};
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -52,8 +52,10 @@ use std::time::{Duration, Instant};
 ///
 /// v2 dropped two counters of deleted features: the simulation points a
 /// model-driven sweep filter substituted, and the bounded run cache's
-/// LRU evictions.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
+/// LRU evictions. v3 renders the whole counter registry in
+/// [`rf_prof::counters::Counter::ALL`] order: it drops `sims_cached` (always equal to
+/// `cache_hits`) and gains the stall and phase-time counters.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 3;
 
 /// Where the suite runner streams live snapshots (relative to the
 /// invocation directory, alongside `results/history/suite.jsonl`).
@@ -128,24 +130,12 @@ pub fn env_config() -> Result<Option<LiveConfig>, String> {
 }
 
 // ---------------------------------------------------------------------
-// Counters and producer hooks
+// Worker cells and suite progress
 // ---------------------------------------------------------------------
 
+/// Whether the live runtime is running; gates the per-worker cells and
+/// suite progress (the counter registry itself is always on).
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static SIMS_STARTED: AtomicU64 = AtomicU64::new(0);
-static SIMS_COMPLETED: AtomicU64 = AtomicU64::new(0);
-static SIMS_FAILED: AtomicU64 = AtomicU64::new(0);
-static SIMS_CACHED: AtomicU64 = AtomicU64::new(0);
-static INSTRUCTIONS_COMMITTED: AtomicU64 = AtomicU64::new(0);
-static CYCLES: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static STORE_HITS: AtomicU64 = AtomicU64::new(0);
-static STORE_MISSES: AtomicU64 = AtomicU64::new(0);
-static STORE_WRITES: AtomicU64 = AtomicU64::new(0);
-static SKIP_BASE_CYCLES: AtomicU64 = AtomicU64::new(0);
-static SKIP_BASE_WAKEUPS: AtomicU64 = AtomicU64::new(0);
 
 #[allow(clippy::declare_interior_mutable_const)]
 const CELL: AtomicU64 = AtomicU64::new(0);
@@ -165,89 +155,12 @@ fn suite_lock() -> std::sync::MutexGuard<'static, Option<SuiteState>> {
     SUITE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether the live runtime is collecting. Every producer hook checks
-/// this first, so a disabled runtime costs one relaxed load per hook.
+/// Whether the live runtime is running. The worker-cell and suite hooks
+/// check this first, so a stopped runtime costs one relaxed load per
+/// hook.
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Test-only style override mirroring `rf_prof::set_enabled`: flips
-/// collection without starting the sampler or any sink.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// A simulation entered `try_simulate` (it will be counted exactly once
-/// more, as completed or failed).
-#[inline]
-pub fn sim_started() {
-    if is_enabled() {
-        SIMS_STARTED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A simulation finished successfully, contributing `committed`
-/// instructions over `cycles` stepped cycles.
-#[inline]
-pub fn sim_completed(committed: u64, cycles: u64) {
-    if is_enabled() {
-        SIMS_COMPLETED.fetch_add(1, Ordering::Relaxed);
-        INSTRUCTIONS_COMMITTED.fetch_add(committed, Ordering::Relaxed);
-        CYCLES.fetch_add(cycles, Ordering::Relaxed);
-    }
-}
-
-/// A simulation failed (panicked, cancelled, or rejected its spec).
-#[inline]
-pub fn sim_failed() {
-    if is_enabled() {
-        SIMS_FAILED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The global run cache served a simulation without executing it.
-#[inline]
-pub fn cache_hit() {
-    if is_enabled() {
-        SIMS_CACHED.fetch_add(1, Ordering::Relaxed);
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The global run cache missed a lookup.
-#[inline]
-pub fn cache_miss() {
-    if is_enabled() {
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The durable run store served a simulation from disk. Unlike the
-/// cache hooks, the store hooks have no private/test instances — the
-/// store tier is inherently process-global — so they always reconcile
-/// with the suite's store totals.
-#[inline]
-pub fn store_hit() {
-    if is_enabled() {
-        STORE_HITS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The durable run store missed a lookup (the simulation executed).
-#[inline]
-pub fn store_miss() {
-    if is_enabled() {
-        STORE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The durable run store persisted one executed result.
-#[inline]
-pub fn store_write() {
-    if is_enabled() {
-        STORE_WRITES.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Pool worker `worker` spent `nanos` wall-nanoseconds executing one
@@ -281,113 +194,17 @@ pub fn harness_finished() {
     }
 }
 
-fn reset_counters() {
-    for c in [
-        &SIMS_STARTED,
-        &SIMS_COMPLETED,
-        &SIMS_FAILED,
-        &SIMS_CACHED,
-        &INSTRUCTIONS_COMMITTED,
-        &CYCLES,
-        &CACHE_HITS,
-        &CACHE_MISSES,
-        &STORE_HITS,
-        &STORE_MISSES,
-        &STORE_WRITES,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
+fn reset_workers() {
     for i in 0..MAX_WORKERS {
         WORKER_BUSY_NS[i].store(0, Ordering::Relaxed);
         WORKER_SIMS[i].store(0, Ordering::Relaxed);
     }
     WORKERS_SEEN.store(0, Ordering::Relaxed);
-    let (skipped, wakeups) = rf_core::skip_telemetry();
-    SKIP_BASE_CYCLES.store(skipped, Ordering::Relaxed);
-    SKIP_BASE_WAKEUPS.store(wakeups, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
 // Snapshots
 // ---------------------------------------------------------------------
-
-/// A point-in-time copy of every live counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Simulations that entered `try_simulate`.
-    pub sims_started: u64,
-    /// Simulations that finished successfully.
-    pub sims_completed: u64,
-    /// Simulations that panicked, were cancelled, or rejected a spec.
-    pub sims_failed: u64,
-    /// Simulations served by the global run cache.
-    pub sims_cached: u64,
-    /// Instructions committed across completed simulations.
-    pub instructions_committed: u64,
-    /// Cycles stepped across completed simulations.
-    pub cycles: u64,
-    /// Idle cycles skipped by the event-driven kernel (process-global,
-    /// baselined at [`start`]; includes probe runs, so it is monotone
-    /// but not part of the exact `BENCH_suite.json` reconciliation).
-    pub cycles_skipped: u64,
-    /// Idle-skip wake-up jumps (same provenance as `cycles_skipped`).
-    pub wakeup_events: u64,
-    /// Global run-cache hits.
-    pub cache_hits: u64,
-    /// Global run-cache misses.
-    pub cache_misses: u64,
-    /// Durable run-store hits (sims served from disk; 0 with `RF_STORE`
-    /// off).
-    pub store_hits: u64,
-    /// Durable run-store misses (lookups that fell through to a real
-    /// simulation).
-    pub store_misses: u64,
-    /// Executed results persisted to the durable run store.
-    pub store_writes: u64,
-}
-
-impl CounterSnapshot {
-    /// Canonical (name, value) order used by the JSONL records, the
-    /// Prometheus rendering, and the final-snapshot digest.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 13] {
-        [
-            ("sims_started", self.sims_started),
-            ("sims_completed", self.sims_completed),
-            ("sims_failed", self.sims_failed),
-            ("sims_cached", self.sims_cached),
-            ("instructions_committed", self.instructions_committed),
-            ("cycles", self.cycles),
-            ("cycles_skipped", self.cycles_skipped),
-            ("wakeup_events", self.wakeup_events),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("store_hits", self.store_hits),
-            ("store_misses", self.store_misses),
-            ("store_writes", self.store_writes),
-        ]
-    }
-
-    /// Reads a `"counters"` object back into a snapshot (absent keys
-    /// read as 0 so old readers tolerate newer records).
-    pub fn from_value(v: &Value) -> CounterSnapshot {
-        let g = |k: &str| v.get_f64(k).unwrap_or(0.0) as u64;
-        CounterSnapshot {
-            sims_started: g("sims_started"),
-            sims_completed: g("sims_completed"),
-            sims_failed: g("sims_failed"),
-            sims_cached: g("sims_cached"),
-            instructions_committed: g("instructions_committed"),
-            cycles: g("cycles"),
-            cycles_skipped: g("cycles_skipped"),
-            wakeup_events: g("wakeup_events"),
-            cache_hits: g("cache_hits"),
-            cache_misses: g("cache_misses"),
-            store_hits: g("store_hits"),
-            store_misses: g("store_misses"),
-            store_writes: g("store_writes"),
-        }
-    }
-}
 
 /// One worker's cumulative cell values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -411,26 +228,6 @@ pub struct SuiteView {
     pub current: Option<String>,
     /// Wall-seconds the current harness has been running.
     pub current_elapsed_s: f64,
-}
-
-/// Reads the current counter values.
-pub fn counters_now() -> CounterSnapshot {
-    let (skipped, wakeups) = rf_core::skip_telemetry();
-    CounterSnapshot {
-        sims_started: SIMS_STARTED.load(Ordering::Relaxed),
-        sims_completed: SIMS_COMPLETED.load(Ordering::Relaxed),
-        sims_failed: SIMS_FAILED.load(Ordering::Relaxed),
-        sims_cached: SIMS_CACHED.load(Ordering::Relaxed),
-        instructions_committed: INSTRUCTIONS_COMMITTED.load(Ordering::Relaxed),
-        cycles: CYCLES.load(Ordering::Relaxed),
-        cycles_skipped: skipped.saturating_sub(SKIP_BASE_CYCLES.load(Ordering::Relaxed)),
-        wakeup_events: wakeups.saturating_sub(SKIP_BASE_WAKEUPS.load(Ordering::Relaxed)),
-        cache_hits: CACHE_HITS.load(Ordering::Relaxed),
-        cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
-        store_hits: STORE_HITS.load(Ordering::Relaxed),
-        store_misses: STORE_MISSES.load(Ordering::Relaxed),
-        store_writes: STORE_WRITES.load(Ordering::Relaxed),
-    }
 }
 
 /// Reads the current per-worker cells (workers observed so far).
@@ -495,12 +292,11 @@ pub fn snapshot_value(
     seq: u64,
     elapsed_s: f64,
     is_final: bool,
-    c: &CounterSnapshot,
+    c: &Counts,
     workers: &[WorkerSample],
     suite: &SuiteView,
 ) -> Value {
-    let counters =
-        Value::Object(c.as_pairs().iter().map(|(k, v)| ((*k).into(), num(*v))).collect());
+    let counters = Value::Object(c.iter().map(|(k, v)| (k.into(), num(v))).collect());
     let workers = Value::Array(
         workers
             .iter()
@@ -541,9 +337,9 @@ pub fn snapshot_value(
 /// FNV-1a digest of the canonical counter tuple, hex-encoded. Stable
 /// across platforms; used to tie the ledger's telemetry block to the
 /// final `live.jsonl` snapshot.
-pub fn digest_counters(c: &CounterSnapshot) -> String {
+pub fn digest_counters(c: &Counts) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (_, v) in c.as_pairs() {
+    for (_, v) in c.iter() {
         for b in v.to_le_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -557,14 +353,14 @@ pub fn digest_counters(c: &CounterSnapshot) -> String {
 /// an `rf_live_` prefix so scrapes of a live run and of the ledger
 /// never collide.
 pub fn render_prometheus(
-    c: &CounterSnapshot,
+    c: &Counts,
     workers: &[WorkerSample],
     suite: &SuiteView,
     elapsed_s: f64,
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (name, value) in c.as_pairs() {
+    for (name, value) in c.iter() {
         let _ = writeln!(out, "# HELP rf_live_{name} Live suite counter.");
         let _ = writeln!(out, "# TYPE rf_live_{name} counter");
         let _ = writeln!(out, "rf_live_{name} {value}");
@@ -600,6 +396,9 @@ pub fn render_prometheus(
 struct Runtime {
     interval_ms: u64,
     started: Instant,
+    /// Registry snapshot at [`start`]; every rendered snapshot counts
+    /// since it.
+    baseline: Counts,
     path: PathBuf,
     seq: Arc<AtomicU64>,
     stop: Arc<(Mutex<bool>, Condvar)>,
@@ -618,24 +417,36 @@ pub struct FinalTelemetry {
     /// [`digest_counters`] of the final counter set.
     pub digest: String,
     /// The final counter values themselves.
-    pub counters: CounterSnapshot,
+    pub counters: Counts,
 }
 
-/// Starts the live runtime: resets the counters, writes the stream
-/// header, spawns the sampler (and, if configured, the HTTP endpoint),
-/// and enables the producer hooks. Idempotent — a second call while
-/// running is a no-op.
+/// Starts the live runtime: takes the counter baseline, resets the
+/// worker cells, writes the stream header to [`LIVE_PATH`], spawns the
+/// sampler (and, if configured, the HTTP endpoint), and enables the
+/// worker and suite hooks. Idempotent — a second call while running is
+/// a no-op.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures binding the endpoint, creating
 /// `results/telemetry/`, or spawning the sampler thread.
 pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) -> io::Result<()> {
+    start_at(PathBuf::from(LIVE_PATH), cfg, commits, jobs, harnesses_total)
+}
+
+fn start_at(
+    path: PathBuf,
+    cfg: &LiveConfig,
+    commits: u64,
+    jobs: u64,
+    harnesses_total: u64,
+) -> io::Result<()> {
     let mut slot = RUNTIME.lock().unwrap_or_else(PoisonError::into_inner);
     if slot.is_some() {
         return Ok(());
     }
-    reset_counters();
+    let baseline = counters::snapshot();
+    reset_workers();
     *suite_lock() = Some(SuiteState { total: harnesses_total, done: 0, current: None });
 
     let started = Instant::now();
@@ -650,12 +461,11 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
             let (started, seq) = (started, Arc::clone(&seq));
             thread::Builder::new()
                 .name("rf-live-http".into())
-                .spawn(move || serve_endpoint(&listener, started, &seq))?;
+                .spawn(move || serve_endpoint(&listener, started, &baseline, &seq))?;
             Some(local.to_string())
         }
     };
 
-    let path = PathBuf::from(LIVE_PATH);
     let header = header_value(
         ledger::unix_timestamp(),
         cfg.interval.as_millis() as u64,
@@ -671,10 +481,15 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
         let interval = cfg.interval;
         thread::Builder::new().name("rf-live-sampler".into()).spawn(move || loop {
             let (lock, cvar) = &*stop;
-            let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
-            let (guard, _) = cvar
-                .wait_timeout(guard, interval)
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            // A stop signalled before this wait began would otherwise be
+            // lost, stalling `finalize` for a whole interval.
+            if !*guard {
+                guard = cvar
+                    .wait_timeout(guard, interval)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
             if *guard {
                 return;
             }
@@ -684,7 +499,7 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
                 s,
                 started.elapsed().as_secs_f64(),
                 false,
-                &counters_now(),
+                &counters::snapshot().since(&baseline),
                 &workers_now(),
                 &suite_now(),
             );
@@ -696,6 +511,7 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
     *slot = Some(Runtime {
         interval_ms: cfg.interval.as_millis() as u64,
         started,
+        baseline,
         path,
         seq,
         stop,
@@ -704,8 +520,8 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
     Ok(())
 }
 
-/// Stops the sampler, freezes the counters, writes the final snapshot
-/// (with digest), and returns the summary for the ledger. `None` if the
+/// Stops the sampler, takes the final counter snapshot, writes it (with
+/// digest), and returns the summary for the ledger. `None` if the
 /// runtime was never started. Call this *before* any post-suite probe
 /// work so the final counters reconcile with `BENCH_suite.json`.
 pub fn finalize() -> Option<FinalTelemetry> {
@@ -716,10 +532,8 @@ pub fn finalize() -> Option<FinalTelemetry> {
         cvar.notify_all();
     }
     let _ = rt.sampler.join();
-    // Freeze producers before the final read so nothing that runs after
-    // the suite loop (speedup calibration, probes) moves the counters.
     ENABLED.store(false, Ordering::Relaxed);
-    let counters = counters_now();
+    let counters = counters::snapshot().since(&rt.baseline);
     let seq = rt.seq.fetch_add(1, Ordering::Relaxed) + 1;
     let snap = snapshot_value(
         seq,
@@ -740,14 +554,19 @@ pub fn finalize() -> Option<FinalTelemetry> {
 
 /// Single-threaded accept loop: requests are served one at a time from
 /// live counter reads, so the endpoint itself never blocks producers.
-fn serve_endpoint(listener: &TcpListener, started: Instant, seq: &AtomicU64) {
+fn serve_endpoint(listener: &TcpListener, started: Instant, baseline: &Counts, seq: &AtomicU64) {
     for conn in listener.incoming() {
         let Ok(mut stream) = conn else { continue };
-        let _ = handle_request(&mut stream, started, seq);
+        let _ = handle_request(&mut stream, started, baseline, seq);
     }
 }
 
-fn handle_request(stream: &mut TcpStream, started: Instant, seq: &AtomicU64) -> io::Result<()> {
+fn handle_request(
+    stream: &mut TcpStream,
+    started: Instant,
+    baseline: &Counts,
+    seq: &AtomicU64,
+) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let mut req = Vec::new();
     let mut buf = [0u8; 1024];
@@ -761,11 +580,12 @@ fn handle_request(stream: &mut TcpStream, started: Instant, seq: &AtomicU64) -> 
     let head = String::from_utf8_lossy(&req);
     let path = head.split_whitespace().nth(1).unwrap_or("/");
     let elapsed = started.elapsed().as_secs_f64();
+    let counts = counters::snapshot().since(baseline);
     let (status, ctype, body) = match path {
         "/metrics" | "/" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            render_prometheus(&counters_now(), &workers_now(), &suite_now(), elapsed),
+            render_prometheus(&counts, &workers_now(), &suite_now(), elapsed),
         ),
         "/snapshot.json" => (
             "200 OK",
@@ -776,7 +596,7 @@ fn handle_request(stream: &mut TcpStream, started: Instant, seq: &AtomicU64) -> 
                     seq.load(Ordering::Relaxed),
                     elapsed,
                     false,
-                    &counters_now(),
+                    &counts,
                     &workers_now(),
                     &suite_now(),
                 )
@@ -818,8 +638,8 @@ pub struct Snap {
     pub elapsed_s: f64,
     /// Whether this is the closing snapshot.
     pub is_final: bool,
-    /// Counter values at snapshot time.
-    pub counters: CounterSnapshot,
+    /// Counter values at snapshot time (counts since the run's start).
+    pub counters: Counts,
     /// Per-worker cells at snapshot time.
     pub workers: Vec<WorkerSample>,
     /// Suite progress at snapshot time.
@@ -836,13 +656,12 @@ fn snap_from_value(v: &Value) -> Result<Snap, String> {
         ));
     }
     let suite = v.get("suite").ok_or("snapshot missing suite block")?;
+    let counters = v.get("counters").ok_or("snapshot missing counters")?;
     Ok(Snap {
         seq: v.get_f64("seq").ok_or("snapshot missing seq")? as u64,
         elapsed_s: v.get_f64("elapsed_s").unwrap_or(0.0),
         is_final: v.get("final").and_then(Value::as_bool).unwrap_or(false),
-        counters: CounterSnapshot::from_value(
-            v.get("counters").ok_or("snapshot missing counters")?,
-        ),
+        counters: Counts::from_fn(|c| counters.get_f64(c.name()).unwrap_or(0.0) as u64),
         workers: v
             .get("workers")
             .and_then(Value::as_array)
@@ -931,7 +750,7 @@ mod torn_tests {
 
     #[test]
     fn parse_stream_skips_a_torn_final_line() {
-        let c = CounterSnapshot::default();
+        let c = Counts::default();
         let s = SuiteView::default();
         let whole = format!(
             "{}\n{}\n",
@@ -957,23 +776,10 @@ mod torn_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rf_prof::counters::Counter;
 
-    fn sample_counters() -> CounterSnapshot {
-        CounterSnapshot {
-            sims_started: 40,
-            sims_completed: 38,
-            sims_failed: 2,
-            sims_cached: 13,
-            instructions_committed: 7_600_000,
-            cycles: 3_000_000,
-            cycles_skipped: 400_000,
-            wakeup_events: 9_000,
-            cache_hits: 13,
-            cache_misses: 41,
-            store_hits: 9,
-            store_misses: 32,
-            store_writes: 30,
-        }
+    fn sample_counters() -> Counts {
+        Counts::from_fn(|c| 1_000 + 37 * c as u64)
     }
 
     #[test]
@@ -1029,9 +835,8 @@ mod tests {
     #[test]
     fn digest_is_stable_and_value_sensitive() {
         let c = sample_counters();
-        assert_eq!(digest_counters(&c), digest_counters(&c.clone()));
-        let mut d = c.clone();
-        d.cycles += 1;
+        assert_eq!(digest_counters(&c), digest_counters(&sample_counters()));
+        let d = Counts::from_fn(|k| c.get(k) + u64::from(k == Counter::Cycles));
         assert_ne!(digest_counters(&c), digest_counters(&d));
         assert_eq!(digest_counters(&c).len(), 16);
     }
@@ -1042,7 +847,7 @@ mod tests {
         let workers = vec![WorkerSample { id: 0, busy_ns: 5, sims: 1 }];
         let suite = SuiteView { total: 12, done: 4, current: None, current_elapsed_s: 0.0 };
         let out = render_prometheus(&c, &workers, &suite, 3.5);
-        for (name, value) in c.as_pairs() {
+        for (name, value) in c.iter() {
             assert!(
                 out.contains(&format!("rf_live_{name} {value}")),
                 "missing {name}:\n{out}"
@@ -1055,46 +860,40 @@ mod tests {
     }
 
     #[test]
-    fn hooks_are_inert_when_disabled_and_count_when_enabled() {
-        // Serialized with the env test via the ENV_LOCK there being
-        // unnecessary: this test is the only one mutating the counters.
-        set_enabled(false);
-        reset_counters();
-        sim_started();
-        sim_completed(10, 20);
-        cache_hit();
+    fn snapshots_count_from_start_and_worker_cells_only_while_running() {
+        // No other test in this binary touches the cache or store
+        // counters, so their deltas here are exact.
+        let dir = std::env::temp_dir().join(format!("rf-live-start-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("live.jsonl");
+        counters::count(Counter::CacheHits, 5);
+        counters::count(Counter::StoreWrites, 2);
         worker_task(0, 99);
-        assert_eq!(counters_now().sims_started, 0, "disabled hooks must not count");
-        assert!(workers_now().is_empty());
+        assert!(workers_now().is_empty(), "worker cells are inert before start");
 
-        set_enabled(true);
-        sim_started();
-        sim_started();
-        sim_completed(10, 20);
-        sim_failed();
-        cache_hit();
-        cache_miss();
-        store_hit();
-        store_miss();
-        store_miss();
-        store_write();
+        let cfg = LiveConfig { interval: Duration::from_secs(3600), metrics_addr: None };
+        start_at(path.clone(), &cfg, 100, 2, 1).expect("runtime starts");
+        counters::count(Counter::CacheHits, 3);
         worker_task(1, 500);
         worker_task(MAX_WORKERS + 5, 7); // clamps into the last cell
-        set_enabled(false);
-
-        let c = counters_now();
-        assert_eq!(c.sims_started, 2);
-        assert_eq!(c.sims_completed, 1);
-        assert_eq!(c.sims_failed, 1);
-        assert_eq!(c.instructions_committed, 10);
-        assert_eq!(c.cycles, 20);
-        assert_eq!((c.sims_cached, c.cache_hits), (1, 1));
-        assert_eq!(c.cache_misses, 1);
-        assert_eq!((c.store_hits, c.store_misses, c.store_writes), (1, 2, 1));
         let workers = workers_now();
         assert_eq!(workers.len(), MAX_WORKERS, "clamped id registers the last cell");
         assert_eq!(workers[1], WorkerSample { id: 1, busy_ns: 500, sims: 1 });
         assert_eq!(workers[MAX_WORKERS - 1].busy_ns, 7);
+
+        let fin = finalize().expect("runtime was running");
+        assert_eq!(fin.counters.get(Counter::CacheHits), 3, "counts before start excluded");
+        assert_eq!(fin.counters.get(Counter::StoreWrites), 0);
+        let (_, snaps) =
+            parse_stream(&std::fs::read_to_string(&path).unwrap()).expect("stream parses");
+        let last = snaps.last().expect("final snapshot written");
+        assert!(last.is_final);
+        assert_eq!(last.counters, fin.counters);
+        assert_eq!(last.digest.as_deref(), Some(fin.digest.as_str()));
+
+        worker_task(1, 500);
+        assert_eq!(workers_now()[1].sims, 1, "worker cells are inert after finalize");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1154,7 +953,9 @@ mod tests {
         let seq = Arc::new(AtomicU64::new(4));
         {
             let seq = Arc::clone(&seq);
-            thread::spawn(move || serve_endpoint(&listener, started, &seq));
+            thread::spawn(move || {
+                serve_endpoint(&listener, started, &counters::snapshot(), &seq)
+            });
         }
 
         let fetch = |path: &str| {

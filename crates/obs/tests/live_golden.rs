@@ -11,28 +11,31 @@
 //! file (`RF_REGEN_GOLDEN=1 cargo test -p rf-obs --test live_golden`),
 //! and teach `parse_stream` about the new layout.
 
-use rf_obs::live::{
-    self, CounterSnapshot, SuiteView, WorkerSample, SNAPSHOT_SCHEMA_VERSION,
-};
+use rf_obs::live::{self, SuiteView, WorkerSample, SNAPSHOT_SCHEMA_VERSION};
+use rf_prof::counters::{Counter, Counts};
 
 const GOLDEN: &str = include_str!("golden/live_snapshot.jsonl");
 
-fn counters() -> CounterSnapshot {
-    CounterSnapshot {
-        sims_started: 412,
-        sims_completed: 409,
-        sims_failed: 3,
-        sims_cached: 57,
-        instructions_committed: 81_800_000,
-        cycles: 33_500_000,
-        cycles_skipped: 4_200_000,
-        wakeup_events: 96_000,
-        cache_hits: 57,
-        cache_misses: 436,
-        store_hits: 101,
-        store_misses: 335,
-        store_writes: 330,
-    }
+fn counters() -> Counts {
+    Counts::from_fn(|c| match c {
+        Counter::SimsStarted => 412,
+        Counter::SimsCompleted => 409,
+        Counter::SimsFailed => 3,
+        Counter::InstructionsCommitted => 81_800_000,
+        Counter::Cycles => 33_500_000,
+        Counter::StallNoReg => 1_250_000,
+        Counter::StallDqFull => 2_700_000,
+        Counter::NoFreeCycles => 1_900_000,
+        Counter::CyclesSkipped => 4_200_000,
+        Counter::WakeupEvents => 96_000,
+        Counter::GenerateNs => 310_000_000,
+        Counter::SimulateNs => 18_400_000_000,
+        Counter::CacheHits => 57,
+        Counter::CacheMisses => 436,
+        Counter::StoreHits => 101,
+        Counter::StoreMisses => 335,
+        Counter::StoreWrites => 330,
+    })
 }
 
 fn workers() -> Vec<WorkerSample> {
@@ -116,7 +119,7 @@ fn golden_lines_name_every_member_readers_rely_on() {
             assert!(snap.get(key).is_some(), "snapshot missing {key}");
         }
         let c = snap.get("counters").unwrap();
-        for (key, _) in counters().as_pairs() {
+        for (key, _) in counters().iter() {
             assert!(c.get(key).is_some(), "counters missing {key}");
         }
         let s = snap.get("suite").unwrap();

@@ -43,8 +43,16 @@
 //! global tree. Merging is deterministic: nodes merge by name, counts
 //! and durations add commutatively, and children are sorted by name, so
 //! the merged tree is independent of worker interleaving.
+//!
+//! ## Counters
+//!
+//! [`counters`] is the process-wide run-counter registry: one static
+//! array of atomics that every count the suite reports about its own
+//! work comes from. Unlike spans it is always on.
 
 #![warn(missing_docs)]
+
+pub mod counters;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -18,6 +18,7 @@ use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, SimStats};
 use std::collections::HashMap;
 use rf_obs::Recorder;
 use rf_isa::RegClass;
+use rf_prof::counters::Counter;
 use rf_timing::{RegFileGeometry, TimingModel};
 use rf_workload::{spec92, trace_io, TraceGenerator, WrongPathGenerator};
 use std::process::ExitCode;
@@ -32,6 +33,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // `run` and `replay` consult RF_SANITIZE; a malformed value is a
+    // usage error, not a silent choice of mode.
+    if matches!(cmd, Command::Run { .. } | Command::Replay { .. }) {
+        if let Err(e) = rf_check::env_mode() {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    }
     // Attaching to a stream file that does not exist is a usage error
     // (exit 2), not something to hang on: without `--spawn` no producer
     // is coming, so waiting for the file would wait forever.
@@ -694,34 +703,33 @@ fn render_top_frame(
         s.done,
         s.total,
     );
-    let c = &last.counters;
+    let c = |counter| last.counters.get(counter);
+    let committed = c(Counter::InstructionsCommitted);
     let prev = (snaps.len() >= 2).then(|| &snaps[snaps.len() - 2]);
     let (delta_committed, window_s) = match prev {
         Some(p) => (
-            c.instructions_committed.saturating_sub(p.counters.instructions_committed) as f64,
+            committed.saturating_sub(p.counters.get(Counter::InstructionsCommitted)) as f64,
             last.elapsed_s - p.elapsed_s,
         ),
-        None => (c.instructions_committed as f64, last.elapsed_s),
+        None => (committed as f64, last.elapsed_s),
     };
     let rate = if window_s > 0.0 { delta_committed / window_s } else { 0.0 };
+    let (started, completed, failed) =
+        (c(Counter::SimsStarted), c(Counter::SimsCompleted), c(Counter::SimsFailed));
+    let (hits, misses) = (c(Counter::CacheHits), c(Counter::CacheMisses));
     let _ = writeln!(
         out,
-        "sims: {} done / {} failed / {} cached ({} started, {} in flight)   commits/s {}",
-        c.sims_completed,
-        c.sims_failed,
-        c.sims_cached,
-        c.sims_started,
-        c.sims_started.saturating_sub(c.sims_completed + c.sims_failed),
+        "sims: {completed} done / {failed} failed / {hits} cached ({started} started, {} in \
+         flight)   commits/s {}",
+        started.saturating_sub(completed + failed),
         human_count(rate),
     );
-    let lookups = c.cache_hits + c.cache_misses;
-    let hit_pct = if lookups > 0 { 100.0 * c.cache_hits as f64 / lookups as f64 } else { 0.0 };
+    let lookups = hits + misses;
+    let hit_pct = if lookups > 0 { 100.0 * hits as f64 / lookups as f64 } else { 0.0 };
     let _ = writeln!(
         out,
-        "cache: {} hits / {} misses ({hit_pct:.1}% hit rate)   committed {}",
-        c.cache_hits,
-        c.cache_misses,
-        human_count(c.instructions_committed as f64),
+        "cache: {hits} hits / {misses} misses ({hit_pct:.1}% hit rate)   committed {}",
+        human_count(committed as f64),
     );
     if !last.workers.is_empty() {
         let _ = writeln!(out, "workers:");
@@ -1029,7 +1037,8 @@ fn print_stats(name: &str, stats: &SimStats) {
 #[cfg(test)]
 mod top_tests {
     use super::*;
-    use rf_obs::live::{CounterSnapshot, Snap, SuiteView, WorkerSample};
+    use rf_obs::live::{Snap, SuiteView, WorkerSample};
+    use rf_prof::counters::Counts;
 
     fn plan() -> Vec<String> {
         vec!["fig3".into(), "fig4".into(), "mystery".into()]
@@ -1077,21 +1086,16 @@ mod top_tests {
             seq,
             elapsed_s,
             is_final,
-            counters: CounterSnapshot {
-                sims_started: 10,
-                sims_completed: 7,
-                sims_failed: 1,
-                sims_cached: 2,
-                instructions_committed: committed,
-                cycles: committed / 2,
-                cycles_skipped: 0,
-                wakeup_events: 0,
-                cache_hits: 2,
-                cache_misses: 6,
-                store_hits: 0,
-                store_misses: 0,
-                store_writes: 0,
-            },
+            counters: Counts::from_fn(|c| match c {
+                Counter::SimsStarted => 10,
+                Counter::SimsCompleted => 7,
+                Counter::SimsFailed => 1,
+                Counter::InstructionsCommitted => committed,
+                Counter::Cycles => committed / 2,
+                Counter::CacheHits => 2,
+                Counter::CacheMisses => 6,
+                _ => 0,
+            }),
             workers: vec![WorkerSample { id: 0, busy_ns, sims: 7 }],
             suite: suite(1, Some("fig4"), 0.5),
             digest: is_final.then(|| "feedbeef".to_owned()),
