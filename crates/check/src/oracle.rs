@@ -219,11 +219,11 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
     let mut span_sum = 0u64;
     let mut span_count = 0u64;
 
-    // Sound floor: sweep interval overlap over trace positions.
-    let mut delta = vec![0i64; n + 1];
-    // Ideal demand: event sweep over rename-to-free lifetimes in cycle
+    // Sound floor: peak interval overlap over trace positions.
+    let mut floor = PeakSweep::new(n as u64);
+    // Ideal demand: peak overlap of rename-to-free lifetimes in cycle
     // space, plus per-category duration sums.
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(defs.len() * 2);
+    let mut demand = PeakSweep::new(ideal_cycles);
     let mut cat_sums = [0u64; 3];
 
     for d in defs {
@@ -247,8 +247,7 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
             d.next_def - 1
         };
         if end >= start && n > 0 {
-            delta[start as usize] += 1;
-            delta[end as usize + 1] -= 1;
+            floor.add(start as u64, end as u64 + 1);
         }
         // Ideal-schedule lifetime: rename until the later of the killing
         // writer's completion, the last reader's completion, and the
@@ -258,27 +257,10 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
             None => ideal_cycles,
         };
         let free_at = kill.max(d.reader_finish).max(d.finish_at);
-        events.push((d.rename_at, 1));
-        events.push((free_at + 1, -1));
+        demand.add(d.rename_at, free_at + 1);
         cat_sums[0] += d.issue_at - d.rename_at;
         cat_sums[1] += d.finish_at - d.issue_at;
         cat_sums[2] += free_at - d.finish_at;
-    }
-
-    let mut floor = 0i64;
-    let mut acc = 0i64;
-    for d in &delta {
-        acc += d;
-        floor = floor.max(acc);
-    }
-    let floor = (floor.max(0) as usize).max(31);
-
-    events.sort_unstable();
-    let mut demand = 0i64;
-    let mut acc = 0i64;
-    for (_, d) in events {
-        acc += d;
-        demand = demand.max(acc);
     }
 
     let cycles = ideal_cycles.max(1) as f64;
@@ -286,8 +268,8 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
         defs: trace_defs,
         uses,
         dead_defs: dead,
-        floor,
-        ideal_demand: demand.max(0) as usize,
+        floor: floor.peak().max(31),
+        ideal_demand: demand.peak(),
         ideal_cat_means: cat_sums.map(|s| s as f64 / cycles),
         mean_def_use_span: if span_count > 0 {
             span_sum as f64 / span_count as f64
@@ -297,9 +279,44 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
     }
 }
 
+/// Peak overlap of half-open intervals `[start, end)` (trace positions
+/// or cycles) by a counting sweep: a net count per point, so no sort.
+/// Where one interval ends and another starts, the end applies first —
+/// a register freed at a cycle is reusable in that cycle.
+struct PeakSweep {
+    /// Intervals starting minus intervals ending, per point.
+    net: Vec<i64>,
+}
+
+impl PeakSweep {
+    /// A sweep over points `0..=horizon + 1` (an interval ends at most
+    /// one point after the horizon).
+    fn new(horizon: u64) -> Self {
+        Self { net: vec![0; horizon as usize + 2] }
+    }
+
+    fn add(&mut self, start: u64, end: u64) {
+        self.net[start as usize] += 1;
+        self.net[end as usize] -= 1;
+    }
+
+    /// The most intervals alive at once. Within a point the ends come
+    /// before the starts, so the running count peaks at a point's close.
+    fn peak(&self) -> usize {
+        let mut peak = 0i64;
+        let mut live = 0i64;
+        for &d in &self.net {
+            live += d;
+            peak = peak.max(live);
+        }
+        peak as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rf_isa::ArchReg;
 
     fn alu(dest: u8, srcs: [Option<ArchReg>; 2]) -> Instruction {
@@ -363,6 +380,46 @@ mod tests {
         let c = &o.classes[RegClass::Int.index()];
         assert!(c.ideal_demand >= c.floor - 31, "{} vs {}", c.ideal_demand, c.floor);
         assert!(o.ideal_cycles >= 100, "serial chain of unit latencies");
+    }
+
+    /// Reference sweep: `(point, ±1)` events sorted so a point's ends
+    /// precede its starts.
+    fn sorted_peak(intervals: &[(u64, u64)]) -> usize {
+        let mut events: Vec<(u64, i64)> =
+            intervals.iter().flat_map(|&(s, e)| [(s, 1), (e, -1)]).collect();
+        events.sort_unstable();
+        let (mut peak, mut live) = (0i64, 0i64);
+        for (_, d) in events {
+            live += d;
+            peak = peak.max(live);
+        }
+        peak as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random lifetime sets, including empty ones and lifetimes
+        /// that end exactly where others start, the counting sweep finds
+        /// the sort-based sweep's peak.
+        #[test]
+        fn counting_sweep_matches_the_sorted_event_sweep(
+            horizon in 0u64..200,
+            raw in prop::collection::vec((0u64..1_000, 0u64..1_000), 0..300),
+        ) {
+            let intervals: Vec<(u64, u64)> = raw
+                .iter()
+                .map(|&(a, len)| {
+                    let start = a % (horizon + 1);
+                    (start, start + 1 + len % (horizon + 1 - start))
+                })
+                .collect();
+            let mut sweep = PeakSweep::new(horizon);
+            for &(start, end) in &intervals {
+                sweep.add(start, end);
+            }
+            prop_assert_eq!(sweep.peak(), sorted_peak(&intervals));
+        }
     }
 
     #[test]

@@ -44,14 +44,53 @@ pub struct ActiveEntry {
     pub dest: Option<(RegClass, u32, u8, u32)>,
     /// Renamed physical sources (zero-register reads excluded).
     pub srcs: [Option<(RegClass, u32)>; 2],
-    /// Memory address for loads/stores.
-    pub mem_addr: Option<u64>,
-    /// Whether every renamed source register is ready (maintained by the
-    /// pipeline: computed at insert, raised by completion wake-ups).
-    /// Meaningful only while [`Stage::InQueue`].
-    pub ready: bool,
+    /// Memory address for loads/stores, [`NO_ADDR`] otherwise (read it
+    /// through [`ActiveEntry::mem_addr`]).
+    pub(crate) addr: u64,
+    /// Renamed sources whose register was not ready at insert and whose
+    /// producer has not completed since: the entry is data-ready (an
+    /// issue candidate) when this reaches zero. Meaningful only while
+    /// [`Stage::InQueue`].
+    pub(crate) unready: u8,
+    /// Waiter-chain links, one per source slot: while the slot's source
+    /// is unready, the distance from this slot's node to the next older
+    /// node on the same register's chain (0 ends the chain). See
+    /// [`ActiveList::wake_chain`].
+    pub(crate) links: [u32; 2],
     /// Program counter (predictor indexing).
     pub pc: u64,
+}
+
+// The issue scan, completion and wake-up walks all touch the hot ring.
+const _: () = assert!(std::mem::size_of::<ActiveEntry>() <= 72);
+
+/// [`ActiveEntry::addr`] of an entry that is not a load or store.
+pub(crate) const NO_ADDR: u64 = u64::MAX;
+
+/// Chain head of a register no in-queue source is waiting on.
+pub(crate) const NO_WAITER: u64 = u64::MAX;
+
+/// A waiter-chain node: source `slot` (0 or 1) of entry `seq`. Node ids
+/// grow with program order, so a chain pushed youngest-first is strictly
+/// decreasing and its links are positive.
+#[inline]
+pub(crate) fn waiter_node(seq: u64, slot: usize) -> u64 {
+    2 * seq + slot as u64
+}
+
+impl ActiveEntry {
+    /// Memory address for loads/stores.
+    #[inline]
+    pub fn mem_addr(&self) -> Option<u64> {
+        (self.addr != NO_ADDR).then_some(self.addr)
+    }
+
+    /// Whether every renamed source register is ready (meaningful only
+    /// while [`Stage::InQueue`]).
+    #[inline]
+    pub fn data_ready(&self) -> bool {
+        self.unready == 0
+    }
 }
 
 /// The cold per-entry state of an in-flight instruction, kept in a side
@@ -74,8 +113,9 @@ const VACANT: ActiveEntry = ActiveEntry {
     complete_at: u64::MAX,
     dest: None,
     srcs: [None, None],
-    mem_addr: None,
-    ready: false,
+    addr: NO_ADDR,
+    unready: 0,
+    links: [0, 0],
     pc: 0,
 };
 
@@ -211,6 +251,53 @@ impl ActiveList {
         self.mask = new_mask;
     }
 
+    /// Links source `slot` of `entry` (the entry about to be pushed) at
+    /// the head of a register's waiter chain and counts it unready.
+    #[inline]
+    pub(crate) fn link_waiter(head: &mut u64, entry: &mut ActiveEntry, slot: usize) {
+        let node = waiter_node(entry.seq, slot);
+        debug_assert!(*head == NO_WAITER || node - *head <= u64::from(u32::MAX));
+        entry.links[slot] = if *head == NO_WAITER { 0 } else { (node - *head) as u32 };
+        entry.unready += 1;
+        *head = node;
+    }
+
+    /// Wakes a register's waiter chain when its producer completes:
+    /// every linked source slot stops being unready, and each entry whose
+    /// last unready source this was enters the issue scan. Leaves the
+    /// chain empty.
+    ///
+    /// Chains are exact — a node is linked at insert only for an unready
+    /// source and unlinked by [`ActiveList::unlink_waiter`] when its
+    /// entry is squashed — so every node names a live in-queue entry.
+    #[inline]
+    pub(crate) fn wake_chain(&mut self, head: &mut u64) {
+        let mut node = std::mem::replace(head, NO_WAITER);
+        while node != NO_WAITER {
+            let seq = node >> 1;
+            debug_assert!(self.live(seq), "waiter {seq} is live");
+            let pos = self.slot(seq);
+            let e = &mut self.entries[pos];
+            debug_assert!(e.stage == Stage::InQueue && e.unready > 0, "waiter {seq} waits");
+            e.unready -= 1;
+            let link = e.links[(node & 1) as usize];
+            if e.unready == 0 {
+                self.scan_words[pos / 64] |= 1 << (pos % 64);
+            }
+            node = if link == 0 { NO_WAITER } else { node - u64::from(link) };
+        }
+    }
+
+    /// Unlinks source `slot` of a squashed entry from its register's
+    /// chain. Squash runs youngest-first and chains run youngest to
+    /// oldest, so the node is always the chain's head.
+    #[inline]
+    pub(crate) fn unlink_waiter(head: &mut u64, entry: &ActiveEntry, slot: usize) {
+        debug_assert_eq!(*head, waiter_node(entry.seq, slot), "squashed waiter heads its chain");
+        let link = entry.links[slot];
+        *head = if link == 0 { NO_WAITER } else { *head - u64::from(link) };
+    }
+
     /// Iterates, oldest to youngest, over the sequence numbers the issue
     /// phase must visit: data-ready in-queue entries. Word-level skipping
     /// makes a scan of a mostly-waiting window O(set bits) instead of
@@ -233,8 +320,9 @@ impl ActiveList {
                 complete_at: u64::MAX,
                 dest: None,
                 srcs: [None, None],
-                mem_addr: None,
-                ready: false,
+                addr: NO_ADDR,
+                unready: 0,
+                links: [0, 0],
                 pc,
             },
             ColdEntry::default(),
@@ -471,23 +559,41 @@ mod tests {
     /// about: data-ready in-queue entries.
     fn expected_scan(list: &ActiveList) -> Vec<u64> {
         list.iter()
-            .filter(|e| e.stage == Stage::InQueue && e.ready)
+            .filter(|e| e.stage == Stage::InQueue && e.data_ready())
             .map(|e| e.seq)
             .collect()
+    }
+
+    /// Pushes an in-queue entry of `kind` whose source slots wait on
+    /// register chains: `(register, slot)` pairs indexing `heads`.
+    fn push_waiting(
+        list: &mut ActiveList,
+        heads: &mut [u64],
+        kind: OpKind,
+        waits: &[(usize, usize)],
+    ) -> u64 {
+        let mut e = ActiveEntry { seq: list.next_seq(), kind, stage: Stage::InQueue, ..VACANT };
+        for &(reg, slot) in waits {
+            ActiveList::link_waiter(&mut heads[reg], &mut e, slot);
+        }
+        list.push_entry(e, ColdEntry::default());
+        if e.data_ready() {
+            list.scan_set(e.seq);
+        }
+        e.seq
     }
 
     #[test]
     fn scan_tracks_readiness_and_stage_transitions_in_order() {
         let mut list = ActiveList::new();
-        let a = list.push(OpKind::IntAlu, false, 0);
-        let b = list.push(OpKind::Load, false, 4);
-        let c = list.push(OpKind::Store, false, 8);
-        // Fresh entries are invisible until marked ready.
+        let mut r = [NO_WAITER];
+        let a = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(0, 0)]);
+        let b = push_waiting(&mut list, &mut r, OpKind::Load, &[(0, 0)]);
+        let c = push_waiting(&mut list, &mut r, OpKind::Store, &[(0, 1)]);
+        // Waiting entries are invisible until their producer completes.
         assert!(list.scan_seqs().next().is_none());
-        for seq in [a, b, c] {
-            list.get_mut(seq).unwrap().ready = true;
-            list.scan_set(seq);
-        }
+        list.wake_chain(&mut r[0]);
+        assert_eq!(r[0], NO_WAITER, "a wake-up empties the chain");
         assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![a, b, c]);
         // Issuing drops an entry from the scan regardless of kind.
         list.get_mut(a).unwrap().stage = Stage::Issued;
@@ -502,17 +608,58 @@ mod tests {
     }
 
     #[test]
+    fn waiter_chains_wake_exactly_their_linked_slots() {
+        let mut list = ActiveList::new();
+        let mut r = [NO_WAITER; 2];
+        let ready = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[]);
+        let a = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(0, 0)]);
+        // Both slots read the same register: two nodes, one entry.
+        let b = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(0, 0), (0, 1)]);
+        let c = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(1, 0), (0, 1)]);
+        let d = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(1, 1)]);
+        assert_eq!(list.get(b).unwrap().unready, 2);
+        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready]);
+        list.wake_chain(&mut r[0]);
+        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready, a, b]);
+        assert_eq!(list.get(c).unwrap().unready, 1, "c still waits on register 1");
+        // Squash youngest-first: each squashed node heads its chain.
+        let e = list.pop_back().unwrap();
+        assert_eq!(e.seq, d);
+        ActiveList::unlink_waiter(&mut r[1], &e, 1);
+        assert_eq!(r[1], waiter_node(c, 0), "the chain now starts at c");
+        list.wake_chain(&mut r[1]);
+        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready, a, b, c]);
+        assert_eq!(r[1], NO_WAITER);
+    }
+
+    #[test]
+    fn waiter_chains_survive_ring_growth() {
+        let mut list = ActiveList::new();
+        let mut r = [NO_WAITER];
+        // Start off slot 0 so the window straddles the ring boundary.
+        list.push(OpKind::IntAlu, false, 0);
+        list.pop_front();
+        let seqs: Vec<u64> = (0..3 * INITIAL_CAP)
+            .map(|i| push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(0, i % 2)]))
+            .collect();
+        assert!(list.entries.len() > INITIAL_CAP, "the ring grew");
+        list.wake_chain(&mut r[0]);
+        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), seqs);
+    }
+
+    #[test]
     fn scan_survives_ring_growth_and_wraparound() {
         let mut list = ActiveList::new();
         // Push enough entries to force a ring rebuild (initial cap 256),
         // committing from the front so seq positions wrap the ring.
         for i in 0..2_000u64 {
             let seq = list.push(OpKind::Load, false, i * 4);
-            // Every other entry becomes data-ready; every third issues
+            // Every other entry is data-ready; every third issues
             // (leaving the scan again).
             if i % 2 == 0 {
-                list.get_mut(seq).unwrap().ready = true;
                 list.scan_set(seq);
+            } else {
+                list.get_mut(seq).unwrap().unready = 1;
             }
             if i % 3 == 0 {
                 list.get_mut(seq).unwrap().stage = Stage::Issued;

@@ -52,8 +52,8 @@ pub(crate) struct RunBuffers {
     pub store_hazard_map: AddrMap,
     /// Memory-disambiguation load-hazard map.
     pub load_hazard_map: AddrMap,
-    /// Per-class, per-register completion wake-up lists.
-    pub waiters: [Vec<Vec<u64>>; 2],
+    /// Per-class, per-register waiter-chain heads.
+    pub wait_heads: [Vec<u64>; 2],
 }
 
 thread_local! {
@@ -90,10 +90,8 @@ pub(crate) fn put(mut buffers: Box<RunBuffers>) {
     buffers.scratch_kills.clear();
     buffers.store_hazard_map.clear();
     buffers.load_hazard_map.clear();
-    for per_class in &mut buffers.waiters {
-        for list in per_class.iter_mut() {
-            list.clear();
-        }
+    for heads in &mut buffers.wait_heads {
+        heads.clear();
     }
     POOL.with(|p| *p.borrow_mut() = Some(buffers));
 }

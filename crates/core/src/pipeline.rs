@@ -1,6 +1,6 @@
 //! The cycle loop: complete → recover → commit → issue → insert → account.
 
-use crate::active::{ActiveEntry, ActiveList, BranchInfo, ColdEntry, Stage};
+use crate::active::{ActiveEntry, ActiveList, BranchInfo, ColdEntry, Stage, NO_ADDR, NO_WAITER};
 use crate::config::{ExceptionModel, MachineConfig};
 use crate::fu::DividerPool;
 use crate::hazard::HazardIndex;
@@ -172,12 +172,11 @@ pub struct Pipeline<O: Observer = NullObserver> {
     store_hazards: HazardIndex,
     /// Incomplete loads by address (blocks younger stores).
     load_hazards: HazardIndex,
-    /// Per class, per physical register: in-queue entries waiting for
-    /// that register to become ready. Registered at insert, drained when
-    /// the producing completion raises the register's ready flag. Stale
-    /// sequence numbers (squashed waiters, reused seqs) are tolerated:
-    /// a wake-up re-derives readiness from the entry's actual sources.
-    waiters: [Vec<Vec<u64>>; 2],
+    /// Per class, per physical register: the head of the register's
+    /// waiter chain — the youngest in-queue source slot waiting for it to
+    /// become ready, or `NO_WAITER`. The chain continues through the
+    /// entries' links (see [`ActiveList::wake_chain`]).
+    wait_heads: [Vec<u64>; 2],
     /// Cooperative cancellation flag, polled by the cycle loop.
     cancel: Option<CancelToken>,
     /// Why the most recent issue phase held back ready work.
@@ -246,14 +245,12 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             store_hazard_map,
             load_hazard_map,
-            mut waiters,
+            mut wait_heads,
             ..
         } = *buf;
-        for per_class in &mut waiters {
-            for list in per_class.iter_mut() {
-                list.clear();
-            }
-            per_class.resize_with(config.phys_regs(), Vec::new);
+        for heads in &mut wait_heads {
+            heads.clear();
+            heads.resize(config.phys_regs(), NO_WAITER);
         }
         Self {
             obs,
@@ -283,7 +280,7 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             store_hazards: HazardIndex::new_in(store_hazard_map),
             load_hazards: HazardIndex::new_in(load_hazard_map),
-            waiters,
+            wait_heads,
             cancel: None,
             blocks: IssueBlocks::default(),
             skipped_cycles: 0,
@@ -533,7 +530,7 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             store_hazards,
             load_hazards,
-            waiters,
+            wait_heads,
             ..
         } = self;
         let [r0, r1] = regs;
@@ -555,7 +552,7 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             store_hazard_map: store_hazards.into_map(),
             load_hazard_map: load_hazards.into_map(),
-            waiters,
+            wait_heads,
         }));
         Ok((stats, obs))
     }
@@ -652,10 +649,10 @@ impl<O: Observer> Pipeline<O> {
     /// returns true if it is a mispredicted correct-path branch (recovery
     /// needed).
     fn complete_entry(&mut self, entry: &ActiveEntry) -> bool {
-        let &ActiveEntry { seq, kind, wrong_path, srcs, dest, pc, mem_addr, .. } = entry;
+        let &ActiveEntry { seq, kind, wrong_path, srcs, dest, pc, .. } = entry;
         // A completed memory operation stops being an address-hazard
         // source for younger loads and stores.
-        if let Some(addr) = mem_addr {
+        if let Some(addr) = entry.mem_addr() {
             match kind {
                 OpKind::Store => self.store_hazards.remove(addr, seq),
                 OpKind::Load => self.load_hazards.remove(addr, seq),
@@ -686,10 +683,10 @@ impl<O: Observer> Pipeline<O> {
         // Destination register: the value is now available. Wake the
         // in-queue readers waiting on it before anything can free the
         // register (freeing requires zero pending readers, so live
-        // waiters pin it; the drain is what moves them into the scan).
+        // waiters pin it; the wake-up is what moves them into the scan).
         if let Some((class, new, vreg, _prev)) = dest {
             self.regs[class.index()].reg_mut(new).ready = true;
-            self.wake_readers(class, new);
+            self.active.wake_chain(&mut self.wait_heads[class.index()][new as usize]);
             self.regs[class.index()].transition(new, Category::WaitImprecise);
             self.maybe_free_imprecise(class, new);
             // Feeding wrong-path writers to the kill engine is safe: they
@@ -744,28 +741,6 @@ impl<O: Observer> Pipeline<O> {
             self.maybe_free_imprecise(class, p);
         }
         self.scratch_kills = killed;
-    }
-
-    /// Drains the waiters of a register that just became ready, moving
-    /// every in-queue entry whose sources are now all ready into the
-    /// issue scan. Stale waiters — squashed entries, reused sequence
-    /// numbers, entries already woken through another source — are
-    /// filtered by re-deriving readiness from the live entry, so a
-    /// spurious registration can never create a premature candidate.
-    fn wake_readers(&mut self, class: RegClass, p: u32) {
-        let mut list = std::mem::take(&mut self.waiters[class.index()][p as usize]);
-        for seq in list.drain(..) {
-            let Some(e) = self.active.get_mut(seq) else { continue };
-            if e.stage != Stage::InQueue || e.ready {
-                continue;
-            }
-            let regs = &self.regs;
-            if e.srcs.iter().flatten().all(|&(c, src)| regs[c.index()].reg(src).ready) {
-                e.ready = true;
-                self.active.scan_set(seq);
-            }
-        }
-        self.waiters[class.index()][p as usize] = list;
     }
 
     /// If all three imprecise conditions hold for register `p` — writer
@@ -823,10 +798,22 @@ impl<O: Observer> Pipeline<O> {
                 }
                 Stage::Completed => {}
             }
+            // An in-queue entry leaves the waiter chains of its unready
+            // sources (slot 1 first: its node is the younger of the two).
+            if e.stage == Stage::InQueue && e.unready > 0 {
+                for slot in [1, 0] {
+                    if let Some((class, p)) = e.srcs[slot] {
+                        if !self.regs[class.index()].reg(p).ready {
+                            let head = &mut self.wait_heads[class.index()][p as usize];
+                            ActiveList::unlink_waiter(head, &e, slot);
+                        }
+                    }
+                }
+            }
             // Readers that never completed release their register claims,
             // and incomplete memory operations stop being hazard sources.
             if e.stage != Stage::Completed {
-                if let Some(addr) = e.mem_addr {
+                if let Some(addr) = e.mem_addr() {
                     match e.kind {
                         OpKind::Store => self.store_hazards.remove(addr, e.seq),
                         OpKind::Load => self.load_hazards.remove(addr, e.seq),
@@ -843,6 +830,11 @@ impl<O: Observer> Pipeline<O> {
             // Undo the rename: restore the previous mapping, free the
             // squashed destination register.
             if let Some((class, new, vreg, prev)) = e.dest {
+                debug_assert_eq!(
+                    self.wait_heads[class.index()][new as usize],
+                    NO_WAITER,
+                    "younger waiters were squashed first"
+                );
                 self.map[class.index()][vreg as usize] = prev;
                 self.kill.rollback_retirement(class, vreg, e.seq);
                 self.regs[class.index()].stage_free(new);
@@ -991,6 +983,7 @@ impl<O: Observer> Pipeline<O> {
             let e = self.active.get(seq).expect("scan yields live entries");
             let kind = e.kind;
             debug_assert_eq!(e.stage, Stage::InQueue);
+            debug_assert!(e.data_ready());
             debug_assert!(e
                 .srcs
                 .iter()
@@ -998,7 +991,8 @@ impl<O: Observer> Pipeline<O> {
                 .all(|&(c, p)| self.regs[c.index()].reg(p).ready));
             match e.kind {
                 OpKind::Load => {
-                    let addr = e.mem_addr.expect("loads carry addresses");
+                    let addr = e.addr;
+                    debug_assert_ne!(addr, NO_ADDR, "loads carry addresses");
                     if !cache_free {
                         cache_blocked = true;
                         continue;
@@ -1009,7 +1003,8 @@ impl<O: Observer> Pipeline<O> {
                     }
                 }
                 OpKind::Store => {
-                    let addr = e.mem_addr.expect("stores carry addresses");
+                    let addr = e.addr;
+                    debug_assert_ne!(addr, NO_ADDR, "stores carry addresses");
                     if !cache_free {
                         cache_blocked = true;
                         continue;
@@ -1094,11 +1089,11 @@ impl<O: Observer> Pipeline<O> {
         let mut div_unit = None;
         let complete_at = match kind {
             OpKind::Load => {
-                let addr = entry.mem_addr.expect("loads carry addresses");
+                let addr = entry.mem_addr().expect("loads carry addresses");
                 self.cache.load(addr, now, seq).complete_at()
             }
             OpKind::Store => {
-                let addr = entry.mem_addr.expect("stores carry addresses");
+                let addr = entry.mem_addr().expect("stores carry addresses");
                 self.cache.store(addr, now);
                 now + u64::from(OpKind::Store.latency())
             }
@@ -1282,40 +1277,41 @@ impl<O: Observer> Pipeline<O> {
         {
             self.kill.barrier_inserted(seq);
         }
-        let mem_addr = inst.mem().map(|m| m.addr());
+        let mut entry = ActiveEntry {
+            seq,
+            kind: inst.kind(),
+            wrong_path: on_wrong_path,
+            stage: Stage::InQueue,
+            complete_at: u64::MAX,
+            dest,
+            srcs,
+            addr: inst.mem().map_or(NO_ADDR, |m| m.addr()),
+            unready: 0,
+            links: [0, 0],
+            pc: inst.pc(),
+        };
         // Data-readiness: an entry enters the issue scan only once every
-        // renamed source is ready; until then it waits on each unready
-        // source's completion wake-up. Memory operations additionally
-        // become hazard sources for younger loads and stores right away.
-        let mut ready = true;
-        for (c, p) in srcs.iter().flatten().copied() {
-            if !self.regs[c.index()].reg(p).ready {
-                ready = false;
-                self.waiters[c.index()][p as usize].push(seq);
+        // renamed source is ready; until then each unready source slot
+        // waits on its register's chain for the producer's completion.
+        // Memory operations additionally become hazard sources for
+        // younger loads and stores right away.
+        for (slot, src) in srcs.iter().enumerate() {
+            if let Some((c, p)) = *src {
+                if !self.regs[c.index()].reg(p).ready {
+                    let head = &mut self.wait_heads[c.index()][p as usize];
+                    ActiveList::link_waiter(head, &mut entry, slot);
+                }
             }
         }
-        if let Some(addr) = mem_addr {
+        if let Some(addr) = entry.mem_addr() {
             match inst.kind() {
                 OpKind::Store => self.store_hazards.add(addr, seq),
                 OpKind::Load => self.load_hazards.add(addr, seq),
                 _ => {}
             }
         }
-        self.active.push_entry(
-            ActiveEntry {
-                seq,
-                kind: inst.kind(),
-                wrong_path: on_wrong_path,
-                stage: Stage::InQueue,
-                complete_at: u64::MAX,
-                dest,
-                srcs,
-                mem_addr,
-                ready,
-                pc: inst.pc(),
-            },
-            ColdEntry { branch, div_unit: None },
-        );
+        let ready = entry.data_ready();
+        self.active.push_entry(entry, ColdEntry { branch, div_unit: None });
         if ready {
             self.active.scan_set(seq);
         }
@@ -1608,6 +1604,88 @@ mod tests {
                 assert_eq!(cat_sum as usize, file.live_count(), "{class}");
             }
         }
+    }
+
+    /// Asserts the wake-up bookkeeping is exact: each in-queue entry's
+    /// `unready` count equals a recount of its sources whose register is
+    /// not ready, the waiter chains hold exactly those `(seq, slot)`
+    /// pairs, each once, and the issue scan holds exactly the in-queue
+    /// entries with none.
+    fn assert_chains_exact(p: &Pipeline) {
+        use std::collections::BTreeSet;
+        let mut unready_srcs = BTreeSet::new();
+        for e in p.active.iter().filter(|e| e.stage == Stage::InQueue) {
+            let mut unready = 0;
+            for (slot, &(c, r)) in
+                e.srcs.iter().enumerate().filter_map(|(s, src)| Some((s, src.as_ref()?)))
+            {
+                if !p.regs[c.index()].reg(r).ready {
+                    unready += 1;
+                    unready_srcs.insert((c.index(), r, e.seq, slot));
+                }
+            }
+            assert_eq!(e.unready, unready, "unready count of seq {} at cycle {}", e.seq, p.now);
+        }
+        let mut linked = BTreeSet::new();
+        for (c, heads) in p.wait_heads.iter().enumerate() {
+            for (r, &head) in heads.iter().enumerate() {
+                let mut node = head;
+                while node != NO_WAITER {
+                    let (seq, slot) = (node >> 1, (node & 1) as usize);
+                    let e = p.active.get(seq).expect("every chain node is a live entry");
+                    assert!(
+                        linked.insert((c, r as u32, seq, slot)),
+                        "node ({seq}, {slot}) linked twice at cycle {}",
+                        p.now
+                    );
+                    let link = u64::from(e.links[slot]);
+                    node = if link == 0 { NO_WAITER } else { node - link };
+                }
+            }
+        }
+        assert_eq!(linked, unready_srcs, "waiter chains at cycle {}", p.now);
+        let expected_scan: Vec<u64> = p
+            .active
+            .iter()
+            .filter(|e| e.stage == Stage::InQueue && e.unready == 0)
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(p.active.scan_seqs().collect::<Vec<_>>(), expected_scan);
+    }
+
+    #[test]
+    fn waiter_chains_stay_exact_through_squash_heavy_runs() {
+        use rf_mem::CacheOrg;
+        let mut squashed = 0;
+        for (i, width) in [4usize, 8].into_iter().enumerate() {
+            for model in [ExceptionModel::Imprecise, ExceptionModel::AlphaHybrid] {
+                for (j, regs) in [33usize, 36, 40].into_iter().enumerate() {
+                    let profile = match j {
+                        0 => rf_workload::spec92::gcc1(),
+                        1 => rf_workload::spec92::compress(),
+                        _ => rf_workload::spec92::espresso(),
+                    };
+                    let seed = (10 * i + j) as u64 + 1;
+                    let mut trace = rf_workload::TraceGenerator::new(&profile, seed);
+                    let mut wp = rf_workload::WrongPathGenerator::new(&profile, seed);
+                    let mut p = Pipeline::new(
+                        MachineConfig::new(width)
+                            .physical_regs(regs)
+                            .cache(CacheOrg::Lockup)
+                            .exceptions(model)
+                            .split_dispatch_queues(true)
+                            .seed(seed),
+                    );
+                    for _ in 0..4_000 {
+                        p.step(&mut trace, &mut wp);
+                        assert_chains_exact(&p);
+                    }
+                    assert!(p.stats.committed > 0, "{width}-wide {model:?} {regs} regs stalled");
+                    squashed += p.stats.squashed;
+                }
+            }
+        }
+        assert!(squashed > 1_000, "the matrix must exercise recovery: {squashed} squashed");
     }
 
     #[test]

@@ -109,6 +109,9 @@ pub struct PhysRegFile {
     /// Lowest word touched by `stage_free` since the last `end_cycle`
     /// (equal to `free_words.len()` when nothing is staged).
     staged_hint: usize,
+    /// One past the highest word touched by `stage_free` since the last
+    /// `end_cycle` (0 when nothing is staged).
+    staged_end: usize,
     /// Live-category counters, kept incrementally.
     cat_counts: [u32; 4],
 }
@@ -152,6 +155,7 @@ impl PhysRegFile {
             staged_len: 0,
             free_hint: 0,
             staged_hint: words,
+            staged_end: 0,
             cat_counts: [0; 4],
         }
     }
@@ -302,16 +306,18 @@ impl PhysRegFile {
         self.staged_words[w] |= 1 << (p % 64);
         self.staged_len += 1;
         self.staged_hint = self.staged_hint.min(w);
+        self.staged_end = self.staged_end.max(w + 1);
     }
 
     /// Returns staged frees to the free list (call once per cycle, after
-    /// the insertion phase).
+    /// the insertion phase). Merges only the staged word range
+    /// `staged_hint..staged_end`, not the whole file.
     #[inline]
     pub fn end_cycle(&mut self) {
         if self.staged_len == 0 {
             return;
         }
-        for w in self.staged_hint..self.free_words.len() {
+        for w in self.staged_hint..self.staged_end {
             self.free_words[w] |= self.staged_words[w];
             self.staged_words[w] = 0;
         }
@@ -319,6 +325,7 @@ impl PhysRegFile {
         self.staged_len = 0;
         self.free_hint = self.free_hint.min(self.staged_hint);
         self.staged_hint = self.free_words.len();
+        self.staged_end = 0;
     }
 }
 
@@ -428,6 +435,26 @@ mod tests {
         rf.end_cycle();
         assert_eq!(rf.alloc(), Some(3));
         assert_eq!(rf.alloc(), Some(100));
+        assert_eq!(rf.alloc(), None);
+    }
+
+    #[test]
+    fn end_cycle_merges_exactly_the_staged_word_range() {
+        let mut rf = PhysRegFile::new(2048);
+        for i in 0..2048u32 {
+            assert_eq!(rf.alloc(), Some(i));
+        }
+        // One cycle stages the top and a middle word, the next only the
+        // bottom word: each merge must cover its own range in full.
+        rf.stage_free(2047);
+        rf.stage_free(700);
+        rf.end_cycle();
+        rf.stage_free(5);
+        rf.end_cycle();
+        assert_eq!(rf.free_count(), 3);
+        assert_eq!(rf.alloc(), Some(5));
+        assert_eq!(rf.alloc(), Some(700));
+        assert_eq!(rf.alloc(), Some(2047));
         assert_eq!(rf.alloc(), None);
     }
 

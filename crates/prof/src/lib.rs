@@ -14,9 +14,13 @@
 //! environment switch (`1/on/true/yes` or `0/off/false/no`, the same
 //! spellings as `RF_CACHE`/`RF_STORE`), consulted once per process.
 //! `rfstudy profile` and the benchmarks flip it programmatically with
-//! [`set_enabled`]. When off, every span site reduces to one relaxed
-//! atomic load (coarse sites) or one thread-local read (hot sites) — a
-//! predictable branch, not a timestamp.
+//! [`set_enabled`]. When off, opening a span costs one relaxed atomic
+//! load (coarse sites) or one thread-local read (hot sites) — a
+//! predictable branch, not a timestamp — and dropping the inert guard
+//! costs one inlined discriminant test: [`Span`]'s `Drop` is
+//! `#[inline(always)]` and calls its `#[cold]` out-of-line finish only
+//! for an active span. Callers that gate spans themselves, like the
+//! pipeline's `Option<Span>` per phase, pay only their own branch.
 //!
 //! ## Two kinds of span
 //!
@@ -313,12 +317,23 @@ impl Span {
 }
 
 impl Drop for Span {
-    #[inline]
+    /// Inlines to one discriminant test: an inert span (the common case
+    /// on every hot path) drops to nothing, and only an active one calls
+    /// out of line to read the clock and record.
+    #[inline(always)]
     fn drop(&mut self) {
         if let Some(active) = self.0.take() {
-            let ns = active.start.elapsed().as_nanos() as u64;
-            let _ = TREE.try_with(|t| t.borrow_mut().exit(active.idx, ns, active.weight));
+            active.finish();
         }
+    }
+}
+
+impl ActiveSpan {
+    #[cold]
+    #[inline(never)]
+    fn finish(self) {
+        let ns = self.start.elapsed().as_nanos() as u64;
+        let _ = TREE.try_with(|t| t.borrow_mut().exit(self.idx, ns, self.weight));
     }
 }
 
