@@ -300,7 +300,7 @@ pub struct SuiteSanitizer {
 
 impl SuiteSanitizer {
     /// `"clean"` when no probe tripped, `"VIOLATED"` otherwise — the
-    /// value recorded in the suite's JSON telemetry.
+    /// verdict the suite runner prints.
     pub fn status(&self) -> &'static str {
         if self.violations == 0 {
             "clean"

@@ -1,12 +1,11 @@
-//! Runs every table/figure harness and writes reports under `results/`,
-//! plus a `results/BENCH_suite.json` timing report for the whole suite.
+//! Runs every table/figure harness and writes reports under `results/`.
 //!
 //! Every invocation also appends one schema-versioned record to the
-//! run-history ledger `results/history/suite.jsonl` — the **authoritative**
-//! history file — and then mirrors that record to `BENCH_history.jsonl`
-//! at the repo root. A mirror failure is reported but non-fatal: the two
-//! files can disagree only in the direction of the mirror being stale,
-//! and `rfstudy report` reads the authoritative ledger.
+//! run-history ledger `results/history/suite.jsonl`: the suite's one run
+//! record (timings, counters, probes, sanitizer outcome, headlines), which
+//! `rfstudy report` reads. Under `RF_TELEMETRY=1` the suite also streams
+//! live snapshots to `results/telemetry/live.jsonl`, its one progress
+//! stream, which `rfstudy top` follows.
 //!
 //! # Arguments (strict)
 //!
@@ -23,21 +22,21 @@
 //!
 //! # Fault tolerance
 //!
-//! A harness that panics loses only itself: its bench entry and ledger
-//! record carry `"error": ...`, its report file is not written, the
-//! remaining harnesses still run and write their reports, and the
-//! process exits 1 with a suite-level failure summary.
+//! A harness that panics loses only itself: its ledger harness record
+//! carries `"error": ...`, its report file is not written, and the
+//! remaining harnesses still run and write their reports. A sanitizer
+//! probe that finds an invariant violation likewise fails the suite.
+//! Either way the ledger record is appended first, then the process
+//! exits 1 with a suite-level failure summary.
 //!
 //! RF_JOBS sets the number of parallel simulation workers (default: all
 //! cores); RF_CACHE=0/off/false/no disables the shared run cache;
 //! RF_STORE=1 layers the durable on-disk run store under the cache
-//! (warm re-runs replay results byte-identically from `RF_STORE_DIR`);
-//! RF_LOG=text|json emits a structured progress line on stderr as each
-//! harness finishes plus a final suite-summary record. With the
-//! `fault-probe` feature, RF_FAULT=<harness> injects a panicking
-//! simulation into that harness (the CI smoke path).
+//! (warm re-runs replay results byte-identically from `RF_STORE_DIR`).
+//! With the `fault-probe` feature, RF_FAULT=<harness> injects a
+//! panicking simulation into that harness (the CI smoke path).
 
-use rf_experiments::bench::{SanitizerStatus, SuiteBench};
+use rf_experiments::bench::SuiteBench;
 use rf_experiments::runner::{self, Scale};
 use rf_obs::fidelity;
 use rf_obs::ledger;
@@ -48,15 +47,14 @@ use std::time::Duration;
 
 /// Commit budget of the per-harness traced probes (small: each probe is
 /// one extra observed simulation whose stall attribution and latency
-/// percentiles annotate the harness in `BENCH_suite.json`).
+/// percentiles annotate the harness in the ledger record).
 const PROBE_COMMITS: u64 = 5_000;
 
 const USAGE: &str = "usage: all [COMMITS] [--deadline-secs N] [--help]
 
 Runs every table/figure harness, writes reports under results/, appends
-one record to the run-history ledger results/history/suite.jsonl
-(authoritative; mirrored to BENCH_history.jsonl), and exits nonzero if
-any harness failed.
+one record to the run-history ledger results/history/suite.jsonl, and
+exits 1 if any harness failed or the sanitizer probe found a violation.
 
 arguments:
   COMMITS             committed instructions per simulation
@@ -72,16 +70,13 @@ environment:
                   run store: executed results persist under RF_STORE_DIR
                   and warm re-runs are served from disk byte-identically
   RF_STORE_DIR    store directory (default: results/store)
-  RF_LOG          off|text|json progress lines on stderr (default off)
   RF_PROFILE      1/on/true/yes embeds rf-prof self-profiles in the
-                  suite report and ledger record
+                  ledger record
   RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
                   results/telemetry/live.jsonl while the suite runs
                   (attach with `rfstudy top`); off-runs are unaffected
   RF_TELEMETRY_INTERVAL_MS
-                  sampler period in milliseconds (default 250)
-  RF_METRICS_ADDR host:port for a live Prometheus /metrics endpoint
-                  (port 0 picks a free port; bound address is printed)";
+                  sampler period in milliseconds (default 250)";
 
 /// Parsed command line: commit budget override and batch deadline.
 struct Args {
@@ -262,25 +257,14 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     ];
     let fault = fault_target();
     let mut bench = SuiteBench::start(scale.commits);
-    // Ledger-informed ETA for RF_LOG progress lines: weight the
-    // remaining harnesses by their historical median wall time at this
-    // commit budget. Best-effort — no history, no estimate.
-    let names: Vec<&str> = experiments.iter().map(|(n, _, _)| *n).collect();
-    let medians = ledger::read_ledger(Path::new(ledger::LEDGER_PATH))
-        .map(|records| ledger::harness_median_seconds(&records, Some(scale.commits)))
-        .unwrap_or_default();
-    bench.set_plan(&names, medians);
-    // Live telemetry (RF_TELEMETRY=1): sampler + optional /metrics
-    // endpoint over the harness loop; `finalize` below stops it before
-    // the out-of-band calibration passes, so the final snapshot covers
-    // the same work as the BENCH_suite.json totals.
+    // Live telemetry (RF_TELEMETRY=1): the sampler runs over the harness
+    // loop; `finalize` below stops it before the post-suite probes, so
+    // the final snapshot covers the same work as the ledger totals.
     if let Some(cfg) = rf_obs::live::env_config().expect("telemetry env validated in main") {
         let jobs = rf_experiments::runner::SimPool::from_env().jobs() as u64;
         rf_obs::live::start(&cfg, scale.commits, jobs, experiments.len() as u64)?;
     }
     let mut headlines: Vec<(String, f64)> = Vec::new();
-    let mut failures: Vec<(String, String)> = Vec::new();
-    let planned = experiments.len();
     for (name, run, probe_bench) in experiments {
         let outcome = if fault.as_deref() == Some(name) {
             bench.try_time(name, || run_fault_probe(scale.commits))
@@ -306,16 +290,15 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
             }
             Err(message) => {
                 // No report file and no probe for a failed harness; its
-                // bench entry and ledger record carry the error, and the
-                // remaining harnesses still run.
+                // ledger record carries the error, and the remaining
+                // harnesses still run.
                 eprintln!("== {name} FAILED: {message}");
-                failures.push((name.to_owned(), message));
             }
         }
     }
     // Stop the sampler once the suite's measured work is complete: the
-    // speedup calibration and sanitizer probes below are out-of-band
-    // re-measurements, not suite work.
+    // sanitizer and model probes below are out-of-band checks, not
+    // suite work.
     if let Some(t) = rf_obs::live::finalize() {
         println!(
             "telemetry: {} snapshots @ {}ms -> {} (digest {})",
@@ -330,13 +313,11 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
             digest: t.digest,
         });
     }
-    let speedup = bench.measure_speedup(scale.commits.min(10_000));
-    println!("parallel speedup vs 1 worker: {speedup:.2}x");
     // Sanitized probes: invariant-checked simulations over a small corner
     // of the configuration space, so every suite report certifies the
     // rename/freeing protocol of the binary that produced it.
     let probe = rf_check::suite_probe(scale.commits.min(2_000));
-    bench.set_sanitizer(SanitizerStatus {
+    bench.set_sanitizer(ledger::SanitizerRecord {
         probes: probe.probes,
         events: probe.events,
         violations: probe.violations,
@@ -356,37 +337,14 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     if let Some((hits, misses, writes)) = runner::store_counters() {
         println!("store: {hits} hits, {misses} misses, {writes} writes");
     }
-    let json = bench.to_json();
-    fs::write("results/BENCH_suite.json", &json)?;
-    println!("== benchmark -> results/BENCH_suite.json\n{json}");
-    // Append this run to the history ledger first: it is the
-    // authoritative record. The repo-root mirror is best-effort — if it
-    // fails, the mirror is stale but the history is intact.
     let line = bench.to_ledger_record(headlines).to_line();
     ledger::append_line(Path::new(ledger::LEDGER_PATH), &line)?;
-    match ledger::write_latest(Path::new(ledger::LATEST_PATH), &line) {
-        Ok(()) => println!(
-            "== ledger record appended -> {} (latest copied to {})",
-            ledger::LEDGER_PATH,
-            ledger::LATEST_PATH
-        ),
-        Err(e) => eprintln!(
-            "== ledger record appended -> {} (warning: mirror {} not updated: {e}; \
-             the ledger is authoritative)",
-            ledger::LEDGER_PATH,
-            ledger::LATEST_PATH
-        ),
-    }
-    if let Some(summary) = bench.suite_summary_line() {
-        eprintln!("{summary}");
-    }
-    if failures.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("suite FAILED: {}/{planned} harnesses did not complete", failures.len());
-        for (name, message) in &failures {
-            eprintln!("  {name}: {message}");
+    println!("== ledger record appended -> {}", ledger::LEDGER_PATH);
+    Ok(match bench.verdict() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(summary) => {
+            eprintln!("{summary}");
+            ExitCode::FAILURE
         }
-        Ok(ExitCode::FAILURE)
-    }
+    })
 }

@@ -17,9 +17,9 @@
 //!
 //! Every knob the runner and the suite read is parsed strictly:
 //! `RF_COMMITS`, `RF_JOBS`, `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`,
-//! `RF_PROFILE`, `RF_SANITIZE`, `RF_LOG`, `RF_TELEMETRY`,
-//! `RF_TELEMETRY_INTERVAL_MS` and `RF_METRICS_ADDR`. A malformed value
-//! (for example `RF_COMMITS=200k` or `RF_LOG=jsn`) is an error, never a
+//! `RF_PROFILE`, `RF_SANITIZE`, `RF_TELEMETRY` and
+//! `RF_TELEMETRY_INTERVAL_MS`. A malformed value (for example
+//! `RF_COMMITS=200k` or `RF_TELEMETRY=maybe`) is an error, never a
 //! silent fall-back to the default. Binaries should call
 //! [`validate_env`] at startup to turn that into a clean exit instead of
 //! a panic.
@@ -78,7 +78,6 @@ pub fn validate_env() -> Result<(), String> {
     store_env_mode()?;
     rf_prof::env_mode()?;
     rf_check::env_mode()?;
-    crate::bench::LogMode::from_env()?;
     rf_obs::live::env_config()?;
     Ok(())
 }
@@ -1417,7 +1416,7 @@ mod tests {
 
     #[test]
     fn strict_env_parsing_rejects_malformed_values() {
-        // Env mutation is process-global, so this test owns all ten
+        // Env mutation is process-global, so this test owns all eight
         // variables for its duration and restores them at the end; it is
         // the only test in this binary that touches them.
         let vars = [
@@ -1427,14 +1426,12 @@ mod tests {
             "RF_STORE",
             "RF_STORE_DIR",
             "RF_SANITIZE",
-            "RF_LOG",
             "RF_TELEMETRY",
             "RF_TELEMETRY_INTERVAL_MS",
-            "RF_METRICS_ADDR",
         ];
         let saved: Vec<Option<String>> =
             vars.iter().map(|v| std::env::var(v).ok()).collect();
-        let cases: [(&str, &str, &str); 16] = [
+        let cases: [(&str, &str, &str); 12] = [
             ("RF_COMMITS", "200k", "RF_COMMITS"),
             ("RF_JOBS", "abc", "RF_JOBS"),
             ("RF_JOBS", "0", "RF_JOBS=0"),
@@ -1444,13 +1441,9 @@ mod tests {
             ("RF_STORE_DIR", "  ", "RF_STORE_DIR"),
             ("RF_SANITIZE", "maybe", "RF_SANITIZE"),
             ("RF_SANITIZE", "", "RF_SANITIZE"),
-            ("RF_LOG", "jsn", "RF_LOG"),
-            ("RF_LOG", "1", "RF_LOG"),
             ("RF_TELEMETRY", "maybe", "RF_TELEMETRY"),
             ("RF_TELEMETRY_INTERVAL_MS", "fast", "RF_TELEMETRY_INTERVAL_MS"),
             ("RF_TELEMETRY_INTERVAL_MS", "0", "RF_TELEMETRY_INTERVAL_MS value '0'"),
-            ("RF_METRICS_ADDR", "localhost", "RF_METRICS_ADDR"),
-            ("RF_METRICS_ADDR", "9090", "RF_METRICS_ADDR"),
         ];
         for (var, value, needle) in cases {
             for v in vars {
@@ -1478,11 +1471,6 @@ mod tests {
             assert_eq!(rf_check::env_mode(), Ok(on), "RF_SANITIZE={raw}");
         }
         std::env::remove_var("RF_SANITIZE");
-        for ok in ["off", "text", "JSON"] {
-            std::env::set_var("RF_LOG", ok);
-            assert!(validate_env().is_ok(), "RF_LOG={ok} should be accepted");
-        }
-        std::env::remove_var("RF_LOG");
         // RF_STORE_DIR is honored (and a stray value tolerated) even
         // while the store itself stays off.
         for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {

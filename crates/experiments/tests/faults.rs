@@ -2,8 +2,8 @@
 //! the `fault-probe` feature): `RF_FAULT=<harness>` injects a panicking
 //! simulation into one harness, and the suite must lose *only* that
 //! harness — every other report file is byte-identical to a fault-free
-//! run, the bench report and ledger record carry the error, and the
-//! process exits nonzero.
+//! run, the ledger record carries the error, and the process exits
+//! nonzero.
 //!
 //! Run with `cargo test -p rf-experiments --features fault-probe
 //! --test faults` (the CI fault-injection smoke job does exactly this).
@@ -83,13 +83,8 @@ fn injected_panic_loses_only_the_faulted_harness() {
         assert_eq!(clean, faulted, "{name} report changed under a fault elsewhere");
     }
 
-    // The suite bench report still covers all twelve harnesses and pins
-    // the error to the victim alone.
-    let json = std::fs::read_to_string(fault_dir.join("results/BENCH_suite.json")).unwrap();
-    assert_eq!(json.matches("\"error\"").count(), 1, "exactly one error entry:\n{json}");
-    assert!(json.contains("injected fault probe"), "{json}");
-
-    // So does the authoritative ledger record.
+    // The ledger record still covers all twelve harnesses and pins the
+    // error to the victim alone.
     let records = ledger::read_ledger(&fault_dir.join(ledger::LEDGER_PATH)).unwrap();
     assert_eq!(records.len(), 1);
     let harnesses = records[0].get("harnesses").unwrap().as_array().unwrap();

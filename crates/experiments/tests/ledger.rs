@@ -6,8 +6,9 @@
 //!
 //! The suite runs at a tiny commit budget in a private temp directory,
 //! so these tests exercise the whole write path (harness timing, phase
-//! timers, probe attachment, headline extraction, atomic append,
-//! latest-copy mirror) without the cost of a real suite run.
+//! timers, probe attachment, headline extraction, atomic append)
+//! without the cost of a real suite run. The ledger is the suite's one
+//! run record: no other run-record file is written.
 
 use rf_obs::json::Value;
 use rf_obs::ledger::{self, metric_payload};
@@ -50,17 +51,22 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     let first = run_suite(&dir_a);
     assert_eq!(first.len(), 1, "one invocation appends one record");
 
-    // Second invocation in the same directory: the ledger accumulates,
-    // and the repo-root latest copy holds exactly the newest record.
+    // Second invocation in the same directory: the ledger accumulates.
     let second = run_suite(&dir_a);
     assert_eq!(second.len(), 2, "appends accumulate across invocations");
-    let latest = ledger::read_ledger(&dir_a.join(ledger::LATEST_PATH)).unwrap();
-    assert_eq!(latest.len(), 1);
-    assert_eq!(
-        latest[0].to_string(),
-        second[1].to_string(),
-        "BENCH_history.jsonl mirrors the newest ledger record"
-    );
+    // The ledger is the only run record: neither the deleted JSON bench
+    // report nor a repo-root copy of the newest record is written.
+    let mut written = Vec::new();
+    for sub in [".", "results"] {
+        for entry in std::fs::read_dir(dir_a.join(sub)).unwrap() {
+            written.push(format!("{sub}/{}", entry.unwrap().file_name().to_string_lossy()));
+        }
+    }
+    written.sort();
+    let reports = written.iter().filter(|p| p.ends_with(".txt")).count();
+    assert_eq!(reports, 12, "one report per harness: {written:?}");
+    let others: Vec<&String> = written.iter().filter(|p| !p.ends_with(".txt")).collect();
+    assert_eq!(others, ["./results", "results/history"], "no other run-record file");
 
     // A run in a different directory reproduces the same deterministic
     // payload: strip volatile members (timestamps, seconds, alloc) and
@@ -83,6 +89,12 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     assert_eq!(config.get_f64("commits"), Some(300.0));
     assert_eq!(config.get_f64("jobs"), Some(1.0));
     assert_eq!(config.get("cache"), Some(&Value::Bool(false)));
+    // The sanitizer block replaced the constant `config.sanitize` flag.
+    assert_eq!(config.get("sanitize"), None);
+    let sanitizer = rec.get("sanitizer").unwrap();
+    assert_eq!(sanitizer.get_f64("probes"), Some(8.0));
+    assert!(sanitizer.get_f64("events").unwrap() > 0.0);
+    assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let harnesses = rec.get("harnesses").unwrap().as_array().unwrap();
     assert_eq!(harnesses.len(), 12, "all twelve harnesses recorded");
     for h in harnesses {
@@ -91,7 +103,10 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
         for key in ["generate", "simulate", "aggregate"] {
             assert!(phase.get_f64(key).unwrap() >= 0.0);
         }
-        assert!(h.get("probe").unwrap().get_str("bench").is_some(), "probe attached");
+        let probe = h.get("probe").unwrap();
+        assert!(probe.get_str("bench").is_some(), "probe attached");
+        let stalls = probe.get("stalls").and_then(Value::as_object).expect("probe stalls");
+        assert_eq!(stalls.len(), 6, "six-cause stall attribution");
     }
     // Headline extraction found the fidelity targets even at this tiny
     // scale (values differ from the 200k anchors; presence is the test).

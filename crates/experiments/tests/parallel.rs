@@ -79,20 +79,17 @@ fn tracing_does_not_perturb_parallel_or_cached_equivalence() {
     // and interleaving traced probes with pooled untraced simulations
     // must leave the pooled results bit-identical to a sequential,
     // uncached pass — i.e. tracing shares no state with the runner.
-    use rf_experiments::bench::ProbeSummary;
+    use rf_experiments::bench::probe;
 
     let specs = grid();
     let baseline = SimPool::new(1).run_many_cached(&specs, &RunCache::disabled());
 
-    let probe_a = ProbeSummary::collect("compress", 2_000);
+    let probe_a = probe("compress", 2_000);
     let parallel = SimPool::new(4).run_many_cached(&specs, &RunCache::new());
-    let probe_b = ProbeSummary::collect("compress", 2_000);
+    let probe_b = probe("compress", 2_000);
 
     for (i, (p, s)) in parallel.iter().zip(&baseline).enumerate() {
         assert_eq!(**p, **s, "spec {i} perturbed by tracing");
     }
-    assert_eq!(probe_a.cycles, probe_b.cycles);
-    assert_eq!(probe_a.stall_cycles, probe_b.stall_cycles);
-    assert_eq!(probe_a.insert_to_commit, probe_b.insert_to_commit);
-    assert_eq!(probe_a.issue_to_commit, probe_b.issue_to_commit);
+    assert_eq!(probe_a, probe_b);
 }

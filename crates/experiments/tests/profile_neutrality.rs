@@ -52,7 +52,7 @@ fn profiled_harness_reports_are_byte_identical() {
     assert!(tree.attributed_ns() > 0);
 
     // The suite bench captures a per-harness profile and embeds it in
-    // the JSON report; with the profiler back off it records none.
+    // the ledger record; with the profiler back off it records none.
     rf_prof::set_enabled(true);
     let mut bench = SuiteBench::start(scale.commits);
     let _ = bench.time("tiny", || rf_experiments::fig3::run(&scale));
@@ -60,16 +60,21 @@ fn profiled_harness_reports_are_byte_identical() {
     let entry = &bench.entries()[0];
     let captured = entry.profile.as_ref().expect("harness profile captured");
     assert!(captured.attributed_ns() > 0);
-    assert_eq!(bench.suite_profile().as_ref(), Some(captured));
-    let json = bench.to_json();
-    let parsed = rf_obs::json::parse(&json).expect("suite report parses");
+    let line = bench.to_ledger_record(Vec::new()).to_line();
+    let parsed = rf_obs::json::parse(&line).expect("ledger record parses");
     let harness = &parsed.get("harnesses").unwrap().as_array().unwrap()[0];
     let embedded = rf_obs::profile::from_value(harness.get("profile").unwrap())
         .expect("embedded profile decodes");
     assert_eq!(&embedded, captured);
+    let suite = rf_obs::profile::suite_profile_of_record(&parsed).expect("suite profile");
+    let mut want = captured.clone();
+    want.normalize();
+    assert_eq!(suite, want, "one profiled harness is the whole suite profile");
 
     let mut unprofiled = SuiteBench::start(scale.commits);
     let _ = unprofiled.time("tiny", || rf_experiments::fig3::run(&scale));
     assert!(unprofiled.entries()[0].profile.is_none());
-    assert!(unprofiled.suite_profile().is_none());
+    let line = unprofiled.to_ledger_record(Vec::new()).to_line();
+    let parsed = rf_obs::json::parse(&line).expect("ledger record parses");
+    assert!(rf_obs::profile::suite_profile_of_record(&parsed).is_none());
 }

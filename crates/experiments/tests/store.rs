@@ -67,11 +67,16 @@ fn assert_reports_identical(a: &Path, b: &Path, context: &str) {
     }
 }
 
-/// The `(hits, misses, writes)` store block of a run's BENCH_suite.json.
+/// The `store` block of the newest record in a run's ledger.
+fn ledger_store(dir: &Path) -> rf_obs::json::Value {
+    let records =
+        rf_obs::ledger::read_ledger(&dir.join(rf_obs::ledger::LEDGER_PATH)).expect("ledger");
+    records.last().expect("one record per run").get("store").expect("store key").clone()
+}
+
+/// The `(hits, misses, writes)` store block of a run's ledger record.
 fn store_block(dir: &Path) -> (u64, u64, u64) {
-    let json = std::fs::read_to_string(dir.join("results/BENCH_suite.json")).unwrap();
-    let v = rf_obs::json::parse(&json).unwrap();
-    let s = v.get("store").expect("store block present");
+    let s = ledger_store(dir);
     (
         s.get_f64("hits").expect("hits") as u64,
         s.get_f64("misses").expect("misses") as u64,
@@ -93,22 +98,15 @@ fn store_is_neutral_cold_serves_warm_runs_and_recovers_from_a_torn_tail() {
 
     // Neutrality: RF_STORE=1 must not change a single report byte.
     assert_reports_identical(&off_dir, &cold_dir, "store-off vs cold store-on");
-    let json = std::fs::read_to_string(off_dir.join("results/BENCH_suite.json")).unwrap();
     assert_eq!(
-        rf_obs::json::parse(&json).unwrap().get("store"),
-        Some(&rf_obs::json::Value::Null),
+        ledger_store(&off_dir),
+        rf_obs::json::Value::Null,
         "store-off run renders a null store block"
     );
     let (cold_hits, cold_misses, cold_writes) = store_block(&cold_dir);
     assert_eq!(cold_hits, 0, "an empty store serves nothing");
     assert!(cold_writes > 0, "the cold run persists its results");
     assert_eq!(cold_writes, cold_misses, "every cold miss is written behind");
-
-    // The authoritative ledger record carries the same counters.
-    let records =
-        rf_obs::ledger::read_ledger(&cold_dir.join(rf_obs::ledger::LEDGER_PATH)).unwrap();
-    let store_rec = records[0].get("store").expect("ledger store block");
-    assert_eq!(store_rec.get_f64("writes"), Some(cold_writes as f64));
 
     // Warm re-run in a fresh working directory: byte-identical reports,
     // with at least 95% of store lookups served from disk.

@@ -2,8 +2,9 @@
 //!
 //! Every experiment-suite invocation (`--bin all`) appends exactly one
 //! JSON record — one line — to `results/history/suite.jsonl`, so the
-//! repo accumulates a perf-and-fidelity trajectory instead of
-//! overwriting `BENCH_suite.json` in place. This module owns the record
+//! repo accumulates a perf-and-fidelity trajectory. The record is the
+//! suite's one run record: no other file repeats its totals. This module
+//! owns the record
 //! schema ([`LedgerRecord`] and [`SCHEMA_VERSION`]), the atomic append
 //! ([`append_line`]: `O_APPEND` plus a single `write(2)` of the whole
 //! line, so concurrent `RF_JOBS` suites interleave records, never
@@ -14,6 +15,7 @@
 //! the golden-file schema test closes the loop on both directions.
 
 use crate::json::Value;
+use rf_core::StallCause;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -60,22 +62,27 @@ use std::path::Path;
 /// evictions and no byte accounting) and v5's per-harness `pruned`
 /// count (no sweep point is substituted any more; every reported
 /// number comes from a simulation).
-pub const SCHEMA_VERSION: u64 = 8;
+///
+/// v9 made the ledger the suite's only run record. The constant
+/// `config.sanitize` flag (always true: every suite runs the sanitizer
+/// probe) became the top-level `sanitizer` block with the probe's
+/// `probes`, `events` and `violations`, and each harness probe gained
+/// its six-cause `stalls` attribution.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
 
-/// Repo-root copy of the latest ledger record (satellite visibility:
-/// the newest trajectory point without digging into `results/`).
-pub const LATEST_PATH: &str = "BENCH_history.jsonl";
-
-/// Traced-probe percentiles for one harness (from the PR 2 observer).
+/// Stall attribution and latency percentiles from one small traced run
+/// of a harness's representative benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeRecord {
     /// Benchmark the probe traced.
     pub bench: String,
     /// Cycles the traced simulation ran.
     pub cycles: u64,
+    /// Per-cause stall cycles, in [`StallCause::ALL`] order.
+    pub stalls: [u64; StallCause::COUNT],
     /// Insert→commit latency `(p50, p90, p99)`.
     pub insert_to_commit: (u64, u64, u64),
     /// Issue→commit latency `(p50, p90, p99)`.
@@ -195,6 +202,19 @@ pub struct StoreRecord {
     pub writes: u64,
 }
 
+/// Outcome of the suite's sanitized probe runs: invariant-checked
+/// simulations re-proving the rename/freeing protocol on the binary
+/// that produced the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SanitizerRecord {
+    /// Sanitized probe runs executed.
+    pub probes: u64,
+    /// Observer events checked across the probes.
+    pub events: u64,
+    /// Invariant violations found (0 on a healthy build).
+    pub violations: u64,
+}
+
 /// One suite run: the unit the ledger appends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRecord {
@@ -208,8 +228,6 @@ pub struct LedgerRecord {
     pub jobs: u64,
     /// Whether the run cache was enabled.
     pub cache: bool,
-    /// Whether the invariant sanitizer was attached.
-    pub sanitize: bool,
     /// Suite wall-clock seconds.
     pub total_seconds: f64,
     /// Total simulations executed.
@@ -236,6 +254,8 @@ pub struct LedgerRecord {
     pub telemetry: Option<TelemetryRecord>,
     /// Durable run-store counters (`None` when `RF_STORE` was off).
     pub store: Option<StoreRecord>,
+    /// Sanitized-probe outcome (`None` when the suite did not run it).
+    pub sanitizer: Option<SanitizerRecord>,
 }
 
 /// Rounds to microsecond precision so seconds fields stay compact.
@@ -264,7 +284,6 @@ impl LedgerRecord {
                     ("commits".to_owned(), int(self.commits)),
                     ("jobs".to_owned(), int(self.jobs)),
                     ("cache".to_owned(), Value::Bool(self.cache)),
-                    ("sanitize".to_owned(), Value::Bool(self.sanitize)),
                 ]),
             ),
             (
@@ -334,6 +353,17 @@ impl LedgerRecord {
                 None => Value::Null,
             },
         ));
+        root.push((
+            "sanitizer".to_owned(),
+            match &self.sanitizer {
+                Some(s) => Value::Object(vec![
+                    ("probes".to_owned(), int(s.probes)),
+                    ("events".to_owned(), int(s.events)),
+                    ("violations".to_owned(), int(s.violations)),
+                ]),
+                None => Value::Null,
+            },
+        ));
         Value::Object(root)
     }
 
@@ -383,6 +413,15 @@ fn harness_value(h: &HarnessRecord) -> Value {
             Some(p) => Value::Object(vec![
                 ("bench".to_owned(), Value::String(p.bench.clone())),
                 ("cycles".to_owned(), int(p.cycles)),
+                (
+                    "stalls".to_owned(),
+                    Value::Object(
+                        StallCause::ALL
+                            .iter()
+                            .map(|c| (c.label().to_owned(), int(p.stalls[c.index()])))
+                            .collect(),
+                    ),
+                ),
                 (
                     "insert_to_commit".to_owned(),
                     Value::Array(vec![
@@ -450,12 +489,6 @@ pub fn append_line(path: &Path, line: &str) -> io::Result<()> {
     Ok(())
 }
 
-/// Overwrites `path` with just this record line (the repo-root
-/// "latest" pointer, [`LATEST_PATH`]).
-pub fn write_latest(path: &Path, line: &str) -> io::Result<()> {
-    fs::write(path, format!("{line}\n"))
-}
-
 /// Reads and parses every record in a ledger file, in append order.
 /// Blank lines are skipped; a malformed *interior* line is an error
 /// naming its line number, but a malformed **final** line — the
@@ -488,8 +521,7 @@ pub fn read_ledger(path: &Path) -> Result<Vec<Value>, String> {
 }
 
 /// Per-harness median wall seconds over parsed ledger records — the
-/// honest per-harness weights the suite ETA (`RF_LOG` progress lines)
-/// and `rfstudy top` use. Only comparable harness entries contribute:
+/// honest per-harness weights `rfstudy top`'s ETA uses. Only comparable harness entries contribute:
 /// same commit budget as `commits` (when given), not cache-served, and
 /// error-free — a fully deduplicated or failed harness says nothing
 /// about how long real work takes. The harness fields involved have
@@ -608,7 +640,6 @@ mod tests {
             commits: 2_000,
             jobs: 2,
             cache: true,
-            sanitize: false,
             total_seconds: 1.25,
             sims: 100,
             committed: 200_000,
@@ -642,6 +673,7 @@ mod tests {
                 probe: Some(ProbeRecord {
                     bench: "gcc1".to_owned(),
                     cycles: 2_000,
+                    stalls: [0, 3, 0, 7, 0, 11],
                     insert_to_commit: (10, 20, 30),
                     issue_to_commit: (5, 9, 14),
                 }),
@@ -661,6 +693,7 @@ mod tests {
                 digest: "00ff00ff00ff00ff".to_owned(),
             }),
             store: Some(StoreRecord { hits: 60, misses: 40, writes: 40 }),
+            sanitizer: Some(SanitizerRecord { probes: 8, events: 12_000, violations: 0 }),
         }
     }
 
@@ -686,15 +719,25 @@ mod tests {
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
         assert_eq!(h.get("profile").unwrap().get_str("name"), Some("all"));
         assert_eq!(h.get("phase_seconds").unwrap().get_f64("simulate"), Some(0.4));
-        assert_eq!(h.get("probe").unwrap().get_str("bench"), Some("gcc1"));
+        let probe = h.get("probe").unwrap();
+        assert_eq!(probe.get_str("bench"), Some("gcc1"));
+        let stalls = probe.get("stalls").and_then(Value::as_object).unwrap();
+        let labels: Vec<&str> = stalls.iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = StallCause::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels, want, "six causes in StallCause::ALL order");
+        assert_eq!(stalls[5].1.as_f64(), Some(11.0));
         assert_eq!(h.get("error"), Some(&Value::Null));
-        // v8 dropped the cache pressure block: config and totals hold
-        // exactly these keys.
+        // v9 replaced config.sanitize with the sanitizer block: config
+        // and totals hold exactly these keys.
         let keys = |block: &str| -> Vec<String> {
             let members = v.get(block).and_then(Value::as_object).expect(block);
             members.iter().map(|(k, _)| k.clone()).collect()
         };
-        assert_eq!(keys("config"), ["commits", "jobs", "cache", "sanitize"]);
+        assert_eq!(keys("config"), ["commits", "jobs", "cache"]);
+        let san = v.get("sanitizer").unwrap();
+        assert_eq!(san.get_f64("probes"), Some(8.0));
+        assert_eq!(san.get_f64("events"), Some(12_000.0));
+        assert_eq!(san.get_f64("violations"), Some(0.0));
         assert_eq!(
             keys("totals"),
             ["seconds", "sims", "committed", "cycles", "cache_hits", "cache_misses"]
@@ -765,20 +808,14 @@ mod tests {
     }
 
     #[test]
-    fn append_accumulates_and_latest_overwrites() {
+    fn appends_accumulate() {
         let ledger = tmp("append/suite.jsonl");
         let _ = fs::remove_dir_all(ledger.parent().unwrap());
         append_line(&ledger, &sample().to_line()).unwrap();
         append_line(&ledger, &sample().to_line()).unwrap();
         let records = read_ledger(&ledger).unwrap();
         assert_eq!(records.len(), 2, "appends accumulate");
-
-        let latest = tmp("latest.jsonl");
-        write_latest(&latest, &sample().to_line()).unwrap();
-        write_latest(&latest, &sample().to_line()).unwrap();
-        assert_eq!(read_ledger(&latest).unwrap().len(), 1, "latest is a copy, not a log");
         let _ = fs::remove_dir_all(ledger.parent().unwrap());
-        let _ = fs::remove_file(&latest);
     }
 
     #[test]

@@ -7,24 +7,19 @@
 //! instructions, cycles, stalls, skipped cycles, phase times, cache and
 //! store lookups) as counts since [`start`], plus per-worker busy-time
 //! cells fed by the run pool and suite progress fed by the suite bench.
-//! A background sampler drains them into three sinks:
-//!
-//! 1. append-only snapshot records in `results/telemetry/live.jsonl`
-//!    (schema-versioned, one JSON object per line, atomic appends via
-//!    [`ledger::append_line`]);
-//! 2. an optional std-only HTTP endpoint (`RF_METRICS_ADDR`) serving
-//!    `/metrics` in Prometheus text exposition format and
-//!    `/snapshot.json`;
-//! 3. the `rfstudy top` terminal view, which tails the JSONL via
-//!    [`parse_stream`].
+//! A background sampler appends them as snapshot records to
+//! `results/telemetry/live.jsonl` (schema-versioned, one JSON object per
+//! line, atomic appends via [`ledger::append_line`]). That file is the
+//! suite's one progress stream: `rfstudy top` tails it via
+//! [`parse_stream`].
 //!
 //! Neutrality contract: counting is always on; telemetry off spawns
 //! nothing and touches no file, so `results/*.txt` are byte-identical
 //! either way. When on, counters are monotone for the lifetime of the
 //! run and the final snapshot (written by [`finalize`] *before* any
-//! post-suite probes run) reconciles exactly with the corresponding
-//! `BENCH_suite.json` totals; `crates/experiments/tests/telemetry.rs`
-//! asserts both properties against the real suite binary.
+//! post-suite probes run) reconciles exactly with the totals of the
+//! run's ledger record; `crates/experiments/tests/telemetry.rs` asserts
+//! both properties against the real suite binary.
 //!
 //! Knobs (strict-parsed by [`env_config`], like every other `RF_*`
 //! knob — malformed values exit 2 before any simulation starts):
@@ -32,15 +27,11 @@
 //! - `RF_TELEMETRY=1` — enable the runtime (`0/off/false/no` and unset
 //!   disable it).
 //! - `RF_TELEMETRY_INTERVAL_MS=N` — sampler period, default 250.
-//! - `RF_METRICS_ADDR=host:port` — bind the live endpoint; port 0 picks
-//!   a free port, and the bound address is printed to stderr as
-//!   `[rf-live] metrics_addr=<addr>` so scripts (and CI) can find it.
 
 use crate::json::Value;
 use crate::ledger;
 use rf_prof::counters::{self, Counts};
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -54,8 +45,9 @@ use std::time::{Duration, Instant};
 /// model-driven sweep filter substituted, and the bounded run cache's
 /// LRU evictions. v3 renders the whole counter registry in
 /// [`rf_prof::counters::Counter::ALL`] order: it drops `sims_cached` (always equal to
-/// `cache_hits`) and gains the stall and phase-time counters.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 3;
+/// `cache_hits`) and gains the stall and phase-time counters. v4 drops
+/// the header's `metrics_addr` with the deleted HTTP endpoint.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 4;
 
 /// Where the suite runner streams live snapshots (relative to the
 /// invocation directory, alongside `results/history/suite.jsonl`).
@@ -76,8 +68,6 @@ const DEFAULT_INTERVAL_MS: u64 = 250;
 pub struct LiveConfig {
     /// Sampler period.
     pub interval: Duration,
-    /// Address to bind the live HTTP endpoint on, if requested.
-    pub metrics_addr: Option<SocketAddr>,
 }
 
 fn parse_switch(name: &str, raw: &str) -> Result<bool, String> {
@@ -91,8 +81,8 @@ fn parse_switch(name: &str, raw: &str) -> Result<bool, String> {
 }
 
 /// Reads and validates the telemetry knobs. `Ok(None)` means telemetry
-/// is off; all three variables are validated regardless so a typo'd
-/// knob fails fast even when `RF_TELEMETRY` is unset.
+/// is off; both variables are validated regardless so a typo'd knob
+/// fails fast even when `RF_TELEMETRY` is unset.
 ///
 /// # Errors
 ///
@@ -114,19 +104,10 @@ pub fn env_config() -> Result<Option<LiveConfig>, String> {
             }
         },
     };
-    let metrics_addr = match std::env::var("RF_METRICS_ADDR") {
-        Err(_) => None,
-        Ok(raw) => Some(raw.trim().parse::<SocketAddr>().map_err(|_| {
-            format!(
-                "invalid RF_METRICS_ADDR value '{raw}': expected host:port \
-                 (e.g. 127.0.0.1:9090; port 0 picks a free port)"
-            )
-        })?),
-    };
     if !enabled {
         return Ok(None);
     }
-    Ok(Some(LiveConfig { interval: Duration::from_millis(interval_ms), metrics_addr }))
+    Ok(Some(LiveConfig { interval: Duration::from_millis(interval_ms) }))
 }
 
 // ---------------------------------------------------------------------
@@ -263,13 +244,7 @@ fn num(n: u64) -> Value {
 }
 
 /// The run-header record that opens every telemetry stream.
-pub fn header_value(
-    timestamp_unix: u64,
-    interval_ms: u64,
-    commits: u64,
-    jobs: u64,
-    metrics_addr: Option<&str>,
-) -> Value {
+pub fn header_value(timestamp_unix: u64, interval_ms: u64, commits: u64, jobs: u64) -> Value {
     Value::Object(vec![
         ("schema".into(), num(SNAPSHOT_SCHEMA_VERSION)),
         ("event".into(), Value::String("start".into())),
@@ -277,10 +252,6 @@ pub fn header_value(
         ("interval_ms".into(), num(interval_ms)),
         ("commits".into(), num(commits)),
         ("jobs".into(), num(jobs)),
-        (
-            "metrics_addr".into(),
-            metrics_addr.map_or(Value::Null, |a| Value::String(a.to_owned())),
-        ),
     ])
 }
 
@@ -348,49 +319,8 @@ pub fn digest_counters(c: &Counts) -> String {
     format!("{h:016x}")
 }
 
-/// Renders the current counters in Prometheus text exposition format —
-/// the same dialect `trend.rs` writes for `rfstudy report --prom`, with
-/// an `rf_live_` prefix so scrapes of a live run and of the ledger
-/// never collide.
-pub fn render_prometheus(
-    c: &Counts,
-    workers: &[WorkerSample],
-    suite: &SuiteView,
-    elapsed_s: f64,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (name, value) in c.iter() {
-        let _ = writeln!(out, "# HELP rf_live_{name} Live suite counter.");
-        let _ = writeln!(out, "# TYPE rf_live_{name} counter");
-        let _ = writeln!(out, "rf_live_{name} {value}");
-    }
-    if !workers.is_empty() {
-        let _ = writeln!(out, "# HELP rf_live_worker_busy_ns Cumulative busy wall-ns per worker.");
-        let _ = writeln!(out, "# TYPE rf_live_worker_busy_ns counter");
-        for w in workers {
-            let _ = writeln!(out, "rf_live_worker_busy_ns{{worker=\"{}\"}} {}", w.id, w.busy_ns);
-        }
-        let _ = writeln!(out, "# HELP rf_live_worker_sims Batch tasks executed per worker.");
-        let _ = writeln!(out, "# TYPE rf_live_worker_sims counter");
-        for w in workers {
-            let _ = writeln!(out, "rf_live_worker_sims{{worker=\"{}\"}} {}", w.id, w.sims);
-        }
-    }
-    let _ = writeln!(out, "# HELP rf_live_suite_harnesses_total Harnesses planned this run.");
-    let _ = writeln!(out, "# TYPE rf_live_suite_harnesses_total gauge");
-    let _ = writeln!(out, "rf_live_suite_harnesses_total {}", suite.total);
-    let _ = writeln!(out, "# HELP rf_live_suite_harnesses_done Harnesses finished so far.");
-    let _ = writeln!(out, "# TYPE rf_live_suite_harnesses_done gauge");
-    let _ = writeln!(out, "rf_live_suite_harnesses_done {}", suite.done);
-    let _ = writeln!(out, "# HELP rf_live_elapsed_seconds Wall-seconds since telemetry start.");
-    let _ = writeln!(out, "# TYPE rf_live_elapsed_seconds gauge");
-    let _ = writeln!(out, "rf_live_elapsed_seconds {elapsed_s}");
-    out
-}
-
 // ---------------------------------------------------------------------
-// Runtime: sampler thread, JSONL sink, HTTP endpoint
+// Runtime: sampler thread and JSONL sink
 // ---------------------------------------------------------------------
 
 struct Runtime {
@@ -422,14 +352,13 @@ pub struct FinalTelemetry {
 
 /// Starts the live runtime: takes the counter baseline, resets the
 /// worker cells, writes the stream header to [`LIVE_PATH`], spawns the
-/// sampler (and, if configured, the HTTP endpoint), and enables the
-/// worker and suite hooks. Idempotent — a second call while running is
-/// a no-op.
+/// sampler, and enables the worker and suite hooks. Idempotent — a
+/// second call while running is a no-op.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures binding the endpoint, creating
-/// `results/telemetry/`, or spawning the sampler thread.
+/// Propagates I/O failures creating `results/telemetry/` or spawning
+/// the sampler thread.
 pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) -> io::Result<()> {
     start_at(PathBuf::from(LIVE_PATH), cfg, commits, jobs, harnesses_total)
 }
@@ -451,28 +380,8 @@ fn start_at(
 
     let started = Instant::now();
     let seq = Arc::new(AtomicU64::new(0));
-    let bound = match cfg.metrics_addr {
-        None => None,
-        Some(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            let local = listener.local_addr()?;
-            // Parseable by scripts: CI greps this line for the port.
-            eprintln!("[rf-live] metrics_addr={local}");
-            let (started, seq) = (started, Arc::clone(&seq));
-            thread::Builder::new()
-                .name("rf-live-http".into())
-                .spawn(move || serve_endpoint(&listener, started, &baseline, &seq))?;
-            Some(local.to_string())
-        }
-    };
-
-    let header = header_value(
-        ledger::unix_timestamp(),
-        cfg.interval.as_millis() as u64,
-        commits,
-        jobs,
-        bound.as_deref(),
-    );
+    let header =
+        header_value(ledger::unix_timestamp(), cfg.interval.as_millis() as u64, commits, jobs);
     ledger::append_line(&path, &header.to_string())?;
 
     let stop = Arc::new((Mutex::new(false), Condvar::new()));
@@ -523,7 +432,7 @@ fn start_at(
 /// Stops the sampler, takes the final counter snapshot, writes it (with
 /// digest), and returns the summary for the ledger. `None` if the
 /// runtime was never started. Call this *before* any post-suite probe
-/// work so the final counters reconcile with `BENCH_suite.json`.
+/// work so the final counters reconcile with the ledger record's totals.
 pub fn finalize() -> Option<FinalTelemetry> {
     let rt = RUNTIME.lock().unwrap_or_else(PoisonError::into_inner).take()?;
     {
@@ -550,66 +459,6 @@ pub fn finalize() -> Option<FinalTelemetry> {
         digest: digest_counters(&counters),
         counters,
     })
-}
-
-/// Single-threaded accept loop: requests are served one at a time from
-/// live counter reads, so the endpoint itself never blocks producers.
-fn serve_endpoint(listener: &TcpListener, started: Instant, baseline: &Counts, seq: &AtomicU64) {
-    for conn in listener.incoming() {
-        let Ok(mut stream) = conn else { continue };
-        let _ = handle_request(&mut stream, started, baseline, seq);
-    }
-}
-
-fn handle_request(
-    stream: &mut TcpStream,
-    started: Instant,
-    baseline: &Counts,
-    seq: &AtomicU64,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut req = Vec::new();
-    let mut buf = [0u8; 1024];
-    while !req.windows(4).any(|w| w == b"\r\n\r\n") && req.len() < 8192 {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        req.extend_from_slice(&buf[..n]);
-    }
-    let head = String::from_utf8_lossy(&req);
-    let path = head.split_whitespace().nth(1).unwrap_or("/");
-    let elapsed = started.elapsed().as_secs_f64();
-    let counts = counters::snapshot().since(baseline);
-    let (status, ctype, body) = match path {
-        "/metrics" | "/" => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            render_prometheus(&counts, &workers_now(), &suite_now(), elapsed),
-        ),
-        "/snapshot.json" => (
-            "200 OK",
-            "application/json",
-            format!(
-                "{}\n",
-                snapshot_value(
-                    seq.load(Ordering::Relaxed),
-                    elapsed,
-                    false,
-                    &counts,
-                    &workers_now(),
-                    &suite_now(),
-                )
-            ),
-        ),
-        _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
-    };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -754,7 +603,7 @@ mod torn_tests {
         let s = SuiteView::default();
         let whole = format!(
             "{}\n{}\n",
-            header_value(1, 250, 100, 1, None),
+            header_value(1, 250, 100, 1),
             snapshot_value(1, 0.1, false, &c, &[], &s),
         );
         // A crash (or an in-flight append) truncates the stream
@@ -795,7 +644,7 @@ mod tests {
             current: Some("fig5".into()),
             current_elapsed_s: 0.5,
         };
-        let header = header_value(1_754_000_000, 250, 200_000, 2, Some("127.0.0.1:9090"));
+        let header = header_value(1_754_000_000, 250, 200_000, 2);
         let mid = snapshot_value(1, 1.25, false, &c, &workers, &suite);
         let fin = snapshot_value(2, 2.5, true, &c, &workers, &suite);
         let text = format!("{header}\n{mid}\n{fin}\n");
@@ -821,9 +670,9 @@ mod tests {
         let s = SuiteView::default();
         let text = format!(
             "{}\n{}\n{}\n{}\n",
-            header_value(1, 250, 100, 1, None),
+            header_value(1, 250, 100, 1),
             snapshot_value(1, 0.1, true, &c, &[], &s),
-            header_value(2, 100, 200, 2, None),
+            header_value(2, 100, 200, 2),
             snapshot_value(1, 0.1, false, &c, &[], &s),
         );
         let (h, snaps) = parse_stream(&text).unwrap();
@@ -842,24 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_rendering_names_every_counter() {
-        let c = sample_counters();
-        let workers = vec![WorkerSample { id: 0, busy_ns: 5, sims: 1 }];
-        let suite = SuiteView { total: 12, done: 4, current: None, current_elapsed_s: 0.0 };
-        let out = render_prometheus(&c, &workers, &suite, 3.5);
-        for (name, value) in c.iter() {
-            assert!(
-                out.contains(&format!("rf_live_{name} {value}")),
-                "missing {name}:\n{out}"
-            );
-            assert!(out.contains(&format!("# TYPE rf_live_{name} counter")));
-        }
-        assert!(out.contains("rf_live_worker_busy_ns{worker=\"0\"} 5"));
-        assert!(out.contains("rf_live_suite_harnesses_done 4"));
-        assert!(out.contains("rf_live_elapsed_seconds 3.5"));
-    }
-
-    #[test]
     fn snapshots_count_from_start_and_worker_cells_only_while_running() {
         // No other test in this binary touches the cache or store
         // counters, so their deltas here are exact.
@@ -871,7 +702,7 @@ mod tests {
         worker_task(0, 99);
         assert!(workers_now().is_empty(), "worker cells are inert before start");
 
-        let cfg = LiveConfig { interval: Duration::from_secs(3600), metrics_addr: None };
+        let cfg = LiveConfig { interval: Duration::from_secs(3600) };
         start_at(path.clone(), &cfg, 100, 2, 1).expect("runtime starts");
         counters::count(Counter::CacheHits, 3);
         worker_task(1, 500);
@@ -898,9 +729,9 @@ mod tests {
 
     #[test]
     fn env_config_is_strict() {
-        // One test owns all three variables to avoid races between
-        // parallel tests mutating the process environment.
-        let vars = ["RF_TELEMETRY", "RF_TELEMETRY_INTERVAL_MS", "RF_METRICS_ADDR"];
+        // One test owns both variables to avoid races between parallel
+        // tests mutating the process environment.
+        let vars = ["RF_TELEMETRY", "RF_TELEMETRY_INTERVAL_MS"];
         let saved: Vec<_> = vars.iter().map(|v| (v, std::env::var(v).ok())).collect();
         for v in vars {
             std::env::remove_var(v);
@@ -912,21 +743,16 @@ mod tests {
         std::env::set_var("RF_TELEMETRY", "1");
         let cfg = env_config().unwrap().expect("enabled");
         assert_eq!(cfg.interval, Duration::from_millis(DEFAULT_INTERVAL_MS));
-        assert!(cfg.metrics_addr.is_none());
 
         std::env::set_var("RF_TELEMETRY_INTERVAL_MS", "50");
-        std::env::set_var("RF_METRICS_ADDR", "127.0.0.1:0");
         let cfg = env_config().unwrap().expect("enabled");
         assert_eq!(cfg.interval, Duration::from_millis(50));
-        assert_eq!(cfg.metrics_addr.unwrap().port(), 0);
 
         // Malformed values fail even when RF_TELEMETRY is off/unset.
         for (var, bad) in [
             ("RF_TELEMETRY", "maybe"),
             ("RF_TELEMETRY_INTERVAL_MS", "0"),
             ("RF_TELEMETRY_INTERVAL_MS", "50ms"),
-            ("RF_METRICS_ADDR", "localhost"),
-            ("RF_METRICS_ADDR", "9090"),
         ] {
             for v in vars {
                 std::env::remove_var(v);
@@ -943,41 +769,5 @@ mod tests {
                 None => std::env::remove_var(v),
             }
         }
-    }
-
-    #[test]
-    fn http_endpoint_serves_metrics_and_snapshot() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let started = Instant::now();
-        let seq = Arc::new(AtomicU64::new(4));
-        {
-            let seq = Arc::clone(&seq);
-            thread::spawn(move || {
-                serve_endpoint(&listener, started, &counters::snapshot(), &seq)
-            });
-        }
-
-        let fetch = |path: &str| {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write!(s, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            resp
-        };
-
-        let metrics = fetch("/metrics");
-        assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-        assert!(metrics.contains("rf_live_sims_started"), "{metrics}");
-
-        let snap = fetch("/snapshot.json");
-        assert!(snap.starts_with("HTTP/1.1 200 OK"), "{snap}");
-        let body = snap.split("\r\n\r\n").nth(1).unwrap();
-        let v = crate::json::parse(body.trim()).expect("snapshot body is JSON");
-        assert_eq!(v.get_str("event"), Some("snap"));
-        assert_eq!(v.get_f64("seq"), Some(4.0));
-
-        let missing = fetch("/nope");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
     }
 }

@@ -5,8 +5,8 @@
 //! everything that consumes them:
 //!
 //! - [`to_value`] / [`from_value`] — the ledger's JSON encoding of a
-//!   profile tree (embedded per-harness in schema v4 records and
-//!   `results/BENCH_suite.json`);
+//!   profile tree (embedded per-harness in ledger records since
+//!   schema v4);
 //! - [`collapsed`] — collapsed-stack text (`a;b;c <self-µs>` lines),
 //!   the interchange format every standard flamegraph renderer
 //!   (`flamegraph.pl`, inferno, speedscope) accepts;

@@ -902,7 +902,7 @@ mod tests {
         let doc = format!(
             concat!(
                 "{{\"schema\":{schema},\"timestamp_unix\":100,\"git_rev\":\"{rev}\",",
-                "\"config\":{{\"commits\":2000,\"jobs\":1,\"cache\":true,\"sanitize\":false}},",
+                "\"config\":{{\"commits\":2000,\"jobs\":1,\"cache\":true}},",
                 "\"totals\":{{\"seconds\":{total},\"sims\":10,\"committed\":20000,",
                 "\"cycles\":9000,\"cache_hits\":1,\"cache_misses\":9}},",
                 "\"harnesses\":[",

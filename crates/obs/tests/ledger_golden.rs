@@ -14,7 +14,7 @@
 use rf_obs::json::{self, Value};
 use rf_obs::ledger::{
     AllocRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
-    StoreRecord, TelemetryRecord, SCHEMA_VERSION,
+    SanitizerRecord, StoreRecord, TelemetryRecord, SCHEMA_VERSION,
 };
 
 const GOLDEN: &str = include_str!("golden/ledger_record.jsonl");
@@ -27,7 +27,6 @@ fn full_record() -> LedgerRecord {
         commits: 200_000,
         jobs: 8,
         cache: true,
-        sanitize: true,
         total_seconds: 123.456789,
         sims: 1_234,
         committed: 246_800_000,
@@ -75,6 +74,7 @@ fn full_record() -> LedgerRecord {
                 probe: Some(ProbeRecord {
                     bench: "compress".to_owned(),
                     cycles: 2_048,
+                    stalls: [0, 120, 0, 310, 42, 96],
                     insert_to_commit: (9, 21, 55),
                     issue_to_commit: (4, 11, 30),
                 }),
@@ -140,6 +140,7 @@ fn full_record() -> LedgerRecord {
             digest: "9d2c5e7f01a3b486".to_owned(),
         }),
         store: Some(StoreRecord { hits: 1_156, misses: 78, writes: 78 }),
+        sanitizer: Some(SanitizerRecord { probes: 8, events: 1_310_720, violations: 0 }),
     }
 }
 
@@ -151,7 +152,6 @@ fn minimal_record() -> LedgerRecord {
         commits: 2_000,
         jobs: 1,
         cache: false,
-        sanitize: false,
         total_seconds: 0.0,
         sims: 0,
         committed: 0,
@@ -164,6 +164,7 @@ fn minimal_record() -> LedgerRecord {
         alloc: None,
         telemetry: None,
         store: None,
+        sanitizer: None,
     }
 }
 
@@ -198,13 +199,15 @@ fn golden_lines_parse_back_to_current_schema() {
             "model_error",
             "telemetry",
             "store",
+            "sanitizer",
         ] {
             assert!(v.get(key).is_some(), "line {} missing {key}", i + 1);
         }
         let config = v.get("config").unwrap();
-        for key in ["commits", "jobs", "cache", "sanitize"] {
+        for key in ["commits", "jobs", "cache"] {
             assert!(config.get(key).is_some(), "config missing {key}");
         }
+        assert!(config.get("sanitize").is_none(), "v9 moved sanitize to the sanitizer block");
         let totals = v.get("totals").unwrap();
         for key in [
             "seconds",
@@ -254,6 +257,10 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(probe.get_str("bench"), Some("compress"));
     let p99 = &probe.get("insert_to_commit").unwrap().as_array().unwrap()[2];
     assert_eq!(p99.as_f64(), Some(55.0));
+    let stalls = probe.get("stalls").unwrap();
+    for (cause, want) in rf_core::StallCause::ALL.iter().zip([0.0, 120.0, 0.0, 310.0, 42.0, 96.0]) {
+        assert_eq!(stalls.get_f64(cause.label()), Some(want), "{}", cause.label());
+    }
     // The embedded profile decodes back to the tree we rendered.
     let profile = rf_obs::profile::from_value(h.get("profile").unwrap()).unwrap();
     assert_eq!(Some(profile), full_record().harnesses[0].profile);
@@ -277,9 +284,15 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(store.get_f64("hits"), Some(1_156.0));
     assert_eq!(store.get_f64("misses"), Some(78.0));
     assert_eq!(store.get_f64("writes"), Some(78.0));
+    // The sanitizer block survives the round trip.
+    let sanitizer = v.get("sanitizer").unwrap();
+    assert_eq!(sanitizer.get_f64("probes"), Some(8.0));
+    assert_eq!(sanitizer.get_f64("events"), Some(1_310_720.0));
+    assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let minimal = json::parse(GOLDEN.lines().nth(1).unwrap()).unwrap();
     assert_eq!(minimal.get("alloc"), Some(&Value::Null));
     assert_eq!(minimal.get("model_error"), Some(&Value::Null));
     assert_eq!(minimal.get("telemetry"), Some(&Value::Null));
     assert_eq!(minimal.get("store"), Some(&Value::Null));
+    assert_eq!(minimal.get("sanitizer"), Some(&Value::Null));
 }

@@ -2,7 +2,7 @@
 //!
 //! `results/telemetry/live.jsonl` is an interface: `rfstudy top` tails
 //! it, the CI smoke job validates it with a stock JSON parser, and
-//! external scrapers may follow it. This test pins the exact byte
+//! external tools may follow it. This test pins the exact byte
 //! rendering of the three record shapes — the run header, a mid-run
 //! snapshot, and the final snapshot (digest-carrying) — against
 //! `tests/golden/live_snapshot.jsonl`. If it fails because of an
@@ -57,8 +57,7 @@ fn suite() -> SuiteView {
 /// The three record shapes a stream is made of, rendered exactly as the
 /// sampler writes them.
 fn stream() -> String {
-    let header =
-        live::header_value(1_754_000_000, 250, 200_000, 8, Some("127.0.0.1:9090"));
+    let header = live::header_value(1_754_000_000, 250, 200_000, 8);
     let mid = live::snapshot_value(41, 10.25, false, &counters(), &workers(), &suite());
     let done = SuiteView { total: 12, done: 12, current: None, current_elapsed_s: 0.0 };
     let fin = live::snapshot_value(42, 10.5, true, &counters(), &workers(), &done);
@@ -108,10 +107,10 @@ fn golden_stream_parses_back_to_current_schema() {
 fn golden_lines_name_every_member_readers_rely_on() {
     let mut lines = GOLDEN.lines();
     let header = rf_obs::json::parse(lines.next().unwrap()).unwrap();
-    for key in ["schema", "event", "timestamp_unix", "interval_ms", "commits", "jobs", "metrics_addr"]
-    {
+    for key in ["schema", "event", "timestamp_unix", "interval_ms", "commits", "jobs"] {
         assert!(header.get(key).is_some(), "header missing {key}");
     }
+    assert!(header.get("metrics_addr").is_none(), "v4 dropped the endpoint address");
     for line in lines {
         let snap = rf_obs::json::parse(line).unwrap();
         for key in ["schema", "event", "seq", "elapsed_s", "final", "counters", "workers", "suite"]

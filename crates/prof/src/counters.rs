@@ -4,9 +4,8 @@
 //! instructions committed, kernel idle-skips, phase CPU time, run-cache
 //! and run-store lookups — has exactly one source: a slot in one static
 //! array of relaxed atomics, indexed by [`Counter`]. Producers bump it
-//! with [`count`]; every sink (the suite benchmark report, the ledger,
-//! the live telemetry stream, `/metrics`, `RF_LOG`) reads it through a
-//! [`Counts`] snapshot and differences two snapshots with
+//! with [`count`]; both sinks (the ledger record and the live telemetry
+//! stream) read it through a [`Counts`] snapshot and differences two snapshots with
 //! [`Counts::since`] to scope a count to a window of work.
 //!
 //! Counting is always on: a bump is one relaxed `fetch_add`, paid a few

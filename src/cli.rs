@@ -399,8 +399,6 @@ pub enum Command {
         interval_ms: u64,
         /// Render one frame and exit instead of following the stream.
         once: bool,
-        /// Spawn the suite binary with RF_TELEMETRY=1 and attach to it.
-        spawn: bool,
     },
     /// Inspect or maintain the durable content-addressed run store.
     Store {
@@ -555,7 +553,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         if !opt.starts_with("--") {
             return Err(format!("unexpected argument {opt:?}"));
         }
-        let value = if matches!(opt, "--split-queues" | "--check" | "--once" | "--spawn") {
+        let value = if matches!(opt, "--split-queues" | "--check" | "--once") {
             None
         } else {
             it.next().map(str::to_owned)
@@ -670,6 +668,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             deadline_secs: parse_deadline(&opts)?,
         }),
         "top" => {
+            if let Some((o, _)) = opts.iter().find(|(o, _)| {
+                !matches!(o.as_str(), "--file" | "--ledger" | "--interval-ms" | "--once")
+            }) {
+                return Err(format!("unknown option {o:?} for top"));
+            }
             let interval_ms: u64 = take("--interval-ms", &opts)
                 .map_or(Ok(500), |v| parse_num("--interval-ms", &v))?;
             if interval_ms == 0 {
@@ -682,7 +685,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
                 interval_ms,
                 once: opts.iter().any(|(o, _)| o == "--once"),
-                spawn: opts.iter().any(|(o, _)| o == "--spawn"),
             })
         }
         "store" => {
@@ -731,7 +733,7 @@ USAGE:
                    [--format flame|json|text] [--top N] [--out FILE]
                    [--deadline-secs S]
   rfstudy top      [--file FILE] [--ledger FILE] [--interval-ms N]
-                   [--once] [--spawn]
+                   [--once]
   rfstudy store    stats|verify|compact|gc [--dir DIR]
   rfstudy timing   [--width N]
   rfstudy dump     --trace FILE [--count N]
@@ -819,9 +821,7 @@ TOP OPTIONS:
   run-history ledger (--ledger overrides the default
   results/history/suite.jsonl). --interval-ms sets the refresh period
   (default 500). --once renders a single frame and exits — useful in
-  scripts and CI. --spawn launches the suite binary itself with
-  RF_TELEMETRY=1 set and attaches to it, so a one-command live run
-  needs no second terminal.
+  scripts and CI.
 
 STORE OPTIONS:
   operates on the durable content-addressed run store that suite runs
@@ -1187,32 +1187,31 @@ mod tests {
     #[test]
     fn parses_top_with_defaults_and_options() {
         match parse(&argv("top")).unwrap() {
-            Command::Top { file, ledger, interval_ms, once, spawn } => {
+            Command::Top { file, ledger, interval_ms, once } => {
                 assert_eq!(file, rf_obs::live::LIVE_PATH);
                 assert_eq!(ledger, rf_obs::ledger::LEDGER_PATH);
                 assert_eq!(interval_ms, 500);
                 assert!(!once);
-                assert!(!spawn);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
-            "top --file /tmp/live.jsonl --ledger /tmp/l.jsonl --interval-ms 100 \
-             --once --spawn",
+            "top --file /tmp/live.jsonl --ledger /tmp/l.jsonl --interval-ms 100 --once",
         ))
         .unwrap()
         {
-            Command::Top { file, ledger, interval_ms, once, spawn } => {
+            Command::Top { file, ledger, interval_ms, once } => {
                 assert_eq!(file, "/tmp/live.jsonl");
                 assert_eq!(ledger, "/tmp/l.jsonl");
                 assert_eq!(interval_ms, 100);
                 assert!(once);
-                assert!(spawn);
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse(&argv("top --interval-ms 0")).is_err());
         assert!(parse(&argv("top --interval-ms fast")).is_err());
+        let err = parse(&argv("top --once --bogus")).unwrap_err();
+        assert!(err.contains("unknown option \"--bogus\""), "{err}");
     }
 
     #[test]

@@ -42,13 +42,13 @@ fn main() -> ExitCode {
         }
     }
     // Attaching to a stream file that does not exist is a usage error
-    // (exit 2), not something to hang on: without `--spawn` no producer
-    // is coming, so waiting for the file would wait forever.
-    if let Command::Top { file, spawn: false, .. } = &cmd {
+    // (exit 2), not something to hang on: no suite run has started the
+    // stream, so waiting for the file could wait forever.
+    if let Command::Top { file, .. } = &cmd {
         if !std::path::Path::new(file).exists() {
             eprintln!(
                 "error: telemetry stream {file:?} does not exist \
-                 (run the suite with RF_TELEMETRY=1, or use --spawn)"
+                 (run the suite with RF_TELEMETRY=1 first)"
             );
             return ExitCode::from(2);
         }
@@ -190,8 +190,8 @@ fn dispatch(cmd: Command) -> Result<(), String> {
         Command::Profile { pins, format, top, out, deadline_secs } => {
             run_profile(&pins, format, top, out, deadline_secs)
         }
-        Command::Top { file, ledger, interval_ms, once, spawn } => {
-            run_top(&file, &ledger, interval_ms, once, spawn)
+        Command::Top { file, ledger, interval_ms, once } => {
+            run_top(&file, &ledger, interval_ms, once)
         }
         Command::Report {
             ledger,
@@ -758,55 +758,12 @@ fn render_top_frame(
 /// utilization, ledger-weighted ETA), refreshed every `interval_ms`
 /// until the stream's final snapshot arrives. `--once` renders a single
 /// plain frame (no escape codes) and exits, failing immediately when
-/// the stream is missing or malformed. `--spawn` resets the stream
-/// file, launches the suite runner (`all`, expected next to this
-/// executable) with telemetry enabled, attaches to it, and propagates
-/// its exit status.
-fn run_top(
-    file: &str,
-    ledger_path: &str,
-    interval_ms: u64,
-    once: bool,
-    spawn: bool,
-) -> Result<(), String> {
-    let mut child = None;
-    if spawn {
-        let exe =
-            std::env::current_exe().map_err(|e| format!("cannot locate this executable: {e}"))?;
-        let suite = exe.with_file_name("all");
-        // A stale stream ending in a final snapshot would end the attach
-        // loop before the new run writes its header.
-        match std::fs::remove_file(file) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("cannot reset {file}: {e}")),
-        }
-        let spawned = std::process::Command::new(&suite)
-            .env("RF_TELEMETRY", "1")
-            .env("RF_TELEMETRY_INTERVAL_MS", interval_ms.to_string())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn suite runner {}: {e}", suite.display()))?;
-        child = Some(spawned);
-    }
-    if once {
-        // One-shot with a spawned run: wait it out, then render its
-        // closing frame below instead of leaving an orphan behind.
-        if let Some(c) = child.as_mut() {
-            let status =
-                c.wait().map_err(|e| format!("cannot reap spawned suite runner: {e}"))?;
-            if !status.success() {
-                return Err(format!("spawned suite runner failed ({status})"));
-            }
-        }
-    }
-
+/// the stream is missing or malformed.
+fn run_top(file: &str, ledger_path: &str, interval_ms: u64, once: bool) -> Result<(), String> {
     let records =
         rf_obs::ledger::read_ledger(std::path::Path::new(ledger_path)).unwrap_or_default();
     let plan = latest_plan(&records);
     let mut reported_wait = false;
-    let mut child_already_exited = false;
     loop {
         let parsed = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {file}: {e}"))
@@ -827,20 +784,12 @@ fn run_top(
                 use std::io::Write as _;
                 let _ = std::io::stdout().flush();
                 if snaps.last().is_some_and(|s| s.is_final) {
-                    break;
-                }
-                if child_already_exited {
-                    // One grace poll already happened; the run died
-                    // without closing its stream.
-                    return Err(format!(
-                        "spawned suite runner exited without a final snapshot in {file}"
-                    ));
+                    return Ok(());
                 }
             }
             Err(e) => {
-                // Attaching before the run starts and torn in-flight
-                // appends are both transient while a producer may still
-                // show up; `--once` treats them as hard errors instead.
+                // A torn in-flight append is transient while the suite
+                // is still writing; `--once` treats it as a hard error.
                 if once {
                     return Err(e);
                 }
@@ -850,22 +799,8 @@ fn run_top(
                 }
             }
         }
-        if let Some(c) = child.as_mut() {
-            if !child_already_exited && matches!(c.try_wait(), Ok(Some(_))) {
-                // Grant one more poll so a final snapshot racing the
-                // process exit still gets rendered.
-                child_already_exited = true;
-            }
-        }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
-    if let Some(mut c) = child {
-        let status = c.wait().map_err(|e| format!("cannot reap spawned suite runner: {e}"))?;
-        if !status.success() {
-            return Err(format!("spawned suite runner failed ({status})"));
-        }
-    }
-    Ok(())
 }
 
 /// The `store` subcommand: inspects or maintains the durable

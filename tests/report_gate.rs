@@ -44,7 +44,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         commits: 10_000,
         jobs: 4,
         cache: true,
-        sanitize: true,
         total_seconds: 3.0 * scale,
         sims: 80,
         committed: 800_000,
@@ -57,6 +56,7 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         alloc: None,
         telemetry: None,
         store: None,
+        sanitizer: None,
     }
 }
 

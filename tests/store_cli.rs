@@ -30,7 +30,7 @@ fn top_attach_to_a_missing_stream_is_a_clean_usage_error() {
     let (code, text) = rfstudy(&["top", "--file", missing.to_str().unwrap(), "--once"]);
     assert_eq!(code, Some(2), "{text}");
     assert!(text.contains("does not exist"), "{text}");
-    assert!(text.contains("--spawn"), "the error suggests the fix: {text}");
+    assert!(text.contains("RF_TELEMETRY=1"), "the error suggests the fix: {text}");
 }
 
 #[test]
