@@ -17,7 +17,7 @@ use crate::oracle::{self, TraceOracle};
 use crate::sanitizer::Sanitizer;
 use rf_core::{CancelToken, ExceptionModel, LiveModel, MachineConfig, Pipeline, SimStats};
 use rf_isa::RegClass;
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, SharedTrace, TraceGenerator};
 
 /// Parameters of one cross-validation run.
 #[derive(Debug, Clone)]
@@ -192,25 +192,34 @@ pub fn cross_validate_cancellable(
     let config = config_for(params);
     let insert_bw = config.effective_insert_bandwidth();
 
-    // Dynamic run, sanitizer riding the observer hooks.
+    // Dynamic run, sanitizer riding the observer hooks. The simulation
+    // replays a shared trace, as every pooled run does: a group of one.
+    let cancelled = |at_cycle: u64| {
+        format!(
+            "check {} width={} {} regs={} cancelled at cycle {at_cycle} \
+             (partial statistics discarded)",
+            params.bench, params.width, params.exceptions, params.regs
+        )
+    };
+    let shared = SharedTrace::build(&profile, params.seed, params.commits as usize, || {
+        cancel.is_some_and(CancelToken::is_cancelled)
+    })
+    .ok_or_else(|| cancelled(0))?;
     let sanitizer = Sanitizer::new(params.regs, params.exceptions);
-    let mut trace = TraceGenerator::new(&profile, params.seed);
     let mut pipeline = Pipeline::with_observer(config, sanitizer);
     if let Some(token) = cancel {
         pipeline = pipeline.with_cancel(token.clone());
     }
-    let (stats, sanitizer) =
-        pipeline.try_run_observed(&mut trace, params.commits).map_err(|c| {
-            format!(
-                "check {} width={} {} regs={} cancelled at cycle {} \
-                 (partial statistics discarded)",
-                params.bench, params.width, params.exceptions, params.regs, c.at_cycle
-            )
-        })?;
+    let (stats, sanitizer) = pipeline
+        .try_run_with_observed(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
+        .map_err(|c| cancelled(c.at_cycle))?;
+    drop(shared);
 
     // Static analysis of the committed prefix: commit is in-order and the
     // generator is deterministic, so the committed instructions are
-    // exactly the first `stats.committed` entries of a fresh trace.
+    // exactly the first `stats.committed` entries of a fresh trace. The
+    // oracle regenerates them independently of the packed buffer the
+    // simulation replayed, so the check covers the replay too.
     let prefix: Vec<_> =
         TraceGenerator::new(&profile, params.seed).take(stats.committed as usize).collect();
     let oracle = oracle::analyze(&prefix, insert_bw);

@@ -49,13 +49,14 @@ impl Entry {
         self.counts.get(Counter::SimsCompleted)
     }
 
-    /// CPU-seconds constructing trace generators during the harness.
+    /// CPU-seconds filling shared committed-path traces during the
+    /// harness (each fill once, however many simulations replay it).
     pub fn phase_generate(&self) -> f64 {
         self.counts.get(Counter::GenerateNs) as f64 / 1e9
     }
 
-    /// CPU-seconds inside `Pipeline::run` during the harness (can exceed
-    /// `seconds` under parallel workers).
+    /// CPU-seconds inside the pipeline during the harness, trace replay
+    /// included (can exceed `seconds` under parallel workers).
     pub fn phase_simulate(&self) -> f64 {
         self.counts.get(Counter::SimulateNs) as f64 / 1e9
     }

@@ -30,7 +30,7 @@ use rf_core::{
 };
 use rf_mem::{CacheConfig, CacheOrg};
 use rf_prof::counters::{self, Counter};
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, SharedTrace};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -396,6 +396,9 @@ pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// completed run adds its committed instructions, cycles, stalls and
 /// phase times.
 ///
+/// The run reads a [`SharedTrace`] of its own: a trace group of one,
+/// through the same path a [`SimPool`] batch takes.
+///
 /// # Errors
 ///
 /// - [`RunError::UnknownBenchmark`] when the spec's benchmark has no
@@ -405,14 +408,87 @@ pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// - [`RunError::DeadlineExceeded`] when `cancel` fires mid-run
 ///   (`deadline_ms` stamps the message).
 pub fn try_simulate(spec: &RunSpec) -> Result<SimStats, RunError> {
-    try_simulate_cancellable(spec, None, 0)
+    run_task(spec, &TraceGroup::new(spec.commits, 1), None, 0)
 }
 
-/// As [`try_simulate`], with an optional cooperative cancellation token
-/// (a fired token maps to [`RunError::DeadlineExceeded`] carrying
-/// `deadline_ms`).
-fn try_simulate_cancellable(
+/// The most committed-path instructions one [`SharedTrace`] buffers
+/// (about 7 MB). A longer run reads the rest from its cursor's tail
+/// generator, so a huge commit budget costs time, not memory.
+const MAX_BUFFERED: u64 = 1 << 20;
+
+/// The tasks of one batch that share a trace key — benchmark and seed —
+/// and so read one [`SharedTrace`]. The group's first task to start
+/// builds the trace; the last task to start takes it out of the group,
+/// so the buffer is freed as soon as the group's last running task
+/// finishes.
+#[derive(Debug)]
+struct TraceGroup {
+    /// Instructions to buffer: the group's largest commit budget, capped
+    /// at [`MAX_BUFFERED`].
+    len: u64,
+    slot: Mutex<GroupSlot>,
+}
+
+#[derive(Debug)]
+struct GroupSlot {
+    trace: Option<Arc<SharedTrace>>,
+    unstarted: usize,
+}
+
+impl TraceGroup {
+    fn new(max_commits: u64, tasks: usize) -> Self {
+        Self {
+            len: max_commits.min(MAX_BUFFERED),
+            slot: Mutex::new(GroupSlot { trace: None, unstarted: tasks }),
+        }
+    }
+
+    /// Hands one starting task the group's trace, building it first when
+    /// no earlier task has. Returns the trace and the nanoseconds this
+    /// task spent building it (0 when it was already built). Other tasks
+    /// of the group wait on the lock while the trace is built; they need
+    /// it too.
+    fn claim(
+        &self,
+        spec: &RunSpec,
+        cancel: Option<&CancelToken>,
+        deadline_ms: u64,
+    ) -> Result<(Arc<SharedTrace>, u64), RunError> {
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.unstarted -= 1;
+        let claimed = match &slot.trace {
+            Some(trace) => Ok((Arc::clone(trace), 0)),
+            None => {
+                let profile = spec92::by_name(&spec.benchmark).ok_or_else(|| {
+                    RunError::UnknownBenchmark { benchmark: spec.benchmark.clone() }
+                })?;
+                let _s = rf_prof::span("run.generate");
+                let start = Instant::now();
+                let built = SharedTrace::build(&profile, spec.seed, self.len as usize, || {
+                    cancel.is_some_and(CancelToken::is_cancelled)
+                })
+                .ok_or_else(|| RunError::DeadlineExceeded {
+                    benchmark: spec.benchmark.clone(),
+                    deadline_ms,
+                })?;
+                let trace = Arc::new(built);
+                slot.trace = Some(Arc::clone(&trace));
+                Ok((trace, start.elapsed().as_nanos() as u64))
+            }
+        };
+        if slot.unstarted == 0 {
+            slot.trace = None;
+        }
+        claimed
+    }
+}
+
+/// Runs one task of a trace group: [`try_simulate`]'s contract, reading
+/// the group's shared trace. A fired `cancel` maps to
+/// [`RunError::DeadlineExceeded`] carrying `deadline_ms`.
+fn run_task(
     spec: &RunSpec,
+    group: &TraceGroup,
     cancel: Option<&CancelToken>,
     deadline_ms: u64,
 ) -> Result<SimStats, RunError> {
@@ -434,15 +510,10 @@ fn try_simulate_cancellable(
             payload: payload_text(payload.as_ref()),
         });
     }
-    let Some(profile) = spec92::by_name(&spec.benchmark) else {
-        return failed(RunError::UnknownBenchmark { benchmark: spec.benchmark.clone() });
+    let (trace, gen_nanos) = match group.claim(spec, cancel, deadline_ms) {
+        Ok(claimed) => claimed,
+        Err(e) => return failed(e),
     };
-    let gen_start = Instant::now();
-    let mut trace = {
-        let _s = rf_prof::span("run.generate");
-        TraceGenerator::new(&profile, spec.seed)
-    };
-    let gen_nanos = gen_start.elapsed().as_nanos() as u64;
     let _sim_span = rf_prof::span("run.simulate");
     let sim_start = Instant::now();
     let mut pipeline = Pipeline::new(spec.machine_config());
@@ -453,10 +524,14 @@ fn try_simulate_cancellable(
     // its state can never be observed again, which is what makes the
     // unwind boundary safe to assert across.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pipeline.try_run(&mut trace, spec.commits)
+        pipeline.try_run_with_observed(
+            &mut trace.cursor(),
+            &mut trace.wrong_path(),
+            spec.commits,
+        )
     }));
     let stats = match caught {
-        Ok(Ok(stats)) => stats,
+        Ok(Ok((stats, _))) => stats,
         Ok(Err(_cancelled)) => {
             return failed(RunError::DeadlineExceeded {
                 benchmark: spec.benchmark.clone(),
@@ -1010,10 +1085,13 @@ impl SimPool {
         results.into_iter().map(|r| r.expect("every spec resolved")).collect()
     }
 
-    /// Executes `tasks`, returning `(task_index, outcome)` pairs. With a
-    /// deadline set, a watchdog thread fires a shared [`CancelToken`] at
-    /// the deadline; workers check it before starting each task, and
-    /// running pipelines poll it cooperatively.
+    /// Executes `tasks`, returning `(task_index, outcome)` pairs. Tasks
+    /// run grouped by trace key (see [`trace_groups`]), so each group's
+    /// [`SharedTrace`] is built once and at most `jobs` are live at a
+    /// time. With a deadline set, a watchdog thread fires a shared
+    /// [`CancelToken`] at the deadline; workers check it before starting
+    /// each task, and trace fills and running pipelines poll it
+    /// cooperatively.
     fn execute(
         &self,
         tasks: &[&RunSpec],
@@ -1026,7 +1104,22 @@ impl SimPool {
             opts.deadline.map_or(0, |d| d.as_millis().min(u64::MAX as u128) as u64);
         let start = Instant::now();
         let cancel = CancelToken::new();
-        let run_one = |spec: &RunSpec| -> Result<Arc<SimStats>, RunError> {
+        let grouped = trace_groups(tasks);
+        let mut group_of = vec![0; tasks.len()];
+        let groups: Vec<TraceGroup> = grouped
+            .iter()
+            .enumerate()
+            .map(|(g, members)| {
+                for &t in members {
+                    group_of[t] = g;
+                }
+                let max_commits = members.iter().map(|&t| tasks[t].commits).max();
+                TraceGroup::new(max_commits.unwrap_or(0), members.len())
+            })
+            .collect();
+        let order: Vec<usize> = grouped.concat();
+        let run_one = |t: usize| -> Result<Arc<SimStats>, RunError> {
+            let spec = tasks[t];
             if cancel.is_cancelled() || opts.deadline.is_some_and(|d| start.elapsed() >= d) {
                 return Err(RunError::DeadlineExceeded {
                     benchmark: spec.benchmark.clone(),
@@ -1034,17 +1127,16 @@ impl SimPool {
                 });
             }
             let token = opts.deadline.is_some().then_some(&cancel);
-            try_simulate_cancellable(spec, token, deadline_ms).map(Arc::new)
+            run_task(spec, &groups[group_of[t]], token, deadline_ms).map(Arc::new)
         };
         let workers = self.jobs.min(tasks.len());
         if workers <= 1 && opts.deadline.is_none() {
-            return tasks
+            return order
                 .iter()
-                .enumerate()
-                .map(|(t, spec)| {
+                .map(|&t| {
                     let _s = rf_prof::span("pool.task");
                     let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(spec);
+                    let outcome = run_one(t);
                     if let Some(t0) = t0 {
                         rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
                     }
@@ -1086,10 +1178,10 @@ impl SimPool {
                 // thread here would make the profiler attribute both the
                 // worker's tasks and the caller's blocking join against
                 // the same wall time, double-counting coverage.
-                for (t, spec) in tasks.iter().enumerate() {
+                for &t in &order {
                     let _s = rf_prof::span("pool.task");
                     let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(spec);
+                    let outcome = run_one(t);
                     if let Some(t0) = t0 {
                         rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
                     }
@@ -1102,17 +1194,17 @@ impl SimPool {
             }
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let cursor = &cursor;
+                    let (cursor, order) = (&cursor, &order);
                     let run_one = &run_one;
                     scope.spawn(move || {
                         let worker_span = rf_prof::span("pool.worker");
                         let mut mine = Vec::new();
                         loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(spec) = tasks.get(t) else { break };
+                            let next = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(&t) = order.get(next) else { break };
                             let _s = rf_prof::span("pool.task");
                             let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                            let outcome = run_one(spec);
+                            let outcome = run_one(t);
                             if let Some(t0) = t0 {
                                 rf_obs::live::worker_task(
                                     w,
@@ -1134,7 +1226,7 @@ impl SimPool {
             let _merge = rf_prof::span("pool.merge");
             for handle in handles {
                 // Workers cannot panic — simulation panics are caught
-                // inside `try_simulate_cancellable` — so a join failure
+                // inside `run_task` — so a join failure
                 // here is a harness bug, not a model bug.
                 done.extend(handle.join().expect("simulation worker thread died"));
             }
@@ -1150,6 +1242,24 @@ impl Default for SimPool {
     fn default() -> Self {
         Self::from_env()
     }
+}
+
+/// Groups a batch's tasks by trace key — benchmark and seed — for
+/// [`SimPool`] to run group by group: groups in first-appearance order,
+/// task order kept inside each group. Batches put the benchmark
+/// innermost, so running them in task order would keep every
+/// benchmark's trace live for the whole batch.
+fn trace_groups(tasks: &[&RunSpec]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<(&str, u64), usize> = HashMap::new();
+    for (t, spec) in tasks.iter().enumerate() {
+        let g = *group_of.entry((spec.benchmark.as_str(), spec.seed)).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(t);
+    }
+    groups
 }
 
 /// Standard entry point for the figure/table harness binaries: strict
@@ -1494,6 +1604,47 @@ mod tests {
                 None => std::env::remove_var(var),
             }
         }
+    }
+
+    #[test]
+    fn trace_groups_are_contiguous_in_first_appearance_order() {
+        let spec = |bench: &str, seed: u64, commits: u64| RunSpec {
+            seed,
+            ..RunSpec::baseline(bench, 4).commits(commits)
+        };
+        let specs = [
+            spec("gcc1", 12, 100),
+            spec("ora", 12, 100),
+            spec("gcc1", 13, 100),
+            spec("ora", 12, 300),
+            spec("gcc1", 12, 200),
+            spec("ora", 13, 100),
+            spec("gcc1", 12, 100),
+        ];
+        let tasks: Vec<&RunSpec> = specs.iter().collect();
+        assert_eq!(
+            trace_groups(&tasks),
+            vec![vec![0, 4, 6], vec![1, 3], vec![2], vec![5]],
+        );
+        assert!(trace_groups(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_trace_group_frees_its_buffer_when_its_last_task_starts() {
+        let spec = RunSpec::baseline("compress", 4).commits(500);
+        let group = TraceGroup::new(800, 3);
+        let (first, built_ns) = group.claim(&spec, None, 0).expect("builds");
+        assert!(built_ns > 0);
+        assert_eq!(first.len(), 800);
+        let (second, again_ns) = group.claim(&spec, None, 0).expect("shares");
+        assert_eq!(again_ns, 0);
+        assert!(Arc::ptr_eq(&first, &second));
+        let (third, _) = group.claim(&spec, None, 0).expect("shares");
+        assert!(Arc::ptr_eq(&first, &third));
+        // The group no longer holds it: the running tasks' references are
+        // the only ones left.
+        assert_eq!(Arc::strong_count(&first), 3);
+        assert_eq!(TraceGroup::new(u64::MAX, 1).len, MAX_BUFFERED);
     }
 
     #[test]

@@ -93,3 +93,51 @@ fn tracing_does_not_perturb_parallel_or_cached_equivalence() {
     }
     assert_eq!(probe_a, probe_b);
 }
+
+/// A batch with the benchmark innermost, as the sweeps submit them: two
+/// seeds and two commit budgets per benchmark, so each trace group mixes
+/// budgets and the shorter runs stop inside the longer runs' buffer.
+fn shared_trace_batch(commits: [u64; 2]) -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    for budget in commits {
+        for seed in [12, 13] {
+            for benchmark in ["compress", "tomcatv", "espresso"] {
+                specs.push(RunSpec { seed, ..RunSpec::baseline(benchmark, 4).commits(budget) });
+            }
+        }
+    }
+    specs
+}
+
+#[test]
+fn shared_traces_match_per_spec_simulation() {
+    let specs = shared_trace_batch([3_000, 5_000]);
+    let one = SimPool::new(1).run_many_cached(&specs, &RunCache::disabled());
+    let three = SimPool::new(3).run_many_cached(&specs, &RunCache::disabled());
+    for (i, spec) in specs.iter().enumerate() {
+        let alone = simulate(spec);
+        assert_eq!(alone.committed, spec.commits);
+        assert_eq!(*one[i], alone, "spec {i} ({spec:?}) differs on one worker");
+        assert_eq!(*three[i], alone, "spec {i} ({spec:?}) differs on three workers");
+    }
+}
+
+#[test]
+fn grouped_batches_still_meet_deadlines() {
+    use rf_experiments::runner::{BatchOpts, RunError};
+    use std::time::Duration;
+
+    let specs = shared_trace_batch([4_000_000, 5_000_000]);
+    let out = SimPool::new(3).try_run_many_opts(
+        &specs,
+        &RunCache::new(),
+        BatchOpts::with_deadline(Duration::from_micros(50)),
+    );
+    assert_eq!(out.len(), specs.len());
+    for r in out {
+        match r {
+            Err(RunError::DeadlineExceeded { .. }) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+}

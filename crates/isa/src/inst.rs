@@ -181,6 +181,100 @@ impl Instruction {
     pub fn taken(&self) -> bool {
         self.taken
     }
+
+    /// Packs the kind, the registers, the branch outcome and whether the
+    /// instruction accesses memory into 32 bits. The PC and the memory
+    /// address stay outside the word: [`PackedInst::unpack`] takes them
+    /// back and restores the instruction exactly.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rf_isa::{ArchReg, Instruction};
+    ///
+    /// let ld = Instruction::load(ArchReg::fp(3), ArchReg::int(30), 0x2000).with_pc(0x1_0040);
+    /// let word = ld.pack();
+    /// assert!(word.has_mem());
+    /// assert_eq!(word.unpack(0x1_0040, 0x2000), ld);
+    /// ```
+    pub fn pack(&self) -> PackedInst {
+        PackedInst(
+            self.kind as u32
+                | u32::from(self.taken) << TAKEN_BIT
+                | u32::from(self.mem.is_some()) << MEM_BIT
+                | pack_reg(self.dest) << DEST_SHIFT
+                | pack_reg(self.srcs[0]) << SRC0_SHIFT
+                | pack_reg(self.srcs[1]) << SRC1_SHIFT,
+        )
+    }
+}
+
+// `PackedInst` layout, least significant bit first: kind (4 bits), taken,
+// has-memory-address, then three 7-bit register fields (present, class,
+// 5-bit index) for the destination and the two sources.
+const TAKEN_BIT: u32 = 4;
+const MEM_BIT: u32 = 5;
+const DEST_SHIFT: u32 = 6;
+const SRC0_SHIFT: u32 = 13;
+const SRC1_SHIFT: u32 = 20;
+const REG_PRESENT: u32 = 0x40;
+const REG_FP: u32 = 0x20;
+
+fn pack_reg(reg: Option<ArchReg>) -> u32 {
+    reg.map_or(0, |r| {
+        REG_PRESENT | if r.class() == RegClass::Fp { REG_FP } else { 0 } | u32::from(r.index())
+    })
+}
+
+/// Every 7-bit register field, decoded: a table lookup instead of the
+/// data-dependent branches a replayed trace would mispredict.
+static REGS: [Option<ArchReg>; 128] = {
+    let mut table = [None; 128];
+    let mut bits = 0;
+    while bits < 128 {
+        if bits as u32 & REG_PRESENT != 0 {
+            let class = if bits as u32 & REG_FP != 0 { RegClass::Fp } else { RegClass::Int };
+            table[bits] = Some(ArchReg::from_parts(class, (bits & 0x1f) as u8));
+        }
+        bits += 1;
+    }
+    table
+};
+
+#[inline]
+fn unpack_reg(word: u32, shift: u32) -> Option<ArchReg> {
+    REGS[(word >> shift & 0x7f) as usize]
+}
+
+/// An [`Instruction`] without its PC and memory address, packed into 32
+/// bits by [`Instruction::pack`]. A packed trace keeps the PCs and the
+/// addresses of loads and stores beside its words, so an instruction
+/// costs about 7 bytes instead of `Instruction`'s 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedInst(u32);
+
+impl PackedInst {
+    /// Whether the packed instruction accesses memory, and so needs its
+    /// address back to unpack.
+    #[inline]
+    pub fn has_mem(self) -> bool {
+        self.0 >> MEM_BIT & 1 != 0
+    }
+
+    /// Restores the instruction at `pc`; `addr` is its memory address,
+    /// ignored when [`PackedInst::has_mem`] is false.
+    #[inline]
+    pub fn unpack(self, pc: u64, addr: u64) -> Instruction {
+        let w = self.0;
+        Instruction {
+            kind: OpKind::ALL[(w & 0xf) as usize],
+            dest: unpack_reg(w, DEST_SHIFT),
+            srcs: [unpack_reg(w, SRC0_SHIFT), unpack_reg(w, SRC1_SHIFT)],
+            mem: self.has_mem().then_some(MemAccess { addr }),
+            pc,
+            taken: w >> TAKEN_BIT & 1 != 0,
+        }
+    }
 }
 
 impl fmt::Display for Instruction {
@@ -251,6 +345,37 @@ mod tests {
         assert_eq!(ld.dest().unwrap().class(), RegClass::Fp);
         // Address-forming source is an integer register.
         assert_eq!(ld.srcs()[0].unwrap().class(), RegClass::Int);
+    }
+
+    #[test]
+    fn kind_discriminants_index_all() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
+    }
+
+    #[test]
+    fn pack_roundtrips_every_shape() {
+        let (zi, zf) = (ArchReg::int(31), ArchReg::fp(31));
+        let insts = [
+            Instruction::int_alu(zi, [Some(zi), Some(ArchReg::int(30))]),
+            Instruction::int_mul(ArchReg::int(0), [Some(ArchReg::int(7)), None]),
+            Instruction::fp_op(zf, [Some(zf), Some(ArchReg::fp(0))]),
+            Instruction::fp_div(ArchReg::fp(30), [None, Some(ArchReg::fp(2))], true),
+            Instruction::fp_div(ArchReg::fp(1), [None, None], false),
+            Instruction::load(ArchReg::fp(5), ArchReg::int(30), u64::MAX),
+            Instruction::load(zi, zi, 0),
+            Instruction::store(zf, ArchReg::int(4), 0x10_0000_0008),
+            Instruction::cond_branch(0x4000_0ffc, true, Some(zi)),
+            Instruction::cond_branch(0, false, None),
+            Instruction::jump(Some(ArchReg::int(26)), None).with_pc(u64::MAX),
+        ];
+        for inst in insts {
+            let word = inst.pack();
+            assert_eq!(word.has_mem(), inst.mem().is_some(), "{inst}");
+            let addr = inst.mem().map_or(0, MemAccess::addr);
+            assert_eq!(word.unpack(inst.pc(), addr), inst, "{inst}");
+        }
     }
 
     #[test]

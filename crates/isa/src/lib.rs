@@ -37,7 +37,7 @@ mod op;
 mod parse;
 mod reg;
 
-pub use inst::{Instruction, MemAccess};
+pub use inst::{Instruction, MemAccess, PackedInst};
 pub use issue::{IssueClass, IssueLimits};
 pub use op::OpKind;
 pub use parse::ParseInstructionError;

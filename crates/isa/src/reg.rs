@@ -101,6 +101,12 @@ impl ArchReg {
         Self { class, index }
     }
 
+    /// As [`ArchReg::new`], for constant tables; `index` must be at most
+    /// 31.
+    pub(crate) const fn from_parts(class: RegClass, index: u8) -> Self {
+        Self { class, index }
+    }
+
     /// The register's class (integer or floating-point).
     #[inline]
     pub fn class(self) -> RegClass {

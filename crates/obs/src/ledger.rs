@@ -91,14 +91,15 @@ pub struct ProbeRecord {
 
 /// Self-profiling phase timers for one harness, in seconds.
 ///
-/// `generate` is trace-generator *construction* (generation itself is
-/// lazy and interleaves with simulation); `simulate` is CPU time inside
-/// `Pipeline::run` summed over workers (it can exceed wall time under
+/// `generate` is CPU time filling shared committed-path traces, each
+/// fill counted once however many simulations replay it; `simulate` is
+/// CPU time inside the pipeline summed over workers (it includes the
+/// replay and the wrong-path generation, and can exceed wall time under
 /// `RF_JOBS` parallelism); `aggregate` is the harness wall time not
 /// covered by the other two — report rendering and result folding.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseRecord {
-    /// Seconds constructing trace generators.
+    /// CPU-seconds filling shared committed-path traces.
     pub generate: f64,
     /// CPU-seconds inside the pipeline simulator.
     pub simulate: f64,

@@ -42,12 +42,14 @@ pub enum Counter {
     /// Idle-skip jumps the kernel took, over every completed pipeline
     /// run.
     WakeupEvents,
-    /// Nanoseconds spent constructing trace generators, summed over
-    /// workers (CPU time, not wall time). Generation itself is lazy and
-    /// interleaves with simulation, so its cost counts in `SimulateNs`.
+    /// Nanoseconds spent filling shared committed-path traces, summed
+    /// over workers (CPU time, not wall time). Each fill counts once, in
+    /// the task that builds it, however many simulations replay it.
     GenerateNs,
     /// Nanoseconds spent inside the pipeline, summed over workers (CPU
-    /// time, not wall time).
+    /// time, not wall time). Replaying the shared trace counts here, as
+    /// does generating the wrong path and any committed path past the
+    /// trace's end; filling the trace does not.
     SimulateNs,
     /// Run-cache lookups answered from memory.
     CacheHits,

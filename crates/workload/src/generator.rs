@@ -8,6 +8,7 @@ use crate::program::{sample_geometric, Slot, StaticProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rf_isa::{ArchReg, Instruction, OpKind, RegClass};
+use std::sync::Arc;
 
 /// Number of architectural registers per class used as rotating
 /// destinations. Leaving a few registers out of the rotation keeps some
@@ -60,16 +61,20 @@ impl WriterRing {
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: BenchmarkProfile,
-    program: StaticProgram,
+    /// Immutable once synthesized, so clones share it.
+    program: Arc<StaticProgram>,
     rng: SmallRng,
     rings: [WriterRing; 2],
+    /// The profile's shared streams, then one private array walk per
+    /// memory slot bound to a `Sequential` stream: real code's distinct
+    /// load sites walk distinct arrays, so their same-line re-references
+    /// recur one loop iteration apart (not back-to-back, which would
+    /// merge into the same outstanding fill and count as secondary
+    /// misses).
     streams: Vec<StreamState>,
-    /// Per-(loop, slot) private array walks for `Sequential` streams: real
-    /// code's distinct load sites walk distinct arrays, so their same-line
-    /// re-references recur one loop iteration apart (not back-to-back,
-    /// which would merge into the same outstanding fill and count as
-    /// secondary misses). Keyed densely by `loop_index * MAX_SLOTS + slot`.
-    slot_streams: Vec<Option<StreamState>>,
+    /// The index into `streams` each memory slot draws its addresses
+    /// from, keyed densely by `loop_index * max_slots + slot`.
+    slot_stream: Vec<u32>,
     max_slots: usize,
     /// Per-(loop, slot) dynamic-instance counters for `Pattern` sites.
     phases: Vec<Vec<u64>>,
@@ -100,9 +105,9 @@ impl TraceGenerator {
     /// dynamic behaviour (branch outcomes, loop trips, addresses), not
     /// the code structure.
     pub fn with_pc_base(profile: &BenchmarkProfile, seed: u64, pc_base: u64) -> Self {
-        let program = StaticProgram::synthesize(profile, program_seed(profile), pc_base);
+        let program = Arc::new(StaticProgram::synthesize(profile, program_seed(profile), pc_base));
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let streams = profile
+        let mut streams: Vec<StreamState> = profile
             .memory
             .streams
             .iter()
@@ -118,13 +123,14 @@ impl TraceGenerator {
             program.loops.iter().map(|l| vec![0u64; l.slots.len()]).collect();
         // Private array walks for sequential-bound memory slots.
         let max_slots = program.loops.iter().map(|l| l.slots.len()).max().unwrap_or(0);
-        let mut slot_streams = vec![None; program.loops.len() * max_slots];
+        let mut slot_stream = vec![0u32; program.loops.len() * max_slots];
         for (li, l) in program.loops.iter().enumerate() {
             for (si, slot) in l.slots.iter().enumerate() {
                 let stream = match *slot {
                     Slot::Load { stream, .. } | Slot::Store { stream, .. } => stream,
                     _ => continue,
                 };
+                slot_stream[li * max_slots + si] = stream as u32;
                 if let StreamKind::Sequential { bytes, stride } =
                     profile.memory.streams[stream].1
                 {
@@ -139,8 +145,8 @@ impl TraceGenerator {
                     // cache set forever.
                     let stagger = (uid.wrapping_mul(97) % 2048) * 32;
                     let base = 0x10_0000_0000 + uid * region + stagger;
-                    slot_streams[li * max_slots + si] =
-                        Some(StreamState::new(StreamKind::Sequential { bytes, stride }, base));
+                    slot_stream[li * max_slots + si] = streams.len() as u32;
+                    streams.push(StreamState::new(StreamKind::Sequential { bytes, stride }, base));
                 }
             }
         }
@@ -156,7 +162,7 @@ impl TraceGenerator {
             mean_trip: profile.branch.mean_trip,
             iteration_local_frac: profile.deps.iteration_local_frac,
             iter_writes: [0, 0],
-            slot_streams,
+            slot_stream,
             max_slots,
             cur_loop,
             slot: 0,
@@ -212,13 +218,10 @@ impl TraceGenerator {
 
     /// The next address for the memory slot currently being emitted:
     /// sequential-bound slots walk their private array, others draw from
-    /// the shared stream.
-    fn mem_addr(&mut self, stream: usize) -> u64 {
-        let key = self.cur_loop * self.max_slots + self.slot;
-        match self.slot_streams[key].as_mut() {
-            Some(s) => s.next_addr(&mut self.rng),
-            None => self.streams[stream].next_addr(&mut self.rng),
-        }
+    /// their shared stream.
+    fn mem_addr(&mut self) -> u64 {
+        let stream = self.slot_stream[self.cur_loop * self.max_slots + self.slot];
+        self.streams[stream as usize].next_addr(&mut self.rng)
     }
 
     fn emit_slot(&mut self) -> Instruction {
@@ -244,19 +247,19 @@ impl TraceGenerator {
                 }
                 .with_pc(pc)
             }
-            Slot::Load { stream, fp_dest, addr_d } => {
+            Slot::Load { fp_dest, addr_d, .. } => {
                 let base = self.src(RegClass::Int, addr_d);
-                let addr = self.mem_addr(stream);
+                let addr = self.mem_addr();
                 let class = if fp_dest { RegClass::Fp } else { RegClass::Int };
                 let dest = self.ring(class).alloc_dest();
                 self.note_write(class);
                 Instruction::load(dest, base, addr).with_pc(pc)
             }
-            Slot::Store { stream, fp_val, val_d, addr_d } => {
+            Slot::Store { fp_val, val_d, addr_d, .. } => {
                 let base = self.src(RegClass::Int, addr_d);
                 let class = if fp_val { RegClass::Fp } else { RegClass::Int };
                 let value = self.src(class, val_d);
-                let addr = self.mem_addr(stream);
+                let addr = self.mem_addr();
                 Instruction::store(value, base, addr).with_pc(pc)
             }
             Slot::CondBranch { behavior, cond_d } => {

@@ -26,7 +26,10 @@
 //! way they would on real code (the same sites recur, the same patterns
 //! repeat).
 //!
-//! All generation is deterministic given `(profile, seed)`.
+//! All generation is deterministic given `(profile, seed)`. That is what
+//! lets a [`SharedTrace`] generate one committed path once, pack it, and
+//! replay it through every simulation of the same `(profile, seed)`, as
+//! the original study replayed each ATOM trace through every machine.
 //!
 //! # Examples
 //!
@@ -51,6 +54,7 @@ mod memstream;
 mod mix;
 mod profile;
 mod program;
+mod shared;
 pub mod spec92;
 pub mod trace_io;
 
@@ -60,3 +64,4 @@ pub use memstream::{MemoryModel, StreamKind};
 pub use mix::InstructionMix;
 pub use profile::{BenchmarkProfile, BranchModel, DependencyModel, LoopModel};
 pub use program::{Slot, StaticProgram};
+pub use shared::{SharedTrace, TraceCursor};
