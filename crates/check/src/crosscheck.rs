@@ -168,7 +168,6 @@ pub fn config_for(p: &CheckParams) -> MachineConfig {
         .dispatch_queue(8 * p.width)
         .physical_regs(p.regs)
         .exceptions(p.exceptions)
-        .seed(p.seed)
 }
 
 /// Runs one sanitized simulation plus the static analysis of the same
@@ -211,7 +210,7 @@ pub fn cross_validate_cancellable(
         pipeline = pipeline.with_cancel(token.clone());
     }
     let (stats, sanitizer) = pipeline
-        .try_run_with_observed(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
+        .run(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
         .map_err(|c| cancelled(c.at_cycle))?;
     drop(shared);
 

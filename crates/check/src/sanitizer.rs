@@ -165,7 +165,7 @@ const MAX_STORED_VIOLATIONS: usize = 64;
 
 /// The sanitizer observer. Attach with
 /// [`Pipeline::with_observer`](rf_core::Pipeline::with_observer) and read
-/// the verdict back after [`run_observed`](rf_core::Pipeline::run_observed).
+/// the verdict back from [`run`](rf_core::Pipeline::run).
 #[derive(Debug)]
 pub struct Sanitizer {
     total: usize,

@@ -9,23 +9,24 @@
 
 use rf_check::{Fault, FaultInjector, Sanitizer, ViolationKind};
 use rf_core::{ExceptionModel, MachineConfig, Pipeline};
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, SharedTrace};
 
 const COMMITS: u64 = 3_000;
 const REGS: usize = 64;
 const SEED: u64 = 12;
 
 fn config(model: ExceptionModel) -> MachineConfig {
-    MachineConfig::new(4).dispatch_queue(32).physical_regs(REGS).exceptions(model).seed(SEED)
+    MachineConfig::new(4).dispatch_queue(32).physical_regs(REGS).exceptions(model)
 }
 
 /// Runs compress under `model` with `fault` injected into the observer
 /// stream; returns the sanitizer and whether the fault actually fired.
 fn run_with_fault(fault: Fault, model: ExceptionModel) -> (Sanitizer, bool) {
     let injector = FaultInjector::new(Sanitizer::new(REGS, model), fault);
-    let mut trace = TraceGenerator::new(&spec92::compress(), SEED);
-    let (_stats, injector) =
-        Pipeline::with_observer(config(model), injector).run_observed(&mut trace, COMMITS);
+    let trace = SharedTrace::new(&spec92::compress(), SEED, COMMITS as usize);
+    let (_stats, injector) = Pipeline::with_observer(config(model), injector)
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+        .expect("no cancel token");
     let fired = injector.fired();
     (injector.into_inner(), fired)
 }
@@ -40,9 +41,10 @@ fn violation_of(s: &Sanitizer, kind: ViolationKind) -> &rf_check::Violation {
 #[test]
 fn clean_run_has_no_violations_precise() {
     let sanitizer = Sanitizer::new(REGS, ExceptionModel::Precise);
-    let mut trace = TraceGenerator::new(&spec92::compress(), SEED);
+    let trace = SharedTrace::new(&spec92::compress(), SEED, COMMITS as usize);
     let (_stats, s) = Pipeline::with_observer(config(ExceptionModel::Precise), sanitizer)
-        .run_observed(&mut trace, COMMITS);
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+        .expect("no cancel token");
     assert!(s.is_clean(), "{}", s.report());
     assert!(s.events() > COMMITS, "hooks must fire at least once per instruction");
 }
@@ -50,9 +52,10 @@ fn clean_run_has_no_violations_precise() {
 #[test]
 fn clean_run_has_no_violations_imprecise() {
     let sanitizer = Sanitizer::new(REGS, ExceptionModel::Imprecise);
-    let mut trace = TraceGenerator::new(&spec92::compress(), SEED);
+    let trace = SharedTrace::new(&spec92::compress(), SEED, COMMITS as usize);
     let (_stats, s) = Pipeline::with_observer(config(ExceptionModel::Imprecise), sanitizer)
-        .run_observed(&mut trace, COMMITS);
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+        .expect("no cancel token");
     assert!(s.is_clean(), "{}", s.report());
 }
 

@@ -74,19 +74,19 @@ proptest! {
         use rf_check::{analyze, Sanitizer};
         use rf_core::{LiveModel, MachineConfig, Pipeline};
         use rf_isa::RegClass;
-        use rf_workload::TraceGenerator;
+        use rf_workload::{SharedTrace, TraceGenerator};
 
         let model = if precise { ExceptionModel::Precise } else { ExceptionModel::Imprecise };
         let regs = 64;
         let config = MachineConfig::new(4)
             .dispatch_queue(32)
             .physical_regs(regs)
-            .exceptions(model)
-            .seed(seed);
+            .exceptions(model);
         let insert_bw = config.effective_insert_bandwidth();
-        let mut trace = TraceGenerator::new(&profile, seed);
+        let trace = SharedTrace::new(&profile, seed, 1_500);
         let (stats, sanitizer) = Pipeline::with_observer(config, Sanitizer::new(regs, model))
-            .run_observed(&mut trace, 1_500);
+            .run(&mut trace.cursor(), &mut trace.wrong_path(), 1_500)
+            .expect("no cancel token");
         prop_assert!(sanitizer.is_clean(), "{}", sanitizer.report());
 
         let prefix: Vec<_> =

@@ -98,7 +98,6 @@ pub struct MachineConfig {
     exceptions: ExceptionModel,
     cache_org: CacheOrg,
     cache_config: CacheConfig,
-    seed: u64,
     sched: SchedPolicy,
     insert_bw: Option<usize>,
     split_queues: bool,
@@ -127,7 +126,6 @@ impl MachineConfig {
             exceptions: ExceptionModel::Precise,
             cache_org: CacheOrg::LockupFree,
             cache_config: CacheConfig::baseline(),
-            seed: 1,
             sched: SchedPolicy::OldestFirst,
             insert_bw: None,
             split_queues: false,
@@ -179,12 +177,6 @@ impl MachineConfig {
     /// Overrides the data-cache geometry.
     pub fn cache_config(mut self, config: CacheConfig) -> Self {
         self.cache_config = config;
-        self
-    }
-
-    /// Sets the simulation seed (wrong-path generation).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -321,11 +313,6 @@ impl MachineConfig {
         self.cache_config
     }
 
-    /// The simulation seed.
-    pub fn sim_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The scheduler policy.
     pub fn sched_policy(&self) -> SchedPolicy {
         self.sched
@@ -370,13 +357,11 @@ mod tests {
             .dispatch_queue(16)
             .physical_regs(48)
             .exceptions(ExceptionModel::Imprecise)
-            .cache(CacheOrg::Lockup)
-            .seed(99);
+            .cache(CacheOrg::Lockup);
         assert_eq!(c.dq_size(), 16);
         assert_eq!(c.phys_regs(), 48);
         assert_eq!(c.exception_model(), ExceptionModel::Imprecise);
         assert_eq!(c.cache_org(), CacheOrg::Lockup);
-        assert_eq!(c.sim_seed(), 99);
     }
 
     #[test]

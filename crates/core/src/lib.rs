@@ -36,7 +36,7 @@
 //! ```
 //! use rf_core::{ExceptionModel, MachineConfig, Pipeline};
 //! use rf_mem::CacheOrg;
-//! use rf_workload::{spec92, TraceGenerator};
+//! use rf_workload::{spec92, SharedTrace};
 //!
 //! let config = MachineConfig::new(4)
 //!     .dispatch_queue(32)
@@ -44,8 +44,11 @@
 //!     .exceptions(ExceptionModel::Precise)
 //!     .cache(CacheOrg::LockupFree);
 //!
-//! let mut trace = TraceGenerator::new(&spec92::compress(), 1);
-//! let stats = Pipeline::new(config).run(&mut trace, 10_000);
+//! // The committed path of (compress, seed 1) and its wrong-path stream.
+//! let trace = SharedTrace::new(&spec92::compress(), 1, 10_000);
+//! let (stats, _) = Pipeline::new(config)
+//!     .run(&mut trace.cursor(), &mut trace.wrong_path(), 10_000)
+//!     .expect("no cancel token attached");
 //! assert_eq!(stats.committed, 10_000);
 //! assert!(stats.commit_ipc() > 0.5 && stats.issue_ipc() >= stats.commit_ipc());
 //! ```

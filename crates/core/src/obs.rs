@@ -7,7 +7,8 @@
 //! attribution. Because the pipeline is *monomorphized* over the observer
 //! type and every `NullObserver` method is an empty `#[inline]` body, an
 //! unobserved pipeline compiles to exactly the code it had before the
-//! hook existed — `cargo bench` and existing callers pay nothing.
+//! hook existed — rfbench's sweeps and every other untraced caller pay
+//! nothing.
 //!
 //! The `rf-obs` crate builds recorders, metric registries and trace
 //! exporters (Chrome trace-event JSON, text timelines) on top of this

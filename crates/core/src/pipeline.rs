@@ -13,7 +13,6 @@ use rf_bpred::AnyPredictor;
 use rf_isa::{Instruction, IssueClass, IssueLimits, OpKind, RegClass};
 use rf_mem::{DataCache, InstructionCache};
 use crate::arena::{self, RunBuffers};
-use rf_workload::{TraceGenerator, WrongPathGenerator};
 use rf_prof::counters::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,10 +70,10 @@ enum IdleStall {
 ///
 /// Cloning the token shares the underlying flag. Attach it with
 /// [`Pipeline::with_cancel`]; the cycle loop polls it every
-/// [`CANCEL_POLL_MASK`]` + 1` cycles and a fallible run
-/// ([`Pipeline::try_run`]) returns [`Cancelled`] once it fires. A token
-/// can only transition idle → cancelled; there is no reset, so a token
-/// must not be reused across batches.
+/// [`CANCEL_POLL_MASK`]` + 1` cycles and [`Pipeline::run`] returns
+/// [`Cancelled`] once it fires. A token can only transition idle →
+/// cancelled; there is no reset, so a token must not be reused across
+/// batches.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -119,16 +118,16 @@ impl std::error::Error for Cancelled {}
 /// The simulated out-of-order processor.
 ///
 /// Construct with a [`MachineConfig`], then [`run`](Pipeline::run) it over
-/// a workload trace. The pipeline owns all microarchitectural state —
-/// rename maps, dispatch queue, active list, branch predictor, data cache,
-/// register files — and produces a [`SimStats`].
+/// a committed-path trace and a wrong-path stream. The pipeline owns all
+/// microarchitectural state — rename maps, dispatch queue, active list,
+/// branch predictor, data cache, register files — and produces a
+/// [`SimStats`].
 ///
 /// The type is generic over an [`Observer`] (default [`NullObserver`],
 /// which monomorphizes every hook away). Attach a recorder with
-/// [`Pipeline::with_observer`] and retrieve it alongside the statistics
-/// via [`Pipeline::run_observed`]. An observer can never change the
-/// simulated schedule: a traced run produces byte-identical `SimStats` to
-/// an untraced one.
+/// [`Pipeline::with_observer`]; [`Pipeline::run`] returns it alongside
+/// the statistics. An observer can never change the simulated schedule:
+/// a traced run produces byte-identical `SimStats` to an untraced one.
 ///
 /// See the [crate-level documentation](crate) for the modelled machine and
 /// an example.
@@ -206,8 +205,8 @@ impl Pipeline<NullObserver> {
 
 impl<O: Observer> Pipeline<O> {
     /// As [`Pipeline::new`], but with `obs` attached to every lifecycle
-    /// and stall hook. Retrieve it after the run with
-    /// [`Pipeline::run_observed`].
+    /// and stall hook. [`Pipeline::run`] hands it back with the
+    /// statistics.
     pub fn with_observer(config: MachineConfig, mut obs: O) -> Self {
         let limits = config.limits();
         let cache = config.cache_geometry().build(config.cache_org());
@@ -303,11 +302,10 @@ impl<O: Observer> Pipeline<O> {
     }
 
     /// Attaches a cooperative cancellation token. Once the token fires,
-    /// the fallible run variants ([`Pipeline::try_run`] and friends)
-    /// return [`Cancelled`] within [`CANCEL_POLL_MASK`]` + 1` cycles; the
-    /// infallible variants panic. A token that never fires has no effect
-    /// on the simulated schedule: statistics are byte-identical with or
-    /// without one attached.
+    /// [`Pipeline::run`] returns [`Cancelled`] within
+    /// [`CANCEL_POLL_MASK`]` + 1` cycles. A token that never fires has no
+    /// effect on the simulated schedule: statistics are byte-identical
+    /// with or without one attached.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -348,106 +346,27 @@ impl<O: Observer> Pipeline<O> {
         self.dq_counts[0] + self.dq_counts[1]
     }
 
-    /// Runs the pipeline over a workload trace until `n_commits`
-    /// instructions have committed, generating wrong-path instructions
-    /// from the trace's own profile. Returns the accumulated statistics.
-    pub fn run(self, trace: &mut TraceGenerator, n_commits: u64) -> SimStats {
-        self.run_observed(trace, n_commits).0
-    }
-
-    /// As [`run`](Pipeline::run), but also returns the observer so that
-    /// whatever it recorded can be inspected or exported.
-    pub fn run_observed(self, trace: &mut TraceGenerator, n_commits: u64) -> (SimStats, O) {
-        let mut wrong_path =
-            WrongPathGenerator::new(trace.profile(), self.config.sim_seed());
-        self.run_with_observed(trace, &mut wrong_path, n_commits)
-    }
-
-    /// As [`run`](Pipeline::run), but returns [`Cancelled`] instead of
-    /// panicking when the attached [`CancelToken`] fires. The pipeline is
-    /// consumed either way: a cancelled run yields no statistics.
+    /// Runs the pipeline until `n_commits` instructions have committed,
+    /// fetching the committed path from `trace` and wrong-path
+    /// instructions from `wrong_path`. If `trace` ends first, the
+    /// pipeline drains and returns early. Returns the accumulated
+    /// statistics and the observer, so that whatever it recorded can be
+    /// inspected or exported.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the token attached with
-    /// [`Pipeline::with_cancel`] fired before the commit target was
-    /// reached.
-    pub fn try_run(
-        self,
-        trace: &mut TraceGenerator,
-        n_commits: u64,
-    ) -> Result<SimStats, Cancelled> {
-        self.try_run_observed(trace, n_commits).map(|(stats, _)| stats)
-    }
-
-    /// As [`run_observed`](Pipeline::run_observed), but cancellable; see
-    /// [`Pipeline::try_run`].
+    /// Cancellation is cooperative — an attached [`CancelToken`] is
+    /// polled every [`CANCEL_POLL_MASK`]` + 1` cycles — and destructive:
+    /// the pipeline state is dropped, so a cancelled run can never leak a
+    /// truncated [`SimStats`].
     ///
     /// # Errors
     ///
     /// Returns [`Cancelled`] when the attached token fires mid-run.
-    pub fn try_run_observed(
-        self,
-        trace: &mut TraceGenerator,
-        n_commits: u64,
-    ) -> Result<(SimStats, O), Cancelled> {
-        let mut wrong_path =
-            WrongPathGenerator::new(trace.profile(), self.config.sim_seed());
-        self.try_run_with_observed(trace, &mut wrong_path, n_commits)
-    }
-
-    /// As [`run`](Pipeline::run), but with an explicit wrong-path
-    /// instruction source. If the main trace ends before `n_commits`, the
-    /// pipeline drains and returns early.
     ///
     /// # Panics
     ///
     /// Panics if the machine makes no commit progress for an extended
     /// period (a deadlock, indicating a model bug).
-    pub fn run_with(
-        self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
-        n_commits: u64,
-    ) -> SimStats {
-        self.run_with_observed(trace, wrong_path, n_commits).0
-    }
-
-    /// As [`run_with`](Pipeline::run_with), but also returns the
-    /// observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on deadlock, as [`run_with`](Pipeline::run_with), and when
-    /// an attached [`CancelToken`] fires (use
-    /// [`try_run_with_observed`](Pipeline::try_run_with_observed) to
-    /// handle cancellation as a value instead).
-    pub fn run_with_observed(
-        self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
-        n_commits: u64,
-    ) -> (SimStats, O) {
-        self.try_run_with_observed(trace, wrong_path, n_commits)
-            .unwrap_or_else(|c| panic!("{c}"))
-    }
-
-    /// The fallible core of every run variant: advances the machine until
-    /// the commit target is reached (or the trace drains), returning
-    /// [`Cancelled`] as soon as an attached [`CancelToken`] is observed
-    /// fired. Cancellation is cooperative — the token is polled every
-    /// [`CANCEL_POLL_MASK`]` + 1` cycles — and destructive: the pipeline
-    /// state is dropped, so a cancelled run can never leak a truncated
-    /// [`SimStats`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] when the attached token fires mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on deadlock, as [`run_with`](Pipeline::run_with).
-    pub fn try_run_with_observed(
+    pub fn run(
         mut self,
         trace: &mut dyn Iterator<Item = Instruction>,
         wrong_path: &mut dyn Iterator<Item = Instruction>,
@@ -555,18 +474,6 @@ impl<O: Observer> Pipeline<O> {
             wait_heads,
         }));
         Ok((stats, obs))
-    }
-
-    /// Advances the machine one cycle. Exposed for microbenchmarks and
-    /// diagnostics that need the raw stepping rate; the run variants
-    /// drive this in a loop with commit targets, cancellation, deadlock
-    /// detection, and the event-driven kernel layered on top.
-    pub fn step_cycle(
-        &mut self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
-    ) {
-        self.step(trace, wrong_path);
     }
 
     /// Advances the machine one cycle.
@@ -1673,8 +1580,7 @@ mod tests {
                             .physical_regs(regs)
                             .cache(CacheOrg::Lockup)
                             .exceptions(model)
-                            .split_dispatch_queues(true)
-                            .seed(seed),
+                            .split_dispatch_queues(true),
                     );
                     for _ in 0..4_000 {
                         p.step(&mut trace, &mut wp);
@@ -1692,11 +1598,12 @@ mod tests {
     fn prefired_cancel_token_stops_the_run_early() {
         let profile = rf_workload::spec92::compress();
         let mut trace = rf_workload::TraceGenerator::new(&profile, 2);
+        let mut wp = rf_workload::WrongPathGenerator::new(&profile, 1);
         let token = CancelToken::new();
         token.cancel();
         let err = Pipeline::new(MachineConfig::new(4))
             .with_cancel(token)
-            .try_run(&mut trace, 1_000_000)
+            .run(&mut trace, &mut wp, 1_000_000)
             .unwrap_err();
         // The poll fires on the first masked cycle boundary, long before
         // a million commits would have completed.
@@ -1709,11 +1616,12 @@ mod tests {
         let profile = rf_workload::spec92::espresso();
         let run = |with_token: bool| {
             let mut trace = rf_workload::TraceGenerator::new(&profile, 7);
-            let mut p = Pipeline::new(MachineConfig::new(4).seed(7));
+            let mut wp = rf_workload::WrongPathGenerator::new(&profile, 7);
+            let mut p = Pipeline::new(MachineConfig::new(4));
             if with_token {
                 p = p.with_cancel(CancelToken::new());
             }
-            p.try_run(&mut trace, 3_000).expect("token never fires")
+            p.run(&mut trace, &mut wp, 3_000).expect("token never fires").0
         };
         assert_eq!(run(false), run(true));
     }
@@ -1725,7 +1633,7 @@ mod tests {
         let profile = rf_workload::spec92::compress();
         let mut trace = rf_workload::TraceGenerator::new(&profile, 3);
         let mut wp = rf_workload::WrongPathGenerator::new(&profile, 3);
-        let mut p = Pipeline::new(MachineConfig::new(4).physical_regs(34).seed(3));
+        let mut p = Pipeline::new(MachineConfig::new(4).physical_regs(34));
         let mut last_progress = (0u64, 0u64);
         for _ in 0..50_000 {
             let before = p.stats.inserted;
@@ -1749,6 +1657,7 @@ mod tests {
         // run that would otherwise never reach its commit target.
         let profile = rf_workload::spec92::compress();
         let mut trace = rf_workload::TraceGenerator::new(&profile, 5);
+        let mut wp = rf_workload::WrongPathGenerator::new(&profile, 5);
         let token = CancelToken::new();
         let t = token.clone();
         let canceller = std::thread::spawn(move || {
@@ -1756,9 +1665,9 @@ mod tests {
             t.cancel();
         });
         let start = std::time::Instant::now();
-        let err = Pipeline::new(MachineConfig::new(4).physical_regs(33).seed(5))
+        let err = Pipeline::new(MachineConfig::new(4).physical_regs(33))
             .with_cancel(token)
-            .try_run(&mut trace, u64::MAX)
+            .run(&mut trace, &mut wp, u64::MAX)
             .unwrap_err();
         canceller.join().expect("canceller thread exits cleanly");
         assert!(err.at_cycle > 0);
@@ -1766,17 +1675,4 @@ mod tests {
             start.elapsed() < std::time::Duration::from_secs(30),
             "cancellation observed promptly"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "cancelled at cycle")]
-    fn infallible_run_panics_on_cancellation() {
-        let profile = rf_workload::spec92::compress();
-        let mut trace = rf_workload::TraceGenerator::new(&profile, 2);
-        let token = CancelToken::new();
-        token.cancel();
-        let _ = Pipeline::new(MachineConfig::new(4))
-            .with_cancel(token)
-            .run(&mut trace, 1_000_000);
-    }
-}
+    }}

@@ -3,14 +3,18 @@
 
 use rf_core::{ExceptionModel, LiveModel, MachineConfig, Pipeline, SimStats};
 use rf_isa::RegClass;
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, TraceGenerator, WrongPathGenerator};
 
 const COMMITS: u64 = 10_000;
 
 fn run(bench: &str, config: MachineConfig) -> SimStats {
     let profile = spec92::by_name(bench).expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, 17);
-    Pipeline::new(config).run(&mut trace, COMMITS)
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+    Pipeline::new(config)
+        .run(&mut trace, &mut wrong_path, COMMITS)
+        .expect("no cancel token")
+        .0
 }
 
 #[test]
@@ -125,7 +129,11 @@ fn instruction_cache_stays_under_one_percent_and_costs_little() {
     let long_run = |config: MachineConfig| {
         let profile = spec92::by_name("espresso").expect("known");
         let mut trace = TraceGenerator::new(&profile, 17);
-        Pipeline::new(config).run(&mut trace, 60_000)
+        let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+        Pipeline::new(config)
+            .run(&mut trace, &mut wrong_path, 60_000)
+            .expect("no cancel token")
+            .0
     };
     let without = long_run(MachineConfig::new(4).dispatch_queue(32));
     let with = long_run(

@@ -24,7 +24,10 @@ fn run_seq(config: MachineConfig, insts: Vec<Instruction>) -> SimStats {
         ArchReg::int(7),
         [Some(ArchReg::int(8)), None],
     ));
-    Pipeline::new(config).run_with(&mut trace, &mut wrong_path, n)
+    Pipeline::new(config)
+        .run(&mut trace, &mut wrong_path, n)
+        .expect("no cancel token")
+        .0
 }
 
 fn four_way() -> MachineConfig {
@@ -252,6 +255,9 @@ fn trace_exhaustion_drains_cleanly() {
     // and returns early with exactly the trace's length committed.
     let mut trace = vec![alu(0, 1), alu(2, 3)].into_iter();
     let mut wp = std::iter::empty();
-    let stats = Pipeline::new(four_way()).run_with(&mut trace, &mut wp, 100);
+    let stats = Pipeline::new(four_way())
+        .run(&mut trace, &mut wp, 100)
+        .expect("no cancel token")
+        .0;
     assert_eq!(stats.committed, 2);
 }

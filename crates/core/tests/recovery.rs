@@ -13,7 +13,10 @@ fn run_seq(config: MachineConfig, insts: Vec<Instruction>) -> SimStats {
         ArchReg::int(7),
         [Some(ArchReg::int(8)), None],
     ));
-    Pipeline::new(config).run_with(&mut trace, &mut wrong_path, n)
+    Pipeline::new(config)
+        .run(&mut trace, &mut wrong_path, n)
+        .expect("no cancel token")
+        .0
 }
 
 fn alu(dest: u8, src: u8) -> Instruction {
@@ -78,7 +81,10 @@ fn squashed_wrong_path_loads_cancel_their_fills() {
     ];
     let n = seq.len() as u64;
     let mut trace = seq.into_iter();
-    let stats = Pipeline::new(config).run_with(&mut trace, &mut wp_loads, n);
+    let stats = Pipeline::new(config)
+        .run(&mut trace, &mut wp_loads, n)
+        .expect("no cancel token")
+        .0;
     assert_eq!(stats.committed, 2);
     assert!(
         stats.cache.fills_cancelled > 0,
@@ -133,6 +139,9 @@ fn lockup_cache_survives_recovery_while_locked() {
     ];
     let n = seq.len() as u64;
     let mut trace = seq.into_iter();
-    let stats = Pipeline::new(config).run_with(&mut trace, &mut wp_loads, n);
+    let stats = Pipeline::new(config)
+        .run(&mut trace, &mut wp_loads, n)
+        .expect("no cancel token")
+        .0;
     assert_eq!(stats.committed, 3);
 }

@@ -8,15 +8,19 @@
 //! serial `ora`), and tomcatv gains the most from width.
 
 use rf_core::{MachineConfig, Pipeline};
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, TraceGenerator, WrongPathGenerator};
 
 const N: u64 = 60_000;
 
 fn run(name: &str, width: usize, dq: usize) -> rf_core::SimStats {
     let profile = spec92::by_name(name).expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, 7);
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
     let config = MachineConfig::new(width).dispatch_queue(dq).physical_regs(2048);
-    Pipeline::new(config).run(&mut trace, N)
+    Pipeline::new(config)
+        .run(&mut trace, &mut wrong_path, N)
+        .expect("no cancel token")
+        .0
 }
 
 #[test]

@@ -18,7 +18,7 @@ use rf_obs::ledger::{
     SanitizerRecord, StoreRecord, TelemetryRecord,
 };
 use rf_obs::Recorder;
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, SharedTrace};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,9 +84,11 @@ pub fn probe(bench: &str, commits: u64) -> ProbeRecord {
     let spec = RunSpec::baseline(bench, 4).commits(commits);
     let profile =
         spec92::by_name(bench).unwrap_or_else(|| panic!("unknown probe benchmark {bench:?}"));
-    let mut trace = TraceGenerator::new(&profile, spec.seed);
+    let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+    let trace = SharedTrace::new(&profile, spec.seed, len);
     let (stats, mut rec) = Pipeline::with_observer(spec.machine_config(), Recorder::unbounded())
-        .run_observed(&mut trace, commits);
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+        .expect("no cancel token");
     rec.seal();
     let pcts = |name: &str| {
         rec.metrics()

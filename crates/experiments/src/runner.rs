@@ -294,8 +294,7 @@ impl RunSpec {
             .cache_config(self.cache_geometry)
             .scheduling(self.policy)
             .predictor(self.predictor)
-            .split_dispatch_queues(self.split_dq)
-            .seed(self.seed);
+            .split_dispatch_queues(self.split_dq);
         if let Some(bw) = self.insert_bw {
             config = config.insert_bandwidth(bw);
         }
@@ -411,11 +410,6 @@ pub fn try_simulate(spec: &RunSpec) -> Result<SimStats, RunError> {
     run_task(spec, &TraceGroup::new(spec.commits, 1), None, 0)
 }
 
-/// The most committed-path instructions one [`SharedTrace`] buffers
-/// (about 7 MB). A longer run reads the rest from its cursor's tail
-/// generator, so a huge commit budget costs time, not memory.
-const MAX_BUFFERED: u64 = 1 << 20;
-
 /// The tasks of one batch that share a trace key — benchmark and seed —
 /// and so read one [`SharedTrace`]. The group's first task to start
 /// builds the trace; the last task to start takes it out of the group,
@@ -424,7 +418,7 @@ const MAX_BUFFERED: u64 = 1 << 20;
 #[derive(Debug)]
 struct TraceGroup {
     /// Instructions to buffer: the group's largest commit budget, capped
-    /// at [`MAX_BUFFERED`].
+    /// at [`SharedTrace::MAX_BUFFERED`].
     len: u64,
     slot: Mutex<GroupSlot>,
 }
@@ -438,7 +432,7 @@ struct GroupSlot {
 impl TraceGroup {
     fn new(max_commits: u64, tasks: usize) -> Self {
         Self {
-            len: max_commits.min(MAX_BUFFERED),
+            len: max_commits.min(SharedTrace::MAX_BUFFERED),
             slot: Mutex::new(GroupSlot { trace: None, unstarted: tasks }),
         }
     }
@@ -524,11 +518,7 @@ fn run_task(
     // its state can never be observed again, which is what makes the
     // unwind boundary safe to assert across.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pipeline.try_run_with_observed(
-            &mut trace.cursor(),
-            &mut trace.wrong_path(),
-            spec.commits,
-        )
+        pipeline.run(&mut trace.cursor(), &mut trace.wrong_path(), spec.commits)
     }));
     let stats = match caught {
         Ok(Ok((stats, _))) => stats,
@@ -1644,7 +1634,7 @@ mod tests {
         // The group no longer holds it: the running tasks' references are
         // the only ones left.
         assert_eq!(Arc::strong_count(&first), 3);
-        assert_eq!(TraceGroup::new(u64::MAX, 1).len, MAX_BUFFERED);
+        assert_eq!(TraceGroup::new(u64::MAX, 1).len, SharedTrace::MAX_BUFFERED);
     }
 
     #[test]
@@ -1671,6 +1661,5 @@ mod tests {
         assert_eq!(config.reorder_capacity(), Some(32));
         assert!(config.has_split_queues());
         assert!(config.icache_config().is_some());
-        assert_eq!(config.sim_seed(), 12);
     }
 }

@@ -217,6 +217,7 @@ const MEM_BIT: u32 = 5;
 const DEST_SHIFT: u32 = 6;
 const SRC0_SHIFT: u32 = 13;
 const SRC1_SHIFT: u32 = 20;
+const SPARE_SHIFT: u32 = 27;
 const REG_PRESENT: u32 = 0x40;
 const REG_FP: u32 = 0x20;
 
@@ -254,6 +255,54 @@ fn unpack_reg(word: u32, shift: u32) -> Option<ArchReg> {
 pub struct PackedInst(u32);
 
 impl PackedInst {
+    /// Validates a word read from outside the program, such as a trace
+    /// file. Accepts exactly the words [`Instruction::pack`] produces: a
+    /// known kind, zero spare bits, a taken bit only on a conditional
+    /// branch, a memory bit iff the kind is a load or store, absent
+    /// register fields all zero, never the zero register as destination,
+    /// and the registers each kind's constructor requires.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rf_isa::{ArchReg, Instruction, PackedInst};
+    ///
+    /// let st = Instruction::store(ArchReg::fp(2), ArchReg::int(7), 0x40);
+    /// assert_eq!(PackedInst::from_bits(st.pack().bits()), Some(st.pack()));
+    /// assert_eq!(PackedInst::from_bits(u32::MAX), None);
+    /// ```
+    pub fn from_bits(bits: u32) -> Option<PackedInst> {
+        let kind = *OpKind::ALL.get((bits & 0xf) as usize)?;
+        let field = |shift: u32| bits >> shift & 0x7f;
+        let [dest, src0, src1] =
+            [DEST_SHIFT, SRC0_SHIFT, SRC1_SHIFT].map(|shift| unpack_reg(bits, shift));
+        let is_int = |reg: Option<ArchReg>| reg.is_some_and(|r| r.class() == RegClass::Int);
+        let registers = match kind {
+            OpKind::IntAlu | OpKind::IntMul | OpKind::FpOp | OpKind::FpDiv32 | OpKind::FpDiv64 => {
+                dest.is_none_or(|d| d.class() == kind.default_reg_class())
+            }
+            OpKind::Load => is_int(src0) && src1.is_none(),
+            OpKind::Store => dest.is_none() && is_int(src0) && src1.is_some(),
+            OpKind::CondBranch => dest.is_none() && src1.is_none(),
+            OpKind::Jump => src1.is_none(),
+        };
+        let valid = bits >> SPARE_SHIFT == 0
+            && registers
+            && (bits >> TAKEN_BIT & 1 == 0 || kind == OpKind::CondBranch)
+            && (bits >> MEM_BIT & 1 != 0) == kind.is_mem()
+            && dest.is_none_or(|d| !d.is_zero())
+            && [DEST_SHIFT, SRC0_SHIFT, SRC1_SHIFT]
+                .into_iter()
+                .all(|shift| field(shift) & REG_PRESENT != 0 || field(shift) == 0);
+        valid.then_some(PackedInst(bits))
+    }
+
+    /// The raw 32-bit word, as a trace file stores it.
+    #[inline]
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+
     /// Whether the packed instruction accesses memory, and so needs its
     /// address back to unpack.
     #[inline]
@@ -372,6 +421,7 @@ mod tests {
         ];
         for inst in insts {
             let word = inst.pack();
+            assert_eq!(PackedInst::from_bits(word.bits()), Some(word), "{inst}");
             assert_eq!(word.has_mem(), inst.mem().is_some(), "{inst}");
             let addr = inst.mem().map_or(0, MemAccess::addr);
             assert_eq!(word.unpack(inst.pc(), addr), inst, "{inst}");

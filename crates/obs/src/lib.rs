@@ -44,7 +44,7 @@
 //!   endpoint, and the `rfstudy top` terminal view.
 //!
 //! A traced run is driven through `Pipeline::with_observer` +
-//! `run_observed`; because the observer only receives copies of pipeline
+//! `Pipeline::run`, which hands the observer back; because the observer only receives copies of pipeline
 //! state, a traced run's `SimStats` are byte-identical to an untraced
 //! run's (asserted by this crate's determinism tests).
 

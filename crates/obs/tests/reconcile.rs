@@ -5,15 +5,17 @@
 use rf_core::{EventKind, ExceptionModel, MachineConfig, NullObserver, Pipeline, SimStats};
 use rf_mem::CacheOrg;
 use rf_obs::{chrome_trace, json, reconcile, summary, text_timeline, Recorder};
-use rf_workload::{spec92, TraceGenerator};
+use rf_workload::{spec92, TraceGenerator, WrongPathGenerator};
 
 const COMMITS: u64 = 2_000;
 
 fn traced(bench: &str, seed: u64, config: MachineConfig) -> (SimStats, Recorder) {
     let profile = spec92::by_name(bench).expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, seed);
-    let (stats, mut rec) =
-        Pipeline::with_observer(config, Recorder::unbounded()).run_observed(&mut trace, COMMITS);
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+    let (stats, mut rec) = Pipeline::with_observer(config, Recorder::unbounded())
+        .run(&mut trace, &mut wrong_path, COMMITS)
+        .expect("no cancel token");
     rec.seal();
     (stats, rec)
 }
@@ -21,7 +23,11 @@ fn traced(bench: &str, seed: u64, config: MachineConfig) -> (SimStats, Recorder)
 fn untraced(bench: &str, seed: u64, config: MachineConfig) -> SimStats {
     let profile = spec92::by_name(bench).expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, seed);
-    Pipeline::<NullObserver>::new(config).run(&mut trace, COMMITS)
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+    Pipeline::<NullObserver>::new(config)
+        .run(&mut trace, &mut wrong_path, COMMITS)
+        .expect("no cancel token")
+        .0
 }
 
 /// Machine shapes chosen to exercise every stall cause: generous,
@@ -152,9 +158,11 @@ fn summary_and_timeline_render_for_a_real_run() {
 fn windowed_recorder_keeps_totals_exact() {
     let profile = spec92::by_name("doduc").expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, 21);
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
     let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(96);
-    let (stats, mut rec) =
-        Pipeline::with_observer(config, Recorder::with_window(200)).run_observed(&mut trace, COMMITS);
+    let (stats, mut rec) = Pipeline::with_observer(config, Recorder::with_window(200))
+        .run(&mut trace, &mut wrong_path, COMMITS)
+        .expect("no cancel token");
     rec.seal();
     reconcile(&rec, &stats).expect("windowing must not disturb run-wide aggregates");
     // But the window must actually bound the retained detail.

@@ -60,7 +60,6 @@ impl WriterRing {
 /// an example.
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
-    profile: BenchmarkProfile,
     /// Immutable once synthesized, so clones share it.
     program: Arc<StaticProgram>,
     rng: SmallRng,
@@ -86,7 +85,6 @@ pub struct TraceGenerator {
     cur_loop: usize,
     slot: usize,
     trips_left: u64,
-    emitted: u64,
 }
 
 impl TraceGenerator {
@@ -153,7 +151,6 @@ impl TraceGenerator {
         let cur_loop = rng.gen_range(0..program.loops.len());
         let trips_left = sample_geometric(&mut rng, profile.branch.mean_trip, 1 << 20);
         Self {
-            profile: profile.clone(),
             program,
             rng,
             rings: [WriterRing::new(RegClass::Int), WriterRing::new(RegClass::Fp)],
@@ -167,28 +164,7 @@ impl TraceGenerator {
             cur_loop,
             slot: 0,
             trips_left,
-            emitted: 0,
         }
-    }
-
-    /// The profile this generator was built from.
-    pub fn profile(&self) -> &BenchmarkProfile {
-        &self.profile
-    }
-
-    /// The profile name this generator was built from.
-    pub fn profile_name(&self) -> &str {
-        &self.profile.name
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// The synthesized static program (for inspection / tests).
-    pub fn program(&self) -> &StaticProgram {
-        &self.program
     }
 
     fn ring(&mut self, class: RegClass) -> &mut WriterRing {
@@ -300,7 +276,6 @@ impl TraceGenerator {
             self.slot += 1;
         }
 
-        self.emitted += 1;
         inst
     }
 }

@@ -56,7 +56,7 @@ mod profile;
 mod program;
 mod shared;
 pub mod spec92;
-pub mod trace_io;
+mod trace_io;
 
 pub use branch::BranchBehavior;
 pub use generator::{TraceGenerator, WrongPathGenerator};

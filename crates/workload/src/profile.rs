@@ -76,8 +76,11 @@ pub struct LoopModel {
 ///
 /// let p = spec92::tomcatv();
 /// assert!(p.is_fp_intensive());
-/// let gen = TraceGenerator::new(&p, 7);
-/// assert_eq!(gen.profile_name(), "tomcatv");
+/// let fp_writes = TraceGenerator::new(&p, 7)
+///     .take(1_000)
+///     .filter(|i| i.dest().is_some_and(|d| d.class() == rf_isa::RegClass::Fp))
+///     .count();
+/// assert!(fp_writes > 100);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {

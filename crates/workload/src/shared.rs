@@ -27,6 +27,10 @@ const POLL_EVERY: usize = 4096;
 /// stream. [`SharedTrace::wrong_path`] clones the template, so no
 /// simulation synthesizes a program.
 ///
+/// A trace read from a file ([`SharedTrace::read_from`]) has no tail
+/// state: its cursors end with the buffer, and a pipeline reading one
+/// drains.
+///
 /// The buffer is three arrays: one 32-bit [`PackedInst`] per
 /// instruction; the address of every load and store; and a jump list
 /// holding the PC of every instruction whose PC is not its
@@ -47,19 +51,28 @@ const POLL_EVERY: usize = 4096;
 /// ```
 #[derive(Debug)]
 pub struct SharedTrace {
-    words: Vec<PackedInst>,
+    /// The profile's name and the seed, which fix the whole stream.
+    pub(crate) benchmark: String,
+    pub(crate) seed: u64,
+    pub(crate) words: Vec<PackedInst>,
     /// Memory addresses of the buffered loads and stores, in trace order,
     /// then a 0 sentinel.
-    addrs: Vec<u64>,
+    pub(crate) addrs: Vec<u64>,
     /// `(index, pc)` of every buffered instruction that does not follow
     /// its predecessor, then a `(u32::MAX, 0)` sentinel.
-    jumps: Vec<(u32, u64)>,
-    /// The generator's state just after the last buffered instruction.
-    tail: TraceGenerator,
+    pub(crate) jumps: Vec<(u32, u64)>,
+    /// The generator's state just after the last buffered instruction;
+    /// `None` when the trace was read from a file.
+    tail: Option<TraceGenerator>,
     wrong_path: WrongPathGenerator,
 }
 
 impl SharedTrace {
+    /// The most committed-path instructions a simulation's trace buffers
+    /// (about 7 MB). A longer run reads the rest from its cursor's tail
+    /// generator, so a huge commit budget costs time, not memory.
+    pub const MAX_BUFFERED: u64 = 1 << 20;
+
     /// Generates the first `len` committed-path instructions of
     /// `(profile, seed)` and the wrong-path template.
     ///
@@ -103,17 +116,37 @@ impl SharedTrace {
                 addrs.push(mem.addr());
             }
         }
+        Some(Self::from_parts(profile, seed, words, addrs, jumps, Some(tail)))
+    }
+
+    /// Assembles a trace from its three arrays, appending their
+    /// sentinels, and builds the wrong-path template.
+    pub(crate) fn from_parts(
+        profile: &BenchmarkProfile,
+        seed: u64,
+        words: Vec<PackedInst>,
+        mut addrs: Vec<u64>,
+        mut jumps: Vec<(u32, u64)>,
+        tail: Option<TraceGenerator>,
+    ) -> Self {
         addrs.push(0);
         jumps.push((u32::MAX, 0));
         addrs.shrink_to_fit();
         jumps.shrink_to_fit();
-        Some(Self {
+        Self {
+            benchmark: profile.name.clone(),
+            seed,
             words,
             addrs,
             jumps,
             tail,
             wrong_path: WrongPathGenerator::new(profile, seed),
-        })
+        }
+    }
+
+    /// The name of the benchmark profile the trace was generated from.
+    pub fn benchmark(&self) -> &str {
+        &self.benchmark
     }
 
     /// Buffered instructions.
@@ -126,7 +159,9 @@ impl SharedTrace {
         self.words.is_empty()
     }
 
-    /// A new cursor at the start of the trace.
+    /// A new cursor at the start of the trace. It yields the buffer,
+    /// then the tail generator's stream, or ends with the buffer when
+    /// the trace has no tail.
     pub fn cursor(&self) -> TraceCursor<'_> {
         TraceCursor { trace: self, pos: 0, mem: 0, jump: 0, pc: 0, tail: None }
     }
@@ -138,9 +173,9 @@ impl SharedTrace {
     }
 }
 
-/// One simulation's read position in a [`SharedTrace`]: an infinite
-/// iterator over the committed path. Cursors over one trace advance
-/// independently.
+/// One simulation's read position in a [`SharedTrace`]: an iterator over
+/// the committed path, infinite unless the trace was read from a file.
+/// Cursors over one trace advance independently.
 #[derive(Debug)]
 pub struct TraceCursor<'a> {
     trace: &'a SharedTrace,
@@ -183,7 +218,10 @@ impl TraceCursor<'_> {
     /// not pay the generator's stack frame on every call.
     #[inline(never)]
     fn next_from_tail(&mut self) -> Option<Instruction> {
-        self.tail.get_or_insert_with(|| self.trace.tail.clone()).next()
+        if self.tail.is_none() {
+            self.tail = self.trace.tail.clone();
+        }
+        self.tail.as_mut()?.next()
     }
 }
 
@@ -204,7 +242,10 @@ mod tests {
                 assert_eq!(replayed, fresh, "{} seed {seed}", profile.name);
                 for inst in &fresh {
                     let addr = inst.mem().map_or(0, |m| m.addr());
-                    assert_eq!(inst.pack().unpack(inst.pc(), addr), *inst, "{}", profile.name);
+                    let word = inst.pack();
+                    // Every generated word is one a trace file may hold.
+                    assert_eq!(PackedInst::from_bits(word.bits()), Some(word), "{inst}");
+                    assert_eq!(word.unpack(inst.pc(), addr), *inst, "{}", profile.name);
                     classes.extend(inst.dest().map(|d| d.class()));
                 }
             }

@@ -1,357 +1,301 @@
-//! Binary trace serialisation: record a generated instruction stream to a
-//! file and replay it later.
+//! Trace files: a [`SharedTrace`] on disk.
 //!
-//! The original study replayed ATOM-captured traces; this module provides
-//! the equivalent record/replay workflow for the synthetic generators, so
-//! an experiment sweep can run many machine configurations over *exactly*
-//! the same dynamic instruction stream without re-running generation (or
-//! can ship a trace to another machine).
+//! The original study replayed ATOM-captured traces; a trace file gives
+//! the synthetic generators the same record/replay workflow. It stores a
+//! shared trace's three arrays as they are, so reading one back yields
+//! the trace a suite run would have built for the same `(benchmark,
+//! seed)`.
 //!
-//! ## Format (`RFT1`)
+//! ## Format (`RFT2`)
 //!
-//! A 4-byte magic `RFT1`, then one record per instruction:
+//! All integers are little-endian.
 //!
-//! * `u8` operation tag,
-//! * `u8` flags (bit 0: taken; bit 1: has pc; bit 2: has address),
-//! * destination and two source register bytes (`0xFF` = none, else
-//!   `class << 6 | index`),
-//! * LEB128 pc if flagged, LEB128 address if flagged.
+//! * the magic `RFT2`;
+//! * the benchmark name: a `u8` length, then that many UTF-8 bytes;
+//! * the seed (`u64`);
+//! * the word, address and jump counts (`u32` each);
+//! * the [`PackedInst`] words (`u32` each);
+//! * the addresses of the loads and stores, in trace order (`u64` each);
+//! * the jump list: `(index: u32, pc: u64)` for every instruction whose
+//!   PC is not its predecessor's plus 4.
 //!
-//! All multi-byte integers are unsigned LEB128 varints, so typical
-//! records are 5–12 bytes.
+//! The arrays carry no sentinels; reading appends them. A file is outside
+//! input, so [`SharedTrace::read_from`] validates it: a known benchmark,
+//! every word accepted by [`PackedInst::from_bits`], one address per word
+//! that accesses memory, jump indices strictly increasing and in range,
+//! and nothing after the jump list.
 
-use rf_isa::{ArchReg, Instruction, OpKind, RegClass};
-use std::io::{self, Read, Write};
+use crate::shared::SharedTrace;
+use crate::spec92;
+use rf_isa::PackedInst;
+use std::io::{self, BufWriter, Read, Write};
 
-const MAGIC: &[u8; 4] = b"RFT1";
-const NO_REG: u8 = 0xFF;
+const MAGIC: &[u8; 4] = b"RFT2";
 
-fn kind_tag(kind: OpKind) -> u8 {
-    match kind {
-        OpKind::IntAlu => 0,
-        OpKind::IntMul => 1,
-        OpKind::FpOp => 2,
-        OpKind::FpDiv32 => 3,
-        OpKind::FpDiv64 => 4,
-        OpKind::Load => 5,
-        OpKind::Store => 6,
-        OpKind::CondBranch => 7,
-        OpKind::Jump => 8,
-    }
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn tag_kind(tag: u8) -> io::Result<OpKind> {
-    Ok(match tag {
-        0 => OpKind::IntAlu,
-        1 => OpKind::IntMul,
-        2 => OpKind::FpOp,
-        3 => OpKind::FpDiv32,
-        4 => OpKind::FpDiv64,
-        5 => OpKind::Load,
-        6 => OpKind::Store,
-        7 => OpKind::CondBranch,
-        8 => OpKind::Jump,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown operation tag {other}"),
-            ))
-        }
-    })
-}
-
-fn reg_byte(reg: Option<ArchReg>) -> u8 {
-    match reg {
-        None => NO_REG,
-        Some(r) => ((r.class().index() as u8) << 6) | r.index(),
-    }
-}
-
-fn byte_reg(b: u8) -> io::Result<Option<ArchReg>> {
-    if b == NO_REG {
-        return Ok(None);
-    }
-    let class = match b >> 6 {
-        0 => RegClass::Int,
-        1 => RegClass::Fp,
-        _ => {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad register class bits"))
-        }
-    };
-    let index = b & 0x3F;
-    if index > 31 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "register index out of range"));
-    }
-    Ok(Some(ArchReg::new(class, index)))
-}
-
-/// Writes an unsigned LEB128 varint.
-pub(crate) fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
-/// Reads an unsigned LEB128 varint.
-///
-/// A stream that ends in the middle of a varint — after a continuation
-/// byte promised more — is corrupt, not merely short, so the error is
-/// reported as [`io::ErrorKind::InvalidData`] rather than a bare
-/// `UnexpectedEof` (which callers like [`read_trace`] treat as a clean
-/// end-of-stream only *between* records).
-pub(crate) fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        if let Err(e) = r.read_exact(&mut byte) {
-            if e.kind() == io::ErrorKind::UnexpectedEof && shift > 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "truncated varint: stream ended after a continuation byte",
-                ));
-            }
-            return Err(e);
-        }
-        if shift >= 63 && byte[0] > 1 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "varint overflow"));
-        }
-        v |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn write_record<W: Write>(w: &mut W, inst: &Instruction) -> io::Result<()> {
-    let mut flags = 0u8;
-    if inst.taken() {
-        flags |= 1;
-    }
-    if inst.pc() != 0 {
-        flags |= 2;
-    }
-    if inst.mem().is_some() {
-        flags |= 4;
-    }
-    w.write_all(&[kind_tag(inst.kind()), flags])?;
-    w.write_all(&[
-        reg_byte(inst.dest()),
-        reg_byte(inst.srcs()[0]),
-        reg_byte(inst.srcs()[1]),
-    ])?;
-    if flags & 2 != 0 {
-        write_varint(w, inst.pc())?;
-    }
-    if let Some(m) = inst.mem() {
-        write_varint(w, m.addr())?;
-    }
-    Ok(())
-}
-
-/// Maps an end-of-stream in the middle of a record to `InvalidData` with
-/// context; a record, once started, must be complete.
-fn corrupt_on_eof(e: io::Error, what: &str) -> io::Error {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        io::Error::new(io::ErrorKind::InvalidData, format!("truncated record: missing {what}"))
+/// Reads exactly `len` bytes. A file ends early only if it is corrupt,
+/// so a short read is `InvalidData` naming `what`. The buffer grows with
+/// the bytes that arrive, so a lying count cannot allocate more than the
+/// file holds.
+fn read_exactly(r: &mut impl Read, len: usize, what: &str) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    r.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() == len {
+        Ok(bytes)
     } else {
-        e
+        Err(invalid(format!("truncated trace: {what} ends early")))
     }
 }
 
-fn read_record<R: Read>(r: &mut R) -> io::Result<Option<Instruction>> {
-    let mut head = [0u8; 2];
-    match r.read_exact(&mut head[..1]) {
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        other => other?,
-    }
-    r.read_exact(&mut head[1..]).map_err(|e| corrupt_on_eof(e, "flags byte"))?;
-    let kind = tag_kind(head[0])?;
-    let flags = head[1];
-    let mut regs = [0u8; 3];
-    r.read_exact(&mut regs).map_err(|e| corrupt_on_eof(e, "register bytes"))?;
-    let dest = byte_reg(regs[0])?;
-    let src0 = byte_reg(regs[1])?;
-    let src1 = byte_reg(regs[2])?;
-    let pc = if flags & 2 != 0 { read_varint(r)? } else { 0 };
-    let addr = if flags & 4 != 0 { Some(read_varint(r)?) } else { None };
-    let taken = flags & 1 != 0;
+fn u32_at(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+}
 
-    let need = |reg: Option<ArchReg>, what: &str| {
-        reg.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("missing {what} register"))
-        })
-    };
-    let inst = match kind {
-        OpKind::IntAlu => Instruction::int_alu(need(dest, "destination")?, [src0, src1]),
-        OpKind::IntMul => Instruction::int_mul(need(dest, "destination")?, [src0, src1]),
-        OpKind::FpOp => Instruction::fp_op(need(dest, "destination")?, [src0, src1]),
-        OpKind::FpDiv32 => Instruction::fp_div(need(dest, "destination")?, [src0, src1], false),
-        OpKind::FpDiv64 => Instruction::fp_div(need(dest, "destination")?, [src0, src1], true),
-        OpKind::Load => {
-            let addr = addr
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "load without address"))?;
-            Instruction::load(need(dest, "destination")?, need(src0, "base")?, addr)
+fn u64_at(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+impl SharedTrace {
+    /// Writes the trace's buffer to `w` in the `RFT2` format. The tail
+    /// generator is not written: a file holds exactly [`SharedTrace::len`]
+    /// instructions.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error from the writer.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rf_workload::{spec92, SharedTrace};
+    ///
+    /// # fn main() -> std::io::Result<()> {
+    /// let shared = SharedTrace::new(&spec92::compress(), 1, 100);
+    /// let mut file = Vec::new();
+    /// shared.write_to(&mut file)?;
+    /// let read = SharedTrace::read_from(&mut file.as_slice())?;
+    /// assert_eq!((read.benchmark(), read.len()), ("compress", 100));
+    /// assert_eq!(read.cursor().count(), 100);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut w = BufWriter::new(w);
+        let name = self.benchmark.as_bytes();
+        let name_len = u8::try_from(name.len())
+            .map_err(|_| invalid(format!("benchmark name {:?} is too long", self.benchmark)))?;
+        // Without their sentinels.
+        let addrs = &self.addrs[..self.addrs.len() - 1];
+        let jumps = &self.jumps[..self.jumps.len() - 1];
+        w.write_all(MAGIC)?;
+        w.write_all(&[name_len])?;
+        w.write_all(name)?;
+        w.write_all(&self.seed.to_le_bytes())?;
+        for n in [self.words.len(), addrs.len(), jumps.len()] {
+            w.write_all(&(n as u32).to_le_bytes())?;
         }
-        OpKind::Store => {
-            let addr = addr
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "store without address"))?;
-            Instruction::store(need(src1, "value")?, need(src0, "base")?, addr)
+        for word in &self.words {
+            w.write_all(&word.bits().to_le_bytes())?;
         }
-        OpKind::CondBranch => Instruction::cond_branch(pc, taken, src0),
-        OpKind::Jump => Instruction::jump(dest, src0),
-    };
-    Ok(Some(inst.with_pc(pc)))
-}
+        for addr in addrs {
+            w.write_all(&addr.to_le_bytes())?;
+        }
+        for &(at, pc) in jumps {
+            w.write_all(&at.to_le_bytes())?;
+            w.write_all(&pc.to_le_bytes())?;
+        }
+        w.flush()
+    }
 
-/// Writes a trace header and every instruction from `insts` to `w`,
-/// returning the number of records written.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-///
-/// # Examples
-///
-/// ```
-/// use rf_workload::{spec92, trace_io, TraceGenerator};
-///
-/// # fn main() -> std::io::Result<()> {
-/// let gen = TraceGenerator::new(&spec92::compress(), 1);
-/// let mut buf = Vec::new();
-/// let n = trace_io::write_trace(&mut buf, gen.take(100))?;
-/// assert_eq!(n, 100);
-/// let replay = trace_io::read_trace(&mut buf.as_slice())?;
-/// assert_eq!(replay.len(), 100);
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_trace<W: Write>(
-    w: &mut W,
-    insts: impl IntoIterator<Item = Instruction>,
-) -> io::Result<u64> {
-    w.write_all(MAGIC)?;
-    let mut n = 0u64;
-    for inst in insts {
-        write_record(w, &inst)?;
-        n += 1;
-    }
-    Ok(n)
-}
+    /// Reads a trace written by [`SharedTrace::write_to`]. Its wrong-path
+    /// template is rebuilt from the header's benchmark and seed; it has
+    /// no tail generator, so its cursors end with the file.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors pass through. Anything that is not a well-formed
+    /// `RFT2` trace is [`io::ErrorKind::InvalidData`]: see the
+    /// [module documentation](self) for the rules.
+    pub fn read_from(r: &mut impl Read) -> io::Result<SharedTrace> {
+        if read_exactly(r, 4, "magic")? != MAGIC {
+            return Err(invalid("not an RFT2 trace".into()));
+        }
+        let name_len = read_exactly(r, 1, "header")?[0];
+        let name = read_exactly(r, name_len.into(), "header")?;
+        let name = String::from_utf8_lossy(&name);
+        let profile =
+            spec92::by_name(&name).ok_or_else(|| invalid(format!("unknown benchmark {name:?}")))?;
+        let header = read_exactly(r, 20, "header")?;
+        let seed = u64_at(&header);
+        let [n_words, n_addrs, n_jumps] = [8, 12, 16].map(|at| u32_at(&header[at..]));
 
-/// Reads an entire trace from `r`.
-///
-/// # Errors
-///
-/// Fails on a bad magic header, any malformed record, or I/O errors.
-pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Vec<Instruction>> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an RFT1 trace"));
+        let words = read_exactly(r, n_words as usize * 4, "word array")?
+            .chunks_exact(4)
+            .enumerate()
+            .map(|(i, b)| {
+                let bits = u32_at(b);
+                PackedInst::from_bits(bits)
+                    .ok_or_else(|| invalid(format!("invalid instruction word {bits:#010x} at {i}")))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let mem_words = words.iter().filter(|w| w.has_mem()).count();
+        if mem_words != n_addrs as usize {
+            return Err(invalid(format!(
+                "{n_addrs} addresses for {mem_words} memory instructions"
+            )));
+        }
+        let addrs: Vec<u64> = read_exactly(r, n_addrs as usize * 8, "address array")?
+            .chunks_exact(8)
+            .map(u64_at)
+            .collect();
+        let jumps: Vec<(u32, u64)> = read_exactly(r, n_jumps as usize * 12, "jump array")?
+            .chunks_exact(12)
+            .map(|b| (u32_at(b), u64_at(&b[4..])))
+            .collect();
+        let ordered = jumps.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        if !ordered || jumps.last().is_some_and(|&(at, _)| at >= n_words) {
+            return Err(invalid(format!("jump indices out of order or past the {n_words} words")));
+        }
+        if r.read(&mut [0u8])? != 0 {
+            return Err(invalid("trailing bytes after the jump list".into()));
+        }
+        Ok(SharedTrace::from_parts(&profile, seed, words, addrs, jumps, None))
     }
-    let mut out = Vec::new();
-    while let Some(inst) = read_record(r)? {
-        out.push(inst);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::TraceGenerator;
-    use crate::spec92;
+
+    fn file_of(bench: &str, seed: u64, len: usize) -> Vec<u8> {
+        let shared = SharedTrace::new(&spec92::by_name(bench).expect("known"), seed, len);
+        let mut buf = Vec::new();
+        shared.write_to(&mut buf).unwrap();
+        buf
+    }
+
+    fn header_len(bench: &str) -> usize {
+        4 + 1 + bench.len() + 8 + 3 * 4
+    }
+
+    /// The three counts, as the header stores them.
+    fn counts(buf: &[u8], bench: &str) -> [u32; 3] {
+        let at = header_len(bench) - 12;
+        [0, 1, 2].map(|i| u32::from_le_bytes(buf[at + 4 * i..at + 4 * i + 4].try_into().unwrap()))
+    }
+
+    fn read_err(buf: &[u8]) -> io::Error {
+        let err = SharedTrace::read_from(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err
+    }
 
     #[test]
     fn roundtrips_every_profile() {
         for p in spec92::all() {
-            let original: Vec<Instruction> =
-                TraceGenerator::new(&p, 7).take(5_000).collect();
-            let mut buf = Vec::new();
-            let n = write_trace(&mut buf, original.iter().copied()).unwrap();
-            assert_eq!(n, 5_000);
-            let replay = read_trace(&mut buf.as_slice()).unwrap();
-            assert_eq!(original, replay, "{}", p.name);
+            let buf = file_of(&p.name, 7, 5_000);
+            let read = SharedTrace::read_from(&mut buf.as_slice()).unwrap();
+            assert_eq!((read.benchmark(), read.seed, read.len()), (p.name.as_str(), 7, 5_000));
+            let fresh: Vec<_> = TraceGenerator::new(&p, 7).take(5_000).collect();
+            assert_eq!(read.cursor().collect::<Vec<_>>(), fresh, "{}", p.name);
+            let wrong: Vec<_> = read.wrong_path().take(500).collect();
+            let built = SharedTrace::new(&p, 7, 0).wrong_path().take(500).collect::<Vec<_>>();
+            assert_eq!(wrong, built, "{}", p.name);
         }
     }
 
     #[test]
-    fn records_are_compact() {
-        let original: Vec<Instruction> =
-            TraceGenerator::new(&spec92::compress(), 1).take(10_000).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, original).unwrap();
-        let per_record = buf.len() as f64 / 10_000.0;
-        assert!(per_record < 14.0, "{per_record} bytes per record");
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_trace(&mut &b"NOPE"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn rejects_truncated_records() {
-        let original: Vec<Instruction> =
-            TraceGenerator::new(&spec92::gcc1(), 2).take(100).collect();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, original).unwrap();
-        buf.truncate(buf.len() - 2);
-        assert!(read_trace(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn truncated_varint_is_invalid_data_with_context() {
-        // A conditional branch with the has-pc flag, whose pc varint ends
-        // on a continuation byte: corrupt data, not a clean EOF.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&[7, 2, 0xFF, 0xFF, 0xFF, 0x80]);
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("truncated varint"), "{err}");
-    }
-
-    #[test]
-    fn mid_record_eof_is_invalid_data_with_context() {
-        // A record that ends right after its tag byte.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(0);
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("truncated record"), "{err}");
-    }
-
-    #[test]
-    fn rejects_unknown_tags() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&[99, 0, 0xFF, 0xFF, 0xFF]);
-        assert!(read_trace(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn varint_roundtrip_boundaries() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v).unwrap();
-            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), v, "{v}");
-        }
+    fn files_are_compact() {
+        let buf = file_of("compress", 1, 10_000);
+        let per_inst = (buf.len() - header_len("compress")) as f64 / 10_000.0;
+        assert!(per_inst < 8.0, "{per_inst:.2} bytes per instruction");
     }
 
     #[test]
     fn empty_trace_roundtrips() {
-        let mut buf = Vec::new();
-        assert_eq!(write_trace(&mut buf, std::iter::empty()).unwrap(), 0);
-        assert!(read_trace(&mut buf.as_slice()).unwrap().is_empty());
+        let buf = file_of("ora", 2, 0);
+        assert_eq!(buf.len(), header_len("ora"));
+        let read = SharedTrace::read_from(&mut buf.as_slice()).unwrap();
+        assert!(read.is_empty());
+        assert_eq!(read.cursor().next(), None);
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        let mut buf = file_of("gcc1", 2, 10);
+        buf[3] = b'1';
+        assert!(read_err(&buf).to_string().contains("not an RFT2"));
+        read_err(b"NOPE");
+        read_err(b"RF");
+    }
+
+    #[test]
+    fn rejects_unknown_benchmarks() {
+        let mut buf = file_of("gcc1", 2, 10);
+        buf[5..9].copy_from_slice(b"gccx");
+        assert!(read_err(&buf).to_string().contains("unknown benchmark"));
+    }
+
+    #[test]
+    fn rejects_invalid_words() {
+        let mut buf = file_of("gcc1", 2, 10);
+        let at = header_len("gcc1");
+        buf[at + 3] = 0xff; // spare bits of the first word
+        assert!(read_err(&buf).to_string().contains("invalid instruction word"));
+    }
+
+    #[test]
+    fn rejects_truncation_in_every_array() {
+        let bench = "tomcatv";
+        let buf = file_of(bench, 3, 200);
+        let [words, addrs, jumps] = counts(&buf, bench).map(|n| n as usize);
+        assert!(addrs > 0 && jumps > 0);
+        let words_end = header_len(bench) + 4 * words;
+        let addrs_end = words_end + 8 * addrs;
+        assert_eq!(buf.len(), addrs_end + 12 * jumps);
+        for (cut, what) in [
+            (header_len(bench) - 2, "header"),
+            (words_end - 1, "word array"),
+            (addrs_end - 3, "address array"),
+            (buf.len() - 5, "jump array"),
+        ] {
+            let err = read_err(&buf[..cut]);
+            assert!(err.to_string().contains(what), "cut at {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_an_address_count_that_disagrees_with_the_words() {
+        let bench = "su2cor";
+        let mut buf = file_of(bench, 1, 100);
+        let at = header_len(bench) - 8;
+        let n = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+        buf[at..at + 4].copy_from_slice(&(n - 1).to_le_bytes());
+        assert!(read_err(&buf).to_string().contains("memory instructions"));
+    }
+
+    #[test]
+    fn rejects_non_increasing_and_out_of_range_jumps() {
+        let bench = "espresso";
+        let buf = file_of(bench, 4, 300);
+        let [_, _, jumps] = counts(&buf, bench);
+        assert!(jumps >= 2);
+        let second = buf.len() - 12 * (jumps as usize - 1);
+        for index in [0u32, 300, u32::MAX] {
+            let mut bad = buf.clone();
+            bad[second..second + 4].copy_from_slice(&index.to_le_bytes());
+            assert!(read_err(&bad).to_string().contains("jump indices"), "index {index}");
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut buf = file_of("doduc", 5, 50);
+        buf.push(0);
+        assert!(read_err(&buf).to_string().contains("trailing bytes"));
     }
 }

@@ -13,7 +13,7 @@
 
 use rfstudy::core::{MachineConfig, Pipeline};
 use rfstudy::timing::{bips, RegFileGeometry, TimingModel};
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -23,19 +23,22 @@ fn main() {
 
     println!("{width}-way issue, dq {}, averaged over all nine benchmarks\n", width * 8);
     println!("{:>6} {:>10} {:>12} {:>8}", "regs", "avg IPC", "cycle (ns)", "BIPS");
+    // Each benchmark's trace is generated once and replayed at every size.
+    let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+    let traces: Vec<_> = spec92::all().iter().map(|p| SharedTrace::new(p, 1, len)).collect();
     let mut best = (0usize, 0.0f64);
     for regs in [32usize, 48, 64, 80, 96, 128, 160, 256] {
         let mut ipc_sum = 0.0;
-        let profiles = spec92::all();
-        for profile in &profiles {
+        for trace in &traces {
             let config = MachineConfig::new(width)
                 .dispatch_queue(width * 8)
                 .physical_regs(regs);
-            let mut trace = TraceGenerator::new(profile, 1);
-            let stats = Pipeline::new(config).run(&mut trace, commits);
+            let (stats, _) = Pipeline::new(config)
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+                .expect("no cancel token");
             ipc_sum += stats.commit_ipc();
         }
-        let ipc = ipc_sum / profiles.len() as f64;
+        let ipc = ipc_sum / traces.len() as f64;
         let cycle = timing.cycle_time_ns(&RegFileGeometry::int_for_width(width, regs));
         let b = bips(ipc, cycle);
         if b > best.1 {

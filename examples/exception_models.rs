@@ -12,13 +12,14 @@
 //! ```
 
 use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline};
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let bench = args.next().unwrap_or_else(|| "tomcatv".to_owned());
     let commits: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(100_000);
     let profile = spec92::by_name(&bench).expect("known benchmark name");
+    let trace = SharedTrace::new(&profile, 1, commits.min(SharedTrace::MAX_BUFFERED) as usize);
 
     println!("benchmark: {bench}, 4-way issue, dq 32, lockup-free cache\n");
     println!("{:>6} {:>14} {:>14} {:>12} {:>12}", "regs", "IPC(precise)", "IPC(imprecise)", "stall%(pre)", "stall%(imp)");
@@ -29,8 +30,9 @@ fn main() {
                 .dispatch_queue(32)
                 .physical_regs(regs)
                 .exceptions(model);
-            let mut trace = TraceGenerator::new(&profile, 1);
-            let stats = Pipeline::new(config).run(&mut trace, commits);
+            let (stats, _) = Pipeline::new(config)
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+                .expect("no cancel token");
             row.push((stats.commit_ipc(), 100.0 * stats.no_free_reg_fraction()));
         }
         println!(

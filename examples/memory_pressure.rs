@@ -9,14 +9,15 @@
 use rfstudy::core::{LiveModel, MachineConfig, Pipeline};
 use rfstudy::isa::RegClass;
 use rfstudy::mem::CacheOrg;
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn main() {
     let commits: u64 = std::env::args()
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(100_000);
-    let profile = spec92::tomcatv();
+    let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+    let trace = SharedTrace::new(&spec92::tomcatv(), 1, len);
 
     println!("tomcatv, 4-way issue, dq 32, 96 registers, precise exceptions\n");
     println!(
@@ -28,8 +29,9 @@ fn main() {
             .dispatch_queue(32)
             .physical_regs(96)
             .cache(org);
-        let mut trace = TraceGenerator::new(&profile, 1);
-        let stats = Pipeline::new(config).run(&mut trace, commits);
+        let (stats, _) = Pipeline::new(config)
+            .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+            .expect("no cancel token");
         println!(
             "{:>12} {:>10.2} {:>8.1} {:>10} {:>14} {:>12}",
             org.to_string(),

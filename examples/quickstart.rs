@@ -8,7 +8,7 @@
 use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline};
 use rfstudy::isa::RegClass;
 use rfstudy::mem::CacheOrg;
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -32,8 +32,12 @@ fn main() {
         .exceptions(ExceptionModel::Precise)
         .cache(CacheOrg::LockupFree);
 
-    let mut trace = TraceGenerator::new(&profile, 1);
-    let stats = Pipeline::new(config).run(&mut trace, commits);
+    // The committed path of (benchmark, seed 1), buffered up to a cap and
+    // generated on past it, plus its wrong-path stream.
+    let trace = SharedTrace::new(&profile, 1, commits.min(SharedTrace::MAX_BUFFERED) as usize);
+    let (stats, _) = Pipeline::new(config)
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+        .expect("no cancel token");
 
     println!("benchmark            : {bench}");
     println!("committed            : {}", stats.committed);

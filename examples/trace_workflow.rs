@@ -3,12 +3,15 @@
 //! experimental methodology of the original study (ATOM-captured traces
 //! replayed through many machine models).
 //!
+//! The file is read once into one `SharedTrace`, and every grid point
+//! replays it through its own cursor, as the experiment suite does.
+//!
 //! ```sh
 //! cargo run --release --example trace_workflow [benchmark] [instructions]
 //! ```
 
 use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline};
-use rfstudy::workload::{spec92, trace_io, TraceGenerator, WrongPathGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn main() -> std::io::Result<()> {
     let mut args = std::env::args().skip(1);
@@ -18,19 +21,21 @@ fn main() -> std::io::Result<()> {
 
     // 1. Record the trace to a temporary file.
     let path = std::env::temp_dir().join(format!("rfstudy_{bench}.rft"));
-    {
-        let mut f = std::fs::File::create(&path)?;
-        let gen = TraceGenerator::new(&profile, 42);
-        let n = trace_io::write_trace(&mut f, gen.take(count))?;
-        let bytes = std::fs::metadata(&path)?.len();
-        println!(
-            "recorded {n} instructions to {} ({:.1} bytes/inst)\n",
-            path.display(),
-            bytes as f64 / n as f64
-        );
-    }
+    SharedTrace::new(&profile, 42, count).write_to(&mut std::fs::File::create(&path)?)?;
+    let bytes = std::fs::metadata(&path)?.len();
+    println!(
+        "recorded {count} instructions to {} ({:.2} bytes/inst)\n",
+        path.display(),
+        bytes as f64 / count as f64
+    );
 
-    // 2. Replay it through a grid of machines.
+    // 2. Read it back once; its header names the benchmark and seed, which
+    //    fix the wrong-path stream too.
+    let trace = SharedTrace::read_from(&mut std::fs::File::open(&path)?)?;
+    std::fs::remove_file(&path).ok();
+    let commits = (trace.len() as u64) * 2 / 3;
+
+    // 3. Replay it through a grid of machines.
     println!(
         "{:>6} {:>6} {:>12} {:>10} {:>8}",
         "width", "regs", "exceptions", "commitIPC", "cycles"
@@ -38,25 +43,24 @@ fn main() -> std::io::Result<()> {
     for width in [4usize, 8] {
         for regs in [64usize, 128] {
             for model in [ExceptionModel::Precise, ExceptionModel::Imprecise] {
-                let mut f = std::fs::File::open(&path)?;
-                let insts = trace_io::read_trace(&mut f)?;
-                let commits = (insts.len() as u64) * 2 / 3;
                 let config = MachineConfig::new(width)
                     .dispatch_queue(width * 8)
                     .physical_regs(regs)
                     .exceptions(model);
-                let mut trace = insts.into_iter();
-                let mut wp = WrongPathGenerator::new(&profile, 42);
-                let stats = Pipeline::new(config).run_with(&mut trace, &mut wp, commits);
+                let (stats, _) = Pipeline::new(config)
+                    .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+                    .expect("no cancel token");
                 println!(
-                    "{width:>6} {regs:>6} {model:>12} {:>10.2} {:>8}",
+                    "{width:>6} {regs:>6} {:>12} {:>10.2} {:>8}",
+                    model.to_string(),
                     stats.commit_ipc(),
                     stats.cycles
                 );
             }
         }
     }
-    std::fs::remove_file(&path).ok();
-    println!("\nEvery row consumed byte-identical instructions: differences are purely machine effects.");
+    println!(
+        "\nEvery row consumed byte-identical instructions: differences are purely machine effects."
+    );
     Ok(())
 }

@@ -7,7 +7,7 @@ use rf_bpred::PredictorKind;
 use rf_core::{ExceptionModel, MachineConfig, SchedPolicy};
 use rf_mem::CacheOrg;
 
-/// Machine options shared by `run` and `replay`.
+/// Machine options shared by `run`, `trace` and `replay`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineOpts {
     /// Issue width.
@@ -26,7 +26,8 @@ pub struct MachineOpts {
     pub split_queues: bool,
     /// Branch predictor kind.
     pub predictor: PredictorKind,
-    /// Simulation seed.
+    /// Workload seed of `run` and `trace`. `replay` rejects `--seed`:
+    /// the trace file fixes it.
     pub seed: u64,
 }
 
@@ -55,8 +56,7 @@ impl MachineOpts {
             .exceptions(self.exceptions)
             .cache(self.cache)
             .scheduling(self.sched)
-            .predictor(self.predictor)
-            .seed(self.seed);
+            .predictor(self.predictor);
         if self.split_queues {
             c = c.split_dispatch_queues(true);
         }
@@ -611,6 +611,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 take("--commits", &opts).map_or(Ok(0), |v| parse_num("--commits", &v))?;
             let mut machine = MachineOpts::default();
             for (o, v) in &opts {
+                if o == "--seed" {
+                    return Err("replay takes its seed from the trace file; \
+                                --seed applies to record"
+                        .into());
+                }
                 if o == "--trace" || o == "--commits" {
                     continue;
                 }
@@ -748,12 +753,14 @@ MACHINE OPTIONS:
   --sched POLICY        oldest-first | youngest-first
   --predictor KIND      bimodal | gshare | combining
   --split-queues        split the dispatch queue (extension)
-  --seed N              workload / simulation seed
+  --seed N              workload seed (run and trace only: replay takes
+                        the benchmark and seed from the trace file)
 
 RUN OPTIONS:
-  --deadline-secs S     wall-clock budget in seconds; an overrunning
-                        simulation is cancelled cooperatively (its partial
-                        statistics are discarded) and rfstudy exits 1
+  --deadline-secs S     wall-clock budget in seconds for the trace fill
+                        and the simulation; an overrunning simulation is
+                        cancelled cooperatively (its partial statistics
+                        are discarded) and rfstudy exits 1
 
 TRACE OPTIONS:
   --format FMT          chrome (Perfetto-loadable trace-event JSON),
@@ -914,6 +921,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        let err = parse(&argv("replay --trace /tmp/t.rft --seed 3")).unwrap_err();
+        assert!(err.contains("seed from the trace file"), "{err}");
     }
 
     #[test]

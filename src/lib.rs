@@ -22,7 +22,7 @@
 //! ```
 //! use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline};
 //! use rfstudy::mem::CacheOrg;
-//! use rfstudy::workload::{spec92, TraceGenerator};
+//! use rfstudy::workload::{spec92, SharedTrace};
 //!
 //! // Four-way issue machine: 32-entry dispatch queue, 64+64 physical
 //! // registers, precise exceptions, lockup-free cache.
@@ -32,9 +32,12 @@
 //!     .exceptions(ExceptionModel::Precise)
 //!     .cache(CacheOrg::LockupFree);
 //!
-//! let profile = spec92::compress();
-//! let mut trace = TraceGenerator::new(&profile, 1);
-//! let stats = Pipeline::new(config).run(&mut trace, 20_000);
+//! // The committed path of (compress, seed 1), replayed by any number of
+//! // simulations, each reading it through its own cursor.
+//! let trace = SharedTrace::new(&spec92::compress(), 1, 20_000);
+//! let (stats, _) = Pipeline::new(config)
+//!     .run(&mut trace.cursor(), &mut trace.wrong_path(), 20_000)
+//!     .expect("no cancel token attached");
 //! assert!(stats.commit_ipc() > 0.5);
 //! ```
 

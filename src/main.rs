@@ -20,7 +20,7 @@ use rf_obs::Recorder;
 use rf_isa::RegClass;
 use rf_prof::counters::Counter;
 use rf_timing::{RegFileGeometry, TimingModel};
-use rf_workload::{spec92, trace_io, TraceGenerator, WrongPathGenerator};
+use rf_workload::{spec92, SharedTrace, TraceGenerator};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -84,64 +84,26 @@ fn dispatch(cmd: Command) -> Result<(), String> {
         Command::Run { bench, commits, deadline_secs, machine } => {
             let profile =
                 spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let mut trace = TraceGenerator::new(&profile, machine.seed);
-            // The watchdog thread fires the token after the wall budget;
-            // the pipeline polls it cooperatively and discards its partial
-            // state. The thread is detached — it holds only a token clone,
-            // and the process outlives any still-pending sleep by at most
-            // the time it takes `main` to return.
-            let cancel = deadline_secs.map(|secs| {
-                let token = CancelToken::new();
-                let armed = token.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-                    armed.cancel();
-                });
-                token
-            });
-            let deadline_err = |c: Cancelled| {
-                format!(
-                    "deadline of {}s exceeded at cycle {} (partial statistics discarded)",
-                    deadline_secs.unwrap_or_default(),
-                    c.at_cycle
-                )
-            };
-            if rf_check::sanitize_enabled() {
-                let sanitizer = Sanitizer::new(machine.regs, machine.exceptions);
-                let mut pipeline = Pipeline::with_observer(machine.to_config(), sanitizer);
-                if let Some(token) = cancel {
-                    pipeline = pipeline.with_cancel(token);
-                }
-                let (stats, sanitizer) =
-                    pipeline.try_run_observed(&mut trace, commits).map_err(deadline_err)?;
-                print_stats(&bench, &stats);
-                println!("{}", sanitizer.report());
-                if !sanitizer.is_clean() {
-                    return Err(format!(
-                        "sanitizer detected {} invariant violation(s)",
-                        sanitizer.total_violations()
-                    ));
-                }
-            } else {
-                let mut pipeline = Pipeline::new(machine.to_config());
-                if let Some(token) = cancel {
-                    pipeline = pipeline.with_cancel(token);
-                }
-                let stats = pipeline.try_run(&mut trace, commits).map_err(deadline_err)?;
-                print_stats(&bench, &stats);
-            }
-            Ok(())
+            let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+            simulate(
+                |cancelled| SharedTrace::build(&profile, machine.seed, len, cancelled),
+                commits,
+                deadline_secs,
+                &machine,
+            )
         }
         Command::Trace { bench, commits, format, window, out, machine } => {
             let profile =
                 spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let mut trace = TraceGenerator::new(&profile, machine.seed);
+            let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+            let trace = SharedTrace::new(&profile, machine.seed, len);
             let recorder = match window {
                 Some(w) => Recorder::with_window(w),
                 None => Recorder::unbounded(),
             };
             let (stats, mut recorder) = Pipeline::with_observer(machine.to_config(), recorder)
-                .run_observed(&mut trace, commits);
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+                .expect("no cancel token");
             recorder.seal();
             let rendered = match format {
                 TraceFormat::Chrome => rf_obs::chrome_trace(&recorder),
@@ -166,22 +128,22 @@ fn dispatch(cmd: Command) -> Result<(), String> {
         Command::Record { bench, out, count, seed } => {
             let profile =
                 spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+            let len = usize::try_from(count)
+                .ok()
+                .filter(|&n| n < u32::MAX as usize)
+                .ok_or_else(|| format!("--count {count} is too large for one trace file"))?;
+            let trace = SharedTrace::new(&profile, seed, len);
             let mut file = std::fs::File::create(&out)
                 .map_err(|e| format!("cannot create {out:?}: {e}"))?;
-            let gen = TraceGenerator::new(&profile, seed);
-            let n = trace_io::write_trace(&mut file, gen.take(count as usize))
-                .map_err(|e| format!("write failed: {e}"))?;
-            println!("recorded {n} instructions of {bench} to {out}");
+            trace.write_to(&mut file).map_err(|e| format!("write failed: {e}"))?;
+            println!("recorded {len} instructions of {bench} to {out}");
             Ok(())
         }
         Command::Replay { trace, commits, machine } => {
-            let mut file =
-                std::fs::File::open(&trace).map_err(|e| format!("cannot open {trace:?}: {e}"))?;
-            let insts =
-                trace_io::read_trace(&mut file).map_err(|e| format!("bad trace: {e}"))?;
-            let n = insts.len() as u64;
+            let trace = read_trace_file(&trace)?;
+            let n = trace.len() as u64;
             let target = if commits == 0 { n } else { commits.min(n) };
-            run_replay(&trace, insts, target, &machine)
+            simulate(|_| Some(trace), target, None, &machine)
         }
         Command::Check { pins, deadline_secs } => run_check(&pins, deadline_secs),
         Command::Model { pins, check, format, deadline_secs } => {
@@ -233,12 +195,9 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Dump { trace, count } => {
-            let mut file =
-                std::fs::File::open(&trace).map_err(|e| format!("cannot open {trace:?}: {e}"))?;
-            let insts =
-                trace_io::read_trace(&mut file).map_err(|e| format!("bad trace: {e}"))?;
-            let limit = if count == 0 { insts.len() } else { count as usize };
-            for inst in insts.iter().take(limit) {
+            let trace = read_trace_file(&trace)?;
+            let limit = if count == 0 { trace.len() } else { count as usize };
+            for inst in trace.cursor().take(limit) {
                 println!("{:#010x}: {inst}", inst.pc());
             }
             Ok(())
@@ -260,21 +219,60 @@ fn dispatch(cmd: Command) -> Result<(), String> {
     }
 }
 
-fn run_replay(
-    name: &str,
-    insts: Vec<rf_isa::Instruction>,
+/// Reads a recorded trace file.
+fn read_trace_file(path: &str) -> Result<SharedTrace, String> {
+    let mut file =
+        std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;
+    SharedTrace::read_from(&mut file).map_err(|e| format!("bad trace {path:?}: {e}"))
+}
+
+/// A cancel token that a detached thread fires after `secs` of wall
+/// time. The thread holds only a token clone, and the process outlives
+/// any still-pending sleep by at most the time it takes `main` to return.
+fn watchdog(secs: f64) -> CancelToken {
+    let token = CancelToken::new();
+    let armed = token.clone();
+    std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_secs_f64(secs));
+        armed.cancel();
+    });
+    token
+}
+
+/// Simulates `commits` instructions of the trace `load` returns on
+/// `machine` and prints the statistics under the trace's benchmark name;
+/// `run` and `replay` share it. With the sanitizer enabled (`RF_SANITIZE`
+/// or the `sanitize` feature) its report follows, and a violation is an
+/// error. `deadline_secs` bounds the load and the simulation: `load`
+/// polls the callback it is given and returns `None` once it answers
+/// `true`, and the pipeline is cancelled with its partial state
+/// discarded.
+fn simulate(
+    load: impl FnOnce(&dyn Fn() -> bool) -> Option<SharedTrace>,
     commits: u64,
+    deadline_secs: Option<f64>,
     machine: &MachineOpts,
 ) -> Result<(), String> {
-    // Wrong-path instructions come from a generic profile (the trace file
-    // does not know which benchmark it came from).
-    let mut wp = WrongPathGenerator::new(&spec92::compress(), machine.seed);
-    let mut trace = insts.into_iter();
+    let cancel = deadline_secs.map(watchdog);
+    let deadline_err = |at_cycle: u64| {
+        format!(
+            "deadline of {}s exceeded at cycle {at_cycle} (partial statistics discarded)",
+            deadline_secs.unwrap_or_default(),
+        )
+    };
+    let trace = load(&|| cancel.as_ref().is_some_and(CancelToken::is_cancelled))
+        .ok_or_else(|| deadline_err(0))?;
+    let deadline_err = |c: Cancelled| deadline_err(c.at_cycle);
+    let (mut cursor, mut wrong_path) = (trace.cursor(), trace.wrong_path());
     if rf_check::sanitize_enabled() {
         let sanitizer = Sanitizer::new(machine.regs, machine.exceptions);
-        let (stats, sanitizer) = Pipeline::with_observer(machine.to_config(), sanitizer)
-            .run_with_observed(&mut trace, &mut wp, commits);
-        print_stats(name, &stats);
+        let mut pipeline = Pipeline::with_observer(machine.to_config(), sanitizer);
+        if let Some(token) = cancel {
+            pipeline = pipeline.with_cancel(token);
+        }
+        let (stats, sanitizer) =
+            pipeline.run(&mut cursor, &mut wrong_path, commits).map_err(deadline_err)?;
+        print_stats(trace.benchmark(), &stats);
         println!("{}", sanitizer.report());
         if !sanitizer.is_clean() {
             return Err(format!(
@@ -283,8 +281,13 @@ fn run_replay(
             ));
         }
     } else {
-        let stats = Pipeline::new(machine.to_config()).run_with(&mut trace, &mut wp, commits);
-        print_stats(name, &stats);
+        let mut pipeline = Pipeline::new(machine.to_config());
+        if let Some(token) = cancel {
+            pipeline = pipeline.with_cancel(token);
+        }
+        let (stats, _) =
+            pipeline.run(&mut cursor, &mut wrong_path, commits).map_err(deadline_err)?;
+        print_stats(trace.benchmark(), &stats);
     }
     Ok(())
 }
@@ -294,19 +297,10 @@ fn run_replay(
 /// default matrix when no dimension is pinned).
 fn run_check(pins: &cli::MatrixPins, deadline_secs: Option<f64>) -> Result<(), String> {
     let matrix = pins.expand()?;
-    // Same watchdog shape as `run`: a detached thread fires the token
-    // after the wall budget; every cross-validation pipeline polls it
-    // cooperatively, so the deadline covers the whole matrix, not each
+    // One watchdog for the whole matrix: every cross-validation pipeline
+    // polls the same token, so the deadline covers the matrix, not each
     // configuration separately.
-    let cancel = deadline_secs.map(|secs| {
-        let token = CancelToken::new();
-        let armed = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            armed.cancel();
-        });
-        token
-    });
+    let cancel = deadline_secs.map(watchdog);
 
     let mut failures = 0u64;
     let mut runs = 0u64;

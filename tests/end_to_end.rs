@@ -4,14 +4,18 @@
 use rfstudy::core::{ExceptionModel, LiveModel, MachineConfig, Pipeline, SimStats};
 use rfstudy::isa::RegClass;
 use rfstudy::mem::CacheOrg;
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace, TraceGenerator, WrongPathGenerator};
 
 const COMMITS: u64 = 8_000;
 
 fn run(bench: &str, config: MachineConfig) -> SimStats {
     let profile = spec92::by_name(bench).expect("known benchmark");
     let mut trace = TraceGenerator::new(&profile, 21);
-    Pipeline::new(config).run(&mut trace, COMMITS)
+    let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+    Pipeline::new(config)
+        .run(&mut trace, &mut wrong_path, COMMITS)
+        .expect("no cancel token")
+        .0
 }
 
 fn check_invariants(name: &str, width: usize, stats: &SimStats) {
@@ -84,10 +88,12 @@ fn invariants_hold_for_every_cache_org() {
 #[test]
 fn simulation_is_deterministic() {
     let mk = || {
-        let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(64).seed(9);
-        let profile = spec92::gcc1();
-        let mut trace = TraceGenerator::new(&profile, 9);
-        Pipeline::new(config).run(&mut trace, COMMITS)
+        let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(64);
+        let trace = SharedTrace::new(&spec92::gcc1(), 9, COMMITS as usize);
+        Pipeline::new(config)
+            .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+            .expect("no cancel token")
+            .0
     };
     let a = mk();
     let b = mk();
@@ -112,7 +118,11 @@ fn exception_models_agree_when_registers_are_plentiful() {
             .exceptions(model);
         let profile = spec92::doduc();
         let mut trace = TraceGenerator::new(&profile, 3);
-        Pipeline::new(config).run(&mut trace, COMMITS)
+        let mut wrong_path = WrongPathGenerator::new(&profile, 1);
+        Pipeline::new(config)
+            .run(&mut trace, &mut wrong_path, COMMITS)
+            .expect("no cancel token")
+            .0
     };
     let p = mk(ExceptionModel::Precise);
     let i = mk(ExceptionModel::Imprecise);

@@ -8,7 +8,7 @@ use rfstudy::bpred::GlobalHistory;
 use rfstudy::core::{ExceptionModel, LiveModel, MachineConfig, Pipeline};
 use rfstudy::isa::RegClass;
 use rfstudy::mem::{CacheConfig, CacheOrg, SetArray};
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -33,11 +33,12 @@ proptest! {
             .dispatch_queue(dq)
             .physical_regs(regs)
             .exceptions(model)
-            .cache(cache)
-            .seed(seed);
-        let mut trace = TraceGenerator::new(profile, seed);
+            .cache(cache);
         let commits = 1_500;
-        let stats = Pipeline::new(config).run(&mut trace, commits);
+        let trace = SharedTrace::new(profile, seed, commits as usize);
+        let (stats, _) = Pipeline::new(config)
+            .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+            .expect("no cancel token");
         prop_assert_eq!(stats.committed, commits);
         prop_assert!(stats.issue_ipc() <= width as f64 + 1e-9);
         prop_assert!(stats.commit_ipc() <= stats.issue_ipc() + 1e-9);

@@ -3,13 +3,16 @@
 //! points would be noise.
 
 use rfstudy::core::{MachineConfig, Pipeline};
-use rfstudy::workload::{spec92, TraceGenerator};
+use rfstudy::workload::{spec92, SharedTrace};
 
 fn ipc(bench: &str, seed: u64, commits: u64) -> f64 {
     let profile = spec92::by_name(bench).expect("known");
-    let mut trace = TraceGenerator::new(&profile, seed);
-    let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(2048).seed(seed);
-    Pipeline::new(config).run(&mut trace, commits).commit_ipc()
+    let trace = SharedTrace::new(&profile, seed, commits as usize);
+    let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(2048);
+    let (stats, _) = Pipeline::new(config)
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+        .expect("no cancel token");
+    stats.commit_ipc()
 }
 
 #[test]
@@ -52,9 +55,11 @@ fn miss_and_mispredict_rates_are_stable_across_seeds() {
     let profile = spec92::compress();
     let mut rates = Vec::new();
     for seed in 1..=3 {
-        let mut trace = TraceGenerator::new(&profile, seed);
-        let config = MachineConfig::new(4).dispatch_queue(32).seed(seed);
-        let stats = Pipeline::new(config).run(&mut trace, 30_000);
+        let trace = SharedTrace::new(&profile, seed, 30_000);
+        let config = MachineConfig::new(4).dispatch_queue(32);
+        let (stats, _) = Pipeline::new(config)
+            .run(&mut trace.cursor(), &mut trace.wrong_path(), 30_000)
+            .expect("no cancel token");
         rates.push((stats.cache.load_miss_rate(), stats.mispredict_rate()));
     }
     for w in rates.windows(2) {

@@ -1,17 +1,17 @@
-//! Record/replay integration: a trace serialised to the RFT1 format and
-//! replayed through the pipeline must reproduce the original simulation
-//! exactly.
+//! Record/replay integration: a trace written to the RFT2 format and read
+//! back must reproduce the original simulation exactly, through the
+//! library and through the `rfstudy record`/`replay` commands.
 
 use rfstudy::core::{MachineConfig, Pipeline, SimStats};
-use rfstudy::isa::Instruction;
-use rfstudy::workload::{spec92, trace_io, TraceGenerator, WrongPathGenerator};
+use rfstudy::workload::{spec92, SharedTrace, TraceGenerator};
+use std::process::Command;
 
-fn run_vec(insts: Vec<Instruction>, profile_name: &str, commits: u64) -> SimStats {
-    let profile = spec92::by_name(profile_name).expect("known");
-    let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(96).seed(5);
-    let mut trace = insts.into_iter();
-    let mut wp = WrongPathGenerator::new(&profile, 5);
-    Pipeline::new(config).run_with(&mut trace, &mut wp, commits)
+fn simulate(trace: &SharedTrace, commits: u64) -> SimStats {
+    let config = MachineConfig::new(4).dispatch_queue(32).physical_regs(96);
+    Pipeline::new(config)
+        .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+        .expect("no cancel token")
+        .0
 }
 
 #[test]
@@ -19,37 +19,61 @@ fn replayed_trace_reproduces_the_simulation() {
     const N: u64 = 6_000;
     for name in ["compress", "tomcatv"] {
         let profile = spec92::by_name(name).unwrap();
-        // Capture enough instructions to cover wrong-path-free fetch of N
-        // commits (the correct path consumes at most inserted ones).
-        let original: Vec<Instruction> =
-            TraceGenerator::new(&profile, 5).take(4 * N as usize).collect();
-
-        // Serialise and replay.
+        // Record enough instructions to cover the fetch-ahead of N commits.
+        let original = SharedTrace::new(&profile, 5, 4 * N as usize);
         let mut buf = Vec::new();
-        trace_io::write_trace(&mut buf, original.iter().copied()).unwrap();
-        let replayed = trace_io::read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(original, replayed);
-
-        let a = run_vec(original, name, N);
-        let b = run_vec(replayed, name, N);
-        assert_eq!(a.cycles, b.cycles, "{name}");
-        assert_eq!(a.issued, b.issued, "{name}");
-        assert_eq!(a.squashed, b.squashed, "{name}");
-        assert_eq!(a.cache.load_misses(), b.cache.load_misses(), "{name}");
+        original.write_to(&mut buf).unwrap();
+        let replayed = SharedTrace::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            original.cursor().take(4 * N as usize).collect::<Vec<_>>(),
+            replayed.cursor().collect::<Vec<_>>()
+        );
+        assert_eq!(simulate(&original, N), simulate(&replayed, N), "{name}");
     }
 }
 
 #[test]
 fn trace_files_round_trip_through_disk() {
     let profile = spec92::espresso();
-    let original: Vec<Instruction> = TraceGenerator::new(&profile, 9).take(2_000).collect();
-    let path = std::env::temp_dir().join("rfstudy_trace_test.rft");
-    {
-        let mut f = std::fs::File::create(&path).unwrap();
-        trace_io::write_trace(&mut f, original.iter().copied()).unwrap();
-    }
-    let mut f = std::fs::File::open(&path).unwrap();
-    let replayed = trace_io::read_trace(&mut f).unwrap();
+    let path = std::env::temp_dir().join(format!("rfstudy_trace_test_{}.rft", std::process::id()));
+    SharedTrace::new(&profile, 9, 2_000)
+        .write_to(&mut std::fs::File::create(&path).unwrap())
+        .unwrap();
+    let replayed = SharedTrace::read_from(&mut std::fs::File::open(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(original, replayed);
+    let fresh: Vec<_> = TraceGenerator::new(&profile, 9).take(2_000).collect();
+    assert_eq!(replayed.cursor().collect::<Vec<_>>(), fresh);
+}
+
+fn rfstudy(args: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_rfstudy"))
+        .args(args.split_whitespace())
+        .env_remove("RF_SANITIZE")
+        .output()
+        .expect("rfstudy runs")
+}
+
+/// The standard output of a successful run.
+fn stdout_of(out: std::process::Output) -> String {
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// A recorded trace carries its benchmark and seed, so replaying it is
+/// the same simulation as running the benchmark: same committed path,
+/// same wrong path, the same statistics line for line.
+#[test]
+fn replay_reproduces_run() {
+    let path = std::env::temp_dir().join(format!("rfstudy_replay_{}.rft", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    stdout_of(rfstudy(&format!("record --bench su2cor --seed 3 --count 60000 --out {file}")));
+    let replay = rfstudy(&format!("replay --trace {file} --commits 20000"));
+    let reseeded = rfstudy(&format!("replay --trace {file} --seed 4"));
+    std::fs::remove_file(&path).ok();
+    let (replayed, ran) =
+        (stdout_of(replay), stdout_of(rfstudy("run --bench su2cor --seed 3 --commits 20000")));
+    assert!(ran.contains("committed            : 20000"), "{ran}");
+    assert_eq!(replayed.lines().collect::<Vec<_>>(), ran.lines().collect::<Vec<_>>());
+    // The file fixes the seed: asking replay for another is a usage error.
+    assert_eq!(reseeded.status.code(), Some(2));
 }
