@@ -25,9 +25,9 @@
 //! limits as the schedule-independent workload summary the `rf-model`
 //! analytic estimator consumes.
 //!
-//! Nothing here perturbs measurement: the sanitizer only runs when
-//! explicitly requested ([`sanitize_enabled`]), and an unobserved
-//! pipeline compiles the hooks away entirely.
+//! Nothing here perturbs measurement: the sanitizer only runs when a
+//! caller attaches it, and an unobserved pipeline compiles the hooks
+//! away entirely. This crate reads no environment.
 
 pub mod crosscheck;
 pub mod inject;
@@ -40,46 +40,3 @@ pub use inject::{Fault, FaultInjector};
 pub use oracle::{analyze, ClassOracle, TraceOracle};
 pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use wstats::{workload_stats, WorkloadStats, DATAFLOW_WINDOWS};
-
-/// Parses the `RF_SANITIZE` switch strictly: `Ok(false)` when unset,
-/// `1/on/true/yes` or `0/off/false/no` (case-insensitive) otherwise.
-/// Binaries call this from their environment validators so a typo exits
-/// with a usage error instead of silently picking a mode.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed value.
-pub fn env_mode() -> Result<bool, String> {
-    match std::env::var("RF_SANITIZE") {
-        Err(_) => Ok(false),
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(false),
-            "1" | "on" | "true" | "yes" => Ok(true),
-            _ => Err(format!(
-                "RF_SANITIZE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
-/// Whether sanitized simulation was requested, either at compile time
-/// (the `sanitize` cargo feature) or at run time (`RF_SANITIZE`, see
-/// [`env_mode`]).
-///
-/// # Panics
-///
-/// Panics on a malformed `RF_SANITIZE` without the `sanitize` feature;
-/// binaries pre-validate with [`env_mode`] to report that cleanly.
-pub fn sanitize_enabled() -> bool {
-    cfg!(feature = "sanitize") || env_mode().unwrap_or_else(|e| panic!("{e}"))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn sanitize_feature_forces_enabled() {
-        // With the feature off, the env var governs; either way the call
-        // must not panic.
-        let _ = super::sanitize_enabled();
-    }
-}

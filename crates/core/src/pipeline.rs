@@ -184,9 +184,9 @@ pub struct Pipeline<O: Observer = NullObserver> {
     /// process-wide totals when the run completes).
     skipped_cycles: u64,
     wakeup_events: u64,
-    /// Whether the self-profiler was enabled when this pipeline was
-    /// built (`RF_PROFILE`, or `rf_prof::set_enabled`). Spans never
-    /// touch simulated state, so this cannot affect results.
+    /// Whether the self-profiler was enabled (`rf_prof::set_enabled`)
+    /// when this pipeline was built. Spans never touch simulated
+    /// state, so this cannot affect results.
     prof: bool,
     /// Whether the current step falls in a profiler sampling window —
     /// set by the run loop one step in [`rf_prof::SAMPLE_WEIGHT`], so

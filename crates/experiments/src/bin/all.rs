@@ -29,15 +29,13 @@
 //! Either way the ledger record is appended first, then the process
 //! exits 1 with a suite-level failure summary.
 //!
-//! RF_JOBS sets the number of parallel simulation workers (default: all
-//! cores); RF_CACHE=0/off/false/no disables the shared run cache;
-//! RF_STORE=1 layers the durable on-disk run store under the cache
-//! (warm re-runs replay results byte-identically from `RF_STORE_DIR`).
-//! With the `fault-probe` feature, RF_FAULT=<harness> injects a
-//! panicking simulation into that harness (the CI smoke path).
+//! The `RF_*` knobs in the usage text are parsed once, by
+//! [`runner::init_config`], before any work. With the `fault-probe`
+//! feature, RF_FAULT=<harness> injects a panicking simulation into that
+//! harness (the CI smoke path).
 
 use rf_experiments::bench::SuiteBench;
-use rf_experiments::runner::{self, Scale};
+use rf_experiments::runner::{self, RunConfig, Scale};
 use rf_obs::fidelity;
 use rf_obs::ledger;
 use std::fs;
@@ -199,7 +197,7 @@ fn model_error_probe(commits: u64) -> Option<ledger::ModelErrorRecord> {
 fn run_fault_probe(commits: u64) -> String {
     let spec = rf_experiments::runner::RunSpec::baseline(runner::FAULT_BENCHMARK, 4)
         .commits(commits.clamp(1, 1_000));
-    let _ = rf_experiments::runner::SimPool::from_env()
+    let _ = runner::SimPool::from_env()
         .run_many(std::slice::from_ref(&spec));
     unreachable!("the fault probe always panics inside the pool");
 }
@@ -218,15 +216,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(message) = runner::validate_env() {
-        eprintln!("all: {message}");
-        return ExitCode::from(2);
-    }
+    let cfg = match runner::init_config() {
+        Ok(cfg) => cfg,
+        Err(message) => {
+            eprintln!("all: {message}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(secs) = args.deadline_secs {
         runner::set_default_deadline(Some(Duration::from_secs_f64(secs)));
     }
-    let scale = args.commits.map_or_else(Scale::from_env, |commits| Scale { commits });
-    match run_suite(&scale) {
+    rf_prof::set_enabled(cfg.profile);
+    let scale = args.commits.map_or_else(|| cfg.scale(), |commits| Scale { commits });
+    match run_suite(cfg, &scale) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("all: {e}");
@@ -235,7 +237,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
+fn run_suite(cfg: &RunConfig, scale: &Scale) -> std::io::Result<ExitCode> {
     fs::create_dir_all("results")?;
     type Harness = fn(&Scale) -> String;
     // Each harness carries a representative benchmark for its traced
@@ -260,9 +262,8 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     // Live telemetry (RF_TELEMETRY=1): the sampler runs over the harness
     // loop; `finalize` below stops it before the post-suite probes, so
     // the final snapshot covers the same work as the ledger totals.
-    if let Some(cfg) = rf_obs::live::env_config().expect("telemetry env validated in main") {
-        let jobs = rf_experiments::runner::SimPool::from_env().jobs() as u64;
-        rf_obs::live::start(&cfg, scale.commits, jobs, experiments.len() as u64)?;
+    if let Some(live) = &cfg.telemetry {
+        rf_obs::live::start(live, scale.commits, cfg.jobs as u64, experiments.len() as u64)?;
     }
     let mut headlines: Vec<(String, f64)> = Vec::new();
     for (name, run, probe_bench) in experiments {

@@ -134,7 +134,6 @@ mod tests {
         // A tiny sweep at two dq sizes: IPC grows (or holds) with a larger
         // queue, and the precise 90th percentile is at least the
         // imprecise one.
-        std::env::set_var("RF_COMMITS", "2000");
         let base = RunSpec::baseline("espresso", 4).dq(8).commits(4_000);
         let small = crate::runner::simulate(&base);
         let big = crate::runner::simulate(&base.clone().dq(64));

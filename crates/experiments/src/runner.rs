@@ -15,14 +15,15 @@
 //!
 //! # Environment variables (strict)
 //!
-//! Every knob the runner and the suite read is parsed strictly:
-//! `RF_COMMITS`, `RF_JOBS`, `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`,
-//! `RF_PROFILE`, `RF_SANITIZE`, `RF_TELEMETRY` and
-//! `RF_TELEMETRY_INTERVAL_MS`. A malformed value (for example
-//! `RF_COMMITS=200k` or `RF_TELEMETRY=maybe`) is an error, never a
-//! silent fall-back to the default. Binaries should call
-//! [`validate_env`] at startup to turn that into a clean exit instead of
-//! a panic.
+//! [`RunConfig`] is the one parser of the run knobs: `RF_COMMITS`,
+//! `RF_JOBS`, `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`,
+//! `RF_SANITIZE`, `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`. A
+//! malformed value (for example `RF_COMMITS=200k` or
+//! `RF_TELEMETRY=maybe`) is an error naming the variable and the value,
+//! never a silent fall-back to the default. Binaries call
+//! [`init_config`] at startup to turn that into a clean exit 2 before
+//! any work; everything below reads the resulting [`config`] snapshot,
+//! and no lower crate reads the environment.
 
 use rf_bpred::PredictorKind;
 use rf_core::{
@@ -36,6 +37,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The suite's default commit budget per simulation, and the budget
+/// [`RunSpec::baseline`] starts from.
+pub const DEFAULT_COMMITS: u64 = 200_000;
+
 /// How long each simulation runs, in committed instructions.
 ///
 /// The paper simulated 23–910 million instructions per benchmark; this
@@ -47,104 +52,164 @@ pub struct Scale {
     pub commits: u64,
 }
 
-/// Reads an environment variable as a `u64`, strictly: unset is `None`,
-/// a well-formed value is `Some`, and anything else — `RF_COMMITS=200k`,
-/// an empty string, a negative number — is an error naming the variable
-/// and the offending value. The old behaviour (malformed values silently
-/// falling back to the default and launching a full 200k-commit run) is
-/// exactly the bug this guards against.
-fn env_u64(name: &str) -> Result<Option<u64>, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("{name}={raw:?} is not a non-negative integer")),
-    }
-}
-
-/// Validates every runner environment variable (see the module docs)
-/// without acting on any of them, so a binary can fail fast with one
-/// clear message before doing work.
-///
-/// # Errors
-///
-/// Returns the first malformed variable's error message.
-pub fn validate_env() -> Result<(), String> {
-    Scale::try_from_env()?;
-    SimPool::try_from_env()?;
-    cache_env_mode()?;
-    store_env_mode()?;
-    rf_prof::env_mode()?;
-    rf_check::env_mode()?;
-    rf_obs::live::env_config()?;
-    Ok(())
-}
-
-/// Validates the `RF_STORE` toggle and `RF_STORE_DIR` path for the
-/// durable on-disk run store, returning the store directory when
-/// enabled (unset means disabled; the default directory is
-/// `results/store`). `RF_STORE_DIR` is validated even while the store
-/// is off, so a typo can't lie dormant until the first `RF_STORE=1`
-/// run.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed value.
-pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
-    let dir = match std::env::var("RF_STORE_DIR") {
-        Err(_) => std::path::PathBuf::from("results/store"),
-        Ok(raw) if raw.trim().is_empty() => {
-            return Err(format!("RF_STORE_DIR={raw:?} is empty"));
-        }
-        Ok(raw) => std::path::PathBuf::from(raw),
-    };
-    match std::env::var("RF_STORE") {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(None),
-            "1" | "on" | "true" | "yes" => Ok(Some(dir)),
-            _ => Err(format!(
-                "RF_STORE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
 impl Scale {
-    /// The default experiment scale (200k commits per run), overridable
-    /// with the `RF_COMMITS` environment variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RF_COMMITS` is set to a malformed value; binaries
-    /// should pre-validate with [`Scale::try_from_env`] or
-    /// [`validate_env`] to report that cleanly.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As [`Scale::from_env`], but a malformed `RF_COMMITS` is an error
-    /// instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed value.
-    pub fn try_from_env() -> Result<Self, String> {
-        Ok(Self { commits: env_u64("RF_COMMITS")?.unwrap_or(200_000) })
-    }
-
     /// A fast scale for tests (20k commits).
     pub fn fast() -> Self {
         Self { commits: 20_000 }
     }
 }
 
-impl Default for Scale {
-    fn default() -> Self {
-        Self::from_env()
+/// Every run knob of the process, parsed once from its `RF_*` variable
+/// (see the module docs). Values are well formed by construction: a
+/// malformed variable fails [`RunConfig::from_vars`] instead.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// `RF_COMMITS`: the commit budget per simulation. `None` leaves the
+    /// default to the caller ([`DEFAULT_COMMITS`] for the suite, 10000
+    /// for `rfstudy check`/`model`/`profile`).
+    pub commits: Option<u64>,
+    /// `RF_JOBS`: parallel simulation workers (default: all cores).
+    pub jobs: usize,
+    /// `RF_CACHE`: whether the shared in-memory run cache is on
+    /// (default on).
+    pub cache: bool,
+    /// `RF_STORE`: whether the durable on-disk run store is on (default
+    /// off).
+    pub store: bool,
+    /// `RF_STORE_DIR`: the store directory (default `results/store`),
+    /// validated even while the store is off.
+    pub store_dir: std::path::PathBuf,
+    /// `RF_PROFILE`: whether the suite embeds rf-prof self-profiles in
+    /// its ledger record (default off).
+    pub profile: bool,
+    /// `RF_SANITIZE`: whether `rfstudy run`/`replay` attach the
+    /// invariant sanitizer (default off).
+    pub sanitize: bool,
+    /// `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`: the live sampler,
+    /// `None` when off (the interval is validated either way).
+    pub telemetry: Option<rf_obs::live::LiveConfig>,
+}
+
+impl RunConfig {
+    /// Parses the process environment; see [`RunConfig::from_vars`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed variable's message.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var(name).ok())
     }
+
+    /// Parses the knobs from `var`, which maps a variable name to its
+    /// value (`None` = unset). Switches accept `1/on/true/yes` and
+    /// `0/off/false/no`, integers ASCII digits; both are trimmed and
+    /// case-insensitive.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed variable's message, in one format
+    /// that names the variable and the value.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let invalid = |name: &str, raw: &str, expected: &str| {
+            format!("{name}={raw:?} is invalid: expected {expected}")
+        };
+        let switch = |name: &str, default: bool| match var(name) {
+            None => Ok(default),
+            Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
+                "1" | "on" | "true" | "yes" => Ok(true),
+                "0" | "off" | "false" | "no" => Ok(false),
+                _ => Err(invalid(name, &raw, "1/on/true/yes or 0/off/false/no")),
+            },
+        };
+        let int = |name: &str, min: u64| match var(name) {
+            None => Ok(None),
+            Some(raw) => match raw.trim().parse::<u64>() {
+                Ok(n) if n >= min => Ok(Some(n)),
+                _ if min == 0 => Err(invalid(name, &raw, "a non-negative integer")),
+                _ => Err(invalid(name, &raw, "a positive integer")),
+            },
+        };
+        let store_dir = match var("RF_STORE_DIR") {
+            None => std::path::PathBuf::from("results/store"),
+            Some(raw) if raw.trim().is_empty() => {
+                return Err(invalid("RF_STORE_DIR", &raw, "a directory path"))
+            }
+            Some(raw) => raw.into(),
+        };
+        let interval_ms =
+            int("RF_TELEMETRY_INTERVAL_MS", 1)?.unwrap_or(rf_obs::live::DEFAULT_INTERVAL_MS);
+        Ok(Self {
+            commits: int("RF_COMMITS", 0)?,
+            jobs: match int("RF_JOBS", 1)? {
+                Some(n) => n as usize,
+                None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            },
+            cache: switch("RF_CACHE", true)?,
+            store: switch("RF_STORE", false)?,
+            store_dir,
+            profile: switch("RF_PROFILE", false)?,
+            sanitize: switch("RF_SANITIZE", false)?,
+            telemetry: switch("RF_TELEMETRY", false)?.then(|| rf_obs::live::LiveConfig {
+                interval: Duration::from_millis(interval_ms),
+            }),
+        })
+    }
+
+    /// The suite's scale: `RF_COMMITS`, else [`DEFAULT_COMMITS`].
+    pub fn scale(&self) -> Scale {
+        Scale { commits: self.commits.unwrap_or(DEFAULT_COMMITS) }
+    }
+}
+
+/// The process's [`RunConfig`] snapshot, parsed from the environment by
+/// the first call here or to [`config`].
+static CONFIG: OnceLock<RunConfig> = OnceLock::new();
+
+/// Parses the process environment into the [`config`] snapshot (once;
+/// later calls return it). Binaries call this at startup so a malformed
+/// knob exits 2 before any work.
+///
+/// # Errors
+///
+/// Returns the first malformed variable's message.
+pub fn init_config() -> Result<&'static RunConfig, String> {
+    if let Some(cfg) = CONFIG.get() {
+        return Ok(cfg);
+    }
+    let cfg = RunConfig::from_env()?;
+    Ok(CONFIG.get_or_init(|| cfg))
+}
+
+/// The process's run configuration: the [`init_config`] snapshot.
+///
+/// # Panics
+///
+/// Panics when a knob is malformed and no binary validated it first
+/// with [`init_config`].
+pub fn config() -> &'static RunConfig {
+    init_config().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Validates every run knob without acting on any of them: a projection
+/// of [`RunConfig::from_env`], kept for callers that only need the
+/// verdict.
+///
+/// # Errors
+///
+/// Returns the first malformed variable's message.
+pub fn validate_env() -> Result<(), String> {
+    RunConfig::from_env().map(drop)
+}
+
+/// The durable store's directory when `RF_STORE` is on: a projection of
+/// [`RunConfig::from_env`] (`store_dir` when `store`), kept for callers
+/// that only need the store.
+///
+/// # Errors
+///
+/// Returns the first malformed variable's message.
+pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
+    RunConfig::from_env().map(|cfg| cfg.store.then_some(cfg.store_dir))
 }
 
 /// One simulation point: a benchmark plus a machine configuration.
@@ -190,8 +255,7 @@ pub struct RunSpec {
 impl RunSpec {
     /// The paper's baseline configuration for a benchmark at an issue
     /// width: dispatch queue of `8 x width` (32 / 64), 2048 registers,
-    /// precise exceptions, lockup-free cache, and the current default
-    /// [`Scale`]'s commit budget.
+    /// precise exceptions, lockup-free cache, and [`DEFAULT_COMMITS`].
     pub fn baseline(benchmark: &str, width: usize) -> Self {
         Self {
             benchmark: benchmark.to_owned(),
@@ -207,7 +271,7 @@ impl RunSpec {
             reorder: None,
             split_dq: false,
             icache: None,
-            commits: Scale::default().commits,
+            commits: DEFAULT_COMMITS,
             seed: 12,
         }
     }
@@ -561,31 +625,6 @@ pub fn simulate(spec: &RunSpec) -> SimStats {
     try_simulate(spec).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Parses `RF_CACHE` strictly, returning whether the run cache is
-/// enabled.
-///
-/// `RF_CACHE` accepts `0`/`off`/`false`/`no` (disabled) and
-/// `1`/`on`/`true`/`yes` (enabled, the default when unset),
-/// case-insensitively; anything else is an error — `RF_CACHE=off` used
-/// to silently leave the cache enabled, which is exactly the trap this
-/// closes.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed value.
-pub fn cache_env_mode() -> Result<bool, String> {
-    match std::env::var("RF_CACHE") {
-        Err(_) => Ok(true),
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(false),
-            "1" | "on" | "true" | "yes" => Ok(true),
-            _ => Err(format!(
-                "RF_CACHE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
 /// One cached result with its originating spec, which lookups verify.
 ///
 /// Entries are keyed by the *stable* content digests from
@@ -638,19 +677,11 @@ impl RunCache {
         Self { disabled: true, ..Self::default() }
     }
 
-    /// The process-wide cache shared by every harness. `RF_CACHE`
-    /// disables it — see [`cache_env_mode`] for the accepted values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RF_CACHE` is malformed (on first use only; binaries
-    /// should pre-validate with [`validate_env`]).
+    /// The process-wide cache shared by every harness, disabled when
+    /// [`config`]'s `cache` is off (`RF_CACHE=0`).
     pub fn global() -> &'static RunCache {
         static GLOBAL: OnceLock<RunCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let enabled = cache_env_mode().unwrap_or_else(|e| panic!("{e}"));
-            if enabled { RunCache::new() } else { RunCache::disabled() }
-        })
+        GLOBAL.get_or_init(|| if config().cache { RunCache::new() } else { RunCache::disabled() })
     }
 
     /// Locks the map, recovering (and counting) a poisoned lock: the map
@@ -750,20 +781,16 @@ struct StoreTier {
 }
 
 impl StoreTier {
-    /// The process-wide store tier: `None` when `RF_STORE` is off *or*
-    /// the store directory cannot be opened (a warning is printed and
-    /// the run proceeds purely in memory — a broken disk store must
+    /// The process-wide store tier: `None` when [`config`]'s `store` is
+    /// off *or* its `store_dir` cannot be opened (a warning is printed
+    /// and the run proceeds purely in memory — a broken disk store must
     /// never take the suite down).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RF_STORE`/`RF_STORE_DIR` is malformed (on first use
-    /// only; binaries pre-validate with [`validate_env`]).
     fn global() -> Option<&'static StoreTier> {
         static TIER: OnceLock<Option<StoreTier>> = OnceLock::new();
         TIER.get_or_init(|| {
-            let dir = store_env_mode().unwrap_or_else(|e| panic!("{e}"))?;
-            let opened = rf_store::Store::open(&dir)
+            let cfg = config();
+            let dir = cfg.store.then_some(&cfg.store_dir)?;
+            let opened = rf_store::Store::open(dir)
                 .and_then(|store| Ok((store.snapshot()?, store)));
             match opened {
                 Ok((snapshot, store)) => Some(StoreTier {
@@ -939,31 +966,21 @@ impl SimPool {
         Self { jobs: jobs.max(1) }
     }
 
-    /// A pool sized from the `RF_JOBS` environment variable, defaulting
-    /// to the machine's available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `RF_JOBS` is malformed; binaries should pre-validate
-    /// with [`SimPool::try_from_env`] or [`validate_env`].
+    /// A pool of [`config`]'s `jobs` workers (`RF_JOBS`, default all
+    /// cores).
     pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+        Self::new(config().jobs)
     }
 
-    /// As [`SimPool::from_env`], but a malformed `RF_JOBS` (including
-    /// `RF_JOBS=0`) is an error instead of a panic or a silent fall-back
-    /// to full parallelism.
+    /// A pool of `RF_JOBS` workers: a projection of
+    /// [`RunConfig::from_env`], kept for callers that only need the
+    /// pool.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed value.
+    /// Returns the first malformed variable's message.
     pub fn try_from_env() -> Result<Self, String> {
-        let jobs = match env_u64("RF_JOBS")? {
-            Some(0) => return Err("RF_JOBS=0 would run nothing; use RF_JOBS=1".to_owned()),
-            Some(n) => n as usize,
-            None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        };
-        Ok(Self::new(jobs))
+        RunConfig::from_env().map(|cfg| Self::new(cfg.jobs))
     }
 
     /// The number of concurrent simulations this pool runs.
@@ -1228,12 +1245,6 @@ impl SimPool {
     }
 }
 
-impl Default for SimPool {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 /// Groups a batch's tasks by trace key — benchmark and seed — for
 /// [`SimPool`] to run group by group: groups in first-appearance order,
 /// task order kept inside each group. Batches put the benchmark
@@ -1277,7 +1288,9 @@ pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::Exit
          RF_COMMITS     default commit budget\n  \
          RF_JOBS        parallel simulation workers (default: all cores)\n  \
          RF_CACHE       0/off/false/no disables the shared run cache\n  \
-         RF_PROFILE     1/on/true/yes enables the rf-prof self-profiler"
+         RF_STORE       1/on/true/yes serves and persists results through\n                 \
+         the durable run store under RF_STORE_DIR\n  \
+         RF_STORE_DIR   store directory (default: results/store)"
     );
     let mut commits: Option<u64> = None;
     for arg in std::env::args().skip(1) {
@@ -1297,11 +1310,14 @@ pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::Exit
             }
         }
     }
-    if let Err(e) = validate_env() {
-        eprintln!("{name}: {e}");
-        return std::process::ExitCode::from(2);
-    }
-    let scale = commits.map_or_else(Scale::from_env, |commits| Scale { commits });
+    let cfg = match init_config() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            return std::process::ExitCode::from(2);
+        }
+    };
+    let scale = commits.map_or_else(|| cfg.scale(), |commits| Scale { commits });
     match std::panic::catch_unwind(|| run(&scale)) {
         Ok(report) => {
             println!("{report}");
@@ -1360,10 +1376,9 @@ mod tests {
     }
 
     #[test]
-    fn baseline_commits_follow_scale() {
-        // The budget comes from Scale::default() (RF_COMMITS or 200k),
-        // not a hardcoded constant.
-        assert_eq!(RunSpec::baseline("tomcatv", 4).commits, Scale::default().commits);
+    fn baseline_commits_are_the_default_budget() {
+        // A constant, not RF_COMMITS: only the suite's scale reads that.
+        assert_eq!(RunSpec::baseline("tomcatv", 4).commits, DEFAULT_COMMITS);
     }
 
     #[test]
@@ -1514,86 +1529,81 @@ mod tests {
         assert_eq!(**out[0].as_ref().expect("completes well before an hour"), simulate(&spec));
     }
 
+    /// Parses a config from `(variable, value)` pairs, never touching
+    /// the process environment.
+    fn parse(vars: &[(&str, &str)]) -> Result<RunConfig, String> {
+        let vars: HashMap<&str, &str> = vars.iter().copied().collect();
+        RunConfig::from_vars(|name| vars.get(name).map(|v| (*v).to_owned()))
+    }
+
     #[test]
-    fn strict_env_parsing_rejects_malformed_values() {
-        // Env mutation is process-global, so this test owns all eight
-        // variables for its duration and restores them at the end; it is
-        // the only test in this binary that touches them.
-        let vars = [
-            "RF_COMMITS",
-            "RF_JOBS",
-            "RF_CACHE",
-            "RF_STORE",
-            "RF_STORE_DIR",
-            "RF_SANITIZE",
-            "RF_TELEMETRY",
-            "RF_TELEMETRY_INTERVAL_MS",
-        ];
-        let saved: Vec<Option<String>> =
-            vars.iter().map(|v| std::env::var(v).ok()).collect();
-        let cases: [(&str, &str, &str); 12] = [
-            ("RF_COMMITS", "200k", "RF_COMMITS"),
-            ("RF_JOBS", "abc", "RF_JOBS"),
-            ("RF_JOBS", "0", "RF_JOBS=0"),
-            ("RF_CACHE", "maybe", "RF_CACHE"),
-            ("RF_STORE", "maybe", "RF_STORE"),
-            ("RF_STORE", "2", "RF_STORE"),
-            ("RF_STORE_DIR", "  ", "RF_STORE_DIR"),
-            ("RF_SANITIZE", "maybe", "RF_SANITIZE"),
-            ("RF_SANITIZE", "", "RF_SANITIZE"),
-            ("RF_TELEMETRY", "maybe", "RF_TELEMETRY"),
-            ("RF_TELEMETRY_INTERVAL_MS", "fast", "RF_TELEMETRY_INTERVAL_MS"),
-            ("RF_TELEMETRY_INTERVAL_MS", "0", "RF_TELEMETRY_INTERVAL_MS value '0'"),
+    fn run_config_parsing_is_strict() {
+        // Unset knobs take their defaults.
+        let cfg = parse(&[]).unwrap();
+        assert_eq!(cfg.commits, None);
+        assert_eq!(cfg.scale().commits, DEFAULT_COMMITS);
+        assert!(cfg.jobs >= 1);
+        assert!(cfg.cache && !cfg.store && !cfg.profile && !cfg.sanitize);
+        assert_eq!(cfg.store_dir, std::path::PathBuf::from("results/store"));
+        assert!(cfg.telemetry.is_none());
+        // Every malformed value is an error naming the variable and the
+        // value; a typo'd knob fails even while its feature is off.
+        let cases: [(&str, &str, &str); 14] = [
+            ("RF_COMMITS", "200k", "RF_COMMITS=\"200k\""),
+            ("RF_JOBS", "abc", "RF_JOBS=\"abc\""),
+            ("RF_JOBS", "0", "RF_JOBS=\"0\""),
+            ("RF_CACHE", "maybe", "RF_CACHE=\"maybe\""),
+            ("RF_STORE", "maybe", "RF_STORE=\"maybe\""),
+            ("RF_STORE", "2", "RF_STORE=\"2\""),
+            ("RF_STORE_DIR", "  ", "RF_STORE_DIR=\"  \""),
+            ("RF_PROFILE", "maybe", "RF_PROFILE=\"maybe\""),
+            ("RF_SANITIZE", "maybe", "RF_SANITIZE=\"maybe\""),
+            ("RF_SANITIZE", "", "RF_SANITIZE=\"\""),
+            ("RF_TELEMETRY", "maybe", "RF_TELEMETRY=\"maybe\""),
+            ("RF_TELEMETRY_INTERVAL_MS", "fast", "RF_TELEMETRY_INTERVAL_MS=\"fast\""),
+            ("RF_TELEMETRY_INTERVAL_MS", "0", "RF_TELEMETRY_INTERVAL_MS=\"0\""),
+            ("RF_TELEMETRY_INTERVAL_MS", "50ms", "RF_TELEMETRY_INTERVAL_MS=\"50ms\""),
         ];
         for (var, value, needle) in cases {
-            for v in vars {
-                std::env::remove_var(v);
-            }
-            std::env::set_var(var, value);
-            let err = validate_env().expect_err(var);
+            let err = parse(&[(var, value)]).expect_err(var);
             assert!(err.contains(needle), "{var}={value} error: {err}");
         }
-        // Normalized RF_CACHE spellings and well-formed values all pass.
-        for v in vars {
-            std::env::remove_var(v);
-        }
-        for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
-            std::env::set_var("RF_CACHE", ok);
-            assert!(validate_env().is_ok(), "RF_CACHE={ok} should be accepted");
-        }
-        // RF_SANITIZE takes the same spellings, and `off` really is off.
-        for (raw, on) in [("off", false), ("FALSE", false), ("no", false), ("0", false)]
+        // All five switches take the same spellings, trimmed and in any
+        // case, and `off` really is off.
+        type Get = fn(&RunConfig) -> bool;
+        let switches: [(&str, Get); 5] = [
+            ("RF_CACHE", |c| c.cache),
+            ("RF_STORE", |c| c.store),
+            ("RF_PROFILE", |c| c.profile),
+            ("RF_SANITIZE", |c| c.sanitize),
+            ("RF_TELEMETRY", |c| c.telemetry.is_some()),
+        ];
+        let spellings = [("0", false), ("OFF", false), ("false", false), ("No", false)]
             .into_iter()
-            .chain([("on", true), ("True", true), ("yes", true), ("1", true)])
-        {
-            std::env::set_var("RF_SANITIZE", raw);
-            assert!(validate_env().is_ok(), "RF_SANITIZE={raw} should be accepted");
-            assert_eq!(rf_check::env_mode(), Ok(on), "RF_SANITIZE={raw}");
-        }
-        std::env::remove_var("RF_SANITIZE");
-        // RF_STORE_DIR is honored (and a stray value tolerated) even
-        // while the store itself stays off.
-        for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
-            std::env::set_var("RF_STORE", ok);
-            assert!(validate_env().is_ok(), "RF_STORE={ok} should be accepted");
-        }
-        std::env::set_var("RF_STORE", "1");
-        std::env::set_var("RF_STORE_DIR", "results/elsewhere");
-        assert_eq!(
-            store_env_mode(),
-            Ok(Some(std::path::PathBuf::from("results/elsewhere")))
-        );
-        std::env::remove_var("RF_STORE");
-        std::env::remove_var("RF_STORE_DIR");
-        assert_eq!(store_env_mode(), Ok(None));
-        std::env::remove_var("RF_CACHE");
-        assert_eq!(cache_env_mode(), Ok(true));
-        for (var, value) in vars.iter().zip(saved) {
-            match value {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
+            .chain([("1", true), ("on", true), ("TRUE", true), ("yes", true)])
+            .chain([(" 1", true), (" off", false)]);
+        for (var, get) in switches {
+            for (raw, on) in spellings.clone() {
+                let cfg = parse(&[(var, raw)]).unwrap_or_else(|e| panic!("{var}={raw:?}: {e}"));
+                assert_eq!(get(&cfg), on, "{var}={raw:?}");
             }
         }
+        // Well-formed values come through.
+        let cfg = parse(&[
+            ("RF_COMMITS", " 2000"),
+            ("RF_JOBS", "3"),
+            ("RF_STORE", "1"),
+            ("RF_STORE_DIR", "results/elsewhere"),
+            ("RF_TELEMETRY", "1"),
+        ])
+        .unwrap();
+        assert_eq!(cfg.commits, Some(2_000));
+        assert_eq!(cfg.jobs, 3);
+        assert_eq!(cfg.store_dir, std::path::PathBuf::from("results/elsewhere"));
+        let interval = cfg.telemetry.expect("enabled").interval;
+        assert_eq!(interval, Duration::from_millis(rf_obs::live::DEFAULT_INTERVAL_MS));
+        let cfg = parse(&[("RF_TELEMETRY", "1"), ("RF_TELEMETRY_INTERVAL_MS", "50")]).unwrap();
+        assert_eq!(cfg.telemetry.expect("enabled").interval, Duration::from_millis(50));
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //! run's ledger record; `crates/experiments/tests/telemetry.rs` asserts
 //! both properties against the real suite binary.
 //!
-//! Knobs (strict-parsed by [`env_config`], like every other `RF_*`
-//! knob — malformed values exit 2 before any simulation starts):
-//!
-//! - `RF_TELEMETRY=1` — enable the runtime (`0/off/false/no` and unset
-//!   disable it).
-//! - `RF_TELEMETRY_INTERVAL_MS=N` — sampler period, default 250.
+//! The suite enables the runtime with `RF_TELEMETRY=1` and sets the
+//! sampler period with `RF_TELEMETRY_INTERVAL_MS=N` (default 250). This
+//! module reads no environment: the suite's run configuration parses
+//! both knobs and hands [`start`] a [`LiveConfig`].
 
 use crate::json::Value;
 use crate::ledger;
@@ -57,57 +55,18 @@ pub const LIVE_PATH: &str = "results/telemetry/live.jsonl";
 /// above any realistic `RF_JOBS`.
 pub const MAX_WORKERS: usize = 64;
 
-const DEFAULT_INTERVAL_MS: u64 = 250;
+/// Sampler period when `RF_TELEMETRY_INTERVAL_MS` is unset.
+pub const DEFAULT_INTERVAL_MS: u64 = 250;
 
 // ---------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Validated telemetry configuration from the environment.
+/// Telemetry configuration: how the runtime [`start`]s.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Sampler period.
     pub interval: Duration,
-}
-
-fn parse_switch(name: &str, raw: &str) -> Result<bool, String> {
-    match raw.to_ascii_lowercase().as_str() {
-        "0" | "off" | "false" | "no" => Ok(false),
-        "1" | "on" | "true" | "yes" => Ok(true),
-        _ => Err(format!(
-            "invalid {name} value '{raw}': expected 1/0, on/off, true/false, or yes/no"
-        )),
-    }
-}
-
-/// Reads and validates the telemetry knobs. `Ok(None)` means telemetry
-/// is off; both variables are validated regardless so a typo'd knob
-/// fails fast even when `RF_TELEMETRY` is unset.
-///
-/// # Errors
-///
-/// Returns a message naming the offending variable and value.
-pub fn env_config() -> Result<Option<LiveConfig>, String> {
-    let enabled = match std::env::var("RF_TELEMETRY") {
-        Err(_) => false,
-        Ok(raw) => parse_switch("RF_TELEMETRY", &raw)?,
-    };
-    let interval_ms = match std::env::var("RF_TELEMETRY_INTERVAL_MS") {
-        Err(_) => DEFAULT_INTERVAL_MS,
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                return Err(format!(
-                    "invalid RF_TELEMETRY_INTERVAL_MS value '{raw}': expected a \
-                     positive integer number of milliseconds"
-                ))
-            }
-        },
-    };
-    if !enabled {
-        return Ok(None);
-    }
-    Ok(Some(LiveConfig { interval: Duration::from_millis(interval_ms) }))
 }
 
 // ---------------------------------------------------------------------
@@ -725,49 +684,5 @@ mod tests {
         worker_task(1, 500);
         assert_eq!(workers_now()[1].sims, 1, "worker cells are inert after finalize");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn env_config_is_strict() {
-        // One test owns both variables to avoid races between parallel
-        // tests mutating the process environment.
-        let vars = ["RF_TELEMETRY", "RF_TELEMETRY_INTERVAL_MS"];
-        let saved: Vec<_> = vars.iter().map(|v| (v, std::env::var(v).ok())).collect();
-        for v in vars {
-            std::env::remove_var(v);
-        }
-
-        assert!(env_config().unwrap().is_none(), "unset means off");
-        std::env::set_var("RF_TELEMETRY", "off");
-        assert!(env_config().unwrap().is_none());
-        std::env::set_var("RF_TELEMETRY", "1");
-        let cfg = env_config().unwrap().expect("enabled");
-        assert_eq!(cfg.interval, Duration::from_millis(DEFAULT_INTERVAL_MS));
-
-        std::env::set_var("RF_TELEMETRY_INTERVAL_MS", "50");
-        let cfg = env_config().unwrap().expect("enabled");
-        assert_eq!(cfg.interval, Duration::from_millis(50));
-
-        // Malformed values fail even when RF_TELEMETRY is off/unset.
-        for (var, bad) in [
-            ("RF_TELEMETRY", "maybe"),
-            ("RF_TELEMETRY_INTERVAL_MS", "0"),
-            ("RF_TELEMETRY_INTERVAL_MS", "50ms"),
-        ] {
-            for v in vars {
-                std::env::remove_var(v);
-            }
-            std::env::set_var(var, bad);
-            let err = env_config().expect_err(&format!("{var}={bad} must be rejected"));
-            assert!(err.contains(var), "error names the variable: {err}");
-            assert!(err.contains(bad), "error shows the value: {err}");
-        }
-
-        for (v, val) in saved {
-            match val {
-                Some(s) => std::env::set_var(v, s),
-                None => std::env::remove_var(v),
-            }
-        }
     }
 }

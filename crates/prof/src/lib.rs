@@ -10,13 +10,12 @@
 //!
 //! ## Switching it on
 //!
-//! Profiling is off by default and controlled by the `RF_PROFILE`
-//! environment switch (`1/on/true/yes` or `0/off/false/no`, the same
-//! spellings as `RF_CACHE`/`RF_STORE`), consulted once per process.
-//! `rfstudy profile` and the benchmarks flip it programmatically with
-//! [`set_enabled`]. When off, opening a span costs one relaxed atomic
-//! load (coarse sites) or one thread-local read (hot sites) — a
-//! predictable branch, not a timestamp — and dropping the inert guard
+//! Profiling starts off, and [`set_enabled`] is its one switch: the
+//! suite calls it with its `RF_PROFILE` setting, while `rfstudy profile`
+//! and the benchmarks flip it directly. This crate reads no
+//! environment. When off, opening a span costs one relaxed atomic load
+//! (coarse sites) or one thread-local read (hot sites) — a predictable
+//! branch, not a timestamp — and dropping the inert guard
 //! costs one inlined discriminant test: [`Span`]'s `Drop` is
 //! `#[inline(always)]` and calls its `#[cold]` out-of-line finish only
 //! for an active span. Callers that gate spans themselves, like the
@@ -59,7 +58,7 @@
 pub mod counters;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -71,72 +70,26 @@ pub const SAMPLE_WEIGHT: u32 = 64;
 /// Name of the root node every per-thread tree hangs off.
 const ROOT: &str = "all";
 
-// Process-wide enable switch: 0 = not yet initialized from RF_PROFILE,
-// 1 = off, 2 = on. A relaxed load suffices — the switch is flipped at
-// process or benchmark-iteration granularity, never mid-span.
-const UNINIT: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-static STATE: AtomicU8 = AtomicU8::new(UNINIT);
+// Process-wide enable switch. A relaxed load suffices — the switch is
+// flipped at process or benchmark-iteration granularity, never
+// mid-span.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Parses the `RF_PROFILE` environment switch without touching process
-/// state: `Ok(false)` when unset, `Err` with a usage message on an
-/// unparsable value. The binaries call this from their environment
-/// validators so a typo fails fast with a usage error instead of a
-/// mid-run panic.
-///
-/// # Errors
-///
-/// Returns a descriptive message when `RF_PROFILE` is set to anything
-/// other than `1/on/true/yes` or `0/off/false/no` (case-insensitive).
-pub fn env_mode() -> Result<bool, String> {
-    match std::env::var("RF_PROFILE") {
-        Err(_) => Ok(false),
-        Ok(v) => parse_switch(&v).ok_or_else(|| {
-            format!("invalid RF_PROFILE value {v:?}: use 1/on/true/yes or 0/off/false/no")
-        }),
-    }
-}
-
-fn parse_switch(value: &str) -> Option<bool> {
-    match value.to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Some(true),
-        "0" | "off" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// Whether profiling is enabled. The first call reads `RF_PROFILE`;
-/// subsequent calls are one relaxed atomic load.
-///
-/// # Panics
-///
-/// Panics on an unparsable `RF_PROFILE` value (the binaries pre-validate
-/// via [`env_mode`] and exit with a usage error first).
+/// Whether profiling is enabled: one relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        UNINIT => init_from_env(),
-        s => s == ON,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = env_mode().unwrap_or_else(|e| panic!("{e}"));
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    on
-}
-
-/// Forces profiling on or off for the whole process, overriding
-/// `RF_PROFILE`. Used by `rfstudy profile` (which always profiles) and
-/// by the overhead benchmarks (which compare both settings in one
-/// process). Flip it only between simulations — a span that opens under
-/// one setting and closes under the other records nothing or records
-/// normally, but a *gate* opened while enabled must drop before
-/// disabling mid-run makes the bookkeeping lopsided.
+/// Switches profiling on or off for the whole process (it starts off).
+/// Used by the suite (`RF_PROFILE`), by `rfstudy profile` (which always
+/// profiles) and by the overhead benchmarks (which compare both
+/// settings in one process). Flip it only between simulations — a span
+/// that opens under one setting and closes under the other records
+/// nothing or records normally, but a *gate* opened while enabled must
+/// drop before disabling mid-run makes the bookkeeping lopsided.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 thread_local! {
@@ -615,20 +568,5 @@ mod tests {
                 ("all;x".to_owned(), "y".to_owned()),
             ]
         );
-    }
-
-    #[test]
-    fn env_mode_accepts_the_switch_spellings() {
-        // Do not mutate the process environment (tests run in parallel);
-        // the parser is exercised directly.
-        for v in ["1", "on", "TRUE", "Yes"] {
-            assert_eq!(parse_switch(v), Some(true), "{v}");
-        }
-        for v in ["0", "off", "False", "NO"] {
-            assert_eq!(parse_switch(v), Some(false), "{v}");
-        }
-        for v in ["", "2", "sample", " on"] {
-            assert_eq!(parse_switch(v), None, "{v:?}");
-        }
     }
 }

@@ -172,22 +172,22 @@ pub struct MatrixPins {
     pub exceptions: Option<ExceptionModel>,
     /// Restrict to one register-file size (`None` = 2048 and 64).
     pub regs: Option<usize>,
-    /// Commit budget per configuration (`None` = `RF_COMMITS` env or
-    /// 10000).
+    /// Commit budget per configuration (`None` = the caller's default).
     pub commits: Option<u64>,
     /// Workload seed.
     pub seed: u64,
 }
 
+/// The commit budget `check`, `model` and `profile` default to when
+/// neither `--commits` nor `RF_COMMITS` sets one.
+pub const MATRIX_COMMITS: u64 = 10_000;
+
 impl MatrixPins {
     /// Expands the pins into the cross-product of configurations,
-    /// validating the benchmark name and resolving the commit default
-    /// (`RF_COMMITS` environment variable, else 10000).
-    pub fn expand(&self) -> Result<Vec<rf_check::CheckParams>, String> {
-        let commits = self
-            .commits
-            .or_else(|| std::env::var("RF_COMMITS").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or(10_000);
+    /// validating the benchmark name; `default_commits` applies when
+    /// `--commits` is absent.
+    pub fn expand(&self, default_commits: u64) -> Result<Vec<rf_check::CheckParams>, String> {
+        let commits = self.commits.unwrap_or(default_commits);
         let benches: Vec<String> = match &self.bench {
             Some(b) => {
                 rf_workload::spec92::by_name(b)
@@ -404,8 +404,8 @@ pub enum Command {
     Store {
         /// What to do.
         action: StoreAction,
-        /// Store directory (`None` = `RF_STORE_DIR` or
-        /// `results/store`).
+        /// Store directory (`None` = the run configuration's
+        /// `RF_STORE_DIR`).
         dir: Option<String>,
     },
     /// Register-file timing table.
@@ -846,8 +846,8 @@ EXIT STATUS:
   1  runtime failure (simulation error, sanitizer violation, failed
      check/report gate, store verification failure, exceeded
      --deadline-secs)
-  2  usage error (unknown command or option, malformed value, a `top`
-     attach to a stream file that does not exist)
+  2  usage error (unknown command or option, malformed value or RF_*
+     variable, a `top` attach to a stream file that does not exist)
 ";
 
 #[cfg(test)]
@@ -1041,7 +1041,7 @@ mod tests {
             commits: Some(500),
             seed: 12,
         };
-        let params = pins.expand().unwrap();
+        let params = pins.expand(MATRIX_COMMITS).unwrap();
         assert_eq!(params.len(), 72);
         assert!(params.iter().all(|p| p.commits == 500 && p.seed == 12));
         assert_eq!(params[0].width, 4);
@@ -1055,7 +1055,7 @@ mod tests {
             commits: Some(100),
             seed: 3,
         };
-        let params = pinned.expand().unwrap();
+        let params = pinned.expand(MATRIX_COMMITS).unwrap();
         assert_eq!(params.len(), 1);
         assert_eq!(params[0].bench, "compress");
         assert_eq!(params[0].width, 8);
@@ -1063,7 +1063,10 @@ mod tests {
         assert_eq!(params[0].regs, 64);
         // Unknown benchmarks are rejected at expansion time.
         let bogus = MatrixPins { bench: Some("nope".into()), ..pinned };
-        assert!(bogus.expand().is_err());
+        assert!(bogus.expand(MATRIX_COMMITS).is_err());
+        // Without --commits the caller's default applies.
+        let unbudgeted = MatrixPins { commits: None, ..pins };
+        assert!(unbudgeted.expand(700).unwrap().iter().all(|p| p.commits == 700));
     }
 
     #[test]

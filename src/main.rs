@@ -18,6 +18,7 @@ use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, SimStats};
 use std::collections::HashMap;
 use rf_obs::Recorder;
 use rf_isa::RegClass;
+use rf_experiments::runner::RunConfig;
 use rf_prof::counters::Counter;
 use rf_timing::{RegFileGeometry, TimingModel};
 use rf_workload::{spec92, SharedTrace, TraceGenerator};
@@ -33,14 +34,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // `run` and `replay` consult RF_SANITIZE; a malformed value is a
-    // usage error, not a silent choice of mode.
-    if matches!(cmd, Command::Run { .. } | Command::Replay { .. }) {
-        if let Err(e) = rf_check::env_mode() {
+    // `help` prints even under a malformed environment, as `all --help`
+    // does; every other command first parses the run configuration, so
+    // a malformed `RF_*` knob is a usage error before any work.
+    if cmd == Command::Help {
+        println!("{}", cli::USAGE);
+        return ExitCode::SUCCESS;
+    }
+    let cfg = match rf_experiments::runner::init_config() {
+        Ok(cfg) => cfg,
+        Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
-    }
+    };
     // Attaching to a stream file that does not exist is a usage error
     // (exit 2), not something to hang on: no suite run has started the
     // stream, so waiting for the file could wait forever.
@@ -53,7 +60,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    match dispatch(cmd) {
+    match dispatch(cmd, cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -62,12 +69,12 @@ fn main() -> ExitCode {
     }
 }
 
-fn dispatch(cmd: Command) -> Result<(), String> {
+fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
+    // `check`, `model` and `profile` default to a smaller budget than
+    // the suite's.
+    let matrix_commits = cfg.commits.unwrap_or(cli::MATRIX_COMMITS);
     match cmd {
-        Command::Help => {
-            println!("{}", cli::USAGE);
-            Ok(())
-        }
+        Command::Help => unreachable!("main prints help before parsing the run configuration"),
         Command::List => {
             println!("{:<10} {:>6} {:>6} {:>8}", "benchmark", "fp?", "loops", "body");
             for p in spec92::all() {
@@ -90,6 +97,7 @@ fn dispatch(cmd: Command) -> Result<(), String> {
                 commits,
                 deadline_secs,
                 &machine,
+                cfg.sanitize,
             )
         }
         Command::Trace { bench, commits, format, window, out, machine } => {
@@ -143,14 +151,16 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             let trace = read_trace_file(&trace)?;
             let n = trace.len() as u64;
             let target = if commits == 0 { n } else { commits.min(n) };
-            simulate(|_| Some(trace), target, None, &machine)
+            simulate(|_| Some(trace), target, None, &machine, cfg.sanitize)
         }
-        Command::Check { pins, deadline_secs } => run_check(&pins, deadline_secs),
+        Command::Check { pins, deadline_secs } => {
+            run_check(&pins.expand(matrix_commits)?, deadline_secs)
+        }
         Command::Model { pins, check, format, deadline_secs } => {
-            run_model(&pins, check, format, deadline_secs)
+            run_model(&pins.expand(matrix_commits)?, check, format, deadline_secs)
         }
         Command::Profile { pins, format, top, out, deadline_secs } => {
-            run_profile(&pins, format, top, out, deadline_secs)
+            run_profile(&pins.expand(matrix_commits)?, format, top, out, deadline_secs)
         }
         Command::Top { file, ledger, interval_ms, once } => {
             run_top(&file, &ledger, interval_ms, once)
@@ -202,7 +212,9 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Store { action, dir } => run_store(action, dir.as_deref()),
+        Command::Store { action, dir } => {
+            run_store(action, &dir.map_or_else(|| cfg.store_dir.clone(), Into::into))
+        }
         Command::Timing { width } => {
             let model = TimingModel::cmos_05um();
             println!("{width}-way issue register-file timing (0.5um CMOS)");
@@ -241,9 +253,9 @@ fn watchdog(secs: f64) -> CancelToken {
 
 /// Simulates `commits` instructions of the trace `load` returns on
 /// `machine` and prints the statistics under the trace's benchmark name;
-/// `run` and `replay` share it. With the sanitizer enabled (`RF_SANITIZE`
-/// or the `sanitize` feature) its report follows, and a violation is an
-/// error. `deadline_secs` bounds the load and the simulation: `load`
+/// `run` and `replay` share it. With `sanitize` (`RF_SANITIZE`) the
+/// invariant sanitizer rides along, its report follows, and a violation
+/// is an error. `deadline_secs` bounds the load and the simulation: `load`
 /// polls the callback it is given and returns `None` once it answers
 /// `true`, and the pipeline is cancelled with its partial state
 /// discarded.
@@ -252,6 +264,7 @@ fn simulate(
     commits: u64,
     deadline_secs: Option<f64>,
     machine: &MachineOpts,
+    sanitize: bool,
 ) -> Result<(), String> {
     let cancel = deadline_secs.map(watchdog);
     let deadline_err = |at_cycle: u64| {
@@ -264,7 +277,7 @@ fn simulate(
         .ok_or_else(|| deadline_err(0))?;
     let deadline_err = |c: Cancelled| deadline_err(c.at_cycle);
     let (mut cursor, mut wrong_path) = (trace.cursor(), trace.wrong_path());
-    if rf_check::sanitize_enabled() {
+    if sanitize {
         let sanitizer = Sanitizer::new(machine.regs, machine.exceptions);
         let mut pipeline = Pipeline::with_observer(machine.to_config(), sanitizer);
         if let Some(token) = cancel {
@@ -295,8 +308,7 @@ fn simulate(
 /// The `check` subcommand: cross-validates the simulator against the
 /// static oracle over the requested configuration matrix (the full
 /// default matrix when no dimension is pinned).
-fn run_check(pins: &cli::MatrixPins, deadline_secs: Option<f64>) -> Result<(), String> {
-    let matrix = pins.expand()?;
+fn run_check(matrix: &[CheckParams], deadline_secs: Option<f64>) -> Result<(), String> {
     // One watchdog for the whole matrix: every cross-validation pipeline
     // polls the same token, so the deadline covers the matrix, not each
     // configuration separately.
@@ -304,7 +316,7 @@ fn run_check(pins: &cli::MatrixPins, deadline_secs: Option<f64>) -> Result<(), S
 
     let mut failures = 0u64;
     let mut runs = 0u64;
-    for params in &matrix {
+    for params in matrix {
         let report = rf_check::cross_validate_cancellable(params, cancel.as_ref())?;
         runs += 1;
         if report.passed() {
@@ -348,15 +360,14 @@ const MODEL_MEAN_ERR_CAP_PCT: f64 = 15.0;
 /// at evaluation time — so they are memoized and each configuration is
 /// a microsecond-scale closed-form evaluation on a cached summary.
 fn run_model(
-    pins: &cli::MatrixPins,
+    matrix: &[CheckParams],
     check: bool,
     format: cli::ModelFormat,
     deadline_secs: Option<f64>,
 ) -> Result<(), String> {
-    let matrix = pins.expand()?;
     let extract = std::time::Instant::now();
     let mut summaries: HashMap<(String, usize), rf_model::WorkloadSummary> = HashMap::new();
-    for p in &matrix {
+    for p in matrix {
         let config = rf_check::config_for(p);
         summaries.entry((p.bench.clone(), p.width)).or_insert_with(|| {
             rf_model::summarize(
@@ -383,7 +394,7 @@ fn run_model(
     let eval_ns = eval.elapsed().as_nanos() as u64;
 
     if check {
-        return model_check(&matrix, &summaries, &estimates, extract_ns, eval_ns, deadline_secs);
+        return model_check(matrix, &summaries, &estimates, extract_ns, eval_ns, deadline_secs);
     }
     match format {
         cli::ModelFormat::Json => {
@@ -535,14 +546,13 @@ fn model_check(
 /// same clock, so the coverage line below is meaningful), and renders
 /// where the time went.
 fn run_profile(
-    pins: &cli::MatrixPins,
+    matrix: &[CheckParams],
     format: cli::ProfileFormat,
     top: usize,
     out: Option<String>,
     deadline_secs: Option<f64>,
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
-    let matrix = pins.expand()?;
     let commits = matrix.first().map_or(0, |p| p.commits);
     let specs: Vec<_> = matrix.iter().map(spec_for).collect();
     let opts = deadline_secs.map_or_else(BatchOpts::unbounded, |secs| {
@@ -799,16 +809,9 @@ fn run_top(file: &str, ledger_path: &str, interval_ms: u64, once: bool) -> Resul
 
 /// The `store` subcommand: inspects or maintains the durable
 /// content-addressed run store that suite runs populate under
-/// `RF_STORE=1`. The directory resolves `--dir`, then `RF_STORE_DIR`,
-/// then `results/store` — the same default the write path uses.
-fn run_store(action: StoreAction, dir: Option<&str>) -> Result<(), String> {
-    let dir: std::path::PathBuf = match dir {
-        Some(d) => d.into(),
-        None => std::env::var("RF_STORE_DIR")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-            .map_or_else(|| "results/store".into(), Into::into),
-    };
+/// `RF_STORE=1`, in `dir`: `--dir`, else the run configuration's
+/// `RF_STORE_DIR` — the directory the write path uses.
+fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
     // Opening would create an empty store; maintenance on a store that
     // was never written is a mistake worth reporting instead.
     if !dir.is_dir() {
@@ -817,8 +820,7 @@ fn run_store(action: StoreAction, dir: Option<&str>) -> Result<(), String> {
             dir.display()
         ));
     }
-    let store =
-        rf_store::Store::open(&dir).map_err(|e| format!("cannot open store: {e}"))?;
+    let store = rf_store::Store::open(dir).map_err(|e| format!("cannot open store: {e}"))?;
     let fmt_schemas = |schemas: &std::collections::BTreeMap<u32, u64>| -> String {
         if schemas.is_empty() {
             "none".to_owned()

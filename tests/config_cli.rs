@@ -1,0 +1,78 @@
+//! CLI contract for the run configuration: every `rfstudy` command
+//! parses the `RF_*` knobs once at startup, so a malformed value is a
+//! usage error (exit code 2, stderr naming the variable) before any
+//! work — never a silent default, a panic, or a second reading that
+//! disagrees with the first. `RF_SANITIZE` is the one way to sanitize a
+//! `run`, so both of its settings are pinned too.
+
+use std::process::{Command, Output};
+
+/// Every run knob, cleared before each row so the caller's environment
+/// cannot leak in.
+const KNOBS: [&str; 9] = [
+    "RF_COMMITS",
+    "RF_JOBS",
+    "RF_CACHE",
+    "RF_STORE",
+    "RF_STORE_DIR",
+    "RF_PROFILE",
+    "RF_SANITIZE",
+    "RF_TELEMETRY",
+    "RF_TELEMETRY_INTERVAL_MS",
+];
+
+const MATRIX: [&str; 6] = ["--bench", "compress", "--width", "4", "--regs", "64"];
+
+fn rfstudy(var: &str, value: &str, args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rfstudy"));
+    for knob in KNOBS {
+        cmd.env_remove(knob);
+    }
+    cmd.env(var, value).args(args).output().expect("rfstudy runs")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn a_malformed_knob_is_a_usage_error_on_every_command() {
+    let check: Vec<&str> = ["check"].iter().chain(&MATRIX).copied().collect();
+    let model: Vec<&str> = ["model", "--check"].iter().chain(&MATRIX).copied().collect();
+    let run = ["run", "--bench", "compress", "--commits", "1000"];
+    let rows: [(&str, &str, &[&str]); 5] = [
+        ("RF_COMMITS", "200k", &check),
+        ("RF_COMMITS", "abc", &model),
+        ("RF_JOBS", "abc", &model),
+        ("RF_PROFILE", "maybe", &run),
+        ("RF_STORE_DIR", "  ", &["store", "stats"]),
+    ];
+    for (var, value, args) in rows {
+        let out = rfstudy(var, value, args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}={value:?} rfstudy {args:?}: {stderr}");
+        assert!(stderr.contains(var), "{var}={value:?}: stderr names the variable: {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value:?}: no work before the usage error");
+    }
+}
+
+#[test]
+fn help_prints_even_under_a_malformed_knob() {
+    let out = rfstudy("RF_COMMITS", "abc", &["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(text(&out.stdout).contains("USAGE:"));
+}
+
+#[test]
+fn rf_sanitize_switches_the_run_sanitizer() {
+    let run = ["run", "--bench", "tomcatv", "--regs", "64", "--commits", "2000"];
+    let on = rfstudy("RF_SANITIZE", "1", &run);
+    let stdout = text(&on.stdout);
+    assert_eq!(on.status.code(), Some(0), "{}", text(&on.stderr));
+    assert!(stdout.lines().any(|l| l.starts_with("sanitizer: clean")), "{stdout}");
+
+    let off = rfstudy("RF_SANITIZE", "0", &run);
+    let stdout = text(&off.stdout);
+    assert_eq!(off.status.code(), Some(0), "{}", text(&off.stderr));
+    assert!(!stdout.contains("sanitizer"), "{stdout}");
+}
