@@ -2,7 +2,8 @@
 //! program order.
 
 use rf_bpred::{HistoryCheckpoint, Prediction};
-use rf_isa::{OpKind, RegClass};
+use rf_isa::{IssueClass, OpKind, RegClass};
+use std::fmt;
 
 /// Pipeline stage of an active instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,49 +27,108 @@ pub struct BranchInfo {
     pub checkpoint: HistoryCheckpoint,
 }
 
+/// A renamed source operand packed into 32 bits: a physical register of
+/// one class, or no register (an absent source or a zero-register read).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Src(u32);
+
+impl Src {
+    /// No source register.
+    pub const NONE: Src = Src(u32::MAX);
+    /// The class bit: set for floating-point registers.
+    const FP: u32 = 1 << 31;
+
+    /// Physical register `phys` of `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phys` does not fit in 31 bits.
+    #[inline]
+    pub fn new(class: RegClass, phys: u32) -> Self {
+        assert!(phys < Self::FP - 1, "physical register {phys} out of range");
+        Src(match class {
+            RegClass::Int => phys,
+            RegClass::Fp => phys | Self::FP,
+        })
+    }
+
+    /// The register as `(class, phys)`, or `None` for no register.
+    #[inline]
+    pub fn get(self) -> Option<(RegClass, u32)> {
+        if self == Self::NONE {
+            return None;
+        }
+        let class = if self.0 & Self::FP == 0 { RegClass::Int } else { RegClass::Fp };
+        Some((class, self.0 & !Self::FP))
+    }
+}
+
+impl fmt::Debug for Src {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// One renamed in-flight instruction: the hot per-entry state every
-/// pipeline phase reads. Rarely used fields live in [`ColdEntry`].
+/// pipeline phase reads, one cache line per entry. Rarely used fields
+/// live in [`ColdEntry`].
 #[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
 pub struct ActiveEntry {
     /// Monotonic program-order sequence number.
     pub seq: u64,
+    /// Memory address for loads/stores, [`NO_ADDR`] otherwise (read it
+    /// through [`ActiveEntry::mem_addr`]).
+    pub(crate) addr: u64,
+    /// The low 32 bits of the absolute cycle at which the result is
+    /// produced (valid once issued; compare through
+    /// `ActiveEntry::completes_at`). Every pending completion lies
+    /// within the completion wheel's horizon of the current cycle, far
+    /// below 2^32 cycles, so the truncated cycle is exact.
+    pub complete_at: u32,
+    /// Renamed destination: `(class, new_phys, virtual_index, prev_phys)`.
+    pub dest: Option<(RegClass, u32, u8, u32)>,
+    /// Renamed physical sources (zero-register reads excluded).
+    pub srcs: [Src; 2],
+    /// Waiter-chain links, one per source slot: while the slot's source
+    /// is unready, the distance from this slot's node to the next older
+    /// node on the same register's chain (0 ends the chain). See
+    /// [`ActiveList::wake_chain`].
+    pub(crate) links: [u32; 2],
+    /// Address-chain link of a load or store: from insert until it
+    /// completes or is squashed, the distance to the next older
+    /// incomplete memory operation at the same address (0 ends the
+    /// chain). See [`ActiveList::release_mem`].
+    pub(crate) mem_link: u32,
+    /// Older incomplete memory operations at the same address that this
+    /// one must wait for: stores for a load, loads and stores for a
+    /// store. Meaningful only while [`Stage::InQueue`].
+    pub(crate) blockers: u32,
     /// Operation kind.
     pub kind: OpKind,
     /// Whether this instruction was fetched down a mispredicted path.
     pub wrong_path: bool,
     /// Current stage.
     pub stage: Stage,
-    /// Absolute cycle at which the result is produced (valid once issued).
-    pub complete_at: u64,
-    /// Renamed destination: `(class, new_phys, virtual_index, prev_phys)`.
-    pub dest: Option<(RegClass, u32, u8, u32)>,
-    /// Renamed physical sources (zero-register reads excluded).
-    pub srcs: [Option<(RegClass, u32)>; 2],
-    /// Memory address for loads/stores, [`NO_ADDR`] otherwise (read it
-    /// through [`ActiveEntry::mem_addr`]).
-    pub(crate) addr: u64,
     /// Renamed sources whose register was not ready at insert and whose
-    /// producer has not completed since: the entry is data-ready (an
-    /// issue candidate) when this reaches zero. Meaningful only while
-    /// [`Stage::InQueue`].
+    /// producer has not completed since: the entry is data-ready when
+    /// this reaches zero. Meaningful only while [`Stage::InQueue`].
     pub(crate) unready: u8,
-    /// Waiter-chain links, one per source slot: while the slot's source
-    /// is unready, the distance from this slot's node to the next older
-    /// node on the same register's chain (0 ends the chain). See
-    /// [`ActiveList::wake_chain`].
-    pub(crate) links: [u32; 2],
-    /// Program counter (predictor indexing).
-    pub pc: u64,
 }
 
-// The issue scan, completion and wake-up walks all touch the hot ring.
-const _: () = assert!(std::mem::size_of::<ActiveEntry>() <= 72);
+// The issue select, completion and wake-up walks all touch the hot ring:
+// one entry per cache line.
+const _: () = assert!(std::mem::size_of::<ActiveEntry>() <= 64);
 
 /// [`ActiveEntry::addr`] of an entry that is not a load or store.
 pub(crate) const NO_ADDR: u64 = u64::MAX;
 
-/// Chain head of a register no in-queue source is waiting on.
+/// Chain head of a register no in-queue source is waiting on, and of an
+/// address no incomplete memory operation touches.
 pub(crate) const NO_WAITER: u64 = u64::MAX;
+
+/// Number of issue classes: the ready set keeps one bitset per class.
+pub(crate) const CLASSES: usize = IssueClass::ALL.len();
 
 /// A waiter-chain node: source `slot` (0 or 1) of entry `seq`. Node ids
 /// grow with program order, so a chain pushed youngest-first is strictly
@@ -76,6 +136,14 @@ pub(crate) const NO_WAITER: u64 = u64::MAX;
 #[inline]
 pub(crate) fn waiter_node(seq: u64, slot: usize) -> u64 {
     2 * seq + slot as u64
+}
+
+/// Whether the memory operation `younger` must wait for the incomplete
+/// older one `older` at the same address: a store waits for every older
+/// access, a load only for older stores.
+#[inline]
+pub(crate) fn mem_conflict(older: OpKind, younger: OpKind) -> bool {
+    older == OpKind::Store || younger == OpKind::Store
 }
 
 impl ActiveEntry {
@@ -91,6 +159,26 @@ impl ActiveEntry {
     pub fn data_ready(&self) -> bool {
         self.unready == 0
     }
+
+    /// Whether no older incomplete memory operation at the same address
+    /// holds this one back (meaningful only while [`Stage::InQueue`];
+    /// always true for operations that are not loads or stores).
+    #[inline]
+    pub(crate) fn hazard_free(&self) -> bool {
+        self.blockers == 0
+    }
+
+    /// Whether an issued entry's result arrives at cycle `now`.
+    #[inline]
+    pub(crate) fn completes_at(&self, now: u64) -> bool {
+        self.complete_at == now as u32
+    }
+
+    /// The renamed source registers, slot order.
+    #[inline]
+    pub(crate) fn src_regs(&self) -> impl Iterator<Item = (RegClass, u32)> {
+        self.srcs.into_iter().filter_map(Src::get)
+    }
 }
 
 /// The cold per-entry state of an in-flight instruction, kept in a side
@@ -102,25 +190,31 @@ pub struct ColdEntry {
     pub branch: Option<BranchInfo>,
     /// Index of the non-pipelined divider occupied, if any.
     pub div_unit: Option<usize>,
+    /// Program counter (predictor indexing, observer events).
+    pub pc: u64,
 }
 
 /// The contents of a ring slot no live entry owns.
-const VACANT: ActiveEntry = ActiveEntry {
+pub(crate) const VACANT: ActiveEntry = ActiveEntry {
     seq: 0,
+    addr: NO_ADDR,
+    complete_at: u32::MAX,
+    dest: None,
+    srcs: [Src::NONE; 2],
+    links: [0, 0],
+    mem_link: 0,
+    blockers: 0,
     kind: OpKind::IntAlu,
     wrong_path: false,
     stage: Stage::Completed,
-    complete_at: u64::MAX,
-    dest: None,
-    srcs: [None, None],
-    addr: NO_ADDR,
     unready: 0,
-    links: [0, 0],
-    pc: 0,
 };
 
 /// Initial ring capacity in entries (a power of two, a multiple of 64).
 const INITIAL_CAP: usize = 256;
+
+/// Index of the memory class.
+const MEM: usize = IssueClass::Memory.index();
 
 /// The active list: a seq-indexed ring of in-flight instructions.
 ///
@@ -129,8 +223,15 @@ const INITIAL_CAP: usize = 256;
 /// `seq & (cap - 1)` without collisions while the ring holds at most
 /// `cap` entries. Entries leave from the front at commit and from the
 /// back at squash; both preserve density. The hot entries, the cold side
-/// ring and the issue-scan bitset share one power-of-two capacity and
-/// grow together.
+/// ring and the ready sets share one power-of-two capacity and grow
+/// together.
+///
+/// The list also keeps the issue phase's *ready sets*: one bitset per
+/// [`IssueClass`] over the ring, marking the in-queue entries that can
+/// issue — every source register ready and no older incomplete memory
+/// operation at the same address in the way. Entries move in and out
+/// through the list's own transitions (push, the wake-up walks, issue,
+/// removal), so the sets are exact at every phase boundary.
 ///
 /// # Examples
 ///
@@ -150,6 +251,7 @@ const INITIAL_CAP: usize = 256;
 /// list.pop_back();
 /// assert_eq!(list.push(OpKind::Store, false, 8), b);
 /// assert_eq!(list.get(b).unwrap().kind, OpKind::Store);
+/// assert_eq!(list.cold(b).unwrap().pc, 8);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ActiveList {
@@ -162,17 +264,34 @@ pub struct ActiveList {
     next_seq: u64,
     /// `cap - 1`, where `cap` is the shared ring capacity.
     mask: u64,
-    /// Ring bitset over `seq & mask` marking the entries the issue scan
-    /// must visit: in-queue entries whose source registers are all ready
-    /// (the only possible issue candidates — address hazards are tracked
-    /// separately by the pipeline's incremental hazard index).
-    scan_words: Vec<u64>,
+    /// The ready sets: word `pos / 64` of each class's bitset over ring
+    /// positions, the five classes of one word side by side.
+    ready: Vec<[u64; CLASSES]>,
+    /// Data-ready in-queue loads and stores, hazard-blocked ones
+    /// included: the memory operations a locked cache turns away.
+    mem_ready: u32,
 }
 
 impl Default for ActiveList {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// A read-only view of an [`ActiveList`]'s ready sets for the issue
+/// select (see `select.rs`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReadySets<'a> {
+    /// Ready-set words, indexed like `ActiveList::ready`.
+    pub words: &'a [[u64; CLASSES]],
+    /// Ring position mask.
+    pub mask: u64,
+    /// Oldest live sequence number.
+    pub head: u64,
+    /// One past the youngest live sequence number.
+    pub end: u64,
+    /// Data-ready in-queue memory operations, hazard-blocked included.
+    pub mem_ready: u32,
 }
 
 impl ActiveList {
@@ -184,7 +303,7 @@ impl ActiveList {
     /// As [`ActiveList::new`], reusing previously allocated buffers
     /// (contents are discarded, capacity is kept).
     pub(crate) fn new_in(
-        (mut entries, mut cold, mut scan_words): (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<u64>),
+        (mut entries, mut cold, mut ready): (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<[u64; CLASSES]>),
     ) -> Self {
         // Start at the capacity a previous run grew to, so a recycled
         // ring does not grow (and reallocate) again.
@@ -196,14 +315,14 @@ impl ActiveList {
         entries.resize(cap, VACANT);
         cold.clear();
         cold.resize(cap, ColdEntry::default());
-        scan_words.clear();
-        scan_words.resize(cap / 64, 0);
-        Self { entries, cold, head: 0, next_seq: 0, mask: cap as u64 - 1, scan_words }
+        ready.clear();
+        ready.resize(cap / 64, [0; CLASSES]);
+        Self { entries, cold, head: 0, next_seq: 0, mask: cap as u64 - 1, ready, mem_ready: 0 }
     }
 
     /// Tears the list down into its raw buffers for arena recycling.
-    pub(crate) fn into_buffers(self) -> (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<u64>) {
-        (self.entries, self.cold, self.scan_words)
+    pub(crate) fn into_buffers(self) -> (Vec<ActiveEntry>, Vec<ColdEntry>, Vec<[u64; CLASSES]>) {
+        (self.entries, self.cold, self.ready)
     }
 
     #[inline]
@@ -211,43 +330,63 @@ impl ActiveList {
         (seq & self.mask) as usize
     }
 
-    /// Adds `seq` to the issue scan: called by the pipeline when an
-    /// in-queue entry becomes data-ready (at insert, or on a completion
-    /// wake-up).
+    /// Marks ring position `pos` ready in `class`'s set.
     #[inline]
-    pub(crate) fn scan_set(&mut self, seq: u64) {
-        let pos = self.slot(seq);
-        self.scan_words[pos / 64] |= 1 << (pos % 64);
+    fn set_ready(&mut self, pos: usize, class: usize) {
+        self.ready[pos / 64][class] |= 1 << (pos % 64);
     }
 
-    /// Removes `seq` from the issue scan: called when an entry stops
-    /// being an issue candidate (issue, removal).
+    /// An in-queue entry at `pos` just became data-ready: count it if it
+    /// is a memory operation, and make it ready unless an address hazard
+    /// still holds it back.
     #[inline]
-    pub(crate) fn scan_retire(&mut self, seq: u64) {
-        let pos = self.slot(seq);
-        self.scan_words[pos / 64] &= !(1 << (pos % 64));
+    fn data_became_ready(&mut self, pos: usize) {
+        let e = &self.entries[pos];
+        let class = e.kind.issue_class().index();
+        let free = e.blockers == 0;
+        if class == MEM {
+            self.mem_ready += 1;
+        }
+        if free {
+            self.set_ready(pos, class);
+        }
+    }
+
+    /// The entry at `pos` stops being an issue candidate (issue, commit,
+    /// squash): it leaves its ready set and the data-ready memory count.
+    #[inline]
+    fn leave_queue(&mut self, pos: usize) {
+        let e = &self.entries[pos];
+        if e.stage != Stage::InQueue || e.unready != 0 {
+            return;
+        }
+        let class = e.kind.issue_class().index();
+        if class == MEM {
+            self.mem_ready -= 1;
+        }
+        self.ready[pos / 64][class] &= !(1 << (pos % 64));
     }
 
     /// Doubles the shared capacity, moving the live window to its new
-    /// slots. Scan bits move with their entries.
+    /// slots. Ready bits move with their entries.
     #[cold]
     fn grow(&mut self) {
         let cap = 2 * self.entries.len();
         let new_mask = cap as u64 - 1;
         let mut entries = vec![VACANT; cap];
         let mut cold = vec![ColdEntry::default(); cap];
-        let mut scan_words = vec![0u64; cap / 64];
+        let mut ready = vec![[0u64; CLASSES]; cap / 64];
         for seq in self.head..self.next_seq {
             let (old, new) = (self.slot(seq), (seq & new_mask) as usize);
             entries[new] = self.entries[old];
             cold[new] = self.cold[old];
-            if self.scan_words[old / 64] >> (old % 64) & 1 == 1 {
-                scan_words[new / 64] |= 1 << (new % 64);
+            for (class, word) in self.ready[old / 64].iter().enumerate() {
+                ready[new / 64][class] |= (word >> (old % 64) & 1) << (new % 64);
             }
         }
         self.entries = entries;
         self.cold = cold;
-        self.scan_words = scan_words;
+        self.ready = ready;
         self.mask = new_mask;
     }
 
@@ -264,8 +403,8 @@ impl ActiveList {
 
     /// Wakes a register's waiter chain when its producer completes:
     /// every linked source slot stops being unready, and each entry whose
-    /// last unready source this was enters the issue scan. Leaves the
-    /// chain empty.
+    /// last unready source this was becomes data-ready (and ready, unless
+    /// an address hazard holds it back). Leaves the chain empty.
     ///
     /// Chains are exact — a node is linked at insert only for an unready
     /// source and unlinked by [`ActiveList::unlink_waiter`] when its
@@ -282,7 +421,7 @@ impl ActiveList {
             e.unready -= 1;
             let link = e.links[(node & 1) as usize];
             if e.unready == 0 {
-                self.scan_words[pos / 64] |= 1 << (pos % 64);
+                self.data_became_ready(pos);
             }
             node = if link == 0 { NO_WAITER } else { node - u64::from(link) };
         }
@@ -298,51 +437,129 @@ impl ActiveList {
         *head = if link == 0 { NO_WAITER } else { *head - u64::from(link) };
     }
 
-    /// Iterates, oldest to youngest, over the sequence numbers the issue
-    /// phase must visit: data-ready in-queue entries. Word-level skipping
-    /// makes a scan of a mostly-waiting window O(set bits) instead of
-    /// O(list length).
-    pub(crate) fn scan_seqs(&self) -> ScanSeqs<'_> {
-        ScanSeqs { words: &self.scan_words, mask: self.mask, next: self.head, end: self.next_seq }
+    /// Links `entry` (the load or store about to be pushed) at the head
+    /// of its address's chain of incomplete memory operations, youngest
+    /// first. Its `blockers` count is the caller's to set.
+    #[inline]
+    pub(crate) fn link_mem(head: &mut u64, entry: &mut ActiveEntry) {
+        debug_assert!(*head == NO_WAITER || entry.seq - *head <= u64::from(u32::MAX));
+        entry.mem_link = if *head == NO_WAITER { 0 } else { (entry.seq - *head) as u32 };
+        *head = entry.seq;
     }
 
-    /// Appends a fresh entry in the dispatch-queue stage, returning its
-    /// sequence number. Renaming can be filled in afterwards via
-    /// [`ActiveList::get_mut`] and [`ActiveList::cold_mut`].
+    /// Removes the completing memory operation `seq` from its address's
+    /// chain and releases the younger operations it held back: each one
+    /// that conflicts with it loses a blocker, and those left with none
+    /// (and data-ready) enter the memory ready set.
+    ///
+    /// Every younger conflicting operation is still in the queue: it
+    /// could not issue while `seq` was incomplete.
+    pub(crate) fn release_mem(&mut self, head: &mut u64, seq: u64) {
+        let kind = self.entries[self.slot(seq)].kind;
+        let mut younger = None;
+        let mut node = *head;
+        while node != seq {
+            debug_assert!(node != NO_WAITER && node > seq, "{seq} is on its address chain");
+            let pos = self.slot(node);
+            let e = &mut self.entries[pos];
+            if mem_conflict(kind, e.kind) {
+                debug_assert!(e.stage == Stage::InQueue && e.blockers > 0, "{node} is blocked");
+                e.blockers -= 1;
+                if e.blockers == 0 && e.unready == 0 {
+                    self.set_ready(pos, MEM);
+                }
+            }
+            younger = Some(pos);
+            let link = u64::from(self.entries[pos].mem_link);
+            debug_assert!(link != 0, "a younger chain node links onward");
+            node -= link;
+        }
+        let link = self.entries[self.slot(seq)].mem_link;
+        match younger {
+            None => *head = if link == 0 { NO_WAITER } else { seq - u64::from(link) },
+            Some(pos) => {
+                let e = &mut self.entries[pos];
+                e.mem_link = if link == 0 { 0 } else { e.mem_link + link };
+            }
+        }
+    }
+
+    /// Unlinks a squashed load or store from its address's chain. Squash
+    /// runs youngest-first, so it heads the chain and holds nothing back.
+    #[inline]
+    pub(crate) fn unlink_mem(head: &mut u64, entry: &ActiveEntry) {
+        debug_assert_eq!(*head, entry.seq, "a squashed memory operation heads its chain");
+        let link = entry.mem_link;
+        *head = if link == 0 { NO_WAITER } else { entry.seq - u64::from(link) };
+    }
+
+    /// The ready sets, for the issue select.
+    #[inline]
+    pub(crate) fn ready_sets(&self) -> ReadySets<'_> {
+        ReadySets {
+            words: &self.ready,
+            mask: self.mask,
+            head: self.head,
+            end: self.next_seq,
+            mem_ready: self.mem_ready,
+        }
+    }
+
+    /// Appends a fresh entry in the dispatch-queue stage with no sources
+    /// waiting (so it is ready at once), returning its sequence number.
+    /// Renaming can be filled in afterwards via [`ActiveList::get_mut`]
+    /// and [`ActiveList::cold_mut`].
     pub fn push(&mut self, kind: OpKind, wrong_path: bool, pc: u64) -> u64 {
         let seq = self.next_seq;
-        self.push_entry(
-            ActiveEntry {
-                seq,
-                kind,
-                wrong_path,
-                stage: Stage::InQueue,
-                complete_at: u64::MAX,
-                dest: None,
-                srcs: [None, None],
-                addr: NO_ADDR,
-                unready: 0,
-                links: [0, 0],
-                pc,
-            },
-            ColdEntry::default(),
-        );
+        self.push_with(|e, c| {
+            *e = ActiveEntry { seq, kind, wrong_path, stage: Stage::InQueue, ..VACANT };
+            *c = ColdEntry { pc, ..ColdEntry::default() };
+        });
         seq
     }
 
-    /// Appends an entry the pipeline has already renamed, in one write.
-    /// Its `seq` must be [`ActiveList::next_seq`]. The entry is not in
-    /// the issue scan until the pipeline marks it: its slot's bit was
-    /// cleared when the slot's previous owner left.
+    /// Appends a prepared entry whose `seq` is [`ActiveList::next_seq`].
+    #[cfg(test)]
     pub(crate) fn push_entry(&mut self, entry: ActiveEntry, cold: ColdEntry) {
-        debug_assert_eq!(entry.seq, self.next_seq, "entries are pushed in seq order");
+        self.push_with(|e, c| {
+            *e = entry;
+            *c = cold;
+        });
+    }
+
+    /// Appends the entry [`ActiveList::next_seq`], which `fill` writes in
+    /// place into its ring slots (hot and cold). Renaming writes the
+    /// fields straight into the ring instead of building the entry
+    /// elsewhere and copying it. An in-queue entry with no unready
+    /// source then enters the ready sets (its slot's bits were cleared
+    /// when the slot's previous owner left).
+    #[inline]
+    pub(crate) fn push_with(&mut self, fill: impl FnOnce(&mut ActiveEntry, &mut ColdEntry)) {
         if self.len() == self.entries.len() {
             self.grow();
         }
-        let pos = self.slot(entry.seq);
-        self.entries[pos] = entry;
-        self.cold[pos] = cold;
+        let pos = self.slot(self.next_seq);
+        fill(&mut self.entries[pos], &mut self.cold[pos]);
+        let e = &self.entries[pos];
+        debug_assert_eq!(e.seq, self.next_seq, "entries are pushed in seq order");
+        let ready = e.stage == Stage::InQueue && e.unready == 0;
         self.next_seq += 1;
+        if ready {
+            self.data_became_ready(pos);
+        }
+    }
+
+    /// Issues the in-queue entry `seq`: it leaves the ready sets and moves
+    /// to [`Stage::Issued`]. Returns the entry for the caller to fill in.
+    #[inline]
+    pub(crate) fn issue(&mut self, seq: u64) -> &mut ActiveEntry {
+        debug_assert!(self.live(seq));
+        let pos = self.slot(seq);
+        debug_assert_eq!(self.entries[pos].stage, Stage::InQueue);
+        self.leave_queue(pos);
+        let e = &mut self.entries[pos];
+        e.stage = Stage::Issued;
+        e
     }
 
     /// The sequence number the next pushed entry will get.
@@ -407,7 +624,7 @@ impl ActiveList {
     /// Removes and returns the oldest entry (commit).
     pub fn pop_front(&mut self) -> Option<ActiveEntry> {
         let e = *self.front()?;
-        self.scan_retire(e.seq);
+        self.leave_queue(self.slot(e.seq));
         self.head += 1;
         Some(e)
     }
@@ -420,7 +637,7 @@ impl ActiveList {
     /// are truncated to the squash boundary).
     pub fn pop_back(&mut self) -> Option<ActiveEntry> {
         let e = *self.back()?;
-        self.scan_retire(e.seq);
+        self.leave_queue(self.slot(e.seq));
         self.next_seq = e.seq;
         Some(e)
     }
@@ -434,46 +651,26 @@ impl ActiveList {
     pub fn iter(&self) -> impl Iterator<Item = &ActiveEntry> {
         (self.head..self.next_seq).map(|seq| &self.entries[self.slot(seq)])
     }
-}
 
-/// Iterator over the marked sequence numbers of an [`ActiveList`]'s issue
-/// scan, oldest to youngest (see `ActiveList::scan_seqs`).
-///
-/// Sequence numbers map to ring positions `seq & mask`; consecutive
-/// sequence numbers occupy consecutive positions, so the iterator walks
-/// the window linearly, skipping 64 positions at a time through words
-/// with no remaining set bits.
-#[derive(Debug)]
-pub(crate) struct ScanSeqs<'a> {
-    words: &'a [u64],
-    mask: u64,
-    next: u64,
-    /// One past the youngest live sequence number.
-    end: u64,
-}
+    /// Whether `seq` is in `class`'s ready set.
+    #[cfg(test)]
+    pub(crate) fn in_ready_set(&self, seq: u64, class: usize) -> bool {
+        let pos = self.slot(seq);
+        self.ready[pos / 64][class] >> (pos % 64) & 1 == 1
+    }
 
-impl Iterator for ScanSeqs<'_> {
-    type Item = u64;
+    /// The ready entries of every class, oldest to youngest.
+    #[cfg(test)]
+    pub(crate) fn ready_seqs(&self) -> Vec<u64> {
+        (self.head..self.next_seq)
+            .filter(|&seq| (0..CLASSES).any(|class| self.in_ready_set(seq, class)))
+            .collect()
+    }
 
-    fn next(&mut self) -> Option<u64> {
-        let mut s = self.next;
-        while s < self.end {
-            let pos = (s & self.mask) as usize;
-            let rest = self.words[pos / 64] >> (pos % 64);
-            if rest == 0 {
-                // Nothing left in this word: jump to the next boundary.
-                s += 64 - (pos as u64 % 64);
-                continue;
-            }
-            s += u64::from(rest.trailing_zeros());
-            if s >= self.end {
-                break;
-            }
-            self.next = s + 1;
-            return Some(s);
-        }
-        self.next = s;
-        None
+    /// The count of data-ready in-queue memory operations.
+    #[cfg(test)]
+    pub(crate) fn mem_ready(&self) -> u32 {
+        self.mem_ready
     }
 }
 
@@ -512,6 +709,27 @@ mod tests {
     }
 
     #[test]
+    fn sources_pack_class_and_register() {
+        for class in RegClass::ALL {
+            for phys in [0, 1, 31, 2047, (1 << 31) - 2] {
+                assert_eq!(Src::new(class, phys).get(), Some((class, phys)));
+            }
+        }
+        assert_eq!(Src::NONE.get(), None);
+        let e = ActiveEntry { srcs: [Src::NONE, Src::new(RegClass::Fp, 7)], ..VACANT };
+        assert_eq!(e.src_regs().collect::<Vec<_>>(), vec![(RegClass::Fp, 7)]);
+    }
+
+    #[test]
+    fn truncated_completion_cycle_matches_within_the_horizon() {
+        let now = (1u64 << 32) + 5;
+        let e = ActiveEntry { complete_at: now as u32, ..VACANT };
+        assert!(e.completes_at(now));
+        assert!(!e.completes_at(now + 1));
+        assert!(!e.completes_at(now - 1));
+    }
+
+    #[test]
     fn cold_state_follows_its_entry_through_growth() {
         let mut list = ActiveList::new();
         let mut seqs = Vec::new();
@@ -526,7 +744,8 @@ mod tests {
         }
         assert!(list.len() > INITIAL_CAP, "the ring grew");
         for seq in seqs.into_iter().filter(|&s| list.get(s).is_some()) {
-            assert_eq!(list.cold(seq).unwrap().div_unit, Some(list.get(seq).unwrap().pc as usize));
+            let cold = list.cold(seq).unwrap();
+            assert_eq!(cold.div_unit, Some(cold.pc as usize));
         }
         // A push resets the cold state a squashed entry left behind.
         let back = list.back().unwrap().seq;
@@ -544,7 +763,8 @@ mod tests {
         let list = ActiveList::new_in(list.into_buffers());
         assert!(list.is_empty());
         assert_eq!(list.entries.len(), 1024);
-        assert!(list.scan_seqs().next().is_none());
+        assert!(list.ready_seqs().is_empty());
+        assert_eq!(list.mem_ready(), 0);
     }
 
     #[test]
@@ -555,13 +775,22 @@ mod tests {
         assert!(list.get(99).is_none());
     }
 
-    /// The scan must visit exactly the entries the issue phase cares
-    /// about: data-ready in-queue entries.
-    fn expected_scan(list: &ActiveList) -> Vec<u64> {
-        list.iter()
-            .filter(|e| e.stage == Stage::InQueue && e.data_ready())
-            .map(|e| e.seq)
-            .collect()
+    /// The ready sets must hold exactly the entries the issue phase may
+    /// select — in-queue, data-ready and hazard-free — each in its own
+    /// class's set, and the memory count every data-ready in-queue load
+    /// and store.
+    fn assert_ready_sets_exact(list: &ActiveList) {
+        let mut mem_ready = 0;
+        for e in list.iter() {
+            let waiting = e.stage == Stage::InQueue && e.data_ready();
+            let class = e.kind.issue_class().index();
+            for c in 0..CLASSES {
+                let expected = waiting && e.hazard_free() && c == class;
+                assert_eq!(list.in_ready_set(e.seq, c), expected, "seq {} class {c}", e.seq);
+            }
+            mem_ready += u32::from(waiting && class == MEM);
+        }
+        assert_eq!(list.mem_ready(), mem_ready);
     }
 
     /// Pushes an in-queue entry of `kind` whose source slots wait on
@@ -577,34 +806,33 @@ mod tests {
             ActiveList::link_waiter(&mut heads[reg], &mut e, slot);
         }
         list.push_entry(e, ColdEntry::default());
-        if e.data_ready() {
-            list.scan_set(e.seq);
-        }
         e.seq
     }
 
     #[test]
-    fn scan_tracks_readiness_and_stage_transitions_in_order() {
+    fn ready_sets_track_readiness_and_stage_transitions_in_order() {
         let mut list = ActiveList::new();
         let mut r = [NO_WAITER];
         let a = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(0, 0)]);
         let b = push_waiting(&mut list, &mut r, OpKind::Load, &[(0, 0)]);
         let c = push_waiting(&mut list, &mut r, OpKind::Store, &[(0, 1)]);
         // Waiting entries are invisible until their producer completes.
-        assert!(list.scan_seqs().next().is_none());
+        assert!(list.ready_seqs().is_empty());
+        assert_eq!(list.mem_ready(), 0);
         list.wake_chain(&mut r[0]);
         assert_eq!(r[0], NO_WAITER, "a wake-up empties the chain");
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![a, b, c]);
-        // Issuing drops an entry from the scan regardless of kind.
-        list.get_mut(a).unwrap().stage = Stage::Issued;
-        list.scan_retire(a);
-        list.get_mut(b).unwrap().stage = Stage::Issued;
-        list.scan_retire(b);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![c]);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), expected_scan(&list));
+        assert_eq!(list.ready_seqs(), vec![a, b, c]);
+        assert!(list.in_ready_set(a, 0) && list.in_ready_set(b, MEM));
+        assert_eq!(list.mem_ready(), 2);
+        // Issuing drops an entry from its set regardless of kind.
+        list.issue(a);
+        list.issue(b);
+        assert_eq!(list.ready_seqs(), vec![c]);
+        assert_ready_sets_exact(&list);
         // Squash removes the remaining candidate too.
         list.pop_back();
-        assert!(list.scan_seqs().next().is_none());
+        assert!(list.ready_seqs().is_empty());
+        assert_ready_sets_exact(&list);
     }
 
     #[test]
@@ -618,9 +846,9 @@ mod tests {
         let c = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(1, 0), (0, 1)]);
         let d = push_waiting(&mut list, &mut r, OpKind::IntAlu, &[(1, 1)]);
         assert_eq!(list.get(b).unwrap().unready, 2);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready]);
+        assert_eq!(list.ready_seqs(), vec![ready]);
         list.wake_chain(&mut r[0]);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready, a, b]);
+        assert_eq!(list.ready_seqs(), vec![ready, a, b]);
         assert_eq!(list.get(c).unwrap().unready, 1, "c still waits on register 1");
         // Squash youngest-first: each squashed node heads its chain.
         let e = list.pop_back().unwrap();
@@ -628,7 +856,7 @@ mod tests {
         ActiveList::unlink_waiter(&mut r[1], &e, 1);
         assert_eq!(r[1], waiter_node(c, 0), "the chain now starts at c");
         list.wake_chain(&mut r[1]);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), vec![ready, a, b, c]);
+        assert_eq!(list.ready_seqs(), vec![ready, a, b, c]);
         assert_eq!(r[1], NO_WAITER);
     }
 
@@ -644,31 +872,91 @@ mod tests {
             .collect();
         assert!(list.entries.len() > INITIAL_CAP, "the ring grew");
         list.wake_chain(&mut r[0]);
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), seqs);
+        assert_eq!(list.ready_seqs(), seqs);
+    }
+
+    /// Pushes a data-ready memory operation at one address, linking it on
+    /// the chain `head` with `blockers` counted from `(ops, stores)`, the
+    /// address's incomplete operations so far.
+    fn push_mem(
+        list: &mut ActiveList,
+        head: &mut u64,
+        count: &mut (u32, u32),
+        kind: OpKind,
+    ) -> u64 {
+        let mut e = ActiveEntry { seq: list.next_seq(), kind, stage: Stage::InQueue, ..VACANT };
+        e.blockers = if kind == OpKind::Store { count.0 } else { count.1 };
+        ActiveList::link_mem(head, &mut e);
+        count.0 += 1;
+        count.1 += u32::from(kind == OpKind::Store);
+        list.push_entry(e, ColdEntry::default());
+        e.seq
     }
 
     #[test]
-    fn scan_survives_ring_growth_and_wraparound() {
+    fn address_chains_release_exactly_the_conflicting_younger_operations() {
         let mut list = ActiveList::new();
+        let (mut head, mut count) = (NO_WAITER, (0, 0));
+        let l0 = push_mem(&mut list, &mut head, &mut count, OpKind::Load);
+        let l1 = push_mem(&mut list, &mut head, &mut count, OpKind::Load);
+        let s2 = push_mem(&mut list, &mut head, &mut count, OpKind::Store);
+        let l3 = push_mem(&mut list, &mut head, &mut count, OpKind::Load);
+        let s4 = push_mem(&mut list, &mut head, &mut count, OpKind::Store);
+        let blockers =
+            |list: &ActiveList| [l0, l1, s2, l3, s4].map(|s| list.get(s).unwrap().blockers);
+        // Loads wait for older stores; stores for every older access.
+        assert_eq!(blockers(&list), [0, 0, 2, 1, 4]);
+        assert_eq!(list.ready_seqs(), vec![l0, l1]);
+        assert_eq!(list.mem_ready(), 5, "hazard-blocked operations count as data-ready");
+        assert_ready_sets_exact(&list);
+        // The younger load completes first: only the stores lose it.
+        list.issue(l1);
+        list.release_mem(&mut head, l1);
+        assert_eq!(blockers(&list), [0, 0, 1, 1, 3]);
+        list.issue(l0);
+        list.release_mem(&mut head, l0);
+        assert_eq!(list.ready_seqs(), vec![s2]);
+        list.issue(s2);
+        list.release_mem(&mut head, s2);
+        assert_eq!(blockers(&list), [0, 0, 0, 0, 1]);
+        assert_eq!(list.ready_seqs(), vec![l3]);
+        assert_eq!(head, s4, "the chain keeps its youngest head");
+        // Squash the youngest store: it heads the chain.
+        let e = list.pop_back().unwrap();
+        ActiveList::unlink_mem(&mut head, &e);
+        assert_eq!(head, l3);
+        list.issue(l3);
+        list.release_mem(&mut head, l3);
+        assert_eq!(head, NO_WAITER, "the last completion empties the chain");
+        assert_ready_sets_exact(&list);
+    }
+
+    #[test]
+    fn ready_sets_survive_ring_growth_and_wraparound() {
+        let mut list = ActiveList::new();
+        let kinds =
+            [OpKind::Load, OpKind::IntAlu, OpKind::FpOp, OpKind::CondBranch, OpKind::FpDiv32];
         // Push enough entries to force a ring rebuild (initial cap 256),
         // committing from the front so seq positions wrap the ring.
         for i in 0..2_000u64 {
-            let seq = list.push(OpKind::Load, false, i * 4);
-            // Every other entry is data-ready; every third issues
-            // (leaving the scan again).
-            if i % 2 == 0 {
-                list.scan_set(seq);
-            } else {
-                list.get_mut(seq).unwrap().unready = 1;
-            }
+            let mut e = ActiveEntry {
+                seq: list.next_seq(),
+                kind: kinds[i as usize % kinds.len()],
+                stage: Stage::InQueue,
+                ..VACANT
+            };
+            // Every other entry waits on a source; every seventh on an
+            // address hazard; every third issues.
+            e.unready = u8::from(i % 2 == 1);
+            e.blockers = u32::from(i % 7 == 0);
+            list.push_entry(e, ColdEntry::default());
             if i % 3 == 0 {
-                list.get_mut(seq).unwrap().stage = Stage::Issued;
-                list.scan_retire(seq);
+                list.issue(e.seq);
             }
             if i % 5 == 0 && list.front().is_some() {
                 list.pop_front();
             }
         }
-        assert_eq!(list.scan_seqs().collect::<Vec<_>>(), expected_scan(&list));
+        assert_ready_sets_exact(&list);
     }
 }

@@ -17,10 +17,10 @@
 //! fault-isolation rule that a poisoned run leaks nothing into later
 //! ones.
 
-use crate::active::{ActiveEntry, ColdEntry};
+use crate::active::{ActiveEntry, ColdEntry, CLASSES};
 use crate::hazard::AddrMap;
 use crate::regfile::RegState;
-use rf_isa::{OpKind, RegClass};
+use rf_isa::RegClass;
 use std::cell::RefCell;
 
 /// The recyclable allocations of one simulation run.
@@ -36,22 +36,18 @@ pub(crate) struct RunBuffers {
     pub entries: Vec<ActiveEntry>,
     /// Active-list cold entry ring.
     pub cold: Vec<ColdEntry>,
-    /// Active-list issue-scan ring words.
-    pub scan_words: Vec<u64>,
+    /// Active-list per-class ready-set words.
+    pub ready: Vec<[u64; CLASSES]>,
     /// Completion-wheel slots.
     pub wheel_slots: Vec<Vec<u64>>,
     /// Completion-wheel occupancy words.
     pub wheel_occupied: Vec<u64>,
-    /// Issue-phase candidate scratch.
-    pub scratch_issue: Vec<(u64, OpKind)>,
     /// Issue-phase selection scratch.
-    pub scratch_selected: Vec<(u64, OpKind)>,
+    pub scratch_selected: Vec<u64>,
     /// Kill-engine drain scratch.
     pub scratch_kills: Vec<(RegClass, u32)>,
-    /// Memory-disambiguation store-hazard map.
-    pub store_hazard_map: AddrMap,
-    /// Memory-disambiguation load-hazard map.
-    pub load_hazard_map: AddrMap,
+    /// Memory-disambiguation address table.
+    pub addr_map: AddrMap,
     /// Per-class, per-register waiter-chain heads.
     pub wait_heads: [Vec<u64>; 2],
 }
@@ -80,16 +76,14 @@ pub(crate) fn put(mut buffers: Box<RunBuffers>) {
     }
     buffers.entries.clear();
     buffers.cold.clear();
-    buffers.scan_words.clear();
+    buffers.ready.clear();
     for slot in &mut buffers.wheel_slots {
         slot.clear();
     }
     buffers.wheel_occupied.clear();
-    buffers.scratch_issue.clear();
     buffers.scratch_selected.clear();
     buffers.scratch_kills.clear();
-    buffers.store_hazard_map.clear();
-    buffers.load_hazard_map.clear();
+    buffers.addr_map.clear();
     for heads in &mut buffers.wait_heads {
         heads.clear();
     }
@@ -105,14 +99,14 @@ mod tests {
         // Ensure this thread's slot is in a known state.
         let _ = take();
         let mut b = Box::<RunBuffers>::default();
-        b.scratch_issue.reserve(1024);
-        b.store_hazard_map.insert(7, vec![1]);
-        let cap = b.scratch_issue.capacity();
+        b.scratch_selected.reserve(1024);
+        b.addr_map.insert(7, crate::hazard::AddrOps { head: 1, ops: 1, stores: 0 });
+        let cap = b.scratch_selected.capacity();
         put(b);
         let b = take();
-        assert!(b.scratch_issue.capacity() >= cap, "capacity survives pooling");
-        assert!(b.store_hazard_map.is_empty(), "contents are cleared");
+        assert!(b.scratch_selected.capacity() >= cap, "capacity survives pooling");
+        assert!(b.addr_map.is_empty(), "contents are cleared");
         // The slot is empty now: a second take is fresh.
-        assert_eq!(take().scratch_issue.capacity(), 0);
+        assert_eq!(take().scratch_selected.capacity(), 0);
     }
 }

@@ -1,24 +1,28 @@
-//! Incremental memory-disambiguation index.
+//! Memory disambiguation folded into readiness.
 //!
-//! The legacy issue scan rebuilt two address sets from scratch every
-//! cycle: the addresses of every incomplete store (blocks younger loads
-//! and stores) and every incomplete load (blocks younger stores). On a
-//! machine stalled with a full dispatch queue that is O(in-flight memory
-//! ops) hash insertions per *cycle* — and it was the single largest
-//! per-cycle cost after the scan itself.
+//! A load may not issue while an older store to the same address is
+//! incomplete; a store may not issue while any older load or store to the
+//! same address is incomplete. (Addresses are known at insert, so the
+//! scheduler disambiguates exactly.) The kernel turns that predicate into
+//! a per-entry count, `ActiveEntry::blockers`: the older incomplete
+//! operations at the entry's address that it must wait for. A load or
+//! store is an issue candidate once it is data-ready and its count is
+//! zero, exactly when the predicate holds, so the issue select does no
+//! address work at all.
 //!
-//! [`HazardIndex`] maintains the same information *event-incrementally*:
-//! an address enters when its operation is renamed into the active list,
-//! and leaves when the operation completes or is squashed. Between those
-//! events the index is constant, so a cycle's disambiguation check is a
-//! single hash lookup per ready memory candidate.
+//! [`AddrTable`] holds, per address with incomplete memory operations,
+//! how many there are, how many are stores, and the head of their chain
+//! (youngest first, linked through `ActiveEntry::mem_link`). It is
+//! touched once per memory-operation event:
 //!
-//! The disambiguation predicate itself is unchanged from the per-cycle
-//! rebuild: *"does any **older** (lower sequence number) incomplete
-//! operation touch this address?"*. Per-address sequence lists are kept
-//! sorted ascending — insertions arrive in program order, and squash
-//! removes a suffix — so the oldest conflicting operation is the first
-//! list element.
+//! * **insert** reads the counts — a new load's blockers are the stores,
+//!   a new store's every operation, all of them older — and pushes the
+//!   operation onto the chain;
+//! * **completion** walks the chain from its head down to the completing
+//!   operation, taking one blocker from each younger operation that
+//!   conflicts with it, and unlinks it
+//!   (`ActiveList::release_mem`);
+//! * **squash** pops the chain head (squash runs youngest-first).
 //!
 //! # Hashing
 //!
@@ -29,6 +33,8 @@
 //! Nothing iterates the map, so determinism of results never depends on
 //! bucket order anyway; the fixed seed just keeps run timing stable.
 
+use crate::active::NO_WAITER;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
@@ -73,78 +79,80 @@ impl BuildHasher for AddrHashBuilder {
     }
 }
 
-/// Backing map of a [`HazardIndex`], exposed for arena recycling.
-pub(crate) type AddrMap = HashMap<u64, Vec<u64>, AddrHashBuilder>;
-
-/// Sequence numbers of the incomplete memory operations touching each
-/// address, kept sorted ascending (program order).
-#[derive(Debug, Default)]
-pub(crate) struct HazardIndex {
-    map: AddrMap,
-    /// Emptied per-address lists, kept for reuse: most addresses host one
-    /// operation at a time, so without recycling every memory op would
-    /// pay a heap allocation (first push) and a free (entry removal).
-    spare: Vec<Vec<u64>>,
+/// The incomplete memory operations at one address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AddrOps {
+    /// Sequence number of the youngest: the head of the address chain.
+    pub head: u64,
+    /// How many there are.
+    pub ops: u32,
+    /// How many of them are stores.
+    pub stores: u32,
 }
 
-impl HazardIndex {
-    /// Builds an empty index on a recycled map (contents discarded,
+/// Backing map of an [`AddrTable`], exposed for arena recycling.
+pub(crate) type AddrMap = HashMap<u64, AddrOps, AddrHashBuilder>;
+
+/// The incomplete loads and stores of the active list, by address.
+#[derive(Debug, Default)]
+pub(crate) struct AddrTable {
+    map: AddrMap,
+}
+
+impl AddrTable {
+    /// Builds an empty table on a recycled map (contents discarded,
     /// capacity kept).
     pub(crate) fn new_in(mut map: AddrMap) -> Self {
         map.clear();
-        Self { map, spare: Vec::new() }
+        Self { map }
     }
 
-    /// Tears the index down into its map for arena recycling.
+    /// Tears the table down into its map for arena recycling.
     pub(crate) fn into_map(self) -> AddrMap {
         self.map
     }
 
-    /// Records that operation `seq` (renamed this cycle, hence younger
-    /// than everything already present) addresses `addr`.
+    /// Records a load or store (renamed this cycle, hence younger than
+    /// every operation present) at `addr`. Returns its blocker count and
+    /// the address chain's head for `link` to push it onto.
     #[inline]
-    pub(crate) fn add(&mut self, addr: u64, seq: u64) {
-        let list = self
-            .map
-            .entry(addr)
-            .or_insert_with(|| self.spare.pop().unwrap_or_default());
-        debug_assert!(list.last().is_none_or(|&l| l < seq));
-        list.push(seq);
+    pub(crate) fn insert(&mut self, addr: u64, store: bool, link: impl FnOnce(&mut u64)) -> u32 {
+        let rec = self.map.entry(addr).or_insert(AddrOps { head: NO_WAITER, ops: 0, stores: 0 });
+        let blockers = if store { rec.ops } else { rec.stores };
+        link(&mut rec.head);
+        rec.ops += 1;
+        rec.stores += u32::from(store);
+        blockers
     }
 
-    /// Removes operation `seq` from `addr`'s list (completion or squash).
+    /// Removes a load or store at `addr` (completion or squash); `unlink`
+    /// takes it off the address chain, given the chain's head.
     #[inline]
-    pub(crate) fn remove(&mut self, addr: u64, seq: u64) {
-        let Some(list) = self.map.get_mut(&addr) else {
-            debug_assert!(false, "removing {seq} from untracked address {addr:#x}");
+    pub(crate) fn remove(&mut self, addr: u64, store: bool, unlink: impl FnOnce(&mut u64)) {
+        let Entry::Occupied(mut slot) = self.map.entry(addr) else {
+            debug_assert!(false, "removing an operation at untracked address {addr:#x}");
             return;
         };
-        match list.binary_search(&seq) {
-            Ok(i) => {
-                list.remove(i);
-            }
-            Err(_) => debug_assert!(false, "removing untracked seq {seq} at {addr:#x}"),
-        }
-        if list.is_empty() {
-            // Dropping the entry keeps lookups on dead addresses O(1)
-            // negative; parking its list in `spare` keeps the allocator
-            // off the hot path.
-            if let Some(empty) = self.map.remove(&addr) {
-                self.spare.push(empty);
-            }
+        let rec = slot.get_mut();
+        unlink(&mut rec.head);
+        rec.ops -= 1;
+        rec.stores -= u32::from(store);
+        if rec.ops == 0 {
+            debug_assert_eq!(rec.head, NO_WAITER, "an empty address has an empty chain");
+            slot.remove();
         }
     }
 
-    /// Whether any tracked operation at `addr` is older than `seq` — the
-    /// exact predicate the per-cycle scan evaluated against its rebuilt
-    /// address sets (a candidate never conflicts with itself or with
-    /// younger operations).
-    #[inline]
-    pub(crate) fn older_than(&self, addr: u64, seq: u64) -> bool {
-        self.map.get(&addr).is_some_and(|list| {
-            debug_assert!(!list.is_empty());
-            list[0] < seq
-        })
+    /// The incomplete operations at `addr`, if any.
+    #[cfg(test)]
+    pub(crate) fn get(&self, addr: u64) -> Option<AddrOps> {
+        self.map.get(&addr).copied()
+    }
+
+    /// Number of addresses with incomplete operations.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -153,38 +161,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn oldest_conflict_decides() {
-        let mut idx = HazardIndex::default();
-        idx.add(0x100, 5);
-        idx.add(0x100, 9);
-        idx.add(0x200, 7);
-        // Older-than is strict: an operation never conflicts with itself.
-        assert!(!idx.older_than(0x100, 5));
-        assert!(idx.older_than(0x100, 6));
-        assert!(idx.older_than(0x100, 99));
-        assert!(!idx.older_than(0x300, 99));
-        // Removing the oldest exposes the next; removing the last clears
-        // the address entirely.
-        idx.remove(0x100, 5);
-        assert!(!idx.older_than(0x100, 9));
-        assert!(idx.older_than(0x100, 10));
-        idx.remove(0x100, 9);
-        assert!(!idx.older_than(0x100, u64::MAX));
+    fn counts_give_each_new_operation_its_blockers() {
+        let mut t = AddrTable::default();
+        let push =
+            |t: &mut AddrTable, seq: u64, store: bool| t.insert(0x100, store, |head| *head = seq);
+        assert_eq!(push(&mut t, 1, false), 0, "a first load waits for nothing");
+        assert_eq!(push(&mut t, 2, false), 0, "loads do not block loads");
+        assert_eq!(push(&mut t, 3, true), 2, "a store waits for both loads");
+        assert_eq!(push(&mut t, 4, false), 1, "a load waits for the store");
+        assert_eq!(push(&mut t, 5, true), 4);
+        assert_eq!(t.get(0x100), Some(AddrOps { head: 5, ops: 5, stores: 2 }));
+        assert_eq!(t.insert(0x200, true, |_| {}), 0, "addresses are independent");
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
-    fn mid_list_removal_preserves_order() {
-        let mut idx = HazardIndex::default();
-        for seq in [2, 4, 6, 8] {
-            idx.add(0x40, seq);
-        }
-        idx.remove(0x40, 4);
-        idx.remove(0x40, 8);
-        assert!(idx.older_than(0x40, 3));
-        assert!(!idx.older_than(0x40, 2));
-        idx.remove(0x40, 2);
-        assert!(idx.older_than(0x40, 7));
-        assert!(!idx.older_than(0x40, 6));
+    fn the_last_removal_drops_the_address() {
+        let mut t = AddrTable::default();
+        t.insert(0x40, true, |head| *head = 7);
+        t.insert(0x40, false, |head| *head = 9);
+        t.remove(0x40, true, |_| {});
+        assert_eq!(t.get(0x40), Some(AddrOps { head: 9, ops: 1, stores: 0 }));
+        t.remove(0x40, false, |head| *head = NO_WAITER);
+        assert_eq!(t.get(0x40), None);
+        assert_eq!(t.len(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   the *barrier watermark*;
 //! * per virtual register, the queue of retired mappings in retirement
 //!   order, each tagged with the sequence number of the writer that
-//!   retired it;
+//!   retired it (all 62 queues are rings in one flat array);
 //! * completed writers awaiting branch clearance (their sequence number is
 //!   not yet below the watermark).
 
@@ -55,11 +55,30 @@ pub struct KillEngine {
     /// truncates the back, and completion removes from the front or, for
     /// an out-of-order completion, at a binary-searched position.
     barriers: VecDeque<u64>,
-    /// `retired[class][vreg]`: `(phys, killer_seq)` in retirement order.
-    retired: Vec<Vec<VecDeque<(u32, u64)>>>,
+    /// The retired mappings `(phys, killer_seq)`, one ring per
+    /// `(class, vreg)` queue: queue `q` owns slots `q * cap .. (q + 1) *
+    /// cap`, holding its records in retirement order from `queues[q].0`
+    /// (wrapping), `queues[q].1` of them.
+    retired: Vec<(u32, u64)>,
+    /// Per queue: `(front offset, length)` within its ring.
+    queues: [(u32, u32); QUEUES],
+    /// Slots per ring: a power of two, doubled when any ring fills.
+    cap: usize,
     /// Completed writers awaiting branch clearance:
     /// `(class, vreg, writer_seq)`.
     pending: Vec<(RegClass, u8, u64)>,
+}
+
+/// One retirement queue per virtual register of each class.
+const QUEUES: usize = 2 * 31;
+
+/// Initial slots per retirement ring.
+const INITIAL_RING: usize = 8;
+
+/// The retirement queue of `vreg` of `class`.
+#[inline]
+fn queue(class: RegClass, vreg: u8) -> usize {
+    class.index() * 31 + vreg as usize
 }
 
 impl Default for KillEngine {
@@ -73,7 +92,9 @@ impl KillEngine {
     pub fn new() -> Self {
         Self {
             barriers: VecDeque::new(),
-            retired: vec![vec![VecDeque::new(); 31]; 2],
+            retired: vec![(0, 0); QUEUES * INITIAL_RING],
+            queues: [(0, 0); QUEUES],
+            cap: INITIAL_RING,
             pending: Vec::new(),
         }
     }
@@ -138,7 +159,37 @@ impl KillEngine {
     /// Records that renaming a new writer (sequence `killer_seq`) of
     /// `vreg` retired the mapping to physical register `phys`.
     pub fn mapping_retired(&mut self, class: RegClass, vreg: u8, phys: u32, killer_seq: u64) {
-        self.retired[class.index()][vreg as usize].push_back((phys, killer_seq));
+        let q = queue(class, vreg);
+        if self.queues[q].1 as usize == self.cap {
+            self.grow();
+        }
+        let (front, len) = self.queues[q];
+        let slot = self.slot(q, front + len);
+        self.retired[slot] = (phys, killer_seq);
+        self.queues[q].1 += 1;
+    }
+
+    /// Index in `retired` of queue `q`'s ring position `offset`
+    /// (wrapping).
+    #[inline]
+    fn slot(&self, q: usize, offset: u32) -> usize {
+        q * self.cap + (offset as usize & (self.cap - 1))
+    }
+
+    /// Doubles every ring, keeping each queue's records in order.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = 2 * self.cap;
+        let mut retired = vec![(0, 0); QUEUES * cap];
+        for q in 0..QUEUES {
+            let (front, len) = self.queues[q];
+            for i in 0..len {
+                retired[q * cap + i as usize] = self.retired[self.slot(q, front + i)];
+            }
+            self.queues[q].0 = 0;
+        }
+        self.retired = retired;
+        self.cap = cap;
     }
 
     /// Rolls back the most recent retirement of `vreg` (its killer was
@@ -149,9 +200,12 @@ impl KillEngine {
     /// Panics if the most recent retirement was not made by `killer_seq` —
     /// squash rollback must proceed youngest-first.
     pub fn rollback_retirement(&mut self, class: RegClass, vreg: u8, killer_seq: u64) {
-        let q = &mut self.retired[class.index()][vreg as usize];
-        let (_, k) = q.pop_back().expect("rollback of a retirement that never happened");
+        let q = queue(class, vreg);
+        let (front, len) = self.queues[q];
+        assert!(len > 0, "rollback of a retirement that never happened");
+        let (_, k) = self.retired[self.slot(q, front + len - 1)];
         assert_eq!(k, killer_seq, "retirements must roll back youngest-first");
+        self.queues[q].1 -= 1;
     }
 
     /// Records completion of a register-writing instruction, returning any
@@ -217,20 +271,23 @@ impl KillEngine {
     /// most `seq` (they were all retired before the cleared writer),
     /// appending them to `out`.
     fn kill_up_to_into(&mut self, class: RegClass, vreg: u8, seq: u64, out: &mut Vec<Killed>) {
-        let q = &mut self.retired[class.index()][vreg as usize];
-        while let Some(&(phys, killer)) = q.front() {
-            if killer <= seq {
-                q.pop_front();
-                out.push((class, phys));
-            } else {
+        let q = queue(class, vreg);
+        let (mut front, mut len) = self.queues[q];
+        while len > 0 {
+            let (phys, killer) = self.retired[self.slot(q, front)];
+            if killer > seq {
                 break;
             }
+            out.push((class, phys));
+            front = (front + 1) & (self.cap as u32 - 1);
+            len -= 1;
         }
+        self.queues[q] = (front, len);
     }
 
     /// Number of retired-but-unkilled mappings (diagnostics).
     pub fn retired_pending(&self) -> usize {
-        self.retired.iter().flatten().map(VecDeque::len).sum()
+        self.queues.iter().map(|&(_, len)| len as usize).sum()
     }
 }
 
@@ -310,6 +367,27 @@ mod tests {
         eng.mapping_retired(RegClass::Int, 3, 50, 9);
         eng.mapping_retired(RegClass::Int, 3, 51, 12);
         eng.rollback_retirement(RegClass::Int, 3, 9);
+    }
+
+    #[test]
+    fn queues_keep_retirement_order_through_ring_growth() {
+        let mut eng = KillEngine::new();
+        // Wrap vreg 4's ring before it grows: kill two, then retire past
+        // the initial capacity while a neighbouring queue stays live.
+        eng.mapping_retired(RegClass::Fp, 5, 99, 1);
+        for seq in 0..2 {
+            eng.mapping_retired(RegClass::Int, 4, seq as u32, seq);
+        }
+        assert_eq!(eng.writer_completed(RegClass::Int, 4, 1).len(), 2);
+        for seq in 2..40u64 {
+            eng.mapping_retired(RegClass::Int, 4, seq as u32, seq);
+        }
+        eng.rollback_retirement(RegClass::Int, 4, 39);
+        assert_eq!(eng.retired_pending(), 38);
+        let killed = eng.writer_completed(RegClass::Int, 4, 30);
+        assert_eq!(killed, (2..=30).map(|p| (RegClass::Int, p)).collect::<Vec<_>>());
+        assert_eq!(eng.writer_completed(RegClass::Fp, 5, 1), vec![(RegClass::Fp, 99)]);
+        assert_eq!(eng.retired_pending(), 8);
     }
 
     #[test]

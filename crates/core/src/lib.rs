@@ -65,10 +65,11 @@ mod imprecise;
 pub mod obs;
 mod pipeline;
 mod regfile;
+mod select;
 mod stats;
 mod wheel;
 
-pub use active::{ActiveEntry, ActiveList, ColdEntry, Stage};
+pub use active::{ActiveEntry, ActiveList, ColdEntry, Src, Stage};
 pub use config::{ExceptionModel, MachineConfig, SchedPolicy};
 pub use fu::DividerPool;
 pub use imprecise::KillEngine;

@@ -1,18 +1,21 @@
 //! The cycle loop: complete → recover → commit → issue → insert → account.
 
-use crate::active::{ActiveEntry, ActiveList, BranchInfo, ColdEntry, Stage, NO_ADDR, NO_WAITER};
+use crate::active::{
+    ActiveEntry, ActiveList, BranchInfo, ColdEntry, Src, Stage, CLASSES, NO_ADDR, NO_WAITER,
+};
+use crate::arena::{self, RunBuffers};
 use crate::config::{ExceptionModel, MachineConfig};
 use crate::fu::DividerPool;
-use crate::hazard::HazardIndex;
+use crate::hazard::AddrTable;
 use crate::imprecise::KillEngine;
 use crate::obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
 use crate::regfile::{Category, PhysRegFile};
+use crate::select::{self, Budgets, IssueBlocks};
 use crate::stats::SimStats;
 use crate::wheel::CompletionWheel;
 use rf_bpred::AnyPredictor;
 use rf_isa::{Instruction, IssueClass, IssueLimits, OpKind, RegClass};
 use rf_mem::{DataCache, InstructionCache};
-use crate::arena::{self, RunBuffers};
 use rf_prof::counters::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,22 +40,6 @@ const CANCEL_POLL_MASK: u64 = 0x3FF;
 pub fn skip_telemetry() -> (u64, u64) {
     let c = rf_prof::counters::snapshot();
     (c.get(Counter::CyclesSkipped), c.get(Counter::WakeupEvents))
-}
-
-/// Why the issue phase could not issue a ready candidate this cycle.
-/// Recorded unconditionally (three flag writes) so the skip decision can
-/// tell which wake-up sources matter.
-#[derive(Debug, Clone, Copy, Default)]
-struct IssueBlocks {
-    /// A ready candidate was passed over by the width or per-class
-    /// budget. Budgets reset every cycle, so the candidate could issue
-    /// next cycle: never skip.
-    budget: bool,
-    /// A ready FP divide found every divider busy; wake when one frees.
-    div: bool,
-    /// A ready memory operation found the (lockup) cache busy; wake at
-    /// `locked_until`.
-    cache: bool,
 }
 
 /// The stall attribution of a skipped cycle: which insert-phase counter
@@ -164,13 +151,11 @@ pub struct Pipeline<O: Observer = NullObserver> {
     /// run of `n` commits is exactly `n` (comparable IPCs across runs).
     commit_target: u64,
     // Scratch buffers reused across cycles.
-    scratch_issue: Vec<(u64, OpKind)>,
-    scratch_selected: Vec<(u64, OpKind)>,
+    scratch_selected: Vec<u64>,
     scratch_kills: Vec<(RegClass, u32)>,
-    /// Incomplete stores by address (blocks younger loads and stores).
-    store_hazards: HazardIndex,
-    /// Incomplete loads by address (blocks younger stores).
-    load_hazards: HazardIndex,
+    /// The incomplete loads and stores by address: each one's blocker
+    /// count and address chain (memory disambiguation).
+    addrs: AddrTable,
     /// Per class, per physical register: the head of the register's
     /// waiter chain — the youngest in-queue source slot waiting for it to
     /// become ready, or `NO_WAITER`. The chain continues through the
@@ -236,14 +221,12 @@ impl<O: Observer> Pipeline<O> {
         let RunBuffers {
             entries,
             cold,
-            scan_words,
+            ready,
             wheel_slots,
             wheel_occupied,
-            scratch_issue,
             scratch_selected,
             scratch_kills,
-            store_hazard_map,
-            load_hazard_map,
+            addr_map,
             mut wait_heads,
             ..
         } = *buf;
@@ -259,7 +242,7 @@ impl<O: Observer> Pipeline<O> {
             bp: AnyPredictor::new(config.predictor_kind()),
             regs,
             map,
-            active: ActiveList::new_in((entries, cold, scan_words)),
+            active: ActiveList::new_in((entries, cold, ready)),
             kill: KillEngine::new(),
             dividers,
             completions: CompletionWheel::new_in(
@@ -274,11 +257,9 @@ impl<O: Observer> Pipeline<O> {
             stats,
             trace_done: false,
             commit_target: u64::MAX,
-            scratch_issue,
             scratch_selected,
             scratch_kills,
-            store_hazards: HazardIndex::new_in(store_hazard_map),
-            load_hazards: HazardIndex::new_in(load_hazard_map),
+            addrs: AddrTable::new_in(addr_map),
             wait_heads,
             cancel: None,
             blocks: IssueBlocks::default(),
@@ -366,12 +347,19 @@ impl<O: Observer> Pipeline<O> {
     ///
     /// Panics if the machine makes no commit progress for an extended
     /// period (a deadlock, indicating a model bug).
-    pub fn run(
+    ///
+    /// Both streams are generic so a concrete trace cursor inlines into
+    /// the insert phase; `&mut dyn Iterator` callers work unchanged.
+    pub fn run<T, W>(
         mut self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
+        trace: &mut T,
+        wrong_path: &mut W,
         n_commits: u64,
-    ) -> Result<(SimStats, O), Cancelled> {
+    ) -> Result<(SimStats, O), Cancelled>
+    where
+        T: Iterator<Item = Instruction> + ?Sized,
+        W: Iterator<Item = Instruction> + ?Sized,
+    {
         self.commit_target = n_commits;
         let mut last_progress = (0u64, 0u64); // (cycle, committed)
         let mut prof_steps: u64 = 0;
@@ -444,18 +432,16 @@ impl<O: Observer> Pipeline<O> {
             regs,
             active,
             completions,
-            scratch_issue,
             scratch_selected,
             scratch_kills,
-            store_hazards,
-            load_hazards,
+            addrs,
             wait_heads,
             ..
         } = self;
         let [r0, r1] = regs;
         let (state0, free0, staged0) = r0.into_buffers();
         let (state1, free1, staged1) = r1.into_buffers();
-        let (entries, cold, scan_words) = active.into_buffers();
+        let (entries, cold, ready) = active.into_buffers();
         let (wheel_slots, wheel_occupied) = completions.into_buffers();
         arena::put(Box::new(RunBuffers {
             reg_state: [state0, state1],
@@ -463,25 +449,23 @@ impl<O: Observer> Pipeline<O> {
             staged_words: [staged0, staged1],
             entries,
             cold,
-            scan_words,
+            ready,
             wheel_slots,
             wheel_occupied,
-            scratch_issue,
             scratch_selected,
             scratch_kills,
-            store_hazard_map: store_hazards.into_map(),
-            load_hazard_map: load_hazards.into_map(),
+            addr_map: addrs.into_map(),
             wait_heads,
         }));
         Ok((stats, obs))
     }
 
     /// Advances the machine one cycle.
-    fn step(
-        &mut self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
-    ) {
+    fn step<T, W>(&mut self, trace: &mut T, wrong_path: &mut W)
+    where
+        T: Iterator<Item = Instruction> + ?Sized,
+        W: Iterator<Item = Instruction> + ?Sized,
+    {
         self.now += 1;
         {
             let _s = self.pspan("cycle.cache_drain");
@@ -532,7 +516,7 @@ impl<O: Observer> Pipeline<O> {
             let Some(entry) = self
                 .active
                 .get_mut(seq)
-                .filter(|e| e.stage == Stage::Issued && e.complete_at == now)
+                .filter(|e| e.stage == Stage::Issued && e.completes_at(now))
             else {
                 continue;
             };
@@ -556,15 +540,12 @@ impl<O: Observer> Pipeline<O> {
     /// returns true if it is a mispredicted correct-path branch (recovery
     /// needed).
     fn complete_entry(&mut self, entry: &ActiveEntry) -> bool {
-        let &ActiveEntry { seq, kind, wrong_path, srcs, dest, pc, .. } = entry;
-        // A completed memory operation stops being an address-hazard
-        // source for younger loads and stores.
+        let &ActiveEntry { seq, kind, wrong_path, dest, .. } = entry;
+        // A completed memory operation releases the younger loads and
+        // stores at its address that waited for it.
         if let Some(addr) = entry.mem_addr() {
-            match kind {
-                OpKind::Store => self.store_hazards.remove(addr, seq),
-                OpKind::Load => self.load_hazards.remove(addr, seq),
-                _ => {}
-            }
+            let active = &mut self.active;
+            self.addrs.remove(addr, kind == OpKind::Store, |head| active.release_mem(head, seq));
         }
         if O::ACTIVE {
             self.obs.event(TraceEvent {
@@ -572,7 +553,7 @@ impl<O: Observer> Pipeline<O> {
                 seq,
                 kind: EventKind::Complete,
                 op: kind,
-                pc,
+                pc: self.active.cold(seq).expect("completing entry is live").pc,
                 wrong_path,
                 dest: None,
                 freed: None,
@@ -580,7 +561,7 @@ impl<O: Observer> Pipeline<O> {
         }
 
         // Source registers: this reader has completed.
-        for (class, p) in srcs.iter().flatten().copied() {
+        for (class, p) in entry.src_regs() {
             let reg = self.regs[class.index()].reg_mut(p);
             debug_assert!(reg.pending_readers > 0);
             reg.pending_readers -= 1;
@@ -617,8 +598,9 @@ impl<O: Observer> Pipeline<O> {
         // Conditional branches: train the predictor (correct path only)
         // and check for misprediction.
         if kind == OpKind::CondBranch {
-            let branch = self.active.cold(seq).and_then(|c| c.branch);
-            if let Some(BranchInfo { prediction, actual, .. }) = branch {
+            let cold = self.active.cold(seq).expect("completing entry is live");
+            let pc = cold.pc;
+            if let Some(BranchInfo { prediction, actual, .. }) = cold.branch {
                 if !wrong_path {
                     self.bp.train(pc, prediction, actual);
                     self.stats.bpred.record(prediction.taken(), actual);
@@ -639,15 +621,15 @@ impl<O: Observer> Pipeline<O> {
 
     /// Applies mapping kills accumulated in `scratch_kills` (filled by the
     /// kill engine's `*_into` methods): marks registers killed and frees
-    /// them if the remaining imprecise conditions hold. Draining a reused
-    /// scratch buffer keeps the kill path free of per-event allocation.
+    /// them if the remaining imprecise conditions hold, then empties the
+    /// buffer in place (no allocation, no buffer swap).
     fn apply_kills(&mut self) {
-        let mut killed = std::mem::take(&mut self.scratch_kills);
-        for (class, p) in killed.drain(..) {
+        for i in 0..self.scratch_kills.len() {
+            let (class, p) = self.scratch_kills[i];
             self.regs[class.index()].reg_mut(p).killed = true;
             self.maybe_free_imprecise(class, p);
         }
-        self.scratch_kills = killed;
+        self.scratch_kills.clear();
     }
 
     /// If all three imprecise conditions hold for register `p` — writer
@@ -687,7 +669,7 @@ impl<O: Observer> Pipeline<O> {
     /// fetch (resuming next cycle).
     fn recover(&mut self, branch_seq: u64) {
         while let Some(seq) = self.active.back().map(|e| e.seq).filter(|&s| s > branch_seq) {
-            let div_unit = self.active.cold(seq).and_then(|c| c.div_unit);
+            let cold = *self.active.cold(seq).expect("back exists");
             let e = self.active.pop_back().expect("back exists");
             self.stats.squashed += 1;
             match e.stage {
@@ -699,7 +681,7 @@ impl<O: Observer> Pipeline<O> {
                     if e.kind == OpKind::Load {
                         self.cache.cancel(e.seq);
                     }
-                    if let Some(unit) = div_unit {
+                    if let Some(unit) = cold.div_unit {
                         self.dividers.release_early(unit, self.now);
                     }
                 }
@@ -709,7 +691,7 @@ impl<O: Observer> Pipeline<O> {
             // sources (slot 1 first: its node is the younger of the two).
             if e.stage == Stage::InQueue && e.unready > 0 {
                 for slot in [1, 0] {
-                    if let Some((class, p)) = e.srcs[slot] {
+                    if let Some((class, p)) = e.srcs[slot].get() {
                         if !self.regs[class.index()].reg(p).ready {
                             let head = &mut self.wait_heads[class.index()][p as usize];
                             ActiveList::unlink_waiter(head, &e, slot);
@@ -718,16 +700,13 @@ impl<O: Observer> Pipeline<O> {
                 }
             }
             // Readers that never completed release their register claims,
-            // and incomplete memory operations stop being hazard sources.
+            // and incomplete memory operations leave their address chains.
             if e.stage != Stage::Completed {
                 if let Some(addr) = e.mem_addr() {
-                    match e.kind {
-                        OpKind::Store => self.store_hazards.remove(addr, e.seq),
-                        OpKind::Load => self.load_hazards.remove(addr, e.seq),
-                        _ => {}
-                    }
+                    let store = e.kind == OpKind::Store;
+                    self.addrs.remove(addr, store, |head| ActiveList::unlink_mem(head, &e));
                 }
-                for (class, p) in e.srcs.iter().flatten().copied() {
+                for (class, p) in e.src_regs() {
                     let reg = self.regs[class.index()].reg_mut(p);
                     debug_assert!(reg.pending_readers > 0);
                     reg.pending_readers -= 1;
@@ -752,7 +731,7 @@ impl<O: Observer> Pipeline<O> {
                     seq: e.seq,
                     kind: EventKind::Squash,
                     op: e.kind,
-                    pc: e.pc,
+                    pc: cold.pc,
                     wrong_path: e.wrong_path,
                     dest: None,
                     freed: e.dest.map(|(class, new, _, _)| (class, new)),
@@ -797,6 +776,7 @@ impl<O: Observer> Pipeline<O> {
                 !front.wrong_path,
                 "wrong-path instructions are squashed before reaching commit"
             );
+            let pc = if O::ACTIVE { self.active.cold(front.seq).expect("live").pc } else { 0 };
             let e = self.active.pop_front().expect("front exists");
             self.stats.committed += 1;
             committed_this_cycle += 1;
@@ -824,7 +804,7 @@ impl<O: Observer> Pipeline<O> {
                     seq: e.seq,
                     kind: EventKind::Commit,
                     op: e.kind,
-                    pc: e.pc,
+                    pc,
                     wrong_path: false,
                     dest: None,
                     freed,
@@ -848,151 +828,59 @@ impl<O: Observer> Pipeline<O> {
     // ------------------------------------------------------------------
 
     /// Greedy issue under the per-class limits, with dynamic memory
-    /// disambiguation. Candidates are gathered oldest-to-youngest (the
-    /// address-hazard checks only depend on older instructions), then the
-    /// per-cycle budgets are applied in the configured policy order —
-    /// oldest-first in the paper's machine.
+    /// disambiguation: one pass over the active list's per-class ready
+    /// sets in the configured policy order — oldest-first in the paper's
+    /// machine (see `select.rs`). The ready sets hold exactly the
+    /// in-queue entries that are data-ready and hazard-free: completion
+    /// wake-ups are the only way an entry gains either, so nothing
+    /// outside them could issue.
     fn issue_phase(&mut self) {
-        let mut budget = self.limits.width();
-        let mut class_budget = [0usize; 5];
-        for class in IssueClass::ALL {
-            class_budget[class.index()] = self.limits[class];
+        let mut class = [0usize; CLASSES];
+        for c in IssueClass::ALL {
+            class[c.index()] = self.limits[c];
         }
-        let mut divs_free = self.dividers.free_at(self.now);
-        let cache_free = self.cache.can_accept(self.now);
         // A lockup (blocking) cache services one access at a time: clamp
         // memory issue to a single operation per cycle, since a miss by
         // the first would lock the cache against a second access selected
-        // in the same scan.
+        // in the same pass.
         if self.cache.org() == rf_mem::CacheOrg::Lockup {
             let mem = IssueClass::Memory.index();
-            class_budget[mem] = class_budget[mem].min(1);
+            class[mem] = class[mem].min(1);
         }
-
-        self.scratch_issue.clear();
-
-        // Set when a data-ready memory operation could not even become a
-        // candidate because the cache had no free access slot.
-        let mut cache_blocked = false;
-
-        // Pass 1: collect every data- and hazard-ready candidate. The
-        // active list's scan bitset yields, in program order, exactly the
-        // data-ready in-queue entries — completion wake-ups are the only
-        // way an entry becomes ready, so nothing outside the scan could
-        // have passed the per-entry readiness loop this replaces. Memory
-        // candidates are checked against the incremental hazard index,
-        // which holds precisely the incomplete loads and stores the
-        // legacy scan re-accumulated each cycle; the strict `older than`
-        // predicate reproduces its insertion-ordered set construction
-        // (a candidate never conflicted with itself or anything younger,
-        // whose addresses had not yet been inserted at its check).
-        for seq in self.active.scan_seqs() {
-            let e = self.active.get(seq).expect("scan yields live entries");
-            let kind = e.kind;
-            debug_assert_eq!(e.stage, Stage::InQueue);
-            debug_assert!(e.data_ready());
-            debug_assert!(e
-                .srcs
-                .iter()
-                .flatten()
-                .all(|&(c, p)| self.regs[c.index()].reg(p).ready));
-            match e.kind {
-                OpKind::Load => {
-                    let addr = e.addr;
-                    debug_assert_ne!(addr, NO_ADDR, "loads carry addresses");
-                    if !cache_free {
-                        cache_blocked = true;
-                        continue;
-                    }
-                    let _s = self.pspan("cycle.issue.hazard");
-                    if self.store_hazards.older_than(addr, seq) {
-                        continue;
-                    }
-                }
-                OpKind::Store => {
-                    let addr = e.addr;
-                    debug_assert_ne!(addr, NO_ADDR, "stores carry addresses");
-                    if !cache_free {
-                        cache_blocked = true;
-                        continue;
-                    }
-                    let _s = self.pspan("cycle.issue.hazard");
-                    if self.store_hazards.older_than(addr, seq)
-                        || self.load_hazards.older_than(addr, seq)
-                    {
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            self.scratch_issue.push((seq, kind));
-        }
-
-        // Pass 2: apply the budgets in policy order and issue.
-        let mut candidates = std::mem::take(&mut self.scratch_issue);
-        if self.config.sched_policy() == crate::SchedPolicy::YoungestFirst {
-            candidates.reverse();
-        }
+        let budgets = Budgets {
+            width: self.limits.width(),
+            class,
+            divs_free: self.dividers.free_at(self.now),
+            cache_free: self.cache.can_accept(self.now),
+        };
+        let youngest_first = self.config.sched_policy() == crate::SchedPolicy::YoungestFirst;
         let mut selected = std::mem::take(&mut self.scratch_selected);
-        // Set when a ready candidate lost out to the width or per-class
-        // budget, or to the divider pool, respectively (together: a
-        // functional-unit structural stall). Tracked separately because
-        // they imply different wake-up times for the skip kernel: budgets
-        // reset next cycle, dividers free at a known future cycle.
-        let mut budget_blocked = false;
-        let mut div_blocked = false;
-        for &(seq, kind) in &candidates {
-            if budget == 0 {
-                budget_blocked = true;
-                break;
-            }
-            let class = kind.issue_class();
-            if class_budget[class.index()] == 0 {
-                budget_blocked = true;
-                continue;
-            }
-            if matches!(kind, OpKind::FpDiv32 | OpKind::FpDiv64) {
-                if divs_free == 0 {
-                    div_blocked = true;
-                    continue;
-                }
-                divs_free -= 1;
-            }
-            class_budget[class.index()] -= 1;
-            budget -= 1;
-            selected.push((seq, kind));
-        }
         self.blocks =
-            IssueBlocks { budget: budget_blocked, div: div_blocked, cache: cache_blocked };
+            select::select(&self.active.ready_sets(), youngest_first, budgets, &mut selected);
         if O::ACTIVE {
-            if cache_blocked {
+            if self.blocks.cache {
                 self.obs.stall(self.now, StallCause::CacheMissBlocked);
             }
-            if budget_blocked || div_blocked {
+            if self.blocks.budget || self.blocks.div {
                 self.obs.stall(self.now, StallCause::FuBusy);
             }
         }
-        for &(seq, kind) in &selected {
-            self.do_issue(seq, kind);
+        for &seq in &selected {
+            self.do_issue(seq);
         }
         selected.clear();
         self.scratch_selected = selected;
-        candidates.clear();
-        self.scratch_issue = candidates;
     }
 
     /// Issues one selected instruction: computes its completion time,
     /// reserves resources, and updates register categories.
-    fn do_issue(&mut self, seq: u64, kind: OpKind) {
+    fn do_issue(&mut self, seq: u64) {
         let now = self.now;
-        // Issued instructions are no longer issue candidates. (Issued
-        // memory operations stay in the hazard index until completion;
-        // the scan itself only ever visits candidates.)
-        self.active.scan_retire(seq);
-        let entry = self.active.get_mut(seq).expect("selected this cycle");
-        debug_assert_eq!(entry.stage, Stage::InQueue);
-        debug_assert_eq!(entry.kind, kind);
-        entry.stage = Stage::Issued;
+        // Issued instructions leave the ready sets. (Issued memory
+        // operations stay on their address chains until completion.)
+        let entry = self.active.issue(seq);
+        let kind = entry.kind;
+        debug_assert!(entry.data_ready() && entry.hazard_free());
         let mut div_unit = None;
         let complete_at = match kind {
             OpKind::Load => {
@@ -1013,8 +901,9 @@ impl<O: Observer> Pipeline<O> {
             }
             _ => now + u64::from(kind.latency()),
         };
-        entry.complete_at = complete_at;
-        let &mut ActiveEntry { dest, pc, wrong_path, .. } = entry;
+        // Truncated to 32 bits: exact within the wheel's horizon.
+        entry.complete_at = complete_at as u32;
+        let &mut ActiveEntry { dest, wrong_path, .. } = entry;
         if div_unit.is_some() {
             self.active.cold_mut(seq).expect("still present").div_unit = div_unit;
         }
@@ -1035,7 +924,7 @@ impl<O: Observer> Pipeline<O> {
                 seq,
                 kind: EventKind::Issue,
                 op: kind,
-                pc,
+                pc: self.active.cold(seq).expect("issued entry is live").pc,
                 wrong_path,
                 dest: None,
                 freed: None,
@@ -1050,11 +939,11 @@ impl<O: Observer> Pipeline<O> {
     /// Inserts up to `1.5 x width` instructions into the dispatch queue,
     /// renaming as it goes; switches to the wrong-path stream after a
     /// mispredicted branch is inserted.
-    fn insert_phase(
-        &mut self,
-        trace: &mut dyn Iterator<Item = Instruction>,
-        wrong_path: &mut dyn Iterator<Item = Instruction>,
-    ) {
+    fn insert_phase<T, W>(&mut self, trace: &mut T, wrong_path: &mut W)
+    where
+        T: Iterator<Item = Instruction> + ?Sized,
+        W: Iterator<Item = Instruction> + ?Sized,
+    {
         if self.now < self.fetch_resume_at {
             if O::ACTIVE {
                 self.obs.stall(self.now, StallCause::FetchStarved);
@@ -1142,13 +1031,13 @@ impl<O: Observer> Pipeline<O> {
         let seq = self.active.next_seq();
         // Sources first (an instruction reading and writing the same
         // virtual register reads the *old* mapping).
-        let mut srcs = [None, None];
+        let mut srcs = [Src::NONE; 2];
         for (slot, src) in srcs.iter_mut().zip(inst.srcs().iter()) {
             if let Some(r) = src {
                 if !r.is_zero() {
                     let p = self.map[r.class().index()][r.index() as usize];
                     self.regs[r.class().index()].reg_mut(p).pending_readers += 1;
-                    *slot = Some((r.class(), p));
+                    *slot = Src::new(r.class(), p);
                 }
             }
         }
@@ -1184,44 +1073,42 @@ impl<O: Observer> Pipeline<O> {
         {
             self.kill.barrier_inserted(seq);
         }
-        let mut entry = ActiveEntry {
-            seq,
-            kind: inst.kind(),
-            wrong_path: on_wrong_path,
-            stage: Stage::InQueue,
-            complete_at: u64::MAX,
-            dest,
-            srcs,
-            addr: inst.mem().map_or(NO_ADDR, |m| m.addr()),
-            unready: 0,
-            links: [0, 0],
-            pc: inst.pc(),
-        };
-        // Data-readiness: an entry enters the issue scan only once every
-        // renamed source is ready; until then each unready source slot
-        // waits on its register's chain for the producer's completion.
-        // Memory operations additionally become hazard sources for
-        // younger loads and stores right away.
-        for (slot, src) in srcs.iter().enumerate() {
-            if let Some((c, p)) = *src {
-                if !self.regs[c.index()].reg(p).ready {
-                    let head = &mut self.wait_heads[c.index()][p as usize];
-                    ActiveList::link_waiter(head, &mut entry, slot);
+        // Readiness: an entry enters its class's ready set only once every
+        // renamed source is ready — until then each unready source slot
+        // waits on its register's chain for the producer's completion —
+        // and, for a load or store, once no older incomplete access to
+        // its address holds it back (it joins the address chain now).
+        let (regs, wait_heads, addrs) = (&self.regs, &mut self.wait_heads, &mut self.addrs);
+        self.active.push_with(|entry, cold| {
+            *entry = ActiveEntry {
+                seq,
+                addr: inst.mem().map_or(NO_ADDR, |m| m.addr()),
+                complete_at: u32::MAX,
+                dest,
+                srcs,
+                links: [0, 0],
+                mem_link: 0,
+                blockers: 0,
+                kind: inst.kind(),
+                wrong_path: on_wrong_path,
+                stage: Stage::InQueue,
+                unready: 0,
+            };
+            *cold = ColdEntry { branch, div_unit: None, pc: inst.pc() };
+            for (slot, src) in srcs.iter().enumerate() {
+                if let Some((c, p)) = src.get() {
+                    if !regs[c.index()].reg(p).ready {
+                        let head = &mut wait_heads[c.index()][p as usize];
+                        ActiveList::link_waiter(head, entry, slot);
+                    }
                 }
             }
-        }
-        if let Some(addr) = entry.mem_addr() {
-            match inst.kind() {
-                OpKind::Store => self.store_hazards.add(addr, seq),
-                OpKind::Load => self.load_hazards.add(addr, seq),
-                _ => {}
+            if entry.addr != NO_ADDR {
+                let store = entry.kind == OpKind::Store;
+                entry.blockers =
+                    addrs.insert(entry.addr, store, |head| ActiveList::link_mem(head, entry));
             }
-        }
-        let ready = entry.data_ready();
-        self.active.push_entry(entry, ColdEntry { branch, div_unit: None });
-        if ready {
-            self.active.scan_set(seq);
-        }
+        });
         self.dq_counts[Self::queue_of(self.config.has_split_queues(), inst.kind())] += 1;
         self.stats.inserted += 1;
         if O::ACTIVE {
@@ -1516,15 +1403,19 @@ mod tests {
     /// Asserts the wake-up bookkeeping is exact: each in-queue entry's
     /// `unready` count equals a recount of its sources whose register is
     /// not ready, the waiter chains hold exactly those `(seq, slot)`
-    /// pairs, each once, and the issue scan holds exactly the in-queue
-    /// entries with none.
+    /// pairs, each once; each in-queue load and store's `blockers` equals
+    /// a brute-force recount of the older incomplete conflicting accesses
+    /// at its address, whose chain holds exactly the incomplete ones; and
+    /// every class's ready set holds exactly its in-queue entries that
+    /// are data-ready and hazard-free.
     fn assert_chains_exact(p: &Pipeline) {
-        use std::collections::BTreeSet;
+        use crate::active::mem_conflict;
+        use std::collections::{BTreeMap, BTreeSet};
         let mut unready_srcs = BTreeSet::new();
         for e in p.active.iter().filter(|e| e.stage == Stage::InQueue) {
             let mut unready = 0;
-            for (slot, &(c, r)) in
-                e.srcs.iter().enumerate().filter_map(|(s, src)| Some((s, src.as_ref()?)))
+            for (slot, (c, r)) in
+                e.srcs.iter().enumerate().filter_map(|(s, src)| Some((s, src.get()?)))
             {
                 if !p.regs[c.index()].reg(r).ready {
                     unready += 1;
@@ -1551,13 +1442,62 @@ mod tests {
             }
         }
         assert_eq!(linked, unready_srcs, "waiter chains at cycle {}", p.now);
-        let expected_scan: Vec<u64> = p
+        // Memory disambiguation: recount by brute force.
+        let incomplete: Vec<&ActiveEntry> = p
             .active
             .iter()
-            .filter(|e| e.stage == Stage::InQueue && e.unready == 0)
-            .map(|e| e.seq)
+            .filter(|e| e.stage != Stage::Completed && e.mem_addr().is_some())
             .collect();
-        assert_eq!(p.active.scan_seqs().collect::<Vec<_>>(), expected_scan);
+        let mut by_addr: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (i, e) in incomplete.iter().enumerate() {
+            by_addr.entry(e.addr).or_default().push(e.seq);
+            if e.stage == Stage::InQueue {
+                let blockers = incomplete[..i]
+                    .iter()
+                    .filter(|o| o.addr == e.addr && mem_conflict(o.kind, e.kind))
+                    .count();
+                assert_eq!(
+                    e.blockers as usize, blockers,
+                    "blockers of seq {} at cycle {}",
+                    e.seq, p.now
+                );
+            }
+        }
+        assert_eq!(p.addrs.len(), by_addr.len(), "tracked addresses at cycle {}", p.now);
+        for (addr, seqs) in by_addr {
+            let rec = p.addrs.get(addr).expect("every incomplete access's address is tracked");
+            let stores = seqs
+                .iter()
+                .filter(|&&s| p.active.get(s).expect("live").kind == OpKind::Store)
+                .count();
+            assert_eq!((rec.ops as usize, rec.stores as usize), (seqs.len(), stores));
+            let mut chain = Vec::new();
+            let mut node = rec.head;
+            while node != NO_WAITER {
+                chain.push(node);
+                let link = u64::from(p.active.get(node).expect("chain nodes are live").mem_link);
+                node = if link == 0 { NO_WAITER } else { node - link };
+            }
+            chain.reverse();
+            assert_eq!(chain, seqs, "address chain of {addr:#x} at cycle {}", p.now);
+        }
+        // The ready sets: data-ready and hazard-free, by class.
+        let mut mem_ready = 0;
+        for e in p.active.iter() {
+            let waiting = e.stage == Stage::InQueue && e.data_ready();
+            let class = e.kind.issue_class().index();
+            for c in 0..CLASSES {
+                assert_eq!(
+                    p.active.in_ready_set(e.seq, c),
+                    waiting && e.hazard_free() && c == class,
+                    "ready set {c} membership of seq {} at cycle {}",
+                    e.seq,
+                    p.now
+                );
+            }
+            mem_ready += u32::from(waiting && e.kind.is_mem());
+        }
+        assert_eq!(p.active.mem_ready(), mem_ready, "data-ready memory count at cycle {}", p.now);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl IssueClass {
 
     /// Dense index for per-class counters.
     #[inline]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             IssueClass::Integer => 0,
             IssueClass::FloatingPoint => 1,

@@ -1,7 +1,7 @@
 //! The unified data-cache front end: perfect, lockup, and lockup-free.
 
 use crate::config::CacheConfig;
-use crate::mshr::{CompletedFill, InvertedMshr};
+use crate::mshr::InvertedMshr;
 use crate::sets::SetArray;
 use crate::stats::CacheStats;
 use crate::wbuf::WriteBuffer;
@@ -195,21 +195,20 @@ impl DataCache {
         self.wbuf.push(addr, now);
     }
 
-    /// Installs every fill whose block has returned by cycle `now`,
-    /// returning them so the core can (if it wants) cross-check register
-    /// write-backs. Call once at the top of every cycle.
-    pub fn drain_fills(&mut self, now: u64) -> Vec<CompletedFill> {
-        let _s = rf_prof::hot_span("cache.drain_fills");
-        let done = self.mshr.drain(now);
-        for fill in &done {
-            if fill.install {
-                self.stats.fills_installed += 1;
-                self.tags.install(fill.line);
-            } else {
-                self.stats.fills_cancelled += 1;
-            }
+    /// Installs every fill whose block has returned by cycle `now` and
+    /// still has a live requester; fills whose requesters were all
+    /// cancelled are discarded. Call once at the top of every cycle.
+    pub fn drain_fills(&mut self, now: u64) {
+        if !self.mshr.has_returned(now) {
+            return;
         }
-        done
+        let _s = rf_prof::hot_span("cache.drain_fills");
+        let tags = &mut self.tags;
+        let (installed, cancelled) = self.mshr.drain(now, |line| {
+            tags.install(line);
+        });
+        self.stats.fills_installed += installed;
+        self.stats.fills_cancelled += cancelled;
     }
 
     /// Cancels the pending fill requester `tag` (a squashed load): its
@@ -363,12 +362,14 @@ mod tests {
         let mut c = cache(CacheOrg::LockupFree);
         c.load(0x4000, 0, 7);
         c.cancel(7);
-        let fills = c.drain_fills(17);
-        assert_eq!(fills.len(), 1);
-        assert!(!fills[0].install);
+        c.drain_fills(17);
+        assert_eq!((c.stats().fills_installed, c.stats().fills_cancelled), (0, 1));
+        assert_eq!(c.outstanding_fills(), 0);
+        assert_eq!(c.peak_outstanding_fills(), 1);
         // Line was not installed: the next load misses again.
         let r = c.load(0x4000, 20, 8);
         assert!(!r.hit());
-        assert_eq!(c.stats().fills_cancelled, 1);
+        c.drain_fills(37);
+        assert_eq!((c.stats().fills_installed, c.stats().fills_cancelled), (1, 1));
     }
 }

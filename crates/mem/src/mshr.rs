@@ -2,31 +2,18 @@
 
 use std::collections::VecDeque;
 
-/// One in-flight line fetch and the loads waiting on it.
-#[derive(Debug, Clone)]
+/// One in-flight line fetch.
+#[derive(Debug, Clone, Copy)]
 struct PendingFill {
     line: u64,
     return_cycle: u64,
-    /// `(tag, cancelled)` for each load merged into this fill. The tag is
-    /// the core's identifier for the load (its sequence number); a
+    /// Requesters merged into this fill that have not been cancelled. A
     /// cancelled requester is a squashed wrong-path load whose register
-    /// must not be written.
-    requesters: Vec<(u64, bool)>,
-}
-
-/// A completed fill, reported by [`InvertedMshr::drain`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompletedFill {
-    /// Line-aligned address of the returned block.
-    pub line: u64,
-    /// Tags of the (non-cancelled) loads whose registers are written,
-    /// simultaneously, when this block returns.
-    pub live_tags: Vec<u64>,
-    /// Whether the block should be installed in the cache: false when every
-    /// requester was squashed, per the paper's recovery rule ("the cache
-    /// block will not be written into the cache or be used to write
-    /// registers when the block returns from memory").
-    pub install: bool,
+    /// must not be written; a fill left with none is not installed, per
+    /// the paper's recovery rule ("the cache block will not be written
+    /// into the cache or be used to write registers when the block
+    /// returns from memory").
+    live: u32,
 }
 
 /// Bookkeeping for outstanding cache-line fetches, modelling the *inverted
@@ -50,9 +37,9 @@ pub struct CompletedFill {
 /// let r2 = mshr.request(0x1000, 2, 30); // merges: same line
 /// assert_eq!(r1, 26);
 /// assert_eq!(r2, 26);
-/// let done = mshr.drain(26);
-/// assert_eq!(done.len(), 1);
-/// assert_eq!(done[0].live_tags, vec![1, 2]);
+/// let mut installed = Vec::new();
+/// assert_eq!(mshr.drain(26, |line| installed.push(line)), (1, 0));
+/// assert_eq!(installed, vec![0x1000]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvertedMshr {
@@ -60,6 +47,9 @@ pub struct InvertedMshr {
     /// monotonically non-decreasing return cycles (constant fetch latency,
     /// monotonic request cycles), so a deque stays sorted.
     fills: VecDeque<PendingFill>,
+    /// `(tag, line)` of every live requester of an outstanding fill. The
+    /// tag is the core's identifier for the load (its sequence number).
+    requesters: Vec<(u64, u64)>,
     peak_outstanding: usize,
 }
 
@@ -79,51 +69,59 @@ impl InvertedMshr {
     /// otherwise a new fetch returning at `return_cycle_if_new` is started.
     /// Returns the cycle the block will return.
     pub fn request(&mut self, line: u64, tag: u64, return_cycle_if_new: u64) -> u64 {
+        self.requesters.push((tag, line));
         if let Some(fill) = self.fills.iter_mut().find(|f| f.line == line) {
-            fill.requesters.push((tag, false));
+            fill.live += 1;
             return fill.return_cycle;
         }
         debug_assert!(
             self.fills.back().is_none_or(|f| f.return_cycle <= return_cycle_if_new),
             "fetch return cycles must be monotonic"
         );
-        self.fills.push_back(PendingFill {
-            line,
-            return_cycle: return_cycle_if_new,
-            requesters: vec![(tag, false)],
-        });
+        self.fills.push_back(PendingFill { line, return_cycle: return_cycle_if_new, live: 1 });
         self.peak_outstanding = self.peak_outstanding.max(self.fills.len());
         return_cycle_if_new
     }
 
-    /// Marks the requester `tag` as cancelled (squashed load): its register
-    /// will not be written, and if every requester of a fill is cancelled
-    /// the block will not be installed.
+    /// Cancels the requester `tag` (squashed load): its register will not
+    /// be written, and if every requester of a fill is cancelled the
+    /// block will not be installed.
     pub fn cancel(&mut self, tag: u64) {
-        for fill in &mut self.fills {
-            for req in &mut fill.requesters {
-                if req.0 == tag {
-                    req.1 = true;
-                }
-            }
+        while let Some(i) = self.requesters.iter().position(|&(t, _)| t == tag) {
+            let (_, line) = self.requesters.swap_remove(i);
+            let fill = self.fills.iter_mut().find(|f| f.line == line);
+            fill.expect("a live requester's fill is outstanding").live -= 1;
         }
     }
 
-    /// Removes and returns every fill whose block has returned by `now`.
-    pub fn drain(&mut self, now: u64) -> Vec<CompletedFill> {
+    /// Retires every fill whose block has returned by `now`, calling
+    /// `install` with the line of each one that still has a live
+    /// requester. Returns `(installed, cancelled)`: how many returned
+    /// fills are installed and how many are discarded.
+    pub fn drain(&mut self, now: u64, mut install: impl FnMut(u64)) -> (u64, u64) {
         let _s = rf_prof::hot_span("cache.mshr_drain");
-        let mut done = Vec::new();
-        while let Some(front) = self.fills.front() {
-            if front.return_cycle > now {
+        let (mut installed, mut cancelled) = (0, 0);
+        while let Some(&PendingFill { line, return_cycle, live }) = self.fills.front() {
+            if return_cycle > now {
                 break;
             }
-            let fill = self.fills.pop_front().expect("front exists");
-            let live_tags: Vec<u64> =
-                fill.requesters.iter().filter(|r| !r.1).map(|r| r.0).collect();
-            let install = !live_tags.is_empty();
-            done.push(CompletedFill { line: fill.line, live_tags, install });
+            self.fills.pop_front();
+            if live == 0 {
+                cancelled += 1;
+            } else {
+                installed += 1;
+                self.requesters.retain(|&(_, l)| l != line);
+                install(line);
+            }
         }
-        done
+        (installed, cancelled)
+    }
+
+    /// Whether any fill's block has returned by `now` (the next
+    /// [`drain`](InvertedMshr::drain) has work).
+    #[inline]
+    pub fn has_returned(&self, now: u64) -> bool {
+        self.fills.front().is_some_and(|f| f.return_cycle <= now)
     }
 
     /// Number of fetches currently outstanding.
@@ -141,12 +139,21 @@ impl InvertedMshr {
 mod tests {
     use super::*;
 
+    /// Drains `m` at `now`, returning the installed lines and the
+    /// `(installed, cancelled)` counts.
+    fn drain(m: &mut InvertedMshr, now: u64) -> (Vec<u64>, (u64, u64)) {
+        let mut lines = Vec::new();
+        let counts = m.drain(now, |line| lines.push(line));
+        (lines, counts)
+    }
+
     #[test]
     fn merged_requests_share_return_cycle() {
         let mut m = InvertedMshr::new();
         assert_eq!(m.request(0x100, 1, 50), 50);
         assert_eq!(m.request(0x100, 2, 60), 50);
         assert_eq!(m.outstanding(), 1);
+        assert_eq!(m.peak_outstanding(), 1);
     }
 
     #[test]
@@ -163,11 +170,12 @@ mod tests {
         let mut m = InvertedMshr::new();
         m.request(0x100, 1, 50);
         m.request(0x200, 2, 60);
-        assert!(m.drain(49).is_empty());
-        let d = m.drain(55);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 0x100);
+        assert!(!m.has_returned(49));
+        assert_eq!(drain(&mut m, 49), (vec![], (0, 0)));
+        assert!(m.has_returned(55));
+        assert_eq!(drain(&mut m, 55), (vec![0x100], (1, 0)));
         assert_eq!(m.outstanding(), 1);
+        assert_eq!(m.peak_outstanding(), 2, "the peak survives the drain");
     }
 
     #[test]
@@ -175,10 +183,8 @@ mod tests {
         let mut m = InvertedMshr::new();
         m.request(0x100, 1, 50);
         m.cancel(1);
-        let d = m.drain(50);
-        assert_eq!(d.len(), 1);
-        assert!(!d[0].install);
-        assert!(d[0].live_tags.is_empty());
+        assert_eq!(drain(&mut m, 50), (vec![], (0, 1)));
+        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]
@@ -187,9 +193,7 @@ mod tests {
         m.request(0x100, 1, 50);
         m.request(0x100, 2, 55);
         m.cancel(1);
-        let d = m.drain(50);
-        assert!(d[0].install);
-        assert_eq!(d[0].live_tags, vec![2]);
+        assert_eq!(drain(&mut m, 50), (vec![0x100], (1, 0)));
     }
 
     #[test]
@@ -197,7 +201,19 @@ mod tests {
         let mut m = InvertedMshr::new();
         m.request(0x100, 1, 50);
         m.cancel(99);
-        let d = m.drain(50);
-        assert!(d[0].install);
+        assert_eq!(drain(&mut m, 50), (vec![0x100], (1, 0)));
+    }
+
+    #[test]
+    fn a_reused_tag_cancels_only_its_outstanding_requests() {
+        let mut m = InvertedMshr::new();
+        // Tag 1's first load returns and installs; its tag is reused by a
+        // later load, whose cancellation must not reach the drained fill.
+        m.request(0x100, 1, 50);
+        assert_eq!(drain(&mut m, 50), (vec![0x100], (1, 0)));
+        m.request(0x100, 1, 70);
+        m.request(0x200, 2, 71);
+        m.cancel(1);
+        assert_eq!(drain(&mut m, 71), (vec![0x200], (1, 1)));
     }
 }

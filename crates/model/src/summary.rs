@@ -136,7 +136,7 @@ fn replay_cache(insts: &[Instruction], config: CacheConfig, org: CacheOrg) -> (f
     let mut misses = 0u64;
     for (i, inst) in insts.iter().enumerate() {
         let now = i as u64 / CACHE_PACE;
-        let _ = cache.drain_fills(now);
+        cache.drain_fills(now);
         let Some(mem) = inst.mem() else { continue };
         // A locked-up cache delays the access to its unlock cycle; the
         // extra wait counts toward the observed load delay.
