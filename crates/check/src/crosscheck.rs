@@ -164,10 +164,7 @@ impl CheckReport {
 /// cross-validation of `rfstudy model --check`) can simulate exactly
 /// the configurations the check matrix covers.
 pub fn config_for(p: &CheckParams) -> MachineConfig {
-    MachineConfig::new(p.width)
-        .dispatch_queue(8 * p.width)
-        .physical_regs(p.regs)
-        .exceptions(p.exceptions)
+    MachineConfig::new(p.width).physical_regs(p.regs).exceptions(p.exceptions)
 }
 
 /// Runs one sanitized simulation plus the static analysis of the same

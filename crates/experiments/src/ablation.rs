@@ -5,36 +5,56 @@
 //! paper's 1.5x issue width vs 1.0x and 2.0x).
 
 use crate::aggregate::{all_names, mean_over};
-use crate::runner::{RunSpec, Scale, SimPool};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_bpred::PredictorKind;
 use rf_core::{SchedPolicy, SimStats};
-use std::sync::Arc;
 
-fn run_suite(
-    configure: impl Fn(RunSpec) -> RunSpec,
-    commits: u64,
-) -> Vec<(String, Arc<SimStats>)> {
-    let names = all_names();
-    let specs: Vec<RunSpec> = names
+/// Scheduler selection policies compared.
+const POLICIES: [SchedPolicy; 2] = [SchedPolicy::OldestFirst, SchedPolicy::YoungestFirst];
+/// Branch predictors compared.
+const PREDICTORS: [PredictorKind; 3] =
+    [PredictorKind::Bimodal, PredictorKind::Gshare, PredictorKind::Combining];
+/// Dispatch-queue insertion bandwidths compared.
+const INSERT_BW: [usize; 3] = [4, 6, 8];
+
+/// The nine benchmarks on the 4-way baseline, each spec adjusted by
+/// `configure`.
+fn suite(configure: impl Fn(RunSpec) -> RunSpec, scale: &Scale) -> Vec<RunSpec> {
+    all_names()
         .iter()
-        .map(|n| configure(RunSpec::baseline(n, 4).commits(commits)))
-        .collect();
-    let stats = SimPool::from_env().run_many(&specs);
-    names.into_iter().zip(stats).collect()
+        .map(|n| configure(RunSpec::baseline(n, 4).commits(scale.commits)))
+        .collect()
 }
 
-/// Runs both ablations and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Every ablation's suite, in report order.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    for policy in POLICIES {
+        specs.extend(suite(|c| c.policy(policy), scale));
+    }
+    for kind in PREDICTORS {
+        specs.extend(suite(|c| c.predictor(kind), scale));
+    }
+    for bw in INSERT_BW {
+        specs.extend(suite(|c| c.insert_bw(bw), scale));
+    }
+    specs
+}
+
+/// Renders the ablations.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let names = all_names();
+    let runs = |configure: &dyn Fn(RunSpec) -> RunSpec| answers.runs(&suite(configure, scale));
     let mut out = String::from(
         "Ablations (4-way issue, dq 32, 2048 registers, lockup-free cache)\n\n",
     );
 
     out.push_str("Scheduler selection policy\n");
     let mut t = Table::new(vec!["policy", "avg issue IPC", "avg commit IPC"]);
-    for policy in [SchedPolicy::OldestFirst, SchedPolicy::YoungestFirst] {
-        let runs = run_suite(|c| c.policy(policy), scale.commits);
+    for policy in POLICIES {
+        let runs = runs(&|c| c.policy(policy));
         t.row(vec![
             policy.to_string(),
             format!("{:.2}", mean_over(&runs, &names, SimStats::issue_ipc)),
@@ -45,8 +65,8 @@ pub fn run(scale: &Scale) -> String {
 
     out.push_str("\nBranch predictor (paper: McFarling combining, 12 Kbit)\n");
     let mut t = Table::new(vec!["predictor", "avg mispredict %", "avg commit IPC"]);
-    for kind in [PredictorKind::Bimodal, PredictorKind::Gshare, PredictorKind::Combining] {
-        let runs = run_suite(|c| c.predictor(kind), scale.commits);
+    for kind in PREDICTORS {
+        let runs = runs(&|c| c.predictor(kind));
         t.row(vec![
             kind.to_string(),
             format!("{:.1}", 100.0 * mean_over(&runs, &names, SimStats::mispredict_rate)),
@@ -57,8 +77,8 @@ pub fn run(scale: &Scale) -> String {
 
     out.push_str("\nDispatch-queue insertion bandwidth (paper: 1.5 x width = 6)\n");
     let mut t = Table::new(vec!["insert/cycle", "avg commit IPC", "avg dq occupancy"]);
-    for bw in [4usize, 6, 8] {
-        let runs = run_suite(|c| c.insert_bw(bw), scale.commits);
+    for bw in INSERT_BW {
+        let runs = runs(&|c| c.insert_bw(bw));
         t.row(vec![
             bw.to_string(),
             format!("{:.2}", mean_over(&runs, &names, SimStats::commit_ipc)),
@@ -72,6 +92,15 @@ pub fn run(scale: &Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    fn run_suite(
+        configure: impl Fn(RunSpec) -> RunSpec,
+        commits: u64,
+    ) -> Vec<(String, Arc<SimStats>)> {
+        let specs = suite(configure, &Scale { commits });
+        crate::suite::answer(&specs).runs(&specs)
+    }
 
     #[test]
     fn oldest_first_commits_at_least_as_fast() {

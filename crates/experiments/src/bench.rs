@@ -1,81 +1,28 @@
-//! Wall-clock timing and counter capture of the experiment suite.
+//! Timing, attribution and the run record of the experiment suite.
 //!
-//! [`SuiteBench`] wraps each harness invocation, records its elapsed time
-//! together with the [`rf_prof::counters`] registry's delta over the
-//! harness (simulations executed, committed instructions, stalls, phase
-//! times, cache and store lookups), optionally attaches a traced probe (a
-//! small observed run giving full six-cause stall attribution and latency
-//! percentiles), and builds the suite's one run record: the
-//! [`LedgerRecord`] appended to `results/history/suite.jsonl`. Suite
-//! totals are the sum of the harness deltas, so work done outside every
-//! harness (the post-suite probes) never reaches them.
+//! [`SuiteBench`] answers the suite [`Plan`] in one batch, recording the
+//! [`rf_prof::counters`] registry's delta and the self-profile over it,
+//! then renders each harness, charging every spec to its first owner
+//! (its [`HarnessRecord`] sums the owned specs' `SimStats` and task
+//! times plus its render time). It optionally attaches a traced probe to
+//! each harness (a small observed run giving full six-cause stall
+//! attribution and latency percentiles) and builds the suite's one run
+//! record: the [`LedgerRecord`] appended to
+//! `results/history/suite.jsonl`. Work outside the batch and the renders
+//! (the post-suite probes) never reaches it.
 
-use crate::runner::{RunCache, RunSpec, SimPool};
+use crate::runner::{payload_text, BatchOpts, RunSpec, SimPool};
+use crate::suite::{Answers, Plan};
 use rf_core::{NullObserver, Observer as _, Pipeline, StallCause};
-use rf_prof::counters::{self, Counter, Counts};
 use rf_obs::ledger::{
     AllocRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
     SanitizerRecord, StoreRecord, TelemetryRecord,
 };
 use rf_obs::Recorder;
+use rf_prof::counters::{self, Counter, Counts};
 use rf_workload::{spec92, SharedTrace};
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// One timed harness.
-#[derive(Debug, Clone)]
-pub struct Entry {
-    /// Harness name (report file stem).
-    pub name: String,
-    /// Wall-clock seconds spent in the harness.
-    pub seconds: f64,
-    /// The counter registry's delta over the harness: everything its
-    /// simulations, cache and store lookups counted.
-    pub counts: Counts,
-    /// The traced probe attached to this harness, if any.
-    pub probe: Option<ProbeRecord>,
-    /// Self-profile span tree captured while the harness ran (`None`
-    /// unless the `rf-prof` profiler is enabled).
-    pub profile: Option<rf_prof::ProfileNode>,
-    /// Failure message when the harness panicked instead of returning a
-    /// report (`None` for a successful harness). The counters above
-    /// still cover whatever the harness executed before failing.
-    pub error: Option<String>,
-}
-
-impl Entry {
-    /// Simulations executed during the harness (cache hits excluded).
-    pub fn sims(&self) -> u64 {
-        self.counts.get(Counter::SimsCompleted)
-    }
-
-    /// CPU-seconds filling shared committed-path traces during the
-    /// harness (each fill once, however many simulations replay it).
-    pub fn phase_generate(&self) -> f64 {
-        self.counts.get(Counter::GenerateNs) as f64 / 1e9
-    }
-
-    /// CPU-seconds inside the pipeline during the harness, trace replay
-    /// included (can exceed `seconds` under parallel workers).
-    pub fn phase_simulate(&self) -> f64 {
-        self.counts.get(Counter::SimulateNs) as f64 / 1e9
-    }
-
-    /// Wall seconds not covered by the generate/simulate phases:
-    /// rendering and result folding. Clamped at zero because the
-    /// simulate phase is CPU time summed across workers.
-    pub fn phase_aggregate(&self) -> f64 {
-        (self.seconds - self.phase_generate() - self.phase_simulate()).max(0.0)
-    }
-
-    /// Whether every simulation this harness asked for came out of the
-    /// run cache: it executed nothing itself, so its zero counters are
-    /// cache bookkeeping, not throughput, and trend analysis must skip
-    /// rather than average them.
-    pub fn cache_served(&self) -> bool {
-        self.sims() == 0 && self.error.is_none()
-    }
-}
 
 /// Runs a traced probe: `bench` on the paper's 4-wide baseline machine
 /// for `commits` committed instructions, with the recorder attached,
@@ -105,13 +52,18 @@ pub fn probe(bench: &str, commits: u64) -> ProbeRecord {
     }
 }
 
-/// Times the harnesses of one suite invocation and builds its ledger
-/// record.
+/// Answers, renders and records one suite invocation.
 #[derive(Debug)]
 pub struct SuiteBench {
     commits: u64,
-    entries: Vec<Entry>,
     started: Instant,
+    /// The counter registry's delta over the batch.
+    batch: Counts,
+    /// The batch's self-profile span tree (`RF_PROFILE=1` only).
+    profile: Option<rf_prof::ProfileNode>,
+    /// Wall seconds spent rendering reports.
+    render_seconds: f64,
+    harnesses: Vec<HarnessRecord>,
     sanitizer: Option<SanitizerRecord>,
     model_error: Option<ModelErrorRecord>,
     telemetry: Option<TelemetryRecord>,
@@ -123,8 +75,11 @@ impl SuiteBench {
     pub fn start(commits: u64) -> Self {
         Self {
             commits,
-            entries: Vec::new(),
             started: Instant::now(),
+            batch: Counts::default(),
+            profile: None,
+            render_seconds: 0.0,
+            harnesses: Vec::new(),
             sanitizer: None,
             model_error: None,
             telemetry: None,
@@ -149,125 +104,121 @@ impl SuiteBench {
         self.telemetry = Some(record);
     }
 
-    /// Runs one harness, recording its wall-clock time and the counter
-    /// registry's delta over it (simulations executed, the stall
-    /// attribution they accumulated, cache and store lookups); returns
-    /// the harness's report.
-    pub fn time(&mut self, name: &str, harness: impl FnOnce() -> String) -> String {
-        self.try_time(name, harness).unwrap_or_else(|e| panic!("{e}"))
+    /// Answers every spec of `plan` in one batch on `pool`, recording the
+    /// counter registry's delta and the profile spans over it.
+    pub fn answer(&mut self, plan: &Plan, pool: &SimPool, opts: BatchOpts) -> Answers {
+        let before = counters::snapshot();
+        let answers = Answers::batch(pool, &plan.specs, opts);
+        self.batch = counters::snapshot().since(&before);
+        // `collect` drains everything profiled since the last drain.
+        self.profile = rf_prof::collect();
+        answers
     }
 
-    /// As [`SuiteBench::time`], but a panicking harness is caught: the
-    /// entry is still recorded (with its telemetry up to the failure and
-    /// the panic message in [`Entry::error`]) and the message is
-    /// returned as `Err`, so the suite can keep running the remaining
-    /// harnesses.
-    pub fn try_time(
+    /// Renders harness `h` of `plan` and records it. The harness fails
+    /// without rendering when a spec of its plan failed, and a panicking
+    /// `render` is caught; either way the failure is recorded and
+    /// returned as `Err`, so the suite goes on with the other harnesses.
+    pub fn render(
         &mut self,
-        name: &str,
-        harness: impl FnOnce() -> String,
+        plan: &Plan,
+        h: usize,
+        answers: &Answers,
+        render: impl FnOnce() -> String,
     ) -> Result<String, String> {
-        rf_obs::live::harness_started(name);
-        let before = counters::snapshot();
+        let name = plan.harnesses[h].0;
         let start = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(harness))
-            .map_err(|payload| {
-                format!("harness {name:?} failed: {}", crate::runner::payload_text(payload.as_ref()))
-            });
-        let counts = counters::snapshot().since(&before);
-        // `collect` drains everything profiled since the last drain, so
-        // each harness gets exactly the spans recorded on its watch.
-        let profile = rf_prof::collect();
-        self.entries.push(Entry {
+        let outcome = match plan.failure(h, answers) {
+            Some(e) => Err(e.to_string()),
+            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(render))
+                .map_err(|payload| payload_text(payload.as_ref())),
+        }
+        .map_err(|e| format!("harness {name:?} failed: {e}"));
+        let render_seconds = start.elapsed().as_secs_f64();
+        self.render_seconds += render_seconds;
+        let mut record = HarnessRecord {
             name: name.to_owned(),
-            seconds: start.elapsed().as_secs_f64(),
-            counts,
-            probe: None,
-            profile,
+            seconds: render_seconds,
+            cache_served: true,
             error: outcome.as_ref().err().cloned(),
-        });
-        rf_obs::live::harness_finished();
+            ..HarnessRecord::default()
+        };
+        for answer in plan.owned(h).filter_map(|spec| answers.answer(spec)) {
+            record.cache_served = false;
+            let Some(ns) = answer.task_ns else { continue };
+            record.seconds += ns as f64 / 1e9;
+            if let Ok(s) = &answer.outcome {
+                record.sims += 1;
+                record.committed += s.committed;
+                record.cycles += s.cycles;
+                record.stall_no_reg += s.insert_stall_no_reg;
+                record.stall_dq_full += s.insert_stall_dq_full;
+                record.no_free_cycles += s.no_free_any_cycles;
+            }
+        }
+        self.harnesses.push(record);
         outcome
     }
 
-    /// Attaches a traced probe to the most recently timed harness: a
+    /// Attaches a traced probe to the most recently rendered harness: a
     /// small observed run of `bench` giving full six-cause stall
     /// attribution and latency percentiles for the ledger record.
     pub fn attach_probe(&mut self, bench: &str, commits: u64) {
-        if let Some(last) = self.entries.last_mut() {
+        if let Some(last) = self.harnesses.last_mut() {
             last.probe = Some(probe(bench, commits));
         }
     }
 
     /// The per-harness records so far.
-    pub fn entries(&self) -> &[Entry] {
-        &self.entries
+    pub fn harnesses(&self) -> &[HarnessRecord] {
+        &self.harnesses
     }
 
     /// Builds the run-history ledger record for this suite run (see
-    /// `rf_obs::ledger`): config knobs, totals, per-harness breakdowns
-    /// with phase timers and probes, the extracted figure headlines, and
-    /// the allocation profile when the counting allocator is installed
-    /// (`profile-alloc` feature).
+    /// `rf_obs::ledger`): config knobs, totals (the sums of the harness
+    /// records, plus the batch's kernel, cache and store counters), the
+    /// batch's phase timers and profile, the per-harness records, the
+    /// extracted figure headlines, and the allocation profile when the
+    /// counting allocator is installed (`profile-alloc` feature).
     pub fn to_ledger_record(&self, headlines: Vec<(String, f64)>) -> LedgerRecord {
-        let harnesses: Vec<HarnessRecord> = self
-            .entries
-            .iter()
-            .map(|e| HarnessRecord {
-                name: e.name.clone(),
-                seconds: e.seconds,
-                sims: e.sims(),
-                committed: e.counts.get(Counter::InstructionsCommitted),
-                cycles: e.counts.get(Counter::Cycles),
-                stall_no_reg: e.counts.get(Counter::StallNoReg),
-                stall_dq_full: e.counts.get(Counter::StallDqFull),
-                no_free_cycles: e.counts.get(Counter::NoFreeCycles),
-                cycles_skipped: e.counts.get(Counter::CyclesSkipped),
-                wakeup_events: e.counts.get(Counter::WakeupEvents),
-                cache_served: e.cache_served(),
-                phase: PhaseRecord {
-                    generate: e.phase_generate(),
-                    simulate: e.phase_simulate(),
-                    aggregate: e.phase_aggregate(),
-                },
-                profile: e.profile.clone(),
-                probe: e.probe.clone(),
-                error: e.error.clone(),
-            })
-            .collect();
-        let alloc = if rf_obs::alloc::is_active() {
+        let alloc = rf_obs::alloc::is_active().then(|| {
             let snap = rf_obs::alloc::snapshot();
-            Some(AllocRecord {
+            AllocRecord {
                 allocations: snap.allocations,
                 deallocations: snap.deallocations,
                 allocated_bytes: snap.allocated_bytes,
-            })
-        } else {
-            None
-        };
-        // Suite totals: the sum of every harness's counter delta.
-        let totals: Counts = self.entries.iter().map(|e| e.counts).sum();
+            }
+        });
+        let b = |c| self.batch.get(c);
+        let sum = |f: fn(&HarnessRecord) -> u64| self.harnesses.iter().map(f).sum();
         LedgerRecord {
             timestamp_unix: rf_obs::ledger::unix_timestamp(),
             git_rev: rf_obs::ledger::git_rev(),
             commits: self.commits,
             jobs: SimPool::from_env().jobs() as u64,
-            cache: RunCache::global().is_enabled(),
             total_seconds: self.started.elapsed().as_secs_f64(),
-            sims: totals.get(Counter::SimsCompleted),
-            committed: totals.get(Counter::InstructionsCommitted),
-            cycles: totals.get(Counter::Cycles),
-            cache_hits: totals.get(Counter::CacheHits),
-            cache_misses: totals.get(Counter::CacheMisses),
-            harnesses,
+            sims: sum(|h| h.sims),
+            committed: sum(|h| h.committed),
+            cycles: sum(|h| h.cycles),
+            cycles_skipped: b(Counter::CyclesSkipped),
+            wakeup_events: b(Counter::WakeupEvents),
+            cache_hits: b(Counter::CacheHits),
+            cache_misses: b(Counter::CacheMisses),
+            phase: PhaseRecord {
+                generate: b(Counter::GenerateNs) as f64 / 1e9,
+                simulate: b(Counter::SimulateNs) as f64 / 1e9,
+                aggregate: self.render_seconds,
+            },
+            profile: self.profile.clone(),
+            harnesses: self.harnesses.clone(),
             headlines,
             model_error: self.model_error.clone(),
             alloc,
             telemetry: self.telemetry.clone(),
             store: crate::runner::store_counters().map(|_| StoreRecord {
-                hits: totals.get(Counter::StoreHits),
-                misses: totals.get(Counter::StoreMisses),
-                writes: totals.get(Counter::StoreWrites),
+                hits: b(Counter::StoreHits),
+                misses: b(Counter::StoreMisses),
+                writes: b(Counter::StoreWrites),
             }),
             sanitizer: self.sanitizer,
         }
@@ -278,13 +229,14 @@ impl SuiteBench {
     /// summary, naming the failed harnesses with their errors and the
     /// sanitizer's violation count.
     pub fn verdict(&self) -> Result<(), String> {
-        let failed: Vec<&Entry> = self.entries.iter().filter(|e| e.error.is_some()).collect();
+        let failed: Vec<&HarnessRecord> =
+            self.harnesses.iter().filter(|h| h.error.is_some()).collect();
         let mut reasons = Vec::new();
         if !failed.is_empty() {
             reasons.push(format!(
                 "{}/{} harnesses did not complete",
                 failed.len(),
-                self.entries.len()
+                self.harnesses.len()
             ));
         }
         if let Some(s) = self.sanitizer.filter(|s| s.violations > 0) {
@@ -297,8 +249,8 @@ impl SuiteBench {
             return Ok(());
         }
         let mut summary = format!("suite FAILED: {}", reasons.join("; "));
-        for e in failed {
-            let _ = write!(summary, "\n  {}: {}", e.name, e.error.as_deref().unwrap_or_default());
+        for h in failed {
+            let _ = write!(summary, "\n  {}: {}", h.name, h.error.as_deref().unwrap_or_default());
         }
         Err(summary)
     }
@@ -312,13 +264,23 @@ const _: () = assert!(!NullObserver::ACTIVE);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{Answer, RunError};
+    use rf_core::SimStats;
+    use std::sync::Arc;
+
+    /// A one-harness plan over nothing, rendered to an empty report.
+    fn rendered_noop(bench: &mut SuiteBench) {
+        let plan = Plan::new(vec![("noop", Vec::new())]);
+        let answers = Answers::default();
+        assert_eq!(bench.render(&plan, 0, &answers, String::new), Ok(String::new()));
+    }
 
     #[test]
     fn probe_attaches_attribution_and_latencies() {
         let mut bench = SuiteBench::start(500);
-        let _ = bench.time("probed", String::new);
+        rendered_noop(&mut bench);
         bench.attach_probe("compress", 2_000);
-        let p = bench.entries()[0].probe.as_ref().expect("probe attached");
+        let p = bench.harnesses()[0].probe.as_ref().expect("probe attached");
         assert_eq!(p.bench, "compress");
         assert!(p.cycles > 0);
         assert!(p.insert_to_commit.0 >= 1, "p50 insert-to-commit missing");
@@ -330,7 +292,7 @@ mod tests {
     #[test]
     fn ledger_record_carries_probe_stalls_and_sanitizer() {
         let mut bench = SuiteBench::start(500);
-        let _ = bench.time("noop", String::new);
+        rendered_noop(&mut bench);
         bench.attach_probe("ora", 1_000);
         bench.set_sanitizer(SanitizerRecord { probes: 8, events: 1_000, violations: 0 });
         let record = bench.to_ledger_record(Vec::new());
@@ -338,9 +300,9 @@ mod tests {
         assert_eq!(record.sanitizer.map(|s| s.events), Some(1_000));
         let h = &record.harnesses[0];
         assert_eq!(h.name, "noop");
-        assert!(h.cache_served, "a harness that simulated nothing is cache-served");
+        assert!(h.cache_served, "a harness that owns no spec is cache-served");
         let p = h.probe.as_ref().expect("probe recorded");
-        assert_eq!(p, bench.entries()[0].probe.as_ref().unwrap());
+        assert_eq!(p, bench.harnesses()[0].probe.as_ref().unwrap());
         let v = rf_obs::json::parse(&record.to_line()).expect("ledger line parses");
         let stalls = v.get("harnesses").unwrap().as_array().unwrap()[0]
             .get("probe")
@@ -351,20 +313,94 @@ mod tests {
         assert_eq!(v.get("sanitizer").unwrap().get_f64("probes"), Some(8.0));
     }
 
+    fn stats(committed: u64, cycles: u64) -> Arc<SimStats> {
+        let mut s = SimStats::new(64);
+        s.committed = committed;
+        s.cycles = cycles;
+        s.insert_stall_no_reg = cycles / 10;
+        s.insert_stall_dq_full = cycles / 5;
+        s.no_free_any_cycles = cycles / 20;
+        Arc::new(s)
+    }
+
     #[test]
-    fn try_time_records_a_failing_harness_and_keeps_going() {
+    fn a_failed_shared_spec_fails_exactly_its_planners_and_every_spec_is_charged_once() {
+        let spec = |bench: &str| RunSpec::baseline(bench, 4).commits(1_000);
+        let (a, b, c, shared, failed) =
+            (spec("gcc1"), spec("ora"), spec("doduc"), spec("su2cor"), spec("tomcatv"));
+        let plan = Plan::new(vec![
+            ("first", vec![a.clone(), shared.clone()]),
+            ("second", vec![shared.clone(), b.clone(), failed.clone()]),
+            ("third", vec![c.clone(), failed.clone()]),
+            ("fourth", vec![shared.clone()]),
+        ]);
+        let ok = |s: Arc<SimStats>, task_ns| Answer { outcome: Ok(s), task_ns };
+        let error = RunError::WorkerPanic { benchmark: "tomcatv".into(), payload: "boom".into() };
+        let answers: Answers = [
+            (a.clone(), ok(stats(1_000, 700), Some(2_000_000_000))),
+            (shared.clone(), ok(stats(1_000, 900), Some(1_000_000_000))),
+            // The store served `b`: no task ran, so nothing is charged.
+            (b.clone(), ok(stats(1_000, 800), None)),
+            (failed.clone(), Answer { outcome: Err(error.clone()), task_ns: Some(500_000_000) }),
+            (c.clone(), ok(stats(1_000, 600), Some(3_000_000_000))),
+        ]
+        .into_iter()
+        .collect();
+
+        let mut bench = SuiteBench::start(1_000);
+        let mut outcomes = Vec::new();
+        for (h, (name, specs)) in plan.harnesses.iter().enumerate() {
+            let read = specs.clone();
+            let answers_ref = &answers;
+            outcomes.push(bench.render(&plan, h, &answers, move || {
+                // A render reads every spec of its plan but the failed one.
+                let n: u64 = read
+                    .iter()
+                    .filter(|s| **s != spec("tomcatv"))
+                    .map(|s| answers_ref.get(s).cycles)
+                    .sum();
+                format!("{name} {n}")
+            }));
+        }
+        assert_eq!(outcomes[0].as_deref(), Ok("first 1600"));
+        assert_eq!(outcomes[3].as_deref(), Ok("fourth 900"));
+        for i in [1, 2] {
+            let e = outcomes[i].as_ref().expect_err("plans holding the failed spec fail");
+            assert!(e.contains(&error.to_string()), "{e}");
+        }
+        let record = bench.to_ledger_record(Vec::new());
+        let hs = &record.harnesses;
+        let errors: Vec<bool> = hs.iter().map(|h| h.error.is_some()).collect();
+        assert_eq!(errors, [false, true, true, false]);
+        // first owns a and the shared spec, second owns b (store-served)
+        // and the failed spec, third owns c, fourth owns nothing.
+        assert_eq!(hs.iter().map(|h| h.sims).collect::<Vec<_>>(), [2, 0, 1, 0]);
+        assert_eq!(hs.iter().map(|h| h.cycles).collect::<Vec<_>>(), [1_600, 0, 600, 0]);
+        let served: Vec<bool> = hs.iter().map(|h| h.cache_served).collect();
+        assert_eq!(served, [false, false, false, true]);
+        assert!(hs[0].seconds >= 3.0 && hs[1].seconds >= 0.5 && hs[2].seconds >= 3.0);
+        assert!(hs[3].seconds < 0.5, "a harness that owns nothing is charged only its render");
+        assert_eq!(hs[0].stall_dq_full, 140 + 180);
+        // Every simulated spec is charged exactly once.
+        let total = |f: fn(&HarnessRecord) -> u64| hs.iter().map(f).sum::<u64>();
+        assert_eq!((record.sims, total(|h| h.sims)), (3, 3));
+        assert_eq!((record.committed, total(|h| h.committed)), (3_000, 3_000));
+        assert_eq!((record.cycles, total(|h| h.cycles)), (2_200, 2_200));
+        let summary = bench.verdict().expect_err("failed harnesses fail the suite");
+        assert!(summary.starts_with("suite FAILED: 2/4 harnesses did not complete"), "{summary}");
+    }
+
+    #[test]
+    fn a_panicking_render_fails_only_itself() {
+        let plan = Plan::new(vec![("broken", Vec::new()), ("fine", Vec::new())]);
+        let answers = Answers::default();
         let mut bench = SuiteBench::start(500);
         let err = bench
-            .try_time("broken", || panic!("synthetic \"failure\""))
-            .expect_err("panicking harness reports its error");
+            .render(&plan, 0, &answers, || panic!("synthetic \"failure\""))
+            .expect_err("panicking render reports its error");
         assert!(err.contains("broken") && err.contains("synthetic"), "{err}");
-        // The suite keeps going: the next harness is recorded normally.
-        let ok = bench.try_time("fine", || "report".to_owned());
+        let ok = bench.render(&plan, 1, &answers, || "report".to_owned());
         assert_eq!(ok.as_deref(), Ok("report"));
-        assert_eq!(bench.entries().len(), 2);
-        assert_eq!(bench.entries()[0].error.as_deref(), Some(err.as_str()));
-        assert_eq!(bench.entries()[1].error, None);
-        // The error renders (escaped) in the ledger record.
         let record = bench.to_ledger_record(Vec::new());
         assert_eq!(record.harnesses[0].error.as_deref(), Some(err.as_str()));
         assert_eq!(record.harnesses[1].error, None);
@@ -374,17 +410,19 @@ mod tests {
     #[test]
     fn verdict_covers_clean_failed_harness_and_sanitizer_violation() {
         let clean = SanitizerRecord { probes: 8, events: 1_000, violations: 0 };
+        let plan = Plan::new(vec![("broken", Vec::new()), ("fine", Vec::new())]);
+        let answers = Answers::default();
 
         // Clean: every harness completed and the sanitizer found nothing.
         let mut bench = SuiteBench::start(500);
-        let _ = bench.time("fine", String::new);
+        let _ = bench.render(&plan, 1, &answers, String::new);
         bench.set_sanitizer(clean);
         assert_eq!(bench.verdict(), Ok(()));
 
         // A failed harness: the summary counts it and names its error.
         let mut bench = SuiteBench::start(500);
-        let _ = bench.try_time("broken", || panic!("boom"));
-        let _ = bench.time("fine", String::new);
+        let _ = bench.render(&plan, 0, &answers, || panic!("boom"));
+        let _ = bench.render(&plan, 1, &answers, String::new);
         bench.set_sanitizer(clean);
         let summary = bench.verdict().expect_err("a failed harness fails the suite");
         assert!(summary.starts_with("suite FAILED: 1/2 harnesses did not complete"), "{summary}");
@@ -393,32 +431,9 @@ mod tests {
 
         // A sanitizer violation fails a suite whose harnesses all ran.
         let mut bench = SuiteBench::start(500);
-        let _ = bench.time("fine", String::new);
+        let _ = bench.render(&plan, 1, &answers, String::new);
         bench.set_sanitizer(SanitizerRecord { violations: 3, ..clean });
         let summary = bench.verdict().expect_err("a violation fails the suite");
         assert_eq!(summary, "suite FAILED: sanitizer found 3 invariant violations in 8 probes");
-    }
-
-    #[test]
-    fn entry_phase_aggregate_is_clamped_residual() {
-        let phases = |generate_ns, simulate_ns| {
-            Counts::from_fn(|c| match c {
-                Counter::GenerateNs => generate_ns,
-                Counter::SimulateNs => simulate_ns,
-                _ => 1,
-            })
-        };
-        let mut entry = Entry {
-            name: "x".into(),
-            seconds: 2.0,
-            counts: phases(250_000_000, 1_250_000_000),
-            probe: None,
-            profile: None,
-            error: None,
-        };
-        assert!((entry.phase_aggregate() - 0.5).abs() < 1e-12);
-        // Parallel workers: summed CPU time exceeds wall time.
-        entry.counts = phases(250_000_000, 7_000_000_000);
-        assert_eq!(entry.phase_aggregate(), 0.0);
     }
 }

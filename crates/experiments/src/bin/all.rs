@@ -1,41 +1,47 @@
-//! Runs every table/figure harness and writes reports under `results/`.
+//! Runs the table/figure harnesses and writes reports under `results/`.
 //!
-//! Every invocation also appends one schema-versioned record to the
-//! run-history ledger `results/history/suite.jsonl`: the suite's one run
-//! record (timings, counters, probes, sanitizer outcome, headlines), which
-//! `rfstudy report` reads. Under `RF_TELEMETRY=1` the suite also streams
-//! live snapshots to `results/telemetry/live.jsonl`, its one progress
-//! stream, which `rfstudy top` follows.
+//! The suite gathers every harness's plan, answers the distinct specs in
+//! one batch, and renders each report from the shared answers (see
+//! `rf_experiments::suite`). Every invocation also appends one
+//! schema-versioned record to the run-history ledger
+//! `results/history/suite.jsonl`: the suite's one run record (timings,
+//! counters, probes, sanitizer outcome, headlines), which `rfstudy
+//! report` reads. Under `RF_TELEMETRY=1` the suite also streams live
+//! snapshots to `results/telemetry/live.jsonl`, its one progress stream,
+//! which `rfstudy top` follows.
 //!
 //! # Arguments (strict)
 //!
 //! ```text
-//! all [COMMITS] [--deadline-secs N] [--help]
+//! all [COMMITS] [--only NAME[,NAME...]] [--deadline-secs N] [--help]
 //! ```
 //!
 //! `COMMITS` is the per-simulation commit budget (default: `RF_COMMITS`
-//! or 200000). `--deadline-secs N` bounds every simulation batch to `N`
-//! wall seconds (cooperative cancellation; overrunning specs fail, the
-//! suite keeps going). A malformed argument or environment variable
-//! exits 2 with a message — it no longer silently launches a
-//! full-scale run — and `--help` prints usage instead of simulating.
+//! or 200000). `--only` runs the named harnesses alone, in suite order.
+//! `--deadline-secs N` bounds the suite's one simulation batch to `N`
+//! wall seconds (cooperative cancellation; overrunning specs fail, and
+//! with them the harnesses that planned them). A malformed argument, an
+//! unknown harness name or a malformed environment variable exits 2
+//! with a message, and `--help` prints usage instead of simulating.
 //!
 //! # Fault tolerance
 //!
-//! A harness that panics loses only itself: its ledger harness record
-//! carries `"error": ...`, its report file is not written, and the
-//! remaining harnesses still run and write their reports. A sanitizer
-//! probe that finds an invariant violation likewise fails the suite.
-//! Either way the ledger record is appended first, then the process
-//! exits 1 with a suite-level failure summary.
+//! A failed spec fails exactly the harnesses whose plans contain it, and
+//! a panicking render fails only its own harness: its ledger harness
+//! record carries `"error": ...`, its report file is not written, and
+//! the other harnesses still write theirs. A sanitizer probe that finds
+//! an invariant violation likewise fails the suite. Either way the
+//! ledger record is appended first, then the process exits 1 with a
+//! suite-level failure summary.
 //!
 //! The `RF_*` knobs in the usage text are parsed once, by
 //! [`runner::init_config`], before any work. With the `fault-probe`
-//! feature, RF_FAULT=<harness> injects a panicking simulation into that
-//! harness (the CI smoke path).
+//! feature, RF_FAULT=<harness> adds a panicking simulation to that
+//! harness's plan (the CI smoke path).
 
 use rf_experiments::bench::SuiteBench;
-use rf_experiments::runner::{self, RunConfig, Scale};
+use rf_experiments::runner::{self, BatchOpts, RunConfig, RunSpec, Scale, SimPool};
+use rf_experiments::suite::{Answers, Harness, Plan, HARNESSES};
 use rf_obs::fidelity;
 use rf_obs::ledger;
 use std::fs;
@@ -48,27 +54,31 @@ use std::time::Duration;
 /// percentiles annotate the harness in the ledger record).
 const PROBE_COMMITS: u64 = 5_000;
 
-const USAGE: &str = "usage: all [COMMITS] [--deadline-secs N] [--help]
+const USAGE: &str = "usage: all [COMMITS] [--only NAME[,NAME...]] [--deadline-secs N] [--help]
 
-Runs every table/figure harness, writes reports under results/, appends
-one record to the run-history ledger results/history/suite.jsonl, and
-exits 1 if any harness failed or the sanitizer probe found a violation.
+Runs the table/figure harnesses: answers the union of their plans in one
+simulation batch, writes each report under results/, appends one record
+to the run-history ledger results/history/suite.jsonl, and exits 1 if any
+harness failed or the sanitizer probe found a violation.
 
 arguments:
   COMMITS             committed instructions per simulation
                       (default: RF_COMMITS or 200000)
-  --deadline-secs N   wall-clock budget per simulation batch; overrunning
-                      specs fail with a deadline error, the suite goes on
+  --only NAMES        run only these comma-separated harnesses (table1,
+                      fig3, fig4, fig5, fig6, fig7, fig8, fig10, ablation,
+                      extensions, sensitivity, dataflow)
+  --deadline-secs N   wall-clock budget for the suite's one simulation
+                      batch; overrunning specs fail, and with them the
+                      harnesses that planned them
 
 environment:
   RF_COMMITS      default commit budget
   RF_JOBS         parallel simulation workers (default: all cores)
-  RF_CACHE        0/off/false/no disables the shared run cache
   RF_STORE        1/on/true/yes enables the durable content-addressed
                   run store: executed results persist under RF_STORE_DIR
                   and warm re-runs are served from disk byte-identically
   RF_STORE_DIR    store directory (default: results/store)
-  RF_PROFILE      1/on/true/yes embeds rf-prof self-profiles in the
+  RF_PROFILE      1/on/true/yes embeds an rf-prof self-profile in the
                   ledger record
   RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
                   results/telemetry/live.jsonl while the suite runs
@@ -76,9 +86,11 @@ environment:
   RF_TELEMETRY_INTERVAL_MS
                   sampler period in milliseconds (default 250)";
 
-/// Parsed command line: commit budget override and batch deadline.
+/// Parsed command line.
 struct Args {
     commits: Option<u64>,
+    /// The harnesses to run, in suite order.
+    harnesses: Vec<&'static Harness>,
     deadline_secs: Option<f64>,
 }
 
@@ -86,6 +98,7 @@ struct Args {
 /// printed; `Err` carries the usage-error message (exit 2).
 fn parse_args() -> Result<Option<Args>, String> {
     let mut commits = None;
+    let mut only: Option<Vec<String>> = None;
     let mut deadline_secs = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -93,6 +106,15 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(None);
+            }
+            "--only" => {
+                let raw = args.next().ok_or_else(|| "--only needs a value".to_owned())?;
+                let names: Vec<String> = raw.split(',').map(str::to_owned).collect();
+                let unknown = |n: &&String| rf_experiments::suite::harness(n).is_none();
+                if let Some(bad) = names.iter().find(unknown) {
+                    return Err(format!("--only: unknown harness {bad:?}"));
+                }
+                only.get_or_insert_with(Vec::new).extend(names);
             }
             "--deadline-secs" => {
                 let raw = args
@@ -121,7 +143,11 @@ fn parse_args() -> Result<Option<Args>, String> {
             }
         }
     }
-    Ok(Some(Args { commits, deadline_secs }))
+    let harnesses = HARNESSES
+        .iter()
+        .filter(|h| only.as_ref().is_none_or(|names| names.iter().any(|n| n == h.name)))
+        .collect();
+    Ok(Some(Args { commits, harnesses, deadline_secs }))
 }
 
 /// The harness name RF_FAULT injects a panicking simulation into
@@ -141,24 +167,17 @@ fn fault_target() -> Option<String> {
 /// error telemetry for the ledger, so `rfstudy report` can flag drift
 /// when simulator changes leave the model's fitted constants behind.
 ///
-/// The baselines were already simulated by the figure harnesses, so the
-/// probe *peeks* at the shared run cache instead of re-running them:
-/// a non-counting read. Baselines absent from the cache (or the whole
-/// probe, under `RF_CACHE=0`) are skipped; `None` if nothing was
-/// comparable.
-fn model_error_probe(commits: u64) -> Option<ledger::ModelErrorRecord> {
-    use rf_experiments::runner::{RunCache, RunSpec};
-    if commits == 0 {
+/// The baselines are Table 1's points, so the probe reads their answers
+/// instead of re-running them. Baselines the suite did not answer (an
+/// `--only` run without them, or a failed spec) are skipped; `None` if
+/// nothing was comparable.
+fn model_error_probe(scale: &Scale, answers: &Answers) -> Option<ledger::ModelErrorRecord> {
+    if scale.commits == 0 {
         return None;
     }
-    let specs: Vec<RunSpec> = rf_experiments::aggregate::all_names()
-        .iter()
-        .map(|n| RunSpec::baseline(n, 4).commits(commits))
-        .collect();
-    let cache = RunCache::global();
     let (mut sum, mut n, mut worst, mut worst_config) = (0.0f64, 0u64, 0.0f64, String::new());
-    for spec in &specs {
-        let Some(stats) = cache.peek(spec) else { continue };
+    for spec in rf_experiments::table1::baselines(4, scale) {
+        let Some(Ok(stats)) = answers.answer(&spec).map(|a| &a.outcome) else { continue };
         let sim_ipc = stats.commit_ipc();
         if sim_ipc <= 0.0 {
             continue;
@@ -191,22 +210,6 @@ fn model_error_probe(commits: u64) -> Option<ledger::ModelErrorRecord> {
     })
 }
 
-/// Runs the injected fault through the real pool/cache path, so the
-/// panic travels the exact route a model bug would take.
-#[cfg(feature = "fault-probe")]
-fn run_fault_probe(commits: u64) -> String {
-    let spec = rf_experiments::runner::RunSpec::baseline(runner::FAULT_BENCHMARK, 4)
-        .commits(commits.clamp(1, 1_000));
-    let _ = runner::SimPool::from_env()
-        .run_many(std::slice::from_ref(&spec));
-    unreachable!("the fault probe always panics inside the pool");
-}
-
-#[cfg(not(feature = "fault-probe"))]
-fn run_fault_probe(_commits: u64) -> String {
-    unreachable!("fault_target() is always None without the fault-probe feature");
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(Some(args)) => args,
@@ -223,12 +226,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(secs) = args.deadline_secs {
-        runner::set_default_deadline(Some(Duration::from_secs_f64(secs)));
-    }
     rf_prof::set_enabled(cfg.profile);
     let scale = args.commits.map_or_else(|| cfg.scale(), |commits| Scale { commits });
-    match run_suite(cfg, &scale) {
+    let opts = BatchOpts { deadline: args.deadline_secs.map(Duration::from_secs_f64) };
+    match run_suite(cfg, &scale, &args.harnesses, opts) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("all: {e}");
@@ -237,44 +238,47 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_suite(cfg: &RunConfig, scale: &Scale) -> std::io::Result<ExitCode> {
+fn run_suite(
+    cfg: &RunConfig,
+    scale: &Scale,
+    harnesses: &[&Harness],
+    opts: BatchOpts,
+) -> std::io::Result<ExitCode> {
     fs::create_dir_all("results")?;
-    type Harness = fn(&Scale) -> String;
-    // Each harness carries a representative benchmark for its traced
-    // probe: FP-heavy figures probe an FP benchmark, integer-focused
-    // ones an integer benchmark.
-    let experiments: Vec<(&str, Harness, &str)> = vec![
-        ("table1", rf_experiments::table1::run, "compress"),
-        ("fig3", rf_experiments::fig3::run, "espresso"),
-        ("fig4", rf_experiments::fig4::run, "tomcatv"),
-        ("fig5", rf_experiments::fig5::run, "su2cor"),
-        ("fig6", rf_experiments::fig6::run, "tomcatv"),
-        ("fig7", rf_experiments::fig7::run, "doduc"),
-        ("fig8", rf_experiments::fig8::run, "su2cor"),
-        ("fig10", rf_experiments::fig10::run, "gcc1"),
-        ("ablation", rf_experiments::ablation::run, "mdljdp2"),
-        ("extensions", rf_experiments::extensions::run, "espresso"),
-        ("sensitivity", rf_experiments::sensitivity::run, "ora"),
-        ("dataflow", rf_experiments::dataflow::run, "mdljsp2"),
-    ];
     let fault = fault_target();
+    let plan = Plan::new(
+        harnesses
+            .iter()
+            .map(|h| {
+                let mut specs = (h.plan)(scale);
+                if fault.as_deref() == Some(h.name) {
+                    // The injected fault travels the exact route a model
+                    // bug would take: a spec of the harness's plan whose
+                    // simulation panics inside the pool.
+                    specs.push(
+                        RunSpec::baseline(runner::FAULT_BENCHMARK, 4)
+                            .commits(scale.commits.clamp(1, 1_000)),
+                    );
+                }
+                (h.name, specs)
+            })
+            .collect(),
+    );
     let mut bench = SuiteBench::start(scale.commits);
-    // Live telemetry (RF_TELEMETRY=1): the sampler runs over the harness
-    // loop; `finalize` below stops it before the post-suite probes, so
-    // the final snapshot covers the same work as the ledger totals.
+    // Live telemetry (RF_TELEMETRY=1): the sampler runs over the batch
+    // and the renders; `finalize` below stops it before the post-suite
+    // probes, so the final snapshot covers the same work as the ledger
+    // totals.
     if let Some(live) = &cfg.telemetry {
-        rf_obs::live::start(live, scale.commits, cfg.jobs as u64, experiments.len() as u64)?;
+        rf_obs::live::start(live, scale.commits, cfg.jobs as u64, plan.specs.len() as u64)?;
     }
+    let answers = bench.answer(&plan, &SimPool::new(cfg.jobs), opts);
     let mut headlines: Vec<(String, f64)> = Vec::new();
-    for (name, run, probe_bench) in experiments {
-        let outcome = if fault.as_deref() == Some(name) {
-            bench.try_time(name, || run_fault_probe(scale.commits))
-        } else {
-            bench.try_time(name, || run(scale))
-        };
-        match outcome {
+    for (h, harness) in harnesses.iter().enumerate() {
+        let name = harness.name;
+        match bench.render(&plan, h, &answers, || (harness.render)(scale, &answers)) {
             Ok(report) => {
-                bench.attach_probe(probe_bench, PROBE_COMMITS.min(scale.commits));
+                bench.attach_probe(harness.probe, PROBE_COMMITS.min(scale.commits));
                 headlines.extend(
                     fidelity::extract_headlines(name, &report)
                         .into_iter()
@@ -282,17 +286,15 @@ fn run_suite(cfg: &RunConfig, scale: &Scale) -> std::io::Result<ExitCode> {
                 );
                 let path = format!("results/{name}.txt");
                 fs::write(&path, &report)?;
-                let timed = bench.entries().last().expect("just recorded");
+                let record = bench.harnesses().last().expect("just recorded");
                 println!(
                     "== {name} ({:.1}s, {} sims) -> {path}\n{report}",
-                    timed.seconds,
-                    timed.sims()
+                    record.seconds, record.sims
                 );
             }
             Err(message) => {
                 // No report file and no probe for a failed harness; its
-                // ledger record carries the error, and the remaining
-                // harnesses still run.
+                // ledger record carries the error.
                 eprintln!("== {name} FAILED: {message}");
             }
         }
@@ -324,16 +326,16 @@ fn run_suite(cfg: &RunConfig, scale: &Scale) -> std::io::Result<ExitCode> {
         violations: probe.violations,
     });
     println!("sanitizer: {} ({} probes, {} events)", probe.status(), probe.probes, probe.events);
-    if let Some(m) = model_error_probe(scale.commits) {
+    if let Some(m) = model_error_probe(scale, &answers) {
         println!(
             "model error: mean |IPC err| {:.1}% over {} baselines, worst {:.1}% ({})",
             m.mean_abs_pct_err, m.configs, m.worst_pct_err, m.worst_config
         );
         bench.set_model_error(m);
     }
-    // Seal the durable store once, after the last batch: per-append
-    // fsyncs would serialize the pool on disk latency, and an unsynced
-    // tail is dropped cleanly by the next reader's checksum scan.
+    // Seal the durable store once, after the batch: per-append fsyncs
+    // would serialize the pool on disk latency, and an unsynced tail is
+    // dropped cleanly by the next reader's checksum scan.
     runner::store_sync();
     if let Some((hits, misses, writes)) = runner::store_counters() {
         println!("store: {hits} hits, {misses} misses, {writes} writes");

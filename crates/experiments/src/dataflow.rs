@@ -8,7 +8,8 @@
 //! achieve — i.e. how much of the available parallelism realistic
 //! configurations harvest.
 
-use crate::runner::{RunSpec, Scale, SimPool};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::dataflow::analyze;
 use rf_workload::{spec92, TraceGenerator};
@@ -28,23 +29,19 @@ pub struct Row {
     pub achieved8: f64,
 }
 
-/// Computes the rows for all nine benchmarks. The achieved-IPC columns
-/// are the Table 1 baseline points, batched through the shared pool and
-/// cache (so after Table 1 has run they cost nothing).
-pub fn rows(scale: &Scale) -> Vec<Row> {
-    let profiles = spec92::all();
-    let mut specs = Vec::new();
-    for width in [4usize, 8] {
-        for p in &profiles {
-            specs.push(RunSpec::baseline(&p.name, width).commits(scale.commits));
-        }
-    }
-    let stats = SimPool::from_env().run_many(&specs);
-    let (four, eight) = stats.split_at(profiles.len());
-    profiles
+/// Table 1's baselines: the achieved-IPC columns.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    crate::table1::plan(scale)
+}
+
+/// Computes the rows for all nine benchmarks.
+pub fn rows(scale: &Scale, answers: &Answers) -> Vec<Row> {
+    let [four, eight] = [4, 8].map(|width| crate::table1::baselines(width, scale));
+    spec92::all()
         .into_iter()
-        .zip(four.iter().zip(eight))
-        .map(|(p, (a4, a8))| {
+        .zip(four.iter().zip(&eight))
+        .map(|(p, (four, eight))| {
+            let (a4, a8) = (answers.get(four), answers.get(eight));
             let n = scale.commits as usize;
             let trace: Vec<_> = TraceGenerator::new(&p, 12).take(n).collect();
             let limit = analyze(trace.iter().copied(), None);
@@ -60,8 +57,8 @@ pub fn rows(scale: &Scale) -> Vec<Row> {
         .collect()
 }
 
-/// Runs the dataflow-limit comparison and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders the dataflow-limit comparison.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut t = Table::new(vec![
         "benchmark",
         "dataflow IPC",
@@ -70,7 +67,7 @@ pub fn run(scale: &Scale) -> String {
         "8-way IPC",
         "harvest@8 %",
     ]);
-    for r in rows(scale) {
+    for r in rows(scale, answers) {
         t.row(vec![
             r.name,
             format!("{:.1}", r.limit),
@@ -98,7 +95,9 @@ mod tests {
 
     #[test]
     fn limits_dominate_achieved_ipc() {
-        for r in rows(&Scale { commits: 5_000 }) {
+        let scale = Scale { commits: 5_000 };
+        let answers = crate::suite::answer(&plan(&scale));
+        for r in rows(&scale, &answers) {
             assert!(
                 r.limit + 1e-9 >= r.limit_w64,
                 "{}: window can only reduce the limit",

@@ -10,7 +10,8 @@
 
 use crate::fig6::{self, REG_SIZES};
 use crate::plot::Chart;
-use crate::runner::Scale;
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::ExceptionModel;
 use rf_timing::{bips, RegFileGeometry, TimingModel};
@@ -37,12 +38,17 @@ impl WidthData {
     }
 }
 
-/// Computes Figure 10 data for one width (re-running the Figure 6 IPC
-/// sweeps under both models).
-pub fn width_data(width: usize, scale: &Scale) -> WidthData {
+/// Figure 6's points: the figure re-reads its IPC sweeps.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    fig6::plan(scale)
+}
+
+/// Computes Figure 10 data for one width from the Figure 6 IPC sweeps
+/// under both models.
+pub fn width_data(width: usize, scale: &Scale, answers: &Answers) -> WidthData {
     let model = TimingModel::cmos_05um();
-    let precise = fig6::sweep(width, ExceptionModel::Precise, scale);
-    let imprecise = fig6::sweep(width, ExceptionModel::Imprecise, scale);
+    let precise = fig6::sweep(width, ExceptionModel::Precise, scale, answers);
+    let imprecise = fig6::sweep(width, ExceptionModel::Imprecise, scale, answers);
     let rows = REG_SIZES
         .iter()
         .enumerate()
@@ -61,7 +67,7 @@ pub fn width_data(width: usize, scale: &Scale) -> WidthData {
     WidthData { width, rows }
 }
 
-fn render(data: &WidthData) -> String {
+fn render_width(data: &WidthData) -> String {
     let mut t = Table::new(vec![
         "regs",
         "int.cycle(ns)",
@@ -109,19 +115,19 @@ fn render(data: &WidthData) -> String {
     )
 }
 
-/// Runs Figure 10 for both widths and renders the report, including the
-/// paper's 4-way vs 8-way peak comparison.
-pub fn run(scale: &Scale) -> String {
-    let four = width_data(4, scale);
-    let eight = width_data(8, scale);
+/// Renders Figure 10 for both widths, including the paper's 4-way vs
+/// 8-way peak comparison.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
+    let four = width_data(4, scale, answers);
+    let eight = width_data(8, scale, answers);
     let gain = eight.peak(ExceptionModel::Precise).1 / four.peak(ExceptionModel::Precise).1;
     format!(
         "Figure 10: register-file timing and estimated machine performance\n\
          (machine cycle time assumed proportional to the integer register file's)\n\n{}\n{}\n\
          8-way peak BIPS / 4-way peak BIPS (precise) = {gain:.2} \
          (paper: ~1.20)\n",
-        render(&four),
-        render(&eight),
+        render_width(&four),
+        render_width(&eight),
     )
 }
 
@@ -131,7 +137,10 @@ mod tests {
 
     #[test]
     fn bips_peaks_at_moderate_register_counts() {
-        let data = width_data(4, &Scale { commits: 6_000 });
+        let scale = Scale { commits: 6_000 };
+        let four: Vec<RunSpec> = plan(&scale).into_iter().filter(|s| s.width == 4).collect();
+        let answers = crate::suite::answer(&four);
+        let data = width_data(4, &scale, &answers);
         let (peak_regs, peak) = data.peak(ExceptionModel::Precise);
         // The smallest and largest register files must not be the peak by
         // a clear margin (the paper's maxima are interior).

@@ -9,7 +9,8 @@
 use crate::aggregate::{
     all_names, averaged_distribution, distribution_percentile, mean_over,
 };
-use crate::runner::{fp_benchmarks, RunSpec, Scale, SimPool};
+use crate::runner::{fp_benchmarks, RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::{LiveModel, SimStats};
 use rf_isa::RegClass;
@@ -33,26 +34,33 @@ pub struct Point {
     pub categories: [[f64; 4]; 2],
 }
 
-/// Sweeps one issue width over the dispatch-queue sizes. The whole
-/// (queue size x benchmark) grid is submitted as one batch so the pool
-/// can spread it over every core.
-pub fn sweep(width: usize, scale: &Scale) -> Vec<Point> {
+/// The (queue size x benchmark) grid of one issue width.
+fn grid(width: usize, scale: &Scale) -> Vec<RunSpec> {
     let names = all_names();
-    let fp_names = fp_benchmarks();
-    let specs: Vec<RunSpec> = DQ_SIZES
+    DQ_SIZES
         .iter()
         .flat_map(|&dq| {
             names
                 .iter()
                 .map(move |n| RunSpec::baseline(n, width).dq(dq).commits(scale.commits))
         })
-        .collect();
-    let stats = SimPool::from_env().run_many(&specs);
+        .collect()
+}
+
+/// Both widths' grids.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    [4, 8].into_iter().flat_map(|width| grid(width, scale)).collect()
+}
+
+/// One issue width's sweep over the dispatch-queue sizes.
+pub fn sweep(width: usize, scale: &Scale, answers: &Answers) -> Vec<Point> {
+    let names = all_names();
+    let fp_names = fp_benchmarks();
     DQ_SIZES
         .iter()
-        .zip(stats.chunks(names.len()))
+        .zip(grid(width, scale).chunks(names.len()))
         .map(|(&dq, chunk)| {
-            let runs: Vec<_> = names.iter().cloned().zip(chunk.iter().cloned()).collect();
+            let runs = answers.runs(chunk);
             let live90 = [RegClass::Int, RegClass::Fp].map(|class| {
                 let include = if class == RegClass::Int { &names } else { &fp_names };
                 let p = averaged_distribution(&runs, include, class, LiveModel::Precise);
@@ -113,15 +121,15 @@ fn render_width(width: usize, points: &[Point]) -> String {
     out
 }
 
-/// Runs the Figure 3 sweep for both widths and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders the Figure 3 sweep for both widths.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut out = String::from(
         "Figure 3: IPC and 90th-percentile live registers vs dispatch queue size\n\
          (2048 registers, lockup-free cache; categories are per-cycle means)\n\n",
     );
-    out.push_str(&render_width(4, &sweep(4, scale)));
+    out.push_str(&render_width(4, &sweep(4, scale, answers)));
     out.push('\n');
-    out.push_str(&render_width(8, &sweep(8, scale)));
+    out.push_str(&render_width(8, &sweep(8, scale, answers)));
     out
 }
 

@@ -6,12 +6,12 @@
 //! (integer: all nine; FP: the FP-intensive six), and sampled at the
 //! paper's x-axis points.
 
-use crate::aggregate::{
-    all_names, averaged_distribution, coverage_curve, distribution_percentile, sample_coverage,
-};
-use crate::runner::{fp_benchmarks, simulate_suite, RunSpec, Scale};
+use crate::aggregate::{all_names, averaged_distribution, coverage_curve, sample_coverage};
+use crate::runner::{fp_benchmarks, RunSpec, Scale};
+use crate::suite::Answers;
+use crate::table1::baselines;
 use crate::table::Table;
-use rf_core::{LiveModel, SimStats};
+use rf_core::LiveModel;
 use rf_isa::RegClass;
 
 /// X-axis sample points, as in the paper's Figure 4.
@@ -24,10 +24,14 @@ pub struct Curves {
     pub curves: [[Vec<f64>; 2]; 2],
 }
 
-/// Runs the simulations for one width and builds the averaged curves.
-pub fn curves(width: usize, scale: &Scale) -> Curves {
-    let base = RunSpec::baseline("compress", width).commits(scale.commits);
-    let runs = simulate_suite(&base);
+/// Table 1's baselines: the figure reads no other points.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    crate::table1::plan(scale)
+}
+
+/// Builds one width's averaged curves from its baseline runs.
+pub fn curves(width: usize, scale: &Scale, answers: &Answers) -> Curves {
+    let runs = answers.runs(&baselines(width, scale));
     let names = all_names();
     let fp_names = fp_benchmarks();
     let build = |class: RegClass, model: LiveModel| {
@@ -55,7 +59,7 @@ pub fn coverage90(c: &Curves) -> (usize, usize, usize, usize) {
     )
 }
 
-fn render(width: usize, c: &Curves) -> String {
+fn render_width(width: usize, c: &Curves) -> String {
     let mut out = format!("({width}-way issue processor)\n");
     let mut t = Table::new(vec![
         "regs",
@@ -90,21 +94,16 @@ fn render(width: usize, c: &Curves) -> String {
     out
 }
 
-/// Runs Figure 4 for both widths and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders Figure 4 for both widths.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut out = String::from(
         "Figure 4: average register-usage run-time coverage, precise vs imprecise\n\
          (2048 registers, lockup-free cache, dq 32 / 64)\n\n",
     );
-    out.push_str(&render(4, &curves(4, scale)));
+    out.push_str(&render_width(4, &curves(4, scale, answers)));
     out.push('\n');
-    out.push_str(&render(8, &curves(8, scale)));
+    out.push_str(&render_width(8, &curves(8, scale, answers)));
     out
-}
-
-/// Convenience for tests: the 90th percentile of one run's distribution.
-pub fn run_percentile(stats: &SimStats, class: RegClass, model: LiveModel) -> usize {
-    distribution_percentile(&stats.live_distribution(class, model), 90.0)
 }
 
 #[cfg(test)]
@@ -115,7 +114,8 @@ mod tests {
     fn imprecise_coverage_dominates_precise() {
         // At every register count, imprecise coverage >= precise coverage
         // (fewer registers live under imprecise freeing).
-        let c = curves(4, &Scale { commits: 3_000 });
+        let scale = Scale { commits: 3_000 };
+        let c = curves(4, &scale, &crate::suite::answer(&baselines(4, &scale)));
         for class in 0..2 {
             for (p, i) in c.curves[class][0].iter().zip(c.curves[class][1].iter()) {
                 assert!(i + 1e-9 >= *p, "imprecise {i} < precise {p}");

@@ -11,25 +11,29 @@
 
 use crate::aggregate::coverage_curve;
 use crate::plot::Chart;
-use crate::runner::{simulate_cached, RunSpec, Scale};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::{LiveModel, SimStats};
 use rf_isa::RegClass;
-use std::sync::Arc;
 
 /// X-axis sample points for the coverage table.
 pub const SAMPLE_POINTS: &[usize] =
     &[32, 64, 100, 150, 200, 250, 300, 350, 400, 450, 500, 600];
 
-/// Runs the tomcatv simulation and returns its stats. The point is the
-/// 8-way baseline that Table 1 also simulates, so within one process the
-/// run cache serves it for free.
-pub fn simulate_tomcatv(scale: &Scale) -> Arc<SimStats> {
-    simulate_cached(&RunSpec::baseline("tomcatv", 8).commits(scale.commits))
+/// The figure's one point: the 8-way tomcatv baseline, which Table 1
+/// also reads.
+pub fn tomcatv(scale: &Scale) -> RunSpec {
+    RunSpec::baseline("tomcatv", 8).commits(scale.commits)
+}
+
+/// The tomcatv point.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    vec![tomcatv(scale)]
 }
 
 /// Renders the Figure 5 report from a tomcatv run.
-pub fn render(stats: &SimStats) -> String {
+pub fn report(stats: &SimStats) -> String {
     let precise = coverage_curve(&stats.live_distribution(RegClass::Fp, LiveModel::Precise));
     let imprecise =
         coverage_curve(&stats.live_distribution(RegClass::Fp, LiveModel::Imprecise));
@@ -67,9 +71,9 @@ pub fn render(stats: &SimStats) -> String {
     )
 }
 
-/// Runs Figure 5 and renders the report.
-pub fn run(scale: &Scale) -> String {
-    render(&simulate_tomcatv(scale))
+/// Renders Figure 5.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
+    report(&answers.get(&tomcatv(scale)))
 }
 
 #[cfg(test)]
@@ -81,7 +85,7 @@ mod tests {
         // Assert the contrast at the 95% coverage point, which is stable
         // across seeds; the extreme tail (99.9%+) is dominated by rare
         // deep-stall events and is noisy at test-sized runs.
-        let stats = simulate_tomcatv(&Scale { commits: 30_000 });
+        let stats = crate::runner::simulate(&tomcatv(&Scale { commits: 30_000 }));
         let p95 = stats.live_percentile(RegClass::Fp, LiveModel::Precise, 95.0);
         let i95 = stats.live_percentile(RegClass::Fp, LiveModel::Imprecise, 95.0);
         assert!(

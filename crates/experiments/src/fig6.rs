@@ -4,7 +4,8 @@
 
 use crate::aggregate::{all_names, mean_over};
 use crate::plot::Chart;
-use crate::runner::{RunSpec, Scale, SimPool};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::{ExceptionModel, SimStats};
 
@@ -22,24 +23,40 @@ pub struct Point {
     pub no_free_frac: f64,
 }
 
-/// Sweeps register counts for one width and exception model, submitting
-/// the whole (register count x benchmark) grid as one parallel batch.
-pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<Point> {
+/// The exception models, in the order each width sweeps them.
+const MODELS: [ExceptionModel; 2] = [ExceptionModel::Precise, ExceptionModel::Imprecise];
+
+/// The (register count x benchmark) grid of one width and exception
+/// model.
+fn grid(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<RunSpec> {
     let names = all_names();
-    let specs: Vec<RunSpec> = REG_SIZES
+    REG_SIZES
         .iter()
         .flat_map(|&regs| {
             names.iter().map(move |n| {
                 RunSpec::baseline(n, width).regs(regs).exceptions(model).commits(scale.commits)
             })
         })
-        .collect();
-    let stats = SimPool::from_env().run_many(&specs);
+        .collect()
+}
+
+/// Both widths' grids under both exception models. Figure 10 reads
+/// exactly these points.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    [4, 8]
+        .into_iter()
+        .flat_map(|width| MODELS.into_iter().flat_map(move |model| grid(width, model, scale)))
+        .collect()
+}
+
+/// The register sweep of one width and exception model.
+pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale, answers: &Answers) -> Vec<Point> {
+    let names = all_names();
     REG_SIZES
         .iter()
-        .zip(stats.chunks(names.len()))
+        .zip(grid(width, model, scale).chunks(names.len()))
         .map(|(&regs, chunk)| {
-            let runs: Vec<_> = names.iter().cloned().zip(chunk.iter().cloned()).collect();
+            let runs = answers.runs(chunk);
             Point {
                 regs,
                 commit_ipc: mean_over(&runs, &names, SimStats::commit_ipc),
@@ -49,9 +66,8 @@ pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<Point> {
         .collect()
 }
 
-fn render_width(width: usize, scale: &Scale) -> String {
-    let precise = sweep(width, ExceptionModel::Precise, scale);
-    let imprecise = sweep(width, ExceptionModel::Imprecise, scale);
+fn render_width(width: usize, scale: &Scale, answers: &Answers) -> String {
+    let [precise, imprecise] = MODELS.map(|model| sweep(width, model, scale, answers));
     let mut t = Table::new(vec![
         "regs",
         "IPC.precise",
@@ -91,15 +107,15 @@ fn render_width(width: usize, scale: &Scale) -> String {
     )
 }
 
-/// Runs Figure 6 for both widths and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders Figure 6 for both widths.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut out = String::from(
         "Figure 6: average commit IPC and %cycles with no free registers\n\
          vs register-file size (lockup-free cache)\n\n",
     );
-    out.push_str(&render_width(4, scale));
+    out.push_str(&render_width(4, scale, answers));
     out.push('\n');
-    out.push_str(&render_width(8, scale));
+    out.push_str(&render_width(8, scale, answers));
     out
 }
 

@@ -4,7 +4,8 @@
 
 use crate::aggregate::{all_names, mean_over};
 use crate::fig6::REG_SIZES;
-use crate::runner::{RunSpec, Scale, SimPool};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::{ExceptionModel, SimStats};
 use rf_mem::CacheOrg;
@@ -15,10 +16,13 @@ pub const ORGS: &[CacheOrg] = &[CacheOrg::Perfect, CacheOrg::LockupFree, CacheOr
 /// One cache organisation's IPC series over the register sweep.
 pub type OrgSeries = (CacheOrg, Vec<(usize, f64)>);
 
-/// Average commit IPC per (org, register count) for one width and model.
-/// The (org x register count x benchmark) grid runs as one parallel
-/// batch; the lockup-free series re-uses Figure 6's cached points.
-pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<OrgSeries> {
+/// The panels' exception models, panel (a) first.
+const PANELS: [(&str, ExceptionModel); 2] =
+    [("a", ExceptionModel::Imprecise), ("b", ExceptionModel::Precise)];
+
+/// The (org x register count x benchmark) grid of one width and model.
+/// Its lockup-free third is Figure 6's grid.
+fn grid(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<RunSpec> {
     let names = all_names();
     let mut specs = Vec::new();
     for &org in ORGS {
@@ -34,18 +38,37 @@ pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<OrgSerie
             }
         }
     }
-    let stats = SimPool::from_env().run_many(&specs);
+    specs
+}
+
+/// Both panels' grids at both widths.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    for (_, model) in PANELS {
+        for width in [4, 8] {
+            specs.extend(grid(width, model, scale));
+        }
+    }
+    specs
+}
+
+/// Average commit IPC per (org, register count) for one width and model.
+pub fn sweep(
+    width: usize,
+    model: ExceptionModel,
+    scale: &Scale,
+    answers: &Answers,
+) -> Vec<OrgSeries> {
+    let names = all_names();
     let per_org = REG_SIZES.len() * names.len();
     ORGS.iter()
-        .zip(stats.chunks(per_org))
+        .zip(grid(width, model, scale).chunks(per_org))
         .map(|(&org, org_chunk)| {
             let series = REG_SIZES
                 .iter()
                 .zip(org_chunk.chunks(names.len()))
                 .map(|(&regs, chunk)| {
-                    let runs: Vec<_> =
-                        names.iter().cloned().zip(chunk.iter().cloned()).collect();
-                    (regs, mean_over(&runs, &names, SimStats::commit_ipc))
+                    (regs, mean_over(&answers.runs(chunk), &names, SimStats::commit_ipc))
                 })
                 .collect();
             (org, series)
@@ -53,10 +76,10 @@ pub fn sweep(width: usize, model: ExceptionModel, scale: &Scale) -> Vec<OrgSerie
         .collect()
 }
 
-fn render_panel(label: &str, model: ExceptionModel, scale: &Scale) -> String {
+fn render_panel(label: &str, model: ExceptionModel, scale: &Scale, answers: &Answers) -> String {
     let mut out = format!("({label}) {model} exception model\n");
     for width in [4usize, 8] {
-        let data = sweep(width, model, scale);
+        let data = sweep(width, model, scale, answers);
         let mut t = Table::new(vec!["regs", "perfect", "lockup-free", "lockup"]);
         for (i, &regs) in REG_SIZES.iter().enumerate() {
             t.row(vec![
@@ -72,14 +95,15 @@ fn render_panel(label: &str, model: ExceptionModel, scale: &Scale) -> String {
     out
 }
 
-/// Runs Figure 7 (both panels) and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders Figure 7 (both panels).
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut out = String::from(
         "Figure 7: average commit IPC for three data cache organisations\n\n",
     );
-    out.push_str(&render_panel("a", ExceptionModel::Imprecise, scale));
+    let [a, b] = PANELS.map(|(label, model)| render_panel(label, model, scale, answers));
+    out.push_str(&a);
     out.push('\n');
-    out.push_str(&render_panel("b", ExceptionModel::Precise, scale));
+    out.push_str(&b);
     out
 }
 

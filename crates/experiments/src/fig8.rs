@@ -9,33 +9,36 @@
 //! between in shape but lowest in register count.
 
 use crate::aggregate::coverage_curve;
-use crate::runner::{simulate_cached, RunSpec, Scale, SimPool};
+use crate::fig7::ORGS;
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
-use rf_core::{LiveModel, SimStats};
+use rf_core::LiveModel;
 use rf_isa::RegClass;
 use rf_mem::CacheOrg;
-use std::sync::Arc;
 
 /// X-axis sample points, as in the paper's Figure 8.
 pub const SAMPLE_POINTS: &[usize] = &[30, 40, 50, 60, 70, 80, 90, 100, 120, 150];
 
-/// Runs compress under one cache organisation (via the run cache — the
-/// lockup-free point is the baseline Table 1 also simulates).
-pub fn simulate_compress(org: CacheOrg, scale: &Scale) -> Arc<SimStats> {
-    simulate_cached(&RunSpec::baseline("compress", 4).cache(org).commits(scale.commits))
+/// compress under one cache organisation; the lockup-free point is the
+/// baseline Table 1 also reads.
+pub fn compress(org: CacheOrg, scale: &Scale) -> RunSpec {
+    RunSpec::baseline("compress", 4).cache(org).commits(scale.commits)
 }
 
-/// Runs Figure 8 and renders the report.
-pub fn run(scale: &Scale) -> String {
-    let orgs = [CacheOrg::Perfect, CacheOrg::LockupFree, CacheOrg::Lockup];
-    let specs: Vec<RunSpec> = orgs
+/// compress under the three organisations, in the paper's legend order.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    ORGS.iter().map(|&org| compress(org, scale)).collect()
+}
+
+/// Renders Figure 8.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
+    let curves: Vec<Vec<f64>> = plan(scale)
         .iter()
-        .map(|&org| RunSpec::baseline("compress", 4).cache(org).commits(scale.commits))
-        .collect();
-    let curves: Vec<Vec<f64>> = SimPool::from_env()
-        .run_many(&specs)
-        .iter()
-        .map(|s| coverage_curve(&s.live_distribution(RegClass::Int, LiveModel::Precise)))
+        .map(|spec| {
+            let s = answers.get(spec);
+            coverage_curve(&s.live_distribution(RegClass::Int, LiveModel::Precise))
+        })
         .collect();
     let at = |c: &[f64], p: usize| {
         c.get(p).copied().unwrap_or_else(|| c.last().copied().unwrap_or(0.0))
@@ -63,8 +66,8 @@ mod tests {
     #[test]
     fn lockup_free_needs_more_registers_than_perfect() {
         let scale = Scale { commits: 15_000 };
-        let perfect = simulate_compress(CacheOrg::Perfect, &scale);
-        let lockup_free = simulate_compress(CacheOrg::LockupFree, &scale);
+        let perfect = crate::runner::simulate(&compress(CacheOrg::Perfect, &scale));
+        let lockup_free = crate::runner::simulate(&compress(CacheOrg::LockupFree, &scale));
         let p90 = perfect.live_percentile(RegClass::Int, LiveModel::Precise, 90.0);
         let lf90 = lockup_free.live_percentile(RegClass::Int, LiveModel::Precise, 90.0);
         assert!(

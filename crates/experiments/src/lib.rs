@@ -23,11 +23,15 @@
 //! as [`rf_timing::RegFileGeometry`]'s line-count rules rather than
 //! reproduced as an experiment.)
 //!
-//! Every module exposes `run(&Scale) -> String`; the crate's binaries
-//! print that report. [`Scale`] controls the number of committed
+//! Every module exposes `plan(&Scale) -> Vec<RunSpec>`, the simulation
+//! points its report reads, and `render(&Scale, &Answers) -> String`, the
+//! report built from their answers. [`suite::HARNESSES`] lists them in
+//! suite order; the crate's one binary, `all`, answers the union of their
+//! plans in one batch and writes each report (`all --only fig3,fig6`
+//! renders a subset). [`Scale`] controls the number of committed
 //! instructions per simulation so CI can run the suite quickly while the
-//! real harness uses longer runs (`RF_COMMITS` in the environment, or the
-//! first CLI argument of each binary).
+//! real suite uses longer runs (`RF_COMMITS` in the environment, or the
+//! first argument of `all`).
 //!
 //! # Examples
 //!
@@ -58,10 +62,12 @@ pub mod fig8;
 pub mod plot;
 pub mod runner;
 pub mod sensitivity;
+pub mod suite;
 pub mod table;
 pub mod table1;
 
 pub use runner::{RunCache, RunSpec, Scale, SimPool};
+pub use suite::Answers;
 
 /// With `--features profile-alloc`, every binary and test linking this
 /// crate counts allocations through [`rf_obs::alloc::CountingAlloc`];

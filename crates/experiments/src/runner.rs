@@ -1,29 +1,27 @@
-//! Simulation run specifications and execution: single runs, the shared
-//! run cache, and the parallel [`SimPool`] executor.
+//! Simulation run specifications and execution: single runs, the
+//! batch-local run cache, and the parallel [`SimPool`] executor.
 //!
 //! # Fault tolerance
 //!
 //! Execution is fallible end to end: [`try_simulate`] maps every failure
 //! mode to a typed [`RunError`] and isolates worker panics with
 //! `catch_unwind` (the panicking [`Pipeline`]'s state is discarded,
-//! never reused), and [`SimPool::try_run_many`] returns one
-//! `Result` per spec so a batch salvages every completed result around a
-//! failing one. The shared [`RunCache`] recovers from lock poisoning,
-//! and batches accept an optional deadline with cooperative
-//! cancellation checked both in the worker loop and inside [`Pipeline`]
-//! runs via [`CancelToken`].
+//! never reused), and [`SimPool::answer_many`] returns one [`Answer`]
+//! per spec so a batch salvages every completed result around a failing
+//! one. A [`RunCache`] recovers from lock poisoning, and batches accept
+//! an optional deadline with cooperative cancellation checked both in
+//! the worker loop and inside [`Pipeline`] runs via [`CancelToken`].
 //!
 //! # Environment variables (strict)
 //!
 //! [`RunConfig`] is the one parser of the run knobs: `RF_COMMITS`,
-//! `RF_JOBS`, `RF_CACHE`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`,
-//! `RF_SANITIZE`, `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`. A
-//! malformed value (for example `RF_COMMITS=200k` or
-//! `RF_TELEMETRY=maybe`) is an error naming the variable and the value,
-//! never a silent fall-back to the default. Binaries call
-//! [`init_config`] at startup to turn that into a clean exit 2 before
-//! any work; everything below reads the resulting [`config`] snapshot,
-//! and no lower crate reads the environment.
+//! `RF_JOBS`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`, `RF_SANITIZE`,
+//! `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`. A malformed value (for
+//! example `RF_COMMITS=200k` or `RF_TELEMETRY=maybe`) is an error naming
+//! the variable and the value, never a silent fall-back to the default.
+//! Binaries call [`init_config`] at startup to turn that into a clean
+//! exit 2 before any work; everything below reads the resulting
+//! [`config`] snapshot, and no lower crate reads the environment.
 
 use rf_bpred::PredictorKind;
 use rf_core::{
@@ -70,9 +68,6 @@ pub struct RunConfig {
     pub commits: Option<u64>,
     /// `RF_JOBS`: parallel simulation workers (default: all cores).
     pub jobs: usize,
-    /// `RF_CACHE`: whether the shared in-memory run cache is on
-    /// (default on).
-    pub cache: bool,
     /// `RF_STORE`: whether the durable on-disk run store is on (default
     /// off).
     pub store: bool,
@@ -144,7 +139,6 @@ impl RunConfig {
                 Some(n) => n as usize,
                 None => std::thread::available_parallelism().map_or(1, |n| n.get()),
             },
-            cache: switch("RF_CACHE", true)?,
             store: switch("RF_STORE", false)?,
             store_dir,
             profile: switch("RF_PROFILE", false)?,
@@ -216,8 +210,8 @@ pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
 ///
 /// A `RunSpec` captures *every* configuration dimension that influences a
 /// simulation's result, so equal specs are guaranteed to produce equal
-/// [`SimStats`] — which is what lets the [`RunCache`] share results
-/// between harnesses and lets [`SimPool::run_many`] deduplicate batches.
+/// [`SimStats`] — which is what lets the suite plan answer a spec that
+/// several harnesses read once, and lets a [`SimPool`] batch deduplicate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunSpec {
     /// Benchmark name (one of the nine SPEC92 profile names).
@@ -382,7 +376,7 @@ pub fn simulations_run() -> u64 {
 /// Why a simulation point could not produce statistics.
 ///
 /// Every failure is scoped to the one [`RunSpec`] that caused it:
-/// [`SimPool::try_run_many`] returns one `Result` per spec, so a batch
+/// [`SimPool::answer_many`] returns one [`Answer`] per spec, so a batch
 /// salvages every completed result around a failing one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -640,12 +634,12 @@ struct CacheEntry {
 
 /// A keyed memo of simulation results: [`RunSpec`] → [`SimStats`].
 ///
-/// Harnesses share many simulation points (every figure re-simulates the
-/// paper's baseline machine, for instance); routing their batches through
-/// a common cache means each distinct point is simulated once per
-/// process. The global instance is shared by all harnesses; tests can
-/// build private instances. Disabled caches always miss. The cache is
-/// unbounded: the whole reference suite's results take about 18 MB.
+/// Each batch's caller owns its cache: the suite answers its whole plan
+/// through one batch-local instance, and rfbench keeps one per round.
+/// The cache sits above the durable store tier, so a store hit is
+/// promoted into it. Disabled caches always miss (and bypass the store).
+/// The cache is unbounded: the whole reference suite's results take
+/// about 18 MB.
 /// Every instance counts its lookups both on itself ([`RunCache::hits`],
 /// [`RunCache::misses`]) and in the process-wide [`rf_prof::counters`]
 /// registry.
@@ -677,13 +671,6 @@ impl RunCache {
         Self { disabled: true, ..Self::default() }
     }
 
-    /// The process-wide cache shared by every harness, disabled when
-    /// [`config`]'s `cache` is off (`RF_CACHE=0`).
-    pub fn global() -> &'static RunCache {
-        static GLOBAL: OnceLock<RunCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| if config().cache { RunCache::new() } else { RunCache::disabled() })
-    }
-
     /// Locks the map, recovering (and counting) a poisoned lock: the map
     /// is always structurally valid mid-operation because every mutation
     /// completes before the guard drops, so the data a panicking thread
@@ -700,9 +687,17 @@ impl RunCache {
         !self.disabled
     }
 
-    /// Looks up a spec, counting a hit or miss.
+    /// Looks up a spec, counting a hit or miss. A disabled cache always
+    /// misses.
     pub fn get(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
-        let found = self.peek(spec);
+        let found = if self.disabled {
+            None
+        } else {
+            self.map()
+                .get(&crate::codec::spec_digest(spec))
+                .filter(|entry| entry.spec == *spec)
+                .map(|entry| Arc::clone(&entry.stats))
+        };
         let (mine, counter) = match found {
             Some(_) => (&self.hits, Counter::CacheHits),
             None => (&self.misses, Counter::CacheMisses),
@@ -710,20 +705,6 @@ impl RunCache {
         mine.fetch_add(1, Ordering::Relaxed);
         counters::count(counter, 1);
         found
-    }
-
-    /// Looks up a spec *without* counting a hit or miss — a pure read
-    /// for post-run probes (the model-error check re-reads suite results
-    /// already in the cache) that must not perturb cache telemetry. A
-    /// disabled cache peeks as empty.
-    pub fn peek(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
-        if self.disabled {
-            return None;
-        }
-        self.map()
-            .get(&crate::codec::spec_digest(spec))
-            .filter(|entry| entry.spec == *spec)
-            .map(|entry| Arc::clone(&entry.stats))
     }
 
     /// Stores a result (no-op when disabled).
@@ -891,29 +872,9 @@ pub fn store_sync() {
     }
 }
 
-/// Process-wide default batch deadline in nanoseconds (0 = none). Set
-/// once at startup (the suite binary's `--deadline-secs` flag) so the
-/// twelve harness entry points pick it up through [`BatchOpts::default`]
-/// without changing their signatures.
-static DEFAULT_DEADLINE_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default batch deadline applied by
-/// [`BatchOpts::default`] (`None` clears it).
-pub fn set_default_deadline(deadline: Option<Duration>) {
-    let nanos = deadline.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);
-    DEFAULT_DEADLINE_NANOS.store(nanos, Ordering::Relaxed);
-}
-
-/// The process-wide default batch deadline, if one is set.
-pub fn default_deadline() -> Option<Duration> {
-    match DEFAULT_DEADLINE_NANOS.load(Ordering::Relaxed) {
-        0 => None,
-        nanos => Some(Duration::from_nanos(nanos)),
-    }
-}
-
-/// Options controlling one batch submitted to a [`SimPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options controlling one batch submitted to a [`SimPool`]. The default
+/// has no deadline.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOpts {
     /// Wall-clock budget for the whole batch. When it elapses, running
     /// simulations are cooperatively cancelled (their partial state is
@@ -922,24 +883,15 @@ pub struct BatchOpts {
     pub deadline: Option<Duration>,
 }
 
-impl BatchOpts {
-    /// Options with no deadline, regardless of the process default.
-    pub fn unbounded() -> Self {
-        Self { deadline: None }
-    }
-
-    /// Options with an explicit deadline.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Self { deadline: Some(deadline) }
-    }
-}
-
-impl Default for BatchOpts {
-    /// The process-wide default ([`set_default_deadline`]), or no
-    /// deadline when none is set.
-    fn default() -> Self {
-        Self { deadline: default_deadline() }
-    }
+/// One spec's answer from a [`SimPool`] batch.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The spec's statistics, or why it has none.
+    pub outcome: Result<Arc<SimStats>, RunError>,
+    /// Wall nanoseconds of the pool task that simulated the spec. `None`
+    /// when the cache or the store served it, or when an earlier equal
+    /// spec of the same batch already carries the task's time.
+    pub task_ns: Option<u64>,
 }
 
 /// A work-stealing executor for batches of simulation points.
@@ -950,10 +902,9 @@ impl Default for BatchOpts {
 /// within a batch are simulated once — so a report built from a batch is
 /// byte-identical to one built by running the specs sequentially.
 ///
-/// The fallible entry points ([`SimPool::try_run_many`] and friends)
-/// return one `Result` per spec: a panicking or deadline-cancelled
-/// simulation fails only its own spec, and every other completed result
-/// in the batch is still returned (and cached).
+/// Every entry point returns one outcome per spec: a panicking or
+/// deadline-cancelled simulation fails only its own spec, and every
+/// other completed result in the batch is still returned (and cached).
 #[derive(Debug, Clone, Copy)]
 pub struct SimPool {
     jobs: usize,
@@ -988,38 +939,7 @@ impl SimPool {
         self.jobs
     }
 
-    /// Runs every spec, sharing results through the global [`RunCache`].
-    /// Results are in input order: `result[i]` corresponds to `specs[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first [`RunError`]'s message; use
-    /// [`SimPool::try_run_many`] to salvage the rest of the batch.
-    pub fn run_many(&self, specs: &[RunSpec]) -> Vec<Arc<SimStats>> {
-        self.run_many_cached(specs, RunCache::global())
-    }
-
-    /// As [`SimPool::run_many`], but against an explicit cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first [`RunError`]'s message.
-    pub fn run_many_cached(&self, specs: &[RunSpec], cache: &RunCache) -> Vec<Arc<SimStats>> {
-        self.try_run_many_opts(specs, cache, BatchOpts::default())
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    /// Runs every spec through the global [`RunCache`], returning one
-    /// `Result` per spec in input order. A failing simulation (panic,
-    /// unknown benchmark, elapsed deadline) fails only its own spec;
-    /// every completed result is returned and cached.
-    pub fn try_run_many(&self, specs: &[RunSpec]) -> Vec<Result<Arc<SimStats>, RunError>> {
-        self.try_run_many_cached(specs, RunCache::global())
-    }
-
-    /// As [`SimPool::try_run_many`], but against an explicit cache.
+    /// [`SimPool::try_run_many_opts`] without a deadline.
     pub fn try_run_many_cached(
         &self,
         specs: &[RunSpec],
@@ -1028,37 +948,44 @@ impl SimPool {
         self.try_run_many_opts(specs, cache, BatchOpts::default())
     }
 
-    /// As [`SimPool::try_run_many_cached`], with explicit batch options
-    /// (deadline).
+    /// The outcomes of [`SimPool::answer_many`], without the task times.
     pub fn try_run_many_opts(
         &self,
         specs: &[RunSpec],
         cache: &RunCache,
         opts: BatchOpts,
     ) -> Vec<Result<Arc<SimStats>, RunError>> {
-        let mut results: Vec<Option<Result<Arc<SimStats>, RunError>>> =
-            vec![None; specs.len()];
+        self.answer_many(specs, cache, opts).into_iter().map(|a| a.outcome).collect()
+    }
+
+    /// Answers every spec through `cache` (and the durable store tier
+    /// below it when `RF_STORE` is on), returning one [`Answer`] per
+    /// spec in input order. A failing simulation (panic, unknown
+    /// benchmark, elapsed deadline) fails only its own spec; every
+    /// completed result is returned and cached.
+    pub fn answer_many(&self, specs: &[RunSpec], cache: &RunCache, opts: BatchOpts) -> Vec<Answer> {
+        let mut results: Vec<Option<Answer>> = vec![None; specs.len()];
+        let served = |stats| Some(Answer { outcome: Ok(stats), task_ns: None });
 
         // Resolve cache hits and deduplicate the remainder, preserving
         // first-appearance order for determinism. With the cache disabled
         // every spec becomes its own task (the true uncached workload);
         // the durable store tier follows the cache's enablement, so an
-        // explicitly uncached batch (e.g. the speedup probe) is also
-        // genuinely unstored.
+        // explicitly uncached batch is also genuinely unstored.
         let tier = if cache.is_enabled() { StoreTier::global() } else { None };
         let mut tasks: Vec<&RunSpec> = Vec::new();
         let mut needers: Vec<Vec<usize>> = Vec::new();
         let mut task_of: HashMap<&RunSpec, usize> = HashMap::new();
         for (i, spec) in specs.iter().enumerate() {
             if let Some(found) = cache.get(spec) {
-                results[i] = Some(Ok(found));
+                results[i] = served(found);
             } else if let Some(found) = tier.and_then(|t| t.get(spec)) {
                 // Read-through: promote the disk record into the
                 // in-memory cache so the batch's own duplicates (and
                 // later batches) hit there.
                 let found = Arc::new(found);
                 cache.insert(spec.clone(), Arc::clone(&found));
-                results[i] = Some(Ok(found));
+                results[i] = served(found);
             } else if cache.is_enabled() {
                 let t = *task_of.entry(spec).or_insert_with(|| {
                     tasks.push(spec);
@@ -1076,23 +1003,25 @@ impl SimPool {
         // worker completion order, so the store's append order (and so
         // its segment layout) is the same for every worker count.
         let mut executed = self.execute(&tasks, opts);
-        executed.sort_unstable_by_key(|(t, _)| *t);
-        for (t, outcome) in executed {
+        executed.sort_unstable_by_key(|(t, ..)| *t);
+        for (t, outcome, task_ns) in executed {
             if let Ok(stats) = &outcome {
                 cache.insert(tasks[t].clone(), Arc::clone(stats));
                 if let Some(tier) = tier {
                     tier.put(tasks[t], stats);
                 }
             }
-            for &i in &needers[t] {
-                results[i] = Some(outcome.clone());
+            for (k, &i) in needers[t].iter().enumerate() {
+                let task_ns = (k == 0).then_some(task_ns);
+                results[i] = Some(Answer { outcome: outcome.clone(), task_ns });
             }
         }
 
         results.into_iter().map(|r| r.expect("every spec resolved")).collect()
     }
 
-    /// Executes `tasks`, returning `(task_index, outcome)` pairs. Tasks
+    /// Executes `tasks`, returning `(task_index, outcome, task_ns)`
+    /// triples, `task_ns` being the task's wall nanoseconds. Tasks
     /// run grouped by trace key (see [`trace_groups`]), so each group's
     /// [`SharedTrace`] is built once and at most `jobs` are live at a
     /// time. With a deadline set, a watchdog thread fires a shared
@@ -1103,7 +1032,7 @@ impl SimPool {
         &self,
         tasks: &[&RunSpec],
         opts: BatchOpts,
-    ) -> Vec<(usize, Result<Arc<SimStats>, RunError>)> {
+    ) -> Vec<Executed> {
         if tasks.is_empty() {
             return Vec::new();
         }
@@ -1125,35 +1054,30 @@ impl SimPool {
             })
             .collect();
         let order: Vec<usize> = grouped.concat();
-        let run_one = |t: usize| -> Result<Arc<SimStats>, RunError> {
+        // Runs task `t` on worker `w`, timing it for the answer and the
+        // live worker cells.
+        let run_one = |w: usize, t: usize| -> Executed {
+            let _s = rf_prof::span("pool.task");
+            let t0 = Instant::now();
             let spec = tasks[t];
-            if cancel.is_cancelled() || opts.deadline.is_some_and(|d| start.elapsed() >= d) {
-                return Err(RunError::DeadlineExceeded {
-                    benchmark: spec.benchmark.clone(),
-                    deadline_ms,
-                });
-            }
-            let token = opts.deadline.is_some().then_some(&cancel);
-            run_task(spec, &groups[group_of[t]], token, deadline_ms).map(Arc::new)
+            let outcome = if cancel.is_cancelled()
+                || opts.deadline.is_some_and(|d| start.elapsed() >= d)
+            {
+                Err(RunError::DeadlineExceeded { benchmark: spec.benchmark.clone(), deadline_ms })
+            } else {
+                let token = opts.deadline.is_some().then_some(&cancel);
+                run_task(spec, &groups[group_of[t]], token, deadline_ms).map(Arc::new)
+            };
+            let task_ns = t0.elapsed().as_nanos() as u64;
+            rf_obs::live::worker_task(w, task_ns);
+            (t, outcome, task_ns)
         };
         let workers = self.jobs.min(tasks.len());
         if workers <= 1 && opts.deadline.is_none() {
-            return order
-                .iter()
-                .map(|&t| {
-                    let _s = rf_prof::span("pool.task");
-                    let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(t);
-                    if let Some(t0) = t0 {
-                        rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
-                    }
-                    (t, outcome)
-                })
-                .collect();
+            return order.iter().map(|&t| run_one(0, t)).collect();
         }
         let cursor = AtomicUsize::new(0);
-        let mut done: Vec<(usize, Result<Arc<SimStats>, RunError>)> =
-            Vec::with_capacity(tasks.len());
+        let mut done: Vec<Executed> = Vec::with_capacity(tasks.len());
         // The watchdog parks on this pair: woken early when all work is
         // done, otherwise it fires the cancel token at the deadline.
         let parker = (Mutex::new(false), Condvar::new());
@@ -1185,15 +1109,7 @@ impl SimPool {
                 // thread here would make the profiler attribute both the
                 // worker's tasks and the caller's blocking join against
                 // the same wall time, double-counting coverage.
-                for &t in &order {
-                    let _s = rf_prof::span("pool.task");
-                    let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(t);
-                    if let Some(t0) = t0 {
-                        rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
-                    }
-                    done.push((t, outcome));
-                }
+                done.extend(order.iter().map(|&t| run_one(0, t)));
                 let (lock, cvar) = &parker;
                 *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
                 cvar.notify_all();
@@ -1209,16 +1125,7 @@ impl SimPool {
                         loop {
                             let next = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&t) = order.get(next) else { break };
-                            let _s = rf_prof::span("pool.task");
-                            let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                            let outcome = run_one(t);
-                            if let Some(t0) = t0 {
-                                rf_obs::live::worker_task(
-                                    w,
-                                    t0.elapsed().as_nanos() as u64,
-                                );
-                            }
-                            mine.push((t, outcome));
+                            mine.push(run_one(w, t));
                         }
                         drop(worker_span);
                         // Scoped threads outlive their TLS destructors'
@@ -1245,6 +1152,9 @@ impl SimPool {
     }
 }
 
+/// One executed task: its index, outcome and wall nanoseconds.
+type Executed = (usize, Result<Arc<SimStats>, RunError>, u64);
+
 /// Groups a batch's tasks by trace key — benchmark and seed — for
 /// [`SimPool`] to run group by group: groups in first-appearance order,
 /// task order kept inside each group. Batches put the benchmark
@@ -1261,92 +1171,6 @@ fn trace_groups(tasks: &[&RunSpec]) -> Vec<Vec<usize>> {
         groups[g].push(t);
     }
     groups
-}
-
-/// Standard entry point for the figure/table harness binaries: strict
-/// argument and environment handling wrapped around a report-producing
-/// function.
-///
-/// The contract every harness binary shares:
-///
-/// - `--help`/`-h` prints usage and exits 0 (it used to launch a full
-///   200k-commit run);
-/// - an optional first argument sets the commit budget; a malformed
-///   argument or extra arguments exit 2 with a clear message instead of
-///   silently running the default budget;
-/// - a malformed runner environment variable exits 2 before any
-///   simulation starts;
-/// - a panic escaping the harness is caught and reported, exiting 1.
-pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::ExitCode {
-    let usage = format!(
-        "usage: {name} [COMMITS]\n\n\
-         Regenerates the {name} report on stdout.\n\n\
-         arguments:\n  \
-         COMMITS        committed instructions per simulation\n                 \
-         (default: RF_COMMITS or 200000)\n\n\
-         environment:\n  \
-         RF_COMMITS     default commit budget\n  \
-         RF_JOBS        parallel simulation workers (default: all cores)\n  \
-         RF_CACHE       0/off/false/no disables the shared run cache\n  \
-         RF_STORE       1/on/true/yes serves and persists results through\n                 \
-         the durable run store under RF_STORE_DIR\n  \
-         RF_STORE_DIR   store directory (default: results/store)"
-    );
-    let mut commits: Option<u64> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--help" || arg == "-h" {
-            println!("{usage}");
-            return std::process::ExitCode::SUCCESS;
-        }
-        if commits.is_some() {
-            eprintln!("{name}: unexpected argument {arg:?}\n{usage}");
-            return std::process::ExitCode::from(2);
-        }
-        match arg.parse::<u64>() {
-            Ok(n) => commits = Some(n),
-            Err(_) => {
-                eprintln!("{name}: commit budget {arg:?} is not a non-negative integer\n{usage}");
-                return std::process::ExitCode::from(2);
-            }
-        }
-    }
-    let cfg = match init_config() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            return std::process::ExitCode::from(2);
-        }
-    };
-    let scale = commits.map_or_else(|| cfg.scale(), |commits| Scale { commits });
-    match std::panic::catch_unwind(|| run(&scale)) {
-        Ok(report) => {
-            println!("{report}");
-            std::process::ExitCode::SUCCESS
-        }
-        Err(payload) => {
-            eprintln!("{name}: harness failed: {}", payload_text(payload.as_ref()));
-            std::process::ExitCode::FAILURE
-        }
-    }
-}
-
-/// Runs one simulation point through the global [`RunCache`] (no thread
-/// fan-out — the point of this over [`simulate`] is result sharing).
-pub fn simulate_cached(spec: &RunSpec) -> Arc<SimStats> {
-    SimPool::new(1)
-        .run_many(std::slice::from_ref(spec))
-        .pop()
-        .expect("one spec in, one result out")
-}
-
-/// Runs one simulation per benchmark (all nine) through the shared pool
-/// and cache, returning `(name, stats)` pairs in Table 1 order.
-pub fn simulate_suite(base: &RunSpec) -> Vec<(String, Arc<SimStats>)> {
-    let names: Vec<String> = spec92::all().into_iter().map(|p| p.name).collect();
-    let specs: Vec<RunSpec> =
-        names.iter().map(|n| RunSpec { benchmark: n.clone(), ..base.clone() }).collect();
-    let stats = SimPool::from_env().run_many(&specs);
-    names.into_iter().zip(stats).collect()
 }
 
 /// The FP-intensive subset of benchmark names; the paper's FP-register
@@ -1405,19 +1229,28 @@ mod tests {
     }
 
     #[test]
-    fn run_many_is_input_ordered_and_deduplicated() {
+    fn answers_are_input_ordered_deduplicated_and_timed_once() {
         let cache = RunCache::new();
         let pool = SimPool::new(2);
         let a = RunSpec::baseline("espresso", 4).commits(2_000);
         let b = RunSpec::baseline("compress", 4).commits(2_000);
         let specs = vec![a.clone(), b.clone(), a.clone()];
-        let out = pool.run_many_cached(&specs, &cache);
+        let out = pool.answer_many(&specs, &cache, BatchOpts::default());
         assert_eq!(out.len(), 3);
-        assert_eq!(*out[0], *out[2]);
-        assert_eq!(*out[0], simulate(&a));
-        assert_eq!(*out[1], simulate(&b));
-        // The duplicate was not simulated separately.
+        let stats = |i: usize| Arc::clone(out[i].outcome.as_ref().expect("completes"));
+        assert_eq!(*stats(0), *stats(2));
+        assert_eq!(*stats(0), simulate(&a));
+        assert_eq!(*stats(1), simulate(&b));
+        // The duplicate was not simulated separately: one task, whose
+        // time its first asker carries.
         assert_eq!(cache.len(), 2);
+        assert!(out[0].task_ns.is_some_and(|ns| ns > 0));
+        assert!(out[1].task_ns.is_some());
+        assert_eq!(out[2].task_ns, None);
+        // A cache-served answer carries no task time.
+        let again = pool.answer_many(&[b], &cache, BatchOpts::default());
+        assert_eq!(again[0].task_ns, None);
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -1425,8 +1258,8 @@ mod tests {
         let cache = RunCache::disabled();
         let spec = RunSpec::baseline("ora", 4).commits(1_000);
         let pool = SimPool::new(1);
-        let _ = pool.run_many_cached(std::slice::from_ref(&spec), &cache);
-        let _ = pool.run_many_cached(&[spec], &cache);
+        let _ = pool.try_run_many_cached(std::slice::from_ref(&spec), &cache);
+        let _ = pool.try_run_many_cached(&[spec], &cache);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
         assert!(cache.is_empty());
@@ -1434,7 +1267,7 @@ mod tests {
 
     #[test]
     fn fault_probe_fails_only_its_own_spec() {
-        // (a) try_run_many returns Err for the poisoned spec and Ok for
+        // (a) a batch returns Err for the poisoned spec and Ok for
         // the rest of the batch, identical to fault-free runs.
         let cache = RunCache::new();
         let pool = SimPool::new(2);
@@ -1503,7 +1336,7 @@ mod tests {
         let out = pool.try_run_many_opts(
             &specs,
             &cache,
-            BatchOpts::with_deadline(Duration::from_micros(50)),
+            BatchOpts { deadline: Some(Duration::from_micros(50)) },
         );
         assert_eq!(out.len(), 3);
         for r in &out {
@@ -1524,7 +1357,7 @@ mod tests {
         let out = pool.try_run_many_opts(
             std::slice::from_ref(&spec),
             &cache,
-            BatchOpts::with_deadline(Duration::from_secs(3600)),
+            BatchOpts { deadline: Some(Duration::from_secs(3600)) },
         );
         assert_eq!(**out[0].as_ref().expect("completes well before an hour"), simulate(&spec));
     }
@@ -1543,16 +1376,15 @@ mod tests {
         assert_eq!(cfg.commits, None);
         assert_eq!(cfg.scale().commits, DEFAULT_COMMITS);
         assert!(cfg.jobs >= 1);
-        assert!(cfg.cache && !cfg.store && !cfg.profile && !cfg.sanitize);
+        assert!(!cfg.store && !cfg.profile && !cfg.sanitize);
         assert_eq!(cfg.store_dir, std::path::PathBuf::from("results/store"));
         assert!(cfg.telemetry.is_none());
         // Every malformed value is an error naming the variable and the
         // value; a typo'd knob fails even while its feature is off.
-        let cases: [(&str, &str, &str); 14] = [
+        let cases: [(&str, &str, &str); 13] = [
             ("RF_COMMITS", "200k", "RF_COMMITS=\"200k\""),
             ("RF_JOBS", "abc", "RF_JOBS=\"abc\""),
             ("RF_JOBS", "0", "RF_JOBS=\"0\""),
-            ("RF_CACHE", "maybe", "RF_CACHE=\"maybe\""),
             ("RF_STORE", "maybe", "RF_STORE=\"maybe\""),
             ("RF_STORE", "2", "RF_STORE=\"2\""),
             ("RF_STORE_DIR", "  ", "RF_STORE_DIR=\"  \""),
@@ -1568,11 +1400,10 @@ mod tests {
             let err = parse(&[(var, value)]).expect_err(var);
             assert!(err.contains(needle), "{var}={value} error: {err}");
         }
-        // All five switches take the same spellings, trimmed and in any
+        // All four switches take the same spellings, trimmed and in any
         // case, and `off` really is off.
         type Get = fn(&RunConfig) -> bool;
-        let switches: [(&str, Get); 5] = [
-            ("RF_CACHE", |c| c.cache),
+        let switches: [(&str, Get); 4] = [
             ("RF_STORE", |c| c.store),
             ("RF_PROFILE", |c| c.profile),
             ("RF_SANITIZE", |c| c.sanitize),

@@ -4,37 +4,67 @@
 //! (the paper's is effectively perfect).
 
 use crate::aggregate::{all_names, mean_over};
-use crate::runner::{RunSpec, Scale, SimPool};
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::SimStats;
 use rf_mem::CacheConfig;
-use std::sync::Arc;
 
-fn run_suite(
-    configure: impl Fn(RunSpec) -> RunSpec,
-    commits: u64,
-) -> Vec<(String, Arc<SimStats>)> {
-    let names = all_names();
-    let specs: Vec<RunSpec> = names
-        .iter()
-        .map(|n| configure(RunSpec::baseline(n, 4).regs(96).commits(commits)))
-        .collect();
-    let stats = SimPool::from_env().run_many(&specs);
-    names.into_iter().zip(stats).collect()
+/// Memory fetch latencies swept, in cycles.
+const LATENCIES: [u64; 4] = [8, 16, 32, 64];
+/// Data-cache capacities swept, in KB.
+const CAPACITIES_KB: [usize; 5] = [16, 32, 64, 128, 256];
+
+/// The 64 KB 2-way data cache at a fetch latency.
+fn at_latency(latency: u64) -> CacheConfig {
+    CacheConfig::new(64 * 1024, 2, 32, 1, latency)
 }
 
-/// Runs the sensitivity sweeps and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// A 2-way data cache of `kb` KB at the paper's 16-cycle latency.
+fn of_capacity(kb: usize) -> CacheConfig {
+    CacheConfig::new(kb * 1024, 2, 32, 1, 16)
+}
+
+/// The finite instruction cache compared with the perfect one.
+fn finite_icache(c: RunSpec) -> RunSpec {
+    c.icache(CacheConfig::new(64 * 1024, 2, 32, 1, 16), 16)
+}
+
+/// The nine benchmarks on the 4-way, 96-register machine, each spec
+/// adjusted by `configure`.
+fn suite(configure: impl Fn(RunSpec) -> RunSpec, scale: &Scale) -> Vec<RunSpec> {
+    all_names()
+        .iter()
+        .map(|n| configure(RunSpec::baseline(n, 4).regs(96).commits(scale.commits)))
+        .collect()
+}
+
+/// Every sweep's suite, in report order.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    for latency in LATENCIES {
+        specs.extend(suite(|c| c.cache_geometry(at_latency(latency)), scale));
+    }
+    for kb in CAPACITIES_KB {
+        specs.extend(suite(|c| c.cache_geometry(of_capacity(kb)), scale));
+    }
+    specs.extend(suite(|c| c, scale));
+    specs.extend(suite(finite_icache, scale));
+    specs
+}
+
+/// Renders the sensitivity sweeps.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let names = all_names();
+    let runs = |configure: &dyn Fn(RunSpec) -> RunSpec| answers.runs(&suite(configure, scale));
     let mut out = String::from(
         "Sensitivity studies (4-way issue, dq 32, 96 registers, lockup-free)\n\n",
     );
 
     out.push_str("Memory fetch latency (paper: 16 cycles)\n");
     let mut t = Table::new(vec!["latency", "avg commit IPC", "avg miss%"]);
-    for latency in [8u64, 16, 32, 64] {
-        let geometry = CacheConfig::new(64 * 1024, 2, 32, 1, latency);
-        let runs = run_suite(|c| c.cache_geometry(geometry), scale.commits);
+    for latency in LATENCIES {
+        let runs = runs(&|c| c.cache_geometry(at_latency(latency)));
         t.row(vec![
             latency.to_string(),
             format!("{:.2}", mean_over(&runs, &names, SimStats::commit_ipc)),
@@ -45,9 +75,8 @@ pub fn run(scale: &Scale) -> String {
 
     out.push_str("\nData-cache capacity (paper: 64 KB, 2-way)\n");
     let mut t = Table::new(vec!["capacity", "avg commit IPC", "avg miss%"]);
-    for kb in [16usize, 32, 64, 128, 256] {
-        let geometry = CacheConfig::new(kb * 1024, 2, 32, 1, 16);
-        let runs = run_suite(|c| c.cache_geometry(geometry), scale.commits);
+    for kb in CAPACITIES_KB {
+        let runs = runs(&|c| c.cache_geometry(of_capacity(kb)));
         t.row(vec![
             format!("{kb}KB"),
             format!("{:.2}", mean_over(&runs, &names, SimStats::commit_ipc)),
@@ -58,16 +87,13 @@ pub fn run(scale: &Scale) -> String {
 
     out.push_str("\nInstruction cache (paper: perfect / fixed penalty, <1% misses)\n");
     let mut t = Table::new(vec!["icache", "avg commit IPC", "avg icache miss%"]);
-    let perfect = run_suite(|c| c, scale.commits);
+    let perfect = runs(&|c| c);
     t.row(vec![
         "perfect".to_owned(),
         format!("{:.2}", mean_over(&perfect, &names, SimStats::commit_ipc)),
         "0.0".to_owned(),
     ]);
-    let finite = run_suite(
-        |c| c.icache(CacheConfig::new(64 * 1024, 2, 32, 1, 16), 16),
-        scale.commits,
-    );
+    let finite = runs(&finite_icache);
     t.row(vec![
         "64KB/16cy".to_owned(),
         format!("{:.2}", mean_over(&finite, &names, SimStats::commit_ipc)),
@@ -80,6 +106,15 @@ pub fn run(scale: &Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    fn run_suite(
+        configure: impl Fn(RunSpec) -> RunSpec,
+        commits: u64,
+    ) -> Vec<(String, Arc<SimStats>)> {
+        let specs = suite(configure, &Scale { commits });
+        crate::suite::answer(&specs).runs(&specs)
+    }
 
     #[test]
     fn shorter_fetch_latency_never_hurts() {

@@ -7,9 +7,12 @@
 //! 2-way cache with 16-cycle fetch latency, dispatch queue of 32 entries
 //! at 4-way issue and 64 at 8-way.
 
-use crate::runner::{simulate_suite, RunSpec, Scale};
+use crate::aggregate::all_names;
+use crate::runner::{RunSpec, Scale};
+use crate::suite::Answers;
 use crate::table::Table;
 use rf_core::SimStats;
+use std::sync::Arc;
 
 /// Paper values for comparison: (benchmark, issue IPC, commit IPC,
 /// load miss %, cbr mispredict %) per width.
@@ -39,9 +42,19 @@ pub const PAPER_8WAY: &[(&str, f64, f64, f64, f64)] = &[
     ("tomcatv", 5.52, 5.51, 39.0, 1.0),
 ];
 
-fn width_table(width: usize, scale: &Scale, paper: &[(&str, f64, f64, f64, f64)]) -> Table {
-    let base = RunSpec::baseline("compress", width).commits(scale.commits);
-    let runs = simulate_suite(&base);
+/// The paper's baseline machine at `width` for all nine benchmarks, in
+/// Table 1 order. Figures 4, 5 and 8 and the dataflow limits read these
+/// points too.
+pub fn baselines(width: usize, scale: &Scale) -> Vec<RunSpec> {
+    all_names().iter().map(|n| RunSpec::baseline(n, width).commits(scale.commits)).collect()
+}
+
+/// The baselines at both widths, 4-way first.
+pub fn plan(scale: &Scale) -> Vec<RunSpec> {
+    [4, 8].into_iter().flat_map(|width| baselines(width, scale)).collect()
+}
+
+fn width_table(runs: &[(String, Arc<SimStats>)], paper: &[(&str, f64, f64, f64, f64)]) -> Table {
     let mut t = Table::new(vec![
         "benchmark",
         "commit",
@@ -57,7 +70,7 @@ fn width_table(width: usize, scale: &Scale, paper: &[(&str, f64, f64, f64, f64)]
         "paper.miss%",
         "paper.mis%",
     ]);
-    for (name, s) in &runs {
+    for (name, s) in runs {
         let p = paper.iter().find(|(n, ..)| n == name).expect("all nine present");
         t.row(row_for(name, s, p));
     }
@@ -82,18 +95,18 @@ fn row_for(name: &str, s: &SimStats, paper: &(&str, f64, f64, f64, f64)) -> Vec<
     ]
 }
 
-/// Runs Table 1 for both widths and renders the report.
-pub fn run(scale: &Scale) -> String {
+/// Renders Table 1 for both widths.
+pub fn render(scale: &Scale, answers: &Answers) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Table 1: dynamic statistics (2048 regs, lockup-free cache, {} commits/run)\n\n",
         scale.commits
     ));
     out.push_str("4-way issue, 32-entry dispatch queue\n");
-    out.push_str(&width_table(4, scale, PAPER_4WAY).render());
+    out.push_str(&width_table(&answers.runs(&baselines(4, scale)), PAPER_4WAY).render());
     out.push('\n');
     out.push_str("8-way issue, 64-entry dispatch queue\n");
-    out.push_str(&width_table(8, scale, PAPER_8WAY).render());
+    out.push_str(&width_table(&answers.runs(&baselines(8, scale)), PAPER_8WAY).render());
     out
 }
 
@@ -103,7 +116,8 @@ mod tests {
 
     #[test]
     fn report_contains_all_benchmarks_and_both_widths() {
-        let report = run(&Scale { commits: 2_000 });
+        let scale = Scale { commits: 2_000 };
+        let report = render(&scale, &crate::suite::answer(&plan(&scale)));
         for name in crate::aggregate::all_names() {
             assert!(report.contains(&name), "{name} missing");
         }

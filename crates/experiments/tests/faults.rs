@@ -1,6 +1,6 @@
 //! End-to-end fault isolation through the real suite binary (requires
-//! the `fault-probe` feature): `RF_FAULT=<harness>` injects a panicking
-//! simulation into one harness, and the suite must lose *only* that
+//! the `fault-probe` feature): `RF_FAULT=<harness>` adds a panicking
+//! simulation to one harness's plan, and the suite must lose *only* that
 //! harness — every other report file is byte-identical to a fault-free
 //! run, the ledger record carries the error, and the process exits
 //! nonzero.
@@ -44,14 +44,13 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the suite binary in `dir` (sequential, cache off, pinned git
-/// revision so ledger payloads are comparable) and returns its exit code.
+/// Runs the suite binary in `dir` (sequential, pinned git revision so
+/// ledger payloads are comparable) and returns its exit code.
 fn run_suite(dir: &Path, fault: Option<&str>) -> i32 {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_all"));
     cmd.arg(COMMITS)
         .current_dir(dir)
         .env("RF_JOBS", "1")
-        .env("RF_CACHE", "0")
         .env("RF_GIT_REV", "faults-e2e-rev")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null());

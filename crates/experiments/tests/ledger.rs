@@ -1,5 +1,5 @@
 //! End-to-end tests of the run-history ledger through the real suite
-//! binary: two sequential cache-disabled runs of `all` must append
+//! binary: two sequential runs of `all` must append
 //! records whose deterministic metric payloads are byte-identical, and
 //! every record must carry the schema-versioned structure `rfstudy
 //! report` consumes.
@@ -26,15 +26,14 @@ fn workdir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the suite binary once in `dir` with a sequential worker pool,
-/// no run cache, and a pinned git revision, then returns the parsed
-/// records of the ledger it wrote.
+/// Runs the suite binary once in `dir` with a sequential worker pool
+/// and a pinned git revision, then returns the parsed records of the
+/// ledger it wrote.
 fn run_suite(dir: &Path) -> Vec<Value> {
     let status = Command::new(env!("CARGO_BIN_EXE_all"))
         .arg(COMMITS)
         .current_dir(dir)
         .env("RF_JOBS", "1")
-        .env("RF_CACHE", "0")
         .env("RF_GIT_REV", "e2e-test-rev")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -88,21 +87,36 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     let config = rec.get("config").unwrap();
     assert_eq!(config.get_f64("commits"), Some(300.0));
     assert_eq!(config.get_f64("jobs"), Some(1.0));
-    assert_eq!(config.get("cache"), Some(&Value::Bool(false)));
+    assert_eq!(config.get("cache"), None, "the RF_CACHE flag is gone");
     // The sanitizer block replaced the constant `config.sanitize` flag.
     assert_eq!(config.get("sanitize"), None);
     let sanitizer = rec.get("sanitizer").unwrap();
     assert_eq!(sanitizer.get_f64("probes"), Some(8.0));
     assert!(sanitizer.get_f64("events").unwrap() > 0.0);
     assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
+    let phase = rec.get("phase_seconds").unwrap();
+    for key in ["generate", "simulate", "aggregate"] {
+        assert!(phase.get_f64(key).unwrap() >= 0.0);
+    }
     let harnesses = rec.get("harnesses").unwrap().as_array().unwrap();
     assert_eq!(harnesses.len(), 12, "all twelve harnesses recorded");
+    // Each spec is charged to its first owner: the harnesses that only
+    // re-read earlier harnesses' points own nothing, and the owned specs
+    // add up to the totals.
+    let served: Vec<&str> = harnesses
+        .iter()
+        .filter(|h| h.get("cache_served") == Some(&Value::Bool(true)))
+        .map(|h| h.get_str("name").unwrap())
+        .collect();
+    assert_eq!(served, ["fig4", "fig5", "fig10", "dataflow"]);
+    let totals = rec.get("totals").unwrap();
+    for key in ["sims", "committed", "cycles"] {
+        let sum: f64 = harnesses.iter().map(|h| h.get_f64(key).unwrap()).sum();
+        assert_eq!(Some(sum), totals.get_f64(key), "harness {key} add up to the totals");
+    }
     for h in harnesses {
-        assert!(h.get_f64("sims").unwrap() > 0.0, "{:?} ran simulations", h.get_str("name"));
-        let phase = h.get("phase_seconds").unwrap();
-        for key in ["generate", "simulate", "aggregate"] {
-            assert!(phase.get_f64(key).unwrap() >= 0.0);
-        }
+        let owns = h.get("cache_served") == Some(&Value::Bool(false));
+        assert_eq!(h.get_f64("sims").unwrap() > 0.0, owns, "{:?}", h.get_str("name"));
         let probe = h.get("probe").unwrap();
         assert!(probe.get_str("bench").is_some(), "probe attached");
         let stalls = probe.get("stalls").and_then(Value::as_object).expect("probe stalls");

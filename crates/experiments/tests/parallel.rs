@@ -3,11 +3,21 @@
 //! shared cache must collapse repeated points into a single simulation.
 //!
 //! Both tests use explicit worker counts and private caches rather than
-//! `RF_JOBS`/`RF_CACHE`, because the test harness runs tests of this
-//! binary concurrently and environment variables are process-global.
+//! `RF_JOBS`, because the test harness runs tests of this binary
+//! concurrently and environment variables are process-global.
 
+use rf_core::SimStats;
 use rf_experiments::runner::{simulate, RunCache, RunSpec, Scale, SimPool};
 use std::sync::Arc;
+
+/// Runs a batch that must complete: every spec's stats, in input order.
+fn run_batch(jobs: usize, specs: &[RunSpec], cache: &RunCache) -> Vec<Arc<SimStats>> {
+    SimPool::new(jobs)
+        .try_run_many_cached(specs, cache)
+        .into_iter()
+        .map(|r| r.expect("simulation completes"))
+        .collect()
+}
 
 /// A 3-benchmark x 2-queue-size grid at the fast scale.
 fn grid() -> Vec<RunSpec> {
@@ -24,8 +34,8 @@ fn grid() -> Vec<RunSpec> {
 #[test]
 fn parallel_results_are_bit_identical_to_sequential() {
     let specs = grid();
-    let parallel = SimPool::new(4).run_many_cached(&specs, &RunCache::disabled());
-    let sequential = SimPool::new(1).run_many_cached(&specs, &RunCache::disabled());
+    let parallel = run_batch(4, &specs, &RunCache::disabled());
+    let sequential = run_batch(1, &specs, &RunCache::disabled());
     assert_eq!(parallel.len(), specs.len());
     for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
         assert_eq!(**p, **s, "spec {i} ({:?}) differs across worker counts", specs[i]);
@@ -39,13 +49,12 @@ fn parallel_results_are_bit_identical_to_sequential() {
 #[test]
 fn run_cache_simulates_each_point_once_across_harnesses() {
     let cache = RunCache::new();
-    let pool = SimPool::new(2);
     let spec = RunSpec::baseline("espresso", 4).commits(2_000);
 
     // First "harness" submits the point (twice over, as sweeps often do).
-    let first = pool.run_many_cached(&[spec.clone(), spec.clone()], &cache);
+    let first = run_batch(2, &[spec.clone(), spec.clone()], &cache);
     // Second "harness" asks for the same point again.
-    let second = pool.run_many_cached(std::slice::from_ref(&spec), &cache);
+    let second = run_batch(2, std::slice::from_ref(&spec), &cache);
 
     // Exactly one simulation happened: one cold lookup (miss), every
     // other lookup served from the cache.
@@ -61,9 +70,8 @@ fn run_cache_simulates_each_point_once_across_harnesses() {
 #[test]
 fn disabled_cache_runs_every_point() {
     let cache = RunCache::disabled();
-    let pool = SimPool::new(2);
     let spec = RunSpec::baseline("ora", 4).commits(2_000);
-    let out = pool.run_many_cached(&[spec.clone(), spec], &cache);
+    let out = run_batch(2, &[spec.clone(), spec], &cache);
     // No sharing when the cache is off: two independent simulations with
     // equal results.
     assert!(!Arc::ptr_eq(&out[0], &out[1]));
@@ -82,10 +90,10 @@ fn tracing_does_not_perturb_parallel_or_cached_equivalence() {
     use rf_experiments::bench::probe;
 
     let specs = grid();
-    let baseline = SimPool::new(1).run_many_cached(&specs, &RunCache::disabled());
+    let baseline = run_batch(1, &specs, &RunCache::disabled());
 
     let probe_a = probe("compress", 2_000);
-    let parallel = SimPool::new(4).run_many_cached(&specs, &RunCache::new());
+    let parallel = run_batch(4, &specs, &RunCache::new());
     let probe_b = probe("compress", 2_000);
 
     for (i, (p, s)) in parallel.iter().zip(&baseline).enumerate() {
@@ -112,8 +120,8 @@ fn shared_trace_batch(commits: [u64; 2]) -> Vec<RunSpec> {
 #[test]
 fn shared_traces_match_per_spec_simulation() {
     let specs = shared_trace_batch([3_000, 5_000]);
-    let one = SimPool::new(1).run_many_cached(&specs, &RunCache::disabled());
-    let three = SimPool::new(3).run_many_cached(&specs, &RunCache::disabled());
+    let one = run_batch(1, &specs, &RunCache::disabled());
+    let three = run_batch(3, &specs, &RunCache::disabled());
     for (i, spec) in specs.iter().enumerate() {
         let alone = simulate(spec);
         assert_eq!(alone.committed, spec.commits);
@@ -131,7 +139,7 @@ fn grouped_batches_still_meet_deadlines() {
     let out = SimPool::new(3).try_run_many_opts(
         &specs,
         &RunCache::new(),
-        BatchOpts::with_deadline(Duration::from_micros(50)),
+        BatchOpts { deadline: Some(Duration::from_micros(50)) },
     );
     assert_eq!(out.len(), specs.len());
     for r in out {

@@ -1,45 +1,46 @@
 //! The self-profiler must be observationally neutral: a harness run
 //! with `RF_PROFILE=1` produces byte-identical reports to one without,
-//! because spans only read the monotonic clock. This test runs a real
-//! harness both ways in one process (its own integration binary, so the
-//! process-global profiler switch cannot race other tests) and also
-//! proves the suite-bench plumbing captures and embeds the profile.
+//! because spans only read the monotonic clock. This test answers and
+//! renders a real harness through the suite plan both ways in one
+//! process (its own integration binary, so the process-global profiler
+//! switch cannot race other tests) and also proves the suite bench
+//! captures the batch's profile and embeds it in the ledger record.
 
 use rf_experiments::bench::SuiteBench;
-use rf_experiments::runner::{RunCache, RunSpec, Scale, SimPool};
+use rf_experiments::runner::{BatchOpts, Scale, SimPool};
+use rf_experiments::suite::{harness, Plan};
+
+/// Answers and renders Figure 3 through the suite plan. Each pass
+/// answers through its own batch-local cache, so both passes simulate.
+/// Two workers exercise the pool's scoped worker threads.
+fn fig3(bench: &mut SuiteBench, scale: &Scale) -> String {
+    let fig3 = harness("fig3").expect("fig3 is a suite harness");
+    let plan = Plan::new(vec![(fig3.name, (fig3.plan)(scale))]);
+    let answers = bench.answer(&plan, &SimPool::new(2), BatchOpts::default());
+    bench.render(&plan, 0, &answers, || (fig3.render)(scale, &answers)).expect("fig3 renders")
+}
 
 #[test]
 fn profiled_harness_reports_are_byte_identical() {
-    // Disable the shared run cache before anything touches it (the mode
-    // is read once on first use), so both passes execute their
-    // simulations instead of replaying the first pass's cached stats.
-    std::env::set_var("RF_CACHE", "0");
     let scale = Scale { commits: 2_000 };
 
     rf_prof::set_enabled(false);
-    let baseline = rf_experiments::fig3::run(&scale);
-    assert!(rf_prof::collect().is_none(), "no spans recorded while off");
+    let mut unprofiled = SuiteBench::start(scale.commits);
+    let baseline = fig3(&mut unprofiled, &scale);
+    let record = unprofiled.to_ledger_record(Vec::new());
+    assert!(record.profile.is_none(), "no spans recorded while off");
 
     rf_prof::set_enabled(true);
-    let profiled = rf_experiments::fig3::run(&scale);
-    // A multi-spec batch on two workers exercises the pool's scoped
-    // worker threads (single-spec batches take the serial fast path).
-    let specs: Vec<RunSpec> = ["espresso", "ora", "compress", "doduc"]
-        .iter()
-        .map(|n| RunSpec::baseline(n, 4).commits(1_000))
-        .collect();
-    let batch = SimPool::new(2).try_run_many_cached(&specs, &RunCache::disabled());
-    assert!(batch.iter().all(Result::is_ok));
-    let tree = rf_prof::collect().expect("profiled run produced a span tree");
+    let mut profiled_bench = SuiteBench::start(scale.commits);
+    let profiled = fig3(&mut profiled_bench, &scale);
     rf_prof::set_enabled(false);
 
-    assert_eq!(
-        baseline, profiled,
-        "RF_PROFILE must not perturb simulation results"
-    );
+    assert_eq!(baseline, profiled, "RF_PROFILE must not perturb simulation results");
 
     // The tree attributes real time to the instrumented layers, with
     // the pool/run coarse spans enclosing the sampled cycle spans.
+    let record = profiled_bench.to_ledger_record(Vec::new());
+    let tree = record.profile.clone().expect("profiled batch produced a span tree");
     let mut names = Vec::new();
     tree.walk(&mut |_, node| names.push(node.name.clone()));
     for expected in ["pool.worker", "pool.task", "pool.merge", "run.generate", "run.simulate"] {
@@ -51,29 +52,17 @@ fn profiled_harness_reports_are_byte_identical() {
     );
     assert!(tree.attributed_ns() > 0);
 
-    // The suite bench captures a per-harness profile and embeds it in
-    // the ledger record; with the profiler back off it records none.
-    rf_prof::set_enabled(true);
-    let mut bench = SuiteBench::start(scale.commits);
-    let _ = bench.time("tiny", || rf_experiments::fig3::run(&scale));
-    rf_prof::set_enabled(false);
-    let entry = &bench.entries()[0];
-    let captured = entry.profile.as_ref().expect("harness profile captured");
-    assert!(captured.attributed_ns() > 0);
-    let line = bench.to_ledger_record(Vec::new()).to_line();
-    let parsed = rf_obs::json::parse(&line).expect("ledger record parses");
-    let harness = &parsed.get("harnesses").unwrap().as_array().unwrap()[0];
-    let embedded = rf_obs::profile::from_value(harness.get("profile").unwrap())
+    // The ledger record embeds the batch's profile, and the report
+    // layer reads it back as the suite profile.
+    let parsed = rf_obs::json::parse(&record.to_line()).expect("ledger record parses");
+    let embedded = rf_obs::profile::from_value(parsed.get("profile").unwrap())
         .expect("embedded profile decodes");
-    assert_eq!(&embedded, captured);
+    assert_eq!(embedded, tree);
     let suite = rf_obs::profile::suite_profile_of_record(&parsed).expect("suite profile");
-    let mut want = captured.clone();
+    let mut want = tree.clone();
     want.normalize();
-    assert_eq!(suite, want, "one profiled harness is the whole suite profile");
+    assert_eq!(suite, want, "the batch's profile is the whole suite profile");
 
-    let mut unprofiled = SuiteBench::start(scale.commits);
-    let _ = unprofiled.time("tiny", || rf_experiments::fig3::run(&scale));
-    assert!(unprofiled.entries()[0].profile.is_none());
     let line = unprofiled.to_ledger_record(Vec::new()).to_line();
     let parsed = rf_obs::json::parse(&line).expect("ledger record parses");
     assert!(rf_obs::profile::suite_profile_of_record(&parsed).is_none());

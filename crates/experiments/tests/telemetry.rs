@@ -6,8 +6,9 @@
 //!    are non-decreasing across the stream, even with four workers.
 //! 3. **Reconciliation** — the final snapshot's counters equal the
 //!    ledger record's totals exactly (and the sums of its per-harness
-//!    stall and kernel counters), and the ledger's telemetry block
-//!    repeats the stream's closing digest.
+//!    stall counters), its suite block has answered every planned spec,
+//!    and the ledger's telemetry block repeats the stream's closing
+//!    digest.
 
 use rf_obs::ledger;
 use rf_obs::live;
@@ -88,7 +89,7 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_ledger() {
     for pair in snaps.windows(2) {
         assert!(pair[1].seq > pair[0].seq, "seq must increase");
         assert!(pair[1].elapsed_s >= pair[0].elapsed_s, "time must advance");
-        assert!(pair[1].suite.done >= pair[0].suite.done, "done must grow");
+        assert!(pair[1].suite.answered >= pair[0].suite.answered, "answers must grow");
         for ((name, a), (_, b)) in pair[0].counters.iter().zip(pair[1].counters.iter()) {
             assert!(b >= a, "counter {name} decreased: {a} -> {b}");
         }
@@ -103,7 +104,11 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_ledger() {
         "every started simulation resolves before finalize"
     );
     assert_eq!(c(Counter::SimsFailed), 0, "a clean suite fails nothing");
-    assert_eq!(last.suite.done, last.suite.total, "all harnesses finished");
+    assert_eq!(last.suite.answered, last.suite.planned, "every planned spec answered");
+    // The plan is deduplicated before its one batch: each distinct spec
+    // is looked up once, and none twice.
+    assert_eq!(c(Counter::CacheMisses), last.suite.planned);
+    assert_eq!(c(Counter::CacheHits), 0);
     let worker_sims: u64 = last.workers.iter().map(|w| w.sims).sum();
     assert_eq!(worker_sims, c(Counter::SimsCompleted), "worker cells cover every executed sim");
 
@@ -115,6 +120,8 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_ledger() {
         (Counter::SimsCompleted, "sims"),
         (Counter::InstructionsCommitted, "committed"),
         (Counter::Cycles, "cycles"),
+        (Counter::CyclesSkipped, "cycles_skipped"),
+        (Counter::WakeupEvents, "wakeup_events"),
         (Counter::CacheHits, "cache_hits"),
         (Counter::CacheMisses, "cache_misses"),
     ] {
@@ -126,8 +133,6 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_ledger() {
         (Counter::StallNoReg, "stall_no_reg"),
         (Counter::StallDqFull, "stall_dq_full"),
         (Counter::NoFreeCycles, "no_free_cycles"),
-        (Counter::CyclesSkipped, "cycles_skipped"),
-        (Counter::WakeupEvents, "wakeup_events"),
     ] {
         let sum: u64 = harnesses
             .iter()

@@ -224,7 +224,7 @@ mod tests {
     use rf_mem::{CacheConfig, CacheOrg};
 
     fn config(width: usize, regs: usize) -> MachineConfig {
-        MachineConfig::new(width).dispatch_queue(8 * width).physical_regs(regs)
+        MachineConfig::new(width).physical_regs(regs)
     }
 
     fn summary_for(width: usize) -> WorkloadSummary {

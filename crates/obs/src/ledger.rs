@@ -68,7 +68,19 @@ use std::path::Path;
 /// probe) became the top-level `sanitizer` block with the probe's
 /// `probes`, `events` and `violations`, and each harness probe gained
 /// its six-cause `stalls` attribution.
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// v10 followed the suite plan: every harness declares its specs, and
+/// the suite answers their union in one batch. Each spec is charged to
+/// its first owner in suite order, so a harness's `sims`, `committed`,
+/// `cycles`, `stall_no_reg`, `stall_dq_full` and `no_free_cycles` sum
+/// the specs it owns and simulated, and its `seconds` are those specs'
+/// task time plus its render time; `cache_served` now means the harness
+/// owns no spec. The batch-wide `cycles_skipped` and `wakeup_events`
+/// moved into `totals`, and the phase timers and the profile tree moved
+/// to the record level (`phase_seconds`, `profile`). The per-harness
+/// `cycles_per_second` went with them, and `config.cache` went with the
+/// `RF_CACHE` knob.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -89,32 +101,35 @@ pub struct ProbeRecord {
     pub issue_to_commit: (u64, u64, u64),
 }
 
-/// Self-profiling phase timers for one harness, in seconds.
+/// Self-profiling phase timers for one suite run, in seconds.
 ///
 /// `generate` is CPU time filling shared committed-path traces, each
 /// fill counted once however many simulations replay it; `simulate` is
 /// CPU time inside the pipeline summed over workers (it includes the
 /// replay and the wrong-path generation, and can exceed wall time under
-/// `RF_JOBS` parallelism); `aggregate` is the harness wall time not
-/// covered by the other two — report rendering and result folding.
+/// `RF_JOBS` parallelism); `aggregate` is the wall time spent rendering
+/// the reports from the answers.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseRecord {
     /// CPU-seconds filling shared committed-path traces.
     pub generate: f64,
     /// CPU-seconds inside the pipeline simulator.
     pub simulate: f64,
-    /// Residual harness wall seconds (rendering, folding).
+    /// Wall seconds rendering reports.
     pub aggregate: f64,
 }
 
-/// Per-harness measurements for one suite run.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-harness measurements for one suite run. Each spec of the suite
+/// plan is charged to one harness, its first owner in suite order; the
+/// counters sum the owned specs that this run simulated (specs the
+/// store served count nothing).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HarnessRecord {
     /// Harness name (`table1`, `fig3`, …).
     pub name: String,
-    /// Wall seconds for the harness.
+    /// Wall seconds of the owned specs' pool tasks plus the render.
     pub seconds: f64,
-    /// Simulations executed (cache hits excluded).
+    /// Owned specs simulated to completion.
     pub sims: u64,
     /// Instructions committed by those simulations.
     pub committed: u64,
@@ -126,25 +141,15 @@ pub struct HarnessRecord {
     pub stall_dq_full: u64,
     /// Cycles with an empty free list.
     pub no_free_cycles: u64,
-    /// Cycles the event-driven kernel bulk-accounted instead of
-    /// simulating (a subset of `cycles`).
-    pub cycles_skipped: u64,
-    /// Idle-skip jumps the kernel took.
-    pub wakeup_events: u64,
-    /// Whether every simulation this harness asked for was served from
-    /// the run cache (`sims == 0` with no error): its execution counters
-    /// are legitimately zero and carry no throughput signal.
+    /// Whether the harness owns no spec: every point it reads is charged
+    /// to an earlier harness, so its counters are legitimately zero and
+    /// its seconds carry no simulation signal.
     pub cache_served: bool,
-    /// Phase timer breakdown.
-    pub phase: PhaseRecord,
-    /// Self-profiler span tree for the harness (`RF_PROFILE=1` runs
-    /// only). Wall-time data: excluded from the determinism payload.
-    pub profile: Option<rf_prof::ProfileNode>,
     /// Traced-probe percentiles, when the harness attached one.
     pub probe: Option<ProbeRecord>,
     /// Failure message when the harness did not complete (its report was
     /// not written); `None` for a successful harness. The counters above
-    /// still cover whatever the harness executed before failing.
+    /// still cover the owned specs that completed.
     pub error: Option<String>,
 }
 
@@ -227,8 +232,6 @@ pub struct LedgerRecord {
     pub commits: u64,
     /// Worker threads (`RF_JOBS`).
     pub jobs: u64,
-    /// Whether the run cache was enabled.
-    pub cache: bool,
     /// Suite wall-clock seconds.
     pub total_seconds: f64,
     /// Total simulations executed.
@@ -237,10 +240,21 @@ pub struct LedgerRecord {
     pub committed: u64,
     /// Total cycles simulated.
     pub cycles: u64,
+    /// Cycles the event-driven kernel bulk-accounted instead of
+    /// simulating (a subset of `cycles`).
+    pub cycles_skipped: u64,
+    /// Idle-skip jumps the kernel took.
+    pub wakeup_events: u64,
     /// Run-cache hits across the suite.
     pub cache_hits: u64,
     /// Run-cache misses across the suite.
     pub cache_misses: u64,
+    /// Phase timer breakdown.
+    pub phase: PhaseRecord,
+    /// Self-profiler span tree of the suite's batch (`RF_PROFILE=1`
+    /// runs only). Wall-time data: excluded from the determinism
+    /// payload.
+    pub profile: Option<rf_prof::ProfileNode>,
     /// Per-harness breakdown, in suite order.
     pub harnesses: Vec<HarnessRecord>,
     /// Headline numbers extracted from the figure harnesses
@@ -284,7 +298,6 @@ impl LedgerRecord {
                 Value::Object(vec![
                     ("commits".to_owned(), int(self.commits)),
                     ("jobs".to_owned(), int(self.jobs)),
-                    ("cache".to_owned(), Value::Bool(self.cache)),
                 ]),
             ),
             (
@@ -294,9 +307,23 @@ impl LedgerRecord {
                     ("sims".to_owned(), int(self.sims)),
                     ("committed".to_owned(), int(self.committed)),
                     ("cycles".to_owned(), int(self.cycles)),
+                    ("cycles_skipped".to_owned(), int(self.cycles_skipped)),
+                    ("wakeup_events".to_owned(), int(self.wakeup_events)),
                     ("cache_hits".to_owned(), int(self.cache_hits)),
                     ("cache_misses".to_owned(), int(self.cache_misses)),
                 ]),
+            ),
+            (
+                "phase_seconds".to_owned(),
+                Value::Object(vec![
+                    ("generate".to_owned(), num(round6(self.phase.generate))),
+                    ("simulate".to_owned(), num(round6(self.phase.simulate))),
+                    ("aggregate".to_owned(), num(round6(self.phase.aggregate))),
+                ]),
+            ),
+            (
+                "profile".to_owned(),
+                self.profile.as_ref().map_or(Value::Null, crate::profile::to_value),
             ),
             (
                 "harnesses".to_owned(),
@@ -384,29 +411,7 @@ fn harness_value(h: &HarnessRecord) -> Value {
         ("stall_no_reg".to_owned(), int(h.stall_no_reg)),
         ("stall_dq_full".to_owned(), int(h.stall_dq_full)),
         ("no_free_cycles".to_owned(), int(h.no_free_cycles)),
-        ("cycles_skipped".to_owned(), int(h.cycles_skipped)),
-        ("wakeup_events".to_owned(), int(h.wakeup_events)),
         ("cache_served".to_owned(), Value::Bool(h.cache_served)),
-        // Derived throughput; the `per_second` suffix marks it volatile,
-        // so the determinism payload drops it automatically. A harness
-        // that executed nothing (fully cache-served) has no throughput —
-        // null, not a zero that would poison rolling averages.
-        (
-            "cycles_per_second".to_owned(),
-            if h.sims == 0 || h.seconds <= 0.0 {
-                Value::Null
-            } else {
-                num(round6(h.cycles as f64 / h.seconds))
-            },
-        ),
-        (
-            "phase_seconds".to_owned(),
-            Value::Object(vec![
-                ("generate".to_owned(), num(round6(h.phase.generate))),
-                ("simulate".to_owned(), num(round6(h.phase.simulate))),
-                ("aggregate".to_owned(), num(round6(h.phase.aggregate))),
-            ]),
-        ),
     ];
     members.push((
         "probe".to_owned(),
@@ -440,13 +445,6 @@ fn harness_value(h: &HarnessRecord) -> Value {
                     ]),
                 ),
             ]),
-            None => Value::Null,
-        },
-    ));
-    members.push((
-        "profile".to_owned(),
-        match &h.profile {
-            Some(tree) => crate::profile::to_value(tree),
             None => Value::Null,
         },
     ));
@@ -521,51 +519,6 @@ pub fn read_ledger(path: &Path) -> Result<Vec<Value>, String> {
     Ok(records)
 }
 
-/// Per-harness median wall seconds over parsed ledger records — the
-/// honest per-harness weights `rfstudy top`'s ETA uses. Only comparable harness entries contribute:
-/// same commit budget as `commits` (when given), not cache-served, and
-/// error-free — a fully deduplicated or failed harness says nothing
-/// about how long real work takes. The harness fields involved have
-/// been stable across schema versions, so older records still inform
-/// the estimate. Returns `(name, median_seconds)` sorted by name.
-pub fn harness_median_seconds(records: &[Value], commits: Option<u64>) -> Vec<(String, f64)> {
-    let mut by_name: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
-    for rec in records {
-        if let Some(want) = commits {
-            let got = rec.get("config").and_then(|c| c.get_f64("commits"));
-            if got.map(|c| c as u64) != Some(want) {
-                continue;
-            }
-        }
-        let Some(harnesses) = rec.get("harnesses").and_then(Value::as_array) else {
-            continue;
-        };
-        for h in harnesses {
-            let (Some(name), Some(seconds)) = (h.get_str("name"), h.get_f64("seconds"))
-            else {
-                continue;
-            };
-            if h.get("cache_served").and_then(Value::as_bool) == Some(true)
-                || matches!(h.get("error"), Some(Value::String(_)))
-                || seconds <= 0.0
-            {
-                continue;
-            }
-            by_name.entry(name.to_owned()).or_default().push(seconds);
-        }
-    }
-    by_name
-        .into_iter()
-        .map(|(name, mut xs)| {
-            xs.sort_by(f64::total_cmp);
-            let mid = xs.len() / 2;
-            let median =
-                if xs.len() % 2 == 1 { xs[mid] } else { (xs[mid - 1] + xs[mid]) / 2.0 };
-            (name, median)
-        })
-        .collect()
-}
-
 /// The working tree's git revision: `RF_GIT_REV` if set, else
 /// `git rev-parse --short=12 HEAD`, else `"unknown"`.
 pub fn git_rev() -> String {
@@ -607,14 +560,13 @@ fn is_volatile_key(key: &str) -> bool {
         // payload.
         || key == "store"
         || key.contains("seconds")
-        || key.ends_with("per_second")
 }
 
 /// Strips volatile members (timestamps, wall seconds, allocator
 /// counters) from a parsed record, leaving only the deterministic
-/// metric payload. Two `RF_JOBS=1 RF_CACHE=0` suite runs of the same
-/// build must produce identical payloads — the determinism test renders
-/// both with [`Value::to_string`] and compares.
+/// metric payload. Two `RF_JOBS=1` suite runs of the same build must
+/// produce identical payloads — the determinism test renders
+/// both with `Value::to_string` and compares.
 pub fn metric_payload(record: &Value) -> Value {
     match record {
         Value::Object(members) => Value::Object(
@@ -640,13 +592,26 @@ mod tests {
             git_rev: "abc123def456".to_owned(),
             commits: 2_000,
             jobs: 2,
-            cache: true,
             total_seconds: 1.25,
             sims: 100,
             committed: 200_000,
             cycles: 90_000,
+            cycles_skipped: 30_000,
+            wakeup_events: 1_500,
             cache_hits: 40,
             cache_misses: 100,
+            phase: PhaseRecord { generate: 0.01, simulate: 0.4, aggregate: 0.09 },
+            profile: Some(rf_prof::ProfileNode {
+                name: "all".to_owned(),
+                total_ns: 500_000_000,
+                count: 1,
+                children: vec![rf_prof::ProfileNode {
+                    name: "run.simulate".to_owned(),
+                    total_ns: 400_000_000,
+                    count: 50,
+                    children: vec![],
+                }],
+            }),
             harnesses: vec![HarnessRecord {
                 name: "fig3".to_owned(),
                 seconds: 0.5,
@@ -656,21 +621,7 @@ mod tests {
                 stall_no_reg: 10,
                 stall_dq_full: 20,
                 no_free_cycles: 5,
-                cycles_skipped: 30_000,
-                wakeup_events: 1_500,
                 cache_served: false,
-                phase: PhaseRecord { generate: 0.01, simulate: 0.4, aggregate: 0.09 },
-                profile: Some(rf_prof::ProfileNode {
-                    name: "all".to_owned(),
-                    total_ns: 500_000_000,
-                    count: 1,
-                    children: vec![rf_prof::ProfileNode {
-                        name: "run.simulate".to_owned(),
-                        total_ns: 400_000_000,
-                        count: 50,
-                        children: vec![],
-                    }],
-                }),
                 probe: Some(ProbeRecord {
                     bench: "gcc1".to_owned(),
                     cycles: 2_000,
@@ -714,12 +665,15 @@ mod tests {
         let h = &v.get("harnesses").unwrap().as_array().unwrap()[0];
         assert_eq!(h.get_str("name"), Some("fig3"));
         assert!(h.get("pruned").is_none(), "v8 dropped the per-harness pruned count");
-        assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
-        assert_eq!(h.get_f64("wakeup_events"), Some(1_500.0));
-        assert_eq!(h.get_f64("cycles_per_second"), Some(90_000.0));
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
-        assert_eq!(h.get("profile").unwrap().get_str("name"), Some("all"));
-        assert_eq!(h.get("phase_seconds").unwrap().get_f64("simulate"), Some(0.4));
+        // v10 moved the batch-wide kernel counters, phases and profile
+        // to the record level.
+        for key in ["cycles_skipped", "wakeup_events", "cycles_per_second", "phase_seconds"] {
+            assert!(h.get(key).is_none(), "harness still carries {key}");
+        }
+        assert!(h.get("profile").is_none());
+        assert_eq!(v.get("profile").unwrap().get_str("name"), Some("all"));
+        assert_eq!(v.get("phase_seconds").unwrap().get_f64("simulate"), Some(0.4));
         let probe = h.get("probe").unwrap();
         assert_eq!(probe.get_str("bench"), Some("gcc1"));
         let stalls = probe.get("stalls").and_then(Value::as_object).unwrap();
@@ -734,14 +688,23 @@ mod tests {
             let members = v.get(block).and_then(Value::as_object).expect(block);
             members.iter().map(|(k, _)| k.clone()).collect()
         };
-        assert_eq!(keys("config"), ["commits", "jobs", "cache"]);
+        assert_eq!(keys("config"), ["commits", "jobs"]);
         let san = v.get("sanitizer").unwrap();
         assert_eq!(san.get_f64("probes"), Some(8.0));
         assert_eq!(san.get_f64("events"), Some(12_000.0));
         assert_eq!(san.get_f64("violations"), Some(0.0));
         assert_eq!(
             keys("totals"),
-            ["seconds", "sims", "committed", "cycles", "cache_hits", "cache_misses"]
+            [
+                "seconds",
+                "sims",
+                "committed",
+                "cycles",
+                "cycles_skipped",
+                "wakeup_events",
+                "cache_hits",
+                "cache_misses"
+            ]
         );
         assert_eq!(
             v.get("headlines").unwrap().get_f64("fig3.commit_ipc.4way_dq32"),
@@ -776,21 +739,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_served_harness_renders_null_throughput() {
+    fn an_unprofiled_record_renders_a_null_profile() {
         let mut rec = sample();
-        rec.harnesses[0].sims = 0;
-        rec.harnesses[0].cycles = 0;
-        rec.harnesses[0].cache_served = true;
-        rec.harnesses[0].profile = None;
+        rec.profile = None;
         let v = json::parse(&rec.to_line()).unwrap();
-        let h = &v.get("harnesses").unwrap().as_array().unwrap()[0];
-        assert_eq!(h.get("cache_served"), Some(&Value::Bool(true)));
-        assert_eq!(
-            h.get("cycles_per_second"),
-            Some(&Value::Null),
-            "no executed sims means no throughput, not a zero"
-        );
-        assert_eq!(h.get("profile"), Some(&Value::Null));
+        assert_eq!(v.get("profile"), Some(&Value::Null));
     }
 
     #[test]
@@ -849,8 +802,8 @@ mod tests {
         rec.timestamp_unix += 999;
         rec.total_seconds *= 3.0;
         rec.harnesses[0].seconds = 42.0;
-        rec.harnesses[0].phase.simulate = 9.0;
-        rec.harnesses[0].profile.as_mut().unwrap().total_ns = 7;
+        rec.phase.simulate = 9.0;
+        rec.profile.as_mut().unwrap().total_ns = 7;
         rec.alloc = Some(AllocRecord {
             allocations: 1,
             deallocations: 2,
@@ -877,45 +830,13 @@ mod tests {
         assert_eq!(p.get("totals").unwrap().get_f64("cycles"), Some(90_000.0));
         assert!(p.get("totals").unwrap().get("seconds").is_none());
         let h = &p.get("harnesses").unwrap().as_array().unwrap()[0];
-        assert!(h.get("cycles_per_second").is_none(), "derived throughput is volatile");
-        assert!(h.get("profile").is_none(), "wall-time profile is volatile");
+        assert!(p.get("phase_seconds").is_none(), "phase timers are volatile");
+        assert!(p.get("profile").is_none(), "wall-time profile is volatile");
         assert!(p.get("model_error").is_none(), "model-error block is stripped");
         assert!(p.get("telemetry").is_none(), "live-telemetry block is stripped");
         assert_eq!(h.get_f64("stall_no_reg"), Some(10.0), "stall counts are deterministic");
-        assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
+        assert_eq!(p.get("totals").unwrap().get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
-    }
-
-    #[test]
-    fn harness_medians_skip_incomparable_entries() {
-        let mut fast = sample(); // fig3 at 0.5s, commits=2000
-        fast.harnesses[0].seconds = 0.3;
-        let mut slow = sample();
-        slow.harnesses[0].seconds = 0.9;
-        let mut served = sample(); // cache-served: no timing signal
-        served.harnesses[0].seconds = 0.001;
-        served.harnesses[0].cache_served = true;
-        let mut failed = sample();
-        failed.harnesses[0].error = Some("boom".to_owned());
-        let mut smoke = sample(); // different commit budget
-        smoke.commits = 300;
-        smoke.harnesses[0].seconds = 0.002;
-        let records: Vec<Value> = [&fast, &slow, &served, &failed, &smoke]
-            .iter()
-            .map(|r| json::parse(&r.to_line()).unwrap())
-            .collect();
-
-        let med = harness_median_seconds(&records, Some(2_000));
-        assert_eq!(med.len(), 1);
-        assert_eq!(med[0].0, "fig3");
-        assert!(
-            (med[0].1 - 0.6).abs() < 1e-9,
-            "median of 0.3 and 0.9, ignoring served/failed/smoke: {}",
-            med[0].1
-        );
-        // Without a commit filter the smoke record contributes too.
-        let any = harness_median_seconds(&records, None);
-        assert!((any[0].1 - 0.3).abs() < 1e-9, "median of 0.3/0.9/0.002: {}", any[0].1);
     }
 
     #[test]

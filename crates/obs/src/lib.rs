@@ -38,10 +38,11 @@
 //! - [`alloc`] is an optional counting global allocator for suite
 //!   self-profiling (installed behind `rf-experiments`'s `profile-alloc`
 //!   feature).
-//! - [`live`] is the real-time layer: a lock-free counter runtime the
-//!   pool/cache/runner hooks feed, drained by a sampler thread into
-//!   `results/telemetry/live.jsonl`, an optional Prometheus `/metrics`
-//!   endpoint, and the `rfstudy top` terminal view.
+//! - [`live`] is the real-time layer: a sampler thread that renders the
+//!   `rf-prof` counter registry, the run pool's per-worker busy cells and
+//!   the suite's specs answered of specs planned as snapshots in
+//!   `results/telemetry/live.jsonl`, the suite's one progress stream,
+//!   which the `rfstudy top` terminal view follows.
 //!
 //! A traced run is driven through `Pipeline::with_observer` +
 //! `Pipeline::run`, which hands the observer back; because the observer only receives copies of pipeline

@@ -6,8 +6,8 @@
 //! ([`rf_prof::counters`]: sims started/completed/failed, committed
 //! instructions, cycles, stalls, skipped cycles, phase times, cache and
 //! store lookups) as counts since [`start`], plus per-worker busy-time
-//! cells fed by the run pool and suite progress fed by the suite bench.
-//! A background sampler appends them as snapshot records to
+//! cells fed by the run pool and the suite's progress through its plan
+//! (specs answered of specs planned). A background sampler appends them as snapshot records to
 //! `results/telemetry/live.jsonl` (schema-versioned, one JSON object per
 //! line, atomic appends via [`ledger::append_line`]). That file is the
 //! suite's one progress stream: `rfstudy top` tails it via
@@ -28,7 +28,7 @@
 
 use crate::json::Value;
 use crate::ledger;
-use rf_prof::counters::{self, Counts};
+use rf_prof::counters::{self, Counter, Counts};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,8 +44,11 @@ use std::time::{Duration, Instant};
 /// LRU evictions. v3 renders the whole counter registry in
 /// [`rf_prof::counters::Counter::ALL`] order: it drops `sims_cached` (always equal to
 /// `cache_hits`) and gains the stall and phase-time counters. v4 drops
-/// the header's `metrics_addr` with the deleted HTTP endpoint.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 4;
+/// the header's `metrics_addr` with the deleted HTTP endpoint. v5
+/// follows the one-batch suite plan: the suite block reports specs
+/// `answered` of specs `planned` instead of harnesses done of total and
+/// the harness in flight.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
 
 /// Where the suite runner streams live snapshots (relative to the
 /// invocation directory, alongside `results/history/suite.jsonl`).
@@ -73,8 +76,8 @@ pub struct LiveConfig {
 // Worker cells and suite progress
 // ---------------------------------------------------------------------
 
-/// Whether the live runtime is running; gates the per-worker cells and
-/// suite progress (the counter registry itself is always on).
+/// Whether the live runtime is running; gates the per-worker cells (the
+/// counter registry itself is always on).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -82,24 +85,13 @@ const CELL: AtomicU64 = AtomicU64::new(0);
 static WORKER_BUSY_NS: [AtomicU64; MAX_WORKERS] = [CELL; MAX_WORKERS];
 static WORKER_SIMS: [AtomicU64; MAX_WORKERS] = [CELL; MAX_WORKERS];
 static WORKERS_SEEN: AtomicUsize = AtomicUsize::new(0);
+/// Specs the running suite plans to answer.
+static PLANNED: AtomicU64 = AtomicU64::new(0);
 
-struct SuiteState {
-    total: u64,
-    done: u64,
-    current: Option<(String, Instant)>,
-}
-
-static SUITE: Mutex<Option<SuiteState>> = Mutex::new(None);
-
-fn suite_lock() -> std::sync::MutexGuard<'static, Option<SuiteState>> {
-    SUITE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether the live runtime is running. The worker-cell and suite hooks
-/// check this first, so a stopped runtime costs one relaxed load per
-/// hook.
+/// Whether the live runtime is running. The worker-cell hook checks this
+/// first, so a stopped runtime costs one relaxed load per task.
 #[inline]
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -112,25 +104,6 @@ pub fn worker_task(worker: usize, nanos: u64) {
         WORKER_BUSY_NS[i].fetch_add(nanos, Ordering::Relaxed);
         WORKER_SIMS[i].fetch_add(1, Ordering::Relaxed);
         WORKERS_SEEN.fetch_max(i + 1, Ordering::Relaxed);
-    }
-}
-
-/// The suite bench started timing harness `name`.
-pub fn harness_started(name: &str) {
-    if is_enabled() {
-        if let Some(st) = suite_lock().as_mut() {
-            st.current = Some((name.to_owned(), Instant::now()));
-        }
-    }
-}
-
-/// The suite bench finished the current harness.
-pub fn harness_finished() {
-    if is_enabled() {
-        if let Some(st) = suite_lock().as_mut() {
-            st.done += 1;
-            st.current = None;
-        }
     }
 }
 
@@ -158,20 +131,17 @@ pub struct WorkerSample {
 }
 
 /// Suite-level progress at snapshot time.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuiteView {
-    /// Harnesses the suite plans to run.
-    pub total: u64,
-    /// Harnesses finished so far.
-    pub done: u64,
-    /// Name of the harness currently running, if any.
-    pub current: Option<String>,
-    /// Wall-seconds the current harness has been running.
-    pub current_elapsed_s: f64,
+    /// Distinct specs the suite plans to answer.
+    pub planned: u64,
+    /// Specs answered so far: simulated (to completion or failure), or
+    /// served by the run cache or the store.
+    pub answered: u64,
 }
 
 /// Reads the current per-worker cells (workers observed so far).
-pub fn workers_now() -> Vec<WorkerSample> {
+fn workers_now() -> Vec<WorkerSample> {
     let seen = WORKERS_SEEN.load(Ordering::Relaxed).min(MAX_WORKERS);
     (0..seen)
         .map(|i| WorkerSample {
@@ -182,20 +152,18 @@ pub fn workers_now() -> Vec<WorkerSample> {
         .collect()
 }
 
-/// Reads the current suite progress.
-pub fn suite_now() -> SuiteView {
-    match suite_lock().as_ref() {
-        None => SuiteView::default(),
-        Some(st) => SuiteView {
-            total: st.total,
-            done: st.done,
-            current: st.current.as_ref().map(|(n, _)| n.clone()),
-            current_elapsed_s: st
-                .current
-                .as_ref()
-                .map_or(0.0, |(_, t0)| t0.elapsed().as_secs_f64()),
-        },
-    }
+/// The suite progress behind counts `c` since [`start`].
+fn suite_now(c: &Counts) -> SuiteView {
+    let answered = [
+        Counter::SimsCompleted,
+        Counter::SimsFailed,
+        Counter::CacheHits,
+        Counter::StoreHits,
+    ]
+    .into_iter()
+    .map(|k| c.get(k))
+    .sum();
+    SuiteView { planned: PLANNED.load(Ordering::Relaxed), answered }
 }
 
 fn num(n: u64) -> Value {
@@ -240,13 +208,8 @@ pub fn snapshot_value(
             .collect(),
     );
     let suite = Value::Object(vec![
-        ("total".into(), num(suite.total)),
-        ("done".into(), num(suite.done)),
-        (
-            "current".into(),
-            suite.current.as_ref().map_or(Value::Null, |n| Value::String(n.clone())),
-        ),
-        ("current_elapsed_s".into(), Value::Number(suite.current_elapsed_s)),
+        ("planned".into(), num(suite.planned)),
+        ("answered".into(), num(suite.answered)),
     ]);
     let mut members = vec![
         ("schema".into(), num(SNAPSHOT_SCHEMA_VERSION)),
@@ -309,17 +272,18 @@ pub struct FinalTelemetry {
     pub counters: Counts,
 }
 
-/// Starts the live runtime: takes the counter baseline, resets the
-/// worker cells, writes the stream header to [`LIVE_PATH`], spawns the
-/// sampler, and enables the worker and suite hooks. Idempotent — a
-/// second call while running is a no-op.
+/// Starts the live runtime for a suite that plans to answer `planned`
+/// specs: takes the counter baseline, resets the worker cells, writes
+/// the stream header to [`LIVE_PATH`], spawns the sampler, and enables
+/// the worker hook. Idempotent — a second call while running is a
+/// no-op.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures creating `results/telemetry/` or spawning
 /// the sampler thread.
-pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) -> io::Result<()> {
-    start_at(PathBuf::from(LIVE_PATH), cfg, commits, jobs, harnesses_total)
+pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, planned: u64) -> io::Result<()> {
+    start_at(PathBuf::from(LIVE_PATH), cfg, commits, jobs, planned)
 }
 
 fn start_at(
@@ -327,7 +291,7 @@ fn start_at(
     cfg: &LiveConfig,
     commits: u64,
     jobs: u64,
-    harnesses_total: u64,
+    planned: u64,
 ) -> io::Result<()> {
     let mut slot = RUNTIME.lock().unwrap_or_else(PoisonError::into_inner);
     if slot.is_some() {
@@ -335,7 +299,7 @@ fn start_at(
     }
     let baseline = counters::snapshot();
     reset_workers();
-    *suite_lock() = Some(SuiteState { total: harnesses_total, done: 0, current: None });
+    PLANNED.store(planned, Ordering::Relaxed);
 
     let started = Instant::now();
     let seq = Arc::new(AtomicU64::new(0));
@@ -363,13 +327,14 @@ fn start_at(
             }
             drop(guard);
             let s = seq.fetch_add(1, Ordering::Relaxed) + 1;
+            let c = counters::snapshot().since(&baseline);
             let snap = snapshot_value(
                 s,
                 started.elapsed().as_secs_f64(),
                 false,
-                &counters::snapshot().since(&baseline),
+                &c,
                 &workers_now(),
-                &suite_now(),
+                &suite_now(&c),
             );
             let _ = ledger::append_line(&path, &snap.to_string());
         })?
@@ -409,7 +374,7 @@ pub fn finalize() -> Option<FinalTelemetry> {
         true,
         &counters,
         &workers_now(),
-        &suite_now(),
+        &suite_now(&counters),
     );
     let _ = ledger::append_line(&rt.path, &snap.to_string());
     Some(FinalTelemetry {
@@ -482,10 +447,8 @@ fn snap_from_value(v: &Value) -> Result<Snap, String> {
             })
             .collect(),
         suite: SuiteView {
-            total: suite.get_f64("total").unwrap_or(0.0) as u64,
-            done: suite.get_f64("done").unwrap_or(0.0) as u64,
-            current: suite.get_str("current").map(str::to_owned),
-            current_elapsed_s: suite.get_f64("current_elapsed_s").unwrap_or(0.0),
+            planned: suite.get_f64("planned").unwrap_or(0.0) as u64,
+            answered: suite.get_f64("answered").unwrap_or(0.0) as u64,
         },
         digest: v.get_str("digest").map(str::to_owned),
     })
@@ -584,7 +547,6 @@ mod torn_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rf_prof::counters::Counter;
 
     fn sample_counters() -> Counts {
         Counts::from_fn(|c| 1_000 + 37 * c as u64)
@@ -597,12 +559,7 @@ mod tests {
             WorkerSample { id: 0, busy_ns: 1_000_000, sims: 20 },
             WorkerSample { id: 1, busy_ns: 900_000, sims: 18 },
         ];
-        let suite = SuiteView {
-            total: 12,
-            done: 3,
-            current: Some("fig5".into()),
-            current_elapsed_s: 0.5,
-        };
+        let suite = SuiteView { planned: 1226, answered: 300 };
         let header = header_value(1_754_000_000, 250, 200_000, 2);
         let mid = snapshot_value(1, 1.25, false, &c, &workers, &suite);
         let fin = snapshot_value(2, 2.5, true, &c, &workers, &suite);
@@ -662,7 +619,7 @@ mod tests {
         assert!(workers_now().is_empty(), "worker cells are inert before start");
 
         let cfg = LiveConfig { interval: Duration::from_secs(3600) };
-        start_at(path.clone(), &cfg, 100, 2, 1).expect("runtime starts");
+        start_at(path.clone(), &cfg, 100, 2, 1_226).expect("runtime starts");
         counters::count(Counter::CacheHits, 3);
         worker_task(1, 500);
         worker_task(MAX_WORKERS + 5, 7); // clamps into the last cell
@@ -680,6 +637,8 @@ mod tests {
         assert!(last.is_final);
         assert_eq!(last.counters, fin.counters);
         assert_eq!(last.digest.as_deref(), Some(fin.digest.as_str()));
+        // The three cache hits since start are the only answers so far.
+        assert_eq!(last.suite, SuiteView { planned: 1_226, answered: 3 });
 
         worker_task(1, 500);
         assert_eq!(workers_now()[1].sims, 1, "worker cells are inert after finalize");

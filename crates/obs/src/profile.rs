@@ -145,23 +145,13 @@ pub fn phase_shares(root: &ProfileNode) -> Vec<(String, f64)> {
     shares
 }
 
-/// Merges the per-harness profile trees of a parsed ledger record into
-/// one suite-level profile. `None` when no harness carries a profile
-/// (pre-v4 records, or a run with `RF_PROFILE` off).
+/// The suite-level profile of a parsed ledger record: its `profile`
+/// tree, normalized. `None` when the record carries none (a run with
+/// `RF_PROFILE` off, or a record older than schema v10).
 pub fn suite_profile_of_record(record: &Value) -> Option<ProfileNode> {
-    let harnesses = record.get("harnesses")?.as_array()?;
-    let mut merged: Option<ProfileNode> = None;
-    for h in harnesses {
-        let Some(tree) = h.get("profile").and_then(from_value) else { continue };
-        match merged.as_mut() {
-            Some(m) => m.merge(&tree),
-            None => merged = Some(tree),
-        }
-    }
-    merged.map(|mut m| {
-        m.normalize();
-        m
-    })
+    let mut tree = from_value(record.get("profile")?)?;
+    tree.normalize();
+    Some(tree)
 }
 
 #[cfg(test)]
@@ -245,19 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn suite_profile_merges_across_harnesses() {
+    fn suite_profile_is_the_record_tree() {
         let tree = sample();
-        let h = |profile: Value| {
-            Value::Object(vec![("profile".to_owned(), profile)])
-        };
-        let record = Value::Object(vec![(
-            "harnesses".to_owned(),
-            Value::Array(vec![h(to_value(&tree)), h(Value::Null), h(to_value(&tree))]),
-        )]);
-        let merged = suite_profile_of_record(&record).expect("two profiled harnesses");
-        assert_eq!(merged.children.len(), 2);
-        assert_eq!(merged.attributed_ns(), 2 * tree.attributed_ns());
-        let none = Value::Object(vec![("harnesses".to_owned(), Value::Array(vec![h(Value::Null)]))]);
-        assert_eq!(suite_profile_of_record(&none), None);
+        let record = |profile: Value| Value::Object(vec![("profile".to_owned(), profile)]);
+        let suite = suite_profile_of_record(&record(to_value(&tree))).expect("profiled record");
+        let mut want = tree.clone();
+        want.normalize();
+        assert_eq!(suite, want);
+        assert_eq!(suite_profile_of_record(&record(Value::Null)), None);
+        assert_eq!(suite_profile_of_record(&Value::Object(vec![])), None);
     }
 }

@@ -213,10 +213,10 @@ fn harness_seconds(record: &Value) -> Vec<(String, f64)> {
         .and_then(Value::as_array)
         .map(|hs| {
             hs.iter()
-                // A fully cache-served harness executed nothing: its
-                // seconds measure cache lookups, not simulation, so it
-                // neither earns a perf row nor feeds a baseline window
-                // (averaging its near-zeros would poison the median).
+                // A cache-served harness owns no spec: its seconds
+                // measure rendering, not simulation, so it neither earns
+                // a perf row nor feeds a baseline window (averaging its
+                // near-zeros would poison the median).
                 .filter(|h| h.get("cache_served").and_then(Value::as_bool) != Some(true))
                 .filter_map(|h| {
                     Some((h.get_str("name")?.to_owned(), h.get_f64("seconds")?))
@@ -902,20 +902,19 @@ mod tests {
         let doc = format!(
             concat!(
                 "{{\"schema\":{schema},\"timestamp_unix\":100,\"git_rev\":\"{rev}\",",
-                "\"config\":{{\"commits\":2000,\"jobs\":1,\"cache\":true}},",
+                "\"config\":{{\"commits\":2000,\"jobs\":1}},",
                 "\"totals\":{{\"seconds\":{total},\"sims\":10,\"committed\":20000,",
-                "\"cycles\":9000,\"cache_hits\":1,\"cache_misses\":9}},",
+                "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,",
+                "\"cache_hits\":1,\"cache_misses\":9}},",
+                "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
+                "\"profile\":null,",
                 "\"harnesses\":[",
                 "{{\"name\":\"fig3\",\"seconds\":{h1},\"sims\":5,\"committed\":1,\"cycles\":1,",
                 "\"stall_no_reg\":0,\"stall_dq_full\":0,\"no_free_cycles\":0,",
-                "\"cache_served\":false,",
-                "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
-                "\"probe\":null,\"profile\":null}},",
+                "\"cache_served\":false,\"probe\":null,\"error\":null}},",
                 "{{\"name\":\"fig6\",\"seconds\":{h2},\"sims\":5,\"committed\":1,\"cycles\":1,",
                 "\"stall_no_reg\":0,\"stall_dq_full\":0,\"no_free_cycles\":0,",
-                "\"cache_served\":false,",
-                "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
-                "\"probe\":null,\"profile\":null}}",
+                "\"cache_served\":false,\"probe\":null,\"error\":null}}",
                 "],\"headlines\":{{{heads}}},\"model_error\":null,\"alloc\":null,",
                 "\"telemetry\":null}}"
             ),
@@ -952,7 +951,7 @@ mod tests {
     }
 
     /// Attaches a profile (`span name -> self ns` under the root) to the
-    /// fixture's fig3 harness.
+    /// fixture record.
     fn attach_profile(record: &mut Value, spans: &[(&str, u64)]) {
         let children: Vec<Value> = spans
             .iter()
@@ -974,15 +973,8 @@ mod tests {
         ]);
         let Value::Object(members) = record else { unreachable!() };
         for (k, v) in members.iter_mut() {
-            if k != "harnesses" {
-                continue;
-            }
-            let Value::Array(hs) = v else { unreachable!() };
-            let Value::Object(fields) = &mut hs[0] else { unreachable!() };
-            for (fk, fv) in fields.iter_mut() {
-                if fk == "profile" {
-                    *fv = tree.clone();
-                }
+            if k == "profile" {
+                *v = tree.clone();
             }
         }
     }

@@ -26,13 +26,39 @@ fn full_record() -> LedgerRecord {
         git_rev: "0123456789ab".to_owned(),
         commits: 200_000,
         jobs: 8,
-        cache: true,
         total_seconds: 123.456789,
         sims: 1_234,
         committed: 246_800_000,
         cycles: 98_765_432,
+        cycles_skipped: 750_000,
+        wakeup_events: 31_000,
         cache_hits: 321,
         cache_misses: 913,
+        phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
+        profile: Some(rf_prof::ProfileNode {
+            name: "all".to_owned(),
+            total_ns: 10_500_000_000,
+            count: 1,
+            children: vec![rf_prof::ProfileNode {
+                name: "run.simulate".to_owned(),
+                total_ns: 10_250_000_000,
+                count: 18,
+                children: vec![
+                    rf_prof::ProfileNode {
+                        name: "cycle.insert".to_owned(),
+                        total_ns: 1_984_000_000,
+                        count: 23_437,
+                        children: vec![],
+                    },
+                    rf_prof::ProfileNode {
+                        name: "cycle.issue".to_owned(),
+                        total_ns: 4_096_000_000,
+                        count: 23_437,
+                        children: vec![],
+                    },
+                ],
+            }],
+        }),
         harnesses: vec![
             HarnessRecord {
                 name: "table1".to_owned(),
@@ -43,34 +69,7 @@ fn full_record() -> LedgerRecord {
                 stall_no_reg: 0,
                 stall_dq_full: 42_000,
                 no_free_cycles: 0,
-                cycles_skipped: 750_000,
-                wakeup_events: 31_000,
                 cache_served: false,
-                phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
-                profile: Some(rf_prof::ProfileNode {
-                    name: "all".to_owned(),
-                    total_ns: 10_500_000_000,
-                    count: 1,
-                    children: vec![rf_prof::ProfileNode {
-                        name: "run.simulate".to_owned(),
-                        total_ns: 10_250_000_000,
-                        count: 18,
-                        children: vec![
-                            rf_prof::ProfileNode {
-                                name: "cycle.insert".to_owned(),
-                                total_ns: 1_984_000_000,
-                                count: 23_437,
-                                children: vec![],
-                            },
-                            rf_prof::ProfileNode {
-                                name: "cycle.issue".to_owned(),
-                                total_ns: 4_096_000_000,
-                                count: 23_437,
-                                children: vec![],
-                            },
-                        ],
-                    }],
-                }),
                 probe: Some(ProbeRecord {
                     bench: "compress".to_owned(),
                     cycles: 2_048,
@@ -89,18 +88,14 @@ fn full_record() -> LedgerRecord {
                 stall_no_reg: 77,
                 stall_dq_full: 0,
                 no_free_cycles: 13,
-                cycles_skipped: 0,
-                wakeup_events: 0,
                 cache_served: false,
-                phase: PhaseRecord { generate: 0.001, simulate: 0.6, aggregate: 0.149 },
-                profile: None,
                 probe: None,
                 error: Some(
                     "simulation of \"gcc1\" panicked: injected fault probe".to_owned(),
                 ),
             },
-            // The fully cache-served shape: zero executed sims, null
-            // throughput, no error.
+            // The cache-served shape: the harness owns no spec, so its
+            // counters are zero, with no error.
             HarnessRecord {
                 name: "fig4".to_owned(),
                 seconds: 0.012,
@@ -110,11 +105,7 @@ fn full_record() -> LedgerRecord {
                 stall_no_reg: 0,
                 stall_dq_full: 0,
                 no_free_cycles: 0,
-                cycles_skipped: 0,
-                wakeup_events: 0,
                 cache_served: true,
-                phase: PhaseRecord { generate: 0.0, simulate: 0.0, aggregate: 0.012 },
-                profile: None,
                 probe: None,
                 error: None,
             },
@@ -151,13 +142,16 @@ fn minimal_record() -> LedgerRecord {
         git_rev: "unknown".to_owned(),
         commits: 2_000,
         jobs: 1,
-        cache: false,
         total_seconds: 0.0,
         sims: 0,
         committed: 0,
         cycles: 0,
+        cycles_skipped: 0,
+        wakeup_events: 0,
         cache_hits: 0,
         cache_misses: 0,
+        phase: PhaseRecord::default(),
+        profile: None,
         harnesses: Vec::new(),
         headlines: Vec::new(),
         model_error: None,
@@ -194,6 +188,8 @@ fn golden_lines_parse_back_to_current_schema() {
             "git_rev",
             "config",
             "totals",
+            "phase_seconds",
+            "profile",
             "harnesses",
             "headlines",
             "model_error",
@@ -204,16 +200,19 @@ fn golden_lines_parse_back_to_current_schema() {
             assert!(v.get(key).is_some(), "line {} missing {key}", i + 1);
         }
         let config = v.get("config").unwrap();
-        for key in ["commits", "jobs", "cache"] {
+        for key in ["commits", "jobs"] {
             assert!(config.get(key).is_some(), "config missing {key}");
         }
         assert!(config.get("sanitize").is_none(), "v9 moved sanitize to the sanitizer block");
+        assert!(config.get("cache").is_none(), "v10 dropped the RF_CACHE flag");
         let totals = v.get("totals").unwrap();
         for key in [
             "seconds",
             "sims",
             "committed",
             "cycles",
+            "cycles_skipped",
+            "wakeup_events",
             "cache_hits",
             "cache_misses",
         ] {
@@ -229,16 +228,14 @@ fn golden_lines_parse_back_to_current_schema() {
                 "stall_no_reg",
                 "stall_dq_full",
                 "no_free_cycles",
-                "cycles_skipped",
-                "wakeup_events",
                 "cache_served",
-                "cycles_per_second",
-                "phase_seconds",
-                "profile",
                 "probe",
                 "error",
             ] {
                 assert!(h.get(key).is_some(), "harness missing {key}");
+            }
+            for key in ["cycles_skipped", "phase_seconds", "profile", "cycles_per_second"] {
+                assert!(h.get(key).is_none(), "v10 moved {key} off the harness");
             }
         }
     }
@@ -262,13 +259,10 @@ fn full_golden_line_round_trips_through_the_parser() {
         assert_eq!(stalls.get_f64(cause.label()), Some(want), "{}", cause.label());
     }
     // The embedded profile decodes back to the tree we rendered.
-    let profile = rf_obs::profile::from_value(h.get("profile").unwrap()).unwrap();
-    assert_eq!(Some(profile), full_record().harnesses[0].profile);
-    // The cache-served harness carries null throughput and no profile.
+    let profile = rf_obs::profile::from_value(v.get("profile").unwrap()).unwrap();
+    assert_eq!(Some(profile), full_record().profile);
     let served = &v.get("harnesses").unwrap().as_array().unwrap()[2];
     assert_eq!(served.get("cache_served"), Some(&Value::Bool(true)));
-    assert_eq!(served.get("cycles_per_second"), Some(&Value::Null));
-    assert_eq!(served.get("profile"), Some(&Value::Null));
     assert_eq!(v.get("alloc").unwrap().get_f64("allocated_bytes"), Some(64_000_000.0));
     // The model-error telemetry block survives the round trip.
     let model = v.get("model_error").unwrap();
@@ -291,6 +285,7 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let minimal = json::parse(GOLDEN.lines().nth(1).unwrap()).unwrap();
     assert_eq!(minimal.get("alloc"), Some(&Value::Null));
+    assert_eq!(minimal.get("profile"), Some(&Value::Null));
     assert_eq!(minimal.get("model_error"), Some(&Value::Null));
     assert_eq!(minimal.get("telemetry"), Some(&Value::Null));
     assert_eq!(minimal.get("store"), Some(&Value::Null));

@@ -46,12 +46,7 @@ fn workers() -> Vec<WorkerSample> {
 }
 
 fn suite() -> SuiteView {
-    SuiteView {
-        total: 12,
-        done: 7,
-        current: Some("ablation".to_owned()),
-        current_elapsed_s: 1.5,
-    }
+    SuiteView { planned: 1_226, answered: 853 }
 }
 
 /// The three record shapes a stream is made of, rendered exactly as the
@@ -59,7 +54,7 @@ fn suite() -> SuiteView {
 fn stream() -> String {
     let header = live::header_value(1_754_000_000, 250, 200_000, 8);
     let mid = live::snapshot_value(41, 10.25, false, &counters(), &workers(), &suite());
-    let done = SuiteView { total: 12, done: 12, current: None, current_elapsed_s: 0.0 };
+    let done = SuiteView { planned: 1_226, answered: 1_226 };
     let fin = live::snapshot_value(42, 10.5, true, &counters(), &workers(), &done);
     format!("{header}\n{mid}\n{fin}\n")
 }
@@ -122,7 +117,7 @@ fn golden_lines_name_every_member_readers_rely_on() {
             assert!(c.get(key).is_some(), "counters missing {key}");
         }
         let s = snap.get("suite").unwrap();
-        for key in ["total", "done", "current", "current_elapsed_s"] {
+        for key in ["planned", "answered"] {
             assert!(s.get(key).is_some(), "suite missing {key}");
         }
         // Writer and parser agree byte-for-byte on the rendering.

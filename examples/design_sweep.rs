@@ -30,9 +30,7 @@ fn main() {
     for regs in [32usize, 48, 64, 80, 96, 128, 160, 256] {
         let mut ipc_sum = 0.0;
         for trace in &traces {
-            let config = MachineConfig::new(width)
-                .dispatch_queue(width * 8)
-                .physical_regs(regs);
+            let config = MachineConfig::new(width).physical_regs(regs);
             let (stats, _) = Pipeline::new(config)
                 .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
                 .expect("no cancel token");

@@ -43,10 +43,8 @@ fn main() -> std::io::Result<()> {
     for width in [4usize, 8] {
         for regs in [64usize, 128] {
             for model in [ExceptionModel::Precise, ExceptionModel::Imprecise] {
-                let config = MachineConfig::new(width)
-                    .dispatch_queue(width * 8)
-                    .physical_regs(regs)
-                    .exceptions(model);
+                let config =
+                    MachineConfig::new(width).physical_regs(regs).exceptions(model);
                 let (stats, _) = Pipeline::new(config)
                     .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
                     .expect("no cancel token");

@@ -392,9 +392,6 @@ pub enum Command {
         /// Telemetry stream path (default
         /// `results/telemetry/live.jsonl`).
         file: String,
-        /// Run-history ledger path used for the ETA medians (default
-        /// `results/history/suite.jsonl`).
-        ledger: String,
         /// Refresh period in milliseconds.
         interval_ms: u64,
         /// Render one frame and exit instead of following the stream.
@@ -674,7 +671,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "top" => {
             if let Some((o, _)) = opts.iter().find(|(o, _)| {
-                !matches!(o.as_str(), "--file" | "--ledger" | "--interval-ms" | "--once")
+                !matches!(o.as_str(), "--file" | "--interval-ms" | "--once")
             }) {
                 return Err(format!("unknown option {o:?} for top"));
             }
@@ -686,8 +683,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Top {
                 file: take("--file", &opts)
                     .unwrap_or_else(|| rf_obs::live::LIVE_PATH.to_owned()),
-                ledger: take("--ledger", &opts)
-                    .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
                 interval_ms,
                 once: opts.iter().any(|(o, _)| o == "--once"),
             })
@@ -737,8 +732,7 @@ USAGE:
                    [--regs N] [--commits N] [--seed N]
                    [--format flame|json|text] [--top N] [--out FILE]
                    [--deadline-secs S]
-  rfstudy top      [--file FILE] [--ledger FILE] [--interval-ms N]
-                   [--once]
+  rfstudy top      [--file FILE] [--interval-ms N] [--once]
   rfstudy store    stats|verify|compact|gc [--dir DIR]
   rfstudy timing   [--width N]
   rfstudy dump     --trace FILE [--count N]
@@ -823,12 +817,11 @@ TOP OPTIONS:
   attaches to the live telemetry stream a suite run started with
   RF_TELEMETRY=1 writes (default results/telemetry/live.jsonl; --file
   overrides) and renders an in-place terminal view: per-worker
-  utilization bars, sims in flight / done / total, commits per second,
-  cache hit rate, and an ETA weighted by per-harness medians from the
-  run-history ledger (--ledger overrides the default
-  results/history/suite.jsonl). --interval-ms sets the refresh period
-  (default 500). --once renders a single frame and exits — useful in
-  scripts and CI.
+  utilization bars, sims in flight / done / failed, commits per second,
+  cache hit rate, and the suite's specs answered of specs planned with
+  an ETA at the stream's own answer rate. --interval-ms sets the
+  refresh period (default 500). --once renders a single frame and
+  exits — useful in scripts and CI.
 
 STORE OPTIONS:
   operates on the durable content-addressed run store that suite runs
@@ -1199,22 +1192,20 @@ mod tests {
     #[test]
     fn parses_top_with_defaults_and_options() {
         match parse(&argv("top")).unwrap() {
-            Command::Top { file, ledger, interval_ms, once } => {
+            Command::Top { file, interval_ms, once } => {
                 assert_eq!(file, rf_obs::live::LIVE_PATH);
-                assert_eq!(ledger, rf_obs::ledger::LEDGER_PATH);
                 assert_eq!(interval_ms, 500);
                 assert!(!once);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
-            "top --file /tmp/live.jsonl --ledger /tmp/l.jsonl --interval-ms 100 --once",
+            "top --file /tmp/live.jsonl --interval-ms 100 --once",
         ))
         .unwrap()
         {
-            Command::Top { file, ledger, interval_ms, once } => {
+            Command::Top { file, interval_ms, once } => {
                 assert_eq!(file, "/tmp/live.jsonl");
-                assert_eq!(ledger, "/tmp/l.jsonl");
                 assert_eq!(interval_ms, 100);
                 assert!(once);
             }

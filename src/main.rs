@@ -162,9 +162,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
         Command::Profile { pins, format, top, out, deadline_secs } => {
             run_profile(&pins.expand(matrix_commits)?, format, top, out, deadline_secs)
         }
-        Command::Top { file, ledger, interval_ms, once } => {
-            run_top(&file, &ledger, interval_ms, once)
-        }
+        Command::Top { file, interval_ms, once } => run_top(&file, interval_ms, once),
         Command::Report {
             ledger,
             baseline,
@@ -466,9 +464,7 @@ fn model_check(
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
     let specs: Vec<_> = matrix.iter().map(spec_for).collect();
-    let opts = deadline_secs.map_or_else(BatchOpts::unbounded, |secs| {
-        BatchOpts::with_deadline(std::time::Duration::from_secs_f64(secs))
-    });
+    let opts = BatchOpts { deadline: deadline_secs.map(std::time::Duration::from_secs_f64) };
     let sim_wall = std::time::Instant::now();
     let results = SimPool::from_env().try_run_many_opts(&specs, &RunCache::disabled(), opts);
     let sim_ns = sim_wall.elapsed().as_nanos() as u64;
@@ -555,9 +551,7 @@ fn run_profile(
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
     let commits = matrix.first().map_or(0, |p| p.commits);
     let specs: Vec<_> = matrix.iter().map(spec_for).collect();
-    let opts = deadline_secs.map_or_else(BatchOpts::unbounded, |secs| {
-        BatchOpts::with_deadline(std::time::Duration::from_secs_f64(secs))
-    });
+    let opts = BatchOpts { deadline: deadline_secs.map(std::time::Duration::from_secs_f64) };
 
     rf_prof::set_enabled(true);
     let wall = std::time::Instant::now();
@@ -601,47 +595,14 @@ fn run_profile(
     Ok(())
 }
 
-/// Harness execution order from the most recent ledger record. The
-/// median map is keyed by name and loses order, but the latest record's
-/// harness array preserves the order the suite actually ran in.
-fn latest_plan(records: &[rf_obs::json::Value]) -> Vec<String> {
-    records
-        .last()
-        .and_then(|r| r.get("harnesses"))
-        .and_then(rf_obs::json::Value::as_array)
-        .map(|hs| hs.iter().filter_map(|h| h.get_str("name").map(str::to_owned)).collect())
-        .unwrap_or_default()
-}
-
-/// Suite ETA in seconds: each remaining harness is charged its ledger
-/// median (names without history are charged the median of the known
-/// medians), and the in-flight harness is charged whatever of its
-/// median is left. `None` without a plan or any history — an honest
-/// "unknown" beats a fabricated zero.
-fn top_eta(
-    plan: &[String],
-    medians: &[(String, f64)],
-    suite: &rf_obs::live::SuiteView,
-) -> Option<f64> {
-    if plan.is_empty() || medians.is_empty() {
-        return None;
-    }
-    let mut known: Vec<f64> = medians.iter().map(|(_, s)| *s).collect();
-    known.sort_by(f64::total_cmp);
-    let mid = known.len() / 2;
-    let fallback =
-        if known.len().is_multiple_of(2) { (known[mid - 1] + known[mid]) / 2.0 } else { known[mid] };
-    let cost =
-        |name: &str| medians.iter().find(|(n, _)| n == name).map_or(fallback, |(_, s)| *s);
-    let mut eta = 0.0;
-    for name in plan.iter().skip(suite.done as usize) {
-        if Some(name.as_str()) == suite.current.as_deref() {
-            eta += (cost(name) - suite.current_elapsed_s).max(0.0);
-        } else {
-            eta += cost(name);
-        }
-    }
-    Some(eta)
+/// Suite ETA in seconds at the stream's own answer rate: the specs left,
+/// at the rate specs have been answered since the run started. `None`
+/// before the first answer — an honest "unknown" beats a fabricated
+/// figure.
+fn eta_seconds(snap: &rf_obs::live::Snap) -> Option<f64> {
+    let s = &snap.suite;
+    (s.answered > 0 && snap.elapsed_s > 0.0)
+        .then(|| s.planned.saturating_sub(s.answered) as f64 * snap.elapsed_s / s.answered as f64)
 }
 
 /// `[#####-----]` with `frac` of `width` cells filled.
@@ -666,13 +627,11 @@ fn human_count(n: f64) -> String {
 /// One dashboard frame for `rfstudy top`, rendered from the parsed
 /// telemetry stream. Rates and worker utilization come from the delta
 /// between the last two snapshots (cumulative values when only one
-/// exists yet); the ETA weighs the remaining plan by ledger medians.
+/// exists yet); the ETA comes from [`eta_seconds`].
 fn render_top_frame(
     file: &str,
     header: Option<&rf_obs::live::StreamHeader>,
     snaps: &[rf_obs::live::Snap],
-    plan: &[String],
-    medians: &[(String, f64)],
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -693,19 +652,14 @@ fn render_top_frame(
         );
     }
     let s = &last.suite;
-    let done_frac = if s.total > 0 { s.done as f64 / s.total as f64 } else { 0.0 };
-    let current = s
-        .current
-        .as_ref()
-        .map_or_else(String::new, |n| format!("   current {n} ({:.1}s)", s.current_elapsed_s));
-    let eta = top_eta(plan, medians, s)
-        .map_or_else(|| "--".to_owned(), |e| format!("{e:.1}s"));
+    let done_frac = if s.planned > 0 { s.answered as f64 / s.planned as f64 } else { 0.0 };
+    let eta = eta_seconds(last).map_or_else(|| "--".to_owned(), |e| format!("{e:.1}s"));
     let _ = writeln!(
         out,
-        "suite: {} {}/{} harnesses{current}   eta {eta}",
+        "suite: {} {}/{} specs answered   eta {eta}",
         bar(done_frac, 20),
-        s.done,
-        s.total,
+        s.answered,
+        s.planned,
     );
     let c = |counter| last.counters.get(counter);
     let committed = c(Counter::InstructionsCommitted);
@@ -759,14 +713,11 @@ fn render_top_frame(
 /// The `top` subcommand: attaches to the live telemetry stream the
 /// suite runner writes under `RF_TELEMETRY=1` and renders an in-place
 /// dashboard (suite progress, throughput, cache effectiveness, worker
-/// utilization, ledger-weighted ETA), refreshed every `interval_ms`
-/// until the stream's final snapshot arrives. `--once` renders a single
-/// plain frame (no escape codes) and exits, failing immediately when
-/// the stream is missing or malformed.
-fn run_top(file: &str, ledger_path: &str, interval_ms: u64, once: bool) -> Result<(), String> {
-    let records =
-        rf_obs::ledger::read_ledger(std::path::Path::new(ledger_path)).unwrap_or_default();
-    let plan = latest_plan(&records);
+/// utilization, ETA), refreshed every `interval_ms` until the stream's
+/// final snapshot arrives. `--once` renders a single plain frame (no
+/// escape codes) and exits, failing immediately when the stream is
+/// missing or malformed.
+fn run_top(file: &str, interval_ms: u64, once: bool) -> Result<(), String> {
     let mut reported_wait = false;
     loop {
         let parsed = std::fs::read_to_string(file)
@@ -774,11 +725,7 @@ fn run_top(file: &str, ledger_path: &str, interval_ms: u64, once: bool) -> Resul
             .and_then(|text| rf_obs::live::parse_stream(&text));
         match parsed {
             Ok((header, snaps)) => {
-                let medians = rf_obs::ledger::harness_median_seconds(
-                    &records,
-                    header.as_ref().map(|h| h.commits),
-                );
-                let frame = render_top_frame(file, header.as_ref(), &snaps, &plan, &medians);
+                let frame = render_top_frame(file, header.as_ref(), &snaps);
                 if once {
                     print!("{frame}");
                     return Ok(());
@@ -971,30 +918,36 @@ mod top_tests {
     use rf_obs::live::{Snap, SuiteView, WorkerSample};
     use rf_prof::counters::Counts;
 
-    fn plan() -> Vec<String> {
-        vec!["fig3".into(), "fig4".into(), "mystery".into()]
-    }
-
-    fn medians() -> Vec<(String, f64)> {
-        vec![("fig3".into(), 1.0), ("fig4".into(), 3.0)]
-    }
-
-    fn suite(done: u64, current: Option<&str>, current_elapsed_s: f64) -> SuiteView {
-        SuiteView { total: 3, done, current: current.map(str::to_owned), current_elapsed_s }
+    fn snap(seq: u64, elapsed_s: f64, committed: u64, busy_ns: u64, is_final: bool) -> Snap {
+        Snap {
+            seq,
+            elapsed_s,
+            is_final,
+            counters: Counts::from_fn(|c| match c {
+                Counter::SimsStarted => 10,
+                Counter::SimsCompleted => 7,
+                Counter::SimsFailed => 1,
+                Counter::InstructionsCommitted => committed,
+                Counter::Cycles => committed / 2,
+                Counter::CacheHits => 2,
+                Counter::CacheMisses => 6,
+                _ => 0,
+            }),
+            workers: vec![WorkerSample { id: 0, busy_ns, sims: 7 }],
+            suite: SuiteView { planned: 40, answered: 10 },
+            digest: is_final.then(|| "feedbeef".to_owned()),
+        }
     }
 
     #[test]
-    fn eta_charges_remaining_harnesses_and_the_partial_current_one() {
-        // Nothing started: 1.0 + 3.0 + 2.0 (unknown name charged the
-        // median of the known medians).
-        assert_eq!(top_eta(&plan(), &medians(), &suite(0, None, 0.0)), Some(6.0));
-        // fig4 one second in: (3 - 1) + 2.
-        assert_eq!(top_eta(&plan(), &medians(), &suite(1, Some("fig4"), 1.0)), Some(4.0));
-        // Overrun current harness clamps at zero, never negative.
-        assert_eq!(top_eta(&plan(), &medians(), &suite(1, Some("fig4"), 99.0)), Some(2.0));
-        assert_eq!(top_eta(&plan(), &medians(), &suite(3, None, 0.0)), Some(0.0));
-        assert_eq!(top_eta(&[], &medians(), &suite(0, None, 0.0)), None);
-        assert_eq!(top_eta(&plan(), &[], &suite(0, None, 0.0)), None);
+    fn eta_is_the_remaining_specs_at_the_streams_answer_rate() {
+        // 10 of 40 answered in 2s: 30 left at 5 per second.
+        assert_eq!(eta_seconds(&snap(1, 2.0, 0, 0, false)), Some(6.0));
+        let mut fresh = snap(1, 0.5, 0, 0, false);
+        fresh.suite.answered = 0;
+        assert_eq!(eta_seconds(&fresh), None, "no answer yet, no rate");
+        fresh.suite = SuiteView { planned: 40, answered: 40 };
+        assert_eq!(eta_seconds(&fresh), Some(0.0));
     }
 
     #[test]
@@ -1012,27 +965,6 @@ mod top_tests {
         assert_eq!(human_count(3_500_000_000.0), "3.50G");
     }
 
-    fn snap(seq: u64, elapsed_s: f64, committed: u64, busy_ns: u64, is_final: bool) -> Snap {
-        Snap {
-            seq,
-            elapsed_s,
-            is_final,
-            counters: Counts::from_fn(|c| match c {
-                Counter::SimsStarted => 10,
-                Counter::SimsCompleted => 7,
-                Counter::SimsFailed => 1,
-                Counter::InstructionsCommitted => committed,
-                Counter::Cycles => committed / 2,
-                Counter::CacheHits => 2,
-                Counter::CacheMisses => 6,
-                _ => 0,
-            }),
-            workers: vec![WorkerSample { id: 0, busy_ns, sims: 7 }],
-            suite: suite(1, Some("fig4"), 0.5),
-            digest: is_final.then(|| "feedbeef".to_owned()),
-        }
-    }
-
     #[test]
     fn frame_rates_and_utilization_come_from_the_last_window() {
         let header = rf_obs::live::StreamHeader {
@@ -1044,36 +976,25 @@ mod top_tests {
         // Window: 1s wall, 2M commits, worker 0 busy 0.5s -> 50%.
         let snaps =
             vec![snap(1, 1.0, 1_000_000, 0, false), snap(2, 2.0, 3_000_000, 500_000_000, false)];
-        let frame = render_top_frame("live.jsonl", Some(&header), &snaps, &plan(), &medians());
+        let frame = render_top_frame("live.jsonl", Some(&header), &snaps);
         assert!(frame.contains("commits/s 2.00M"), "{frame}");
         assert!(frame.contains("w0 [##########----------]  50.0%  7 sims"), "{frame}");
-        assert!(frame.contains("1/3 harnesses   current fig4 (0.5s)"), "{frame}");
-        // fig4 charged (3 - 0.5) + mystery charged 2.
-        assert!(frame.contains("eta 4.5s"), "{frame}");
+        assert!(frame.contains("[#####---------------] 10/40 specs answered"), "{frame}");
+        // 30 specs left at 10 per 2s.
+        assert!(frame.contains("eta 6.0s"), "{frame}");
         assert!(frame.contains("7 done / 1 failed / 2 cached (10 started, 2 in flight)"), "{frame}");
         assert!(frame.contains("(25.0% hit rate)"), "{frame}");
         assert!(!frame.contains("FINISHED"));
 
         let fin = vec![snaps[1].clone(), snap(3, 3.0, 3_000_000, 500_000_000, true)];
-        let final_frame =
-            render_top_frame("live.jsonl", Some(&header), &fin, &plan(), &medians());
+        let final_frame = render_top_frame("live.jsonl", Some(&header), &fin);
         assert!(final_frame.contains("FINISHED"), "{final_frame}");
     }
 
     #[test]
     fn frame_without_snapshots_says_it_is_waiting() {
-        let frame = render_top_frame("live.jsonl", None, &[], &[], &[]);
+        let frame = render_top_frame("live.jsonl", None, &[]);
         assert!(frame.contains("rfstudy top — live.jsonl"));
         assert!(frame.contains("waiting for first snapshot"), "{frame}");
-    }
-
-    #[test]
-    fn latest_plan_reads_harness_order_from_the_newest_record() {
-        let records = vec![
-            rf_obs::json::parse(r#"{"harnesses":[{"name":"old"}]}"#).unwrap(),
-            rf_obs::json::parse(r#"{"harnesses":[{"name":"fig3"},{"name":"fig4"}]}"#).unwrap(),
-        ];
-        assert_eq!(latest_plan(&records), vec!["fig3".to_owned(), "fig4".to_owned()]);
-        assert!(latest_plan(&[]).is_empty());
     }
 }

@@ -9,10 +9,9 @@ use std::process::{Command, Output};
 
 /// Every run knob, cleared before each row so the caller's environment
 /// cannot leak in.
-const KNOBS: [&str; 9] = [
+const KNOBS: [&str; 8] = [
     "RF_COMMITS",
     "RF_JOBS",
-    "RF_CACHE",
     "RF_STORE",
     "RF_STORE_DIR",
     "RF_PROFILE",

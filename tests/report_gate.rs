@@ -30,11 +30,7 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         stall_no_reg: 7,
         stall_dq_full: 11,
         no_free_cycles: 3,
-        cycles_skipped: 64_000,
-        wakeup_events: 2_000,
         cache_served: false,
-        phase: PhaseRecord { generate: 0.001, simulate: seconds * 0.9, aggregate: 0.0 },
-        profile: None,
         probe: None,
         error: None,
     };
@@ -43,13 +39,16 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         git_rev: format!("rev{seq:04}"),
         commits: 10_000,
         jobs: 4,
-        cache: true,
         total_seconds: 3.0 * scale,
         sims: 80,
         committed: 800_000,
         cycles: 320_000,
+        cycles_skipped: 128_000,
+        wakeup_events: 4_000,
         cache_hits: 10,
         cache_misses: 70,
+        phase: PhaseRecord { generate: 0.002, simulate: 2.7 * scale, aggregate: 0.0 },
+        profile: None,
         harnesses: vec![harness("fig3", 1.0 * scale), harness("fig6", 2.0 * scale)],
         headlines,
         model_error: None,
