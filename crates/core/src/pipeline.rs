@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// registers).
 const DEADLOCK_HORIZON: u64 = 200_000;
 
-/// How often (in cycles) a running pipeline polls its [`CancelToken`].
-/// Coarse enough to be free on the hot path, fine enough that a
+/// How often a running pipeline polls its [`CancelToken`]: every
+/// `CANCEL_POLL_MASK + 1` (1024) cycles. Coarse enough to be free on the hot path, fine enough that a
 /// cancelled multi-million-cycle run stops within microseconds.
 const CANCEL_POLL_MASK: u64 = 0x3FF;
 
@@ -56,8 +56,8 @@ enum IdleStall {
 /// and whoever supervises it (a batch deadline watchdog, a CLI timeout).
 ///
 /// Cloning the token shares the underlying flag. Attach it with
-/// [`Pipeline::with_cancel`]; the cycle loop polls it every
-/// [`CANCEL_POLL_MASK`]` + 1` cycles and [`Pipeline::run`] returns
+/// [`Pipeline::with_cancel`]; the cycle loop polls it every 1024
+/// cycles and [`Pipeline::run`] returns
 /// [`Cancelled`] once it fires. A token can only transition idle →
 /// cancelled; there is no reset, so a token must not be reused across
 /// batches.
@@ -283,8 +283,8 @@ impl<O: Observer> Pipeline<O> {
     }
 
     /// Attaches a cooperative cancellation token. Once the token fires,
-    /// [`Pipeline::run`] returns [`Cancelled`] within
-    /// [`CANCEL_POLL_MASK`]` + 1` cycles. A token that never fires has no
+    /// [`Pipeline::run`] returns [`Cancelled`] within 1024 cycles. A
+    /// token that never fires has no
     /// effect on the simulated schedule: statistics are byte-identical
     /// with or without one attached.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
@@ -335,7 +335,7 @@ impl<O: Observer> Pipeline<O> {
     /// inspected or exported.
     ///
     /// Cancellation is cooperative — an attached [`CancelToken`] is
-    /// polled every [`CANCEL_POLL_MASK`]` + 1` cycles — and destructive:
+    /// polled every 1024 cycles — and destructive:
     /// the pipeline state is dropped, so a cancelled run can never leak a
     /// truncated [`SimStats`].
     ///

@@ -202,6 +202,7 @@ impl SuiteBench {
             cycles: sum(|h| h.cycles),
             cycles_skipped: b(Counter::CyclesSkipped),
             wakeup_events: b(Counter::WakeupEvents),
+            reused: b(Counter::SimsReused),
             cache_hits: b(Counter::CacheHits),
             cache_misses: b(Counter::CacheMisses),
             phase: PhaseRecord {
@@ -334,14 +335,17 @@ mod tests {
             ("third", vec![c.clone(), failed.clone()]),
             ("fourth", vec![shared.clone()]),
         ]);
-        let ok = |s: Arc<SimStats>, task_ns| Answer { outcome: Ok(s), task_ns };
+        let ok = |s: Arc<SimStats>, task_ns| Answer { outcome: Ok(s), task_ns, reused: false };
         let error = RunError::WorkerPanic { benchmark: "tomcatv".into(), payload: "boom".into() };
         let answers: Answers = [
             (a.clone(), ok(stats(1_000, 700), Some(2_000_000_000))),
             (shared.clone(), ok(stats(1_000, 900), Some(1_000_000_000))),
             // The store served `b`: no task ran, so nothing is charged.
             (b.clone(), ok(stats(1_000, 800), None)),
-            (failed.clone(), Answer { outcome: Err(error.clone()), task_ns: Some(500_000_000) }),
+            (
+                failed.clone(),
+                Answer { outcome: Err(error.clone()), task_ns: Some(500_000_000), reused: false },
+            ),
             (c.clone(), ok(stats(1_000, 600), Some(3_000_000_000))),
         ]
         .into_iter()

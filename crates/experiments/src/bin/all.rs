@@ -36,7 +36,7 @@
 //!
 //! The `RF_*` knobs in the usage text are parsed once, by
 //! [`runner::init_config`], before any work. With the `fault-probe`
-//! feature, RF_FAULT=<harness> adds a panicking simulation to that
+//! feature, `RF_FAULT=<harness>` adds a panicking simulation to that
 //! harness's plan (the CI smoke path).
 
 use rf_experiments::bench::SuiteBench;
@@ -210,6 +210,17 @@ fn model_error_probe(scale: &Scale, answers: &Answers) -> Option<ledger::ModelEr
     })
 }
 
+/// Re-simulates the first spec in plan order that the batch answered by
+/// saturation reuse and compares the run with that answer: `None` when
+/// nothing was reused, else the spec and whether the two agree.
+fn reuse_audit<'p>(plan: &'p Plan, answers: &Answers) -> Option<(&'p RunSpec, bool)> {
+    let (spec, stats) = plan.specs.iter().find_map(|spec| {
+        let answer = answers.answer(spec).filter(|a| a.reused)?;
+        Some((spec, answer.outcome.as_ref().ok()?))
+    })?;
+    Some((spec, runner::try_simulate(spec).is_ok_and(|fresh| fresh == **stats)))
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(Some(args)) => args,
@@ -320,12 +331,27 @@ fn run_suite(
     // of the configuration space, so every suite report certifies the
     // rename/freeing protocol of the binary that produced it.
     let probe = rf_check::suite_probe(scale.commits.min(2_000));
-    bench.set_sanitizer(ledger::SanitizerRecord {
+    let mut sanitizer = ledger::SanitizerRecord {
         probes: probe.probes,
         events: probe.events,
         violations: probe.violations,
-    });
+    };
     println!("sanitizer: {} ({} probes, {} events)", probe.status(), probe.probes, probe.events);
+    // One more probe: a reused answer must equal a fresh simulation.
+    if let Some((spec, agrees)) = reuse_audit(&plan, &answers) {
+        sanitizer.probes += 1;
+        sanitizer.violations += u64::from(!agrees);
+        println!(
+            "reuse audit: {} ({} width={} regs={} {:?} {:?} re-simulated)",
+            if agrees { "clean" } else { "MISMATCH" },
+            spec.benchmark,
+            spec.width,
+            spec.regs,
+            spec.exceptions,
+            spec.cache,
+        );
+    }
+    bench.set_sanitizer(sanitizer);
     if let Some(m) = model_error_probe(scale, &answers) {
         println!(
             "model error: mean |IPC err| {:.1}% over {} baselines, worst {:.1}% ({})",

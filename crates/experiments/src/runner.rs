@@ -31,7 +31,7 @@ use rf_mem::{CacheConfig, CacheOrg};
 use rf_prof::counters::{self, Counter};
 use rf_workload::{spec92, SharedTrace};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -533,6 +533,17 @@ impl TraceGroup {
         }
         claimed
     }
+
+    /// Withdraws a task that will never start (it was answered without a
+    /// simulation), freeing the trace when no task of the group is left
+    /// to start.
+    fn release(&self) {
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.unstarted -= 1;
+        if slot.unstarted == 0 {
+            slot.trace = None;
+        }
+    }
 }
 
 /// Runs one task of a trace group: [`try_simulate`]'s contract, reading
@@ -889,18 +900,34 @@ pub struct Answer {
     /// The spec's statistics, or why it has none.
     pub outcome: Result<Arc<SimStats>, RunError>,
     /// Wall nanoseconds of the pool task that simulated the spec. `None`
-    /// when the cache or the store served it, or when an earlier equal
-    /// spec of the same batch already carries the task's time.
+    /// when the cache or the store served it, when the batch reused its
+    /// family head's run, or when an earlier equal spec of the same batch
+    /// already carries the task's time.
     pub task_ns: Option<u64>,
+    /// Whether the batch answered the spec by saturation reuse, from the
+    /// run of its family's largest register file (see [`SimPool`]).
+    pub reused: bool,
 }
 
 /// A work-stealing executor for batches of simulation points.
 ///
-/// Workers are scoped threads pulling tasks from a shared atomic cursor,
+/// Workers are scoped threads claiming tasks from one shared scheduler,
 /// so long and short simulations load-balance automatically. Results come
 /// back in input order regardless of completion order, and equal specs
 /// within a batch are simulated once — so a report built from a batch is
 /// byte-identical to one built by running the specs sequentially.
+///
+/// # Saturation reuse
+///
+/// The tasks of a batch that differ only in `regs` form a *saturation
+/// family*. Its largest register file, the *head*, runs first. When the
+/// head completes with peak live count `P` (the highest non-zero
+/// `live_hist` bucket of either class), every member with `regs > P` is
+/// answered from the head's statistics, its liveness histograms cut to
+/// `regs + 1` buckets. The answer is exact: allocation takes the lowest
+/// free register, so no run of the family names a register at or above
+/// `P` and no free list runs empty (DESIGN.md §9). Members with
+/// `regs <= P`, and every member of a failed head, simulate.
 ///
 /// Every entry point returns one outcome per spec: a panicking or
 /// deadline-cancelled simulation fails only its own spec, and every
@@ -962,10 +989,12 @@ impl SimPool {
     /// below it when `RF_STORE` is on), returning one [`Answer`] per
     /// spec in input order. A failing simulation (panic, unknown
     /// benchmark, elapsed deadline) fails only its own spec; every
-    /// completed result is returned and cached.
+    /// completed result is returned and cached. Specs a family head's run
+    /// saturates are answered from it (see [`SimPool`]) and enter the
+    /// cache and the store like simulated ones.
     pub fn answer_many(&self, specs: &[RunSpec], cache: &RunCache, opts: BatchOpts) -> Vec<Answer> {
         let mut results: Vec<Option<Answer>> = vec![None; specs.len()];
-        let served = |stats| Some(Answer { outcome: Ok(stats), task_ns: None });
+        let served = |stats| Some(Answer { outcome: Ok(stats), task_ns: None, reused: false });
 
         // Resolve cache hits and deduplicate the remainder, preserving
         // first-appearance order for determinism. With the cache disabled
@@ -1003,36 +1032,33 @@ impl SimPool {
         // worker completion order, so the store's append order (and so
         // its segment layout) is the same for every worker count.
         let mut executed = self.execute(&tasks, opts);
-        executed.sort_unstable_by_key(|(t, ..)| *t);
-        for (t, outcome, task_ns) in executed {
+        executed.sort_unstable_by_key(|e| e.task);
+        for Executed { task: t, outcome, task_ns } in executed {
             if let Ok(stats) = &outcome {
                 cache.insert(tasks[t].clone(), Arc::clone(stats));
                 if let Some(tier) = tier {
                     tier.put(tasks[t], stats);
                 }
             }
+            let reused = task_ns.is_none();
             for (k, &i) in needers[t].iter().enumerate() {
-                let task_ns = (k == 0).then_some(task_ns);
-                results[i] = Some(Answer { outcome: outcome.clone(), task_ns });
+                let task_ns = task_ns.filter(|_| k == 0);
+                results[i] = Some(Answer { outcome: outcome.clone(), task_ns, reused });
             }
         }
 
         results.into_iter().map(|r| r.expect("every spec resolved")).collect()
     }
 
-    /// Executes `tasks`, returning `(task_index, outcome, task_ns)`
-    /// triples, `task_ns` being the task's wall nanoseconds. Tasks
-    /// run grouped by trace key (see [`trace_groups`]), so each group's
-    /// [`SharedTrace`] is built once and at most `jobs` are live at a
-    /// time. With a deadline set, a watchdog thread fires a shared
-    /// [`CancelToken`] at the deadline; workers check it before starting
-    /// each task, and trace fills and running pipelines poll it
-    /// cooperatively.
-    fn execute(
-        &self,
-        tasks: &[&RunSpec],
-        opts: BatchOpts,
-    ) -> Vec<Executed> {
+    /// Executes `tasks`, returning one [`Executed`] per task. Tasks run
+    /// in the [`Scheduler`]'s order, grouped by trace key (see
+    /// [`trace_groups`]), so each group's [`SharedTrace`] is built once
+    /// and at most `jobs` are live at a time; a family head's completion
+    /// answers the members it saturates. With a deadline set, a watchdog
+    /// thread fires a shared [`CancelToken`] at the deadline; workers
+    /// check it before starting each task, and trace fills and running
+    /// pipelines poll it cooperatively.
+    fn execute(&self, tasks: &[&RunSpec], opts: BatchOpts) -> Vec<Executed> {
         if tasks.is_empty() {
             return Vec::new();
         }
@@ -1053,10 +1079,10 @@ impl SimPool {
                 TraceGroup::new(max_commits.unwrap_or(0), members.len())
             })
             .collect();
-        let order: Vec<usize> = grouped.concat();
+        let sched = Scheduler::new(tasks, &grouped);
         // Runs task `t` on worker `w`, timing it for the answer and the
-        // live worker cells.
-        let run_one = |w: usize, t: usize| -> Executed {
+        // live worker cells, then answers the members its run saturates.
+        let run_one = |w: usize, t: usize, out: &mut Vec<Executed>| {
             let _s = rf_prof::span("pool.task");
             let t0 = Instant::now();
             let spec = tasks[t];
@@ -1070,13 +1096,23 @@ impl SimPool {
             };
             let task_ns = t0.elapsed().as_nanos() as u64;
             rf_obs::live::worker_task(w, task_ns);
-            (t, outcome, task_ns)
+            for (m, stats) in sched.finish(t, &outcome) {
+                groups[group_of[m]].release();
+                out.push(Executed { task: m, outcome: Ok(stats), task_ns: None });
+            }
+            out.push(Executed { task: t, outcome, task_ns: Some(task_ns) });
+        };
+        let work = |w: usize| {
+            let mut mine = Vec::new();
+            while let Some(t) = sched.claim() {
+                run_one(w, t, &mut mine);
+            }
+            mine
         };
         let workers = self.jobs.min(tasks.len());
         if workers <= 1 && opts.deadline.is_none() {
-            return order.iter().map(|&t| run_one(0, t)).collect();
+            return work(0);
         }
-        let cursor = AtomicUsize::new(0);
         let mut done: Vec<Executed> = Vec::with_capacity(tasks.len());
         // The watchdog parks on this pair: woken early when all work is
         // done, otherwise it fires the cancel token at the deadline.
@@ -1109,40 +1145,31 @@ impl SimPool {
                 // thread here would make the profiler attribute both the
                 // worker's tasks and the caller's blocking join against
                 // the same wall time, double-counting coverage.
-                done.extend(order.iter().map(|&t| run_one(0, t)));
-                let (lock, cvar) = &parker;
-                *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                cvar.notify_all();
-                return;
-            }
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (cursor, order) = (&cursor, &order);
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        let worker_span = rf_prof::span("pool.worker");
-                        let mut mine = Vec::new();
-                        loop {
-                            let next = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&t) = order.get(next) else { break };
-                            mine.push(run_one(w, t));
-                        }
-                        drop(worker_span);
-                        // Scoped threads outlive their TLS destructors'
-                        // visibility to the parent: flush explicitly so
-                        // the worker's profile is merged before the
-                        // scope unblocks the caller.
-                        rf_prof::flush_thread();
-                        mine
+                done.extend(work(0));
+            } else {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let work = &work;
+                        scope.spawn(move || {
+                            let worker_span = rf_prof::span("pool.worker");
+                            let mine = work(w);
+                            drop(worker_span);
+                            // Scoped threads outlive their TLS destructors'
+                            // visibility to the parent: flush explicitly so
+                            // the worker's profile is merged before the
+                            // scope unblocks the caller.
+                            rf_prof::flush_thread();
+                            mine
+                        })
                     })
-                })
-                .collect();
-            let _merge = rf_prof::span("pool.merge");
-            for handle in handles {
-                // Workers cannot panic — simulation panics are caught
-                // inside `run_task` — so a join failure
-                // here is a harness bug, not a model bug.
-                done.extend(handle.join().expect("simulation worker thread died"));
+                    .collect();
+                let _merge = rf_prof::span("pool.merge");
+                for handle in handles {
+                    // Workers cannot panic — simulation panics are caught
+                    // inside `run_task` — so a join failure here is a
+                    // harness bug, not a model bug.
+                    done.extend(handle.join().expect("simulation worker thread died"));
+                }
             }
             let (lock, cvar) = &parker;
             *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
@@ -1152,8 +1179,178 @@ impl SimPool {
     }
 }
 
-/// One executed task: its index, outcome and wall nanoseconds.
-type Executed = (usize, Result<Arc<SimStats>, RunError>, u64);
+/// One answered task of a batch.
+struct Executed {
+    task: usize,
+    outcome: Result<Arc<SimStats>, RunError>,
+    /// The task's wall nanoseconds; `None` when it was answered by
+    /// saturation reuse instead of running.
+    task_ns: Option<u64>,
+}
+
+/// Hands a batch's tasks to workers in run order, holding each
+/// saturation-family member back until its head has finished (see
+/// [`SimPool`]). One scheduler serves one worker and many alike: a
+/// worker claims the first ready task in order, skipping members that
+/// wait on a running head, and blocks only when every remaining task
+/// waits on one.
+struct Scheduler<'a> {
+    tasks: &'a [&'a RunSpec],
+    /// Task indices in run order: trace group by trace group, each
+    /// group's family heads and lone tasks first (in task order), then
+    /// its members by descending `regs`. A member's head always precedes
+    /// it, so a single worker never waits.
+    order: Vec<usize>,
+    /// Per task: the members of the family it heads (empty unless a
+    /// head).
+    members: Vec<Vec<usize>>,
+    state: Mutex<SchedState>,
+    wake: Condvar,
+}
+
+struct SchedState {
+    /// Per task: claimed by a worker, or answered by reuse.
+    taken: Vec<bool>,
+    /// Per task: free to run (false while a member's head is
+    /// unfinished).
+    ready: Vec<bool>,
+    /// Position in `order` before which every task is taken.
+    first: usize,
+    /// Claimed tasks not yet finished.
+    running: usize,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(tasks: &'a [&'a RunSpec], grouped: &[Vec<usize>]) -> Self {
+        let mut families: HashMap<RunSpec, Vec<usize>> = HashMap::new();
+        for (t, spec) in tasks.iter().enumerate() {
+            families.entry(RunSpec { regs: 0, ..(*spec).clone() }).or_default().push(t);
+        }
+        let mut members = vec![Vec::new(); tasks.len()];
+        let mut ready = vec![true; tasks.len()];
+        for family in families.into_values().filter(|f| f.len() > 1) {
+            // The largest register file, the first in task order on a tie.
+            let head = family
+                .iter()
+                .copied()
+                .reduce(|a, b| if tasks[b].regs > tasks[a].regs { b } else { a })
+                .expect("a family has members");
+            for &m in family.iter().filter(|&&m| m != head) {
+                ready[m] = false;
+                members[head].push(m);
+            }
+        }
+        let order = grouped
+            .iter()
+            .flat_map(|group| {
+                let (first, mut held): (Vec<usize>, Vec<usize>) =
+                    group.iter().partition(|&&t| ready[t]);
+                held.sort_by_key(|&t| std::cmp::Reverse(tasks[t].regs));
+                first.into_iter().chain(held)
+            })
+            .collect();
+        let taken = vec![false; tasks.len()];
+        Self {
+            tasks,
+            order,
+            members,
+            state: Mutex::new(SchedState { taken, ready, first: 0, running: 0 }),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Claims the first ready task in run order, waiting while every
+    /// remaining task waits on a running head; `None` once every task is
+    /// taken.
+    fn claim(&self) -> Option<usize> {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let st = &mut *s;
+            while st.first < self.order.len() && st.taken[self.order[st.first]] {
+                st.first += 1;
+            }
+            if st.first == self.order.len() {
+                return None;
+            }
+            let next =
+                self.order[st.first..].iter().copied().find(|&t| !st.taken[t] && st.ready[t]);
+            if let Some(t) = next {
+                st.taken[t] = true;
+                st.running += 1;
+                return Some(t);
+            }
+            assert!(st.running > 0, "every remaining task waits on a head that never ran");
+            s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Records that claimed task `t` finished with `outcome`. When `t`
+    /// heads a family, its members become ready, and those its
+    /// successful run saturates are answered: returned with their
+    /// statistics, and taken so no worker runs them.
+    fn finish(
+        &self,
+        t: usize,
+        outcome: &Result<Arc<SimStats>, RunError>,
+    ) -> Vec<(usize, Arc<SimStats>)> {
+        let members = &self.members[t];
+        let reused: Vec<(usize, Arc<SimStats>)> = match outcome {
+            Ok(stats) if !members.is_empty() => {
+                let peak = live_peak(stats);
+                members
+                    .iter()
+                    .filter(|&&m| self.tasks[m].regs > peak)
+                    .map(|&m| (m, Arc::new(saturated(stats, self.tasks[m].regs))))
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.running -= 1;
+        for &m in members {
+            s.ready[m] = true;
+        }
+        for &(m, _) in &reused {
+            s.taken[m] = true;
+        }
+        drop(s);
+        if !members.is_empty() {
+            self.wake.notify_all();
+        }
+        counters::count(Counter::SimsReused, reused.len() as u64);
+        reused
+    }
+}
+
+/// The highest live-register count a run reached in either class: the
+/// highest non-zero `live_hist` bucket. The count is sampled after the
+/// cycle's insertions and before its staged frees return, and live
+/// counts only rise within a cycle, so this is the run's allocation
+/// peak.
+fn live_peak(stats: &SimStats) -> usize {
+    stats.live_hist.iter().filter_map(|h| h.iter().rposition(|&n| n > 0)).max().unwrap_or(0)
+}
+
+/// The statistics of a family member with `regs` registers, from its
+/// head's run that never held `regs` registers live: equal in every
+/// field, the four liveness histograms cut to `regs + 1` buckets.
+///
+/// # Panics
+///
+/// Panics if a cut bucket is non-zero (the head's run reached `regs`).
+fn saturated(head: &SimStats, regs: usize) -> SimStats {
+    let mut stats = head.clone();
+    for hist in stats.live_hist.iter_mut().chain(stats.live_hist_imprecise.iter_mut()) {
+        assert!(
+            hist[regs + 1..].iter().all(|&n| n == 0),
+            "saturation reuse cut a live bucket above {regs} registers"
+        );
+        // A fresh vector, not a truncated clone: the answer outlives the
+        // batch in the run cache, so it keeps only its own buckets.
+        *hist = hist[..=regs].to_vec();
+    }
+    stats
+}
 
 /// Groups a batch's tasks by trace key — benchmark and seed — for
 /// [`SimPool`] to run group by group: groups in first-appearance order,
@@ -1476,6 +1673,111 @@ mod tests {
         // the only ones left.
         assert_eq!(Arc::strong_count(&first), 3);
         assert_eq!(TraceGroup::new(u64::MAX, 1).len, SharedTrace::MAX_BUFFERED);
+    }
+
+    #[test]
+    fn a_reused_task_leaves_its_trace_group_freeable() {
+        let spec = RunSpec::baseline("compress", 4).commits(500);
+        let group = TraceGroup::new(800, 3);
+        let (trace, _) = group.claim(&spec, None, 0).expect("builds");
+        // The group's two other tasks are answered by reuse: they never
+        // start, and the group lets go of the buffer.
+        group.release();
+        assert!(group.slot.lock().unwrap().trace.is_some(), "one task is left to start");
+        group.release();
+        assert!(group.slot.lock().unwrap().trace.is_none());
+        assert_eq!(Arc::strong_count(&trace), 1, "only the running task holds the trace");
+    }
+
+    /// `spec` at `regs` registers.
+    fn at(spec: &RunSpec, regs: usize) -> RunSpec {
+        spec.clone().regs(regs)
+    }
+
+    #[test]
+    fn families_run_heads_and_lone_tasks_first_then_members_by_descending_regs() {
+        let base = RunSpec::baseline("gcc1", 4).commits(100);
+        let other = RunSpec::baseline("ora", 4).commits(100);
+        let specs = [
+            at(&base, 64),
+            at(&base, 256),
+            at(&other, 48),
+            base.clone().dq(16),
+            at(&base, 128),
+            at(&base, 32).exceptions(ExceptionModel::Imprecise),
+            at(&base, 96).exceptions(ExceptionModel::Imprecise),
+        ];
+        let tasks: Vec<&RunSpec> = specs.iter().collect();
+        let sched = Scheduler::new(&tasks, &trace_groups(&tasks));
+        // gcc1's group: heads 1 (256) and 6 (imprecise 96), the lone
+        // queue-size point 3, then members 4 (128), 0 (64), 5 (32); ora's
+        // lone point last.
+        assert_eq!(sched.order, [1, 3, 6, 4, 0, 5, 2]);
+        assert_eq!(sched.members[1], [0, 4]);
+        assert_eq!(sched.members[6], [5]);
+        // Members wait for their head; everything else is ready.
+        let ready = sched.state.lock().unwrap().ready.clone();
+        assert_eq!(ready, [false, true, true, true, false, false, true]);
+    }
+
+    #[test]
+    fn a_member_at_the_heads_peak_simulates_and_one_above_it_is_reused() {
+        let spec = RunSpec::baseline("compress", 4).commits(2_000);
+        let peak = live_peak(&simulate(&at(&spec, 256)));
+        assert!((32..255).contains(&peak), "compress peaks at {peak} registers");
+        let specs = [at(&spec, 256), at(&spec, peak), at(&spec, peak + 1)];
+        let out = SimPool::new(1).answer_many(&specs, &RunCache::new(), BatchOpts::default());
+        for (spec, answer) in specs.iter().zip(&out) {
+            let stats = answer.outcome.as_ref().expect("completes");
+            assert_eq!(**stats, simulate(spec), "regs={}", spec.regs);
+        }
+        let reused: Vec<bool> = out.iter().map(|a| a.reused).collect();
+        assert_eq!(reused, [false, false, true], "reuse needs regs strictly above the peak");
+        assert!(out[1].task_ns.is_some() && out[2].task_ns.is_none());
+        assert_eq!(out[2].outcome.as_ref().unwrap().live_hist[0].len(), peak + 2);
+    }
+
+    #[test]
+    fn a_failed_head_fails_only_itself_and_its_members_run() {
+        let fault = RunSpec::baseline(FAULT_BENCHMARK, 4).commits(2_000);
+        let good = RunSpec::baseline("espresso", 4).commits(2_000);
+        let specs = [at(&fault, 256), at(&good, 256), at(&fault, 128), at(&good, 128)];
+        let out = SimPool::new(2).answer_many(&specs, &RunCache::new(), BatchOpts::default());
+        for i in [0, 2] {
+            // Each fault member ran its own task and failed on its own.
+            assert!(!out[i].reused && out[i].task_ns.is_some(), "spec {i}");
+            match out[i].outcome.as_ref().expect_err("the probe panics") {
+                RunError::WorkerPanic { benchmark, .. } => assert_eq!(benchmark, FAULT_BENCHMARK),
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+        }
+        // The good family is untouched: its member is reused from its
+        // own head.
+        assert_eq!(**out[1].outcome.as_ref().unwrap(), simulate(&specs[1]));
+        assert_eq!(**out[3].outcome.as_ref().unwrap(), simulate(&specs[3]));
+        assert!(out[3].reused);
+    }
+
+    #[test]
+    fn a_deadline_batch_fails_a_family_head_and_members_alike() {
+        let spec = RunSpec::baseline("compress", 8).commits(5_000_000);
+        let specs: Vec<RunSpec> = [256, 128, 64, 32].iter().map(|&r| at(&spec, r)).collect();
+        for jobs in [1, 2] {
+            let cache = RunCache::new();
+            let out = SimPool::new(jobs).answer_many(
+                &specs,
+                &cache,
+                BatchOpts { deadline: Some(Duration::from_micros(50)) },
+            );
+            for answer in &out {
+                assert!(!answer.reused);
+                match answer.outcome.as_ref().expect_err("deadline fires before 5M commits") {
+                    RunError::DeadlineExceeded { .. } => {}
+                    other => panic!("expected DeadlineExceeded, got {other:?}"),
+                }
+            }
+            assert!(cache.is_empty());
+        }
     }
 
     #[test]

@@ -90,8 +90,11 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     assert_eq!(config.get("cache"), None, "the RF_CACHE flag is gone");
     // The sanitizer block replaced the constant `config.sanitize` flag.
     assert_eq!(config.get("sanitize"), None);
+    // Eight sanitized configurations, plus the reuse audit: the register
+    // sweeps reuse saturated runs even at this scale.
     let sanitizer = rec.get("sanitizer").unwrap();
-    assert_eq!(sanitizer.get_f64("probes"), Some(8.0));
+    assert!(rec.get("totals").unwrap().get_f64("reused").unwrap() > 0.0);
+    assert_eq!(sanitizer.get_f64("probes"), Some(9.0));
     assert!(sanitizer.get_f64("events").unwrap() > 0.0);
     assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let phase = rec.get("phase_seconds").unwrap();

@@ -122,6 +122,7 @@ fn telemetry_is_neutral_monotone_and_reconciles_with_the_ledger() {
         (Counter::Cycles, "cycles"),
         (Counter::CyclesSkipped, "cycles_skipped"),
         (Counter::WakeupEvents, "wakeup_events"),
+        (Counter::SimsReused, "reused"),
         (Counter::CacheHits, "cache_hits"),
         (Counter::CacheMisses, "cache_misses"),
     ] {

@@ -6,7 +6,8 @@
 //! subcommand needs to read ledger records back. [`validate`] is a strict
 //! recursive-descent recogniser; [`parse`] is the same grammar building a
 //! [`Value`] tree. Object members preserve document order, so a parsed
-//! value re-rendered with [`Value::to_string`] round-trips key order.
+//! value re-rendered through its [`Display`](fmt::Display) impl
+//! round-trips key order.
 
 use std::fmt;
 

@@ -80,7 +80,11 @@ use std::path::Path;
 /// to the record level (`phase_seconds`, `profile`). The per-harness
 /// `cycles_per_second` went with them, and `config.cache` went with the
 /// `RF_CACHE` knob.
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// v11 added `totals.reused`: the batch tasks answered by saturation
+/// reuse, from the run of their family's largest register file. They
+/// are not simulations, so no harness's `sims` counts them.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -245,6 +249,8 @@ pub struct LedgerRecord {
     pub cycles_skipped: u64,
     /// Idle-skip jumps the kernel took.
     pub wakeup_events: u64,
+    /// Batch tasks answered by saturation reuse instead of simulating.
+    pub reused: u64,
     /// Run-cache hits across the suite.
     pub cache_hits: u64,
     /// Run-cache misses across the suite.
@@ -309,6 +315,7 @@ impl LedgerRecord {
                     ("cycles".to_owned(), int(self.cycles)),
                     ("cycles_skipped".to_owned(), int(self.cycles_skipped)),
                     ("wakeup_events".to_owned(), int(self.wakeup_events)),
+                    ("reused".to_owned(), int(self.reused)),
                     ("cache_hits".to_owned(), int(self.cache_hits)),
                     ("cache_misses".to_owned(), int(self.cache_misses)),
                 ]),
@@ -598,6 +605,7 @@ mod tests {
             cycles: 90_000,
             cycles_skipped: 30_000,
             wakeup_events: 1_500,
+            reused: 12,
             cache_hits: 40,
             cache_misses: 100,
             phase: PhaseRecord { generate: 0.01, simulate: 0.4, aggregate: 0.09 },
@@ -702,6 +710,7 @@ mod tests {
                 "cycles",
                 "cycles_skipped",
                 "wakeup_events",
+                "reused",
                 "cache_hits",
                 "cache_misses"
             ]

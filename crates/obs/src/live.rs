@@ -47,8 +47,9 @@ use std::time::{Duration, Instant};
 /// the header's `metrics_addr` with the deleted HTTP endpoint. v5
 /// follows the one-batch suite plan: the suite block reports specs
 /// `answered` of specs `planned` instead of harnesses done of total and
-/// the harness in flight.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 5;
+/// the harness in flight. v6 adds the `sims_reused` counter (batch
+/// tasks answered by saturation reuse), and `answered` counts them.
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 6;
 
 /// Where the suite runner streams live snapshots (relative to the
 /// invocation directory, alongside `results/history/suite.jsonl`).
@@ -135,8 +136,9 @@ pub struct WorkerSample {
 pub struct SuiteView {
     /// Distinct specs the suite plans to answer.
     pub planned: u64,
-    /// Specs answered so far: simulated (to completion or failure), or
-    /// served by the run cache or the store.
+    /// Specs answered so far: simulated (to completion or failure),
+    /// reused from a saturated run, or served by the run cache or the
+    /// store.
     pub answered: u64,
 }
 
@@ -157,6 +159,7 @@ fn suite_now(c: &Counts) -> SuiteView {
     let answered = [
         Counter::SimsCompleted,
         Counter::SimsFailed,
+        Counter::SimsReused,
         Counter::CacheHits,
         Counter::StoreHits,
     ]

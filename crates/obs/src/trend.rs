@@ -2,7 +2,7 @@
 //!
 //! Takes parsed ledger records (see [`ledger`](crate::ledger)), compares
 //! the latest run against a baseline, scores paper fidelity (see
-//! [`fidelity`](crate::fidelity)), and renders the result as text,
+//! [`fidelity`]), and renders the result as text,
 //! markdown, or a Prometheus text-format exposition.
 //!
 //! The baseline is either an explicit git revision from the ledger or —
@@ -904,7 +904,7 @@ mod tests {
                 "{{\"schema\":{schema},\"timestamp_unix\":100,\"git_rev\":\"{rev}\",",
                 "\"config\":{{\"commits\":2000,\"jobs\":1}},",
                 "\"totals\":{{\"seconds\":{total},\"sims\":10,\"committed\":20000,",
-                "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,",
+                "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,\"reused\":0,",
                 "\"cache_hits\":1,\"cache_misses\":9}},",
                 "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
                 "\"profile\":null,",

@@ -32,6 +32,7 @@ fn full_record() -> LedgerRecord {
         cycles: 98_765_432,
         cycles_skipped: 750_000,
         wakeup_events: 31_000,
+        reused: 108,
         cache_hits: 321,
         cache_misses: 913,
         phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
@@ -148,6 +149,7 @@ fn minimal_record() -> LedgerRecord {
         cycles: 0,
         cycles_skipped: 0,
         wakeup_events: 0,
+        reused: 0,
         cache_hits: 0,
         cache_misses: 0,
         phase: PhaseRecord::default(),
@@ -213,6 +215,7 @@ fn golden_lines_parse_back_to_current_schema() {
             "cycles",
             "cycles_skipped",
             "wakeup_events",
+            "reused",
             "cache_hits",
             "cache_misses",
         ] {

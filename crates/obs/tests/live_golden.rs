@@ -21,6 +21,7 @@ fn counters() -> Counts {
         Counter::SimsStarted => 412,
         Counter::SimsCompleted => 409,
         Counter::SimsFailed => 3,
+        Counter::SimsReused => 52,
         Counter::InstructionsCommitted => 81_800_000,
         Counter::Cycles => 33_500_000,
         Counter::StallNoReg => 1_250_000,

@@ -23,6 +23,9 @@ pub enum Counter {
     SimsCompleted,
     /// Simulations that panicked, were cancelled, or rejected their spec.
     SimsFailed,
+    /// Batch tasks answered by saturation reuse: from the run of their
+    /// family's largest register file, without simulating.
+    SimsReused,
     /// Instructions committed by completed simulations.
     InstructionsCommitted,
     /// Cycles simulated by completed simulations.
@@ -65,10 +68,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in registry (and rendering) order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 18] = [
         Counter::SimsStarted,
         Counter::SimsCompleted,
         Counter::SimsFailed,
+        Counter::SimsReused,
         Counter::InstructionsCommitted,
         Counter::Cycles,
         Counter::StallNoReg,
@@ -94,6 +98,7 @@ impl Counter {
             Counter::SimsStarted => "sims_started",
             Counter::SimsCompleted => "sims_completed",
             Counter::SimsFailed => "sims_failed",
+            Counter::SimsReused => "sims_reused",
             Counter::InstructionsCommitted => "instructions_committed",
             Counter::Cycles => "cycles",
             Counter::StallNoReg => "stall_no_reg",

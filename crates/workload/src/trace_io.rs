@@ -117,8 +117,10 @@ impl SharedTrace {
     /// # Errors
     ///
     /// I/O errors pass through. Anything that is not a well-formed
-    /// `RFT2` trace is [`io::ErrorKind::InvalidData`]: see the
-    /// [module documentation](self) for the rules.
+    /// `RFT2` trace is [`io::ErrorKind::InvalidData`]: an unknown
+    /// benchmark, a word [`PackedInst::from_bits`] rejects, a missing or
+    /// extra address, jump indices out of order or range, or bytes after
+    /// the jump list.
     pub fn read_from(r: &mut impl Read) -> io::Result<SharedTrace> {
         if read_exactly(r, 4, "magic")? != MAGIC {
             return Err(invalid("not an RFT2 trace".into()));

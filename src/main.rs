@@ -626,8 +626,10 @@ fn human_count(n: f64) -> String {
 
 /// One dashboard frame for `rfstudy top`, rendered from the parsed
 /// telemetry stream. Rates and worker utilization come from the delta
-/// between the last two snapshots (cumulative values when only one
-/// exists yet); the ETA comes from [`eta_seconds`].
+/// between the last two snapshots while the run is live, and from the
+/// cumulative values once the final snapshot is in (or while only one
+/// exists yet): the final window covers just the post-batch renders,
+/// when no worker runs. The ETA comes from [`eta_seconds`].
 fn render_top_frame(
     file: &str,
     header: Option<&rf_obs::live::StreamHeader>,
@@ -663,7 +665,7 @@ fn render_top_frame(
     );
     let c = |counter| last.counters.get(counter);
     let committed = c(Counter::InstructionsCommitted);
-    let prev = (snaps.len() >= 2).then(|| &snaps[snaps.len() - 2]);
+    let prev = (snaps.len() >= 2 && !last.is_final).then(|| &snaps[snaps.len() - 2]);
     let (delta_committed, window_s) = match prev {
         Some(p) => (
             committed.saturating_sub(p.counters.get(Counter::InstructionsCommitted)) as f64,
@@ -672,13 +674,17 @@ fn render_top_frame(
         None => (committed as f64, last.elapsed_s),
     };
     let rate = if window_s > 0.0 { delta_committed / window_s } else { 0.0 };
-    let (started, completed, failed) =
-        (c(Counter::SimsStarted), c(Counter::SimsCompleted), c(Counter::SimsFailed));
+    let (started, completed, failed, reused) = (
+        c(Counter::SimsStarted),
+        c(Counter::SimsCompleted),
+        c(Counter::SimsFailed),
+        c(Counter::SimsReused),
+    );
     let (hits, misses) = (c(Counter::CacheHits), c(Counter::CacheMisses));
     let _ = writeln!(
         out,
-        "sims: {completed} done / {failed} failed / {hits} cached ({started} started, {} in \
-         flight)   commits/s {}",
+        "sims: {completed} done / {failed} failed / {reused} reused / {hits} cached ({started} \
+         started, {} in flight)   commits/s {}",
         started.saturating_sub(completed + failed),
         human_count(rate),
     );
@@ -927,6 +933,7 @@ mod top_tests {
                 Counter::SimsStarted => 10,
                 Counter::SimsCompleted => 7,
                 Counter::SimsFailed => 1,
+                Counter::SimsReused => 3,
                 Counter::InstructionsCommitted => committed,
                 Counter::Cycles => committed / 2,
                 Counter::CacheHits => 2,
@@ -982,13 +989,34 @@ mod top_tests {
         assert!(frame.contains("[#####---------------] 10/40 specs answered"), "{frame}");
         // 30 specs left at 10 per 2s.
         assert!(frame.contains("eta 6.0s"), "{frame}");
-        assert!(frame.contains("7 done / 1 failed / 2 cached (10 started, 2 in flight)"), "{frame}");
+        assert!(
+            frame.contains("7 done / 1 failed / 3 reused / 2 cached (10 started, 2 in flight)"),
+            "{frame}"
+        );
         assert!(frame.contains("(25.0% hit rate)"), "{frame}");
         assert!(!frame.contains("FINISHED"));
 
-        let fin = vec![snaps[1].clone(), snap(3, 3.0, 3_000_000, 500_000_000, true)];
-        let final_frame = render_top_frame("live.jsonl", Some(&header), &fin);
-        assert!(final_frame.contains("FINISHED"), "{final_frame}");
+    }
+
+    #[test]
+    fn the_finished_frame_rates_the_whole_run() {
+        let header = rf_obs::live::StreamHeader {
+            schema: rf_obs::live::SNAPSHOT_SCHEMA_VERSION,
+            interval_ms: 250,
+            commits: 200_000,
+            jobs: 2,
+        };
+        // The final snapshot adds only the post-batch renders: no new
+        // commits and no busy time since the one before it.
+        let snaps = vec![
+            snap(1, 2.0, 3_000_000, 1_500_000_000, false),
+            snap(2, 3.0, 3_000_000, 1_500_000_000, true),
+        ];
+        let frame = render_top_frame("live.jsonl", Some(&header), &snaps);
+        assert!(frame.contains("FINISHED"), "{frame}");
+        // 3M commits over the 3s run; worker 0 busy 1.5s of 3s.
+        assert!(frame.contains("commits/s 1.00M"), "{frame}");
+        assert!(frame.contains("w0 [##########----------]  50.0%  7 sims"), "{frame}");
     }
 
     #[test]

@@ -45,6 +45,7 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         cycles: 320_000,
         cycles_skipped: 128_000,
         wakeup_events: 4_000,
+        reused: 0,
         cache_hits: 10,
         cache_misses: 70,
         phase: PhaseRecord { generate: 0.002, simulate: 2.7 * scale, aggregate: 0.0 },
