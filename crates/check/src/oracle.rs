@@ -29,6 +29,7 @@
 //! cross-check widens it by the simulator's own count of inserted but
 //! never-committed (wrong-path or still in-flight) instructions.
 
+use rf_core::AddrHashBuilder;
 use rf_isa::{Instruction, OpKind, RegClass};
 use std::collections::HashMap;
 
@@ -134,7 +135,7 @@ pub fn analyze(insts: &[Instruction], insert_bw: usize) -> TraceOracle {
     ];
     // Current def id of each virtual register.
     let mut cur: [[usize; 31]; 2] = [std::array::from_fn(|v| v), std::array::from_fn(|v| v)];
-    let mut store_finish: HashMap<u64, u64> = HashMap::new();
+    let mut store_finish: HashMap<u64, u64, AddrHashBuilder> = HashMap::default();
     let (mut loads, mut stores, mut branches) = (0u64, 0u64, 0u64);
     let mut ideal_cycles = 0u64;
 

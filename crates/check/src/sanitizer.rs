@@ -28,7 +28,7 @@
 //!   mapping; under imprecise models, commit frees nothing.
 
 use rf_core::obs::{EventKind, Observer, TraceEvent};
-use rf_core::ExceptionModel;
+use rf_core::{AddrHashBuilder, ExceptionModel};
 use rf_isa::RegClass;
 use std::collections::HashMap;
 use std::fmt;
@@ -181,7 +181,7 @@ pub struct Sanitizer {
     /// Registers staged for freeing this cycle (return to Free at
     /// cycle end, mirroring `PhysRegFile::end_cycle`).
     staged_regs: [Vec<u32>; 2],
-    journal: HashMap<u64, RenameRec>,
+    journal: HashMap<u64, RenameRec, AddrHashBuilder>,
     last_commit: Option<u64>,
     events: u64,
     total_violations: u64,
@@ -200,7 +200,7 @@ impl Sanitizer {
             map: [[0; 31]; 2],
             rev: [vec![None; phys_regs], vec![None; phys_regs]],
             staged_regs: [Vec::new(), Vec::new()],
-            journal: HashMap::new(),
+            journal: HashMap::default(),
             last_commit: None,
             events: 0,
             total_violations: 0,
@@ -584,11 +584,14 @@ impl Observer for Sanitizer {
                     ),
                 );
             }
-            // Staged frees become reusable next cycle.
-            let staged = std::mem::take(&mut self.staged_regs[class.index()]);
-            for p in &staged {
-                self.set_state(class, *p, RegSt::Free);
+            // Staged frees become reusable next cycle. The buffer goes
+            // back emptied, keeping its capacity.
+            let mut staged = std::mem::take(&mut self.staged_regs[class.index()]);
+            for &p in &staged {
+                self.set_state(class, p, RegSt::Free);
             }
+            staged.clear();
+            self.staged_regs[class.index()] = staged;
         }
     }
 }

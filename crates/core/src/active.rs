@@ -1,6 +1,7 @@
 //! The active list: every renamed, not-yet-committed instruction in
 //! program order.
 
+use crate::imprecise::WriterChain;
 use rf_bpred::{HistoryCheckpoint, Prediction};
 use rf_isa::{IssueClass, OpKind, RegClass};
 use std::fmt;
@@ -88,6 +89,10 @@ pub struct ActiveEntry {
     pub complete_at: u32,
     /// Renamed destination: `(class, new_phys, virtual_index, prev_phys)`.
     pub dest: Option<(RegClass, u32, u8, u32)>,
+    /// A writer's link on its virtual register's writer chain: the
+    /// distance back to the previous writer of the same virtual register
+    /// (0 ends the chain). See [`crate::WriterChain`].
+    pub(crate) writer_link: u32,
     /// Renamed physical sources (zero-register reads excluded).
     pub srcs: [Src; 2],
     /// Waiter-chain links, one per source slot: while the slot's source
@@ -200,6 +205,7 @@ pub(crate) const VACANT: ActiveEntry = ActiveEntry {
     addr: NO_ADDR,
     complete_at: u32::MAX,
     dest: None,
+    writer_link: 0,
     srcs: [Src::NONE; 2],
     links: [0, 0],
     mem_link: 0,
@@ -622,6 +628,7 @@ impl ActiveList {
     }
 
     /// Removes and returns the oldest entry (commit).
+    #[inline]
     pub fn pop_front(&mut self) -> Option<ActiveEntry> {
         let e = *self.front()?;
         self.leave_queue(self.slot(e.seq));
@@ -635,11 +642,27 @@ impl ActiveList {
     /// reference to squashed sequence numbers during recovery (it does:
     /// fills are cancelled, outstanding-barrier and pending-kill records
     /// are truncated to the squash boundary).
+    #[inline]
     pub fn pop_back(&mut self) -> Option<ActiveEntry> {
         let e = *self.back()?;
         self.leave_queue(self.slot(e.seq));
         self.next_seq = e.seq;
         Some(e)
+    }
+
+    /// The live entry `seq`, which the caller knows is in flight.
+    #[inline]
+    pub(crate) fn at(&self, seq: u64) -> &ActiveEntry {
+        debug_assert!(self.live(seq), "entry {seq} is in flight");
+        &self.entries[self.slot(seq)]
+    }
+
+    /// The cold state of the entry `seq` that [`ActiveList::pop_back`]
+    /// just removed (its slot is untouched until the next push).
+    #[inline]
+    pub(crate) fn popped_cold(&self, seq: u64) -> &ColdEntry {
+        debug_assert_eq!(seq, self.next_seq, "entry {seq} was just popped");
+        &self.cold[self.slot(seq)]
     }
 
     /// The youngest in-flight entry.
@@ -671,6 +694,15 @@ impl ActiveList {
     #[cfg(test)]
     pub(crate) fn mem_ready(&self) -> u32 {
         self.mem_ready
+    }
+}
+
+impl WriterChain for ActiveList {
+    #[inline]
+    fn retired_by(&self, seq: u64) -> (u32, u32) {
+        let e = self.at(seq);
+        let (_, _, _, prev) = e.dest.expect("a chained entry writes a register");
+        (prev, e.writer_link)
     }
 }
 

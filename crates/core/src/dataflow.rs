@@ -12,6 +12,7 @@
 //! simulated 4-/8-way machines shows how much of the available
 //! parallelism the realistic configurations harvest.
 
+use crate::AddrHashBuilder;
 use rf_isa::{Instruction, OpKind};
 use std::collections::HashMap;
 
@@ -69,7 +70,7 @@ pub fn analyze(
     // (class-major indexing: 31 int + 31 fp).
     let mut reg_finish = [0u64; 62];
     // Completion time of the last store to each (8-byte) address.
-    let mut store_finish: HashMap<u64, u64> = HashMap::new();
+    let mut store_finish: HashMap<u64, u64, AddrHashBuilder> = HashMap::default();
     // Ring of the last `w` finish times for the window constraint.
     let mut ring: Vec<u64> = window.map(|w| vec![0; w.max(1)]).unwrap_or_default();
     let mut n = 0u64;

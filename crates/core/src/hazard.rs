@@ -40,7 +40,7 @@ use std::hash::{BuildHasher, Hasher};
 
 /// SplitMix64 finalizer: a fixed, seedless avalanche of one `u64`.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AddrHasher(u64);
+pub struct AddrHasher(u64);
 
 impl Hasher for AddrHasher {
     #[inline]
@@ -66,9 +66,22 @@ impl Hasher for AddrHasher {
 }
 
 /// [`BuildHasher`] for [`AddrHasher`]: stateless, so every map built
-/// from it hashes identically across runs and processes.
+/// from it hashes identically across runs and processes. For maps keyed
+/// by simulated addresses or sequence numbers, which need no defence
+/// against adversarial keys.
+///
+/// # Examples
+///
+/// ```
+/// use rf_core::AddrHashBuilder;
+/// use std::collections::HashMap;
+///
+/// let mut finish: HashMap<u64, u64, AddrHashBuilder> = HashMap::default();
+/// finish.insert(0x1000, 7);
+/// assert_eq!(finish.get(&0x1000), Some(&7));
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AddrHashBuilder;
+pub struct AddrHashBuilder;
 
 impl BuildHasher for AddrHashBuilder {
     type Hasher = AddrHasher;

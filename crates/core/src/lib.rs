@@ -72,8 +72,9 @@ mod wheel;
 pub use active::{ActiveEntry, ActiveList, ColdEntry, Src, Stage};
 pub use config::{ExceptionModel, MachineConfig, SchedPolicy};
 pub use fu::DividerPool;
-pub use imprecise::KillEngine;
+pub use hazard::{AddrHashBuilder, AddrHasher};
+pub use imprecise::{KillEngine, Killed, WriterChain};
 pub use obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
 pub use pipeline::{skip_telemetry, CancelToken, Cancelled, Pipeline};
-pub use regfile::{Category, PhysRegFile, RegState};
+pub use regfile::{Category, Condition, PhysRegFile, RegState};
 pub use stats::{LiveModel, SimStats};

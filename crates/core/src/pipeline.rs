@@ -9,7 +9,7 @@ use crate::fu::DividerPool;
 use crate::hazard::AddrTable;
 use crate::imprecise::KillEngine;
 use crate::obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
-use crate::regfile::{Category, PhysRegFile};
+use crate::regfile::{Category, Condition, PhysRegFile};
 use crate::select::{self, Budgets, IssueBlocks};
 use crate::stats::SimStats;
 use crate::wheel::CompletionWheel;
@@ -497,16 +497,16 @@ impl<O: Observer> Pipeline<O> {
     // Completion
     // ------------------------------------------------------------------
 
-    /// Completes every issued instruction whose result arrives this cycle.
+    /// Completes every issued instruction whose result arrives this cycle,
+    /// in one pass over the cycle's wheel slot.
     ///
-    /// The wheel yields the cycle's records in `seq` order, so a
+    /// The wheel yields the cycle's records in `seq` order, so predictor
+    /// training and kill-engine events run in program order, and a
     /// mispredicted branch completes before any of the wrong-path
-    /// instructions it spawned; recovery runs *immediately* at its completion — before
-    /// younger completions are processed and, crucially, before the kill
-    /// engine's watermark is allowed to advance past wrong-path writers —
-    /// so that rollback still finds every retirement record intact. The
-    /// same order keeps predictor training in program order within a
-    /// cycle.
+    /// instructions it spawned. Recovery runs *immediately* at its
+    /// completion — before the kill engine's watermark may advance past
+    /// wrong-path writers — and ends the pass: every later record in the
+    /// slot is younger than the branch, so the recovery just squashed it.
     fn complete_phase(&mut self) {
         let now = self.now;
         let due = self.completions.take_due(now);
@@ -521,29 +521,29 @@ impl<O: Observer> Pipeline<O> {
                 continue;
             };
             entry.stage = Stage::Completed;
-            let entry = *entry;
             // Separate spans for the entry work and recovery leave the
             // phase's self-time as the completion wheel's own cost.
-            let recover = {
+            let mispredicted = {
                 let _s = self.pspan("cycle.complete.entry");
-                self.complete_entry(&entry)
+                self.complete_entry(seq)
             };
-            if recover {
+            if mispredicted {
                 let _s = self.pspan("cycle.complete.recover");
                 self.recover(seq);
+                break;
             }
         }
         self.completions.restore(now, due);
     }
 
-    /// Completes one instruction (already marked [`Stage::Completed`]);
-    /// returns true if it is a mispredicted correct-path branch (recovery
-    /// needed).
-    fn complete_entry(&mut self, entry: &ActiveEntry) -> bool {
-        let &ActiveEntry { seq, kind, wrong_path, dest, .. } = entry;
+    /// Completes the in-flight instruction `seq` (already marked
+    /// [`Stage::Completed`]), reading it in place in the ring; returns
+    /// true if it is a mispredicted correct-path branch (recovery needed).
+    fn complete_entry(&mut self, seq: u64) -> bool {
+        let &ActiveEntry { kind, wrong_path, dest, srcs, addr, .. } = self.active.at(seq);
         // A completed memory operation releases the younger loads and
         // stores at its address that waited for it.
-        if let Some(addr) = entry.mem_addr() {
+        if addr != NO_ADDR {
             let active = &mut self.active;
             self.addrs.remove(addr, kind == OpKind::Store, |head| active.release_mem(head, seq));
         }
@@ -561,27 +561,26 @@ impl<O: Observer> Pipeline<O> {
         }
 
         // Source registers: this reader has completed.
-        for (class, p) in entry.src_regs() {
-            let reg = self.regs[class.index()].reg_mut(p);
-            debug_assert!(reg.pending_readers > 0);
-            reg.pending_readers -= 1;
-            self.maybe_free_imprecise(class, p);
+        for (class, p) in srcs.into_iter().filter_map(Src::get) {
+            self.meet(class, p, Condition::Reader);
         }
 
         // Destination register: the value is now available. Wake the
         // in-queue readers waiting on it before anything can free the
-        // register (freeing requires zero pending readers, so live
-        // waiters pin it; the wake-up is what moves them into the scan).
+        // register (each waiter holds a count on it; the wake-up is what
+        // moves them into the scan).
         if let Some((class, new, vreg, _prev)) = dest {
-            self.regs[class.index()].reg_mut(new).ready = true;
+            let file = &mut self.regs[class.index()];
+            file.reg_mut(new).ready = true;
+            file.transition(new, Category::WaitImprecise);
             self.active.wake_chain(&mut self.wait_heads[class.index()][new as usize]);
-            self.regs[class.index()].transition(new, Category::WaitImprecise);
-            self.maybe_free_imprecise(class, new);
+            self.meet(class, new, Condition::Writer);
             // Feeding wrong-path writers to the kill engine is safe: they
             // can never gain branch clearance while their mispredicted
             // branch is outstanding, and squash purges them.
-            self.kill.writer_completed_into(class, vreg, seq, &mut self.scratch_kills);
-            self.apply_kills();
+            let _s = self.pspan("kill_engine");
+            let kills = &mut self.scratch_kills;
+            self.kill.writer_completed_into(class, vreg, seq, &self.active, kills);
         }
 
         // Under the Alpha-style hybrid model, completing memory
@@ -591,63 +590,61 @@ impl<O: Observer> Pipeline<O> {
             && !wrong_path
             && self.config.exception_model() == ExceptionModel::AlphaHybrid
         {
-            self.kill.barrier_completed_into(seq, &mut self.scratch_kills);
-            self.apply_kills();
+            let _s = self.pspan("kill_engine");
+            self.kill.barrier_completed_into(seq, &self.active, &mut self.scratch_kills);
         }
 
         // Conditional branches: train the predictor (correct path only)
         // and check for misprediction.
-        if kind == OpKind::CondBranch {
+        if kind == OpKind::CondBranch && !wrong_path {
             let cold = self.active.cold(seq).expect("completing entry is live");
-            let pc = cold.pc;
-            if let Some(BranchInfo { prediction, actual, .. }) = cold.branch {
-                if !wrong_path {
-                    self.bp.train(pc, prediction, actual);
-                    self.stats.bpred.record(prediction.taken(), actual);
-                    if prediction.taken() != actual {
-                        // Mispredicted: the kill-engine completion of this
-                        // branch is deferred into recover(), which must
-                        // purge squashed state before the watermark (and
-                        // hence any kills) may advance.
-                        return true;
-                    }
-                    self.kill.branch_completed_into(seq, &mut self.scratch_kills);
-                    self.apply_kills();
-                }
+            let (pc, info) = (cold.pc, cold.branch.expect("a branch carries its prediction"));
+            let BranchInfo { prediction, actual, .. } = info;
+            self.bp.train(pc, prediction, actual);
+            self.stats.bpred.record(prediction.taken(), actual);
+            if prediction.taken() != actual {
+                // Mispredicted: the kill-engine completion of this
+                // branch is deferred into recover(), which must purge
+                // squashed state before the watermark (and hence any
+                // kills) may advance. A branch writes no register, so no
+                // kill is waiting to be applied.
+                debug_assert!(self.scratch_kills.is_empty());
+                return true;
             }
+            let _s = self.pspan("kill_engine");
+            self.kill.barrier_completed_into(seq, &self.active, &mut self.scratch_kills);
+        }
+        // The kills every completion above enabled, in program order:
+        // they meet their registers' conditions after this entry's own
+        // reads and write have.
+        if !self.scratch_kills.is_empty() {
+            self.apply_kills();
         }
         false
     }
 
     /// Applies mapping kills accumulated in `scratch_kills` (filled by the
-    /// kill engine's `*_into` methods): marks registers killed and frees
-    /// them if the remaining imprecise conditions hold, then empties the
-    /// buffer in place (no allocation, no buffer swap).
+    /// kill engine's `*_into` methods), oldest first: each killed mapping
+    /// meets one of its register's outstanding conditions. Empties
+    /// the buffer in place (no allocation, no buffer swap).
+    #[inline]
     fn apply_kills(&mut self) {
         for i in 0..self.scratch_kills.len() {
             let (class, p) = self.scratch_kills[i];
-            self.regs[class.index()].reg_mut(p).killed = true;
-            self.maybe_free_imprecise(class, p);
+            self.meet(class, p, Condition::Killed);
         }
         self.scratch_kills.clear();
     }
 
-    /// If all three imprecise conditions hold for register `p` — writer
-    /// completed, readers drained, mapping killed — frees it (imprecise
-    /// model) or moves it to the wait-precise shadow category (precise
-    /// model).
-    fn maybe_free_imprecise(&mut self, class: RegClass, p: u32) {
+    /// Meets one of register `p`'s outstanding imprecise freeing
+    /// conditions. When none remain, frees the register (imprecise model)
+    /// or moves it to the wait-precise shadow category (precise model).
+    #[inline]
+    fn meet(&mut self, class: RegClass, p: u32, cond: Condition) {
         let file = &mut self.regs[class.index()];
-        let reg = file.reg(p);
-        if !reg.allocated
-            || reg.imprecise_free
-            || !reg.ready
-            || reg.pending_readers > 0
-            || !reg.killed
-        {
+        if !file.meet(p, cond) {
             return;
         }
-        file.reg_mut(p).imprecise_free = true;
         match self.config.exception_model() {
             ExceptionModel::Imprecise | ExceptionModel::AlphaHybrid => {
                 file.stage_free(p);
@@ -668,9 +665,8 @@ impl<O: Observer> Pipeline<O> {
     /// cancels in-flight fills, restores the global history, and redirects
     /// fetch (resuming next cycle).
     fn recover(&mut self, branch_seq: u64) {
-        while let Some(seq) = self.active.back().map(|e| e.seq).filter(|&s| s > branch_seq) {
-            let cold = *self.active.cold(seq).expect("back exists");
-            let e = self.active.pop_back().expect("back exists");
+        while self.active.next_seq() > branch_seq + 1 {
+            let e = self.active.pop_back().expect("the squashed entry is live");
             self.stats.squashed += 1;
             match e.stage {
                 Stage::InQueue => {
@@ -681,7 +677,7 @@ impl<O: Observer> Pipeline<O> {
                     if e.kind == OpKind::Load {
                         self.cache.cancel(e.seq);
                     }
-                    if let Some(unit) = cold.div_unit {
+                    if let Some(unit) = self.active.popped_cold(e.seq).div_unit {
                         self.dividers.release_early(unit, self.now);
                     }
                 }
@@ -707,10 +703,7 @@ impl<O: Observer> Pipeline<O> {
                     self.addrs.remove(addr, store, |head| ActiveList::unlink_mem(head, &e));
                 }
                 for (class, p) in e.src_regs() {
-                    let reg = self.regs[class.index()].reg_mut(p);
-                    debug_assert!(reg.pending_readers > 0);
-                    reg.pending_readers -= 1;
-                    self.maybe_free_imprecise(class, p);
+                    self.meet(class, p, Condition::Reader);
                 }
             }
             // Undo the rename: restore the previous mapping, free the
@@ -722,7 +715,7 @@ impl<O: Observer> Pipeline<O> {
                     "younger waiters were squashed first"
                 );
                 self.map[class.index()][vreg as usize] = prev;
-                self.kill.rollback_retirement(class, vreg, e.seq);
+                self.kill.writer_squashed(class, vreg, e.seq, e.writer_link);
                 self.regs[class.index()].stage_free(new);
             }
             if O::ACTIVE {
@@ -731,7 +724,7 @@ impl<O: Observer> Pipeline<O> {
                     seq: e.seq,
                     kind: EventKind::Squash,
                     op: e.kind,
-                    pc: cold.pc,
+                    pc: self.active.popped_cold(e.seq).pc,
                     wrong_path: e.wrong_path,
                     dest: None,
                     freed: e.dest.map(|(class, new, _, _)| (class, new)),
@@ -741,9 +734,12 @@ impl<O: Observer> Pipeline<O> {
         // Purge kill-engine state belonging to squashed instructions,
         // then complete the branch itself; only now may the watermark
         // advance and kills fire.
-        self.kill.squash_younger_than_into(branch_seq, &mut self.scratch_kills);
-        self.apply_kills();
-        self.kill.branch_completed_into(branch_seq, &mut self.scratch_kills);
+        {
+            let _s = self.pspan("kill_engine");
+            let (active, kills) = (&self.active, &mut self.scratch_kills);
+            self.kill.squash_younger_than_into(branch_seq, active, kills);
+            self.kill.barrier_completed_into(branch_seq, active, kills);
+        }
         self.apply_kills();
 
         // Restore the global history to its pre-insertion value, then
@@ -788,8 +784,9 @@ impl<O: Observer> Pipeline<O> {
             let mut freed = None;
             if let Some((class, _new, _vreg, prev)) = e.dest {
                 if self.config.exception_model() == ExceptionModel::Precise {
-                    debug_assert!(
-                        self.regs[class.index()].reg(prev).imprecise_free,
+                    debug_assert_eq!(
+                        self.regs[class.index()].reg(prev).category,
+                        Category::WaitPrecise,
                         "imprecise conditions always precede precise freeing"
                     );
                     self.regs[class.index()].stage_free(prev);
@@ -1036,20 +1033,21 @@ impl<O: Observer> Pipeline<O> {
             if let Some(r) = src {
                 if !r.is_zero() {
                     let p = self.map[r.class().index()][r.index() as usize];
-                    self.regs[r.class().index()].reg_mut(p).pending_readers += 1;
+                    self.regs[r.class().index()].hold(p);
                     *slot = Src::new(r.class(), p);
                 }
             }
         }
         // Destination.
         let mut dest = None;
+        let mut writer_link = 0;
         if let Some(d) = inst.dest() {
             let class = d.class();
             let vreg = d.index();
             let new = self.regs[class.index()].alloc().expect("checked by caller");
             let prev = self.map[class.index()][vreg as usize];
             self.map[class.index()][vreg as usize] = new;
-            self.kill.mapping_retired(class, vreg, prev, seq);
+            writer_link = self.kill.writer_renamed(class, vreg, seq);
             dest = Some((class, new, vreg, prev));
         }
         // Branch prediction and speculative history update.
@@ -1085,6 +1083,7 @@ impl<O: Observer> Pipeline<O> {
                 addr: inst.mem().map_or(NO_ADDR, |m| m.addr()),
                 complete_at: u32::MAX,
                 dest,
+                writer_link,
                 srcs,
                 links: [0, 0],
                 mem_link: 0,

@@ -39,36 +39,84 @@ impl Category {
     }
 }
 
+/// One of the paper's three imprecise freeing conditions, met by an event
+/// the pipeline reports through [`PhysRegFile::meet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Condition {
+    /// A renamed reader completed or was squashed.
+    Reader,
+    /// The writer completed.
+    Writer,
+    /// The mapping was killed: a later writer of the same virtual
+    /// register completed with every older exception barrier resolved.
+    Killed,
+}
+
 /// Per-physical-register bookkeeping.
 #[derive(Debug, Clone)]
 pub struct RegState {
-    /// Whether the register is currently allocated (not on the free list).
-    pub allocated: bool,
     /// Whether the writer's result is available (writer completed) — the
     /// issue-readiness condition for readers.
     pub ready: bool,
-    /// Renamed readers that have not yet completed (or been squashed).
-    pub pending_readers: u32,
-    /// Whether the mapping has been killed per the imprecise rules (a
-    /// later writer of the same virtual register completed with all its
-    /// preceding branches complete).
-    pub killed: bool,
-    /// Whether the imprecise freeing conditions have all been met.
-    pub imprecise_free: bool,
+    /// The imprecise freeing conditions still unmet, as one countdown:
+    /// renamed readers not yet completed (or squashed), plus one while
+    /// the writer has not completed, plus one while the mapping is not
+    /// killed. The register becomes imprecise-free exactly when it
+    /// reaches zero, once per allocation.
+    pub outstanding: u32,
     /// Current liveness category (meaningful while allocated).
     pub category: Category,
+    /// Debug builds keep the conditions apart too, to check the
+    /// countdown against them.
+    #[cfg(debug_assertions)]
+    shadow: Shadow,
+}
+
+/// The per-condition flags the countdown folds together, kept by debug
+/// builds only.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Shadow {
+    readers: u32,
+    killed: bool,
+}
+
+impl RegState {
+    /// A freshly allocated register: `outstanding` conditions unmet, the
+    /// writer's among them unless `ready`.
+    fn fresh(ready: bool, outstanding: u32, category: Category) -> Self {
+        Self {
+            ready,
+            outstanding,
+            category,
+            #[cfg(debug_assertions)]
+            shadow: Shadow::default(),
+        }
+    }
+}
+
+impl RegState {
+    /// Records `cond` met in the shadow flags and checks the countdown
+    /// against them.
+    #[cfg(debug_assertions)]
+    fn check_countdown(&mut self, p: u32, cond: Condition) {
+        let sh = &mut self.shadow;
+        match cond {
+            Condition::Reader => sh.readers -= 1,
+            Condition::Writer => assert!(self.ready, "writer of {p} met before ready"),
+            Condition::Killed => {
+                assert!(!sh.killed, "mapping to {p} killed twice");
+                sh.killed = true;
+            }
+        }
+        let unmet = sh.readers + u32::from(!self.ready) + u32::from(!sh.killed);
+        assert_eq!(self.outstanding, unmet, "countdown of register {p} after {cond:?}");
+    }
 }
 
 impl Default for RegState {
     fn default() -> Self {
-        Self {
-            allocated: false,
-            ready: false,
-            pending_readers: 0,
-            killed: false,
-            imprecise_free: false,
-            category: Category::WaitImprecise,
-        }
+        Self::fresh(false, 0, Category::WaitImprecise)
     }
 }
 
@@ -234,29 +282,68 @@ impl PhysRegFile {
             "free mask held out-of-range register {p} (file size {})",
             self.state.len()
         );
-        let s = &mut self.state[p as usize];
-        debug_assert!(!s.allocated, "double allocation of register {p}");
-        *s = RegState {
-            allocated: true,
-            ready: false,
-            pending_readers: 0,
-            killed: false,
-            imprecise_free: false,
-            category: Category::InQueue,
-        };
+        // The writer has not completed and its mapping is not killed.
+        self.state[p as usize] = RegState::fresh(false, 2, Category::InQueue);
         self.cat_counts[Category::InQueue.index()] += 1;
         Some(p)
     }
 
     /// Allocates a register representing committed architectural state
     /// (initial mappings): writer already "completed", category
-    /// wait-imprecise.
+    /// wait-imprecise, only the mapping left to kill.
     pub fn alloc_architectural(&mut self) -> Option<u32> {
         let p = self.alloc()?;
         self.transition(p, Category::InFlight);
         self.transition(p, Category::WaitImprecise);
-        self.state[p as usize].ready = true;
+        self.state[p as usize] = RegState::fresh(true, 1, Category::WaitImprecise);
         Some(p)
+    }
+
+    /// Whether register `p` is allocated: neither on the free list nor
+    /// staged for it.
+    fn is_allocated(&self, p: u32) -> bool {
+        let (w, bit) = ((p / 64) as usize, 1 << (p % 64));
+        (self.free_words[w] | self.staged_words[w]) & bit == 0
+    }
+
+    /// Adds one outstanding freeing condition to register `p`: a renamed
+    /// reader.
+    #[inline]
+    pub fn hold(&mut self, p: u32) {
+        let s = &mut self.state[p as usize];
+        s.outstanding += 1;
+        #[cfg(debug_assertions)]
+        {
+            s.shadow.readers += 1;
+        }
+    }
+
+    /// Meets one of register `p`'s outstanding freeing conditions (for
+    /// [`Condition::Writer`], after marking it ready); returns true when
+    /// it was the last, so the register just became imprecise-free.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics when the countdown disagrees with the
+    /// conditions it folds, and when it reaches zero without the old
+    /// per-flag predicate holding: allocated, not yet imprecise-free,
+    /// writer complete, no reader pending, mapping killed.
+    #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub fn meet(&mut self, p: u32, cond: Condition) -> bool {
+        let s = &mut self.state[p as usize];
+        debug_assert!(s.outstanding > 0, "register {p} has no condition left to meet");
+        s.outstanding -= 1;
+        #[cfg(debug_assertions)]
+        s.check_countdown(p, cond);
+        if s.outstanding != 0 {
+            return false;
+        }
+        debug_assert!(
+            self.is_allocated(p) && self.state[p as usize].category != Category::WaitPrecise,
+            "register {p}'s countdown reached zero while not held"
+        );
+        true
     }
 
     /// Direct access to a register's state.
@@ -276,8 +363,8 @@ impl PhysRegFile {
     /// counters.
     #[inline]
     pub fn transition(&mut self, p: u32, to: Category) {
+        debug_assert!(self.is_allocated(p), "transition of unallocated register {p}");
         let s = &mut self.state[p as usize];
-        debug_assert!(s.allocated, "transition of unallocated register {p}");
         self.cat_counts[s.category.index()] -= 1;
         s.category = to;
         self.cat_counts[to.index()] += 1;
@@ -297,12 +384,9 @@ impl PhysRegFile {
             "stage_free of out-of-range register {p} (file size {})",
             self.state.len()
         );
-        let s = &mut self.state[p as usize];
-        debug_assert!(s.allocated, "double free of register {p}");
-        self.cat_counts[s.category.index()] -= 1;
-        s.allocated = false;
+        debug_assert!(self.is_allocated(p), "double free of register {p}");
+        self.cat_counts[self.state[p as usize].category.index()] -= 1;
         let w = (p / 64) as usize;
-        debug_assert_eq!(self.staged_words[w] & (1 << (p % 64)), 0);
         self.staged_words[w] |= 1 << (p % 64);
         self.staged_len += 1;
         self.staged_hint = self.staged_hint.min(w);
@@ -372,6 +456,44 @@ mod tests {
         assert_eq!(rf.live_count(), 1);
         rf.stage_free(p);
         assert_eq!(rf.category_counts(), [0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn countdown_reaches_zero_once_every_condition_is_met() {
+        let mut rf = PhysRegFile::new(40);
+        let p = rf.alloc().unwrap();
+        assert_eq!(rf.reg(p).outstanding, 2, "writer and mapping");
+        rf.hold(p);
+        rf.hold(p);
+        // Any order: the mapping may die before the writer completes.
+        assert!(!rf.meet(p, Condition::Killed));
+        assert!(!rf.meet(p, Condition::Reader));
+        rf.reg_mut(p).ready = true;
+        assert!(!rf.meet(p, Condition::Writer));
+        assert!(rf.meet(p, Condition::Reader), "the last reader frees it");
+        let arch = rf.alloc_architectural().unwrap();
+        assert_eq!(rf.reg(arch).outstanding, 1, "only the mapping");
+        assert!(rf.meet(arch, Condition::Killed));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "killed twice")]
+    fn a_second_kill_of_one_mapping_panics_in_debug() {
+        let mut rf = PhysRegFile::new(33);
+        let p = rf.alloc().unwrap();
+        rf.hold(p);
+        rf.meet(p, Condition::Killed);
+        rf.meet(p, Condition::Killed);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before ready")]
+    fn a_writer_met_before_its_result_is_ready_panics_in_debug() {
+        let mut rf = PhysRegFile::new(33);
+        let p = rf.alloc().unwrap();
+        rf.meet(p, Condition::Writer);
     }
 
     #[test]

@@ -10,9 +10,20 @@
 //! everything younger than itself.
 
 use proptest::prelude::*;
-use rf_core::KillEngine;
+use rf_core::{KillEngine, Killed, WriterChain};
 use rf_isa::RegClass;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// The writer chains, as the pipeline's active list keeps them: each
+/// renamed writer's retired physical register and chain link.
+#[derive(Default)]
+struct Chains(BTreeMap<u64, (u32, u32)>);
+
+impl WriterChain for Chains {
+    fn retired_by(&self, seq: u64) -> (u32, u32) {
+        self.0[&seq]
+    }
+}
 
 /// A randomly generated event stream.
 #[derive(Debug, Clone)]
@@ -84,6 +95,8 @@ proptest! {
     #[test]
     fn kill_engine_matches_brute_force(events in prop::collection::vec(event_strategy(), 1..60)) {
         let mut eng = KillEngine::new();
+        let mut chains = Chains::default();
+        let mut killed: Vec<Killed> = Vec::new();
         let mut reference = Reference::default();
         let mut seq = 0u64;
         let mut phys = 100u32;
@@ -108,10 +121,7 @@ proptest! {
                         .find(|&&mut (_, done, is_branch)| !done && is_branch)
                     {
                         entry.1 = true;
-                        let bseq = entry.0;
-                        for (_, p) in eng.branch_completed(bseq) {
-                            engine_killed.insert(p);
-                        }
+                        eng.barrier_completed_into(entry.0, &chains, &mut killed);
                     }
                 }
                 Event::BarrierCompleteAny(pick) => {
@@ -121,27 +131,18 @@ proptest! {
                         let n = open.len();
                         let entry = &mut open[pick % n];
                         entry.1 = true;
-                        let (bseq, is_branch) = (entry.0, entry.2);
-                        let killed = if is_branch {
-                            eng.branch_completed(bseq)
-                        } else {
-                            eng.barrier_completed(bseq)
-                        };
-                        for (_, p) in killed {
-                            engine_killed.insert(p);
-                        }
+                        eng.barrier_completed_into(entry.0, &chains, &mut killed);
                     }
                 }
                 Event::RetireAndCompleteWriter(vreg) => {
                     let killer = seq;
                     seq += 1;
                     phys += 1;
-                    eng.mapping_retired(RegClass::Int, vreg, phys, killer);
+                    let link = eng.writer_renamed(RegClass::Int, vreg, killer);
+                    chains.0.insert(killer, (phys, link));
                     reference.retired.push((vreg, phys, killer, false));
                     // The writer completes immediately after retiring.
-                    for (_, p) in eng.writer_completed(RegClass::Int, vreg, killer) {
-                        engine_killed.insert(p);
-                    }
+                    eng.writer_completed_into(RegClass::Int, vreg, killer, &chains, &mut killed);
                     let last = reference.retired.len() - 1;
                     reference.retired[last].3 = true;
                 }
@@ -158,16 +159,13 @@ proptest! {
                             if killer <= boundary {
                                 break;
                             }
-                            eng.rollback_retirement(RegClass::Int, vreg, killer);
+                            let (_, link) = chains.0.remove(&killer).expect("renamed");
+                            eng.writer_squashed(RegClass::Int, vreg, killer, link);
                             reference.retired.pop();
                         }
                         reference.branches.retain(|&(bseq, _, _)| bseq <= boundary);
-                        for (_, p) in eng.squash_younger_than(boundary) {
-                            engine_killed.insert(p);
-                        }
-                        for (_, p) in eng.branch_completed(boundary) {
-                            engine_killed.insert(p);
-                        }
+                        eng.squash_younger_than_into(boundary, &chains, &mut killed);
+                        eng.barrier_completed_into(boundary, &chains, &mut killed);
                         let entry = reference
                             .branches
                             .iter_mut()
@@ -178,6 +176,7 @@ proptest! {
                     }
                 }
             }
+            engine_killed.extend(killed.drain(..).map(|(_, p)| p));
             prop_assert_eq!(
                 &engine_killed,
                 &reference.killed_set(),

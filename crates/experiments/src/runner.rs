@@ -579,14 +579,16 @@ fn run_task(
     };
     let _sim_span = rf_prof::span("run.simulate");
     let sim_start = Instant::now();
-    let mut pipeline = Pipeline::new(spec.machine_config());
-    if let Some(token) = cancel {
-        pipeline = pipeline.with_cancel(token.clone());
-    }
-    // The pipeline is moved into the closure and dropped there on panic:
-    // its state can never be observed again, which is what makes the
-    // unwind boundary safe to assert across.
+    // The pipeline is built and dropped inside the closure, so its state
+    // can never be observed after a panic, which is what makes the unwind
+    // boundary safe to assert across. Building it inside also contains a
+    // spec the machine rejects (too few registers, say): that spec fails
+    // alone instead of taking its worker down.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut pipeline = Pipeline::new(spec.machine_config());
+        if let Some(token) = cancel {
+            pipeline = pipeline.with_cancel(token.clone());
+        }
         pipeline.run(&mut trace.cursor(), &mut trace.wrong_path(), spec.commits)
     }));
     let stats = match caught {
@@ -1415,6 +1417,42 @@ mod tests {
     fn unknown_benchmark_panics() {
         let s = RunSpec::baseline("nope", 4);
         let _ = simulate(&s);
+    }
+
+    /// A spec whose machine configuration panics: fewer registers than
+    /// the renamer needs.
+    fn invalid_spec() -> RunSpec {
+        RunSpec::baseline("gcc1", 4).regs(16).commits(1_000)
+    }
+
+    fn assert_rejected(outcome: Result<&SimStats, &RunError>) {
+        match outcome.expect_err("the invalid spec fails") {
+            RunError::WorkerPanic { benchmark, payload } => {
+                assert_eq!(benchmark, "gcc1");
+                assert!(payload.contains("physical registers"), "payload: {payload}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_invalid_spec_is_a_worker_panic_not_a_panic() {
+        assert_rejected(try_simulate(&invalid_spec()).as_ref());
+    }
+
+    #[test]
+    fn an_invalid_spec_fails_alone_in_a_pool_batch() {
+        let good = RunSpec::baseline("espresso", 4).commits(1_000);
+        let expected = simulate(&good);
+        for jobs in [1, 3] {
+            let pool = SimPool::new(jobs);
+            let specs = [good.clone(), invalid_spec(), good.clone().regs(64)];
+            let out = pool.try_run_many_cached(&specs, &RunCache::new());
+            assert_eq!(out.len(), 3, "{jobs} workers");
+            assert_eq!(**out[0].as_ref().expect("the good spec completes"), expected);
+            assert_rejected(out[1].as_deref());
+            assert!(out[2].is_ok(), "{jobs} workers: the batch survives");
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Recorder {
     /// order.
     pub fn in_flight(&self) -> Vec<&InstRecord> {
         let mut v: Vec<&InstRecord> = self.live.values().collect();
-        v.sort_unstable_by_key(|r| r.insert);
+        v.sort_unstable_by_key(|r| (r.insert, r.seq));
         v
     }
 
