@@ -15,12 +15,17 @@
 
 use crate::oracle::{self, TraceOracle};
 use crate::sanitizer::Sanitizer;
-use rf_core::{CancelToken, ExceptionModel, LiveModel, MachineConfig, Pipeline, SimStats};
+use rf_core::{
+    CancelToken, ExceptionModel, LiveModel, MachineConfig, Pipeline, RunSpec, SimStats,
+    DEFAULT_SEED,
+};
 use rf_isa::RegClass;
 use rf_workload::{spec92, SharedTrace, TraceGenerator};
 
-/// Parameters of one cross-validation run.
-#[derive(Debug, Clone)]
+/// One point of the check matrix: the six dimensions the matrix varies
+/// or pins. [`CheckParams::spec`] is the [`RunSpec`] it names; every
+/// other dimension is the paper's baseline.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckParams {
     /// Benchmark profile name (must resolve via [`spec92::by_name`]).
     pub bench: String,
@@ -34,6 +39,20 @@ pub struct CheckParams {
     pub commits: u64,
     /// Workload seed.
     pub seed: u64,
+}
+
+impl CheckParams {
+    /// The run this matrix point names: [`RunSpec::baseline`] with the
+    /// point's registers, exception model, commit budget and seed.
+    pub fn spec(&self) -> RunSpec {
+        RunSpec {
+            seed: self.seed,
+            ..RunSpec::baseline(&self.bench, self.width)
+                .regs(self.regs)
+                .exceptions(self.exceptions)
+                .commits(self.commits)
+        }
+    }
 }
 
 /// Per-class reconciliation of simulator liveness against the oracle.
@@ -159,12 +178,9 @@ impl CheckReport {
     }
 }
 
-/// Builds the machine configuration for a set of check parameters.
-/// Public so other matrix consumers (e.g. the analytic-model
-/// cross-validation of `rfstudy model --check`) can simulate exactly
-/// the configurations the check matrix covers.
+/// The machine a check matrix point runs: its [`CheckParams::spec`]'s.
 pub fn config_for(p: &CheckParams) -> MachineConfig {
-    MachineConfig::new(p.width).physical_regs(p.regs).exceptions(p.exceptions)
+    p.spec().machine_config()
 }
 
 /// Runs one sanitized simulation plus the static analysis of the same
@@ -321,27 +337,18 @@ impl SuiteSanitizer {
 /// the invariants on the exact binary being measured.
 pub fn suite_probe(commits: u64) -> SuiteSanitizer {
     let mut agg = SuiteSanitizer::default();
-    for bench in ["compress", "tomcatv"] {
-        for &width in &[4usize, 8] {
-            for &exceptions in &[ExceptionModel::Precise, ExceptionModel::Imprecise] {
-                let params = CheckParams {
-                    bench: bench.to_string(),
-                    width,
-                    exceptions,
-                    regs: 64,
-                    commits,
-                    seed: 12,
-                };
-                let report = cross_validate(&params).expect("suite probe benchmarks exist");
-                agg.probes += 1;
-                agg.events += report.sanitizer_events;
-                agg.violations += report.sanitizer_violations;
-                if !report.dataflow_errors.is_empty()
-                    || !report.classes.iter().all(ClassCheck::bracket_holds)
-                {
-                    agg.violations += 1;
-                }
-            }
+    let probes = default_matrix(commits, DEFAULT_SEED)
+        .into_iter()
+        .filter(|p| matches!(p.bench.as_str(), "compress" | "tomcatv") && p.regs == 64);
+    for params in probes {
+        let report = cross_validate(&params).expect("suite probe benchmarks exist");
+        agg.probes += 1;
+        agg.events += report.sanitizer_events;
+        agg.violations += report.sanitizer_violations;
+        if !report.dataflow_errors.is_empty()
+            || !report.classes.iter().all(ClassCheck::bracket_holds)
+        {
+            agg.violations += 1;
         }
     }
     agg
@@ -407,6 +414,17 @@ mod tests {
         )
         .unwrap();
         assert!(r.passed(), "{}", r.render());
+    }
+
+    #[test]
+    fn a_matrix_point_runs_the_baseline_machine_at_its_dimensions() {
+        for p in default_matrix(1_000, 7) {
+            let (config, spec) = (config_for(&p), p.spec());
+            assert_eq!(spec.benchmark, p.bench);
+            assert_eq!((spec.commits, spec.seed), (1_000, 7));
+            assert_eq!((config.width(), config.dq_size()), (p.width, 8 * p.width));
+            assert_eq!((config.phys_regs(), config.exception_model()), (p.regs, p.exceptions));
+        }
     }
 
     #[test]

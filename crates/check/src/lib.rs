@@ -19,7 +19,10 @@
 //! [`crosscheck`] ties the two together: one sanitized simulation per
 //! configuration, reconciled against the static analysis of the same
 //! trace prefix, surfaced as the `rfstudy check` subcommand and as
-//! sanitized probe runs in the experiment suite. [`inject`] proves every
+//! sanitized probe runs in the experiment suite. A configuration is a
+//! [`CheckParams`], one point of the check matrix ([`default_matrix`]),
+//! and the run it names is [`CheckParams::spec`], an
+//! [`rf_core::RunSpec`] like every other simulation's. [`inject`] proves every
 //! sanitizer checker can actually fail. [`wstats`] repackages the
 //! oracle together with the instruction mix and windowed dataflow
 //! limits as the schedule-independent workload summary the `rf-model`

@@ -1,4 +1,4 @@
-//! Machine configuration.
+//! Machine configuration, and the run specification built on it.
 
 use rf_isa::{IssueLimits, OpKind};
 use rf_bpred::PredictorKind;
@@ -324,6 +324,183 @@ impl MachineConfig {
     }
 }
 
+/// The suite's default commit budget per simulation, and the budget
+/// [`RunSpec::baseline`] starts from.
+pub const DEFAULT_COMMITS: u64 = 200_000;
+
+/// The workload seed [`RunSpec::baseline`] starts from: the seed of the
+/// suite and of the check matrix.
+pub const DEFAULT_SEED: u64 = 12;
+
+/// One simulation point: a benchmark plus a machine configuration.
+///
+/// A `RunSpec` captures *every* configuration dimension that influences a
+/// simulation's result, so equal specs are guaranteed to produce equal
+/// [`SimStats`](crate::SimStats) — which is what lets the suite plan
+/// answer a spec that several harnesses read once, lets a simulation
+/// batch deduplicate, and keys the durable run store. Every simulation
+/// above the kernel is built from one: the suite's plans, the `rfstudy`
+/// commands, the check matrix and the analytic model's summaries.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RunSpec {
+    /// Benchmark name (one of the nine SPEC92 profile names).
+    pub benchmark: String,
+    /// Issue width.
+    pub width: usize,
+    /// Dispatch-queue entries.
+    pub dq: usize,
+    /// Physical registers per class.
+    pub regs: usize,
+    /// Exception model.
+    pub exceptions: ExceptionModel,
+    /// Cache organisation.
+    pub cache: CacheOrg,
+    /// Data-cache geometry.
+    pub cache_geometry: CacheConfig,
+    /// Scheduler selection policy.
+    pub policy: SchedPolicy,
+    /// Branch-predictor kind.
+    pub predictor: PredictorKind,
+    /// Dispatch-queue insertion bandwidth override, if any.
+    pub insert_bw: Option<usize>,
+    /// Reorder-buffer capacity bound, if any.
+    pub reorder: Option<usize>,
+    /// Whether the dispatch queue is split into non-FP/FP halves.
+    pub split_dq: bool,
+    /// Instruction cache geometry and miss penalty, if enabled.
+    pub icache: Option<(CacheConfig, u64)>,
+    /// Committed instructions to simulate.
+    pub commits: u64,
+    /// Workload and simulation seed.
+    pub seed: u64,
+}
+
+impl RunSpec {
+    /// The paper's baseline configuration for a benchmark at an issue
+    /// width: the machine of [`MachineConfig::new`] (dispatch queue of
+    /// `8 x width`, 2048 registers, precise exceptions, lockup-free
+    /// cache), [`DEFAULT_COMMITS`] and [`DEFAULT_SEED`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    pub fn baseline(benchmark: &str, width: usize) -> Self {
+        let m = MachineConfig::new(width);
+        Self {
+            benchmark: benchmark.to_owned(),
+            width,
+            dq: m.dq_size,
+            regs: m.phys_regs,
+            exceptions: m.exceptions,
+            cache: m.cache_org,
+            cache_geometry: m.cache_config,
+            policy: m.sched,
+            predictor: m.predictor,
+            insert_bw: m.insert_bw,
+            reorder: m.reorder_limit,
+            split_dq: m.split_queues,
+            icache: m.icache,
+            commits: DEFAULT_COMMITS,
+            seed: DEFAULT_SEED,
+        }
+    }
+
+    /// Sets the commit budget.
+    pub fn commits(mut self, commits: u64) -> Self {
+        self.commits = commits;
+        self
+    }
+
+    /// Sets the dispatch-queue size.
+    pub fn dq(mut self, dq: usize) -> Self {
+        self.dq = dq;
+        self
+    }
+
+    /// Sets the register-file size.
+    pub fn regs(mut self, regs: usize) -> Self {
+        self.regs = regs;
+        self
+    }
+
+    /// Sets the exception model.
+    pub fn exceptions(mut self, model: ExceptionModel) -> Self {
+        self.exceptions = model;
+        self
+    }
+
+    /// Sets the cache organisation.
+    pub fn cache(mut self, org: CacheOrg) -> Self {
+        self.cache = org;
+        self
+    }
+
+    /// Sets the data-cache geometry.
+    pub fn cache_geometry(mut self, config: CacheConfig) -> Self {
+        self.cache_geometry = config;
+        self
+    }
+
+    /// Sets the scheduler policy.
+    pub fn policy(mut self, policy: SchedPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Sets the branch-predictor kind.
+    pub fn predictor(mut self, kind: PredictorKind) -> Self {
+        self.predictor = kind;
+        self
+    }
+
+    /// Overrides the dispatch-queue insertion bandwidth.
+    pub fn insert_bw(mut self, per_cycle: usize) -> Self {
+        self.insert_bw = Some(per_cycle);
+        self
+    }
+
+    /// Bounds the reorder buffer.
+    pub fn reorder(mut self, limit: usize) -> Self {
+        self.reorder = Some(limit);
+        self
+    }
+
+    /// Splits the dispatch queue into non-FP/FP halves.
+    pub fn split_dq(mut self, split: bool) -> Self {
+        self.split_dq = split;
+        self
+    }
+
+    /// Enables a finite instruction cache.
+    pub fn icache(mut self, config: CacheConfig, penalty: u64) -> Self {
+        self.icache = Some((config, penalty));
+        self
+    }
+
+    /// The machine configuration this spec describes.
+    pub fn machine_config(&self) -> MachineConfig {
+        let mut config = MachineConfig::new(self.width)
+            .dispatch_queue(self.dq)
+            .physical_regs(self.regs)
+            .exceptions(self.exceptions)
+            .cache(self.cache)
+            .cache_config(self.cache_geometry)
+            .scheduling(self.policy)
+            .predictor(self.predictor)
+            .split_dispatch_queues(self.split_dq);
+        if let Some(bw) = self.insert_bw {
+            config = config.insert_bandwidth(bw);
+        }
+        if let Some(limit) = self.reorder {
+            config = config.reorder_limit(limit);
+        }
+        if let Some((geometry, penalty)) = self.icache {
+            config = config.instruction_cache(geometry, penalty);
+        }
+        config
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +550,67 @@ mod tests {
         assert_eq!(fast.max_completion_delay(), 16);
         let slow = MachineConfig::new(4).cache_config(CacheConfig::new(8192, 1, 32, 1, 100));
         assert_eq!(slow.max_completion_delay(), 102);
+    }
+
+    #[test]
+    fn baseline_spec_matches_paper() {
+        let s = RunSpec::baseline("tomcatv", 8);
+        assert_eq!(s.dq, 64);
+        assert_eq!(s.regs, 2048);
+        assert_eq!(s.exceptions, ExceptionModel::Precise);
+        assert_eq!(s.cache, CacheOrg::LockupFree);
+        assert_eq!(s.policy, SchedPolicy::OldestFirst);
+        assert_eq!(s.predictor, PredictorKind::Combining);
+        assert!(!s.split_dq);
+        assert_eq!((s.commits, s.seed), (DEFAULT_COMMITS, DEFAULT_SEED));
+    }
+
+    #[test]
+    fn baseline_machine_is_the_default_machine() {
+        for width in 1..=8 {
+            let spec = RunSpec::baseline("gcc1", width).machine_config();
+            let new = MachineConfig::new(width);
+            assert_eq!(spec.width(), new.width());
+            assert_eq!(spec.limits(), new.limits());
+            assert_eq!(spec.max_completion_delay(), new.max_completion_delay());
+            assert_eq!(spec.dq_size(), new.dq_size());
+            assert_eq!(spec.phys_regs(), new.phys_regs());
+            assert_eq!(spec.exception_model(), new.exception_model());
+            assert_eq!(spec.cache_org(), new.cache_org());
+            assert_eq!(spec.cache_geometry(), new.cache_geometry());
+            assert_eq!(spec.sched_policy(), new.sched_policy());
+            assert_eq!(spec.effective_insert_bandwidth(), new.effective_insert_bandwidth());
+            assert_eq!(spec.has_split_queues(), new.has_split_queues());
+            assert_eq!(spec.icache_config(), new.icache_config());
+            assert_eq!(spec.reorder_capacity(), new.reorder_capacity());
+            assert_eq!(spec.predictor_kind(), new.predictor_kind());
+        }
+    }
+
+    #[test]
+    fn machine_config_reflects_every_dimension() {
+        let spec = RunSpec::baseline("gcc1", 4)
+            .dq(16)
+            .regs(48)
+            .exceptions(ExceptionModel::Imprecise)
+            .cache(CacheOrg::Lockup)
+            .policy(SchedPolicy::YoungestFirst)
+            .predictor(PredictorKind::Gshare)
+            .insert_bw(2)
+            .reorder(32)
+            .split_dq(true)
+            .icache(CacheConfig::new(16 * 1024, 2, 32, 1, 8), 8);
+        let config = spec.machine_config();
+        assert_eq!(config.dq_size(), 16);
+        assert_eq!(config.phys_regs(), 48);
+        assert_eq!(config.exception_model(), ExceptionModel::Imprecise);
+        assert_eq!(config.cache_org(), CacheOrg::Lockup);
+        assert_eq!(config.sched_policy(), SchedPolicy::YoungestFirst);
+        assert_eq!(config.predictor_kind(), PredictorKind::Gshare);
+        assert_eq!(config.effective_insert_bandwidth(), 2);
+        assert_eq!(config.reorder_capacity(), Some(32));
+        assert!(config.has_split_queues());
+        assert!(config.icache_config().is_some());
     }
 
     #[test]

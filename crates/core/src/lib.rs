@@ -70,7 +70,9 @@ mod stats;
 mod wheel;
 
 pub use active::{ActiveEntry, ActiveList, ColdEntry, Src, Stage};
-pub use config::{ExceptionModel, MachineConfig, SchedPolicy};
+pub use config::{
+    ExceptionModel, MachineConfig, RunSpec, SchedPolicy, DEFAULT_COMMITS, DEFAULT_SEED,
+};
 pub use fu::DividerPool;
 pub use hazard::{AddrHashBuilder, AddrHasher};
 pub use imprecise::{KillEngine, Killed, WriterChain};

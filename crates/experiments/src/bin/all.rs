@@ -182,19 +182,9 @@ fn model_error_probe(scale: &Scale, answers: &Answers) -> Option<ledger::ModelEr
         if sim_ipc <= 0.0 {
             continue;
         }
-        let config = spec.machine_config();
-        let Some(summary) = rf_model::summarize(
-            &spec.benchmark,
-            spec.commits,
-            spec.seed,
-            config.effective_insert_bandwidth(),
-            config.cache_geometry(),
-            config.cache_org(),
-            config.predictor_kind(),
-        ) else {
-            continue;
-        };
-        let err = ((rf_model::evaluate(&summary, &config).ipc - sim_ipc) / sim_ipc * 100.0).abs();
+        let Some(summary) = rf_model::summarize(&spec) else { continue };
+        let model_ipc = rf_model::evaluate(&summary, &spec.machine_config()).ipc;
+        let err = ((model_ipc - sim_ipc) / sim_ipc * 100.0).abs();
         sum += err;
         n += 1;
         if err > worst {

@@ -1,5 +1,7 @@
-//! Simulation run specifications and execution: single runs, the
-//! batch-local run cache, and the parallel [`SimPool`] executor.
+//! Simulation execution: single runs, the batch-local run cache, and
+//! the parallel [`SimPool`] executor. The run specification itself,
+//! [`RunSpec`], lives in rf-core beside the machine configuration it
+//! builds and is re-exported here with [`DEFAULT_COMMITS`].
 //!
 //! # Fault tolerance
 //!
@@ -23,11 +25,7 @@
 //! exit 2 before any work; everything below reads the resulting
 //! [`config`] snapshot, and no lower crate reads the environment.
 
-use rf_bpred::PredictorKind;
-use rf_core::{
-    CancelToken, ExceptionModel, MachineConfig, Pipeline, SchedPolicy, SimStats,
-};
-use rf_mem::{CacheConfig, CacheOrg};
+use rf_core::{CancelToken, Pipeline, SimStats};
 use rf_prof::counters::{self, Counter};
 use rf_workload::{spec92, SharedTrace};
 use std::collections::HashMap;
@@ -35,9 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// The suite's default commit budget per simulation, and the budget
-/// [`RunSpec::baseline`] starts from.
-pub const DEFAULT_COMMITS: u64 = 200_000;
+pub use rf_core::{RunSpec, DEFAULT_COMMITS};
 
 /// How long each simulation runs, in committed instructions.
 ///
@@ -204,166 +200,6 @@ pub fn validate_env() -> Result<(), String> {
 /// Returns the first malformed variable's message.
 pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
     RunConfig::from_env().map(|cfg| cfg.store.then_some(cfg.store_dir))
-}
-
-/// One simulation point: a benchmark plus a machine configuration.
-///
-/// A `RunSpec` captures *every* configuration dimension that influences a
-/// simulation's result, so equal specs are guaranteed to produce equal
-/// [`SimStats`] — which is what lets the suite plan answer a spec that
-/// several harnesses read once, and lets a [`SimPool`] batch deduplicate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RunSpec {
-    /// Benchmark name (one of the nine SPEC92 profile names).
-    pub benchmark: String,
-    /// Issue width.
-    pub width: usize,
-    /// Dispatch-queue entries.
-    pub dq: usize,
-    /// Physical registers per class.
-    pub regs: usize,
-    /// Exception model.
-    pub exceptions: ExceptionModel,
-    /// Cache organisation.
-    pub cache: CacheOrg,
-    /// Data-cache geometry.
-    pub cache_geometry: CacheConfig,
-    /// Scheduler selection policy.
-    pub policy: SchedPolicy,
-    /// Branch-predictor kind.
-    pub predictor: PredictorKind,
-    /// Dispatch-queue insertion bandwidth override, if any.
-    pub insert_bw: Option<usize>,
-    /// Reorder-buffer capacity bound, if any.
-    pub reorder: Option<usize>,
-    /// Whether the dispatch queue is split into non-FP/FP halves.
-    pub split_dq: bool,
-    /// Instruction cache geometry and miss penalty, if enabled.
-    pub icache: Option<(CacheConfig, u64)>,
-    /// Committed instructions to simulate.
-    pub commits: u64,
-    /// Workload and simulation seed.
-    pub seed: u64,
-}
-
-impl RunSpec {
-    /// The paper's baseline configuration for a benchmark at an issue
-    /// width: dispatch queue of `8 x width` (32 / 64), 2048 registers,
-    /// precise exceptions, lockup-free cache, and [`DEFAULT_COMMITS`].
-    pub fn baseline(benchmark: &str, width: usize) -> Self {
-        Self {
-            benchmark: benchmark.to_owned(),
-            width,
-            dq: width * 8,
-            regs: 2048,
-            exceptions: ExceptionModel::Precise,
-            cache: CacheOrg::LockupFree,
-            cache_geometry: CacheConfig::baseline(),
-            policy: SchedPolicy::OldestFirst,
-            predictor: PredictorKind::Combining,
-            insert_bw: None,
-            reorder: None,
-            split_dq: false,
-            icache: None,
-            commits: DEFAULT_COMMITS,
-            seed: 12,
-        }
-    }
-
-    /// Sets the commit budget.
-    pub fn commits(mut self, commits: u64) -> Self {
-        self.commits = commits;
-        self
-    }
-
-    /// Sets the dispatch-queue size.
-    pub fn dq(mut self, dq: usize) -> Self {
-        self.dq = dq;
-        self
-    }
-
-    /// Sets the register-file size.
-    pub fn regs(mut self, regs: usize) -> Self {
-        self.regs = regs;
-        self
-    }
-
-    /// Sets the exception model.
-    pub fn exceptions(mut self, model: ExceptionModel) -> Self {
-        self.exceptions = model;
-        self
-    }
-
-    /// Sets the cache organisation.
-    pub fn cache(mut self, org: CacheOrg) -> Self {
-        self.cache = org;
-        self
-    }
-
-    /// Sets the data-cache geometry.
-    pub fn cache_geometry(mut self, config: CacheConfig) -> Self {
-        self.cache_geometry = config;
-        self
-    }
-
-    /// Sets the scheduler policy.
-    pub fn policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the branch-predictor kind.
-    pub fn predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = kind;
-        self
-    }
-
-    /// Overrides the dispatch-queue insertion bandwidth.
-    pub fn insert_bw(mut self, per_cycle: usize) -> Self {
-        self.insert_bw = Some(per_cycle);
-        self
-    }
-
-    /// Bounds the reorder buffer.
-    pub fn reorder(mut self, limit: usize) -> Self {
-        self.reorder = Some(limit);
-        self
-    }
-
-    /// Splits the dispatch queue into non-FP/FP halves.
-    pub fn split_dq(mut self, split: bool) -> Self {
-        self.split_dq = split;
-        self
-    }
-
-    /// Enables a finite instruction cache.
-    pub fn icache(mut self, config: CacheConfig, penalty: u64) -> Self {
-        self.icache = Some((config, penalty));
-        self
-    }
-
-    /// The machine configuration this spec describes.
-    pub fn machine_config(&self) -> MachineConfig {
-        let mut config = MachineConfig::new(self.width)
-            .dispatch_queue(self.dq)
-            .physical_regs(self.regs)
-            .exceptions(self.exceptions)
-            .cache(self.cache)
-            .cache_config(self.cache_geometry)
-            .scheduling(self.policy)
-            .predictor(self.predictor)
-            .split_dispatch_queues(self.split_dq);
-        if let Some(bw) = self.insert_bw {
-            config = config.insert_bandwidth(bw);
-        }
-        if let Some(limit) = self.reorder {
-            config = config.reorder_limit(limit);
-        }
-        if let Some((geometry, penalty)) = self.icache {
-            config = config.instruction_cache(geometry, penalty);
-        }
-        config
-    }
 }
 
 /// Number of simulations actually executed so far in this process
@@ -1385,24 +1221,7 @@ pub fn fp_benchmarks() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_spec_matches_paper() {
-        let s = RunSpec::baseline("tomcatv", 8);
-        assert_eq!(s.dq, 64);
-        assert_eq!(s.regs, 2048);
-        assert_eq!(s.exceptions, ExceptionModel::Precise);
-        assert_eq!(s.cache, CacheOrg::LockupFree);
-        assert_eq!(s.policy, SchedPolicy::OldestFirst);
-        assert_eq!(s.predictor, PredictorKind::Combining);
-        assert!(!s.split_dq);
-    }
-
-    #[test]
-    fn baseline_commits_are_the_default_budget() {
-        // A constant, not RF_COMMITS: only the suite's scale reads that.
-        assert_eq!(RunSpec::baseline("tomcatv", 4).commits, DEFAULT_COMMITS);
-    }
+    use rf_core::ExceptionModel;
 
     #[test]
     fn simulate_commits_exactly() {
@@ -1816,31 +1635,5 @@ mod tests {
             }
             assert!(cache.is_empty());
         }
-    }
-
-    #[test]
-    fn machine_config_reflects_every_dimension() {
-        let spec = RunSpec::baseline("gcc1", 4)
-            .dq(16)
-            .regs(48)
-            .exceptions(ExceptionModel::Imprecise)
-            .cache(CacheOrg::Lockup)
-            .policy(SchedPolicy::YoungestFirst)
-            .predictor(PredictorKind::Gshare)
-            .insert_bw(2)
-            .reorder(32)
-            .split_dq(true)
-            .icache(CacheConfig::new(16 * 1024, 2, 32, 1, 8), 8);
-        let config = spec.machine_config();
-        assert_eq!(config.dq_size(), 16);
-        assert_eq!(config.phys_regs(), 48);
-        assert_eq!(config.exception_model(), ExceptionModel::Imprecise);
-        assert_eq!(config.cache_org(), CacheOrg::Lockup);
-        assert_eq!(config.sched_policy(), SchedPolicy::YoungestFirst);
-        assert_eq!(config.predictor_kind(), PredictorKind::Gshare);
-        assert_eq!(config.effective_insert_bandwidth(), 2);
-        assert_eq!(config.reorder_capacity(), Some(32));
-        assert!(config.has_split_queues());
-        assert!(config.icache_config().is_some());
     }
 }

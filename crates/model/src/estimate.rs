@@ -220,25 +220,14 @@ pub fn evaluate(summary: &WorkloadSummary, config: &MachineConfig) -> ModelEstim
 mod tests {
     use super::*;
     use crate::summary::summarize;
-    use rf_bpred::PredictorKind;
-    use rf_mem::{CacheConfig, CacheOrg};
+    use rf_core::RunSpec;
 
     fn config(width: usize, regs: usize) -> MachineConfig {
         MachineConfig::new(width).physical_regs(regs)
     }
 
     fn summary_for(width: usize) -> WorkloadSummary {
-        let ibw = MachineConfig::new(width).effective_insert_bandwidth();
-        summarize(
-            "compress",
-            5_000,
-            12,
-            ibw,
-            CacheConfig::baseline(),
-            CacheOrg::LockupFree,
-            PredictorKind::Combining,
-        )
-        .expect("known bench")
+        summarize(&RunSpec::baseline("compress", width).commits(5_000)).expect("known bench")
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! configuration cycle by cycle. This crate answers the same questions
 //! *analytically*, in microseconds: given a machine shape
 //! ([`rf_core::MachineConfig`]) and a schedule-independent summary of
-//! the workload ([`WorkloadSummary`]), [`evaluate`] predicts committed
-//! IPC, functional-unit and dispatch-queue occupancy, and the mean /
-//! peak register pressure, without executing a single simulated cycle.
+//! the workload ([`WorkloadSummary`], which [`summarize`] extracts for
+//! the [`rf_core::RunSpec`] the simulator would run), [`evaluate`]
+//! predicts committed IPC, functional-unit and dispatch-queue
+//! occupancy, and the mean / peak register pressure, without executing
+//! a single simulated cycle.
 //!
 //! The model is an M/G/c-flavoured bound hierarchy in the style of
 //! Carroll & Lin (arXiv 1807.08586): throughput is the minimum of the

@@ -22,6 +22,7 @@
 
 use rf_bpred::{AnyPredictor, PredictorKind, PredictorStats};
 use rf_check::wstats::{workload_stats, WorkloadStats};
+use rf_core::RunSpec;
 use rf_isa::{Instruction, OpKind};
 use rf_mem::{CacheConfig, CacheOrg, DataCache};
 use rf_workload::{spec92, BenchmarkProfile, TraceGenerator};
@@ -55,46 +56,31 @@ pub struct WorkloadSummary {
     pub mean_mlp: f64,
 }
 
-/// Summarises the first `commits` committed instructions of `bench`.
-///
-/// `cache` and `org` select the memory system to replay (pass
-/// [`CacheOrg::Perfect`] to model an always-hit memory), `predictor`
-/// the branch predictor. Returns `None` for an unknown benchmark name.
-pub fn summarize(
-    bench: &str,
-    commits: u64,
-    seed: u64,
-    insert_bw: usize,
-    cache: CacheConfig,
-    org: CacheOrg,
-    predictor: PredictorKind,
-) -> Option<WorkloadSummary> {
-    let profile = spec92::by_name(bench)?;
-    Some(summarize_profile(&profile, bench, commits, seed, insert_bw, cache, org, predictor))
+/// Summarises the committed prefix `spec` names: its first `commits`
+/// instructions of `benchmark` at `seed`, replaying its data cache
+/// (geometry and organisation; [`CacheOrg::Perfect`] models an
+/// always-hit memory) and branch predictor, with the oracle
+/// paced at its machine's insert bandwidth. The other machine knobs do
+/// not enter the summary. Returns `None` for an unknown benchmark name.
+pub fn summarize(spec: &RunSpec) -> Option<WorkloadSummary> {
+    let profile = spec92::by_name(&spec.benchmark)?;
+    Some(summarize_profile(&profile, spec))
 }
 
 /// [`summarize`] for an explicit profile (used by property tests with
 /// perturbed profiles).
-#[allow(clippy::too_many_arguments)]
-pub fn summarize_profile(
-    profile: &BenchmarkProfile,
-    bench: &str,
-    commits: u64,
-    seed: u64,
-    insert_bw: usize,
-    cache: CacheConfig,
-    org: CacheOrg,
-    predictor: PredictorKind,
-) -> WorkloadSummary {
+pub fn summarize_profile(profile: &BenchmarkProfile, spec: &RunSpec) -> WorkloadSummary {
+    let insert_bw = spec.machine_config().effective_insert_bandwidth();
     let insts: Vec<Instruction> =
-        TraceGenerator::new(profile, seed).take(commits as usize).collect();
+        TraceGenerator::new(profile, spec.seed).take(spec.commits as usize).collect();
     let stats = workload_stats(&insts, insert_bw);
-    let mispredict_rate = replay_predictor(&insts, predictor);
-    let (load_miss_rate, mean_load_delay, mean_mlp) = replay_cache(&insts, cache, org);
+    let mispredict_rate = replay_predictor(&insts, spec.predictor);
+    let (load_miss_rate, mean_load_delay, mean_mlp) =
+        replay_cache(&insts, spec.cache_geometry, spec.cache);
     WorkloadSummary {
-        bench: bench.to_string(),
-        commits,
-        seed,
+        bench: spec.benchmark.clone(),
+        commits: spec.commits,
+        seed: spec.seed,
         insert_bw,
         stats,
         mispredict_rate,
@@ -166,22 +152,12 @@ mod tests {
     use super::*;
 
     fn quick(bench: &str, org: CacheOrg) -> WorkloadSummary {
-        summarize(bench, 5_000, 12, 6, CacheConfig::baseline(), org, PredictorKind::Combining)
-            .expect("known bench")
+        summarize(&RunSpec::baseline(bench, 4).commits(5_000).cache(org)).expect("known bench")
     }
 
     #[test]
     fn unknown_bench_is_none() {
-        assert!(summarize(
-            "nope",
-            100,
-            12,
-            6,
-            CacheConfig::baseline(),
-            CacheOrg::Perfect,
-            PredictorKind::Combining
-        )
-        .is_none());
+        assert!(summarize(&RunSpec::baseline("nope", 4).commits(100)).is_none());
     }
 
     #[test]

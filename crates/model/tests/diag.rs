@@ -1,7 +1,6 @@
 //! Scratch diagnostic (ignored): prints per-bench summary terms.
-use rf_bpred::PredictorKind;
+use rf_core::RunSpec;
 use rf_isa::IssueClass;
-use rf_mem::{CacheConfig, CacheOrg};
 
 #[test]
 #[ignore]
@@ -10,21 +9,11 @@ fn dump_summaries() {
         ["compress", "espresso", "gcc1", "doduc", "mdljdp2", "mdljsp2", "ora", "su2cor", "tomcatv"]
     {
         for width in [4usize, 8] {
-            let ibw = width + width / 2;
             let commits = std::env::var("RF_COMMITS")
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(2_000);
-            let s = rf_model::summarize(
-                bench,
-                commits,
-                12,
-                ibw,
-                CacheConfig::baseline(),
-                CacheOrg::LockupFree,
-                PredictorKind::Combining,
-            )
-            .unwrap();
+            let s = rf_model::summarize(&RunSpec::baseline(bench, width).commits(commits)).unwrap();
             let n = s.stats.oracle.instructions as f64;
             let ideal_ipc = n / s.stats.oracle.ideal_cycles.max(1) as f64;
             println!(

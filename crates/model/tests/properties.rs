@@ -11,10 +11,8 @@
 //! synthetic shapes, before it reaches the 72-config matrix.
 
 use proptest::prelude::*;
-use rf_bpred::PredictorKind;
-use rf_core::{ExceptionModel, MachineConfig};
+use rf_core::{ExceptionModel, MachineConfig, RunSpec};
 use rf_isa::RegClass;
-use rf_mem::{CacheConfig, CacheOrg};
 use rf_model::{evaluate, summarize_profile, WorkloadSummary};
 use rf_workload::{spec92, BenchmarkProfile};
 
@@ -44,19 +42,12 @@ fn machine(width: usize, dq: usize, regs: usize, precise: bool) -> MachineConfig
     })
 }
 
-/// Extracts the summary at the machine's effective insert bandwidth —
+/// Extracts the summary of the baseline spec at the machine's width —
 /// the same protocol `rfstudy model` follows.
 fn summary_for(profile: &BenchmarkProfile, commits: u64, seed: u64, config: &MachineConfig) -> WorkloadSummary {
-    summarize_profile(
-        profile,
-        &profile.name,
-        commits,
-        seed,
-        config.effective_insert_bandwidth(),
-        CacheConfig::baseline(),
-        CacheOrg::LockupFree,
-        PredictorKind::Combining,
-    )
+    let spec =
+        RunSpec { seed, ..RunSpec::baseline(&profile.name, config.width()).commits(commits) };
+    summarize_profile(profile, &spec)
 }
 
 proptest! {

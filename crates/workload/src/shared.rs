@@ -149,6 +149,11 @@ impl SharedTrace {
         &self.benchmark
     }
 
+    /// The generator seed the trace was generated from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Buffered instructions.
     pub fn len(&self) -> usize {
         self.words.len()

@@ -4,65 +4,11 @@
 //! command implementations and `rfstudy help` for usage.
 
 use rf_bpred::PredictorKind;
-use rf_core::{ExceptionModel, MachineConfig, SchedPolicy};
+use rf_core::{ExceptionModel, MachineConfig, RunSpec, SchedPolicy, DEFAULT_COMMITS, DEFAULT_SEED};
 use rf_mem::CacheOrg;
 
-/// Machine options shared by `run`, `trace` and `replay`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineOpts {
-    /// Issue width.
-    pub width: usize,
-    /// Dispatch-queue entries (default `8 x width`).
-    pub dq: Option<usize>,
-    /// Physical registers per class.
-    pub regs: usize,
-    /// Exception model.
-    pub exceptions: ExceptionModel,
-    /// Cache organisation.
-    pub cache: CacheOrg,
-    /// Scheduler policy.
-    pub sched: SchedPolicy,
-    /// Split dispatch queues.
-    pub split_queues: bool,
-    /// Branch predictor kind.
-    pub predictor: PredictorKind,
-    /// Workload seed of `run` and `trace`. `replay` rejects `--seed`:
-    /// the trace file fixes it.
-    pub seed: u64,
-}
-
-impl Default for MachineOpts {
-    fn default() -> Self {
-        Self {
-            width: 4,
-            dq: None,
-            regs: 2048,
-            exceptions: ExceptionModel::Precise,
-            cache: CacheOrg::LockupFree,
-            sched: SchedPolicy::OldestFirst,
-            split_queues: false,
-            predictor: PredictorKind::Combining,
-            seed: 1,
-        }
-    }
-}
-
-impl MachineOpts {
-    /// Builds the machine configuration.
-    pub fn to_config(&self) -> MachineConfig {
-        let mut c = MachineConfig::new(self.width)
-            .dispatch_queue(self.dq.unwrap_or(self.width * 8))
-            .physical_regs(self.regs)
-            .exceptions(self.exceptions)
-            .cache(self.cache)
-            .scheduling(self.sched)
-            .predictor(self.predictor);
-        if self.split_queues {
-            c = c.split_dispatch_queues(true);
-        }
-        c
-    }
-}
+/// The workload seed `run`, `trace` and `record` default to.
+pub const RUN_SEED: u64 = 1;
 
 /// Output format of the `trace` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,40 +129,25 @@ pub struct MatrixPins {
 pub const MATRIX_COMMITS: u64 = 10_000;
 
 impl MatrixPins {
-    /// Expands the pins into the cross-product of configurations,
-    /// validating the benchmark name; `default_commits` applies when
-    /// `--commits` is absent.
+    /// The check matrix ([`rf_check::default_matrix`]) with each pinned
+    /// dimension substituted, duplicates dropped, in matrix order;
+    /// `default_commits` applies when `--commits` is absent. Fails on an
+    /// unknown benchmark.
     pub fn expand(&self, default_commits: u64) -> Result<Vec<rf_check::CheckParams>, String> {
-        let commits = self.commits.unwrap_or(default_commits);
-        let benches: Vec<String> = match &self.bench {
-            Some(b) => {
-                rf_workload::spec92::by_name(b)
-                    .ok_or_else(|| format!("unknown benchmark {b:?}"))?;
-                vec![b.clone()]
-            }
-            None => rf_workload::spec92::all().into_iter().map(|p| p.name).collect(),
-        };
-        let widths = self.width.map_or_else(|| vec![4, 8], |w| vec![w]);
-        let models = self.exceptions.map_or_else(
-            || vec![ExceptionModel::Precise, ExceptionModel::Imprecise],
-            |m| vec![m],
-        );
-        let reg_sizes = self.regs.map_or_else(|| vec![2048, 64], |r| vec![r]);
+        if let Some(b) = &self.bench {
+            rf_workload::spec92::by_name(b).ok_or_else(|| format!("unknown benchmark {b:?}"))?;
+        }
         let mut params = Vec::new();
-        for b in &benches {
-            for &w in &widths {
-                for &m in &models {
-                    for &r in &reg_sizes {
-                        params.push(rf_check::CheckParams {
-                            bench: b.clone(),
-                            width: w,
-                            exceptions: m,
-                            regs: r,
-                            commits,
-                            seed: self.seed,
-                        });
-                    }
-                }
+        for p in rf_check::default_matrix(self.commits.unwrap_or(default_commits), self.seed) {
+            let p = rf_check::CheckParams {
+                bench: self.bench.clone().unwrap_or(p.bench),
+                width: self.width.unwrap_or(p.width),
+                exceptions: self.exceptions.unwrap_or(p.exceptions),
+                regs: self.regs.unwrap_or(p.regs),
+                ..p
+            };
+            if !params.contains(&p) {
+                params.push(p);
             }
         }
         Ok(params)
@@ -261,31 +192,23 @@ pub enum Command {
     /// Simulate a benchmark with the pipeline observer attached and
     /// export the recorded trace.
     Trace {
-        /// Benchmark name.
-        bench: String,
-        /// Commit budget.
-        commits: u64,
+        /// The run: benchmark, commit budget (default 10000) and machine.
+        spec: RunSpec,
         /// Export format.
         format: TraceFormat,
         /// Retained-detail window in cycles (`None` = whole run).
         window: Option<u64>,
         /// Output path (`None` = stdout).
         out: Option<String>,
-        /// Machine options.
-        machine: MachineOpts,
     },
     /// Simulate a benchmark.
     Run {
-        /// Benchmark name.
-        bench: String,
-        /// Commit budget.
-        commits: u64,
+        /// The run: benchmark, commit budget and machine.
+        spec: RunSpec,
         /// Wall-clock budget in seconds (`None` = unbounded). An
         /// overrunning simulation is cancelled cooperatively and the
         /// process exits 1.
         deadline_secs: Option<f64>,
-        /// Machine options.
-        machine: MachineOpts,
     },
     /// Record a trace file.
     Record {
@@ -302,10 +225,9 @@ pub enum Command {
     Replay {
         /// Trace path.
         trace: String,
-        /// Commit budget (0 = drain the whole trace).
-        commits: u64,
-        /// Machine options.
-        machine: MachineOpts,
+        /// The machine and commit budget (0 = drain the whole trace);
+        /// the trace file supplies the benchmark and seed.
+        spec: RunSpec,
     },
     /// Cross-validate the simulator against the static dataflow oracle
     /// with the invariant sanitizer attached.
@@ -421,53 +343,78 @@ pub enum Command {
     Help,
 }
 
-fn parse_machine(opt: &str, value: Option<&str>, m: &mut MachineOpts) -> Result<bool, String> {
-    fn need<'a>(opt: &str, v: Option<&'a str>) -> Result<&'a str, String> {
-        v.ok_or_else(|| format!("{opt} requires a value"))
+/// Parses the options of `run`, `trace` and `replay` into a spec of
+/// `bench`: [`RunSpec::baseline`] at seed [`RUN_SEED`] and `commits`,
+/// each option overriding one field, `--dq` defaulting to the baseline
+/// queue of the final `--width`. `own` lists the command's other
+/// options, which are skipped.
+fn parse_spec(
+    bench: &str,
+    commits: u64,
+    opts: &[(String, Option<String>)],
+    own: &[&str],
+) -> Result<RunSpec, String> {
+    let mut spec = RunSpec { seed: RUN_SEED, ..RunSpec::baseline(bench, 4).commits(commits) };
+    let mut dq = None;
+    for (opt, value) in opts.iter().filter(|(o, _)| !own.contains(&o.as_str())) {
+        let v = || value.as_deref().ok_or_else(|| format!("{opt} requires a value"));
+        match opt.as_str() {
+            "--width" => spec.width = machine_num(opt, v()?)?,
+            "--dq" => dq = Some(machine_num(opt, v()?)?),
+            "--regs" => spec.regs = machine_num(opt, v()?)?,
+            "--commits" => spec.commits = parse_num(opt, v()?)?,
+            "--seed" => spec.seed = parse_num(opt, v()?)?,
+            "--exceptions" => spec.exceptions = parse_exceptions(v()?)?,
+            "--cache" => {
+                spec.cache = match v()? {
+                    "perfect" => CacheOrg::Perfect,
+                    "lockup" => CacheOrg::Lockup,
+                    "lockup-free" => CacheOrg::LockupFree,
+                    other => return Err(format!("unknown cache organisation {other:?}")),
+                }
+            }
+            "--sched" => {
+                spec.policy = match v()? {
+                    "oldest-first" => SchedPolicy::OldestFirst,
+                    "youngest-first" => SchedPolicy::YoungestFirst,
+                    other => return Err(format!("unknown scheduler policy {other:?}")),
+                }
+            }
+            "--predictor" => {
+                spec.predictor = match v()? {
+                    "bimodal" => PredictorKind::Bimodal,
+                    "gshare" => PredictorKind::Gshare,
+                    "combining" => PredictorKind::Combining,
+                    other => return Err(format!("unknown predictor {other:?}")),
+                }
+            }
+            "--split-queues" => spec.split_dq = true,
+            _ => return Err(format!("unknown option {opt:?}")),
+        }
     }
-    match opt {
-        "--width" => m.width = parse_num(opt, need(opt, value)?)?,
-        "--dq" => m.dq = Some(parse_num(opt, need(opt, value)?)?),
-        "--regs" => m.regs = parse_num(opt, need(opt, value)?)?,
-        "--seed" => m.seed = parse_num(opt, need(opt, value)?)?,
-        "--exceptions" => {
-            m.exceptions = match need(opt, value)? {
-                "precise" => ExceptionModel::Precise,
-                "imprecise" => ExceptionModel::Imprecise,
-                "alpha-hybrid" => ExceptionModel::AlphaHybrid,
-                other => return Err(format!("unknown exception model {other:?}")),
-            }
-        }
-        "--cache" => {
-            m.cache = match need(opt, value)? {
-                "perfect" => CacheOrg::Perfect,
-                "lockup" => CacheOrg::Lockup,
-                "lockup-free" => CacheOrg::LockupFree,
-                other => return Err(format!("unknown cache organisation {other:?}")),
-            }
-        }
-        "--sched" => {
-            m.sched = match need(opt, value)? {
-                "oldest-first" => SchedPolicy::OldestFirst,
-                "youngest-first" => SchedPolicy::YoungestFirst,
-                other => return Err(format!("unknown scheduler policy {other:?}")),
-            }
-        }
-        "--predictor" => {
-            m.predictor = match need(opt, value)? {
-                "bimodal" => PredictorKind::Bimodal,
-                "gshare" => PredictorKind::Gshare,
-                "combining" => PredictorKind::Combining,
-                other => return Err(format!("unknown predictor {other:?}")),
-            }
-        }
-        "--split-queues" => {
-            m.split_queues = true;
-            return Ok(false); // flag: consumed no value
-        }
-        _ => return Err(format!("unknown option {opt:?}")),
+    spec.dq = dq.unwrap_or_else(|| RunSpec::baseline(bench, spec.width).dq);
+    Ok(spec)
+}
+
+/// Parses a `--width`, `--dq` or `--regs` value: the one check every
+/// command's machine sizes pass, rejecting a size no machine can be
+/// built with (a zero width or queue, fewer registers than
+/// [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
+fn machine_num(opt: &str, v: &str) -> Result<usize, String> {
+    let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS } else { 1 };
+    match parse_num(opt, v)? {
+        n if n < min => Err(format!("{opt} {n} is below the minimum of {min}")),
+        n => Ok(n),
     }
-    Ok(true)
+}
+
+fn parse_exceptions(v: &str) -> Result<ExceptionModel, String> {
+    match v {
+        "precise" => Ok(ExceptionModel::Precise),
+        "imprecise" => Ok(ExceptionModel::Imprecise),
+        "alpha-hybrid" => Ok(ExceptionModel::AlphaHybrid),
+        other => Err(format!("unknown exception model {other:?}")),
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(opt: &str, v: &str) -> Result<T, String> {
@@ -482,18 +429,11 @@ fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
     };
     Ok(MatrixPins {
         bench: take("--bench"),
-        width: take("--width").map(|v| parse_num("--width", &v)).transpose()?,
-        exceptions: take("--exceptions")
-            .map(|v| match v.as_str() {
-                "precise" => Ok(ExceptionModel::Precise),
-                "imprecise" => Ok(ExceptionModel::Imprecise),
-                "alpha-hybrid" => Ok(ExceptionModel::AlphaHybrid),
-                other => Err(format!("unknown exception model {other:?}")),
-            })
-            .transpose()?,
-        regs: take("--regs").map(|v| parse_num("--regs", &v)).transpose()?,
+        width: take("--width").map(|v| machine_num("--width", &v)).transpose()?,
+        exceptions: take("--exceptions").map(|v| parse_exceptions(&v)).transpose()?,
+        regs: take("--regs").map(|v| machine_num("--regs", &v)).transpose()?,
         commits: take("--commits").map(|v| parse_num("--commits", &v)).transpose()?,
-        seed: take("--seed").map_or(Ok(12), |v| parse_num("--seed", &v))?,
+        seed: take("--seed").map_or(Ok(DEFAULT_SEED), |v| parse_num("--seed", &v))?,
     })
 }
 
@@ -565,60 +505,39 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "list" => Ok(Command::List),
         "run" => {
             let bench = take("--bench", &opts).ok_or("run requires --bench")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(200_000), |v| parse_num("--commits", &v))?;
-            let deadline_secs = parse_deadline(&opts)?;
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if matches!(o.as_str(), "--bench" | "--commits" | "--deadline-secs") {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
-            }
-            Ok(Command::Run { bench, commits, deadline_secs, machine })
+            Ok(Command::Run {
+                deadline_secs: parse_deadline(&opts)?,
+                spec: parse_spec(&bench, DEFAULT_COMMITS, &opts, &["--bench", "--deadline-secs"])?,
+            })
         }
         "trace" => {
             let bench = take("--bench", &opts).ok_or("trace requires --bench")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(10_000), |v| parse_num("--commits", &v))?;
-            let format =
-                take("--format", &opts).map_or(Ok(TraceFormat::Summary), |v| TraceFormat::parse(&v))?;
-            let window =
-                take("--window", &opts).map(|v| parse_num("--window", &v)).transpose()?;
-            let out = take("--out", &opts);
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if matches!(o.as_str(), "--bench" | "--commits" | "--format" | "--window" | "--out")
-                {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
-            }
-            Ok(Command::Trace { bench, commits, format, window, out, machine })
+            Ok(Command::Trace {
+                format: take("--format", &opts)
+                    .map_or(Ok(TraceFormat::Summary), |v| TraceFormat::parse(&v))?,
+                window: take("--window", &opts).map(|v| parse_num("--window", &v)).transpose()?,
+                out: take("--out", &opts),
+                spec: parse_spec(
+                    &bench,
+                    10_000,
+                    &opts,
+                    &["--bench", "--format", "--window", "--out"],
+                )?,
+            })
         }
         "record" => Ok(Command::Record {
             bench: take("--bench", &opts).ok_or("record requires --bench")?,
             out: take("--out", &opts).ok_or("record requires --out")?,
             count: take("--count", &opts).map_or(Ok(1_000_000), |v| parse_num("--count", &v))?,
-            seed: take("--seed", &opts).map_or(Ok(1), |v| parse_num("--seed", &v))?,
+            seed: take("--seed", &opts).map_or(Ok(RUN_SEED), |v| parse_num("--seed", &v))?,
         }),
         "replay" => {
             let trace = take("--trace", &opts).ok_or("replay requires --trace")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(0), |v| parse_num("--commits", &v))?;
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if o == "--seed" {
-                    return Err("replay takes its seed from the trace file; \
-                                --seed applies to record"
-                        .into());
-                }
-                if o == "--trace" || o == "--commits" {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
+            if opts.iter().any(|(o, _)| o == "--seed") {
+                return Err("replay takes its seed from the trace file; --seed applies to record"
+                    .into());
             }
-            Ok(Command::Replay { trace, commits, machine })
+            Ok(Command::Replay { spec: parse_spec("", 0, &opts, &["--trace"])?, trace })
         }
         "check" => Ok(Command::Check {
             pins: parse_pins(&opts)?,
@@ -716,7 +635,7 @@ USAGE:
                    [machine options]
   rfstudy trace    --bench NAME [--commits N] [--format chrome|text|summary]
                    [--window CYCLES] [--out FILE] [machine options]
-  rfstudy record   --bench NAME --out FILE [--count N] [--seed N]
+  rfstudy record   --bench NAME --out FILE [--count N] [--seed N (default 1)]
   rfstudy replay   --trace FILE [--commits N] [machine options]
   rfstudy check    [--bench NAME] [--width N] [--exceptions MODEL]
                    [--regs N] [--commits N] [--seed N] [--deadline-secs S]
@@ -739,16 +658,18 @@ USAGE:
   rfstudy help
 
 MACHINE OPTIONS:
-  --width N             issue width (default 4)
-  --dq N                dispatch-queue entries (default 8 x width)
-  --regs N              physical registers per class (default 2048)
+  --width N             issue width (default 4, at least 1)
+  --dq N                dispatch-queue entries (default 8 x width, at least 1)
+  --regs N              physical registers per class (default 2048, at
+                        least 32)
   --exceptions MODEL    precise | imprecise | alpha-hybrid
   --cache ORG           perfect | lockup | lockup-free
   --sched POLICY        oldest-first | youngest-first
   --predictor KIND      bimodal | gshare | combining
   --split-queues        split the dispatch queue (extension)
-  --seed N              workload seed (run and trace only: replay takes
-                        the benchmark and seed from the trace file)
+  --seed N              workload seed (default 1; run and trace only:
+                        replay takes the benchmark and seed from the
+                        trace file)
 
 RUN OPTIONS:
   --deadline-secs S     wall-clock budget in seconds for the trace fill
@@ -768,15 +689,16 @@ TRACE OPTIONS:
 CHECK OPTIONS:
   without options, checks all nine benchmarks at widths 4 and 8, precise
   and imprecise exceptions, 2048 and 64 registers; each option pins one
-  dimension. --commits defaults to the RF_COMMITS environment variable,
-  or 10000. --deadline-secs bounds the wall time of the whole matrix
+  dimension (--width and --regs take the machine options' minimums).
+  --commits defaults to the RF_COMMITS environment variable, or 10000;
+  --seed defaults to 12. --deadline-secs bounds the wall time of the whole matrix
   (an overrunning run is cancelled and rfstudy exits 1). Exits non-zero
   if any invariant or static bound is violated.
 
 MODEL OPTIONS:
   evaluates the static analytic model (rf-model) over the same pinnable
-  matrix as `rfstudy check` — no simulation, microseconds per
-  configuration. --format text (default) prints one line per
+  matrix as `rfstudy check` (--commits and --seed default as there) —
+  no simulation, microseconds per configuration. --format text (default) prints one line per
   configuration; json prints an array of estimate objects. With
   --check, every configuration is additionally simulated and the model
   prediction is compared against the measurement: exits non-zero when
@@ -805,7 +727,7 @@ REPORT OPTIONS:
 PROFILE OPTIONS:
   forces the rf-prof self-profiler on, runs the check matrix (same
   pinnable dimensions as `rfstudy check`; --commits defaults to
-  RF_COMMITS or 10000), and renders where the wall time went:
+  RF_COMMITS or 10000, --seed to 12), and renders where the wall time went:
   --format text (default) is a table of the --top N hottest spans
   plus a coverage line, flame is collapsed-stack text every standard
   flamegraph renderer loads, json is the ledger's profile-tree
@@ -859,20 +781,42 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Run { bench, commits, deadline_secs, machine } => {
-                assert_eq!(bench, "tomcatv");
-                assert_eq!(commits, 5000);
+            Command::Run { spec, deadline_secs } => {
+                assert_eq!(spec.benchmark, "tomcatv");
+                assert_eq!(spec.commits, 5000);
+                assert_eq!(spec.seed, RUN_SEED);
                 assert_eq!(deadline_secs, None);
-                assert_eq!(machine.width, 8);
-                assert_eq!(machine.regs, 128);
-                assert_eq!(machine.exceptions, ExceptionModel::Imprecise);
-                assert_eq!(machine.cache, CacheOrg::Perfect);
-                assert!(machine.split_queues);
-                let config = machine.to_config();
-                assert_eq!(config.dq_size(), 64);
+                assert_eq!(spec.width, 8);
+                assert_eq!(spec.regs, 128);
+                assert_eq!(spec.exceptions, ExceptionModel::Imprecise);
+                assert_eq!(spec.cache, CacheOrg::Perfect);
+                assert!(spec.split_dq);
+                assert_eq!(spec.dq, 64);
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn run_defaults_to_the_baseline_at_run_seed() {
+        match parse(&argv("run --bench ora")).unwrap() {
+            Command::Run { spec, .. } => {
+                assert_eq!(spec, RunSpec { seed: RUN_SEED, ..RunSpec::baseline("ora", 4) });
+                assert_eq!(spec.commits, DEFAULT_COMMITS);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dq_defaults_to_the_final_width_in_any_option_order() {
+        let dq = |args: &str| match parse(&argv(&format!("run --bench ora {args}"))).unwrap() {
+            Command::Run { spec, .. } => spec.dq,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(dq("--dq 16 --width 8"), 16);
+        assert_eq!(dq("--width 8 --dq 16"), 16);
+        assert_eq!(dq("--width 8"), 64);
     }
 
     #[test]
@@ -907,10 +851,10 @@ mod tests {
         );
         let cmd = parse(&argv("replay --trace /tmp/t.rft --regs 64")).unwrap();
         match cmd {
-            Command::Replay { trace, commits, machine } => {
+            Command::Replay { trace, spec } => {
                 assert_eq!(trace, "/tmp/t.rft");
-                assert_eq!(commits, 0);
-                assert_eq!(machine.regs, 64);
+                assert_eq!(spec.commits, 0);
+                assert_eq!(spec.regs, 64);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -937,7 +881,7 @@ mod tests {
                 assert_eq!(pins.exceptions, None);
                 assert_eq!(pins.regs, None);
                 assert_eq!(pins.commits, None);
-                assert_eq!(pins.seed, 12);
+                assert_eq!(pins.seed, DEFAULT_SEED);
                 assert_eq!(deadline_secs, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -978,7 +922,7 @@ mod tests {
         match parse(&argv("model")).unwrap() {
             Command::Model { pins, check, format, deadline_secs } => {
                 assert_eq!(pins.bench, None);
-                assert_eq!(pins.seed, 12);
+                assert_eq!(pins.seed, DEFAULT_SEED);
                 assert!(!check);
                 assert_eq!(format, ModelFormat::Text);
                 assert_eq!(deadline_secs, None);
@@ -1060,6 +1004,30 @@ mod tests {
         // Without --commits the caller's default applies.
         let unbudgeted = MatrixPins { commits: None, ..pins };
         assert!(unbudgeted.expand(700).unwrap().iter().all(|p| p.commits == 700));
+    }
+
+    #[test]
+    fn expand_substitutes_pins_into_the_check_matrix() {
+        let unpinned = MatrixPins {
+            bench: None,
+            width: None,
+            exceptions: None,
+            regs: None,
+            commits: None,
+            seed: 5,
+        };
+        assert_eq!(unpinned.expand(900).unwrap(), rf_check::default_matrix(900, 5));
+        // A pinned size outside the matrix replaces both of its sizes.
+        let params = MatrixPins { regs: Some(96), ..unpinned.clone() }.expand(900).unwrap();
+        let expected: Vec<_> = rf_check::default_matrix(900, 5)
+            .into_iter()
+            .filter(|p| p.regs == 2048)
+            .map(|p| rf_check::CheckParams { regs: 96, ..p })
+            .collect();
+        assert_eq!(params.len(), 36);
+        assert_eq!(params, expected);
+        let bogus = MatrixPins { bench: Some("nope".into()), ..unpinned };
+        assert!(bogus.expand(900).unwrap_err().contains("unknown benchmark"));
     }
 
     #[test]
@@ -1146,7 +1114,7 @@ mod tests {
                 assert_eq!(pins.exceptions, None);
                 assert_eq!(pins.regs, None);
                 assert_eq!(pins.commits, None);
-                assert_eq!(pins.seed, 12);
+                assert_eq!(pins.seed, DEFAULT_SEED);
                 assert_eq!(format, ProfileFormat::Text);
                 assert_eq!(top, 20);
                 assert_eq!(out, None);
@@ -1256,14 +1224,14 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Trace { bench, commits, format, window, out, machine } => {
-                assert_eq!(bench, "tomcatv");
-                assert_eq!(commits, 2000);
+            Command::Trace { spec, format, window, out } => {
+                assert_eq!(spec.benchmark, "tomcatv");
+                assert_eq!(spec.commits, 2000);
                 assert_eq!(format, TraceFormat::Chrome);
                 assert_eq!(window, Some(500));
                 assert_eq!(out.as_deref(), Some("/tmp/trace.json"));
-                assert_eq!(machine.regs, 64);
-                assert_eq!(machine.exceptions, ExceptionModel::Imprecise);
+                assert_eq!(spec.regs, 64);
+                assert_eq!(spec.exceptions, ExceptionModel::Imprecise);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1272,8 +1240,8 @@ mod tests {
     #[test]
     fn trace_defaults_to_summary_on_stdout() {
         match parse(&argv("trace --bench ora")).unwrap() {
-            Command::Trace { commits, format, window, out, .. } => {
-                assert_eq!(commits, 10_000);
+            Command::Trace { spec, format, window, out } => {
+                assert_eq!(spec.commits, 10_000);
                 assert_eq!(format, TraceFormat::Summary);
                 assert_eq!(window, None);
                 assert_eq!(out, None);
@@ -1299,6 +1267,9 @@ mod tests {
         ] {
             assert!(USAGE.contains(&format!("rfstudy {sub}")), "usage missing {sub}");
         }
+        assert!(USAGE.contains(&format!("--seed N (default {RUN_SEED})")));
+        assert!(USAGE.contains(&format!("workload seed (default {RUN_SEED};")));
+        assert!(USAGE.contains(&format!("--seed defaults to {DEFAULT_SEED}.")));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 
 mod cli;
 
-use cli::{Command, MachineOpts, StoreAction, TraceFormat};
+use cli::{Command, StoreAction, TraceFormat};
 use rf_check::{CheckParams, Sanitizer};
 use rf_core::dataflow::analyze;
-use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, SimStats};
+use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, RunSpec, SimStats};
 use std::collections::HashMap;
 use rf_obs::Recorder;
 use rf_isa::RegClass;
@@ -88,29 +88,28 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Run { bench, commits, deadline_secs, machine } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
+        Command::Run { spec, deadline_secs } => {
+            let profile = spec92::by_name(&spec.benchmark)
+                .ok_or_else(|| format!("unknown benchmark {:?}", spec.benchmark))?;
+            let len = spec.commits.min(SharedTrace::MAX_BUFFERED) as usize;
             simulate(
-                |cancelled| SharedTrace::build(&profile, machine.seed, len, cancelled),
-                commits,
+                |cancelled| SharedTrace::build(&profile, spec.seed, len, cancelled),
+                &spec,
                 deadline_secs,
-                &machine,
                 cfg.sanitize,
             )
         }
-        Command::Trace { bench, commits, format, window, out, machine } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let len = commits.min(SharedTrace::MAX_BUFFERED) as usize;
-            let trace = SharedTrace::new(&profile, machine.seed, len);
+        Command::Trace { spec, format, window, out } => {
+            let profile = spec92::by_name(&spec.benchmark)
+                .ok_or_else(|| format!("unknown benchmark {:?}", spec.benchmark))?;
+            let len = spec.commits.min(SharedTrace::MAX_BUFFERED) as usize;
+            let trace = SharedTrace::new(&profile, spec.seed, len);
             let recorder = match window {
                 Some(w) => Recorder::with_window(w),
                 None => Recorder::unbounded(),
             };
-            let (stats, mut recorder) = Pipeline::with_observer(machine.to_config(), recorder)
-                .run(&mut trace.cursor(), &mut trace.wrong_path(), commits)
+            let (stats, mut recorder) = Pipeline::with_observer(spec.machine_config(), recorder)
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), spec.commits)
                 .expect("no cancel token");
             recorder.seal();
             let rendered = match format {
@@ -123,8 +122,9 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
                     std::fs::write(&path, &rendered)
                         .map_err(|e| format!("cannot write {path:?}: {e}"))?;
                     eprintln!(
-                        "traced {} commits of {bench} over {} cycles -> {path} ({} bytes)",
+                        "traced {} commits of {} over {} cycles -> {path} ({} bytes)",
                         stats.committed,
+                        spec.benchmark,
                         stats.cycles,
                         rendered.len()
                     );
@@ -147,20 +147,25 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             println!("recorded {len} instructions of {bench} to {out}");
             Ok(())
         }
-        Command::Replay { trace, commits, machine } => {
+        Command::Replay { trace, spec } => {
             let trace = read_trace_file(&trace)?;
             let n = trace.len() as u64;
-            let target = if commits == 0 { n } else { commits.min(n) };
-            simulate(|_| Some(trace), target, None, &machine, cfg.sanitize)
+            let spec = RunSpec {
+                benchmark: trace.benchmark().to_owned(),
+                seed: trace.seed(),
+                commits: if spec.commits == 0 { n } else { spec.commits.min(n) },
+                ..spec
+            };
+            simulate(|_| Some(trace), &spec, None, cfg.sanitize)
         }
         Command::Check { pins, deadline_secs } => {
             run_check(&pins.expand(matrix_commits)?, deadline_secs)
         }
         Command::Model { pins, check, format, deadline_secs } => {
-            run_model(&pins.expand(matrix_commits)?, check, format, deadline_secs)
+            run_model(&specs(&pins.expand(matrix_commits)?), check, format, deadline_secs)
         }
         Command::Profile { pins, format, top, out, deadline_secs } => {
-            run_profile(&pins.expand(matrix_commits)?, format, top, out, deadline_secs)
+            run_profile(&specs(&pins.expand(matrix_commits)?), format, top, out, deadline_secs)
         }
         Command::Top { file, interval_ms, once } => run_top(&file, interval_ms, once),
         Command::Report {
@@ -249,8 +254,8 @@ fn watchdog(secs: f64) -> CancelToken {
     token
 }
 
-/// Simulates `commits` instructions of the trace `load` returns on
-/// `machine` and prints the statistics under the trace's benchmark name;
+/// Simulates the trace `load` returns on the machine of `spec` for its
+/// commit budget and prints the statistics under its benchmark name;
 /// `run` and `replay` share it. With `sanitize` (`RF_SANITIZE`) the
 /// invariant sanitizer rides along, its report follows, and a violation
 /// is an error. `deadline_secs` bounds the load and the simulation: `load`
@@ -259,9 +264,8 @@ fn watchdog(secs: f64) -> CancelToken {
 /// discarded.
 fn simulate(
     load: impl FnOnce(&dyn Fn() -> bool) -> Option<SharedTrace>,
-    commits: u64,
+    spec: &RunSpec,
     deadline_secs: Option<f64>,
-    machine: &MachineOpts,
     sanitize: bool,
 ) -> Result<(), String> {
     let cancel = deadline_secs.map(watchdog);
@@ -276,14 +280,14 @@ fn simulate(
     let deadline_err = |c: Cancelled| deadline_err(c.at_cycle);
     let (mut cursor, mut wrong_path) = (trace.cursor(), trace.wrong_path());
     if sanitize {
-        let sanitizer = Sanitizer::new(machine.regs, machine.exceptions);
-        let mut pipeline = Pipeline::with_observer(machine.to_config(), sanitizer);
+        let sanitizer = Sanitizer::new(spec.regs, spec.exceptions);
+        let mut pipeline = Pipeline::with_observer(spec.machine_config(), sanitizer);
         if let Some(token) = cancel {
             pipeline = pipeline.with_cancel(token);
         }
         let (stats, sanitizer) =
-            pipeline.run(&mut cursor, &mut wrong_path, commits).map_err(deadline_err)?;
-        print_stats(trace.benchmark(), &stats);
+            pipeline.run(&mut cursor, &mut wrong_path, spec.commits).map_err(deadline_err)?;
+        print_stats(&spec.benchmark, &stats);
         println!("{}", sanitizer.report());
         if !sanitizer.is_clean() {
             return Err(format!(
@@ -292,13 +296,13 @@ fn simulate(
             ));
         }
     } else {
-        let mut pipeline = Pipeline::new(machine.to_config());
+        let mut pipeline = Pipeline::new(spec.machine_config());
         if let Some(token) = cancel {
             pipeline = pipeline.with_cancel(token);
         }
         let (stats, _) =
-            pipeline.run(&mut cursor, &mut wrong_path, commits).map_err(deadline_err)?;
-        print_stats(trace.benchmark(), &stats);
+            pipeline.run(&mut cursor, &mut wrong_path, spec.commits).map_err(deadline_err)?;
+        print_stats(&spec.benchmark, &stats);
     }
     Ok(())
 }
@@ -334,14 +338,9 @@ fn run_check(matrix: &[CheckParams], deadline_secs: Option<f64>) -> Result<(), S
     }
 }
 
-/// The simulator run spec matching one check-matrix point.
-fn spec_for(p: &CheckParams) -> rf_experiments::runner::RunSpec {
-    let mut spec = rf_experiments::runner::RunSpec::baseline(&p.bench, p.width)
-        .regs(p.regs)
-        .exceptions(p.exceptions)
-        .commits(p.commits);
-    spec.seed = p.seed;
-    spec
+/// The runs a slice of the check matrix names.
+fn specs(matrix: &[CheckParams]) -> Vec<RunSpec> {
+    matrix.iter().map(CheckParams::spec).collect()
 }
 
 /// Per-configuration cap on the model's absolute IPC error in
@@ -358,7 +357,7 @@ const MODEL_MEAN_ERR_CAP_PCT: f64 = 15.0;
 /// at evaluation time — so they are memoized and each configuration is
 /// a microsecond-scale closed-form evaluation on a cached summary.
 fn run_model(
-    matrix: &[CheckParams],
+    matrix: &[RunSpec],
     check: bool,
     format: cli::ModelFormat,
     deadline_secs: Option<f64>,
@@ -366,18 +365,8 @@ fn run_model(
     let extract = std::time::Instant::now();
     let mut summaries: HashMap<(String, usize), rf_model::WorkloadSummary> = HashMap::new();
     for p in matrix {
-        let config = rf_check::config_for(p);
-        summaries.entry((p.bench.clone(), p.width)).or_insert_with(|| {
-            rf_model::summarize(
-                &p.bench,
-                p.commits,
-                p.seed,
-                config.effective_insert_bandwidth(),
-                config.cache_geometry(),
-                config.cache_org(),
-                config.predictor_kind(),
-            )
-            .expect("benchmark validated by MatrixPins::expand")
+        summaries.entry((p.benchmark.clone(), p.width)).or_insert_with(|| {
+            rf_model::summarize(p).expect("benchmark validated by MatrixPins::expand")
         });
     }
     let extract_ns = extract.elapsed().as_nanos() as u64;
@@ -385,8 +374,7 @@ fn run_model(
     let estimates: Vec<rf_model::ModelEstimate> = matrix
         .iter()
         .map(|p| {
-            let config = rf_check::config_for(p);
-            rf_model::evaluate(&summaries[&(p.bench.clone(), p.width)], &config)
+            rf_model::evaluate(&summaries[&(p.benchmark.clone(), p.width)], &p.machine_config())
         })
         .collect();
     let eval_ns = eval.elapsed().as_nanos() as u64;
@@ -402,7 +390,7 @@ fn run_model(
                 .zip(&estimates)
                 .map(|(p, e)| {
                     Value::Object(vec![
-                        ("bench".into(), Value::String(p.bench.clone())),
+                        ("bench".into(), Value::String(p.benchmark.clone())),
                         ("width".into(), Value::Number(p.width as f64)),
                         ("exceptions".into(), Value::String(p.exceptions.to_string())),
                         ("regs".into(), Value::Number(p.regs as f64)),
@@ -426,7 +414,7 @@ fn run_model(
                 println!(
                     "model {} width={} {} regs={} commits={} seed={}: \
                      ipc {:.2} fu {:.2} dq {:.1} live c/a/e {:.1}/{:.1}/{:.1} peak int/fp {}/{}",
-                    p.bench,
+                    p.benchmark,
                     p.width,
                     p.exceptions,
                     p.regs,
@@ -455,7 +443,7 @@ fn run_model(
 /// `rfstudy check` holds the simulator to). The optional deadline
 /// bounds the whole validation batch, matching `rfstudy check`.
 fn model_check(
-    matrix: &[CheckParams],
+    matrix: &[RunSpec],
     summaries: &HashMap<(String, usize), rf_model::WorkloadSummary>,
     estimates: &[rf_model::ModelEstimate],
     extract_ns: u64,
@@ -463,10 +451,9 @@ fn model_check(
     deadline_secs: Option<f64>,
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
-    let specs: Vec<_> = matrix.iter().map(spec_for).collect();
     let opts = BatchOpts { deadline: deadline_secs.map(std::time::Duration::from_secs_f64) };
     let sim_wall = std::time::Instant::now();
-    let results = SimPool::from_env().try_run_many_opts(&specs, &RunCache::disabled(), opts);
+    let results = SimPool::from_env().try_run_many_opts(matrix, &RunCache::disabled(), opts);
     let sim_ns = sim_wall.elapsed().as_nanos() as u64;
 
     let mut failures = 0u64;
@@ -479,11 +466,11 @@ fn model_check(
             if sim_ipc > 0.0 { 100.0 * (e.ipc - sim_ipc) / sim_ipc } else { 0.0 };
         sum_abs += err_pct.abs();
         let label =
-            format!("{} width={} {} regs={}", p.bench, p.width, p.exceptions, p.regs);
+            format!("{} width={} {} regs={}", p.benchmark, p.width, p.exceptions, p.regs);
         if err_pct.abs() > worst.0 {
             worst = (err_pct.abs(), label.clone());
         }
-        let oracle = &summaries[&(p.bench.clone(), p.width)].stats.oracle;
+        let oracle = &summaries[&(p.benchmark.clone(), p.width)].stats.oracle;
         let slack = stats.inserted.saturating_sub(stats.committed);
         let mut brackets_ok = true;
         for class in [RegClass::Int, RegClass::Fp] {
@@ -542,22 +529,21 @@ fn model_check(
 /// same clock, so the coverage line below is meaningful), and renders
 /// where the time went.
 fn run_profile(
-    matrix: &[CheckParams],
+    specs: &[RunSpec],
     format: cli::ProfileFormat,
     top: usize,
     out: Option<String>,
     deadline_secs: Option<f64>,
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
-    let commits = matrix.first().map_or(0, |p| p.commits);
-    let specs: Vec<_> = matrix.iter().map(spec_for).collect();
+    let commits = specs.first().map_or(0, |p| p.commits);
     let opts = BatchOpts { deadline: deadline_secs.map(std::time::Duration::from_secs_f64) };
 
     rf_prof::set_enabled(true);
     let wall = std::time::Instant::now();
     // A fresh disabled cache so every configuration actually simulates:
     // cache hits would attribute near-zero time and skew the profile.
-    let results = SimPool::new(1).try_run_many_opts(&specs, &RunCache::disabled(), opts);
+    let results = SimPool::new(1).try_run_many_opts(specs, &RunCache::disabled(), opts);
     let wall_ns = wall.elapsed().as_nanos() as u64;
     let root = rf_prof::collect();
     rf_prof::set_enabled(false);

@@ -75,3 +75,25 @@ fn rf_sanitize_switches_the_run_sanitizer() {
     assert_eq!(off.status.code(), Some(0), "{}", text(&off.stderr));
     assert!(!stdout.contains("sanitizer"), "{stdout}");
 }
+
+#[test]
+fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
+    let rows: [(&[&str], &str); 9] = [
+        (&["run", "--bench", "gcc1", "--regs", "16"], "--regs 16"),
+        (&["run", "--bench", "gcc1", "--width", "0"], "--width 0"),
+        (&["run", "--bench", "gcc1", "--dq", "0"], "--dq 0"),
+        (&["trace", "--bench", "gcc1", "--regs", "16"], "--regs 16"),
+        (&["replay", "--trace", "missing.rft", "--regs", "31"], "--regs 31"),
+        (&["check", "--bench", "compress", "--regs", "16"], "--regs 16"),
+        (&["model", "--bench", "compress", "--width", "0"], "--width 0"),
+        (&["model", "--check", "--bench", "compress", "--regs", "16"], "--regs 16"),
+        (&["profile", "--bench", "compress", "--regs", "16"], "--regs 16"),
+    ];
+    for (args, opt) in rows {
+        let out = rfstudy("RF_COMMITS", "1000", args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rfstudy {args:?}: {stderr}");
+        assert!(stderr.contains(opt), "rfstudy {args:?}: stderr names {opt}: {stderr}");
+        assert!(out.stdout.is_empty(), "rfstudy {args:?}: no work before the usage error");
+    }
+}
