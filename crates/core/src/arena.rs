@@ -2,11 +2,12 @@
 //!
 //! A sweep point costs a dozen heap allocations before the first cycle
 //! runs: per-register state, free/staged masks, the active list, the
-//! completion wheel, and the issue-phase scratch buffers. None of them
-//! outlive the run, so a thread that simulates thousands of sweep points
-//! (the experiment runner's worker threads) can hand the buffers of a
-//! finished run to the next [`Pipeline`](crate::Pipeline) instead of
-//! returning them to the allocator.
+//! completion wheel, the issue-phase scratch buffers, and the dense
+//! liveness counters. None of them outlive the run, so a thread that
+//! simulates thousands of sweep points (the experiment runner's worker
+//! threads) can hand the buffers of a finished run to the next
+//! [`Pipeline`](crate::Pipeline) instead of returning them to the
+//! allocator.
 //!
 //! Recycling is invisible to the simulation: every constructor that
 //! accepts recycled buffers clears them first, so a pipeline built from
@@ -50,6 +51,10 @@ pub(crate) struct RunBuffers {
     pub addr_map: AddrMap,
     /// Per-class, per-register waiter-chain heads.
     pub wait_heads: [Vec<u64>; 2],
+    /// Dense per-class precise liveness counters.
+    pub live_hist: [Vec<u64>; 2],
+    /// Dense per-class imprecise liveness counters.
+    pub live_hist_imprecise: [Vec<u64>; 2],
 }
 
 thread_local! {
@@ -84,8 +89,13 @@ pub(crate) fn put(mut buffers: Box<RunBuffers>) {
     buffers.scratch_selected.clear();
     buffers.scratch_kills.clear();
     buffers.addr_map.clear();
-    for heads in &mut buffers.wait_heads {
-        heads.clear();
+    for v in buffers
+        .wait_heads
+        .iter_mut()
+        .chain(&mut buffers.live_hist)
+        .chain(&mut buffers.live_hist_imprecise)
+    {
+        v.clear();
     }
     POOL.with(|p| *p.borrow_mut() = Some(buffers));
 }

@@ -11,7 +11,7 @@ use crate::imprecise::KillEngine;
 use crate::obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
 use crate::regfile::{Category, Condition, PhysRegFile};
 use crate::select::{self, Budgets, IssueBlocks};
-use crate::stats::SimStats;
+use crate::stats::{compact, SimStats};
 use crate::wheel::CompletionWheel;
 use rf_bpred::AnyPredictor;
 use rf_isa::{Instruction, IssueClass, IssueLimits, OpKind, RegClass};
@@ -146,6 +146,11 @@ pub struct Pipeline<O: Observer = NullObserver> {
     /// Insertion suppressed until this cycle (misprediction redirect).
     fetch_resume_at: u64,
     stats: SimStats,
+    /// Dense per-class counters of the precise and imprecise live counts,
+    /// `phys_regs + 1` buckets each, recycled through the arena; the run
+    /// hands [`SimStats`] their compact copies.
+    live_hist: [Vec<u64>; 2],
+    live_hist_imprecise: [Vec<u64>; 2],
     trace_done: bool,
     /// Stop committing once this many instructions have committed, so a
     /// run of `n` commits is exactly `n` (comparable IPCs across runs).
@@ -228,11 +233,17 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             addr_map,
             mut wait_heads,
+            mut live_hist,
+            mut live_hist_imprecise,
             ..
         } = *buf;
         for heads in &mut wait_heads {
             heads.clear();
             heads.resize(config.phys_regs(), NO_WAITER);
+        }
+        for hist in live_hist.iter_mut().chain(&mut live_hist_imprecise) {
+            hist.clear();
+            hist.resize(config.phys_regs() + 1, 0);
         }
         Self {
             obs,
@@ -255,6 +266,8 @@ impl<O: Observer> Pipeline<O> {
             fetch_buffer: None,
             fetch_resume_at: 0,
             stats,
+            live_hist,
+            live_hist_imprecise,
             trace_done: false,
             commit_target: u64::MAX,
             scratch_selected,
@@ -427,7 +440,9 @@ impl<O: Observer> Pipeline<O> {
         // The run completed: recycle its buffers for the next pipeline on
         // this thread (cancelled and panicked runs drop theirs instead).
         let Self {
-            stats,
+            mut stats,
+            live_hist,
+            live_hist_imprecise,
             obs,
             regs,
             active,
@@ -443,6 +458,9 @@ impl<O: Observer> Pipeline<O> {
         let (state1, free1, staged1) = r1.into_buffers();
         let (entries, cold, ready) = active.into_buffers();
         let (wheel_slots, wheel_occupied) = completions.into_buffers();
+        stats.live_hist = [compact(&live_hist[0]), compact(&live_hist[1])];
+        stats.live_hist_imprecise =
+            [compact(&live_hist_imprecise[0]), compact(&live_hist_imprecise[1])];
         arena::put(Box::new(RunBuffers {
             reg_state: [state0, state1],
             free_words: [free0, free1],
@@ -456,6 +474,8 @@ impl<O: Observer> Pipeline<O> {
             scratch_kills,
             addr_map: addrs.into_map(),
             wait_heads,
+            live_hist,
+            live_hist_imprecise,
         }));
         Ok((stats, obs))
     }
@@ -1153,8 +1173,8 @@ impl<O: Observer> Pipeline<O> {
                     file.staged_count(),
                 );
             }
-            self.stats.live_hist[class.index()][live] += 1;
-            self.stats.live_hist_imprecise[class.index()][live_imp] += 1;
+            self.live_hist[class.index()][live] += 1;
+            self.live_hist_imprecise[class.index()][live_imp] += 1;
             let counts = file.category_counts();
             for (sum, &c) in
                 self.stats.cat_sums[class.index()].iter_mut().zip(counts.iter())
@@ -1318,9 +1338,8 @@ impl<O: Observer> Pipeline<O> {
         self.stats.dq_occupancy_sum += k * self.dq_total() as u64;
         for class in RegClass::ALL {
             let file = &self.regs[class.index()];
-            self.stats.live_hist[class.index()][file.live_count()] += k;
-            self.stats.live_hist_imprecise[class.index()][file.live_count_imprecise()] +=
-                k;
+            self.live_hist[class.index()][file.live_count()] += k;
+            self.live_hist_imprecise[class.index()][file.live_count_imprecise()] += k;
             let counts = file.category_counts();
             for (sum, &c) in
                 self.stats.cat_sums[class.index()].iter_mut().zip(counts.iter())

@@ -25,6 +25,13 @@ pub enum LiveModel {
 /// which exactly `n` registers of `class` were live. They drive the
 /// paper's 90th-percentile metric (Figure 3), run-time coverage curves
 /// (Figures 4, 5, 8), and category breakdowns (`cat_sums`).
+///
+/// Each histogram is stored *compact*: only up to its highest non-zero
+/// bucket, so it never ends in a zero (and is empty when every bucket
+/// is zero). Its logical length is `phys_regs + 1`; the buckets past
+/// the stored ones are zero. A 2048-register run rarely holds more
+/// than a few hundred registers live, so the stored prefix is a small
+/// part of the logical histogram.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Simulated cycles.
@@ -68,9 +75,13 @@ pub struct SimStats {
     pub insert_stall_dq_full: u64,
     /// Sum over cycles of dispatch-queue occupancy.
     pub dq_occupancy_sum: u64,
-    /// Per-class histogram of the precise live-register count.
+    /// Registers per class: each liveness histogram logically has
+    /// `phys_regs + 1` buckets.
+    pub phys_regs: usize,
+    /// Per-class histogram of the precise live-register count (compact).
     pub live_hist: [Vec<u64>; 2],
-    /// Per-class histogram of the (shadow) imprecise live-register count.
+    /// Per-class histogram of the (shadow) imprecise live-register count
+    /// (compact).
     pub live_hist_imprecise: [Vec<u64>; 2],
     /// Per-class, per-category sums over cycles of live registers in each
     /// of the four liveness categories (in-queue, in-flight,
@@ -79,7 +90,8 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Creates zeroed statistics for files of `phys_regs` registers.
+    /// Creates zeroed statistics for files of `phys_regs` registers: the
+    /// histograms are empty, which is the compact form of all zeros.
     pub fn new(phys_regs: usize) -> Self {
         Self {
             cycles: 0,
@@ -101,8 +113,9 @@ impl SimStats {
             insert_stall_no_reg: 0,
             insert_stall_dq_full: 0,
             dq_occupancy_sum: 0,
-            live_hist: [vec![0; phys_regs + 1], vec![0; phys_regs + 1]],
-            live_hist_imprecise: [vec![0; phys_regs + 1], vec![0; phys_regs + 1]],
+            phys_regs,
+            live_hist: [Vec::new(), Vec::new()],
+            live_hist_imprecise: [Vec::new(), Vec::new()],
             cat_sums: [[0; 4]; 2],
         }
     }
@@ -143,7 +156,8 @@ impl SimStats {
         }
     }
 
-    /// The selected liveness histogram for one register class.
+    /// The selected liveness histogram for one register class, in its
+    /// stored (compact) form: buckets past its end are zero.
     pub fn live_histogram(&self, class: RegClass, model: LiveModel) -> &[u64] {
         match model {
             LiveModel::Precise => &self.live_hist[class.index()],
@@ -152,14 +166,25 @@ impl SimStats {
     }
 
     /// The histogram normalised by run time: `out[n]` = fraction of cycles
-    /// with exactly `n` live registers. This is the paper's per-benchmark
-    /// normalisation step (footnote 2) before averaging across benchmarks.
+    /// with exactly `n` live registers, over all `phys_regs + 1` buckets.
+    /// This is the paper's per-benchmark normalisation step (footnote 2)
+    /// before averaging across benchmarks.
     pub fn live_distribution(&self, class: RegClass, model: LiveModel) -> Vec<f64> {
-        let h = self.live_histogram(class, model);
-        if self.cycles == 0 {
-            return vec![0.0; h.len()];
+        let mut out = vec![0.0; self.phys_regs + 1];
+        if self.cycles != 0 {
+            for (o, &c) in out.iter_mut().zip(self.live_histogram(class, model)) {
+                *o = c as f64 / self.cycles as f64;
+            }
         }
-        h.iter().map(|&c| c as f64 / self.cycles as f64).collect()
+        out
+    }
+
+    /// Whether every liveness histogram is compact: at most
+    /// `phys_regs + 1` buckets and no trailing zero.
+    pub fn histograms_are_compact(&self) -> bool {
+        self.live_hist.iter().chain(&self.live_hist_imprecise).all(|h| {
+            h.len() <= self.phys_regs + 1 && h.last().is_none_or(|&n| n > 0)
+        })
     }
 
     /// The `pct` percentile (0–100) of the live-register distribution:
@@ -205,6 +230,13 @@ pub(crate) fn percentile_of(hist: &[u64], pct: f64) -> usize {
     hist.len() - 1
 }
 
+/// The compact form of a dense histogram: its buckets up to the highest
+/// non-zero one, in an exact-size vector.
+pub(crate) fn compact(dense: &[u64]) -> Vec<u64> {
+    let len = dense.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+    dense[..len].to_vec()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,10 +279,22 @@ mod tests {
     fn distribution_normalises() {
         let mut s = SimStats::new(4);
         s.cycles = 4;
-        s.live_hist[0][2] = 4;
+        s.live_hist[0] = vec![0, 0, 4];
         let d = s.live_distribution(RegClass::Int, LiveModel::Precise);
-        assert_eq!(d[2], 1.0);
-        assert_eq!(d.iter().sum::<f64>(), 1.0);
+        assert_eq!(d, [0.0, 0.0, 1.0, 0.0, 0.0], "logical length is phys_regs + 1");
+        assert!(s.histograms_are_compact());
+    }
+
+    #[test]
+    fn compact_drops_only_the_zero_tail() {
+        assert_eq!(compact(&[0, 3, 0, 2, 0, 0]), [0, 3, 0, 2]);
+        assert!(compact(&[0, 0, 0]).is_empty());
+        let mut s = SimStats::new(4);
+        assert!(s.histograms_are_compact(), "all-zero histograms are empty");
+        s.live_hist_imprecise[1] = vec![1, 0];
+        assert!(!s.histograms_are_compact(), "a trailing zero");
+        s.live_hist_imprecise[1] = vec![1; 6];
+        assert!(!s.histograms_are_compact(), "longer than phys_regs + 1");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub fn averaged_distribution<S: Borrow<SimStats>>(
         .map(|(_, s)| s.borrow())
         .collect();
     assert!(!selected.is_empty(), "no benchmarks selected for aggregation");
-    let len = selected.iter().map(|s| s.live_histogram(class, model).len()).max().unwrap();
+    let len = selected.iter().map(|s| s.phys_regs + 1).max().unwrap();
     let mut avg = vec![0.0; len];
     for s in &selected {
         for (i, v) in s.live_distribution(class, model).iter().enumerate() {
@@ -102,8 +102,10 @@ pub fn all_names() -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// Stats of a 4-register file whose four histograms are `hist`
+    /// (compact).
     fn fake_stats(hist: Vec<u64>) -> SimStats {
-        let mut s = SimStats::new(hist.len() - 1);
+        let mut s = SimStats::new(4);
         s.cycles = hist.iter().sum();
         s.live_hist[0] = hist.clone();
         s.live_hist[1] = hist.clone();
@@ -116,11 +118,12 @@ mod tests {
     fn averaging_is_runtime_normalised() {
         // Benchmark A: long run all at 2 live; benchmark B: short run all
         // at 4 live. Normalised averaging weights them equally.
-        let a = fake_stats(vec![0, 0, 1000, 0, 0]);
+        let a = fake_stats(vec![0, 0, 1000]);
         let b = fake_stats(vec![0, 0, 0, 0, 10]);
         let runs = vec![("a".to_owned(), a), ("b".to_owned(), b)];
         let names = vec!["a".to_owned(), "b".to_owned()];
         let d = averaged_distribution(&runs, &names, RegClass::Int, LiveModel::Precise);
+        assert_eq!(d.len(), 5, "the logical length, not the stored one");
         assert!((d[2] - 0.5).abs() < 1e-9);
         assert!((d[4] - 0.5).abs() < 1e-9);
     }

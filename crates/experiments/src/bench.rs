@@ -197,6 +197,7 @@ impl SuiteBench {
             commits: self.commits,
             jobs: SimPool::from_env().jobs() as u64,
             total_seconds: self.started.elapsed().as_secs_f64(),
+            peak_rss_kb: rf_obs::ledger::peak_rss_kb(),
             sims: sum(|h| h.sims),
             committed: sum(|h| h.committed),
             cycles: sum(|h| h.cycles),

@@ -106,8 +106,14 @@ pub fn spec_digest(spec: &RunSpec) -> Digest {
 }
 
 /// Encodes a [`SimStats`] into its versioned payload bytes.
+///
+/// Each liveness histogram is written at its logical length,
+/// `phys_regs + 1` buckets, with the zeros past its stored end padded
+/// back, so the payload does not depend on the in-memory form.
 pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(512);
+    assert!(stats.histograms_are_compact(), "liveness histograms are not compact");
+    let buckets = stats.phys_regs + 1;
+    let mut out = Vec::with_capacity(512 + 4 * 8 * buckets);
     out.extend_from_slice(STATS_MAGIC);
     put_u32(&mut out, STATS_CODEC_VERSION);
     for v in [
@@ -150,10 +156,11 @@ pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
         put_u64(&mut out, v);
     }
     for hist in stats.live_hist.iter().chain(stats.live_hist_imprecise.iter()) {
-        put_u32(&mut out, hist.len() as u32);
+        put_u32(&mut out, buckets as u32);
         for &v in hist {
             put_u64(&mut out, v);
         }
+        out.resize(out.len() + 8 * (buckets - hist.len()), 0);
     }
     for class in &stats.cat_sums {
         for &v in class {
@@ -217,18 +224,29 @@ pub fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
     stats.insert_stall_dq_full = r.u64()?;
     stats.dq_occupancy_sum = r.u64()?;
     let mut hists = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let mut buckets = None;
     for hist in &mut hists {
         let len = r.u32()? as usize;
+        if len == 0 {
+            return Err("stats payload: empty histogram".into());
+        }
+        if *buckets.get_or_insert(len) != len {
+            return Err("stats payload: histogram lengths differ".into());
+        }
         // Each histogram entry costs 8 payload bytes, so the length
         // field can never legitimately exceed what remains.
         if len > r.remaining() / 8 {
             return Err("stats payload: histogram length exceeds payload".into());
         }
-        hist.reserve_exact(len);
-        for _ in 0..len {
-            hist.push(r.u64()?);
-        }
+        // Keep the compact form: the buckets up to the last non-zero one.
+        let words = r.take(8 * len)?.chunks_exact(8);
+        let kept = words.clone().rposition(|w| w.iter().any(|&b| b != 0)).map_or(0, |i| i + 1);
+        *hist = words
+            .take(kept)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect();
     }
+    stats.phys_regs = buckets.expect("four histograms were read") - 1;
     let [h0, h1, h2, h3] = hists;
     stats.live_hist = [h0, h1];
     stats.live_hist_imprecise = [h2, h3];
@@ -347,9 +365,9 @@ mod tests {
         s.insert_stall_no_reg = 9;
         s.insert_stall_dq_full = 21;
         s.dq_occupancy_sum = 98_765;
-        s.live_hist[0][3] = 42;
-        s.live_hist[1][5] = 7;
-        s.live_hist_imprecise[0][2] = 13;
+        s.live_hist[0] = vec![0, 0, 0, 42];
+        s.live_hist[1] = vec![0, 0, 0, 0, 0, 7];
+        s.live_hist_imprecise[0] = vec![0, 0, 13];
         s.cat_sums[0][0] = 1_000;
         s.cat_sums[1][3] = 77;
         s
@@ -433,6 +451,42 @@ mod tests {
         assert_eq!(back, stats);
     }
 
+    /// Offset of the first histogram length field: magic(6) + ver(4) +
+    /// the fixed counters, 9+2+8+1+1+6 u64s.
+    const HIST_OFF: usize = 6 + 4 + 27 * 8;
+
+    #[test]
+    fn a_simulated_answer_round_trips_compact_through_the_dense_layout() {
+        let stats = crate::runner::simulate(&sample_spec());
+        assert_eq!(stats.phys_regs, 2048);
+        assert!(stats.histograms_are_compact());
+        let bytes = encode_stats(&stats);
+        // The histogram section keeps the dense layout: four u32 lengths
+        // of 2049, each followed by 2049 u64 buckets; the cat sums
+        // (8 u64s) follow it.
+        assert_eq!(bytes.len() - HIST_OFF - 8 * 8, 4 * (4 + 2049 * 8));
+        let back = decode_stats(&bytes).expect("decode");
+        assert!(back.histograms_are_compact());
+        assert_eq!(back, stats);
+        assert_eq!(encode_stats(&back), bytes);
+    }
+
+    #[test]
+    fn stats_decode_rejects_histograms_of_different_lengths() {
+        let bytes = encode_stats(&busy_stats());
+        // The second length field follows the first histogram's 9 buckets.
+        let second = HIST_OFF + 4 + 9 * 8;
+        assert_eq!(bytes[second..second + 4], 9u32.to_le_bytes());
+        let mut uneven = bytes.clone();
+        uneven[second..second + 4].copy_from_slice(&8u32.to_le_bytes());
+        let err = decode_stats(&uneven).expect_err("uneven lengths");
+        assert!(err.contains("lengths differ"), "{err}");
+        // A zero-length histogram names no register file.
+        let mut empty = bytes;
+        empty[HIST_OFF..HIST_OFF + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(decode_stats(&empty).is_err());
+    }
+
     #[test]
     fn stats_decode_rejects_malformed_payloads() {
         let stats = busy_stats();
@@ -455,10 +509,7 @@ mod tests {
         assert!(decode_stats(&stale).is_err());
         // Absurd histogram length cannot cause a huge allocation.
         let mut hist_bomb = bytes;
-        // First histogram length field sits right after the fixed
-        // counters: magic(6) + ver(4) + 9+2+8+1+1+6 u64s.
-        let hist_off = 6 + 4 + 27 * 8;
-        hist_bomb[hist_off..hist_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        hist_bomb[HIST_OFF..HIST_OFF + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_stats(&hist_bomb).is_err());
     }
 }

@@ -761,11 +761,12 @@ pub struct Answer {
 /// family*. Its largest register file, the *head*, runs first. When the
 /// head completes with peak live count `P` (the highest non-zero
 /// `live_hist` bucket of either class), every member with `regs > P` is
-/// answered from the head's statistics, its liveness histograms cut to
-/// `regs + 1` buckets. The answer is exact: allocation takes the lowest
-/// free register, so no run of the family names a register at or above
-/// `P` and no free list runs empty (DESIGN.md §9). Members with
-/// `regs <= P`, and every member of a failed head, simulate.
+/// answered from the head's statistics with its own register count: the
+/// compact histograms already end at or below `P`. The answer is exact:
+/// allocation takes the lowest free register, so no run of the family
+/// names a register at or above `P` and no free list runs empty
+/// (DESIGN.md §9). Members with `regs <= P`, and every member of a
+/// failed head, simulate.
 ///
 /// Every entry point returns one outcome per spec: a panicking or
 /// deadline-cancelled simulation fails only its own spec, and every
@@ -1161,33 +1162,28 @@ impl<'a> Scheduler<'a> {
 }
 
 /// The highest live-register count a run reached in either class: the
-/// highest non-zero `live_hist` bucket. The count is sampled after the
-/// cycle's insertions and before its staged frees return, and live
-/// counts only rise within a cycle, so this is the run's allocation
-/// peak.
+/// highest non-zero `live_hist` bucket, which is the last one stored.
+/// The count is sampled after the cycle's insertions and before its
+/// staged frees return, and live counts only rise within a cycle, so
+/// this is the run's allocation peak.
 fn live_peak(stats: &SimStats) -> usize {
-    stats.live_hist.iter().filter_map(|h| h.iter().rposition(|&n| n > 0)).max().unwrap_or(0)
+    stats.live_hist.iter().map(Vec::len).max().unwrap_or(0).saturating_sub(1)
 }
 
 /// The statistics of a family member with `regs` registers, from its
 /// head's run that never held `regs` registers live: equal in every
-/// field, the four liveness histograms cut to `regs + 1` buckets.
+/// field but the register count.
 ///
 /// # Panics
 ///
-/// Panics if a cut bucket is non-zero (the head's run reached `regs`).
+/// Panics if a histogram holds a bucket above `regs` (the head's run
+/// reached `regs`).
 fn saturated(head: &SimStats, regs: usize) -> SimStats {
-    let mut stats = head.clone();
-    for hist in stats.live_hist.iter_mut().chain(stats.live_hist_imprecise.iter_mut()) {
-        assert!(
-            hist[regs + 1..].iter().all(|&n| n == 0),
-            "saturation reuse cut a live bucket above {regs} registers"
-        );
-        // A fresh vector, not a truncated clone: the answer outlives the
-        // batch in the run cache, so it keeps only its own buckets.
-        *hist = hist[..=regs].to_vec();
-    }
-    stats
+    assert!(
+        head.live_hist.iter().chain(&head.live_hist_imprecise).all(|h| h.len() <= regs + 1),
+        "saturation reuse from a run live above {regs} registers"
+    );
+    SimStats { phys_regs: regs, ..head.clone() }
 }
 
 /// Groups a batch's tasks by trace key — benchmark and seed — for
@@ -1591,7 +1587,9 @@ mod tests {
         let reused: Vec<bool> = out.iter().map(|a| a.reused).collect();
         assert_eq!(reused, [false, false, true], "reuse needs regs strictly above the peak");
         assert!(out[1].task_ns.is_some() && out[2].task_ns.is_none());
-        assert_eq!(out[2].outcome.as_ref().unwrap().live_hist[0].len(), peak + 2);
+        let reused = out[2].outcome.as_ref().unwrap();
+        assert_eq!(reused.phys_regs, peak + 1);
+        assert!(reused.histograms_are_compact());
     }
 
     #[test]

@@ -84,7 +84,11 @@ use std::path::Path;
 /// v11 added `totals.reused`: the batch tasks answered by saturation
 /// reuse, from the run of their family's largest register file. They
 /// are not simulations, so no harness's `sims` counts them.
-pub const SCHEMA_VERSION: u64 = 11;
+///
+/// v12 added `totals.peak_rss_kb`: the suite process's peak resident
+/// set size (`VmHWM`), null where the platform does not report it. It
+/// depends on the allocator and the host, so it is volatile.
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -238,6 +242,9 @@ pub struct LedgerRecord {
     pub jobs: u64,
     /// Suite wall-clock seconds.
     pub total_seconds: f64,
+    /// Peak resident set size of the suite process in KiB (`None` where
+    /// the platform does not report it).
+    pub peak_rss_kb: Option<u64>,
     /// Total simulations executed.
     pub sims: u64,
     /// Total instructions committed.
@@ -310,6 +317,7 @@ impl LedgerRecord {
                 "totals".to_owned(),
                 Value::Object(vec![
                     ("seconds".to_owned(), num(round6(self.total_seconds))),
+                    ("peak_rss_kb".to_owned(), self.peak_rss_kb.map_or(Value::Null, int)),
                     ("sims".to_owned(), int(self.sims)),
                     ("committed".to_owned(), int(self.committed)),
                     ("cycles".to_owned(), int(self.cycles)),
@@ -545,6 +553,14 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
+/// This process's peak resident set size in KiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that is unavailable.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// Seconds since the Unix epoch (0 if the clock is before it).
 pub fn unix_timestamp() -> u64 {
     std::time::SystemTime::now()
@@ -566,6 +582,7 @@ fn is_volatile_key(key: &str) -> bool {
         // simulation output, so they are not part of the deterministic
         // payload.
         || key == "store"
+        || key == "peak_rss_kb"
         || key.contains("seconds")
 }
 
@@ -600,6 +617,7 @@ mod tests {
             commits: 2_000,
             jobs: 2,
             total_seconds: 1.25,
+            peak_rss_kb: Some(14_336),
             sims: 100,
             committed: 200_000,
             cycles: 90_000,
@@ -705,6 +723,7 @@ mod tests {
             keys("totals"),
             [
                 "seconds",
+                "peak_rss_kb",
                 "sims",
                 "committed",
                 "cycles",
@@ -810,6 +829,7 @@ mod tests {
         let a = rec.to_value();
         rec.timestamp_unix += 999;
         rec.total_seconds *= 3.0;
+        rec.peak_rss_kb = None;
         rec.harnesses[0].seconds = 42.0;
         rec.phase.simulate = 9.0;
         rec.profile.as_mut().unwrap().total_ns = 7;
@@ -838,6 +858,7 @@ mod tests {
         let p = metric_payload(&a);
         assert_eq!(p.get("totals").unwrap().get_f64("cycles"), Some(90_000.0));
         assert!(p.get("totals").unwrap().get("seconds").is_none());
+        assert!(p.get("totals").unwrap().get("peak_rss_kb").is_none(), "peak RSS is volatile");
         let h = &p.get("harnesses").unwrap().as_array().unwrap()[0];
         assert!(p.get("phase_seconds").is_none(), "phase timers are volatile");
         assert!(p.get("profile").is_none(), "wall-time profile is volatile");
@@ -846,6 +867,14 @@ mod tests {
         assert_eq!(h.get_f64("stall_no_reg"), Some(10.0), "stall counts are deterministic");
         assert_eq!(p.get("totals").unwrap().get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_the_platform_reports_it() {
+        let rss = peak_rss_kb();
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(rss.is_some_and(|kb| kb > 0), "{rss:?}");
+        }
     }
 
     #[test]

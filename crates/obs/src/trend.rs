@@ -160,6 +160,9 @@ pub struct Analysis {
     pub rows: Vec<PerfRow>,
     /// The suite-total row.
     pub total: PerfRow,
+    /// Latest run's peak resident set size in KiB (`None` when the
+    /// record carries none).
+    pub peak_rss_kb: Option<u64>,
     /// Fidelity scorecard (empty when `FidelityMode::Off`).
     pub scorecard: Vec<ScoreEntry>,
     /// Band scale the scorecard was judged with.
@@ -529,6 +532,7 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
         baseline_runs: window_records.len(),
         rows,
         total,
+        peak_rss_kb: latest.get("totals").and_then(|t| t.get_f64("peak_rss_kb")).map(|kb| kb as u64),
         scorecard,
         band_scale: opts.band_scale,
         profile_drift,
@@ -551,6 +555,10 @@ fn fmt_delta(v: Option<f64>) -> String {
         Some(v) => format!("{v:+.1}%"),
         None => "-".to_owned(),
     }
+}
+
+fn fmt_rss(kb: Option<u64>) -> String {
+    kb.map_or_else(|| "- (not recorded)".to_owned(), |kb| format!("{kb} KiB"))
 }
 
 /// Renders the plain-text report.
@@ -580,6 +588,7 @@ pub fn render_text(a: &Analysis) -> String {
             if row.regressed { "REGRESSED" } else { "ok" }
         );
     }
+    let _ = writeln!(out, "{:<12} {}", "peak RSS", fmt_rss(a.peak_rss_kb));
     if !a.scorecard.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "paper-fidelity scorecard (band scale {:.1})", a.band_scale);
@@ -694,6 +703,8 @@ pub fn render_markdown(a: &Analysis) -> String {
             if row.regressed { "**REGRESSED**" } else { "ok" }
         );
     }
+    let _ = writeln!(out);
+    let _ = writeln!(out, "Peak RSS of the suite process: {}", fmt_rss(a.peak_rss_kb));
     if !a.scorecard.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "## Paper fidelity (band scale {:.1})", a.band_scale);
@@ -903,7 +914,8 @@ mod tests {
             concat!(
                 "{{\"schema\":{schema},\"timestamp_unix\":100,\"git_rev\":\"{rev}\",",
                 "\"config\":{{\"commits\":2000,\"jobs\":1}},",
-                "\"totals\":{{\"seconds\":{total},\"sims\":10,\"committed\":20000,",
+                "\"totals\":{{\"seconds\":{total},\"peak_rss_kb\":8192,\"sims\":10,",
+                "\"committed\":20000,",
                 "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,\"reused\":0,",
                 "\"cache_hits\":1,\"cache_misses\":9}},",
                 "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
@@ -1340,12 +1352,14 @@ mod tests {
         let a = analyze(&records, &Options::default()).unwrap();
         let text = render_text(&a);
         assert!(text.contains("TOTAL"), "{text}");
+        assert!(text.contains("\npeak RSS     8192 KiB\n"), "{text}");
         assert!(text.contains("check: FAIL"), "{text}");
         assert!(text.contains("paper-fidelity scorecard"), "{text}");
         let md = render_markdown(&a);
         assert!(md.contains("# Suite report"));
         assert!(md.contains("| harness |"));
         assert!(md.contains("**Check: FAIL**"));
+        assert!(md.contains("Peak RSS of the suite process: 8192 KiB"), "{md}");
         let prom = render_prometheus(&a);
         assert!(prom.contains("rf_suite_total_seconds 3.9"), "{prom}");
         assert!(prom.contains("rf_harness_seconds{harness=\"fig3\"}"));

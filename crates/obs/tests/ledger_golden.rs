@@ -27,6 +27,7 @@ fn full_record() -> LedgerRecord {
         commits: 200_000,
         jobs: 8,
         total_seconds: 123.456789,
+        peak_rss_kb: Some(14_652),
         sims: 1_234,
         committed: 246_800_000,
         cycles: 98_765_432,
@@ -144,6 +145,7 @@ fn minimal_record() -> LedgerRecord {
         commits: 2_000,
         jobs: 1,
         total_seconds: 0.0,
+        peak_rss_kb: None,
         sims: 0,
         committed: 0,
         cycles: 0,
@@ -210,6 +212,7 @@ fn golden_lines_parse_back_to_current_schema() {
         let totals = v.get("totals").unwrap();
         for key in [
             "seconds",
+            "peak_rss_kb",
             "sims",
             "committed",
             "cycles",
@@ -267,6 +270,7 @@ fn full_golden_line_round_trips_through_the_parser() {
     let served = &v.get("harnesses").unwrap().as_array().unwrap()[2];
     assert_eq!(served.get("cache_served"), Some(&Value::Bool(true)));
     assert_eq!(v.get("alloc").unwrap().get_f64("allocated_bytes"), Some(64_000_000.0));
+    assert_eq!(v.get("totals").unwrap().get_f64("peak_rss_kb"), Some(14_652.0));
     // The model-error telemetry block survives the round trip.
     let model = v.get("model_error").unwrap();
     assert_eq!(model.get_f64("configs"), Some(72.0));
@@ -288,6 +292,7 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let minimal = json::parse(GOLDEN.lines().nth(1).unwrap()).unwrap();
     assert_eq!(minimal.get("alloc"), Some(&Value::Null));
+    assert_eq!(minimal.get("totals").unwrap().get("peak_rss_kb"), Some(&Value::Null));
     assert_eq!(minimal.get("profile"), Some(&Value::Null));
     assert_eq!(minimal.get("model_error"), Some(&Value::Null));
     assert_eq!(minimal.get("telemetry"), Some(&Value::Null));

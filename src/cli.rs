@@ -131,12 +131,8 @@ pub const MATRIX_COMMITS: u64 = 10_000;
 impl MatrixPins {
     /// The check matrix ([`rf_check::default_matrix`]) with each pinned
     /// dimension substituted, duplicates dropped, in matrix order;
-    /// `default_commits` applies when `--commits` is absent. Fails on an
-    /// unknown benchmark.
-    pub fn expand(&self, default_commits: u64) -> Result<Vec<rf_check::CheckParams>, String> {
-        if let Some(b) = &self.bench {
-            rf_workload::spec92::by_name(b).ok_or_else(|| format!("unknown benchmark {b:?}"))?;
-        }
+    /// `default_commits` applies when `--commits` is absent.
+    pub fn expand(&self, default_commits: u64) -> Vec<rf_check::CheckParams> {
         let mut params = Vec::new();
         for p in rf_check::default_matrix(self.commits.unwrap_or(default_commits), self.seed) {
             let p = rf_check::CheckParams {
@@ -150,7 +146,7 @@ impl MatrixPins {
                 params.push(p);
             }
         }
-        Ok(params)
+        params
     }
 }
 
@@ -421,6 +417,16 @@ fn parse_num<T: std::str::FromStr>(opt: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid value {v:?} for {opt}"))
 }
 
+/// The `--bench` value, if given. The one check of a benchmark name: an
+/// unknown one is a usage error on every command that takes `--bench`.
+fn take_bench(opts: &[(String, Option<String>)]) -> Result<Option<String>, String> {
+    let bench = opts.iter().find(|(o, _)| o == "--bench").and_then(|(_, v)| v.clone());
+    if let Some(b) = &bench {
+        rf_workload::spec92::by_name(b).ok_or_else(|| format!("unknown benchmark {b:?}"))?;
+    }
+    Ok(bench)
+}
+
 /// Parses the pinnable matrix dimensions of `check` / `profile` /
 /// `model` out of the collected option pairs.
 fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
@@ -428,7 +434,7 @@ fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
         opts.iter().find(|(o, _)| o == name).and_then(|(_, v)| v.clone())
     };
     Ok(MatrixPins {
-        bench: take("--bench"),
+        bench: take_bench(opts)?,
         width: take("--width").map(|v| machine_num("--width", &v)).transpose()?,
         exceptions: take("--exceptions").map(|v| parse_exceptions(&v)).transpose()?,
         regs: take("--regs").map(|v| machine_num("--regs", &v)).transpose()?,
@@ -504,14 +510,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     match cmd {
         "list" => Ok(Command::List),
         "run" => {
-            let bench = take("--bench", &opts).ok_or("run requires --bench")?;
+            let bench = take_bench(&opts)?.ok_or("run requires --bench")?;
             Ok(Command::Run {
                 deadline_secs: parse_deadline(&opts)?,
                 spec: parse_spec(&bench, DEFAULT_COMMITS, &opts, &["--bench", "--deadline-secs"])?,
             })
         }
         "trace" => {
-            let bench = take("--bench", &opts).ok_or("trace requires --bench")?;
+            let bench = take_bench(&opts)?.ok_or("trace requires --bench")?;
             Ok(Command::Trace {
                 format: take("--format", &opts)
                     .map_or(Ok(TraceFormat::Summary), |v| TraceFormat::parse(&v))?,
@@ -526,7 +532,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "record" => Ok(Command::Record {
-            bench: take("--bench", &opts).ok_or("record requires --bench")?,
+            bench: take_bench(&opts)?.ok_or("record requires --bench")?,
             out: take("--out", &opts).ok_or("record requires --out")?,
             count: take("--count", &opts).map_or(Ok(1_000_000), |v| parse_num("--count", &v))?,
             seed: take("--seed", &opts).map_or(Ok(RUN_SEED), |v| parse_num("--seed", &v))?,
@@ -551,7 +557,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             deadline_secs: parse_deadline(&opts)?,
         }),
         "dataflow" => Ok(Command::Dataflow {
-            bench: take("--bench", &opts).ok_or("dataflow requires --bench")?,
+            bench: take_bench(&opts)?.ok_or("dataflow requires --bench")?,
             window: take("--window", &opts)
                 .map(|v| parse_num("--window", &v))
                 .transpose()?,
@@ -978,7 +984,7 @@ mod tests {
             commits: Some(500),
             seed: 12,
         };
-        let params = pins.expand(MATRIX_COMMITS).unwrap();
+        let params = pins.expand(MATRIX_COMMITS);
         assert_eq!(params.len(), 72);
         assert!(params.iter().all(|p| p.commits == 500 && p.seed == 12));
         assert_eq!(params[0].width, 4);
@@ -992,18 +998,15 @@ mod tests {
             commits: Some(100),
             seed: 3,
         };
-        let params = pinned.expand(MATRIX_COMMITS).unwrap();
+        let params = pinned.expand(MATRIX_COMMITS);
         assert_eq!(params.len(), 1);
         assert_eq!(params[0].bench, "compress");
         assert_eq!(params[0].width, 8);
         assert_eq!(params[0].exceptions, ExceptionModel::Imprecise);
         assert_eq!(params[0].regs, 64);
-        // Unknown benchmarks are rejected at expansion time.
-        let bogus = MatrixPins { bench: Some("nope".into()), ..pinned };
-        assert!(bogus.expand(MATRIX_COMMITS).is_err());
         // Without --commits the caller's default applies.
         let unbudgeted = MatrixPins { commits: None, ..pins };
-        assert!(unbudgeted.expand(700).unwrap().iter().all(|p| p.commits == 700));
+        assert!(unbudgeted.expand(700).iter().all(|p| p.commits == 700));
     }
 
     #[test]
@@ -1016,9 +1019,9 @@ mod tests {
             commits: None,
             seed: 5,
         };
-        assert_eq!(unpinned.expand(900).unwrap(), rf_check::default_matrix(900, 5));
+        assert_eq!(unpinned.expand(900), rf_check::default_matrix(900, 5));
         // A pinned size outside the matrix replaces both of its sizes.
-        let params = MatrixPins { regs: Some(96), ..unpinned.clone() }.expand(900).unwrap();
+        let params = MatrixPins { regs: Some(96), ..unpinned }.expand(900);
         let expected: Vec<_> = rf_check::default_matrix(900, 5)
             .into_iter()
             .filter(|p| p.regs == 2048)
@@ -1026,8 +1029,22 @@ mod tests {
             .collect();
         assert_eq!(params.len(), 36);
         assert_eq!(params, expected);
-        let bogus = MatrixPins { bench: Some("nope".into()), ..unpinned };
-        assert!(bogus.expand(900).unwrap_err().contains("unknown benchmark"));
+    }
+
+    #[test]
+    fn an_unknown_benchmark_is_rejected_where_bench_is_parsed() {
+        for cmd in [
+            "run --bench nope",
+            "trace --bench nope",
+            "record --bench nope --out t.rft",
+            "dataflow --bench nope",
+            "check --bench nope",
+            "model --bench nope",
+            "profile --bench nope",
+        ] {
+            let err = parse(&argv(cmd)).unwrap_err();
+            assert_eq!(err, "unknown benchmark \"nope\"", "{cmd}");
+        }
     }
 
     #[test]
@@ -1275,8 +1292,8 @@ mod tests {
     #[test]
     fn rejects_junk() {
         assert!(parse(&argv("frobnicate")).is_err());
-        assert!(parse(&argv("run --bench x --exceptions nonsense")).is_err());
-        assert!(parse(&argv("run --bench x --width abc")).is_err());
+        assert!(parse(&argv("run --bench ora --exceptions nonsense")).is_err());
+        assert!(parse(&argv("run --bench ora --width abc")).is_err());
         assert!(parse(&argv("run bench")).is_err());
     }
 

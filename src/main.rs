@@ -89,8 +89,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             Ok(())
         }
         Command::Run { spec, deadline_secs } => {
-            let profile = spec92::by_name(&spec.benchmark)
-                .ok_or_else(|| format!("unknown benchmark {:?}", spec.benchmark))?;
+            let profile = profile(&spec.benchmark);
             let len = spec.commits.min(SharedTrace::MAX_BUFFERED) as usize;
             simulate(
                 |cancelled| SharedTrace::build(&profile, spec.seed, len, cancelled),
@@ -100,8 +99,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             )
         }
         Command::Trace { spec, format, window, out } => {
-            let profile = spec92::by_name(&spec.benchmark)
-                .ok_or_else(|| format!("unknown benchmark {:?}", spec.benchmark))?;
+            let profile = profile(&spec.benchmark);
             let len = spec.commits.min(SharedTrace::MAX_BUFFERED) as usize;
             let trace = SharedTrace::new(&profile, spec.seed, len);
             let recorder = match window {
@@ -134,8 +132,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             Ok(())
         }
         Command::Record { bench, out, count, seed } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+            let profile = profile(&bench);
             let len = usize::try_from(count)
                 .ok()
                 .filter(|&n| n < u32::MAX as usize)
@@ -159,13 +156,13 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             simulate(|_| Some(trace), &spec, None, cfg.sanitize)
         }
         Command::Check { pins, deadline_secs } => {
-            run_check(&pins.expand(matrix_commits)?, deadline_secs)
+            run_check(&pins.expand(matrix_commits), deadline_secs)
         }
         Command::Model { pins, check, format, deadline_secs } => {
-            run_model(&specs(&pins.expand(matrix_commits)?), check, format, deadline_secs)
+            run_model(&specs(&pins.expand(matrix_commits)), check, format, deadline_secs)
         }
         Command::Profile { pins, format, top, out, deadline_secs } => {
-            run_profile(&specs(&pins.expand(matrix_commits)?), format, top, out, deadline_secs)
+            run_profile(&specs(&pins.expand(matrix_commits)), format, top, out, deadline_secs)
         }
         Command::Top { file, interval_ms, once } => run_top(&file, interval_ms, once),
         Command::Report {
@@ -194,8 +191,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             profile_drift,
         ),
         Command::Dataflow { bench, window, count } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+            let profile = profile(&bench);
             let gen = TraceGenerator::new(&profile, 1);
             let limit = analyze(gen.take(count as usize), window);
             println!("benchmark      : {bench}");
@@ -232,6 +228,12 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             Ok(())
         }
     }
+}
+
+/// The profile of a benchmark the command line named (`cli::parse`
+/// rejects an unknown name).
+fn profile(name: &str) -> rf_workload::BenchmarkProfile {
+    spec92::by_name(name).expect("the command line checked the benchmark name")
 }
 
 /// Reads a recorded trace file.

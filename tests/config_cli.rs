@@ -97,3 +97,24 @@ fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
         assert!(out.stdout.is_empty(), "rfstudy {args:?}: no work before the usage error");
     }
 }
+
+#[test]
+fn an_unknown_benchmark_is_a_usage_error_on_every_command() {
+    let rows: [&[&str]; 7] = [
+        &["run", "--bench", "nope"],
+        &["trace", "--bench", "nope"],
+        &["record", "--bench", "nope", "--out", "never-written.rft"],
+        &["dataflow", "--bench", "nope"],
+        &["check", "--bench", "nope"],
+        &["model", "--bench", "nope"],
+        &["profile", "--bench", "nope"],
+    ];
+    for args in rows {
+        let out = rfstudy("RF_COMMITS", "1000", args);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rfstudy {args:?}: {stderr}");
+        assert!(stderr.contains("unknown benchmark \"nope\""), "rfstudy {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "rfstudy {args:?}: no work before the usage error");
+    }
+    assert!(!std::path::Path::new("never-written.rft").exists());
+}

@@ -40,6 +40,7 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         commits: 10_000,
         jobs: 4,
         total_seconds: 3.0 * scale,
+        peak_rss_kb: Some(12_288),
         sims: 80,
         committed: 800_000,
         cycles: 320_000,
@@ -92,6 +93,7 @@ fn check_passes_on_a_clean_ledger_and_fails_on_injected_regression() {
     let (ok, text) = run_report(&clean, &[]);
     assert!(ok, "clean ledger must pass --check:\n{text}");
     assert!(text.contains("PASS"), "{text}");
+    assert!(text.contains("peak RSS     12288 KiB"), "peak RSS beside wall time:\n{text}");
 
     // Same history, but the latest run is 20% slower across the board:
     // the perf gate fires and the process exits nonzero.
