@@ -6,10 +6,11 @@
 //! and freeing machinery. This crate checks that machinery two
 //! independent ways:
 //!
-//! * [`oracle`] analyses a committed instruction stream *statically*:
-//!   def-use chains, live ranges, a schedule-independent lower bound on
-//!   physical-register demand, and an ideal-schedule decomposition into
-//!   the paper's liveness categories.
+//! * [`oracle`] analyses a committed instruction stream *statically*,
+//!   in one pass without collecting it: def-use chains, live ranges, a
+//!   schedule-independent lower bound on physical-register demand, the
+//!   kind mix, and an ideal-schedule decomposition into the paper's
+//!   liveness categories (the schedule is [`rf_core::dataflow`]'s).
 //! * [`Sanitizer`] rides the zero-cost [`Observer`](rf_core::Observer)
 //!   hooks *dynamically*, replaying every rename, free, commit and
 //!   squash against its own model of the register files and flagging any
@@ -23,10 +24,9 @@
 //! [`CheckParams`], one point of the check matrix ([`default_matrix`]),
 //! and the run it names is [`CheckParams::spec`], an
 //! [`rf_core::RunSpec`] like every other simulation's. [`inject`] proves every
-//! sanitizer checker can actually fail. [`wstats`] repackages the
-//! oracle together with the instruction mix and windowed dataflow
-//! limits as the schedule-independent workload summary the `rf-model`
-//! analytic estimator consumes.
+//! sanitizer checker can actually fail. [`wstats`] adds the windowed
+//! dataflow limits to the oracle's pass, as the schedule-independent
+//! workload summary the `rf-model` analytic estimator consumes.
 //!
 //! Nothing here perturbs measurement: the sanitizer only runs when a
 //! caller attaches it, and an unobserved pipeline compiles the hooks

@@ -3,9 +3,13 @@
 //! decomposition of register lifetimes into the paper's liveness
 //! categories.
 //!
-//! Everything here is computed from the committed instruction stream
-//! alone — no pipeline state — which is what makes it an independent
-//! oracle for the simulator (see [`crate::crosscheck`]).
+//! Everything here is computed in one pass over the committed
+//! instruction stream alone — no pipeline state — which is what makes
+//! it an independent oracle for the simulator (see
+//! [`crate::crosscheck`]). The ideal schedule is
+//! [`rf_core::dataflow::Schedule`] paced at the insert bandwidth, the
+//! same schedule the dataflow limits use unpaced; the pass also counts
+//! the instruction-kind mix.
 //!
 //! ## Soundness of the lower bound
 //!
@@ -29,9 +33,9 @@
 //! cross-check widens it by the simulator's own count of inserted but
 //! never-committed (wrong-path or still in-flight) instructions.
 
-use rf_core::AddrHashBuilder;
+use rf_core::dataflow::{DataflowLimit, Schedule, Slot};
 use rf_isa::{Instruction, OpKind, RegClass};
-use std::collections::HashMap;
+use std::borrow::Borrow;
 
 /// Per-class results of the static analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +69,9 @@ pub struct ClassOracle {
 pub struct TraceOracle {
     /// Instructions analysed.
     pub instructions: u64,
-    /// Loads in the prefix.
-    pub loads: u64,
-    /// Stores in the prefix.
-    pub stores: u64,
-    /// Conditional branches in the prefix.
-    pub branches: u64,
+    /// Instructions per [`OpKind`], indexed in [`OpKind::ALL`] order
+    /// (see [`TraceOracle::count`]).
+    pub kind_counts: [u64; OpKind::ALL.len()],
     /// Cycles the ideal schedule takes to complete the prefix.
     pub ideal_cycles: u64,
     /// Per-class analysis (indexed by [`RegClass::index`]).
@@ -78,6 +79,11 @@ pub struct TraceOracle {
 }
 
 impl TraceOracle {
+    /// Instructions of `kind` in the prefix.
+    pub fn count(&self, kind: OpKind) -> u64 {
+        self.kind_counts[kind as usize]
+    }
+
     /// The sound upper bound on the simulator's max-live count for
     /// `class`: initial mappings plus every possible allocation. `slack`
     /// is the simulator's count of inserted-but-never-committed
@@ -88,14 +94,12 @@ impl TraceOracle {
     }
 }
 
-/// One def (write) of a virtual register, including the 31 initial
-/// architectural mappings per class (`pos == -1`).
-#[derive(Debug, Clone, Copy)]
+/// The current def (write) of a virtual register, including the 31
+/// initial architectural mappings per class (`pos == -1`).
+#[derive(Debug, Clone, Copy, Default)]
 struct Def {
     pos: i64,
     last_use: i64,
-    next_def: i64,
-    next_def_id: Option<usize>,
     uses: u32,
     /// Ideal-schedule times: insert (rename), operands-ready (issue),
     /// and completion of the writing instruction.
@@ -106,177 +110,123 @@ struct Def {
     reader_finish: u64,
 }
 
-impl Def {
-    fn initial() -> Self {
-        Def {
-            pos: -1,
-            last_use: -1,
-            next_def: -1,
-            next_def_id: None,
-            uses: 0,
-            rename_at: 0,
-            issue_at: 0,
-            finish_at: 0,
-            reader_finish: 0,
-        }
-    }
-}
-
-/// Statically analyses a trace prefix. `insert_bw` is the machine's
+/// Statically analyses a trace prefix, in one pass over any iterator of
+/// instructions or references to them. `insert_bw` is the machine's
 /// per-cycle insert bandwidth (`1.5 x width` in the paper), which paces
-/// the ideal schedule's rename times.
-pub fn analyze(insts: &[Instruction], insert_bw: usize) -> TraceOracle {
-    let ibw = insert_bw.max(1) as u64;
-    let n = insts.len();
-    // Per-class def lists; ids 0..31 are the initial mappings.
-    let mut defs: [Vec<Def>; 2] = [
-        (0..31).map(|_| Def::initial()).collect(),
-        (0..31).map(|_| Def::initial()).collect(),
-    ];
-    // Current def id of each virtual register.
-    let mut cur: [[usize; 31]; 2] = [std::array::from_fn(|v| v), std::array::from_fn(|v| v)];
-    let mut store_finish: HashMap<u64, u64, AddrHashBuilder> = HashMap::default();
-    let (mut loads, mut stores, mut branches) = (0u64, 0u64, 0u64);
-    let mut ideal_cycles = 0u64;
+/// the ideal schedule's rename times; the schedule itself is
+/// [`rf_core::dataflow::Schedule`], the one the dataflow limits use.
+///
+/// Each def is folded into its class's totals once the next write of
+/// its virtual register displaces it (no later instruction reads it),
+/// and the defs still current are folded after the pass, so the
+/// analysis holds 31 defs per class, not one per write.
+pub fn analyze<I>(insts: I, insert_bw: usize) -> TraceOracle
+where
+    I: IntoIterator,
+    I::Item: Borrow<Instruction>,
+{
+    let mut schedule = Schedule::new(Some(insert_bw.max(1)), None);
+    // The current def of each virtual register, per class.
+    let mut cur = [[Def { pos: -1, last_use: -1, ..Def::default() }; 31]; 2];
+    let mut folds = [ClassFold::default(), ClassFold::default()];
+    let mut kind_counts = [0u64; OpKind::ALL.len()];
 
-    for (i, inst) in insts.iter().enumerate() {
-        match inst.kind() {
-            OpKind::Load => loads += 1,
-            OpKind::Store => stores += 1,
-            OpKind::CondBranch => branches += 1,
-            _ => {}
-        }
-        let rename_at = i as u64 / ibw;
-        let mut ready = rename_at;
+    for (i, inst) in insts.into_iter().enumerate() {
+        let inst = inst.borrow();
+        let i = i as i64;
+        kind_counts[inst.kind() as usize] += 1;
+        let Slot { rename: rename_at, ready: issue_at, finish: finish_at } = schedule.step(inst);
         // Sources first: an instruction reading and writing the same
         // virtual register reads the old def.
         for src in inst.renameable_srcs() {
-            let ci = src.class().index();
-            let d = cur[ci][src.index() as usize];
-            ready = ready.max(defs[ci][d].finish_at);
-        }
-        if inst.kind() == OpKind::Load {
-            if let Some(m) = inst.mem() {
-                if let Some(&f) = store_finish.get(&m.addr()) {
-                    ready = ready.max(f);
-                }
-            }
-        }
-        let finish = ready + u64::from(inst.kind().latency());
-        for src in inst.renameable_srcs() {
-            let ci = src.class().index();
-            let d = cur[ci][src.index() as usize];
-            let def = &mut defs[ci][d];
-            def.last_use = i as i64;
+            let def = &mut cur[src.class().index()][src.index() as usize];
+            def.last_use = i;
             def.uses += 1;
-            def.reader_finish = def.reader_finish.max(finish);
+            def.reader_finish = def.reader_finish.max(finish_at);
         }
         if let Some(dest) = inst.dest() {
             let ci = dest.class().index();
-            let v = dest.index() as usize;
-            let old = cur[ci][v];
-            let new_id = defs[ci].len();
-            defs[ci][old].next_def = i as i64;
-            defs[ci][old].next_def_id = Some(new_id);
-            defs[ci].push(Def {
-                pos: i as i64,
-                last_use: -1,
-                next_def: -1,
-                next_def_id: None,
-                uses: 0,
-                rename_at,
-                issue_at: ready,
-                finish_at: finish,
-                reader_finish: 0,
-            });
-            cur[ci][v] = new_id;
-        }
-        if inst.kind() == OpKind::Store {
-            if let Some(m) = inst.mem() {
-                store_finish.insert(m.addr(), finish);
+            let d = Def { pos: i, last_use: -1, rename_at, issue_at, finish_at, ..Def::default() };
+            let old = std::mem::replace(&mut cur[ci][dest.index() as usize], d);
+            let fold = &mut folds[ci];
+            fold.defs += 1;
+            if old.uses == 0 && old.pos >= 0 {
+                fold.dead_defs += 1;
             }
+            // When the redefining instruction reads the old value, the
+            // old def is still allocated as it inserts.
+            let end = if old.last_use == i { i } else { i - 1 };
+            // The killing writer's completion frees the old def.
+            fold.add(&old, end, finish_at);
         }
-        ideal_cycles = ideal_cycles.max(finish);
     }
 
+    let DataflowLimit { instructions, critical_path: ideal_cycles } = schedule.limit();
     let classes = [RegClass::Int, RegClass::Fp].map(|class| {
-        summarize(&defs[class.index()], n, ideal_cycles)
+        let fold = &mut folds[class.index()];
+        // Defs still current are live through the last position and
+        // until the schedule ends.
+        for def in &cur[class.index()] {
+            fold.add(def, instructions as i64 - 1, ideal_cycles);
+        }
+        fold.summary(ideal_cycles)
     });
-
-    TraceOracle {
-        instructions: n as u64,
-        loads,
-        stores,
-        branches,
-        ideal_cycles,
-        classes,
-    }
+    TraceOracle { instructions, kind_counts, ideal_cycles, classes }
 }
 
-fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
-    let trace_defs = (defs.len() - 31) as u64;
-    let mut uses = 0u64;
-    let mut dead = 0u64;
-    let mut span_sum = 0u64;
-    let mut span_count = 0u64;
+/// One class's running totals over the defs folded in so far.
+#[derive(Default)]
+struct ClassFold {
+    /// Trace defs (the initial mappings excluded).
+    defs: u64,
+    uses: u64,
+    dead_defs: u64,
+    span_sum: u64,
+    span_count: u64,
+    /// Sound floor: interval overlap over trace positions.
+    floor: PeakSweep,
+    /// Ideal demand: overlap of rename-to-free lifetimes in cycle space.
+    demand: PeakSweep,
+    /// In-queue / in-flight / waiting-to-free cycles, summed over defs.
+    cat_sums: [u64; 3],
+}
 
-    // Sound floor: peak interval overlap over trace positions.
-    let mut floor = PeakSweep::new(n as u64);
-    // Ideal demand: peak overlap of rename-to-free lifetimes in cycle
-    // space, plus per-category duration sums.
-    let mut demand = PeakSweep::new(ideal_cycles);
-    let mut cat_sums = [0u64; 3];
-
-    for d in defs {
-        uses += u64::from(d.uses);
-        if d.next_def >= 0 && d.uses == 0 && d.pos >= 0 {
-            dead += 1;
-        }
+impl ClassFold {
+    /// Folds in a def that no later instruction reads: allocated in
+    /// trace positions through `end`, and killed by a writer completing
+    /// at `kill`.
+    fn add(&mut self, d: &Def, end: i64, kill: u64) {
+        self.uses += u64::from(d.uses);
         if d.uses > 0 && d.pos >= 0 {
-            span_sum += (d.last_use - d.pos) as u64;
-            span_count += 1;
+            self.span_sum += (d.last_use - d.pos) as u64;
+            self.span_count += 1;
         }
-        // Floor interval in trace-position space.
         let start = d.pos.max(0);
-        let end = if d.next_def < 0 {
-            n as i64 - 1
-        } else if d.last_use == d.next_def {
-            // The redefining instruction reads the old value: the old
-            // def is still allocated when it inserts.
-            d.next_def
-        } else {
-            d.next_def - 1
-        };
-        if end >= start && n > 0 {
-            floor.add(start as u64, end as u64 + 1);
+        if end >= start {
+            self.floor.add(start as u64, end as u64 + 1);
         }
         // Ideal-schedule lifetime: rename until the later of the killing
         // writer's completion, the last reader's completion, and the
         // def's own completion (the imprecise freeing conditions).
-        let kill = match d.next_def_id {
-            Some(id) => defs[id].finish_at,
-            None => ideal_cycles,
-        };
         let free_at = kill.max(d.reader_finish).max(d.finish_at);
-        demand.add(d.rename_at, free_at + 1);
-        cat_sums[0] += d.issue_at - d.rename_at;
-        cat_sums[1] += d.finish_at - d.issue_at;
-        cat_sums[2] += free_at - d.finish_at;
+        self.demand.add(d.rename_at, free_at + 1);
+        self.cat_sums[0] += d.issue_at - d.rename_at;
+        self.cat_sums[1] += d.finish_at - d.issue_at;
+        self.cat_sums[2] += free_at - d.finish_at;
     }
 
-    let cycles = ideal_cycles.max(1) as f64;
-    ClassOracle {
-        defs: trace_defs,
-        uses,
-        dead_defs: dead,
-        floor: floor.peak().max(31),
-        ideal_demand: demand.peak(),
-        ideal_cat_means: cat_sums.map(|s| s as f64 / cycles),
-        mean_def_use_span: if span_count > 0 {
-            span_sum as f64 / span_count as f64
-        } else {
-            0.0
-        },
+    fn summary(&self, ideal_cycles: u64) -> ClassOracle {
+        let cycles = ideal_cycles.max(1) as f64;
+        ClassOracle {
+            defs: self.defs,
+            uses: self.uses,
+            dead_defs: self.dead_defs,
+            floor: self.floor.peak().max(31),
+            ideal_demand: self.demand.peak(),
+            ideal_cat_means: self.cat_sums.map(|s| s as f64 / cycles),
+            // 0 when no def is read.
+            mean_def_use_span: self.span_sum as f64 / self.span_count.max(1) as f64,
+        }
     }
 }
 
@@ -284,19 +234,18 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
 /// or cycles) by a counting sweep: a net count per point, so no sort.
 /// Where one interval ends and another starts, the end applies first —
 /// a register freed at a cycle is reusable in that cycle.
+#[derive(Default)]
 struct PeakSweep {
-    /// Intervals starting minus intervals ending, per point.
+    /// Intervals starting minus intervals ending, per point, up to the
+    /// latest end added.
     net: Vec<i64>,
 }
 
 impl PeakSweep {
-    /// A sweep over points `0..=horizon + 1` (an interval ends at most
-    /// one point after the horizon).
-    fn new(horizon: u64) -> Self {
-        Self { net: vec![0; horizon as usize + 2] }
-    }
-
     fn add(&mut self, start: u64, end: u64) {
+        if end as usize >= self.net.len() {
+            self.net.resize(end as usize + 1, 0);
+        }
         self.net[start as usize] += 1;
         self.net[end as usize] -= 1;
     }
@@ -326,7 +275,7 @@ mod tests {
 
     #[test]
     fn empty_trace_floor_is_the_architectural_state() {
-        let o = analyze(&[], 6);
+        let o = analyze(std::iter::empty::<Instruction>(), 6);
         for c in &o.classes {
             assert_eq!(c.floor, 31);
             assert_eq!(c.defs, 0);
@@ -415,7 +364,7 @@ mod tests {
                     (start, start + 1 + len % (horizon + 1 - start))
                 })
                 .collect();
-            let mut sweep = PeakSweep::new(horizon);
+            let mut sweep = PeakSweep::default();
             for &(start, end) in &intervals {
                 sweep.add(start, end);
             }
@@ -431,7 +380,14 @@ mod tests {
             Instruction::cond_branch(0x40, true, Some(ArchReg::int(1))),
         ];
         let o = analyze(&insts, 6);
-        assert_eq!((o.loads, o.stores, o.branches), (1, 1, 1));
+        let counts = [OpKind::Load, OpKind::Store, OpKind::CondBranch].map(|k| o.count(k));
+        assert_eq!(counts, [1, 1, 1]);
+        assert_eq!(o.kind_counts.iter().sum::<u64>(), 3);
         assert_eq!(o.instructions, 3);
+        // `count` indexes by discriminant: `OpKind::ALL` is in
+        // declaration order.
+        for (i, &k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?}");
+        }
     }
 }

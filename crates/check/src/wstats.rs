@@ -2,16 +2,19 @@
 //!
 //! [`workload_stats`] bundles everything `rf-model` needs to predict a
 //! configuration's behaviour without simulating it: the static oracle's
-//! def-use/lifetime analysis ([`crate::oracle`]), the instruction-kind
-//! mix, and the dataflow ILP limit of the same committed prefix under a
-//! ladder of finite instruction windows
-//! ([`rf_core::dataflow::analyze`]). All of it is computed from the
-//! instruction stream alone — no pipeline state — so the numbers are
-//! properties of the *workload*, reusable across every machine shape
-//! that shares an insert bandwidth.
+//! def-use/lifetime analysis and instruction-kind mix
+//! ([`crate::oracle`]), and the dataflow ILP limit of the same committed
+//! prefix, unbounded and under a ladder of finite instruction windows
+//! ([`rf_core::dataflow::Schedule`]). The window schedules ride the
+//! oracle's one pass over the instruction stream — no pipeline state,
+//! no collected prefix — so the numbers are properties of the
+//! *workload*, reusable across every machine shape that shares an
+//! insert bandwidth.
 
 use crate::oracle::{self, TraceOracle};
+use rf_core::dataflow::Schedule;
 use rf_isa::{Instruction, IssueClass, OpKind, RegClass};
+use std::borrow::Borrow;
 
 /// The window ladder for the finite-window dataflow sweeps, in
 /// instructions. Chosen to straddle the effective windows realisable by
@@ -20,16 +23,13 @@ use rf_isa::{Instruction, IssueClass, OpKind, RegClass};
 pub const DATAFLOW_WINDOWS: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
 
 /// Workload statistics consumed by the analytic model: the static
-/// oracle, the kind mix, and a windowed dataflow-IPC curve.
+/// oracle (with the kind mix) and a windowed dataflow-IPC curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadStats {
     /// The static oracle of the prefix (def-use chains, lifetime
-    /// categories, ideal-schedule demand), paced at the insert
-    /// bandwidth passed to [`workload_stats`].
+    /// categories, ideal-schedule demand, kind mix), paced at the
+    /// insert bandwidth passed to [`workload_stats`].
     pub oracle: TraceOracle,
-    /// Instruction counts per [`OpKind`], indexed in [`OpKind::ALL`]
-    /// order.
-    pub kind_counts: [u64; OpKind::ALL.len()],
     /// Dataflow-limited IPC under each window of [`DATAFLOW_WINDOWS`],
     /// made non-decreasing (a larger window can never lower the limit;
     /// the running max irons out sampling noise from the ring
@@ -40,14 +40,10 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Fraction of the prefix with the given kind.
+    /// Fraction of the prefix with the given kind (0 for an empty
+    /// prefix).
     pub fn kind_fraction(&self, kind: OpKind) -> f64 {
-        let n = self.oracle.instructions;
-        if n == 0 {
-            return 0.0;
-        }
-        let i = OpKind::ALL.iter().position(|&k| k == kind).expect("kind in ALL");
-        self.kind_counts[i] as f64 / n as f64
+        self.oracle.count(kind) as f64 / self.oracle.instructions.max(1) as f64
     }
 
     /// Fraction of the prefix issued to the given functional-unit
@@ -66,26 +62,18 @@ impl WorkloadStats {
     pub fn mean_service(&self, class: IssueClass) -> f64 {
         let mut insts = 0.0;
         let mut cycles = 0.0;
-        for (i, &k) in OpKind::ALL.iter().enumerate() {
-            if k.issue_class() == class {
-                insts += self.kind_counts[i] as f64;
-                cycles += self.kind_counts[i] as f64 * f64::from(k.latency());
-            }
+        for k in OpKind::ALL.into_iter().filter(|k| k.issue_class() == class) {
+            insts += self.oracle.count(k) as f64;
+            cycles += self.oracle.count(k) as f64 * f64::from(k.latency());
         }
-        if insts == 0.0 {
-            0.0
-        } else {
-            cycles / insts
-        }
+        // Counts are whole, so an unused class is the only one below 1.
+        cycles / insts.max(1.0)
     }
 
-    /// Defs of `class` per committed instruction.
+    /// Defs of `class` per committed instruction (0 for an empty
+    /// prefix).
     pub fn def_fraction(&self, class: RegClass) -> f64 {
-        let n = self.oracle.instructions;
-        if n == 0 {
-            return 0.0;
-        }
-        self.oracle.classes[class.index()].defs as f64 / n as f64
+        self.oracle.classes[class.index()].defs as f64 / self.oracle.instructions.max(1) as f64
     }
 
     /// The dataflow-limited IPC of a `window`-instruction machine,
@@ -112,28 +100,31 @@ impl WorkloadStats {
     }
 }
 
-/// Computes [`WorkloadStats`] for a committed prefix. `insert_bw` paces
-/// the oracle's ideal schedule exactly as [`oracle::analyze`] does; the
-/// dataflow sweeps are pace-independent.
-pub fn workload_stats(insts: &[Instruction], insert_bw: usize) -> WorkloadStats {
-    let oracle = oracle::analyze(insts, insert_bw);
-    let mut kind_counts = [0u64; OpKind::ALL.len()];
-    for inst in insts {
-        let i = OpKind::ALL
-            .iter()
-            .position(|&k| k == inst.kind())
-            .expect("every kind is in ALL");
-        kind_counts[i] += 1;
-    }
-    let unbounded_ipc = rf_core::dataflow::analyze(insts.iter().copied(), None).ipc();
-    let mut windowed_ipc = [0.0; DATAFLOW_WINDOWS.len()];
+/// Computes [`WorkloadStats`] for a committed prefix in one pass over
+/// any iterator of instructions or references to them. `insert_bw`
+/// paces the oracle's ideal schedule exactly as [`oracle::analyze`]
+/// does; the dataflow schedules are unpaced.
+pub fn workload_stats<I>(insts: I, insert_bw: usize) -> WorkloadStats
+where
+    I: IntoIterator,
+    I::Item: Borrow<Instruction>,
+{
+    let mut unbounded = Schedule::new(None, None);
+    let mut windowed = DATAFLOW_WINDOWS.map(|w| Schedule::new(None, Some(w)));
+    let trace = insts.into_iter().inspect(|inst| {
+        let inst: &Instruction = inst.borrow();
+        unbounded.step(inst);
+        for schedule in &mut windowed {
+            schedule.step(inst);
+        }
+    });
+    let oracle = oracle::analyze(trace, insert_bw);
     let mut running = 0.0f64;
-    for (i, &w) in DATAFLOW_WINDOWS.iter().enumerate() {
-        let ipc = rf_core::dataflow::analyze(insts.iter().copied(), Some(w)).ipc();
-        running = running.max(ipc);
-        windowed_ipc[i] = running;
-    }
-    WorkloadStats { oracle, kind_counts, windowed_ipc, unbounded_ipc }
+    let windowed_ipc = windowed.map(|s| {
+        running = running.max(s.limit().ipc());
+        running
+    });
+    WorkloadStats { oracle, windowed_ipc, unbounded_ipc: unbounded.limit().ipc() }
 }
 
 #[cfg(test)]
@@ -159,7 +150,7 @@ mod tests {
 
     #[test]
     fn fractions_partition_the_prefix() {
-        let s = workload_stats(&mixed_trace(100), 6);
+        let s = workload_stats(mixed_trace(100), 6);
         let total: f64 = OpKind::ALL.iter().map(|&k| s.kind_fraction(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
         let by_class: f64 = IssueClass::ALL.iter().map(|&c| s.class_fraction(c)).sum();
@@ -169,7 +160,7 @@ mod tests {
 
     #[test]
     fn windowed_ipc_is_non_decreasing_and_below_unbounded() {
-        let s = workload_stats(&mixed_trace(400), 6);
+        let s = workload_stats(mixed_trace(400), 6);
         for pair in s.windowed_ipc.windows(2) {
             assert!(pair[1] >= pair[0], "{:?}", s.windowed_ipc);
         }
@@ -179,7 +170,7 @@ mod tests {
 
     #[test]
     fn window_interpolation_is_monotone() {
-        let s = workload_stats(&mixed_trace(400), 6);
+        let s = workload_stats(mixed_trace(400), 6);
         let mut prev = 0.0;
         for w in 1..600 {
             let ipc = s.window_ipc(w as f64);

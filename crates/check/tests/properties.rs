@@ -73,7 +73,7 @@ proptest! {
         // through a sanitized pipeline + static prefix comparison.
         use rf_check::{analyze, Sanitizer};
         use rf_core::{LiveModel, MachineConfig, Pipeline};
-        use rf_isa::RegClass;
+        use rf_isa::{OpKind, RegClass};
         use rf_workload::{SharedTrace, TraceGenerator};
 
         let model = if precise { ExceptionModel::Precise } else { ExceptionModel::Imprecise };
@@ -89,9 +89,8 @@ proptest! {
             .expect("no cancel token");
         prop_assert!(sanitizer.is_clean(), "{}", sanitizer.report());
 
-        let prefix: Vec<_> =
-            TraceGenerator::new(&profile, seed).take(stats.committed as usize).collect();
-        let oracle = analyze(&prefix, insert_bw);
+        let oracle =
+            analyze(TraceGenerator::new(&profile, seed).take(stats.committed as usize), insert_bw);
         let slack = stats.inserted - stats.committed;
         for class in RegClass::ALL {
             let max_live = stats.live_percentile(class, LiveModel::Precise, 100.0);
@@ -102,7 +101,7 @@ proptest! {
                 "max-live {max_live} above static ceiling"
             );
         }
-        prop_assert_eq!(stats.committed_loads, oracle.loads);
-        prop_assert_eq!(stats.committed_cbr, oracle.branches);
+        prop_assert_eq!(stats.committed_loads, oracle.count(OpKind::Load));
+        prop_assert_eq!(stats.committed_cbr, oracle.count(OpKind::CondBranch));
     }
 }

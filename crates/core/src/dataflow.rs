@@ -26,26 +26,112 @@ pub struct DataflowLimit {
 }
 
 impl DataflowLimit {
-    /// The dataflow-limited IPC.
+    /// The dataflow-limited IPC (0 for an empty trace: every
+    /// instruction takes at least a cycle).
     pub fn ipc(&self) -> f64 {
-        if self.critical_path == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.critical_path as f64
-        }
+        self.instructions as f64 / self.critical_path.max(1) as f64
     }
 }
 
-/// Computes the dataflow limit of a trace.
+/// When the ideal schedule places one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    /// Cycle the instruction renames: its trace position over the pace
+    /// (0 in an unpaced schedule).
+    pub rename: u64,
+    /// Cycle its inputs are ready and it starts.
+    pub ready: u64,
+    /// Cycle it finishes.
+    pub finish: u64,
+}
+
+/// The ideal dataflow schedule, built one instruction at a time.
 ///
 /// Model: every instruction starts the cycle all of its register inputs
 /// (and, for loads, any older same-address store) are available, and
 /// finishes `latency` cycles later; loads always hit (perfect memory);
 /// branches never disturb fetch (perfect prediction). With
-/// `window = Some(w)`, instruction `i` additionally cannot start before
-/// instruction `i - w` has finished — a sliding-window approximation of a
-/// finite instruction buffer, in the spirit of Wall's windowed
-/// configurations. `None` is the unbounded dataflow limit.
+/// `pace = Some(p)`, instruction `i` renames at cycle `i / p` and cannot
+/// start before it (the static oracle paces at the insert bandwidth).
+/// With `window = Some(w)`, instruction `i` additionally cannot start
+/// before instruction `i - w` has finished — a sliding-window
+/// approximation of a finite instruction buffer, in the spirit of
+/// Wall's windowed configurations. `None` leaves the schedule unpaced or
+/// unbounded.
+#[derive(Debug, Clone)]
+pub struct Schedule {
+    /// Completion time of the current value of each architectural
+    /// register (class-major indexing: 31 int + 31 fp).
+    reg_finish: [u64; 62],
+    /// Completion time of the last store to each (8-byte) address.
+    store_finish: HashMap<u64, u64, AddrHashBuilder>,
+    /// Instructions renamed per cycle, if paced.
+    pace: Option<u64>,
+    /// The last `w` finish times for the window constraint; empty when
+    /// unbounded.
+    ring: Vec<u64>,
+    /// The ring slot the next instruction takes.
+    cursor: usize,
+    /// Instructions scheduled and the latest finish so far.
+    limit: DataflowLimit,
+}
+
+impl Schedule {
+    /// An empty schedule. Panics unless a `pace` or `window` given is
+    /// at least 1.
+    pub fn new(pace: Option<usize>, window: Option<usize>) -> Self {
+        assert!(pace != Some(0) && window != Some(0), "pace and window are at least 1");
+        Self {
+            reg_finish: [0; 62],
+            store_finish: HashMap::default(),
+            pace: pace.map(|p| p as u64),
+            ring: window.map(|w| vec![0; w]).unwrap_or_default(),
+            cursor: 0,
+            limit: DataflowLimit { instructions: 0, critical_path: 0 },
+        }
+    }
+
+    /// Schedules the next instruction of the trace.
+    pub fn step(&mut self, inst: &Instruction) -> Slot {
+        let rename = self.pace.map_or(0, |p| self.limit.instructions / p);
+        let mut ready = rename;
+        for src in inst.renameable_srcs() {
+            ready = ready.max(self.reg_finish[src.class().index() * 31 + src.index() as usize]);
+        }
+        let addr = inst.mem().map(|m| m.addr());
+        if let (OpKind::Load, Some(a)) = (inst.kind(), addr) {
+            ready = ready.max(self.store_finish.get(&a).copied().unwrap_or(0));
+        }
+        // The cursor's ring slot holds the finish of the instruction `w`
+        // places back.
+        if let Some(&f) = self.ring.get(self.cursor) {
+            ready = ready.max(f);
+        }
+        let finish = ready + u64::from(inst.kind().latency());
+        if let Some(slot) = self.ring.get_mut(self.cursor) {
+            *slot = finish;
+            self.cursor = if self.cursor + 1 == self.ring.len() { 0 } else { self.cursor + 1 };
+        }
+        if let Some(dest) = inst.dest() {
+            self.reg_finish[dest.class().index() * 31 + dest.index() as usize] = finish;
+        }
+        if let (OpKind::Store, Some(a)) = (inst.kind(), addr) {
+            self.store_finish.insert(a, finish);
+        }
+        self.limit.instructions += 1;
+        self.limit.critical_path = self.limit.critical_path.max(finish);
+        Slot { rename, ready, finish }
+    }
+
+    /// The schedule so far: instructions scheduled and the latest
+    /// finish.
+    pub fn limit(&self) -> DataflowLimit {
+        self.limit
+    }
+}
+
+/// Computes the dataflow limit of a trace: the unpaced [`Schedule`]
+/// with an optional window of at least 1.
 ///
 /// # Examples
 ///
@@ -66,50 +152,11 @@ pub fn analyze(
     trace: impl Iterator<Item = Instruction>,
     window: Option<usize>,
 ) -> DataflowLimit {
-    // Completion time of the current value of each architectural register
-    // (class-major indexing: 31 int + 31 fp).
-    let mut reg_finish = [0u64; 62];
-    // Completion time of the last store to each (8-byte) address.
-    let mut store_finish: HashMap<u64, u64, AddrHashBuilder> = HashMap::default();
-    // Ring of the last `w` finish times for the window constraint.
-    let mut ring: Vec<u64> = window.map(|w| vec![0; w.max(1)]).unwrap_or_default();
-    let mut n = 0u64;
-    let mut critical = 0u64;
-
+    let mut schedule = Schedule::new(None, window);
     for inst in trace {
-        let mut ready = 0u64;
-        for src in inst.renameable_srcs() {
-            let idx = src.class().index() * 31 + src.index() as usize;
-            ready = ready.max(reg_finish[idx]);
-        }
-        if inst.kind() == OpKind::Load {
-            if let Some(m) = inst.mem() {
-                if let Some(&f) = store_finish.get(&m.addr()) {
-                    ready = ready.max(f);
-                }
-            }
-        }
-        if let Some(w) = window {
-            let slot = (n % w as u64) as usize;
-            ready = ready.max(ring[slot]);
-        }
-        let finish = ready + u64::from(inst.kind().latency());
-        if let Some(w) = window {
-            ring[(n % w as u64) as usize] = finish;
-        }
-        if let Some(dest) = inst.dest() {
-            let idx = dest.class().index() * 31 + dest.index() as usize;
-            reg_finish[idx] = finish;
-        }
-        if inst.kind() == OpKind::Store {
-            if let Some(m) = inst.mem() {
-                store_finish.insert(m.addr(), finish);
-            }
-        }
-        critical = critical.max(finish);
-        n += 1;
+        schedule.step(&inst);
     }
-    DataflowLimit { instructions: n, critical_path: critical }
+    schedule.limit()
 }
 
 #[cfg(test)]
@@ -171,6 +218,22 @@ mod tests {
         let ld = Instruction::load(ArchReg::int(3), ArchReg::int(4), 0x200);
         let limit = analyze(vec![st, ld].into_iter(), None);
         assert_eq!(limit.critical_path, 2);
+    }
+
+    #[test]
+    fn pace_delays_independent_ops_to_their_rename_cycle() {
+        let insts: Vec<_> = (0..12).map(|_| alu(0, 30)).collect();
+        let mut schedule = Schedule::new(Some(4), None);
+        let slots: Vec<_> = insts.iter().map(|i| schedule.step(i)).collect();
+        assert_eq!(slots[5], Slot { rename: 1, ready: 1, finish: 2 });
+        // 12 ops at 4 per cycle rename over 3 cycles; the last finishes at 3.
+        assert_eq!(schedule.limit().critical_path, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn a_zero_window_is_rejected() {
+        Schedule::new(None, Some(0));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::runner::{RunSpec, Scale};
 use crate::suite::Answers;
 use crate::table::Table;
-use rf_core::dataflow::analyze;
+use rf_core::dataflow::Schedule;
 use rf_workload::{spec92, TraceGenerator};
 
 /// One benchmark's row.
@@ -42,10 +42,15 @@ pub fn rows(scale: &Scale, answers: &Answers) -> Vec<Row> {
         .zip(four.iter().zip(&eight))
         .map(|(p, (four, eight))| {
             let (a4, a8) = (answers.get(four), answers.get(eight));
-            let n = scale.commits as usize;
-            let trace: Vec<_> = TraceGenerator::new(&p, 12).take(n).collect();
-            let limit = analyze(trace.iter().copied(), None);
-            let limit_w64 = analyze(trace.iter().copied(), Some(64));
+            // The limits analyse the trace the baselines simulate, both
+            // windows in one pass.
+            let mut limits = [None, Some(64)].map(|w| Schedule::new(None, w));
+            for inst in TraceGenerator::new(&p, four.seed).take(four.commits as usize) {
+                for schedule in &mut limits {
+                    schedule.step(&inst);
+                }
+            }
+            let [limit, limit_w64] = limits.map(|s| s.limit());
             Row {
                 name: p.name,
                 limit: limit.ipc(),

@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn empty_summary_yields_zeroes() {
         let mut s = summary_for(4);
-        s.stats = rf_check::workload_stats(&[], 6);
+        s.stats = rf_check::workload_stats(std::iter::empty::<rf_isa::Instruction>(), 6);
         let e = evaluate(&s, &config(4, 64));
         assert_eq!(e.ipc, 0.0);
         assert_eq!(e.regs_peak, [31, 31]);

@@ -3,8 +3,9 @@
 //! insert-bandwidth) and reusable across every machine shape sharing
 //! those parameters.
 //!
-//! Three schedule-independent replays over the same committed prefix
-//! the simulator would commit:
+//! One schedule-independent pass over the same committed prefix the
+//! simulator would commit, streamed from the trace generator (the
+//! prefix is never collected). Each instruction feeds:
 //!
 //! * the static oracle + dataflow sweeps of
 //!   [`rf_check::wstats::workload_stats`];
@@ -20,11 +21,11 @@
 //! width — which keeps every [`evaluate`](crate::evaluate) input either
 //! width-independent or provably monotone in width.
 
-use rf_bpred::{AnyPredictor, PredictorKind, PredictorStats};
+use rf_bpred::{AnyPredictor, PredictorStats};
 use rf_check::wstats::{workload_stats, WorkloadStats};
 use rf_core::RunSpec;
 use rf_isa::{Instruction, OpKind};
-use rf_mem::{CacheConfig, CacheOrg, DataCache};
+use rf_mem::DataCache;
 use rf_workload::{spec92, BenchmarkProfile, TraceGenerator};
 
 /// Canonical pace (instructions per cycle) of the cache replay.
@@ -58,7 +59,7 @@ pub struct WorkloadSummary {
 
 /// Summarises the committed prefix `spec` names: its first `commits`
 /// instructions of `benchmark` at `seed`, replaying its data cache
-/// (geometry and organisation; [`CacheOrg::Perfect`] models an
+/// (geometry and organisation; [`CacheOrg::Perfect`](rf_mem::CacheOrg::Perfect) models an
 /// always-hit memory) and branch predictor, with the oracle
 /// paced at its machine's insert bandwidth. The other machine knobs do
 /// not enter the summary. Returns `None` for an unknown benchmark name.
@@ -71,85 +72,96 @@ pub fn summarize(spec: &RunSpec) -> Option<WorkloadSummary> {
 /// perturbed profiles).
 pub fn summarize_profile(profile: &BenchmarkProfile, spec: &RunSpec) -> WorkloadSummary {
     let insert_bw = spec.machine_config().effective_insert_bandwidth();
-    let insts: Vec<Instruction> =
-        TraceGenerator::new(profile, spec.seed).take(spec.commits as usize).collect();
-    let stats = workload_stats(&insts, insert_bw);
-    let mispredict_rate = replay_predictor(&insts, spec.predictor);
-    let (load_miss_rate, mean_load_delay, mean_mlp) =
-        replay_cache(&insts, spec.cache_geometry, spec.cache);
+    let mut predictor = AnyPredictor::new(spec.predictor);
+    let mut branches = PredictorStats::new();
+    let cache = DataCache::new(spec.cache_geometry, spec.cache);
+    let mut memory = CacheReplay { cache, position: 0, delay_sum: 0, mlp_sum: 0 };
+    let trace = TraceGenerator::new(profile, spec.seed).take(spec.commits as usize);
+    let stats = workload_stats(
+        trace.inspect(|inst| {
+            replay_branch(&mut predictor, &mut branches, inst);
+            memory.step(inst);
+        }),
+        insert_bw,
+    );
+    let (load_miss_rate, mean_load_delay, mean_mlp) = memory.rates();
     WorkloadSummary {
         bench: spec.benchmark.clone(),
         commits: spec.commits,
         seed: spec.seed,
         insert_bw,
         stats,
-        mispredict_rate,
+        mispredict_rate: branches.misprediction_rate(),
         load_miss_rate,
         mean_load_delay,
         mean_mlp,
     }
 }
 
-/// In-order committed-path replay of the branch predictor: the same
-/// predict / speculate / recover / train protocol the pipeline applies,
-/// minus wrong-path pollution (which the real machine's recovery also
-/// undoes).
-fn replay_predictor(insts: &[Instruction], kind: PredictorKind) -> f64 {
-    let mut predictor = AnyPredictor::new(kind);
-    let mut stats = PredictorStats::new();
-    for inst in insts {
-        if inst.kind() != OpKind::CondBranch {
-            continue;
-        }
-        let prediction = predictor.predict(inst.pc());
-        let checkpoint = predictor.speculate(prediction.taken());
-        if prediction.taken() != inst.taken() {
-            predictor.recover(checkpoint, inst.taken());
-        }
-        predictor.train(inst.pc(), prediction, inst.taken());
-        stats.record(prediction.taken(), inst.taken());
+/// One step of the in-order committed-path replay of the branch
+/// predictor: the same predict / speculate / recover / train protocol
+/// the pipeline applies, minus wrong-path pollution (which the real
+/// machine's recovery also undoes).
+fn replay_branch(predictor: &mut AnyPredictor, stats: &mut PredictorStats, inst: &Instruction) {
+    if inst.kind() != OpKind::CondBranch {
+        return;
     }
-    stats.misprediction_rate()
+    let prediction = predictor.predict(inst.pc());
+    let checkpoint = predictor.speculate(prediction.taken());
+    if prediction.taken() != inst.taken() {
+        predictor.recover(checkpoint, inst.taken());
+    }
+    predictor.train(inst.pc(), prediction, inst.taken());
+    stats.record(prediction.taken(), inst.taken());
 }
 
-/// In-order data-cache replay at the canonical pace. Returns
-/// `(load_miss_rate, mean_load_delay, mean_mlp)`.
-fn replay_cache(insts: &[Instruction], config: CacheConfig, org: CacheOrg) -> (f64, f64, f64) {
-    let mut cache = DataCache::new(config, org);
-    let mut delay_sum = 0u64;
-    let mut loads = 0u64;
-    let mut mlp_sum = 0u64;
-    let mut misses = 0u64;
-    for (i, inst) in insts.iter().enumerate() {
-        let now = i as u64 / CACHE_PACE;
+/// In-order data-cache replay at the canonical pace.
+struct CacheReplay {
+    cache: DataCache,
+    /// Instructions replayed so far.
+    position: u64,
+    /// Summed load-to-use delays, and summed overlapping fills at misses.
+    delay_sum: u64,
+    mlp_sum: u64,
+}
+
+impl CacheReplay {
+    fn step(&mut self, inst: &Instruction) {
+        let (i, cache) = (self.position, &mut self.cache);
+        self.position += 1;
+        let now = i / CACHE_PACE;
         cache.drain_fills(now);
-        let Some(mem) = inst.mem() else { continue };
+        let Some(mem) = inst.mem() else { return };
         // A locked-up cache delays the access to its unlock cycle; the
         // extra wait counts toward the observed load delay.
         let start = if cache.can_accept(now) { now } else { cache.next_accept_cycle().max(now) };
         match inst.kind() {
             OpKind::Load => {
-                let result = cache.load(mem.addr(), start, i as u64);
-                delay_sum += result.complete_at() - now;
-                loads += 1;
+                let result = cache.load(mem.addr(), start, i);
+                self.delay_sum += result.complete_at() - now;
                 if !result.hit() {
-                    misses += 1;
-                    mlp_sum += cache.outstanding_fills().max(1) as u64;
+                    self.mlp_sum += cache.outstanding_fills().max(1) as u64;
                 }
             }
             OpKind::Store => cache.store(mem.addr(), start),
             _ => {}
         }
     }
-    let miss_rate = cache.stats().load_miss_rate();
-    let mean_delay = if loads > 0 { delay_sum as f64 / loads as f64 } else { 0.0 };
-    let mean_mlp = if misses > 0 { (mlp_sum as f64 / misses as f64).max(1.0) } else { 1.0 };
-    (miss_rate, mean_delay, mean_mlp)
+
+    /// `(load_miss_rate, mean_load_delay, mean_mlp)` of the replay.
+    fn rates(&self) -> (f64, f64, f64) {
+        let stats = self.cache.stats();
+        // 0 delay and an MLP of 1 when nothing loads or misses.
+        let mean_delay = self.delay_sum as f64 / stats.loads.max(1) as f64;
+        let mean_mlp = (self.mlp_sum as f64 / stats.load_misses().max(1) as f64).max(1.0);
+        (stats.load_miss_rate(), mean_delay, mean_mlp)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rf_mem::CacheOrg;
 
     fn quick(bench: &str, org: CacheOrg) -> WorkloadSummary {
         summarize(&RunSpec::baseline(bench, 4).commits(5_000).cache(org)).expect("known bench")

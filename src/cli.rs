@@ -7,7 +7,8 @@ use rf_bpred::PredictorKind;
 use rf_core::{ExceptionModel, MachineConfig, RunSpec, SchedPolicy, DEFAULT_COMMITS, DEFAULT_SEED};
 use rf_mem::CacheOrg;
 
-/// The workload seed `run`, `trace` and `record` default to.
+/// The workload seed `run`, `trace` and `record` default to, and the
+/// one `dataflow` always analyses.
 pub const RUN_SEED: u64 = 1;
 
 /// Output format of the `trace` subcommand.
@@ -355,9 +356,9 @@ fn parse_spec(
     for (opt, value) in opts.iter().filter(|(o, _)| !own.contains(&o.as_str())) {
         let v = || value.as_deref().ok_or_else(|| format!("{opt} requires a value"));
         match opt.as_str() {
-            "--width" => spec.width = machine_num(opt, v()?)?,
-            "--dq" => dq = Some(machine_num(opt, v()?)?),
-            "--regs" => spec.regs = machine_num(opt, v()?)?,
+            "--width" => spec.width = size_num(opt, v()?)?,
+            "--dq" => dq = Some(size_num(opt, v()?)?),
+            "--regs" => spec.regs = size_num(opt, v()?)?,
             "--commits" => spec.commits = parse_num(opt, v()?)?,
             "--seed" => spec.seed = parse_num(opt, v()?)?,
             "--exceptions" => spec.exceptions = parse_exceptions(v()?)?,
@@ -392,11 +393,11 @@ fn parse_spec(
     Ok(spec)
 }
 
-/// Parses a `--width`, `--dq` or `--regs` value: the one check every
-/// command's machine sizes pass, rejecting a size no machine can be
-/// built with (a zero width or queue, fewer registers than
-/// [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
-fn machine_num(opt: &str, v: &str) -> Result<usize, String> {
+/// Parses a `--width`, `--dq` or `--regs` value, or `dataflow`'s
+/// `--window`: the one check every size passes, rejecting a size no
+/// machine or window can have (a zero width, queue or window, fewer
+/// registers than [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
+fn size_num(opt: &str, v: &str) -> Result<usize, String> {
     let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS } else { 1 };
     match parse_num(opt, v)? {
         n if n < min => Err(format!("{opt} {n} is below the minimum of {min}")),
@@ -435,9 +436,9 @@ fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
     };
     Ok(MatrixPins {
         bench: take_bench(opts)?,
-        width: take("--width").map(|v| machine_num("--width", &v)).transpose()?,
+        width: take("--width").map(|v| size_num("--width", &v)).transpose()?,
         exceptions: take("--exceptions").map(|v| parse_exceptions(&v)).transpose()?,
-        regs: take("--regs").map(|v| machine_num("--regs", &v)).transpose()?,
+        regs: take("--regs").map(|v| size_num("--regs", &v)).transpose()?,
         commits: take("--commits").map(|v| parse_num("--commits", &v)).transpose()?,
         seed: take("--seed").map_or(Ok(DEFAULT_SEED), |v| parse_num("--seed", &v))?,
     })
@@ -558,9 +559,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }),
         "dataflow" => Ok(Command::Dataflow {
             bench: take_bench(&opts)?.ok_or("dataflow requires --bench")?,
-            window: take("--window", &opts)
-                .map(|v| parse_num("--window", &v))
-                .transpose()?,
+            window: take("--window", &opts).map(|v| size_num("--window", &v)).transpose()?,
             count: take("--count", &opts).map_or(Ok(200_000), |v| parse_num("--count", &v))?,
         }),
         "report" => Ok(Command::Report {
@@ -712,6 +711,14 @@ MODEL OPTIONS:
   register-pressure bracket leaves the accepted bands. --deadline-secs
   bounds the wall time of the --check simulation batch (overrunning
   configurations fail and rfstudy exits 1).
+
+DATAFLOW OPTIONS:
+  prints the dataflow ILP limit (perfect prediction and memory,
+  unlimited units and registers) of the first --count instructions
+  (default 200000) of the benchmark's trace at the fixed seed 1, not
+  the suite's seed 12 that results/dataflow.txt analyses. --window N
+  (at least 1) makes instruction i wait for instruction i - N to
+  finish; without it the limit is unbounded.
 
 REPORT OPTIONS:
   reads the run-history ledger written by the `all` suite binary
@@ -1287,6 +1294,8 @@ mod tests {
         assert!(USAGE.contains(&format!("--seed N (default {RUN_SEED})")));
         assert!(USAGE.contains(&format!("workload seed (default {RUN_SEED};")));
         assert!(USAGE.contains(&format!("--seed defaults to {DEFAULT_SEED}.")));
+        let dataflow_seeds = format!("fixed seed {RUN_SEED}, not\n  the suite's seed {DEFAULT_SEED}");
+        assert!(USAGE.contains(&dataflow_seeds));
     }
 
     #[test]

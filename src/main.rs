@@ -191,16 +191,13 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             profile_drift,
         ),
         Command::Dataflow { bench, window, count } => {
-            let profile = profile(&bench);
-            let gen = TraceGenerator::new(&profile, 1);
-            let limit = analyze(gen.take(count as usize), window);
+            let trace = TraceGenerator::new(&profile(&bench), cli::RUN_SEED).take(count as usize);
+            let limit = analyze(trace, window);
             println!("benchmark      : {bench}");
             println!("instructions   : {}", limit.instructions);
             println!("critical path  : {} cycles", limit.critical_path);
-            match window {
-                Some(w) => println!("dataflow IPC   : {:.2} (window {w})", limit.ipc()),
-                None => println!("dataflow IPC   : {:.2} (unbounded)", limit.ipc()),
-            }
+            let scope = window.map_or("unbounded".to_owned(), |w| format!("window {w}"));
+            println!("dataflow IPC   : {:.2} ({scope})", limit.ipc());
             Ok(())
         }
         Command::Dump { trace, count } => {

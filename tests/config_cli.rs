@@ -78,7 +78,7 @@ fn rf_sanitize_switches_the_run_sanitizer() {
 
 #[test]
 fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
-    let rows: [(&[&str], &str); 9] = [
+    let rows: [(&[&str], &str); 10] = [
         (&["run", "--bench", "gcc1", "--regs", "16"], "--regs 16"),
         (&["run", "--bench", "gcc1", "--width", "0"], "--width 0"),
         (&["run", "--bench", "gcc1", "--dq", "0"], "--dq 0"),
@@ -88,6 +88,7 @@ fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
         (&["model", "--bench", "compress", "--width", "0"], "--width 0"),
         (&["model", "--check", "--bench", "compress", "--regs", "16"], "--regs 16"),
         (&["profile", "--bench", "compress", "--regs", "16"], "--regs 16"),
+        (&["dataflow", "--bench", "gcc1", "--window", "0"], "--window 0"),
     ];
     for (args, opt) in rows {
         let out = rfstudy("RF_COMMITS", "1000", args);
