@@ -171,19 +171,50 @@ fn fault_target() -> Option<String> {
 /// instead of re-running them. Baselines the suite did not answer (an
 /// `--only` run without them, or a failed spec) are skipped; `None` if
 /// nothing was comparable.
-fn model_error_probe(scale: &Scale, answers: &Answers) -> Option<ledger::ModelErrorRecord> {
+///
+/// Each workload summary streams the baseline's whole trace prefix, so
+/// the summaries run on `jobs` scoped threads, each over a contiguous
+/// run of baselines; the errors are folded in baseline order, so the
+/// record is the same for every worker count.
+fn model_error_probe(
+    scale: &Scale,
+    answers: &Answers,
+    jobs: usize,
+) -> Option<ledger::ModelErrorRecord> {
     if scale.commits == 0 {
         return None;
     }
+    let compared: Vec<(RunSpec, f64)> = rf_experiments::table1::baselines(4, scale)
+        .into_iter()
+        .filter_map(|spec| {
+            let Ok(stats) = &answers.answer(&spec)?.outcome else { return None };
+            let sim_ipc = stats.commit_ipc();
+            (sim_ipc > 0.0).then_some((spec, sim_ipc))
+        })
+        .collect();
+    let per_thread = compared.len().div_ceil(jobs).max(1);
+    let model_ipcs: Vec<Option<f64>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = compared
+            .chunks(per_thread)
+            .map(|run| {
+                scope.spawn(move || {
+                    run.iter()
+                        .map(|(spec, _)| {
+                            let summary = rf_model::summarize(spec)?;
+                            Some(rf_model::evaluate(&summary, &spec.machine_config()).ipc)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a model summary panicked"))
+            .collect()
+    });
     let (mut sum, mut n, mut worst, mut worst_config) = (0.0f64, 0u64, 0.0f64, String::new());
-    for spec in rf_experiments::table1::baselines(4, scale) {
-        let Some(Ok(stats)) = answers.answer(&spec).map(|a| &a.outcome) else { continue };
-        let sim_ipc = stats.commit_ipc();
-        if sim_ipc <= 0.0 {
-            continue;
-        }
-        let Some(summary) = rf_model::summarize(&spec) else { continue };
-        let model_ipc = rf_model::evaluate(&summary, &spec.machine_config()).ipc;
+    for ((spec, sim_ipc), model_ipc) in compared.iter().zip(model_ipcs) {
+        let Some(model_ipc) = model_ipc else { continue };
         let err = ((model_ipc - sim_ipc) / sim_ipc * 100.0).abs();
         sum += err;
         n += 1;
@@ -342,7 +373,7 @@ fn run_suite(
         );
     }
     bench.set_sanitizer(sanitizer);
-    if let Some(m) = model_error_probe(scale, &answers) {
+    if let Some(m) = model_error_probe(scale, &answers, cfg.jobs) {
         println!(
             "model error: mean |IPC err| {:.1}% over {} baselines, worst {:.1}% ({})",
             m.mean_abs_pct_err, m.configs, m.worst_pct_err, m.worst_config

@@ -22,9 +22,25 @@
 //!   the stale generation. The golden test below pins the current
 //!   encoding so an accidental change fails loudly instead of silently
 //!   orphaning (or worse, misreading) the corpus.
-//! - [`STATS_CODEC_VERSION`] prefixes each payload; [`decode_stats`]
+//! - A version word prefixes each stats payload, and it names one of two
+//!   layouts that differ only in the liveness histograms:
+//!   - [`DENSE_STATS_VERSION`] (1), written by [`encode_stats`], pads
+//!     every histogram to its logical length, `phys_regs + 1` buckets.
+//!     It is the answer's identity form: the kernel pins and rfbench's
+//!     digests hash these bytes, so it stays dense and byte-stable.
+//!     Every store record written before the stored layout existed
+//!     holds it too.
+//!   - [`STORED_STATS_VERSION`] (2), written by [`encode_stored_stats`]
+//!     for the run store, keeps only each histogram's buckets up to its
+//!     last non-zero one. A 2048-register answer's histograms reach a
+//!     few hundred of their 2049 buckets, so the record is a fraction of
+//!     the dense size, and a store hit reads, checksums and decodes that
+//!     much less.
+//!
+//!   [`decode_stats`] reads both into the same compact [`SimStats`] and
 //!   rejects any other version, so a stale payload shape can never be
-//!   half-read into a current [`SimStats`].
+//!   half-read into a current one. The payload version is not part of
+//!   the record's key, so the store serves old and new records alike.
 
 use crate::runner::RunSpec;
 use rf_bpred::{PredictorKind, PredictorStats};
@@ -36,9 +52,14 @@ use rf_store::Digest;
 /// schema field). Bump on ANY change to [`spec_key_bytes`].
 pub const DIGEST_SCHEMA: u32 = 1;
 
-/// Version of the `SimStats` payload encoding. Bump on ANY change to
-/// [`encode_stats`] / [`decode_stats`].
-pub const STATS_CODEC_VERSION: u32 = 1;
+/// Version of the dense `SimStats` payload, [`encode_stats`]'s layout.
+/// A change to it needs a new version, which [`decode_stats`] learns.
+pub const DENSE_STATS_VERSION: u32 = 1;
+
+/// Version of the stored `SimStats` payload, [`encode_stored_stats`]'s
+/// layout: the dense one with each histogram cut after its last
+/// non-zero bucket.
+pub const STORED_STATS_VERSION: u32 = 2;
 
 /// Magic prefix of a canonical spec key (guards against feeding foreign
 /// bytes to the digest).
@@ -105,17 +126,37 @@ pub fn spec_digest(spec: &RunSpec) -> Digest {
     Digest::of(&spec_key_bytes(spec))
 }
 
-/// Encodes a [`SimStats`] into its versioned payload bytes.
+/// Encodes a [`SimStats`] into its dense payload bytes, the answer's
+/// identity form.
 ///
 /// Each liveness histogram is written at its logical length,
 /// `phys_regs + 1` buckets, with the zeros past its stored end padded
 /// back, so the payload does not depend on the in-memory form.
 pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
+    encode(stats, DENSE_STATS_VERSION)
+}
+
+/// Encodes a [`SimStats`] into its stored payload bytes, the run store's
+/// record form: each liveness histogram is written as its logical
+/// length, its stored length, and only the stored buckets.
+/// [`decode_stats`] turns it back into the same `SimStats` as the dense
+/// form.
+pub fn encode_stored_stats(stats: &SimStats) -> Vec<u8> {
+    encode(stats, STORED_STATS_VERSION)
+}
+
+fn encode(stats: &SimStats, version: u32) -> Vec<u8> {
     assert!(stats.histograms_are_compact(), "liveness histograms are not compact");
     let buckets = stats.phys_regs + 1;
-    let mut out = Vec::with_capacity(512 + 4 * 8 * buckets);
+    let dense = version == DENSE_STATS_VERSION;
+    let words: usize = if dense {
+        4 * buckets
+    } else {
+        stats.live_hist.iter().chain(&stats.live_hist_imprecise).map(Vec::len).sum()
+    };
+    let mut out = Vec::with_capacity(512 + 8 * words);
     out.extend_from_slice(STATS_MAGIC);
-    put_u32(&mut out, STATS_CODEC_VERSION);
+    put_u32(&mut out, version);
     for v in [
         stats.cycles,
         stats.committed,
@@ -157,10 +198,15 @@ pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
     }
     for hist in stats.live_hist.iter().chain(stats.live_hist_imprecise.iter()) {
         put_u32(&mut out, buckets as u32);
+        if !dense {
+            put_u32(&mut out, hist.len() as u32);
+        }
         for &v in hist {
             put_u64(&mut out, v);
         }
-        out.resize(out.len() + 8 * (buckets - hist.len()), 0);
+        if dense {
+            out.resize(out.len() + 8 * (buckets - hist.len()), 0);
+        }
     }
     for class in &stats.cat_sums {
         for &v in class {
@@ -170,7 +216,8 @@ pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
     out
 }
 
-/// Decodes a payload produced by [`encode_stats`].
+/// Decodes a payload produced by [`encode_stats`] or
+/// [`encode_stored_stats`], keeping each histogram compact.
 ///
 /// # Errors
 ///
@@ -183,9 +230,10 @@ pub fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
         return Err("stats payload: bad magic".into());
     }
     let version = r.u32()?;
-    if version != STATS_CODEC_VERSION {
+    if version != DENSE_STATS_VERSION && version != STORED_STATS_VERSION {
         return Err(format!(
-            "stats payload: version {version}, expected {STATS_CODEC_VERSION}"
+            "stats payload: version {version}, expected {DENSE_STATS_VERSION} \
+             or {STORED_STATS_VERSION}"
         ));
     }
     let mut stats = SimStats::new(0);
@@ -233,14 +281,26 @@ pub fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
         if *buckets.get_or_insert(len) != len {
             return Err("stats payload: histogram lengths differ".into());
         }
-        // Each histogram entry costs 8 payload bytes, so the length
-        // field can never legitimately exceed what remains.
-        if len > r.remaining() / 8 {
+        let stored = if version == STORED_STATS_VERSION {
+            let stored = r.u32()? as usize;
+            if stored > len {
+                return Err("stats payload: stored histogram exceeds its length".into());
+            }
+            stored
+        } else {
+            len
+        };
+        // Each stored bucket costs 8 payload bytes, so the length field
+        // can never legitimately exceed what remains.
+        if stored > r.remaining() / 8 {
             return Err("stats payload: histogram length exceeds payload".into());
         }
         // Keep the compact form: the buckets up to the last non-zero one.
-        let words = r.take(8 * len)?.chunks_exact(8);
+        let words = r.take(8 * stored)?.chunks_exact(8);
         let kept = words.clone().rposition(|w| w.iter().any(|&b| b != 0)).map_or(0, |i| i + 1);
+        if kept != stored && version == STORED_STATS_VERSION {
+            return Err("stats payload: stored histogram ends in a zero bucket".into());
+        }
         *hist = words
             .take(kept)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
@@ -443,12 +503,25 @@ mod tests {
         assert_eq!(spec_digest(&base), d0);
     }
 
+    type Encoder = fn(&SimStats) -> Vec<u8>;
+
+    /// Both layouts: the dense one every store written before the stored
+    /// layout holds, and the stored one.
+    const LAYOUTS: [(u32, Encoder); 2] = [
+        (DENSE_STATS_VERSION, encode_stats),
+        (STORED_STATS_VERSION, encode_stored_stats),
+    ];
+
     #[test]
     fn stats_round_trip() {
         let stats = busy_stats();
-        let bytes = encode_stats(&stats);
-        let back = decode_stats(&bytes).expect("decode");
-        assert_eq!(back, stats);
+        for (version, encode) in LAYOUTS {
+            let bytes = encode(&stats);
+            assert_eq!(bytes[6..10], version.to_le_bytes());
+            let back = decode_stats(&bytes).expect("decode");
+            assert_eq!(back, stats, "version {version}");
+            assert_eq!(encode_stats(&back), encode_stats(&stats), "version {version}");
+        }
     }
 
     /// Offset of the first histogram length field: magic(6) + ver(4) +
@@ -456,7 +529,7 @@ mod tests {
     const HIST_OFF: usize = 6 + 4 + 27 * 8;
 
     #[test]
-    fn a_simulated_answer_round_trips_compact_through_the_dense_layout() {
+    fn a_simulated_answer_round_trips_compact_through_both_layouts() {
         let stats = crate::runner::simulate(&sample_spec());
         assert_eq!(stats.phys_regs, 2048);
         assert!(stats.histograms_are_compact());
@@ -467,6 +540,12 @@ mod tests {
         assert_eq!(bytes.len() - HIST_OFF - 8 * 8, 4 * (4 + 2049 * 8));
         let back = decode_stats(&bytes).expect("decode");
         assert!(back.histograms_are_compact());
+        assert_eq!(back, stats);
+        assert_eq!(encode_stats(&back), bytes);
+        // The stored layout keeps only the buckets the run reached.
+        let stored = encode_stored_stats(&stats);
+        assert!(4 * stored.len() < bytes.len(), "{} of {} bytes", stored.len(), bytes.len());
+        let back = decode_stats(&stored).expect("decode stored");
         assert_eq!(back, stats);
         assert_eq!(encode_stats(&back), bytes);
     }
@@ -488,28 +567,50 @@ mod tests {
     }
 
     #[test]
-    fn stats_decode_rejects_malformed_payloads() {
-        let stats = busy_stats();
-        let bytes = encode_stats(&stats);
-        // Truncation anywhere must fail, never partially decode.
-        for cut in [0, 5, 6, 9, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_stats(&bytes[..cut]).is_err(), "cut at {cut}");
+    fn stored_decode_rejects_lengths_the_stored_layout_cannot_have() {
+        let bytes = encode_stored_stats(&busy_stats());
+        // The first histogram: logical length 9, stored length 4, then
+        // its 4 buckets, the last of them 42.
+        assert_eq!(bytes[HIST_OFF..HIST_OFF + 8], [9, 0, 0, 0, 4, 0, 0, 0]);
+        let last = HIST_OFF + 8 + 3 * 8;
+        assert_eq!(bytes[last..last + 8], 42u64.to_le_bytes());
+        let cases = [
+            (HIST_OFF + 4, 10u64.to_le_bytes()[..4].to_vec(), "exceeds its length"),
+            (last, 0u64.to_le_bytes().to_vec(), "ends in a zero bucket"),
+            (HIST_OFF + 8 + 4 * 8, 8u32.to_le_bytes().to_vec(), "lengths differ"),
+        ];
+        for (at, patch, why) in cases {
+            let mut bad = bytes.clone();
+            bad[at..at + patch.len()].copy_from_slice(&patch);
+            let err = decode_stats(&bad).expect_err(why);
+            assert!(err.contains(why), "{err}");
         }
-        // Trailing garbage is rejected too.
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(decode_stats(&extended).is_err());
-        // Wrong magic.
-        let mut wrong = bytes.clone();
-        wrong[0] ^= 0xff;
-        assert!(decode_stats(&wrong).is_err());
-        // Wrong version.
-        let mut stale = bytes.clone();
-        stale[6] = 0xee;
-        assert!(decode_stats(&stale).is_err());
-        // Absurd histogram length cannot cause a huge allocation.
-        let mut hist_bomb = bytes;
-        hist_bomb[HIST_OFF..HIST_OFF + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_stats(&hist_bomb).is_err());
+    }
+
+    #[test]
+    fn stats_decode_rejects_malformed_payloads() {
+        for (_, encode) in LAYOUTS {
+            let bytes = encode(&busy_stats());
+            // Truncation anywhere must fail, never partially decode.
+            for cut in [0, 5, 6, 9, 10, HIST_OFF + 6, bytes.len() / 2, bytes.len() - 1] {
+                assert!(decode_stats(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            // Trailing garbage is rejected too.
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert!(decode_stats(&extended).is_err());
+            // Wrong magic.
+            let mut wrong = bytes.clone();
+            wrong[0] ^= 0xff;
+            assert!(decode_stats(&wrong).is_err());
+            // Wrong version.
+            let mut stale = bytes.clone();
+            stale[6] = 0xee;
+            assert!(decode_stats(&stale).is_err());
+            // Absurd histogram length cannot cause a huge allocation.
+            let mut hist_bomb = bytes;
+            hist_bomb[HIST_OFF..HIST_OFF + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_stats(&hist_bomb).is_err());
+        }
     }
 }

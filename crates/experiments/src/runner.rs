@@ -600,7 +600,8 @@ impl RunCache {
 /// result, deduplicated against the snapshot (same key-schema only) and
 /// against this process's own appends. Both sides share the cache's
 /// stable identity from [`crate::codec`], so a result written by any
-/// past process is a hit here.
+/// past process is a hit here. Records are written in the codec's
+/// stored layout; dense records from older stores still decode.
 struct StoreTier {
     store: rf_store::Store,
     snapshot: rf_store::Snapshot,
@@ -679,7 +680,7 @@ impl StoreTier {
                 return;
             }
         }
-        let payload = crate::codec::encode_stats(stats);
+        let payload = crate::codec::encode_stored_stats(stats);
         match self.store.append(crate::codec::DIGEST_SCHEMA, digest, &key, &payload) {
             Ok(()) => counters::count(Counter::StoreWrites, 1),
             Err(e) => self.warn_io(&format!("append failed: {e}")),

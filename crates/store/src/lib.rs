@@ -173,8 +173,8 @@ impl Header {
 }
 
 /// Sanity bound on a single key or payload: anything larger is treated
-/// as corruption, not a record (a real liveness-histogram payload is
-/// tens of kilobytes).
+/// as corruption, not a record (a real stats payload is a few kilobytes
+/// compact, at most about 65 KiB dense for a 2048-register file).
 const MAX_FIELD_BYTES: u32 = 256 * 1024 * 1024;
 
 /// A durable record store rooted at one directory. Cheap to construct;

@@ -393,16 +393,30 @@ fn parse_spec(
     Ok(spec)
 }
 
-/// Parses a `--width`, `--dq` or `--regs` value, or `dataflow`'s
-/// `--window`: the one check every size passes, rejecting a size no
-/// machine or window can have (a zero width, queue or window, fewer
-/// registers than [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
+/// Parses a `--width`, `--dq` or `--regs` value, `dataflow`'s
+/// `--window`, or the matrix commands' `--commits`: the one check every
+/// size passes, rejecting a size no machine, window or check can have (a
+/// zero width, queue, window or commit budget, fewer registers than
+/// [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
 fn size_num(opt: &str, v: &str) -> Result<usize, String> {
-    let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS } else { 1 };
-    match parse_num(opt, v)? {
+    let n = parse_num(opt, v)?;
+    size_min(opt, n as u64)?;
+    Ok(n)
+}
+
+fn size_min(opt: &str, n: u64) -> Result<u64, String> {
+    let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS as u64 } else { 1 };
+    match n {
         n if n < min => Err(format!("{opt} {n} is below the minimum of {min}")),
         n => Ok(n),
     }
+}
+
+/// Checks a `check`, `model` or `profile` commit budget, from
+/// `--commits` or `RF_COMMITS`, against [`size_num`]'s minimum of 1: a
+/// matrix run of no commits has nothing to check or model.
+pub fn commit_budget(n: u64) -> Result<u64, String> {
+    size_min("--commits", n)
 }
 
 fn parse_exceptions(v: &str) -> Result<ExceptionModel, String> {
@@ -439,7 +453,9 @@ fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
         width: take("--width").map(|v| size_num("--width", &v)).transpose()?,
         exceptions: take("--exceptions").map(|v| parse_exceptions(&v)).transpose()?,
         regs: take("--regs").map(|v| size_num("--regs", &v)).transpose()?,
-        commits: take("--commits").map(|v| parse_num("--commits", &v)).transpose()?,
+        commits: take("--commits")
+            .map(|v| parse_num("--commits", &v).and_then(commit_budget))
+            .transpose()?,
         seed: take("--seed").map_or(Ok(DEFAULT_SEED), |v| parse_num("--seed", &v))?,
     })
 }

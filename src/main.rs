@@ -48,6 +48,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A matrix command's budget from `RF_COMMITS` meets `--commits`'s
+    // minimum, too.
+    if let Command::Check { pins, .. } | Command::Model { pins, .. } | Command::Profile { pins, .. } =
+        &cmd
+    {
+        if let (None, Some(Err(e))) = (pins.commits, cfg.commits.map(cli::commit_budget)) {
+            eprintln!("error: RF_COMMITS: {e}");
+            return ExitCode::from(2);
+        }
+    }
     // Attaching to a stream file that does not exist is a usage error
     // (exit 2), not something to hang on: no suite run has started the
     // stream, so waiting for the file could wait forever.

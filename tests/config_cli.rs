@@ -39,8 +39,9 @@ fn a_malformed_knob_is_a_usage_error_on_every_command() {
     let check: Vec<&str> = ["check"].iter().chain(&MATRIX).copied().collect();
     let model: Vec<&str> = ["model", "--check"].iter().chain(&MATRIX).copied().collect();
     let run = ["run", "--bench", "compress", "--commits", "1000"];
-    let rows: [(&str, &str, &[&str]); 5] = [
+    let rows: [(&str, &str, &[&str]); 6] = [
         ("RF_COMMITS", "200k", &check),
+        ("RF_COMMITS", "0", &check),
         ("RF_COMMITS", "abc", &model),
         ("RF_JOBS", "abc", &model),
         ("RF_PROFILE", "maybe", &run),
@@ -78,7 +79,9 @@ fn rf_sanitize_switches_the_run_sanitizer() {
 
 #[test]
 fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
-    let rows: [(&[&str], &str); 10] = [
+    // A matrix command's zero commit budget is one too: its check would
+    // see no cycle.
+    let rows: [(&[&str], &str); 13] = [
         (&["run", "--bench", "gcc1", "--regs", "16"], "--regs 16"),
         (&["run", "--bench", "gcc1", "--width", "0"], "--width 0"),
         (&["run", "--bench", "gcc1", "--dq", "0"], "--dq 0"),
@@ -88,6 +91,9 @@ fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
         (&["model", "--bench", "compress", "--width", "0"], "--width 0"),
         (&["model", "--check", "--bench", "compress", "--regs", "16"], "--regs 16"),
         (&["profile", "--bench", "compress", "--regs", "16"], "--regs 16"),
+        (&["check", "--bench", "compress", "--commits", "0"], "--commits 0"),
+        (&["model", "--check", "--bench", "compress", "--commits", "0"], "--commits 0"),
+        (&["profile", "--bench", "compress", "--commits", "0"], "--commits 0"),
         (&["dataflow", "--bench", "gcc1", "--window", "0"], "--window 0"),
     ];
     for (args, opt) in rows {

@@ -3,10 +3,13 @@
 //! its family's largest register file — equals a fresh simulation of its
 //! own spec, for one worker and for several, down to its encoded bytes.
 //! Fresh, reused and store-decoded answers all keep their liveness
-//! histograms compact.
+//! histograms compact, and an answer read back from the store's stored
+//! layout encodes to the same dense bytes as its fresh simulation.
 
 use rf_core::{ExceptionModel, SimStats};
-use rf_experiments::codec::{decode_stats, encode_stats, spec_key_bytes, DIGEST_SCHEMA};
+use rf_experiments::codec::{
+    decode_stats, encode_stats, encode_stored_stats, spec_key_bytes, DIGEST_SCHEMA,
+};
 use rf_experiments::runner::{try_simulate, Answer, BatchOpts, RunCache, RunSpec, SimPool};
 use rf_mem::CacheOrg;
 use rf_store::{Digest, Store};
@@ -49,7 +52,7 @@ fn through_a_store(specs: &[RunSpec], answers: &[Answer]) -> Vec<SimStats> {
     let store = Store::open(&dir).expect("store opens");
     for (spec, answer) in specs.iter().zip(answers) {
         let key = spec_key_bytes(spec);
-        let payload = encode_stats(answer.outcome.as_ref().expect("completes"));
+        let payload = encode_stored_stats(answer.outcome.as_ref().expect("completes"));
         store.append(DIGEST_SCHEMA, Digest::of(&key), &key, &payload).expect("append");
     }
     let snapshot = store.snapshot().expect("snapshot");
@@ -102,6 +105,7 @@ fn every_answer_of_a_register_sweep_equals_a_fresh_simulation() {
             for ((spec, stats), want) in specs.iter().zip(&decoded).zip(&fresh) {
                 assert!(stats.histograms_are_compact(), "store-decoded {spec:?}");
                 assert!(stats == want, "store-decoded {spec:?} differs from its simulation");
+                assert_eq!(encode_stats(stats), encode_stats(want), "store-decoded {spec:?}");
             }
         }
         // The check is not vacuous: reuse answered points under both
