@@ -12,15 +12,28 @@
 //! * the committed instruction stream must match the static def/use and
 //!   kind counts exactly (the pipeline commits in order, so the committed
 //!   set *is* the first `n` trace entries).
+//!
+//! The two halves are independent, so they run at once: the oracle on a
+//! scoped thread over its own [`TraceGenerator`], the simulation on the
+//! calling thread over the packed [`SharedTrace`]. Neither reads the
+//! other's instructions, which is what makes the reconciliation a check
+//! of the replay as well as of the pipeline.
 
 use crate::oracle::{self, TraceOracle};
 use crate::sanitizer::Sanitizer;
 use rf_core::{
-    CancelToken, ExceptionModel, LiveModel, MachineConfig, Pipeline, RunSpec, SimStats,
-    DEFAULT_SEED,
+    CancelToken, Cancelled, ExceptionModel, LiveModel, MachineConfig, Pipeline, RunSpec,
+    SimStats, DEFAULT_SEED,
 };
 use rf_isa::{OpKind, RegClass};
 use rf_workload::{spec92, SharedTrace, TraceGenerator};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+
+/// Instructions the oracle's generator yields between two polls of the
+/// cancel token, as often as [`SharedTrace::build`] polls.
+const POLL_EVERY: usize = 4096;
 
 /// One point of the check matrix: the six dimensions the matrix varies
 /// or pins. [`CheckParams::spec`] is the [`RunSpec`] it names; every
@@ -184,17 +197,27 @@ pub fn config_for(p: &CheckParams) -> MachineConfig {
 }
 
 /// Runs one sanitized simulation plus the static analysis of the same
-/// trace prefix, and reconciles the two. `Err` only for unusable
-/// parameters (unknown benchmark); check failures are reported via
-/// [`CheckReport::passed`].
+/// trace prefix, the two on two threads, and reconciles them. `Err` only
+/// for unusable parameters (unknown benchmark); check failures are
+/// reported via [`CheckReport::passed`].
 pub fn cross_validate(params: &CheckParams) -> Result<CheckReport, String> {
     cross_validate_cancellable(params, None)
 }
 
 /// [`cross_validate`] with an optional cooperative cancel token (the
 /// `rfstudy check --deadline-secs` wall-clock budget): when the token
-/// fires mid-simulation, the run's partial state is discarded and an
+/// fires mid-check, the partial state of both halves is discarded and an
 /// `Err` describing the cancellation is returned.
+///
+/// The two halves run at once. A scoped thread regenerates the
+/// committed prefix from a fresh [`TraceGenerator`] and runs the oracle
+/// over it, while the calling thread fills the packed [`SharedTrace`]
+/// and runs the sanitized simulation. They share only the read-only
+/// profile and parameters, so the oracle's input stays independent of
+/// the packed buffer the simulation replays, and the check still covers
+/// the replay. The oracle polls the token every few thousand
+/// instructions, and stops too once the simulation has failed. A panic
+/// in either half panics the check.
 pub fn cross_validate_cancellable(
     params: &CheckParams,
     cancel: Option<&CancelToken>,
@@ -203,38 +226,62 @@ pub fn cross_validate_cancellable(
         .ok_or_else(|| format!("unknown benchmark '{}'", params.bench))?;
     let config = config_for(params);
     let insert_bw = config.effective_insert_bandwidth();
-
-    // Dynamic run, sanitizer riding the observer hooks. The simulation
-    // replays a shared trace, as every pooled run does: a group of one.
-    let cancelled = |at_cycle: u64| {
+    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    let cancelled = |at: String| {
         format!(
-            "check {} width={} {} regs={} cancelled at cycle {at_cycle} \
-             (partial statistics discarded)",
+            "check {} width={} {} regs={} cancelled {at} (partial statistics discarded)",
             params.bench, params.width, params.exceptions, params.regs
         )
     };
-    let shared = SharedTrace::build(&profile, params.seed, params.commits as usize, || {
-        cancel.is_some_and(CancelToken::is_cancelled)
-    })
-    .ok_or_else(|| cancelled(0))?;
-    let sanitizer = Sanitizer::new(params.regs, params.exceptions);
-    let mut pipeline = Pipeline::with_observer(config, sanitizer);
-    if let Some(token) = cancel {
-        pipeline = pipeline.with_cancel(token.clone());
-    }
-    let (stats, sanitizer) = pipeline
-        .run(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
-        .map_err(|c| cancelled(c.at_cycle))?;
-    drop(shared);
 
-    // Static analysis of the committed prefix: commit is in-order and the
-    // generator is deterministic, so the committed instructions are
-    // exactly the first `stats.committed` entries of a fresh trace. The
-    // oracle regenerates them independently of the packed buffer the
-    // simulation replayed, so the check covers the replay too, and
-    // streams them without holding the prefix.
-    let prefix = TraceGenerator::new(&profile, params.seed).take(stats.committed as usize);
-    let oracle = oracle::analyze(prefix, insert_bw);
+    let sim_failed = AtomicBool::new(false);
+    let (oracle, sim) = thread::scope(|s| {
+        // Static analysis of the committed prefix: commit is in-order,
+        // the generator is deterministic and infinite, so a completed run
+        // commits exactly the first `params.commits` entries of a fresh
+        // trace (the dataflow count check below holds this). The prefix
+        // streams; it is never held.
+        let oracle = s.spawn(|| {
+            let mut cut = false;
+            let prefix = TraceGenerator::new(&profile, params.seed)
+                .take(params.commits as usize)
+                .enumerate()
+                .take_while(|&(i, _)| {
+                    cut = i % POLL_EVERY == 0
+                        && (is_cancelled() || sim_failed.load(Ordering::Relaxed));
+                    !cut
+                })
+                .map(|(_, inst)| inst);
+            let oracle = oracle::analyze(prefix, insert_bw);
+            (!cut).then_some(oracle)
+        });
+
+        // Dynamic run, sanitizer riding the observer hooks. The simulation
+        // replays a shared trace, as every pooled run does: a group of
+        // one, buffered up to the cap and read from the tail generator
+        // past it.
+        let sim = panic::catch_unwind(AssertUnwindSafe(|| {
+            let len = params.commits.min(SharedTrace::MAX_BUFFERED) as usize;
+            let shared = SharedTrace::build(&profile, params.seed, len, is_cancelled)
+                .ok_or(Cancelled { at_cycle: 0 })?;
+            let mut pipeline =
+                Pipeline::with_observer(config, Sanitizer::new(params.regs, params.exceptions));
+            if let Some(token) = cancel {
+                pipeline = pipeline.with_cancel(token.clone());
+            }
+            pipeline.run(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
+        }));
+        if !matches!(sim, Ok(Ok(_))) {
+            sim_failed.store(true, Ordering::Relaxed);
+        }
+        (oracle.join(), sim)
+    });
+    let (stats, sanitizer) = sim
+        .unwrap_or_else(|p| panic::resume_unwind(p))
+        .map_err(|c| cancelled(format!("at cycle {}", c.at_cycle)))?;
+    let oracle = oracle
+        .unwrap_or_else(|p| panic::resume_unwind(p))
+        .ok_or_else(|| cancelled("in the static oracle".to_owned()))?;
 
     let slack = stats.inserted.saturating_sub(stats.committed);
     let classes = RegClass::ALL
@@ -406,6 +453,44 @@ mod tests {
         )
         .unwrap();
         assert!(r.passed(), "{}", r.render());
+    }
+
+    #[test]
+    fn the_overlapped_halves_answer_as_the_serial_ones_do() {
+        for exceptions in [ExceptionModel::Precise, ExceptionModel::Imprecise] {
+            for regs in [64, 2048] {
+                let p = CheckParams { commits: 5_000, ..params("gcc1", exceptions, regs) };
+                let r = cross_validate(&p).unwrap();
+                assert!(r.passed(), "{}", r.render());
+                let prefix = TraceGenerator::new(&spec92::by_name("gcc1").unwrap(), p.seed)
+                    .take(r.stats.committed as usize);
+                let insert_bw = config_for(&p).effective_insert_bandwidth();
+                assert_eq!(r.oracle, oracle::analyze(prefix, insert_bw), "{exceptions} regs={regs}");
+                let shared = SharedTrace::new(&spec92::by_name("gcc1").unwrap(), p.seed, 5_000);
+                let (stats, _) = Pipeline::new(config_for(&p))
+                    .run(&mut shared.cursor(), &mut shared.wrong_path(), p.commits)
+                    .unwrap();
+                assert_eq!(r.stats, stats, "{exceptions} regs={regs}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_token_fired_mid_check_cancels_promptly_at_any_budget() {
+        // The budget is far past the trace buffer's cap: the fill, the
+        // simulation and the oracle must each poll the token.
+        let p = CheckParams { commits: 1 << 33, ..params("compress", ExceptionModel::Precise, 64) };
+        let token = CancelToken::new();
+        let fire = token.clone();
+        let start = std::time::Instant::now();
+        let helper = thread::spawn(move || {
+            thread::sleep(std::time::Duration::from_millis(50));
+            fire.cancel();
+        });
+        let err = cross_validate_cancellable(&p, Some(&token)).unwrap_err();
+        helper.join().unwrap();
+        assert!(err.contains("cancelled"), "{err}");
+        assert!(start.elapsed().as_secs() < 5, "took {:?}", start.elapsed());
     }
 
     #[test]

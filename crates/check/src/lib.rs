@@ -19,7 +19,8 @@
 //!
 //! [`crosscheck`] ties the two together: one sanitized simulation per
 //! configuration, reconciled against the static analysis of the same
-//! trace prefix, surfaced as the `rfstudy check` subcommand and as
+//! trace prefix (the two run on two threads, each over its own copy of
+//! the trace), surfaced as the `rfstudy check` subcommand and as
 //! sanitized probe runs in the experiment suite. A configuration is a
 //! [`CheckParams`], one point of the check matrix ([`default_matrix`]),
 //! and the run it names is [`CheckParams::spec`], an

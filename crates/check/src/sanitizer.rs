@@ -28,9 +28,9 @@
 //!   mapping; under imprecise models, commit frees nothing.
 
 use rf_core::obs::{EventKind, Observer, TraceEvent};
-use rf_core::{AddrHashBuilder, ExceptionModel};
+use rf_core::ExceptionModel;
 use rf_isa::RegClass;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Which invariant a [`Violation`] breaks.
@@ -159,6 +159,38 @@ struct RenameRec {
     prev: u32,
 }
 
+/// The in-flight renames in sequence order. Renames arrive oldest-first,
+/// commits retire the oldest and squashes run youngest-first, so every
+/// operation of a well-formed stream touches an end. A corrupted stream
+/// (a replayed or rewound event) falls back to a binary search, and keeps
+/// the semantics of a map keyed by sequence number: one record per
+/// sequence number, the latest rename winning.
+#[derive(Debug, Default)]
+struct Journal(VecDeque<(u64, RenameRec)>);
+
+impl Journal {
+    fn insert(&mut self, seq: u64, rec: RenameRec) {
+        if self.0.back().is_none_or(|&(last, _)| last < seq) {
+            self.0.push_back((seq, rec));
+            return;
+        }
+        match self.0.binary_search_by_key(&seq, |&(s, _)| s) {
+            Ok(i) => self.0[i].1 = rec,
+            Err(i) => self.0.insert(i, (seq, rec)),
+        }
+    }
+
+    /// Removes and returns the rename of `seq`, if one is in flight.
+    fn remove(&mut self, seq: u64) -> Option<RenameRec> {
+        let i = match (self.0.front(), self.0.back()) {
+            (Some(&(first, _)), _) if first == seq => 0,
+            (_, Some(&(last, _))) if last == seq => self.0.len() - 1,
+            _ => self.0.binary_search_by_key(&seq, |&(s, _)| s).ok()?,
+        };
+        self.0.remove(i).map(|(_, rec)| rec)
+    }
+}
+
 /// Stored violations are capped so a badly corrupted stream cannot
 /// balloon memory; the total count keeps counting past the cap.
 const MAX_STORED_VIOLATIONS: usize = 64;
@@ -181,7 +213,8 @@ pub struct Sanitizer {
     /// Registers staged for freeing this cycle (return to Free at
     /// cycle end, mirroring `PhysRegFile::end_cycle`).
     staged_regs: [Vec<u32>; 2],
-    journal: HashMap<u64, RenameRec, AddrHashBuilder>,
+    /// Renames neither committed nor squashed yet.
+    journal: Journal,
     last_commit: Option<u64>,
     events: u64,
     total_violations: u64,
@@ -200,7 +233,7 @@ impl Sanitizer {
             map: [[0; 31]; 2],
             rev: [vec![None; phys_regs], vec![None; phys_regs]],
             staged_regs: [Vec::new(), Vec::new()],
-            journal: HashMap::default(),
+            journal: Journal::default(),
             last_commit: None,
             events: 0,
             total_violations: 0,
@@ -443,7 +476,7 @@ impl Observer for Sanitizer {
                     );
                 }
                 self.last_commit = Some(ev.seq);
-                let rec = self.journal.remove(&ev.seq);
+                let rec = self.journal.remove(ev.seq);
                 match self.model {
                     ExceptionModel::Precise => match (rec, ev.freed) {
                         (Some(rec), Some((class, p)))
@@ -493,7 +526,7 @@ impl Observer for Sanitizer {
                     }
                 }
             }
-            EventKind::Squash => match (self.journal.remove(&ev.seq), ev.freed) {
+            EventKind::Squash => match (self.journal.remove(ev.seq), ev.freed) {
                 (Some(rec), Some((class, p))) => {
                     if class != rec.class || p != rec.new {
                         self.violate(
@@ -644,6 +677,27 @@ mod tests {
         // Model: 63 free, 1 live; report something else.
         s.reg_file_state(3, RegClass::Int, 64, 0, 0);
         assert!(s.has(ViolationKind::FreelistConservation));
+    }
+
+    proptest::proptest! {
+        /// The journal answers any insert/remove sequence as a map keyed
+        /// by sequence number does, out-of-order and replayed events
+        /// included.
+        #[test]
+        fn journal_matches_a_map(ops in proptest::collection::vec((0u8..3, 0u64..40), 0..200)) {
+            let mut journal = Journal::default();
+            let mut map = std::collections::HashMap::new();
+            for (n, (op, seq)) in ops.into_iter().enumerate() {
+                if op == 0 {
+                    let rec = RenameRec { class: RegClass::Int, vreg: 0, new: n as u32, prev: 0 };
+                    journal.insert(seq, rec);
+                    map.insert(seq, rec);
+                } else {
+                    let (got, want) = (journal.remove(seq), map.remove(&seq));
+                    proptest::prop_assert_eq!(got.map(|r| r.new), want.map(|r| r.new));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! CLI contract for `--deadline-secs` on the batch subcommands that
-//! gained it alongside `rfstudy check`: `model --check` and `profile`.
-//! A generous budget changes nothing; an impossible one fails with exit
-//! code 1 and a deadline message; a malformed value is a usage error
-//! (exit code 2) before any simulation starts.
+//! CLI contract for `--deadline-secs` on the batch subcommands: `check`,
+//! `model --check` and `profile`. A generous budget changes nothing; an
+//! impossible one fails with exit code 1 and a deadline message; a
+//! malformed value is a usage error (exit code 2) before any simulation
+//! starts. A `check` whose commit budget dwarfs the trace buffer's cap
+//! stops at its deadline too, rather than failing to size its trace.
 
 use std::process::{Command, Output};
 
@@ -71,6 +72,18 @@ fn profile_fails_cleanly_when_the_deadline_is_impossible() {
     assert_eq!(out.status.code(), Some(1), "runtime failure, not a usage error");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("deadline"), "names the deadline: {stderr}");
+}
+
+#[test]
+fn check_with_an_oversized_budget_stops_at_its_deadline() {
+    let mut args = PINS.to_vec();
+    args[9] = "5000000000";
+    args.splice(0..0, ["check"]);
+    args.extend(["--deadline-secs", "0.5"]);
+    let out = rfstudy(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a runtime failure, not a panic: {stderr}");
+    assert!(stderr.contains("cancelled"), "names the cancellation: {stderr}");
 }
 
 #[test]
