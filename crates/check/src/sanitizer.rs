@@ -180,12 +180,20 @@ impl Journal {
         }
     }
 
-    /// Removes and returns the rename of `seq`, if one is in flight.
+    /// Removes and returns the rename of `seq`, if one is in flight. A
+    /// `seq` outside `[front, back]` (an instruction with no destination
+    /// register, the common miss) is answered without a search.
     fn remove(&mut self, seq: u64) -> Option<RenameRec> {
-        let i = match (self.0.front(), self.0.back()) {
-            (Some(&(first, _)), _) if first == seq => 0,
-            (_, Some(&(last, _))) if last == seq => self.0.len() - 1,
-            _ => self.0.binary_search_by_key(&seq, |&(s, _)| s).ok()?,
+        let (&(first, _), &(last, _)) = (self.0.front()?, self.0.back()?);
+        if seq < first || seq > last {
+            return None;
+        }
+        let i = if seq == first {
+            0
+        } else if seq == last {
+            self.0.len() - 1
+        } else {
+            self.0.binary_search_by_key(&seq, |&(s, _)| s).ok()?
         };
         self.0.remove(i).map(|(_, rec)| rec)
     }

@@ -596,11 +596,12 @@ impl RunCache {
 ///
 /// Reads go through one [`rf_store::Snapshot`] opened at first use —
 /// batch resolution must be immune to concurrent appends and
-/// compactions by other processes. Writes append behind the executed
-/// result, deduplicated against the snapshot (same key-schema only) and
-/// against this process's own appends. Both sides share the cache's
-/// stable identity from [`crate::codec`], so a result written by any
-/// past process is a hit here. Records are written in the codec's
+/// compactions by other processes. Its header walk is the open's only
+/// one: it also finds the torn tail crash recovery rotates past. Writes
+/// append behind the executed result, deduplicated against the snapshot
+/// (same key-schema only) and against this process's own appends. Both
+/// sides share the cache's stable identity from [`crate::codec`], so a
+/// result written by any past process is a hit here. Records are written in the codec's
 /// stored layout; dense records from older stores still decode.
 struct StoreTier {
     store: rf_store::Store,
@@ -621,10 +622,8 @@ impl StoreTier {
         TIER.get_or_init(|| {
             let cfg = config();
             let dir = cfg.store.then_some(&cfg.store_dir)?;
-            let opened = rf_store::Store::open(dir)
-                .and_then(|store| Ok((store.snapshot()?, store)));
-            match opened {
-                Ok((snapshot, store)) => Some(StoreTier {
+            match rf_store::Store::open_with_snapshot(dir) {
+                Ok((store, snapshot)) => Some(StoreTier {
                     store,
                     snapshot,
                     written: Mutex::new(std::collections::HashSet::new()),
@@ -710,12 +709,16 @@ pub fn store_counters() -> Option<(u64, u64, u64)> {
 }
 
 /// Flushes the durable store tier (fsyncs the active segment). A no-op
-/// when `RF_STORE` is off. Binaries call this once after their last
-/// batch; per-append fsyncs would serialize the worker pool on disk
-/// latency for no recovery benefit (an unsynced tail is dropped cleanly
-/// by the next reader's checksum scan).
+/// when `RF_STORE` is off, or when this process appended nothing (a
+/// warm run reads the store and fsyncs nothing). Binaries call this once
+/// after their last batch; per-append fsyncs would serialize the worker
+/// pool on disk latency for no recovery benefit (an unsynced tail is
+/// dropped cleanly by the next reader's checksum scan).
 pub fn store_sync() {
     if let Some(tier) = StoreTier::global() {
+        if tier.written.lock().unwrap_or_else(PoisonError::into_inner).is_empty() {
+            return;
+        }
         if let Err(e) = tier.store.sync() {
             tier.warn_io(&format!("sync failed: {e}"));
         }

@@ -21,12 +21,22 @@
 //! Each segment is a sequence of records:
 //!
 //! ```text
-//! magic "RFR1" | schema u32 | key_len u32 | payload_len u32
+//! magic "RFR2" | schema u32 | key_len u32 | payload_len u32
 //! | digest [16] | checksum u64 | key bytes | payload bytes
 //! ```
 //!
-//! (all integers little-endian; the checksum is SipHash-2-4 under a
-//! fixed key over everything after the magic except the checksum itself).
+//! All integers are little-endian. The checksum covers everything after
+//! the magic except the checksum itself: header bytes 4..32, then the key
+//! and the payload, streamed without copying them together. The magic
+//! names the record format ([`RecordFormat`]), and with it the checksum:
+//!
+//! - `RFR2` (what appends and compaction write): xxHash64 under a pinned
+//!   seed ([`hash::record_hasher`]);
+//! - `RFR1` (older stores): SipHash-2-4 under a pinned key
+//!   ([`hash::checksum`]). Such records stay readable and verifiable, and
+//!   [`Store::compact`] re-encodes them as `RFR2`.
+//!
+//! Both formats share the header layout, so one segment may hold both.
 //!
 //! # Durability & concurrency
 //!
@@ -34,6 +44,9 @@
 //!   while holding the store lock *shared*, so concurrent processes
 //!   interleave whole records, never bytes. Appends are not individually
 //!   fsynced; call [`Store::sync`] to flush (the suite does at exit).
+//! - **Directory entries** are fsynced where they are created: the store
+//!   directory when an open creates it, the first segment when the first
+//!   append creates it. Opening an existing store fsyncs nothing.
 //! - **Rotation** (when the active segment exceeds the size bound) and
 //!   **compaction** take the lock *exclusively*: the sealed segment is
 //!   fsynced, the new one is created, and the directory entry is fsynced
@@ -60,12 +73,10 @@ pub mod hash;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
+use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-
-/// Magic bytes opening every record.
-pub const RECORD_MAGIC: [u8; 4] = *b"RFR1";
 
 /// Fixed byte length of a record header (everything before the key).
 pub const HEADER_LEN: usize = 40;
@@ -116,10 +127,64 @@ impl fmt::Display for Digest {
     }
 }
 
+/// A record format version, named by the record's magic bytes. The
+/// formats share one header layout and differ only in their checksum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RecordFormat {
+    /// `RFR1`: SipHash-2-4 checksum. Read and verified, never written.
+    Rfr1,
+    /// `RFR2`: xxHash64 checksum.
+    Rfr2,
+}
+
+impl RecordFormat {
+    /// The format appends and compaction write.
+    pub const CURRENT: Self = Self::Rfr2;
+
+    /// The magic bytes opening a record of this format.
+    pub fn magic(self) -> [u8; 4] {
+        match self {
+            Self::Rfr1 => *b"RFR1",
+            Self::Rfr2 => *b"RFR2",
+        }
+    }
+
+    fn from_magic(magic: &[u8]) -> Option<Self> {
+        [Self::Rfr1, Self::Rfr2].into_iter().find(|f| f.magic() == magic)
+    }
+
+    /// The checksum of an encoded record: header bytes 4..32, then the
+    /// key and payload.
+    fn checksum(self, record: &[u8]) -> u64 {
+        let (head, body) = (&record[4..32], &record[HEADER_LEN..]);
+        match self {
+            Self::Rfr1 => hash::checksum(&[head, body].concat()),
+            Self::Rfr2 => {
+                let mut h = hash::record_hasher();
+                h.update(head);
+                h.update(body);
+                h.finish()
+            }
+        }
+    }
+}
+
+impl fmt::Display for RecordFormat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(std::str::from_utf8(&self.magic()).expect("ASCII magic"))
+    }
+}
+
 /// Serialises one record into its on-disk byte form.
-fn encode_record(schema: u32, digest: Digest, key: &[u8], payload: &[u8]) -> Vec<u8> {
+fn encode_record(
+    format: RecordFormat,
+    schema: u32,
+    digest: Digest,
+    key: &[u8],
+    payload: &[u8],
+) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + key.len() + payload.len());
-    buf.extend_from_slice(&RECORD_MAGIC);
+    buf.extend_from_slice(&format.magic());
     buf.extend_from_slice(&schema.to_le_bytes());
     buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -127,24 +192,16 @@ fn encode_record(schema: u32, digest: Digest, key: &[u8], payload: &[u8]) -> Vec
     buf.extend_from_slice(&[0u8; 8]); // checksum placeholder
     buf.extend_from_slice(key);
     buf.extend_from_slice(payload);
-    let sum = record_checksum(&buf);
+    let sum = format.checksum(&buf);
     buf[32..40].copy_from_slice(&sum.to_le_bytes());
     buf
-}
-
-/// The checksum of an encoded record: everything after the magic except
-/// the checksum field itself.
-fn record_checksum(record: &[u8]) -> u64 {
-    let mut h = Vec::with_capacity(record.len() - 12);
-    h.extend_from_slice(&record[4..32]);
-    h.extend_from_slice(&record[HEADER_LEN..]);
-    hash::checksum(&h)
 }
 
 /// A parsed record header. (The checksum field is not carried here:
 /// verification recomputes it against the stored bytes directly.)
 #[derive(Debug, Clone, Copy)]
 struct Header {
+    format: RecordFormat,
     schema: u32,
     key_len: u32,
     payload_len: u32,
@@ -153,13 +210,12 @@ struct Header {
 
 impl Header {
     fn parse(bytes: &[u8; HEADER_LEN]) -> Option<Self> {
-        if bytes[..4] != RECORD_MAGIC {
-            return None;
-        }
+        let format = RecordFormat::from_magic(&bytes[..4])?;
         let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
         let mut digest = [0u8; 16];
         digest.copy_from_slice(&bytes[16..32]);
         Some(Self {
+            format,
             schema: u32_at(4),
             key_len: u32_at(8),
             payload_len: u32_at(12),
@@ -177,6 +233,50 @@ impl Header {
 /// compact, at most about 65 KiB dense for a 2048-register file).
 const MAX_FIELD_BYTES: u32 = 256 * 1024 * 1024;
 
+/// How a header walk over a segment ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// The walk landed exactly on the segment's end.
+    Clean,
+    /// The last record runs past the end (a crash mid-append).
+    Torn,
+    /// A header does not parse or claims an absurd length.
+    Corrupt,
+}
+
+/// Walks the record headers of the first `len` bytes of `file`, one
+/// `pread` per header, calling `each(offset, header)` for every whole
+/// record. Stops at the first torn or corrupt record: everything after
+/// it is unreachable without its length. Checksums are *not* recomputed:
+/// bit rot inside a whole record is caught record by record on read.
+fn walk_segment(file: &File, len: u64, mut each: impl FnMut(u64, &Header)) -> io::Result<Tail> {
+    let mut pos = 0u64;
+    let mut header = [0u8; HEADER_LEN];
+    while pos < len {
+        if pos + HEADER_LEN as u64 > len {
+            return Ok(Tail::Torn);
+        }
+        file.read_exact_at(&mut header, pos)?;
+        let Some(h) = Header::parse(&header) else { return Ok(Tail::Corrupt) };
+        if h.key_len > MAX_FIELD_BYTES || h.payload_len > MAX_FIELD_BYTES {
+            return Ok(Tail::Corrupt);
+        }
+        if pos + h.record_len() > len {
+            return Ok(Tail::Torn);
+        }
+        each(pos, &h);
+        pos += h.record_len();
+    }
+    Ok(Tail::Clean)
+}
+
+/// Whether the segment at `path` frames only whole, well-formed records.
+fn segment_is_clean(path: &Path) -> io::Result<bool> {
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok(walk_segment(&file, len, |_, _| {})? == Tail::Clean)
+}
+
 /// A durable record store rooted at one directory. Cheap to construct;
 /// every operation re-derives its file handles, so one `Store` value can
 /// be shared freely and concurrent `Store`s (in this or other processes)
@@ -188,52 +288,86 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (creating if necessary) a store rooted at `dir`, fsyncing
-    /// the created directory entry so the store itself survives a crash
-    /// immediately after creation.
+    /// Opens (creating if necessary) a store rooted at `dir`, then
+    /// recovers from a torn tail (see [`Store::open_with_snapshot`]).
+    /// Creating the directory fsyncs its entry, so the store itself
+    /// survives a crash immediately after creation; opening an existing
+    /// clean store creates, changes and fsyncs nothing.
     ///
     /// # Errors
     ///
-    /// Any I/O error creating or syncing the directory.
+    /// Any I/O error creating or syncing the directory, or recovering.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        sync_dir(&dir)?;
-        if let Some(parent) = dir.parent().filter(|p| !p.as_os_str().is_empty()) {
-            sync_dir(parent)?;
+        let store = Self::open_dir(dir.into())?;
+        if let Some((no, path)) = store.segments()?.pop() {
+            if !segment_is_clean(&path)? {
+                store.rotate_past_damage(no)?;
+            }
         }
-        let store = Self { dir, segment_bytes: DEFAULT_SEGMENT_BYTES };
-        store.recover()?;
         Ok(store)
     }
 
-    /// Crash recovery at open: when the active segment ends in a torn or
-    /// corrupt record (a crash mid-append), it is sealed and a fresh
-    /// segment takes over. Readers stop scanning a segment at its first
-    /// bad record, so appending *after* one would strand every later
-    /// record; rotating instead keeps new appends reachable while the
-    /// damaged tail stays skip-and-counted until the next compaction.
-    fn recover(&self) -> io::Result<()> {
-        let Some((no, path)) = self.segments()?.pop() else { return Ok(()) };
-        if segment_is_clean(&path)? {
-            return Ok(());
+    /// Opens the store and a [`Snapshot`] of it together, walking each
+    /// segment's headers once: the snapshot's walk doubles as crash
+    /// recovery. When the active segment ends in a torn or corrupt
+    /// record (a crash mid-append), it is sealed and a fresh segment
+    /// takes over. Readers stop scanning a segment at its first bad
+    /// record, so appending *after* one would strand every later record;
+    /// rotating instead keeps new appends reachable while the damaged
+    /// tail stays skip-and-counted until the next compaction.
+    ///
+    /// # Errors
+    ///
+    /// As [`Store::open`] and [`Store::snapshot`].
+    pub fn open_with_snapshot(dir: impl Into<PathBuf>) -> io::Result<(Self, Snapshot)> {
+        let store = Self::open_dir(dir.into())?;
+        let snap = store.snapshot()?;
+        if let Some(no) = snap.damaged_tail() {
+            store.rotate_past_damage(no)?;
         }
+        Ok((store, snap))
+    }
+
+    /// A store over `dir`, creating the directory (and fsyncing its
+    /// entry) when it does not exist yet.
+    fn open_dir(dir: PathBuf) -> io::Result<Self> {
+        if !dir.is_dir() {
+            fs::create_dir_all(&dir)?;
+            sync_dir(&dir)?;
+            if let Some(parent) = dir.parent().filter(|p| !p.as_os_str().is_empty()) {
+                sync_dir(parent)?;
+            }
+        }
+        Ok(Self { dir, segment_bytes: DEFAULT_SEGMENT_BYTES })
+    }
+
+    /// Crash recovery for a damaged active segment `no`: under the
+    /// exclusive lock, seals it and rotates to a fresh one.
+    fn rotate_past_damage(&self, no: u64) -> io::Result<()> {
         let lock = self.lock_file()?;
         lock.lock()?;
         let result = (|| {
             // Re-check under the lock: another opener may have already
-            // rotated past the damage.
+            // rotated past the damage, or the "damage" was an append in
+            // flight that has since completed.
             let (cur_no, cur_path) = self.active_segment()?;
             if cur_no != no || segment_is_clean(&cur_path)? {
                 return Ok(());
             }
-            File::open(&cur_path)?.sync_all()?; // seal
-            let next = self.dir.join(segment_name(cur_no + 1));
-            OpenOptions::new().create_new(true).write(true).open(&next)?.sync_all()?;
-            sync_dir(&self.dir)
+            self.seal_and_rotate(cur_no, &cur_path)
         })();
         let _ = lock.unlock();
         result
+    }
+
+    /// Seals (fsyncs) active segment `no` at `path`, creates its
+    /// successor and makes the new directory entry durable. Called under
+    /// the exclusive lock.
+    fn seal_and_rotate(&self, no: u64, path: &Path) -> io::Result<()> {
+        File::open(path)?.sync_all()?;
+        let next = self.dir.join(segment_name(no + 1));
+        OpenOptions::new().create_new(true).write(true).open(&next)?.sync_all()?;
+        sync_dir(&self.dir)
     }
 
     /// Overrides the segment-size bound (tests use tiny segments to
@@ -285,7 +419,8 @@ impl Store {
     /// Appends one record. The write is a single `O_APPEND` `write_all`
     /// of the whole encoded record under a shared lock, so records from
     /// concurrent appenders interleave whole, never torn. Not fsynced —
-    /// see [`Store::sync`].
+    /// see [`Store::sync`] — but the append that creates the store's
+    /// first segment fsyncs the directory entry it made.
     ///
     /// # Errors
     ///
@@ -297,13 +432,21 @@ impl Store {
         key: &[u8],
         payload: &[u8],
     ) -> io::Result<()> {
-        let record = encode_record(schema, digest, key, payload);
+        let record = encode_record(RecordFormat::CURRENT, schema, digest, key, payload);
         self.rotate_if_needed()?;
         let lock = self.lock_file()?;
         lock.lock_shared()?;
         let result = (|| {
             let (_, path) = self.active_segment()?;
-            let mut seg = OpenOptions::new().create(true).append(true).open(path)?;
+            let mut seg = match OpenOptions::new().append(true).open(&path) {
+                Ok(seg) => seg,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    let seg = OpenOptions::new().create(true).append(true).open(&path)?;
+                    sync_dir(&self.dir)?;
+                    seg
+                }
+                Err(e) => return Err(e),
+            };
             seg.write_all(&record)
         })();
         let _ = lock.unlock();
@@ -330,10 +473,7 @@ impl Store {
             {
                 return Ok(());
             }
-            File::open(&cur_path)?.sync_all()?; // seal
-            let next = self.dir.join(segment_name(cur_no + 1));
-            OpenOptions::new().create_new(true).write(true).open(&next)?.sync_all()?;
-            sync_dir(&self.dir)
+            self.seal_and_rotate(cur_no, &cur_path)
         })();
         let _ = lock.unlock();
         result
@@ -379,9 +519,10 @@ impl Store {
 
     /// Compacts the store: rewrites the live record set (latest record
     /// per digest, valid checksum, and — when `keep_schema` is given —
-    /// only that key-schema version) into one fresh segment, then
-    /// deletes the old segments. Runs entirely under the exclusive lock;
-    /// readers with open snapshots are unaffected.
+    /// only that key-schema version) into one fresh segment, every record
+    /// re-encoded in the current [`RecordFormat`], then deletes the old
+    /// segments. Runs entirely under the exclusive lock; readers with
+    /// open snapshots are unaffected.
     ///
     /// # Errors
     ///
@@ -406,24 +547,6 @@ impl Store {
             bytes_before: snap.bytes,
             bytes_after: 0,
         };
-        // Deterministic output order: ascending digest.
-        let mut live: Vec<(&Digest, &Loc)> = snap.index.iter().collect();
-        live.sort_unstable_by_key(|(d, _)| **d);
-        let mut out = Vec::new();
-        for (digest, loc) in live {
-            let Some(record) = snap.read_record(loc) else {
-                report.dropped_corrupt += 1;
-                continue;
-            };
-            if keep_schema.is_some_and(|keep| loc.schema != keep) {
-                report.dropped_stale_schema += 1;
-                continue;
-            }
-            debug_assert_eq!(Digest(record[16..32].try_into().expect("16 bytes")), *digest);
-            out.extend_from_slice(&record);
-            report.kept += 1;
-        }
-        report.bytes_after = out.len() as u64;
         // Write the compacted segment under a temp name, make it
         // durable, then rename it into place as the new highest segment
         // and delete the superseded ones. A reader listing at any point
@@ -431,10 +554,30 @@ impl Store {
         // higher number, scanned last), or just the new one.
         let new_path = self.dir.join(segment_name(max_no + 1));
         let tmp_path = self.dir.join(format!("{}.tmp", segment_name(max_no + 1)));
-        let mut tmp = OpenOptions::new().create(true).truncate(true).write(true).open(&tmp_path)?;
-        tmp.write_all(&out)?;
-        tmp.sync_all()?;
-        drop(tmp);
+        let mut out = BufWriter::new(
+            OpenOptions::new().create(true).truncate(true).write(true).open(&tmp_path)?,
+        );
+        // Deterministic output order: ascending digest.
+        let mut live: Vec<(&Digest, &Loc)> = snap.index.iter().collect();
+        live.sort_unstable_by_key(|(d, _)| **d);
+        for (digest, loc) in live {
+            let Some((h, record)) = snap.read_record(loc) else {
+                report.dropped_corrupt += 1;
+                continue;
+            };
+            if keep_schema.is_some_and(|keep| h.schema != keep) {
+                report.dropped_stale_schema += 1;
+                continue;
+            }
+            debug_assert_eq!(h.digest, *digest);
+            let key_end = HEADER_LEN + h.key_len as usize;
+            let (key, payload) = (&record[HEADER_LEN..key_end], &record[key_end..]);
+            let record = encode_record(RecordFormat::CURRENT, h.schema, h.digest, key, payload);
+            out.write_all(&record)?;
+            report.bytes_after += record.len() as u64;
+            report.kept += 1;
+        }
+        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
         fs::rename(&tmp_path, &new_path)?;
         sync_dir(&self.dir)?;
         for (_, path) in old_segs {
@@ -469,6 +612,36 @@ struct Loc {
     offset: u64,
     len: u64,
     schema: u32,
+    format: RecordFormat,
+}
+
+/// A payload returned by [`Snapshot::get`]. It holds the whole record as
+/// read from its segment and derefs to the bytes past the header and
+/// key, so a read copies the payload once, from the file, and never
+/// again.
+pub struct Payload {
+    record: Vec<u8>,
+    start: usize,
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.record[self.start..]
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Payload").field(&&**self).finish()
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
 }
 
 /// A read-only, snapshot-consistent view of the store.
@@ -492,12 +665,17 @@ pub struct Snapshot {
     pub corrupt: u64,
     /// Live record count per key-schema version.
     pub schemas: BTreeMap<u32, u64>,
+    /// Live record count per record format (what [`Store::compact`]
+    /// would upgrade: everything not [`RecordFormat::CURRENT`]).
+    pub formats: BTreeMap<RecordFormat, u64>,
 }
 
 #[derive(Debug)]
 struct SegView {
+    no: u64,
     file: File,
     len: u64,
+    tail: Tail,
 }
 
 impl Snapshot {
@@ -510,65 +688,67 @@ impl Snapshot {
             torn: 0,
             corrupt: 0,
             schemas: BTreeMap::new(),
+            formats: BTreeMap::new(),
         };
-        for (_, path) in store.segments()? {
+        for (no, path) in store.segments()? {
             let file = File::open(&path)?;
             let len = file.metadata()?.len();
-            snap.segs.push(SegView { file, len });
+            snap.segs.push(SegView { no, file, len, tail: Tail::Clean });
         }
         for s in 0..snap.segs.len() {
             snap.scan_segment(s)?;
         }
         for loc in snap.index.values() {
             *snap.schemas.entry(loc.schema).or_insert(0) += 1;
+            *snap.formats.entry(loc.format).or_insert(0) += 1;
         }
         Ok(snap)
     }
 
     /// Walks one segment's records, indexing each digest (later records
-    /// supersede earlier ones). Stops at the first torn or corrupt
-    /// record: everything after it is unreachable without its length.
+    /// supersede earlier ones), and notes how the walk ended.
     fn scan_segment(&mut self, s: usize) -> io::Result<()> {
-        let len = self.segs[s].len;
-        self.bytes += len;
-        let mut pos = 0u64;
-        let mut header = [0u8; HEADER_LEN];
-        while pos < len {
-            if pos + HEADER_LEN as u64 > len {
-                self.torn += 1;
-                return Ok(());
-            }
-            self.segs[s].file.read_exact_at(&mut header, pos)?;
-            let Some(h) = Header::parse(&header) else {
-                self.corrupt += 1;
-                return Ok(());
+        let Self { segs, index, records, .. } = self;
+        let seg = &mut segs[s];
+        let tail = walk_segment(&seg.file, seg.len, |offset, h| {
+            let loc = Loc {
+                seg: s,
+                offset,
+                len: h.record_len(),
+                schema: h.schema,
+                format: h.format,
             };
-            if h.key_len > MAX_FIELD_BYTES || h.payload_len > MAX_FIELD_BYTES {
-                self.corrupt += 1;
-                return Ok(());
-            }
-            if pos + h.record_len() > len {
-                self.torn += 1;
-                return Ok(());
-            }
-            self.index.insert(
-                h.digest,
-                Loc { seg: s, offset: pos, len: h.record_len(), schema: h.schema },
-            );
-            self.records += 1;
-            pos += h.record_len();
+            index.insert(h.digest, loc);
+            *records += 1;
+        })?;
+        seg.tail = tail;
+        self.bytes += self.segs[s].len;
+        match tail {
+            Tail::Clean => {}
+            Tail::Torn => self.torn += 1,
+            Tail::Corrupt => self.corrupt += 1,
         }
         Ok(())
+    }
+
+    /// The number of the last segment when its walk ended on a torn or
+    /// corrupt record: the damage crash recovery rotates past.
+    fn damaged_tail(&self) -> Option<u64> {
+        self.segs.last().filter(|seg| seg.tail != Tail::Clean).map(|seg| seg.no)
     }
 
     /// Reads and checksum-verifies the record at `loc`; `None` when the
     /// stored checksum does not match (bit rot or a torn interior, which
     /// cannot happen for whole-record appends but is still checked).
-    fn read_record(&self, loc: &Loc) -> Option<Vec<u8>> {
+    fn read_record(&self, loc: &Loc) -> Option<(Header, Vec<u8>)> {
         let mut buf = vec![0u8; loc.len as usize];
         self.segs[loc.seg].file.read_exact_at(&mut buf, loc.offset).ok()?;
+        let h = Header::parse(buf[..HEADER_LEN].try_into().expect("header bytes"))?;
+        if h.record_len() != loc.len {
+            return None;
+        }
         let stored = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        (record_checksum(&buf) == stored).then_some(buf)
+        (h.format.checksum(&buf) == stored).then_some((h, buf))
     }
 
     /// Distinct digests resolvable through this snapshot.
@@ -602,18 +782,14 @@ impl Snapshot {
     /// the key-schema version must match, the record checksum must hold,
     /// and the stored key bytes must equal `key` exactly — so even a
     /// digest collision cannot return another key's payload.
-    pub fn get(&self, schema: u32, digest: &Digest, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&self, schema: u32, digest: &Digest, key: &[u8]) -> Option<Payload> {
         let loc = self.index.get(digest)?;
         if loc.schema != schema {
             return None;
         }
-        let record = self.read_record(loc)?;
-        let h = Header::parse(record[..HEADER_LEN].try_into().expect("header bytes"))?;
-        let key_end = HEADER_LEN + h.key_len as usize;
-        if &record[HEADER_LEN..key_end] != key {
-            return None;
-        }
-        Some(record[key_end..].to_vec())
+        let (h, record) = self.read_record(loc)?;
+        let start = HEADER_LEN + h.key_len as usize;
+        (record[HEADER_LEN..start] == *key).then_some(Payload { record, start })
     }
 
     /// Re-reads and checksum-verifies every *live* record, returning a
@@ -627,6 +803,7 @@ impl Snapshot {
             corrupt: self.corrupt,
             bad_checksum: 0,
             schemas: self.schemas.clone(),
+            formats: self.formats.clone(),
         };
         for loc in self.index.values() {
             if self.read_record(loc).is_none() {
@@ -654,6 +831,8 @@ pub struct VerifyReport {
     pub bad_checksum: u64,
     /// Live record count per key-schema version.
     pub schemas: BTreeMap<u32, u64>,
+    /// Live record count per record format.
+    pub formats: BTreeMap<RecordFormat, u64>,
 }
 
 impl VerifyReport {
@@ -682,33 +861,6 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 /// Fsyncs a directory so renames/creates/unlinks inside it are durable.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
-}
-
-/// Whether `path` frames only whole, well-formed records — i.e. a
-/// header walk lands exactly on the file's end. Checksums are *not*
-/// recomputed: bit rot inside a whole record does not block appends
-/// (readers reject it record-by-record), only a torn or unparsable
-/// tail does.
-fn segment_is_clean(path: &Path) -> io::Result<bool> {
-    let file = File::open(path)?;
-    let len = file.metadata()?.len();
-    let mut pos = 0u64;
-    let mut header = [0u8; HEADER_LEN];
-    while pos < len {
-        if pos + HEADER_LEN as u64 > len {
-            return Ok(false);
-        }
-        file.read_exact_at(&mut header, pos)?;
-        let Some(h) = Header::parse(&header) else { return Ok(false) };
-        if h.key_len > MAX_FIELD_BYTES
-            || h.payload_len > MAX_FIELD_BYTES
-            || pos + h.record_len() > len
-        {
-            return Ok(false);
-        }
-        pos += h.record_len();
-    }
-    Ok(true)
 }
 
 /// Reads a whole file (test helper surface kept out of the public API).
@@ -959,7 +1111,7 @@ mod tests {
             for i in 0u32..25 {
                 let key = (w * 1000 + i).to_le_bytes();
                 let got = snap.get(1, &Digest::of(&key), &key).expect("record present");
-                assert_eq!(got, vec![w as u8; 100 + i as usize]);
+                assert_eq!(*got, vec![w as u8; 100 + i as usize]);
             }
         }
         assert!(snap.verify().is_clean());
@@ -985,6 +1137,169 @@ mod tests {
         assert!(snap.is_empty());
         assert_eq!(snap.records, 0);
         assert!(snap.verify().is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Appends `record` bytes to the active segment as they are, the way
+    /// an older build of the store wrote them.
+    fn append_raw(store: &Store, record: &[u8]) {
+        let (_, path) = store.active_segment().unwrap();
+        OpenOptions::new().create(true).append(true).open(path).unwrap().write_all(record).unwrap();
+    }
+
+    /// GOLDEN: pins the `RFR2` record checksum (xxHash64 under the pinned
+    /// seed, over header bytes 4..32, the key and the payload). If this
+    /// fails, every `RFR2` record on disk fails verification.
+    #[test]
+    fn rfr2_record_checksum_is_pinned() {
+        let key = b"rfstudy".as_slice();
+        let record = encode_record(RecordFormat::Rfr2, 1, Digest::of(key), key, b"payload");
+        assert_eq!(&record[..4], b"RFR2");
+        let stored = u64::from_le_bytes(record[32..40].try_into().unwrap());
+        assert_eq!(stored, 0xb714_3315_2f80_4291);
+        let mut streamed = hash::record_hasher();
+        streamed.update(&record[4..32]);
+        streamed.update(key);
+        streamed.update(b"payload");
+        assert_eq!(streamed.finish(), stored);
+        // The same record as RFR1 differs only in magic and checksum.
+        let old = encode_record(RecordFormat::Rfr1, 1, Digest::of(key), key, b"payload");
+        assert_eq!(&old[..4], b"RFR1");
+        assert_eq!(old[4..32], record[4..32]);
+        assert_eq!(old[40..], record[40..]);
+        let want = hash::checksum(&[&old[4..32], &old[40..]].concat());
+        assert_eq!(old[32..40], want.to_le_bytes());
+    }
+
+    #[test]
+    fn mixed_rfr1_and_rfr2_segment_reads_back_and_compacts_to_rfr2() {
+        let dir = temp_dir("mixed");
+        let store = Store::open(&dir).unwrap();
+        let keys: Vec<[u8; 4]> = (0u32..6).map(u32::to_le_bytes).collect();
+        let payload = |i: usize| vec![i as u8; 50 + i];
+        for (i, key) in keys[..3].iter().enumerate() {
+            let record = encode_record(RecordFormat::Rfr1, 1, Digest::of(key), key, &payload(i));
+            append_raw(&store, &record);
+        }
+        for (i, key) in keys.iter().enumerate().skip(3) {
+            store.append(1, Digest::of(key), key, &payload(i)).unwrap();
+        }
+        let snap = store.snapshot().unwrap();
+        assert_eq!(snap.segment_count(), 1, "one segment holds both formats");
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(snap.get(1, &Digest::of(key), key).as_deref(), Some(&payload(i)[..]));
+        }
+        let mix = BTreeMap::from([(RecordFormat::Rfr1, 3), (RecordFormat::Rfr2, 3)]);
+        assert_eq!(snap.formats, mix);
+        let report = snap.verify();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.formats, mix);
+
+        let compacted = store.compact(None).unwrap();
+        assert_eq!(compacted.kept, 6);
+        let snap = store.snapshot().unwrap();
+        assert_eq!(snap.formats, BTreeMap::from([(RecordFormat::Rfr2, 6)]));
+        assert!(snap.verify().is_clean());
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(snap.get(1, &Digest::of(key), key).as_deref(), Some(&payload(i)[..]));
+        }
+        // Every record on disk now opens with the RFR2 magic.
+        let (_, path) = store.active_segment().unwrap();
+        let file = File::open(&path).unwrap();
+        let mut magics = Vec::new();
+        let tail = walk_segment(&file, file.metadata().unwrap().len(), |_, h| magics.push(h.format))
+            .unwrap();
+        assert_eq!(tail, Tail::Clean);
+        assert_eq!(magics, vec![RecordFormat::Rfr2; 6]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_fails_either_checksum() {
+        for format in [RecordFormat::Rfr1, RecordFormat::Rfr2] {
+            let dir = temp_dir(&format!("flip-{format}"));
+            let store = Store::open(&dir).unwrap();
+            let key = b"k".as_slice();
+            let digest = Digest::of(key);
+            let mut record = encode_record(format, 3, digest, key, b"payload bytes");
+            let last = record.len() - 1;
+            record[last] ^= 0x01;
+            append_raw(&store, &record);
+            let snap = store.snapshot().unwrap();
+            assert!(snap.contains(&digest), "{format}: indexed by header");
+            assert_eq!(snap.get(3, &digest, key), None, "{format}: checksum rejects it");
+            let report = snap.verify();
+            assert_eq!(report.bad_checksum, 1, "{format}");
+            assert!(!report.is_clean(), "{format}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Every file in `dir` with its length, modification time and bytes.
+    fn dir_state(dir: &Path) -> Vec<(String, u64, std::time::SystemTime, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let meta = e.metadata().unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, meta.len(), meta.modified().unwrap(), read_file(&e.path()))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_read_only_open_of_an_existing_store_creates_and_changes_no_file() {
+        let dir = temp_dir("readonly");
+        let store = Store::open(&dir).unwrap().with_segment_bytes(64);
+        for i in 0u32..4 {
+            let key = i.to_le_bytes();
+            store.append(1, Digest::of(&key), &key, &[i as u8; 64]).unwrap();
+        }
+        store.sync().unwrap();
+        let before = dir_state(&dir);
+        let dir_mtime = fs::metadata(&dir).unwrap().modified().unwrap();
+        assert!(before.len() > 2, "several segments and the lock file: {before:?}");
+
+        let (store, snap) = Store::open_with_snapshot(&dir).unwrap();
+        for i in 0u32..4 {
+            let key = i.to_le_bytes();
+            assert!(snap.get(1, &Digest::of(&key), &key).is_some(), "record {i}");
+        }
+        assert!(snap.verify().is_clean());
+        let reopened = Store::open(&dir).unwrap();
+        assert_eq!(reopened.snapshot().unwrap().len(), 4);
+        drop((store, snap, reopened));
+
+        assert_eq!(dir_state(&dir), before);
+        assert_eq!(fs::metadata(&dir).unwrap().modified().unwrap(), dir_mtime);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_with_snapshot_rotates_past_a_torn_tail() {
+        let dir = temp_dir("recover-snapshot");
+        let store = Store::open(&dir).unwrap();
+        let (ka, kb, kc) = (b"a".as_slice(), b"b".as_slice(), b"c".as_slice());
+        store.append(1, Digest::of(ka), ka, b"payload a").unwrap();
+        store.append(1, Digest::of(kb), kb, b"payload b").unwrap();
+        let (_, path) = store.active_segment().unwrap();
+        let torn_len = read_file(&path).len() - 5;
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(torn_len as u64).unwrap();
+        drop(store);
+        let (store, snap) = Store::open_with_snapshot(&dir).unwrap();
+        assert_eq!(snap.torn, 1, "the snapshot's walk saw the tear");
+        assert_eq!(store.segments().unwrap().len(), 2, "recovery rotated");
+        store.append(1, Digest::of(kc), kc, b"payload c").unwrap();
+        let fresh = store.snapshot().unwrap();
+        assert!(fresh.get(1, &Digest::of(ka), ka).is_some());
+        assert!(fresh.get(1, &Digest::of(kc), kc).is_some(), "post-crash append visible");
+        // The next open finds a clean active segment and rotates no more.
+        let (store, snap) = Store::open_with_snapshot(&dir).unwrap();
+        assert_eq!(snap.damaged_tail(), None);
+        assert_eq!(store.segments().unwrap().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

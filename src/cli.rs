@@ -154,7 +154,8 @@ impl MatrixPins {
 /// Maintenance action of the `store` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreAction {
-    /// Print snapshot statistics (records, segments, schema mix).
+    /// Print snapshot statistics (records, segments, schema and
+    /// record-format mix).
     Stats,
     /// Re-read and checksum-verify every live record; exit nonzero on
     /// corruption.
@@ -779,11 +780,12 @@ STORE OPTIONS:
   populate under RF_STORE=1 (--dir overrides the directory; default
   RF_STORE_DIR or results/store). stats prints snapshot statistics:
   live entries, records scanned, segments, bytes, torn/corrupt tails
-  skipped, and the per-schema mix. verify re-reads and checksums every
+  skipped, the per-schema mix and the record-format mix (RFR1 records
+  predate the current RFR2 format). verify re-reads and checksums every
   live record and exits 1 if any record fails. compact rewrites the
   store down to its latest record per digest (dropping superseded
-  writes and torn tails). gc additionally drops records written under
-  a stale key-schema version.
+  writes and torn tails), every record in the RFR2 format. gc
+  additionally drops records written under a stale key-schema version.
 
 EXIT STATUS:
   0  success

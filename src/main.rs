@@ -769,17 +769,15 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
         ));
     }
     let store = rf_store::Store::open(dir).map_err(|e| format!("cannot open store: {e}"))?;
-    let fmt_schemas = |schemas: &std::collections::BTreeMap<u32, u64>| -> String {
-        if schemas.is_empty() {
+    fn fmt_mix<K>(mix: &std::collections::BTreeMap<K, u64>, name: impl Fn(&K) -> String) -> String {
+        if mix.is_empty() {
             "none".to_owned()
         } else {
-            schemas
-                .iter()
-                .map(|(schema, n)| format!("v{schema}: {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            mix.iter().map(|(k, n)| format!("{}: {n}", name(k))).collect::<Vec<_>>().join(", ")
         }
-    };
+    }
+    let fmt_schemas = |schemas| fmt_mix(schemas, |schema| format!("v{schema}"));
+    let fmt_formats = |formats| fmt_mix(formats, rf_store::RecordFormat::to_string);
     match action {
         StoreAction::Stats => {
             let snap = store.snapshot().map_err(|e| format!("cannot read store: {e}"))?;
@@ -791,6 +789,7 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
             println!("torn tails       : {}", snap.torn);
             println!("corrupt records  : {}", snap.corrupt);
             println!("schema mix       : {}", fmt_schemas(&snap.schemas));
+            println!("record formats   : {}", fmt_formats(&snap.formats));
             Ok(())
         }
         StoreAction::Verify => {
@@ -798,13 +797,14 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
             let report = snap.verify();
             println!(
                 "verified {} live record(s) over {} bytes: {} bad checksum, \
-                 {} corrupt, {} torn (schema mix {})",
+                 {} corrupt, {} torn (schema mix {}; record formats {})",
                 report.live,
                 report.bytes,
                 report.bad_checksum,
                 report.corrupt,
                 report.torn,
                 fmt_schemas(&report.schemas),
+                fmt_formats(&report.formats),
             );
             if report.is_clean() {
                 Ok(())
