@@ -120,14 +120,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                 let raw = args
                     .next()
                     .ok_or_else(|| "--deadline-secs needs a value".to_owned())?;
-                let secs: f64 = raw
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| {
-                        format!("--deadline-secs {raw:?} is not a positive number of seconds")
-                    })?;
-                deadline_secs = Some(secs);
+                deadline_secs = Some(rf_experiments::runner::parse_deadline_secs(&raw)?);
             }
             _ if arg.starts_with('-') => {
                 return Err(format!("unknown option {arg:?}"));

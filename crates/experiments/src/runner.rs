@@ -736,6 +736,20 @@ pub struct BatchOpts {
     pub deadline: Option<Duration>,
 }
 
+/// Parses a `--deadline-secs` value, the one check `all` and every
+/// `rfstudy` command that takes the option share: a finite, positive
+/// number of seconds.
+///
+/// # Errors
+///
+/// The usage message for any other value.
+pub fn parse_deadline_secs(raw: &str) -> Result<f64, String> {
+    raw.parse()
+        .ok()
+        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+        .ok_or_else(|| format!("--deadline-secs {raw:?} is not a positive number of seconds"))
+}
+
 /// One spec's answer from a [`SimPool`] batch.
 #[derive(Debug, Clone)]
 pub struct Answer {

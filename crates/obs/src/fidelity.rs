@@ -20,9 +20,10 @@
 //! [`extract_headlines`] parses the headline numbers back out of each
 //! harness's rendered report (the same text written to `results/*.txt`),
 //! so the scorecard observes exactly what the repo publishes, and
-//! [`scorecard`] joins them against [`TARGETS`]. A target whose headline
-//! cannot be extracted scores as failing — a harness that stops printing
-//! its headline is a regression, not a pass.
+//! [`trend::analyze`](crate::trend::analyze) joins the ledger's copy of
+//! them against [`TARGETS`]. A target whose headline cannot be extracted
+//! scores as failing — a harness that stops printing its headline is a
+//! regression, not a pass.
 
 /// One pinned headline number.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -482,60 +483,6 @@ fn extract_fig10(report: &str) -> Vec<Headline> {
     out
 }
 
-/// One scorecard line: a pinned target and the value this run measured
-/// (`None` when the headline could not be extracted).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreEntry {
-    /// The pinned target.
-    pub target: &'static Target,
-    /// The measured headline, if extracted.
-    pub measured: Option<f64>,
-}
-
-impl ScoreEntry {
-    /// Relative drift from the accepted anchor, in percent (signed).
-    pub fn drift_pct(&self) -> Option<f64> {
-        let m = self.measured?;
-        if self.target.accepted == 0.0 {
-            return None;
-        }
-        Some(100.0 * (m - self.target.accepted) / self.target.accepted)
-    }
-
-    /// Relative deviation from the paper's value, in percent (signed;
-    /// `None` when the paper states no value or nothing was measured).
-    pub fn deviation_vs_paper_pct(&self) -> Option<f64> {
-        let m = self.measured?;
-        let p = self.target.paper?;
-        if p == 0.0 {
-            return None;
-        }
-        Some(100.0 * (m - p) / p)
-    }
-
-    /// Whether the measurement sits inside the accepted band (scaled by
-    /// `band_scale`, e.g. for reduced-commit smoke runs). Missing
-    /// measurements are out of band by definition.
-    pub fn within(&self, band_scale: f64) -> bool {
-        match self.drift_pct() {
-            Some(d) => d.abs() <= self.target.band_pct * band_scale + 1e-9,
-            None => false,
-        }
-    }
-}
-
-/// Joins extracted headlines against every pinned target, in
-/// [`TARGETS`] order.
-pub fn scorecard(headlines: &[Headline]) -> Vec<ScoreEntry> {
-    TARGETS
-        .iter()
-        .map(|target| ScoreEntry {
-            target,
-            measured: headlines.iter().find(|h| h.id == target.id).map(|h| h.value),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,31 +555,6 @@ peak BIPS: precise 6.00 at 128 regs, imprecise 6.05 at 96 regs
     fn unknown_harness_extracts_nothing() {
         assert!(extract_headlines("ablation", "anything").is_empty());
         assert!(extract_headlines("fig5", "no summary line").is_empty());
-    }
-
-    #[test]
-    fn scorecard_covers_every_target_and_flags_missing() {
-        let cards = scorecard(&[Headline { id: "fig5.cov100_fp_precise", value: 206.0 }]);
-        assert_eq!(cards.len(), TARGETS.len());
-        let hit = cards.iter().find(|c| c.target.id == "fig5.cov100_fp_precise").unwrap();
-        assert!(hit.within(1.0));
-        assert!(hit.drift_pct().unwrap().abs() < 1e-9);
-        let miss = cards.iter().find(|c| c.target.id == "fig3.commit_ipc.4way_dq32").unwrap();
-        assert!(!miss.within(1.0), "missing measurement is out of band");
-        assert_eq!(miss.drift_pct(), None);
-    }
-
-    #[test]
-    fn drift_band_and_scaling() {
-        let t = target("fig10.bips_ratio_precise").unwrap();
-        let entry = ScoreEntry { target: t, measured: Some(t.accepted * 1.04) };
-        assert!(entry.within(1.0), "4% inside a 5% band");
-        let entry = ScoreEntry { target: t, measured: Some(t.accepted * 1.20) };
-        assert!(!entry.within(1.0), "20% outside a 5% band");
-        assert!(entry.within(10.0), "…but inside the 10x smoke-scaled band");
-        // Deviation vs paper is informational and signed.
-        let entry = ScoreEntry { target: t, measured: Some(1.08) };
-        assert!(entry.deviation_vs_paper_pct().unwrap() < 0.0);
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //! - [`fidelity`] pins the paper's headline numbers (Table 1, Figures
 //!   3–10) and scores each run's extracted headlines against them.
 //! - [`trend`] compares the latest ledger record against a baseline with
-//!   MAD-based noise thresholds and renders text / markdown / Prometheus
-//!   reports — the engine behind `rfstudy report [--check]`.
+//!   MAD-based noise bands, one row shape and one comparison rule for
+//!   every section, and renders text or markdown reports through one
+//!   table writer — the engine behind `rfstudy report [--check]`.
 //! - [`profile`] consumes `rf-prof` self-profile trees: the ledger's
 //!   JSON encoding, collapsed-stack flamegraph export, the text table
 //!   behind `rfstudy profile`, and the phase-share extraction feeding

@@ -1,184 +1,212 @@
 //! Cross-run trend analysis: the engine behind `rfstudy report`.
 //!
-//! Takes parsed ledger records (see [`ledger`](crate::ledger)), compares
-//! the latest run against a baseline, scores paper fidelity (see
-//! [`fidelity`]), and renders the result as text,
-//! markdown, or a Prometheus text-format exposition.
-//!
-//! The baseline is either an explicit git revision from the ledger or —
-//! the default — a rolling median of the last N comparable prior runs
-//! (same `RF_COMMITS` and `RF_JOBS`, so smoke records never gate a full
-//! run). Per-harness noise thresholds come from the median absolute
-//! deviation of that window: `threshold = max(floor, k · 1.4826 ·
-//! MAD/median · 100%)`, the usual robust-sigma construction, so a noisy
-//! harness earns a wide band and a single-sample blip does not fire the
-//! gate. [`Analysis::passed`] is the CI contract: false on a perf
-//! regression beyond threshold or a fidelity drift beyond band.
+//! Compares the latest parsed ledger record (see [`ledger`](crate::ledger))
+//! against a baseline, scores paper fidelity against [`fidelity::TARGETS`],
+//! and renders every section as aligned text or markdown through one
+//! table writer. Every section is [`Row`]s of one shape: the latest value,
+//! the reference it is judged against, their delta, and the band that
+//! delta must stay inside. For perf seconds, profile shares and the
+//! analytic model's error the reference is the baseline: an explicit git
+//! revision from the ledger or — the default — the median of the last N
+//! comparable prior runs (same `RF_COMMITS` and `RF_JOBS`, so smoke
+//! records never gate a full run), and one rule sets every band:
+//! `max(floor, k · 1.4826 · MAD)` of the window, the usual robust-sigma
+//! construction, so a noisy row earns a wide band and a single-sample
+//! blip does not fire. A fidelity row's reference is its target's
+//! accepted anchor. [`Analysis::passed`] is the CI contract: false on a
+//! perf regression, or a fidelity drift under [`Mode::Gate`]. Profile and
+//! model drift only warn: wall-time shares are too noisy to block CI, and
+//! a drifting model needs recalibration, not a simulator fix.
 
-use crate::fidelity::{self, ScoreEntry};
+use crate::fidelity;
 use crate::json::Value;
+use crate::ledger::SCHEMA_VERSION;
+use crate::profile::{phase_shares, suite_profile_of_record};
 use std::fmt::Write as _;
 
-/// How fidelity findings affect the check gate.
+/// How a section's flagged rows affect the check gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FidelityMode {
-    /// Out-of-band drift fails the check (default).
+pub enum Mode {
+    /// A flagged row fails the check.
     Gate,
-    /// Drift is reported as a warning only.
+    /// A flagged row is reported as a warning only.
     Warn,
-    /// Scorecard is skipped entirely.
+    /// The section is skipped entirely.
     Off,
 }
 
-/// Tunables for [`analyze`].
-#[derive(Debug, Clone)]
+/// Output format of [`render`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Aligned text tables.
+    Text,
+    /// Markdown (the CI artifact format).
+    Markdown,
+}
+
+/// The `rfstudy report` options [`analyze`] takes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Compare against the newest prior record whose `git_rev` starts
     /// with this prefix, instead of the rolling window.
     pub baseline: Option<String>,
     /// Rolling-window size (prior comparable runs) for the median
-    /// baseline.
+    /// baseline; at least 1.
     pub window: usize,
-    /// Noise floor for the perf threshold, in percent.
+    /// Band floor of the perf rows, in percent.
     pub max_regress_pct: f64,
-    /// MAD multiplier `k` in the robust threshold.
-    pub mad_k: f64,
-    /// Scales every fidelity band (e.g. widen for reduced-commit smoke
-    /// runs).
-    pub band_scale: f64,
-    /// Fidelity gating mode.
-    pub fidelity: FidelityMode,
-    /// Harnesses whose baseline is below this many seconds are not
-    /// perf-gated (relative deltas on micro-times are all noise).
-    pub min_seconds: f64,
-    /// Profile-drift handling: how a span's share of suite self time
-    /// shifting beyond the noise band affects the gate. Defaults to
-    /// `Warn` — wall-time shares are real signal but too noisy to block
-    /// CI by default.
-    pub profile_drift: FidelityMode,
-    /// Noise floor for profile-share drift, in percentage points.
-    pub profile_band_pp: f64,
-    /// Noise floor for analytic-model error drift, in percentage
-    /// points of mean |IPC error|. Model-error growth is always a
-    /// warning, never a gate: a drifting model needs recalibration,
-    /// it does not mean the simulator regressed.
-    pub model_band_pp: f64,
+    /// Whether fidelity drift gates, warns, or is not scored.
+    pub fidelity: Mode,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        Self {
-            baseline: None,
-            window: 5,
-            max_regress_pct: 10.0,
-            mad_k: 3.0,
-            band_scale: 1.0,
-            fidelity: FidelityMode::Gate,
-            min_seconds: 0.05,
-            profile_drift: FidelityMode::Warn,
-            profile_band_pp: 2.0,
-            model_band_pp: 3.0,
-        }
+        Self { baseline: None, window: 5, max_regress_pct: 10.0, fidelity: Mode::Gate }
     }
 }
 
-/// One perf comparison row (a harness, or the suite total).
+/// MAD multiplier `k` of every windowed band.
+const MAD_K: f64 = 3.0;
+/// Harnesses whose baseline is below this many seconds are not
+/// perf-gated (relative deltas on micro-times are all noise).
+const MIN_SECONDS: f64 = 0.05;
+/// Band floor of profile-share drift, in percentage points.
+const PROFILE_BAND_PP: f64 = 2.0;
+/// Band floor of analytic-model error growth, in percentage points of
+/// mean |IPC error|.
+const MODEL_BAND_PP: f64 = 3.0;
+
+/// One judged line of a report section.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerfRow {
-    /// Harness name, or `TOTAL`.
+pub struct Row {
+    /// Harness (or `TOTAL`), fidelity target, span, or model quantity.
     pub name: String,
-    /// Latest run's seconds.
-    pub latest: f64,
-    /// Baseline seconds (window median), if any baseline run has this
-    /// harness.
-    pub baseline: Option<f64>,
-    /// Relative delta vs baseline, percent (positive = slower).
-    pub delta_pct: Option<f64>,
-    /// Regression threshold applied to this row, percent.
-    pub threshold_pct: f64,
-    /// Whether this row trips the perf gate.
-    pub regressed: bool,
+    /// The latest run's value (`None`: a headline the run did not
+    /// produce).
+    pub latest: Option<f64>,
+    /// What `latest` is judged against: the baseline window's median,
+    /// or a fidelity target's accepted anchor. `None` without a baseline.
+    pub reference: Option<f64>,
+    /// `latest` against `reference`: percent of the reference for
+    /// seconds and headlines, percentage points for shares and model
+    /// error (positive = grew).
+    pub delta: Option<f64>,
+    /// How far `delta` may go, in `delta`'s unit.
+    pub band: f64,
+    /// Whether `delta` left the band.
+    pub flagged: bool,
+    /// Section-specific cells rendered after the band: a fidelity
+    /// target's source, paper value and deviation from it; the model's
+    /// configuration count and worst case.
+    pub extra: Vec<String>,
 }
 
-/// One profile-drift row: a span name's share of the suite's
-/// self-profiled time, latest vs the baseline window.
+/// Column layout of one section kind.
+#[derive(Debug, PartialEq)]
+struct Layout {
+    /// Headers: name, latest, reference, delta, band, each extra cell,
+    /// status.
+    head: &'static [&'static str],
+    /// Decimals of `latest` and `reference`.
+    digits: usize,
+    /// `latest` and `reference` are percentages, `delta` and `band`
+    /// percentage points (else `delta` and `band` are percent).
+    points: bool,
+    /// Status of a flagged row.
+    flag: &'static str,
+}
+
+const PERF: Layout = Layout {
+    head: &["harness", "latest(s)", "base(s)", "delta", "thresh", "status"],
+    digits: 3, points: false, flag: "REGRESSED",
+};
+const FIDELITY: Layout = Layout {
+    head: &[
+        "target", "measured", "accepted", "drift", "band", "source", "paper", "vs.paper", "status",
+    ],
+    digits: 4, points: false, flag: "DRIFT",
+};
+const SHARE: Layout = Layout {
+    head: &["span", "latest", "base", "delta", "band", "status"],
+    digits: 1, points: true, flag: "DRIFT",
+};
+const MODEL: Layout = Layout {
+    head: &[
+        "model", "latest", "base", "delta", "band", "configs", "worst", "worst config", "status",
+    ],
+    digits: 1, points: true, flag: "DRIFT",
+};
+
+/// One report table: a heading over rows of one layout.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DriftRow {
-    /// Span name (phase), e.g. `cycle.issue` or `cache.load`.
-    pub name: String,
-    /// Latest run's share of attributed self time, percent.
-    pub latest_pp: f64,
-    /// Baseline share (window median over profiled runs), if any.
-    pub baseline_pp: Option<f64>,
-    /// Shift vs baseline, percentage points (positive = grew).
-    pub delta_pp: Option<f64>,
-    /// Drift band applied to this row, percentage points.
-    pub band_pp: f64,
-    /// Whether the shift exceeds the band.
-    pub drifted: bool,
+pub struct Section {
+    /// Heading.
+    pub title: String,
+    layout: &'static Layout,
+    /// Rows, in report order (empty: the section is not rendered).
+    pub rows: Vec<Row>,
 }
 
-/// The latest run's analytic-model calibration, compared against the
-/// baseline window's runs that also measured it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelRow {
-    /// Configurations the model-vs-sim probe covered.
-    pub configs: u64,
-    /// Latest mean |IPC error|, percent.
-    pub mean_pct: f64,
-    /// Latest worst single-config |IPC error|, percent.
-    pub worst_pct: f64,
-    /// The configuration behind `worst_pct`.
-    pub worst_config: String,
-    /// Window median of prior runs' mean errors, if any measured it.
-    pub baseline_mean_pct: Option<f64>,
-    /// Growth vs baseline, percentage points (positive = model worse).
-    pub delta_pp: Option<f64>,
-    /// Drift band applied, percentage points.
-    pub band_pp: f64,
-    /// Whether the growth exceeds the band (warning-only).
-    pub drifted: bool,
+impl Section {
+    /// The table cells, header row first.
+    fn cells(&self) -> Vec<Vec<String>> {
+        let l = self.layout;
+        let (unit, delta_unit) = if l.points { ("%", "pp") } else { ("", "%") };
+        let head = l.head.iter().map(|h| (*h).to_owned()).collect();
+        std::iter::once(head)
+            .chain(self.rows.iter().map(|r| {
+                let mut cells = vec![
+                    r.name.clone(),
+                    num(r.latest, l.digits, unit),
+                    num(r.reference, l.digits, unit),
+                    signed(r.delta, delta_unit),
+                    num(Some(r.band), 1, delta_unit),
+                ];
+                cells.extend(r.extra.iter().cloned());
+                cells.push((if r.flagged { l.flag } else { "ok" }).to_owned());
+                cells
+            }))
+            .collect()
+    }
 }
 
-/// The full analysis of a ledger: everything the renderers and the
-/// check gate need.
+fn num(v: Option<f64>, digits: usize, unit: &str) -> String {
+    v.map_or_else(|| "-".to_owned(), |v| format!("{v:.digits$}{unit}"))
+}
+
+fn signed(v: Option<f64>, unit: &str) -> String {
+    v.map_or_else(|| "-".to_owned(), |v| format!("{v:+.1}{unit}"))
+}
+
+/// The full analysis of a ledger: everything the renderer and the check
+/// gate need.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// Latest run's git revision.
-    pub latest_rev: String,
-    /// Latest run's Unix timestamp.
-    pub latest_timestamp: u64,
-    /// Latest run's commit budget (`RF_COMMITS`).
-    pub commits: u64,
-    /// Latest run's worker count (`RF_JOBS`).
-    pub jobs: u64,
+    /// The report's title: the latest run's git revision, timestamp,
+    /// commit budget (`RF_COMMITS`) and worker count (`RF_JOBS`).
+    pub title: String,
     /// Human description of the baseline used.
     pub baseline_desc: String,
     /// Prior runs the baseline was computed from.
     pub baseline_runs: usize,
-    /// Per-harness rows, suite order.
-    pub rows: Vec<PerfRow>,
-    /// The suite-total row.
-    pub total: PerfRow,
     /// Latest run's peak resident set size in KiB (`None` when the
     /// record carries none).
     pub peak_rss_kb: Option<u64>,
-    /// Fidelity scorecard (empty when `FidelityMode::Off`).
-    pub scorecard: Vec<ScoreEntry>,
-    /// Band scale the scorecard was judged with.
-    pub band_scale: f64,
-    /// Profile-drift rows (empty when the latest record carries no
-    /// profile or profile drift is `Off`).
-    pub profile_drift: Vec<DriftRow>,
-    /// Baseline runs that carried profiles.
-    pub profile_runs: usize,
-    /// Analytic-model error telemetry (absent when the latest record
-    /// carries no `model_error` block).
-    pub model: Option<ModelRow>,
+    /// Per-harness seconds in suite order, then the suite `TOTAL`.
+    pub perf: Section,
+    /// Fidelity scorecard, in [`fidelity::TARGETS`] order (empty under
+    /// [`Mode::Off`]).
+    pub scorecard: Section,
+    /// Each span's share of suite self time (empty when the latest
+    /// record carries no profile).
+    pub profile: Section,
+    /// The analytic model's mean |IPC error| (empty when the latest
+    /// record carries no `model_error` block).
+    pub model: Section,
     /// Gate failures (perf regressions; fidelity when gating).
     pub failures: Vec<String>,
-    /// Non-gating findings (fidelity drift under `Warn`, scale
-    /// mismatches, …).
+    /// Non-gating findings (fidelity drift under `Warn`, profile and
+    /// model drift, scale mismatches, …).
     pub warnings: Vec<String>,
 }
 
@@ -195,7 +223,7 @@ fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in ledger seconds"));
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in ledger values"));
     let mid = values.len() / 2;
     if values.len() % 2 == 1 {
         values[mid]
@@ -208,6 +236,49 @@ fn median(values: &mut [f64]) -> f64 {
 fn mad(values: &[f64], center: f64) -> f64 {
     let mut deviations: Vec<f64> = values.iter().map(|v| (v - center).abs()).collect();
     median(&mut deviations)
+}
+
+/// The one comparison rule: judges `latest` against the `window` of
+/// prior values. The reference is the window median and the band is
+/// `floor` widened to `MAD_K` robust sigmas of the window's spread. With
+/// `relative`, delta and band are percent of the reference; otherwise
+/// they are in `latest`'s own unit. Flags growth beyond the band; an
+/// empty window leaves the row unjudged.
+fn judge(name: &str, latest: f64, window: &[f64], floor: f64, relative: bool) -> Row {
+    let (reference, delta, band) = if window.is_empty() {
+        (None, None, floor)
+    } else {
+        let base = median(&mut window.to_vec());
+        let spread = MAD_K * 1.4826 * mad(window, base);
+        let (delta, noise) = match relative {
+            false => (Some(latest - base), spread),
+            true if base > 0.0 => (Some((latest - base) / base * 100.0), spread / base * 100.0),
+            true => (None, 0.0),
+        };
+        (Some(base), delta, floor.max(noise))
+    };
+    let (name, latest, flagged) = (name.to_owned(), Some(latest), delta.is_some_and(|d| d > band));
+    Row { name, latest, reference, delta, band, flagged, extra: Vec::new() }
+}
+
+/// Sends each flagged row's finding where `mode` says: to `failures`
+/// under [`Mode::Gate`], to `warnings` under [`Mode::Warn`]. `finding`
+/// words a row from it and its latest, reference and delta values.
+fn route(
+    rows: &[Row],
+    mode: Mode,
+    failures: &mut Vec<String>,
+    warnings: &mut Vec<String>,
+    finding: impl Fn(&Row, (f64, f64, f64)) -> String,
+) {
+    let sink = match mode {
+        Mode::Gate => failures,
+        Mode::Warn => warnings,
+        Mode::Off => return,
+    };
+    let value = |v: Option<f64>| v.unwrap_or(0.0);
+    let flagged = rows.iter().filter(|r| r.flagged);
+    sink.extend(flagged.map(|r| finding(r, (value(r.latest), value(r.reference), value(r.delta)))));
 }
 
 fn harness_seconds(record: &Value) -> Vec<(String, f64)> {
@@ -237,38 +308,29 @@ fn config_u64(record: &Value, key: &str) -> Option<u64> {
     Some(record.get("config")?.get_f64(key)? as u64)
 }
 
-/// Builds a perf row from the latest value and the baseline window's
-/// values for the same quantity.
-fn perf_row(name: &str, latest: f64, window: &[f64], opts: &Options) -> PerfRow {
-    if window.is_empty() {
-        return PerfRow {
-            name: name.to_owned(),
-            latest,
-            baseline: None,
-            delta_pct: None,
-            threshold_pct: opts.max_regress_pct,
-            regressed: false,
-        };
-    }
-    let mut sorted = window.to_vec();
-    let base = median(&mut sorted);
-    let noise_pct = if base > 0.0 {
-        opts.mad_k * 1.4826 * mad(window, base) / base * 100.0
-    } else {
-        0.0
-    };
-    let threshold_pct = opts.max_regress_pct.max(noise_pct);
-    let delta_pct = if base > 0.0 { Some((latest - base) / base * 100.0) } else { None };
-    let regressed = base >= opts.min_seconds
-        && delta_pct.is_some_and(|d| d > threshold_pct);
-    PerfRow {
-        name: name.to_owned(),
-        latest,
-        baseline: Some(base),
-        delta_pct,
-        threshold_pct,
-        regressed,
-    }
+/// Scores a record's headlines against every pinned target, in
+/// [`fidelity::TARGETS`] order. A headline the record lacks is out of
+/// band: a harness that stops printing its headline is a regression,
+/// not a pass.
+fn scorecard(headlines: Option<&Value>) -> Vec<Row> {
+    let pct = |v: f64, of: f64| (of != 0.0).then(|| 100.0 * (v - of) / of);
+    fidelity::TARGETS
+        .iter()
+        .map(|t| {
+            let measured = headlines.and_then(|h| h.get_f64(t.id));
+            let delta = measured.and_then(|m| pct(m, t.accepted));
+            let vs_paper = measured.zip(t.paper).and_then(|(m, p)| pct(m, p));
+            Row {
+                name: t.id.to_owned(),
+                latest: measured,
+                reference: Some(t.accepted),
+                delta,
+                band: t.band_pct,
+                flagged: !delta.is_some_and(|d| d.abs() <= t.band_pct + 1e-9),
+                extra: vec![t.source.to_owned(), num(t.paper, 4, ""), signed(vs_paper, "%")],
+            }
+        })
+        .collect()
 }
 
 /// Analyses a ledger (append-ordered records; the last is "latest").
@@ -281,18 +343,15 @@ fn perf_row(name: &str, latest: f64, window: &[f64], opts: &Options) -> PerfRow 
 pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
     let latest = records.last().ok_or("ledger has no records")?;
     let schema = latest.get_f64("schema").unwrap_or(0.0) as u64;
-    if schema != crate::ledger::SCHEMA_VERSION {
-        return Err(format!(
-            "latest record has schema {schema}, this build reads {}",
-            crate::ledger::SCHEMA_VERSION
-        ));
+    if schema != SCHEMA_VERSION {
+        return Err(format!("latest record has schema {schema}, this build reads {SCHEMA_VERSION}"));
     }
     let commits = config_u64(latest, "commits").unwrap_or(0);
     let jobs = config_u64(latest, "jobs").unwrap_or(0);
     let prior = &records[..records.len() - 1];
 
     let mut warnings = Vec::new();
-    let (window_records, baseline_desc): (Vec<&Value>, String) = match &opts.baseline {
+    let (window, baseline_desc): (Vec<&Value>, String) = match &opts.baseline {
         Some(rev) => {
             let hit = prior
                 .iter()
@@ -305,10 +364,7 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
                     config_u64(hit, "commits").unwrap_or(0)
                 ));
             }
-            let desc = format!(
-                "explicit rev {}",
-                hit.get_str("git_rev").unwrap_or("unknown")
-            );
+            let desc = format!("explicit rev {}", hit.get_str("git_rev").unwrap_or("unknown"));
             (vec![hit], desc)
         }
         None => {
@@ -316,8 +372,7 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
                 .iter()
                 .rev()
                 .filter(|r| {
-                    r.get_f64("schema").map(|s| s as u64)
-                        == Some(crate::ledger::SCHEMA_VERSION)
+                    r.get_f64("schema").map(|s| s as u64) == Some(SCHEMA_VERSION)
                         && config_u64(r, "commits") == Some(commits)
                         && config_u64(r, "jobs") == Some(jobs)
                 })
@@ -338,554 +393,204 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
         }
     };
 
-    // Per-harness rows in the latest run's order.
-    let latest_harnesses = harness_seconds(latest);
-    let window_harnesses: Vec<Vec<(String, f64)>> =
-        window_records.iter().map(|r| harness_seconds(r)).collect();
-    let mut rows = Vec::new();
-    for (name, secs) in &latest_harnesses {
-        let window: Vec<f64> = window_harnesses
-            .iter()
-            .filter_map(|hs| hs.iter().find(|(n, _)| n == name).map(|(_, s)| *s))
-            .collect();
-        rows.push(perf_row(name, *secs, &window, opts));
-    }
-    let total_window: Vec<f64> =
-        window_records.iter().filter_map(|r| total_seconds(r)).collect();
-    let total = perf_row(
-        "TOTAL",
-        total_seconds(latest).unwrap_or(0.0),
-        &total_window,
-        opts,
-    );
-
-    let mut failures = Vec::new();
-    for row in rows.iter().chain(std::iter::once(&total)) {
-        if row.regressed {
-            failures.push(format!(
-                "perf: {} took {:.3}s vs baseline {:.3}s ({:+.1}% > {:.1}%)",
-                row.name,
-                row.latest,
-                row.baseline.unwrap_or(0.0),
-                row.delta_pct.unwrap_or(0.0),
-                row.threshold_pct
-            ));
-        }
-    }
-
-    // Fidelity scorecard from the latest record's extracted headlines.
-    let scorecard: Vec<ScoreEntry> = if opts.fidelity == FidelityMode::Off {
-        Vec::new()
-    } else {
-        let headlines = latest.get("headlines");
-        fidelity::TARGETS
-            .iter()
-            .map(|target| ScoreEntry {
-                target,
-                measured: headlines.and_then(|h| h.get_f64(target.id)),
-            })
-            .collect()
-    };
-    for entry in &scorecard {
-        if entry.within(opts.band_scale) {
-            continue;
-        }
-        let finding = match (entry.measured, entry.drift_pct()) {
-            (Some(m), Some(d)) => format!(
-                "fidelity: {} = {m:.4} vs accepted {:.4} ({d:+.1}% beyond band {:.1}%)",
-                entry.target.id,
-                entry.target.accepted,
-                entry.target.band_pct * opts.band_scale
-            ),
-            _ => format!(
-                "fidelity: {} missing from latest record (headline not extracted)",
-                entry.target.id
-            ),
-        };
-        match opts.fidelity {
-            FidelityMode::Gate => failures.push(finding),
-            FidelityMode::Warn => warnings.push(finding),
-            FidelityMode::Off => unreachable!("scorecard empty when off"),
-        }
-    }
-
-    // Profile drift: each span name's share of suite self time vs the
-    // window of prior profiled runs. Same robust-band construction as
-    // perf, but in absolute percentage points (shares already are
-    // relative quantities).
-    let mut profile_drift = Vec::new();
-    let mut profile_runs = 0;
-    if opts.profile_drift != FidelityMode::Off {
-        if let Some(latest_prof) = crate::profile::suite_profile_of_record(latest) {
-            let window_shares: Vec<Vec<(String, f64)>> = window_records
+    // Perf: each harness the latest run simulated, in its order, then
+    // the suite total.
+    let window_secs: Vec<Vec<(String, f64)>> = window.iter().map(|r| harness_seconds(r)).collect();
+    let mut perf: Vec<Row> = harness_seconds(latest)
+        .iter()
+        .map(|(name, secs)| {
+            let prior: Vec<f64> = window_secs
                 .iter()
-                .filter_map(|r| crate::profile::suite_profile_of_record(r))
-                .map(|p| crate::profile::phase_shares(&p))
+                .filter_map(|hs| hs.iter().find(|(n, _)| n == name).map(|(_, s)| *s))
                 .collect();
-            profile_runs = window_shares.len();
-            for (name, share) in crate::profile::phase_shares(&latest_prof) {
-                if window_shares.is_empty() {
-                    profile_drift.push(DriftRow {
-                        name,
-                        latest_pp: share,
-                        baseline_pp: None,
-                        delta_pp: None,
-                        band_pp: opts.profile_band_pp,
-                        drifted: false,
-                    });
-                    continue;
-                }
-                // A span absent from a prior profile held 0% there.
-                let window: Vec<f64> = window_shares
-                    .iter()
-                    .map(|ws| {
-                        ws.iter().find(|(n, _)| *n == name).map_or(0.0, |(_, s)| *s)
-                    })
-                    .collect();
-                let mut sorted = window.clone();
-                let base = median(&mut sorted);
-                let band_pp = opts
-                    .profile_band_pp
-                    .max(opts.mad_k * 1.4826 * mad(&window, base));
-                let delta = share - base;
-                profile_drift.push(DriftRow {
-                    name,
-                    latest_pp: share,
-                    baseline_pp: Some(base),
-                    delta_pp: Some(delta),
-                    band_pp,
-                    drifted: delta.abs() > band_pp,
-                });
-            }
-        }
+            judge(name, *secs, &prior, opts.max_regress_pct, true)
+        })
+        .collect();
+    let prior: Vec<f64> = window.iter().filter_map(|r| total_seconds(r)).collect();
+    let total = total_seconds(latest).unwrap_or(0.0);
+    perf.push(judge("TOTAL", total, &prior, opts.max_regress_pct, true));
+    for row in &mut perf {
+        row.flagged &= row.reference.is_some_and(|b| b >= MIN_SECONDS);
     }
-    for row in &profile_drift {
-        if !row.drifted {
-            continue;
-        }
-        let finding = format!(
-            "profile: {} holds {:.1}% of self time vs baseline {:.1}% ({:+.1}pp beyond band {:.1}pp)",
-            row.name,
-            row.latest_pp,
-            row.baseline_pp.unwrap_or(0.0),
-            row.delta_pp.unwrap_or(0.0),
-            row.band_pp
-        );
-        match opts.profile_drift {
-            FidelityMode::Gate => failures.push(finding),
-            FidelityMode::Warn => warnings.push(finding),
-            FidelityMode::Off => unreachable!("rows empty when off"),
+
+    let scorecard =
+        if opts.fidelity == Mode::Off { Vec::new() } else { scorecard(latest.get("headlines")) };
+
+    // Profile drift: each span name's share of suite self time, in
+    // absolute percentage points (shares already are relative), either
+    // way. A span absent from a prior profile held 0% there.
+    let mut profile = Vec::new();
+    let mut profile_runs = 0;
+    if let Some(tree) = suite_profile_of_record(latest) {
+        let window_shares: Vec<Vec<(String, f64)>> = window
+            .iter()
+            .filter_map(|r| suite_profile_of_record(r))
+            .map(|p| phase_shares(&p))
+            .collect();
+        profile_runs = window_shares.len();
+        for (name, share) in phase_shares(&tree) {
+            let prior: Vec<f64> = window_shares
+                .iter()
+                .map(|ws| ws.iter().find(|(n, _)| *n == name).map_or(0.0, |(_, s)| *s))
+                .collect();
+            let mut row = judge(&name, share, &prior, PROFILE_BAND_PP, false);
+            row.flagged = row.delta.is_some_and(|d| d.abs() > row.band);
+            profile.push(row);
         }
     }
 
     // Analytic-model calibration: the static model's mean |IPC error|
-    // against this run's simulations, compared to the window median of
-    // prior runs that measured it. Same robust-band construction as
-    // profile drift, but warnings-only — the model drifting out of
-    // calibration is a maintenance signal, not a simulator regression.
-    let model = latest.get("model_error").and_then(|me| {
-        let configs = me.get_f64("configs")? as u64;
-        let mean_pct = me.get_f64("mean_abs_pct_err")?;
-        let worst_pct = me.get_f64("worst_pct_err")?;
-        let window: Vec<f64> = window_records
-            .iter()
-            .filter_map(|r| r.get("model_error")?.get_f64("mean_abs_pct_err"))
-            .collect();
-        let baseline_mean_pct = (!window.is_empty()).then(|| {
-            let mut sorted = window.clone();
-            median(&mut sorted)
-        });
-        let band_pp = baseline_mean_pct.map_or(opts.model_band_pp, |b| {
-            opts.model_band_pp.max(opts.mad_k * 1.4826 * mad(&window, b))
-        });
-        let delta_pp = baseline_mean_pct.map(|b| mean_pct - b);
-        Some(ModelRow {
-            configs,
-            mean_pct,
-            worst_pct,
-            worst_config: me.get_str("worst_config").unwrap_or("unknown").to_owned(),
-            baseline_mean_pct,
-            delta_pp,
-            band_pp,
-            drifted: delta_pp.is_some_and(|d| d > band_pp),
+    // against this run's simulations.
+    let model: Vec<Row> = latest
+        .get("model_error")
+        .and_then(|me| {
+            let configs = me.get_f64("configs")? as u64;
+            let mean = me.get_f64("mean_abs_pct_err")?;
+            let worst = me.get_f64("worst_pct_err")?;
+            let prior: Vec<f64> = window
+                .iter()
+                .filter_map(|r| r.get("model_error")?.get_f64("mean_abs_pct_err"))
+                .collect();
+            let mut row = judge("mean |IPC error|", mean, &prior, MODEL_BAND_PP, false);
+            let worst_config = me.get_str("worst_config").unwrap_or("unknown");
+            row.extra = vec![configs.to_string(), format!("{worst:.1}%"), worst_config.to_owned()];
+            Some(row)
         })
+        .into_iter()
+        .collect();
+
+    // Each flagged row's finding, worded for its section.
+    let mut failures = Vec::new();
+    let (f, w) = (&mut failures, &mut warnings);
+    route(&perf, Mode::Gate, f, w, |r, (l, b, d)| {
+        format!("perf: {} took {l:.3}s vs baseline {b:.3}s ({d:+.1}% > {:.1}%)", r.name, r.band)
     });
-    if let Some(m) = &model {
-        if m.drifted {
-            warnings.push(format!(
-                "model: mean |IPC error| {:.1}% vs baseline {:.1}% ({:+.1}pp beyond band \
-                 {:.1}pp); the analytic model wants recalibration",
-                m.mean_pct,
-                m.baseline_mean_pct.unwrap_or(0.0),
-                m.delta_pp.unwrap_or(0.0),
-                m.band_pp
-            ));
-        }
-    }
+    route(&scorecard, opts.fidelity, f, w, |r, (l, b, d)| match r.latest.and(r.delta) {
+        Some(_) => format!(
+            "fidelity: {} = {l:.4} vs accepted {b:.4} ({d:+.1}% beyond band {:.1}%)",
+            r.name, r.band
+        ),
+        None => format!("fidelity: {} missing from latest record (headline not extracted)", r.name),
+    });
+    route(&profile, Mode::Warn, f, w, |r, (l, b, d)| {
+        format!(
+            "profile: {} holds {l:.1}% of self time vs baseline {b:.1}% ({d:+.1}pp beyond band {:.1}pp)",
+            r.name, r.band
+        )
+    });
+    route(&model, Mode::Warn, f, w, |r, (l, b, d)| {
+        format!(
+            "model: mean |IPC error| {l:.1}% vs baseline {b:.1}% ({d:+.1}pp beyond band {:.1}pp); \
+             the analytic model wants recalibration",
+            r.band
+        )
+    });
 
     Ok(Analysis {
-        latest_rev: latest.get_str("git_rev").unwrap_or("unknown").to_owned(),
-        latest_timestamp: latest.get_f64("timestamp_unix").unwrap_or(0.0) as u64,
-        commits,
-        jobs,
+        title: format!(
+            "suite report — latest rev {} (t={}, RF_COMMITS={commits}, jobs={jobs})",
+            latest.get_str("git_rev").unwrap_or("unknown"),
+            latest.get_f64("timestamp_unix").unwrap_or(0.0) as u64
+        ),
         baseline_desc,
-        baseline_runs: window_records.len(),
-        rows,
-        total,
+        baseline_runs: window.len(),
         peak_rss_kb: latest.get("totals").and_then(|t| t.get_f64("peak_rss_kb")).map(|kb| kb as u64),
-        scorecard,
-        band_scale: opts.band_scale,
-        profile_drift,
-        profile_runs,
-        model,
+        perf: Section { title: "performance".into(), layout: &PERF, rows: perf },
+        scorecard: Section {
+            title: "paper-fidelity scorecard".into(),
+            layout: &FIDELITY,
+            rows: scorecard,
+        },
+        profile: Section {
+            title: format!(
+                "profile drift (share of suite self time, {profile_runs} profiled baseline run(s))"
+            ),
+            layout: &SHARE,
+            rows: profile,
+        },
+        model: Section { title: "analytic model".into(), layout: &MODEL, rows: model },
         failures,
         warnings,
     })
 }
 
-fn fmt_opt(v: Option<f64>, width: usize, precision: usize) -> String {
-    match v {
-        Some(v) => format!("{v:>width$.precision$}"),
-        None => format!("{:>width$}", "-"),
-    }
-}
-
-fn fmt_delta(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:+.1}%"),
-        None => "-".to_owned(),
-    }
-}
-
-fn fmt_rss(kb: Option<u64>) -> String {
-    kb.map_or_else(|| "- (not recorded)".to_owned(), |kb| format!("{kb} KiB"))
-}
-
-/// Renders the plain-text report.
-pub fn render_text(a: &Analysis) -> String {
+/// Renders the report: a title, the baseline and peak RSS, every
+/// non-empty section through the one table writer, the warnings, and
+/// the check verdict with its failures.
+pub fn render(a: &Analysis, format: Format) -> String {
+    let md = format == Format::Markdown;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "suite report — latest rev {} (t={}, RF_COMMITS={}, jobs={})",
-        a.latest_rev, a.latest_timestamp, a.commits, a.jobs
-    );
-    let _ = writeln!(out, "baseline: {}", a.baseline_desc);
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<12} {:>9} {:>9} {:>8} {:>8}  status",
-        "harness", "latest(s)", "base(s)", "delta", "thresh"
-    );
-    for row in a.rows.iter().chain(std::iter::once(&a.total)) {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>9.3} {} {:>8} {:>7.1}%  {}",
-            row.name,
-            row.latest,
-            fmt_opt(row.baseline, 9, 3),
-            fmt_delta(row.delta_pct),
-            row.threshold_pct,
-            if row.regressed { "REGRESSED" } else { "ok" }
-        );
+    let _ = match md {
+        true => writeln!(out, "# {}\n", a.title),
+        false => writeln!(out, "{}", a.title),
+    };
+    let rss = a.peak_rss_kb.map_or_else(|| "- (not recorded)".to_owned(), |kb| format!("{kb} KiB"));
+    for (key, value) in [("baseline", a.baseline_desc.as_str()), ("peak RSS", &rss)] {
+        let _ = match md {
+            true => writeln!(out, "- {key}: {value}"),
+            false => writeln!(out, "{key:<12} {value}"),
+        };
     }
-    let _ = writeln!(out, "{:<12} {}", "peak RSS", fmt_rss(a.peak_rss_kb));
-    if !a.scorecard.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "paper-fidelity scorecard (band scale {:.1})", a.band_scale);
-        let _ = writeln!(
-            out,
-            "{:<36} {:>10} {:>10} {:>8} {:>7} {:>9}  status",
-            "target", "measured", "accepted", "drift", "band", "vs.paper"
-        );
-        for entry in &a.scorecard {
-            let _ = writeln!(
-                out,
-                "{:<36} {} {:>10.4} {:>8} {:>6.1}% {:>9}  {}",
-                entry.target.id,
-                fmt_opt(entry.measured, 10, 4),
-                entry.target.accepted,
-                fmt_delta(entry.drift_pct()),
-                entry.target.band_pct * a.band_scale,
-                fmt_delta(entry.deviation_vs_paper_pct()),
-                if entry.within(a.band_scale) { "ok" } else { "DRIFT" }
-            );
+    for s in [&a.perf, &a.scorecard, &a.profile, &a.model] {
+        if !s.rows.is_empty() {
+            heading(&mut out, md, &s.title);
+            table(&mut out, md, &s.cells());
         }
-    }
-    if !a.profile_drift.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "profile drift (share of suite self time, {} profiled baseline run(s))",
-            a.profile_runs
-        );
-        let _ = writeln!(
-            out,
-            "{:<24} {:>8} {:>8} {:>8} {:>7}  status",
-            "span", "latest", "base", "delta", "band"
-        );
-        for row in &a.profile_drift {
-            let _ = writeln!(
-                out,
-                "{:<24} {:>7.1}% {} {:>8} {:>6.1}pp  {}",
-                row.name,
-                row.latest_pp,
-                fmt_opt(row.baseline_pp, 7, 1) + "%",
-                match row.delta_pp {
-                    Some(d) => format!("{d:+.1}pp"),
-                    None => "-".to_owned(),
-                },
-                row.band_pp,
-                if row.drifted { "DRIFT" } else { "ok" }
-            );
-        }
-    }
-    if let Some(m) = &a.model {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "analytic model: mean |IPC error| {:.1}% over {} config(s), worst {:.1}% ({}); \
-             baseline {} ({}, band {:.1}pp)  {}",
-            m.mean_pct,
-            m.configs,
-            m.worst_pct,
-            m.worst_config,
-            match m.baseline_mean_pct {
-                Some(b) => format!("{b:.1}%"),
-                None => "-".to_owned(),
-            },
-            match m.delta_pp {
-                Some(d) => format!("{d:+.1}pp"),
-                None => "-".to_owned(),
-            },
-            m.band_pp,
-            if m.drifted { "DRIFT" } else { "ok" }
-        );
-    }
-    for w in &a.warnings {
-        let _ = writeln!(out, "warning: {w}");
-    }
-    let _ = writeln!(out);
-    if a.passed() {
-        let _ = writeln!(out, "check: PASS");
-    } else {
-        let _ = writeln!(out, "check: FAIL ({} finding(s))", a.failures.len());
-        for f in &a.failures {
-            let _ = writeln!(out, "  - {f}");
-        }
-    }
-    out
-}
-
-/// Renders the markdown report (the CI artifact).
-pub fn render_markdown(a: &Analysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# Suite report");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Latest rev `{}` at t={}, `RF_COMMITS={}`, {} job(s). Baseline: {}.",
-        a.latest_rev, a.latest_timestamp, a.commits, a.jobs, a.baseline_desc
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(out, "## Performance");
-    let _ = writeln!(out);
-    let _ = writeln!(out, "| harness | latest (s) | baseline (s) | delta | threshold | status |");
-    let _ = writeln!(out, "|---|---:|---:|---:|---:|---|");
-    for row in a.rows.iter().chain(std::iter::once(&a.total)) {
-        let _ = writeln!(
-            out,
-            "| {} | {:.3} | {} | {} | {:.1}% | {} |",
-            row.name,
-            row.latest,
-            fmt_opt(row.baseline, 1, 3).trim().to_owned(),
-            fmt_delta(row.delta_pct),
-            row.threshold_pct,
-            if row.regressed { "**REGRESSED**" } else { "ok" }
-        );
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Peak RSS of the suite process: {}", fmt_rss(a.peak_rss_kb));
-    if !a.scorecard.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Paper fidelity (band scale {:.1})", a.band_scale);
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| target | source | measured | accepted | drift | band | paper | vs. paper | status |"
-        );
-        let _ = writeln!(out, "|---|---|---:|---:|---:|---:|---:|---:|---|");
-        for entry in &a.scorecard {
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} | {:.4} | {} | {:.1}% | {} | {} | {} |",
-                entry.target.id,
-                entry.target.source,
-                fmt_opt(entry.measured, 1, 4).trim().to_owned(),
-                entry.target.accepted,
-                fmt_delta(entry.drift_pct()),
-                entry.target.band_pct * a.band_scale,
-                fmt_opt(entry.target.paper, 1, 4).trim().to_owned(),
-                fmt_delta(entry.deviation_vs_paper_pct()),
-                if entry.within(a.band_scale) { "ok" } else { "**DRIFT**" }
-            );
-        }
-    }
-    if !a.profile_drift.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "## Profile drift ({} profiled baseline run(s))",
-            a.profile_runs
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| span | latest | baseline | delta | band | status |");
-        let _ = writeln!(out, "|---|---:|---:|---:|---:|---|");
-        for row in &a.profile_drift {
-            let _ = writeln!(
-                out,
-                "| `{}` | {:.1}% | {} | {} | {:.1}pp | {} |",
-                row.name,
-                row.latest_pp,
-                match row.baseline_pp {
-                    Some(b) => format!("{b:.1}%"),
-                    None => "-".to_owned(),
-                },
-                match row.delta_pp {
-                    Some(d) => format!("{d:+.1}pp"),
-                    None => "-".to_owned(),
-                },
-                row.band_pp,
-                if row.drifted { "**DRIFT**" } else { "ok" }
-            );
-        }
-    }
-    if let Some(m) = &a.model {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Analytic model");
-        let _ = writeln!(out);
-        let _ = writeln!(out, "| configs | mean err | worst err | worst config | baseline | delta | band | status |");
-        let _ = writeln!(out, "|---:|---:|---:|---|---:|---:|---:|---|");
-        let _ = writeln!(
-            out,
-            "| {} | {:.1}% | {:.1}% | `{}` | {} | {} | {:.1}pp | {} |",
-            m.configs,
-            m.mean_pct,
-            m.worst_pct,
-            m.worst_config,
-            match m.baseline_mean_pct {
-                Some(b) => format!("{b:.1}%"),
-                None => "-".to_owned(),
-            },
-            match m.delta_pp {
-                Some(d) => format!("{d:+.1}pp"),
-                None => "-".to_owned(),
-            },
-            m.band_pp,
-            if m.drifted { "**DRIFT**" } else { "ok" }
-        );
     }
     if !a.warnings.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "## Warnings");
-        let _ = writeln!(out);
-        for w in &a.warnings {
-            let _ = writeln!(out, "- {w}");
-        }
+        heading(&mut out, md, "warnings");
+        items(&mut out, md, &a.warnings);
     }
-    let _ = writeln!(out);
-    if a.passed() {
-        let _ = writeln!(out, "**Check: PASS**");
-    } else {
-        let _ = writeln!(out, "**Check: FAIL**");
-        let _ = writeln!(out);
-        for f in &a.failures {
-            let _ = writeln!(out, "- {f}");
-        }
-    }
+    heading(&mut out, md, &match a.passed() {
+        true => "check: PASS".to_owned(),
+        false => format!("check: FAIL ({} finding(s))", a.failures.len()),
+    });
+    items(&mut out, md, &a.failures);
     out
 }
 
-fn prom_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn heading(out: &mut String, md: bool, title: &str) {
+    let _ = match md {
+        true => writeln!(out, "\n## {title}\n"),
+        false => writeln!(out, "\n{title}"),
+    };
 }
 
-/// Renders a Prometheus text-format exposition of the latest run.
-pub fn render_prometheus(a: &Analysis) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# HELP rf_suite_total_seconds Suite wall-clock seconds.");
-    let _ = writeln!(out, "# TYPE rf_suite_total_seconds gauge");
-    let _ = writeln!(out, "rf_suite_total_seconds {}", a.total.latest);
-    let _ = writeln!(out, "# HELP rf_suite_timestamp_seconds Unix time of the latest run.");
-    let _ = writeln!(out, "# TYPE rf_suite_timestamp_seconds gauge");
-    let _ = writeln!(out, "rf_suite_timestamp_seconds {}", a.latest_timestamp);
-    let _ = writeln!(out, "# HELP rf_harness_seconds Per-harness wall seconds.");
-    let _ = writeln!(out, "# TYPE rf_harness_seconds gauge");
-    for row in &a.rows {
-        let _ = writeln!(
-            out,
-            "rf_harness_seconds{{harness=\"{}\"}} {}",
-            prom_escape(&row.name),
-            row.latest
-        );
+fn items(out: &mut String, md: bool, items: &[String]) {
+    for item in items {
+        let _ = writeln!(out, "{}- {item}", if md { "" } else { "  " });
     }
-    if !a.scorecard.is_empty() {
-        let _ = writeln!(out, "# HELP rf_fidelity_measured Measured headline value.");
-        let _ = writeln!(out, "# TYPE rf_fidelity_measured gauge");
-        for e in &a.scorecard {
-            if let Some(m) = e.measured {
-                let _ = writeln!(
-                    out,
-                    "rf_fidelity_measured{{target=\"{}\"}} {m}",
-                    prom_escape(e.target.id)
-                );
+}
+
+/// The one table writer: markdown pipes, or text columns padded to
+/// their widest cell. A column of numbers (and `-` placeholders) is
+/// right-aligned, any other left-aligned.
+fn table(out: &mut String, md: bool, rows: &[Vec<String>]) {
+    let numeric = |cell: &str| cell.starts_with(|c: char| c.is_ascii_digit() || "+-".contains(c));
+    let right: Vec<bool> =
+        (0..rows[0].len()).map(|c| rows[1..].iter().all(|r| numeric(&r[c]))).collect();
+    if md {
+        for (i, row) in rows.iter().enumerate() {
+            let cells: Vec<String> = row.iter().map(|c| c.replace('|', "\\|")).collect();
+            let _ = writeln!(out, "| {} |", cells.join(" | "));
+            if i == 0 {
+                let rule: Vec<_> = right.iter().map(|&r| if r { "---:" } else { "---" }).collect();
+                let _ = writeln!(out, "|{}|", rule.join("|"));
             }
         }
-        let _ = writeln!(out, "# HELP rf_fidelity_drift_pct Drift vs accepted anchor, percent.");
-        let _ = writeln!(out, "# TYPE rf_fidelity_drift_pct gauge");
-        for e in &a.scorecard {
-            if let Some(d) = e.drift_pct() {
-                let _ = writeln!(
-                    out,
-                    "rf_fidelity_drift_pct{{target=\"{}\"}} {d}",
-                    prom_escape(e.target.id)
-                );
-            }
-        }
-        let _ = writeln!(out, "# HELP rf_fidelity_within 1 when inside the accepted band.");
-        let _ = writeln!(out, "# TYPE rf_fidelity_within gauge");
-        for e in &a.scorecard {
-            let _ = writeln!(
-                out,
-                "rf_fidelity_within{{target=\"{}\"}} {}",
-                prom_escape(e.target.id),
-                u8::from(e.within(a.band_scale))
-            );
-        }
+        return;
     }
-    if !a.profile_drift.is_empty() {
-        let _ = writeln!(out, "# HELP rf_profile_share_pct Span share of suite self time.");
-        let _ = writeln!(out, "# TYPE rf_profile_share_pct gauge");
-        for row in &a.profile_drift {
-            let _ = writeln!(
-                out,
-                "rf_profile_share_pct{{span=\"{}\"}} {}",
-                prom_escape(&row.name),
-                row.latest_pp
-            );
-        }
+    let widths: Vec<usize> = (0..right.len())
+        .map(|c| rows.iter().map(|r| r[c].chars().count()).max().unwrap_or(0))
+        .collect();
+    for row in rows {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(widths.iter().zip(&right))
+            .map(|(cell, (&w, &r))| if r { format!("{cell:>w$}") } else { format!("{cell:<w$}") })
+            .collect();
+        let _ = writeln!(out, "{}", cells.join("  ").trim_end());
     }
-    if let Some(m) = &a.model {
-        let _ = writeln!(out, "# HELP rf_model_mean_abs_err_pct Analytic-model mean |IPC error|.");
-        let _ = writeln!(out, "# TYPE rf_model_mean_abs_err_pct gauge");
-        let _ = writeln!(out, "rf_model_mean_abs_err_pct {}", m.mean_pct);
-        let _ = writeln!(out, "# HELP rf_model_worst_err_pct Analytic-model worst config |IPC error|.");
-        let _ = writeln!(out, "# TYPE rf_model_worst_err_pct gauge");
-        let _ = writeln!(out, "rf_model_worst_err_pct {}", m.worst_pct);
-    }
-    let _ = writeln!(out, "# HELP rf_report_failures Gate findings in the latest report.");
-    let _ = writeln!(out, "# TYPE rf_report_failures gauge");
-    let _ = writeln!(out, "rf_report_failures {}", a.failures.len());
-    out
 }
 
 #[cfg(test)]
@@ -1021,6 +726,11 @@ mod tests {
         record
     }
 
+    /// The suite-total perf row.
+    fn total(a: &Analysis) -> &Row {
+        a.perf.rows.last().expect("the total row is always present")
+    }
+
     fn ledger_of(scales: &[f64]) -> Vec<Value> {
         scales
             .iter()
@@ -1034,10 +744,10 @@ mod tests {
         let records = ledger_of(&[1.0, 1.01, 0.99, 1.0]);
         let a = analyze(&records, &Options::default()).unwrap();
         assert!(a.passed(), "failures: {:?}", a.failures);
-        assert_eq!(a.rows.len(), 2);
+        assert_eq!(a.perf.rows.len(), 3, "two harnesses and the total");
         assert_eq!(a.baseline_runs, 3);
-        assert!(!a.total.regressed);
-        assert!(a.scorecard.iter().all(|e| e.within(1.0)));
+        assert!(!total(&a).flagged);
+        assert!(a.scorecard.rows.iter().all(|r| !r.flagged));
     }
 
     #[test]
@@ -1051,7 +761,7 @@ mod tests {
             "total regression reported: {:?}",
             a.failures
         );
-        assert!(a.total.regressed);
+        assert!(total(&a).flagged);
 
         // 2% jitter stays inside the floor.
         let ok = ledger_of(&[1.0, 1.0, 1.0, 1.02]);
@@ -1064,7 +774,7 @@ mod tests {
         // and absorb a 30% excursion that the floor alone would flag.
         let records = ledger_of(&[1.0, 1.6, 0.7, 1.4, 0.8, 1.3]);
         let a = analyze(&records, &Options::default()).unwrap();
-        assert!(a.total.threshold_pct > 10.0, "threshold {}", a.total.threshold_pct);
+        assert!(total(&a).band > 10.0, "threshold {}", total(&a).band);
         assert!(a.passed(), "failures: {:?}", a.failures);
     }
 
@@ -1078,25 +788,44 @@ mod tests {
         assert!(!a.passed());
         assert!(a.failures.iter().any(|f| f.contains("fig10.bips_ratio_precise")));
 
-        let warn = Options { fidelity: FidelityMode::Warn, ..Options::default() };
+        let warn = Options { fidelity: Mode::Warn, ..Options::default() };
         let a = analyze(&records, &warn).unwrap();
         assert!(a.passed(), "warn mode must not gate: {:?}", a.failures);
         assert!(a.warnings.iter().any(|w| w.contains("fig10.bips_ratio_precise")));
 
-        let off = Options { fidelity: FidelityMode::Off, ..Options::default() };
+        let off = Options { fidelity: Mode::Off, ..Options::default() };
         let a = analyze(&records, &off).unwrap();
         assert!(a.passed());
-        assert!(a.scorecard.is_empty());
+        assert!(a.scorecard.rows.is_empty());
     }
 
     #[test]
-    fn band_scale_absorbs_smoke_noise() {
-        let mut records = ledger_of(&[1.0]);
-        let t = fidelity::target("fig3.commit_ipc.4way_dq32").unwrap();
-        records.push(record("smoke", 1.0, &[("fig3.commit_ipc.4way_dq32", t.accepted * 1.3)]));
-        assert!(!analyze(&records, &Options::default()).unwrap().passed());
-        let scaled = Options { band_scale: 10.0, ..Options::default() };
-        assert!(analyze(&records, &scaled).unwrap().passed());
+    fn scorecard_covers_every_target_and_flags_missing() {
+        let heads = json::parse("{\"fig5.cov100_fp_precise\":206}").unwrap();
+        let cards = scorecard(Some(&heads));
+        assert_eq!(cards.len(), fidelity::TARGETS.len());
+        let hit = cards.iter().find(|c| c.name == "fig5.cov100_fp_precise").unwrap();
+        assert!(!hit.flagged);
+        assert!(hit.delta.unwrap().abs() < 1e-9);
+        assert_eq!(hit.reference, Some(206.0), "the anchor is the reference");
+        assert_eq!(hit.extra, ["Figure 5", "500.0000", "-58.8%"], "source, paper, vs paper");
+        let miss = cards.iter().find(|c| c.name == "fig3.commit_ipc.4way_dq32").unwrap();
+        assert!(miss.flagged, "missing measurement is out of band");
+        assert_eq!(miss.delta, None);
+        assert_eq!(miss.extra[1..], ["-", "-"], "the paper states no value");
+    }
+
+    #[test]
+    fn drift_band_and_paper_deviation() {
+        let t = fidelity::target("fig10.bips_ratio_precise").unwrap();
+        let row = |v: f64| {
+            let heads = json::parse(&format!("{{\"{}\":{v}}}", t.id)).unwrap();
+            scorecard(Some(&heads)).into_iter().find(|r| r.name == t.id).unwrap()
+        };
+        assert!(!row(t.accepted * 1.04).flagged, "4% inside a 5% band");
+        assert!(row(t.accepted * 1.20).flagged, "20% outside a 5% band");
+        // Deviation vs paper is informational and signed.
+        assert!(row(1.08).extra[2].starts_with('-'));
     }
 
     #[test]
@@ -1132,22 +861,22 @@ mod tests {
         mark_cache_served(&mut latest, "fig6");
         records.push(latest);
         let a = analyze(&records, &Options::default()).unwrap();
-        assert_eq!(a.rows.len(), 1, "only fig3 earns a perf row");
-        assert_eq!(a.rows[0].name, "fig3");
+        assert_eq!(a.perf.rows.len(), 2, "only fig3 earns a perf row beside the total");
+        assert_eq!(a.perf.rows[0].name, "fig3");
         assert!(a.passed(), "failures: {:?}", a.failures);
 
         mark_cache_served(&mut records[0], "fig3");
         let a = analyze(&records, &Options::default()).unwrap();
-        let fig3 = &a.rows[0];
+        let fig3 = &a.perf.rows[0];
         assert_eq!(
-            fig3.baseline,
+            fig3.reference,
             Some(1.0),
             "window median comes from the one run that executed fig3"
         );
     }
 
     #[test]
-    fn profile_drift_warns_by_default_and_gates_on_request() {
+    fn profile_drift_warns_and_never_gates() {
         // Two baseline runs where the kill engine holds ~10% of self
         // time, then a run where it balloons to ~40%.
         let steady = [("cycle.issue", 700_u64), ("kill_engine", 100), ("cache.load", 200)];
@@ -1159,31 +888,22 @@ mod tests {
             records.push(r);
         }
         let a = analyze(&records, &Options::default()).unwrap();
-        assert_eq!(a.profile_runs, 2);
-        assert!(a.passed(), "warn by default: {:?}", a.failures);
+        assert!(a.profile.title.contains("2 profiled baseline run(s)"), "{}", a.profile.title);
+        assert!(a.passed(), "profile drift only warns: {:?}", a.failures);
         assert!(
             a.warnings.iter().any(|w| w.contains("profile: kill_engine")),
             "warnings: {:?}",
             a.warnings
         );
         let kill = a
-            .profile_drift
+            .profile
+            .rows
             .iter()
             .find(|r| r.name == "kill_engine")
             .expect("kill_engine row");
-        assert!(kill.drifted);
-        assert!((kill.latest_pp - 40.0).abs() < 1e-9);
-        assert_eq!(kill.baseline_pp, Some(10.0));
-
-        let gate = Options { profile_drift: FidelityMode::Gate, ..Options::default() };
-        let a = analyze(&records, &gate).unwrap();
-        assert!(!a.passed());
-        assert!(a.failures.iter().any(|f| f.contains("profile: kill_engine")));
-
-        let off = Options { profile_drift: FidelityMode::Off, ..Options::default() };
-        let a = analyze(&records, &off).unwrap();
-        assert!(a.profile_drift.is_empty());
-        assert!(a.passed());
+        assert!(kill.flagged);
+        assert!((kill.latest.unwrap() - 40.0).abs() < 1e-9);
+        assert_eq!(kill.reference, Some(10.0));
 
         // A steady rerun stays inside the band.
         let mut steady_records = Vec::new();
@@ -1193,7 +913,7 @@ mod tests {
             steady_records.push(r);
         }
         let a = analyze(&steady_records, &Options::default()).unwrap();
-        assert!(a.profile_drift.iter().all(|r| !r.drifted));
+        assert!(a.profile.rows.iter().all(|r| !r.flagged));
         assert!(a.warnings.iter().all(|w| !w.contains("profile:")));
     }
 
@@ -1201,9 +921,9 @@ mod tests {
     fn unprofiled_ledger_renders_no_drift_section() {
         let records = ledger_of(&[1.0, 1.0]);
         let a = analyze(&records, &Options::default()).unwrap();
-        assert!(a.profile_drift.is_empty());
-        assert!(!render_text(&a).contains("profile drift"));
-        assert!(!render_markdown(&a).contains("## Profile drift"));
+        assert!(a.profile.rows.is_empty());
+        assert!(!render(&a, Format::Text).contains("profile drift"));
+        assert!(!render(&a, Format::Markdown).contains("## profile drift"));
 
         // First profiled run: rows render with no baseline, no findings.
         let mut records = ledger_of(&[1.0]);
@@ -1211,13 +931,12 @@ mod tests {
         attach_profile(&mut latest, &[("cycle.issue", 900), ("cache.load", 100)]);
         records.push(latest);
         let a = analyze(&records, &Options::default()).unwrap();
-        assert_eq!(a.profile_runs, 0);
-        assert!(a.profile_drift.iter().all(|r| r.baseline_pp.is_none() && !r.drifted));
-        let text = render_text(&a);
+        assert!(a.profile.title.contains("0 profiled baseline run(s)"), "{}", a.profile.title);
+        assert!(a.profile.rows.iter().all(|r| r.reference.is_none() && !r.flagged));
+        let text = render(&a, Format::Text);
         assert!(text.contains("profile drift"), "{text}");
         assert!(text.contains("cycle.issue"), "{text}");
-        let prom = render_prometheus(&a);
-        assert!(prom.contains("rf_profile_share_pct{span=\"cycle.issue\"} 90"), "{prom}");
+        assert_eq!(a.profile.rows[0].latest, Some(90.0));
     }
 
     #[test]
@@ -1232,16 +951,15 @@ mod tests {
         }
         let a = analyze(&records, &Options::default()).unwrap();
         assert!(a.passed(), "model drift must not gate: {:?}", a.failures);
-        let m = a.model.as_ref().expect("model row");
-        assert!(m.drifted, "{m:?}");
-        assert_eq!(m.configs, 72);
-        assert_eq!(m.baseline_mean_pct, Some(8.1));
+        let m = a.model.rows.first().expect("model row");
+        assert!(m.flagged, "{m:?}");
+        assert_eq!(m.extra[0], "72", "configs");
+        assert_eq!(m.reference, Some(8.1));
         assert!(a.warnings.iter().any(|w| w.contains("recalibration")), "{:?}", a.warnings);
-        let text = render_text(&a);
+        let text = render(&a, Format::Text);
         assert!(text.contains("analytic model"), "{text}");
         assert!(text.contains("DRIFT"), "{text}");
-        assert!(render_markdown(&a).contains("## Analytic model"));
-        assert!(render_prometheus(&a).contains("rf_model_mean_abs_err_pct 19"));
+        assert!(render(&a, Format::Markdown).contains("## analytic model"));
 
         // A steady rerun stays quiet.
         let mut steady = Vec::new();
@@ -1251,7 +969,7 @@ mod tests {
             steady.push(r);
         }
         let a = analyze(&steady, &Options::default()).unwrap();
-        assert!(!a.model.as_ref().unwrap().drifted);
+        assert!(!a.model.rows[0].flagged);
         assert!(a.warnings.iter().all(|w| !w.contains("model:")));
 
         // First measured run: a row with no baseline, no warning.
@@ -1260,15 +978,14 @@ mod tests {
         attach_model_error(&mut latest, 9.0, 27.0);
         records.push(latest);
         let a = analyze(&records, &Options::default()).unwrap();
-        let m = a.model.as_ref().unwrap();
-        assert!(m.baseline_mean_pct.is_none() && !m.drifted);
+        let m = &a.model.rows[0];
+        assert!(m.reference.is_none() && !m.flagged);
 
         // An unmeasured ledger carries no row and renders no section.
         let a = analyze(&ledger_of(&[1.0, 1.0]), &Options::default()).unwrap();
-        assert!(a.model.is_none());
-        assert!(!render_text(&a).contains("analytic model"));
-        assert!(!render_markdown(&a).contains("## Analytic model"));
-        assert!(!render_prometheus(&a).contains("rf_model_mean_abs_err_pct"));
+        assert!(a.model.rows.is_empty());
+        assert!(!render(&a, Format::Text).contains("analytic model"));
+        assert!(!render(&a, Format::Markdown).contains("## analytic model"));
     }
 
     #[test]
@@ -1300,7 +1017,7 @@ mod tests {
         let records = ledger_of(&[1.0]);
         let a = analyze(&records, &Options::default()).unwrap();
         assert_eq!(a.baseline_runs, 0);
-        assert!(a.total.baseline.is_none());
+        assert!(total(&a).reference.is_none());
         assert!(a.passed());
     }
 
@@ -1350,28 +1067,25 @@ mod tests {
     fn renders_cover_all_sections() {
         let records = ledger_of(&[1.0, 1.0, 1.3]);
         let a = analyze(&records, &Options::default()).unwrap();
-        let text = render_text(&a);
+        let text = render(&a, Format::Text);
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("\npeak RSS     8192 KiB\n"), "{text}");
         assert!(text.contains("check: FAIL"), "{text}");
         assert!(text.contains("paper-fidelity scorecard"), "{text}");
-        let md = render_markdown(&a);
-        assert!(md.contains("# Suite report"));
+        assert!(text.contains("TOTAL        3.900    3.000  +30.0%   10.0%  REGRESSED"), "{text}");
+        let md = render(&a, Format::Markdown);
+        assert!(md.starts_with("# suite report"), "{md}");
         assert!(md.contains("| harness |"));
-        assert!(md.contains("**Check: FAIL**"));
-        assert!(md.contains("Peak RSS of the suite process: 8192 KiB"), "{md}");
-        let prom = render_prometheus(&a);
-        assert!(prom.contains("rf_suite_total_seconds 3.9"), "{prom}");
-        assert!(prom.contains("rf_harness_seconds{harness=\"fig3\"}"));
-        assert!(prom.contains("rf_fidelity_within{target=\"fig10.bips_ratio_precise\"} 1"));
+        assert!(md.contains("| TOTAL | 3.900 | 3.000 | +30.0% | 10.0% | REGRESSED |"), "{md}");
         // fig3, fig6, and TOTAL all regressed 30%.
-        assert!(prom.contains("rf_report_failures 3"), "{prom}");
+        assert!(md.contains("## check: FAIL (3 finding(s))"), "{md}");
+        assert!(md.contains("- peak RSS: 8192 KiB"), "{md}");
+        assert_eq!(a.failures.len(), 3);
 
         // A passing analysis renders PASS.
         let ok = analyze(&ledger_of(&[1.0, 1.0]), &Options::default()).unwrap();
-        assert!(render_text(&ok).contains("check: PASS"));
-        assert!(render_markdown(&ok).contains("**Check: PASS**"));
-        assert!(render_prometheus(&ok).contains("rf_report_failures 0"));
+        assert!(render(&ok, Format::Text).contains("check: PASS"));
+        assert!(render(&ok, Format::Markdown).contains("## check: PASS"));
     }
 
     #[test]

@@ -341,17 +341,28 @@ impl Store {
         Ok(Self { dir, segment_bytes: DEFAULT_SEGMENT_BYTES })
     }
 
-    /// Crash recovery for a damaged active segment `no`: under the
-    /// exclusive lock, seals it and rotates to a fresh one.
+    /// Crash recovery for a damaged active segment `no`: seals it and
+    /// rotates to a fresh one, unless another opener already rotated
+    /// past the damage or the "damage" was an append in flight that has
+    /// since completed.
     fn rotate_past_damage(&self, no: u64) -> io::Result<()> {
-        let lock = self.lock_file()?;
+        self.rotate(&self.lock_file()?, no, |path| Ok(!segment_is_clean(path)?))
+    }
+
+    /// Under the exclusive lock on `lock`, seals active segment `no` and
+    /// rotates to a fresh one — if, re-checked under the lock, `no` is
+    /// still the active segment and `due` still holds for it (another
+    /// process may have rotated while we waited).
+    fn rotate(
+        &self,
+        lock: &File,
+        no: u64,
+        due: impl Fn(&Path) -> io::Result<bool>,
+    ) -> io::Result<()> {
         lock.lock()?;
         let result = (|| {
-            // Re-check under the lock: another opener may have already
-            // rotated past the damage, or the "damage" was an append in
-            // flight that has since completed.
             let (cur_no, cur_path) = self.active_segment()?;
-            if cur_no != no || segment_is_clean(&cur_path)? {
+            if cur_no != no || !due(&cur_path)? {
                 return Ok(());
             }
             self.seal_and_rotate(cur_no, &cur_path)
@@ -418,9 +429,14 @@ impl Store {
 
     /// Appends one record. The write is a single `O_APPEND` `write_all`
     /// of the whole encoded record under a shared lock, so records from
-    /// concurrent appenders interleave whole, never torn. Not fsynced —
-    /// see [`Store::sync`] — but the append that creates the store's
-    /// first segment fsyncs the directory entry it made.
+    /// concurrent appenders interleave whole, never torn. One directory
+    /// listing finds the active segment; only when that segment has
+    /// outgrown the bound does the append drop the shared lock, rotate
+    /// under the exclusive one (the outgoing segment sealed, its
+    /// successor created and made durable before any appender can
+    /// proceed) and retry. Not fsynced — see [`Store::sync`] — but the
+    /// append that creates the store's first segment fsyncs the
+    /// directory entry it made.
     ///
     /// # Errors
     ///
@@ -433,50 +449,36 @@ impl Store {
         payload: &[u8],
     ) -> io::Result<()> {
         let record = encode_record(RecordFormat::CURRENT, schema, digest, key, payload);
-        self.rotate_if_needed()?;
         let lock = self.lock_file()?;
-        lock.lock_shared()?;
-        let result = (|| {
-            let (_, path) = self.active_segment()?;
-            let mut seg = match OpenOptions::new().append(true).open(&path) {
-                Ok(seg) => seg,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    let seg = OpenOptions::new().create(true).append(true).open(&path)?;
-                    sync_dir(&self.dir)?;
-                    seg
-                }
-                Err(e) => return Err(e),
-            };
-            seg.write_all(&record)
-        })();
-        let _ = lock.unlock();
-        result
+        loop {
+            lock.lock_shared()?;
+            let full = self.append_shared(&record);
+            let _ = lock.unlock();
+            let Some(no) = full? else { return Ok(()) };
+            let bound = self.segment_bytes;
+            self.rotate(&lock, no, |p| Ok(fs::metadata(p).map_or(0, |m| m.len()) >= bound))?;
+        }
     }
 
-    /// Rotates to a fresh segment when the active one has outgrown the
-    /// bound: under the exclusive lock, the outgoing segment is sealed
-    /// (fsynced) and the successor is created and made durable before
-    /// any appender can proceed.
-    fn rotate_if_needed(&self) -> io::Result<()> {
+    /// Under the shared lock: appends `record` to the active segment, or
+    /// returns that segment's number, unwritten, when it has outgrown
+    /// the bound.
+    fn append_shared(&self, record: &[u8]) -> io::Result<Option<u64>> {
         let (no, path) = self.active_segment()?;
-        if fs::metadata(&path).map(|m| m.len()).unwrap_or(0) < self.segment_bytes {
-            return Ok(());
-        }
-        let lock = self.lock_file()?;
-        lock.lock()?;
-        let result = (|| {
-            // Re-check under the lock: another process may have rotated
-            // while we waited.
-            let (cur_no, cur_path) = self.active_segment()?;
-            if cur_no != no || fs::metadata(&cur_path).map(|m| m.len()).unwrap_or(0)
-                < self.segment_bytes
-            {
-                return Ok(());
+        let mut seg = match OpenOptions::new().append(true).open(&path) {
+            Ok(seg) => seg,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                let seg = OpenOptions::new().create(true).append(true).open(&path)?;
+                sync_dir(&self.dir)?;
+                seg
             }
-            self.seal_and_rotate(cur_no, &cur_path)
-        })();
-        let _ = lock.unlock();
-        result
+            Err(e) => return Err(e),
+        };
+        if seg.metadata()?.len() >= self.segment_bytes {
+            return Ok(Some(no));
+        }
+        seg.write_all(record)?;
+        Ok(None)
     }
 
     /// Fsyncs the active segment, making every record appended so far

@@ -36,28 +36,6 @@ impl TraceFormat {
     }
 }
 
-/// Output format of the `report` subcommand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportFormat {
-    /// Plain-text tables.
-    Text,
-    /// Markdown (the CI artifact format).
-    Markdown,
-}
-
-impl ReportFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "text" => Ok(ReportFormat::Text),
-            "markdown" => Ok(ReportFormat::Markdown),
-            other => Err(format!(
-                "unknown report format {other:?} (expected text or markdown)"
-            )),
-        }
-    }
-}
-
 /// Output format of the `profile` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileFormat {
@@ -268,27 +246,14 @@ pub enum Command {
     Report {
         /// Ledger path (default `results/history/suite.jsonl`).
         ledger: String,
-        /// Baseline git-revision prefix (`None` = rolling median of
-        /// prior comparable runs).
-        baseline: Option<String>,
-        /// Rolling-window size for the median baseline.
-        window: usize,
         /// Report format.
-        format: ReportFormat,
+        format: rf_obs::trend::Format,
         /// Write the rendered report here instead of stdout.
         out: Option<String>,
-        /// Also write a Prometheus text-format exposition here.
-        prom: Option<String>,
         /// Exit nonzero on perf regression or fidelity drift (CI gate).
         check: bool,
-        /// Perf-regression noise floor, percent.
-        max_regress_pct: f64,
-        /// Fidelity band multiplier (widen for smoke scales).
-        band_scale: f64,
-        /// Fidelity gating mode.
-        fidelity: rf_obs::trend::FidelityMode,
-        /// Profile-drift handling mode.
-        profile_drift: rf_obs::trend::FidelityMode,
+        /// Baseline, window, perf floor and fidelity mode.
+        opts: rf_obs::trend::Options,
     },
     /// Run an instrumented batch with the rf-prof self-profiler forced
     /// on and render where the wall time went.
@@ -461,29 +426,30 @@ fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
     })
 }
 
-/// Parses a `--deadline-secs` value (shared by `run` and `check`).
+fn parse_report_format(v: &str) -> Result<rf_obs::trend::Format, String> {
+    match v {
+        "text" => Ok(rf_obs::trend::Format::Text),
+        "markdown" => Ok(rf_obs::trend::Format::Markdown),
+        other => Err(format!("unknown report format {other:?} (expected text or markdown)")),
+    }
+}
+
+fn parse_fidelity(v: &str) -> Result<rf_obs::trend::Mode, String> {
+    match v {
+        "gate" => Ok(rf_obs::trend::Mode::Gate),
+        "warn" => Ok(rf_obs::trend::Mode::Warn),
+        "off" => Ok(rf_obs::trend::Mode::Off),
+        other => Err(format!("unknown --fidelity mode {other:?} (expected gate, warn, or off)")),
+    }
+}
+
+/// The `--deadline-secs` value of `run`, `check`, `model` or `profile`.
 fn parse_deadline(opts: &[(String, Option<String>)]) -> Result<Option<f64>, String> {
     opts.iter()
         .find(|(o, _)| o == "--deadline-secs")
-        .and_then(|(_, v)| v.clone())
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|s| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| {
-                    format!("--deadline-secs {v:?} is not a positive number of seconds")
-                })
-        })
+        .and_then(|(_, v)| v.as_deref())
+        .map(rf_experiments::runner::parse_deadline_secs)
         .transpose()
-}
-
-fn parse_mode(opt: &str, v: &str) -> Result<rf_obs::trend::FidelityMode, String> {
-    match v {
-        "gate" => Ok(rf_obs::trend::FidelityMode::Gate),
-        "warn" => Ok(rf_obs::trend::FidelityMode::Warn),
-        "off" => Ok(rf_obs::trend::FidelityMode::Off),
-        other => Err(format!("unknown {opt} mode {other:?} (expected gate, warn, or off)")),
-    }
 }
 
 /// Parses a full argument vector (without the program name).
@@ -579,29 +545,42 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             window: take("--window", &opts).map(|v| size_num("--window", &v)).transpose()?,
             count: take("--count", &opts).map_or(Ok(200_000), |v| parse_num("--count", &v))?,
         }),
-        "report" => Ok(Command::Report {
-            ledger: take("--ledger", &opts)
-                .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
-            baseline: take("--baseline", &opts),
-            window: take("--window", &opts).map_or(Ok(5), |v| parse_num("--window", &v))?,
-            format: take("--format", &opts)
-                .map_or(Ok(ReportFormat::Text), |v| ReportFormat::parse(&v))?,
-            out: take("--out", &opts),
-            prom: take("--prom", &opts),
-            check: opts.iter().any(|(o, _)| o == "--check"),
-            max_regress_pct: take("--max-regress-pct", &opts)
-                .map_or(Ok(10.0), |v| parse_num("--max-regress-pct", &v))?,
-            band_scale: take("--band-scale", &opts)
-                .map_or(Ok(1.0), |v| parse_num("--band-scale", &v))?,
-            fidelity: take("--fidelity", &opts)
-                .map_or(Ok(rf_obs::trend::FidelityMode::Gate), |v| {
-                    parse_mode("--fidelity", &v)
-                })?,
-            profile_drift: take("--profile-drift", &opts)
-                .map_or(Ok(rf_obs::trend::FidelityMode::Warn), |v| {
-                    parse_mode("--profile-drift", &v)
-                })?,
-        }),
+        "report" => {
+            const KNOWN: [&str; 8] = [
+                "--ledger", "--baseline", "--window", "--format", "--out", "--check",
+                "--max-regress-pct", "--fidelity",
+            ];
+            if let Some((o, _)) = opts.iter().find(|(o, _)| !KNOWN.contains(&o.as_str())) {
+                return Err(format!("unknown option {o:?} for report"));
+            }
+            let defaults = rf_obs::trend::Options::default();
+            let max_regress_pct = take("--max-regress-pct", &opts)
+                .map(|v| {
+                    parse_num("--max-regress-pct", &v)
+                        .ok()
+                        .filter(|p: &f64| p.is_finite() && *p >= 0.0)
+                        .ok_or_else(|| {
+                            format!("--max-regress-pct {v:?} is not a finite percentage >= 0")
+                        })
+                })
+                .transpose()?;
+            Ok(Command::Report {
+                ledger: take("--ledger", &opts)
+                    .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
+                format: take("--format", &opts)
+                    .map_or(Ok(rf_obs::trend::Format::Text), |v| parse_report_format(&v))?,
+                out: take("--out", &opts),
+                check: opts.iter().any(|(o, _)| o == "--check"),
+                opts: rf_obs::trend::Options {
+                    baseline: take("--baseline", &opts),
+                    window: take("--window", &opts)
+                        .map_or(Ok(defaults.window), |v| size_num("--window", &v))?,
+                    max_regress_pct: max_regress_pct.unwrap_or(defaults.max_regress_pct),
+                    fidelity: take("--fidelity", &opts)
+                        .map_or(Ok(defaults.fidelity), |v| parse_fidelity(&v))?,
+                },
+            })
+        }
         "profile" => Ok(Command::Profile {
             pins: parse_pins(&opts)?,
             format: take("--format", &opts)
@@ -666,9 +645,8 @@ USAGE:
                    [--format text|json] [--deadline-secs S]
   rfstudy dataflow --bench NAME [--window N] [--count N]
   rfstudy report   [--ledger FILE] [--baseline REV | --window N]
-                   [--format text|markdown] [--out FILE] [--prom FILE]
-                   [--check] [--max-regress-pct P] [--band-scale S]
-                   [--fidelity gate|warn|off] [--profile-drift gate|warn|off]
+                   [--format text|markdown] [--out FILE] [--check]
+                   [--max-regress-pct P] [--fidelity gate|warn|off]
   rfstudy profile  [--bench NAME] [--width N] [--exceptions MODEL]
                    [--regs N] [--commits N] [--seed N]
                    [--format flame|json|text] [--top N] [--out FILE]
@@ -741,18 +719,18 @@ REPORT OPTIONS:
   reads the run-history ledger written by the `all` suite binary
   (default results/history/suite.jsonl) and compares the latest record
   against a baseline: --baseline REV pins a git-revision prefix, else
-  the rolling median of the last --window comparable runs (default 5).
-  Also scores the latest headline numbers against the paper-fidelity
-  targets. --check exits non-zero on a perf regression beyond
-  --max-regress-pct (default 10, widened per-harness by run-to-run
-  noise) or a fidelity drift outside the accepted band (scaled by
-  --band-scale; --fidelity warn reports drift without gating, off
-  skips it). When ledger records carry rf-prof self-profiles, a
-  profile-drift section tracks each span's share of suite self time
-  vs the baseline window; --profile-drift gate makes out-of-band
-  shifts fail the check (default warn; off skips the section).
-  --prom FILE additionally writes a Prometheus text-format
-  exposition of the latest record and scorecard.
+  the rolling median of the last --window comparable runs (default 5,
+  at least 1). Also scores the latest headline numbers against the
+  paper-fidelity targets. --format text (default) renders aligned
+  tables, markdown renders the same tables as pipes; --out FILE writes
+  the report instead of stdout. --check exits non-zero on a perf
+  regression beyond --max-regress-pct (a finite percentage >= 0,
+  default 10, widened per harness by run-to-run noise) or a fidelity
+  drift outside the accepted band (--fidelity warn reports drift
+  without gating, off skips it). When ledger records carry rf-prof
+  self-profiles, a profile-drift section tracks each span's share of
+  suite self time vs the baseline window; like the analytic-model
+  row, its out-of-band shifts only ever warn.
 
 PROFILE OPTIONS:
   forces the rf-prof self-profiler on, runs the check matrix (same
@@ -1075,30 +1053,15 @@ mod tests {
     #[test]
     fn parses_report_with_defaults() {
         match parse(&argv("report")).unwrap() {
-            Command::Report {
-                ledger,
-                baseline,
-                window,
-                format,
-                out,
-                prom,
-                check,
-                max_regress_pct,
-                band_scale,
-                fidelity,
-                profile_drift,
-            } => {
+            Command::Report { ledger, format, out, check, opts } => {
                 assert_eq!(ledger, rf_obs::ledger::LEDGER_PATH);
-                assert_eq!(baseline, None);
-                assert_eq!(window, 5);
-                assert_eq!(format, ReportFormat::Text);
+                assert_eq!(format, rf_obs::trend::Format::Text);
                 assert_eq!(out, None);
-                assert_eq!(prom, None);
                 assert!(!check);
-                assert_eq!(max_regress_pct, 10.0);
-                assert_eq!(band_scale, 1.0);
-                assert_eq!(fidelity, rf_obs::trend::FidelityMode::Gate);
-                assert_eq!(profile_drift, rf_obs::trend::FidelityMode::Warn);
+                assert_eq!(opts, rf_obs::trend::Options::default());
+                assert_eq!(opts.window, 5);
+                assert_eq!(opts.max_regress_pct, 10.0);
+                assert_eq!(opts.fidelity, rf_obs::trend::Mode::Gate);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1108,43 +1071,45 @@ mod tests {
     fn parses_report_with_all_options() {
         match parse(&argv(
             "report --ledger /tmp/l.jsonl --baseline abc123 --window 9 \
-             --format markdown --out /tmp/r.md --prom /tmp/r.prom --check \
-             --max-regress-pct 25 --band-scale 3 --fidelity warn \
-             --profile-drift gate",
+             --format markdown --out /tmp/r.md --check \
+             --max-regress-pct 25 --fidelity warn",
         ))
         .unwrap()
         {
-            Command::Report {
-                ledger,
-                baseline,
-                window,
-                format,
-                out,
-                prom,
-                check,
-                max_regress_pct,
-                band_scale,
-                fidelity,
-                profile_drift,
-            } => {
+            Command::Report { ledger, format, out, check, opts } => {
                 assert_eq!(ledger, "/tmp/l.jsonl");
-                assert_eq!(baseline.as_deref(), Some("abc123"));
-                assert_eq!(window, 9);
-                assert_eq!(format, ReportFormat::Markdown);
+                assert_eq!(opts.baseline.as_deref(), Some("abc123"));
+                assert_eq!(opts.window, 9);
+                assert_eq!(format, rf_obs::trend::Format::Markdown);
                 assert_eq!(out.as_deref(), Some("/tmp/r.md"));
-                assert_eq!(prom.as_deref(), Some("/tmp/r.prom"));
                 assert!(check);
-                assert_eq!(max_regress_pct, 25.0);
-                assert_eq!(band_scale, 3.0);
-                assert_eq!(fidelity, rf_obs::trend::FidelityMode::Warn);
-                assert_eq!(profile_drift, rf_obs::trend::FidelityMode::Gate);
+                assert_eq!(opts.max_regress_pct, 25.0);
+                assert_eq!(opts.fidelity, rf_obs::trend::Mode::Warn);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(parse(&argv("report --format xml")).is_err());
-        assert!(parse(&argv("report --fidelity maybe")).is_err());
-        assert!(parse(&argv("report --profile-drift sometimes")).is_err());
-        assert!(parse(&argv("report --window abc")).is_err());
+        for (cmd, err) in [
+            ("report --format xml", "unknown report format \"xml\" (expected text or markdown)"),
+            ("report --fidelity maybe", "unknown --fidelity mode \"maybe\" (expected gate, warn, or off)"),
+            ("report --window abc", "invalid value \"abc\" for --window"),
+            ("report --window 0", "--window 0 is below the minimum of 1"),
+            ("report --prom /tmp/r.prom", "unknown option \"--prom\" for report"),
+            ("report --band-scale 3", "unknown option \"--band-scale\" for report"),
+            ("report --profile-drift gate", "unknown option \"--profile-drift\" for report"),
+        ] {
+            assert_eq!(parse(&argv(cmd)).unwrap_err(), err, "{cmd}");
+        }
+        // A threshold must be a finite percentage: `inf` would never fire.
+        for v in ["inf", "NaN", "-5", "x"] {
+            let err = parse(&argv(&format!("report --max-regress-pct {v}"))).unwrap_err();
+            assert_eq!(err, format!("--max-regress-pct {v:?} is not a finite percentage >= 0"));
+        }
+        match parse(&argv("report --max-regress-pct 0 --window 1")).unwrap() {
+            Command::Report { opts, .. } => {
+                assert_eq!((opts.max_regress_pct, opts.window), (0.0, 1));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

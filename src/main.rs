@@ -175,31 +175,9 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             run_profile(&specs(&pins.expand(matrix_commits)), format, top, out, deadline_secs)
         }
         Command::Top { file, interval_ms, once } => run_top(&file, interval_ms, once),
-        Command::Report {
-            ledger,
-            baseline,
-            window,
-            format,
-            out,
-            prom,
-            check,
-            max_regress_pct,
-            band_scale,
-            fidelity,
-            profile_drift,
-        } => run_report(
-            &ledger,
-            baseline,
-            window,
-            format,
-            out,
-            prom,
-            check,
-            max_regress_pct,
-            band_scale,
-            fidelity,
-            profile_drift,
-        ),
+        Command::Report { ledger, format, out, check, opts } => {
+            run_report(&ledger, format, out, check, &opts)
+        }
         Command::Dataflow { bench, window, count } => {
             let trace = TraceGenerator::new(&profile(&bench), cli::RUN_SEED).take(count as usize);
             let limit = analyze(trace, window);
@@ -843,36 +821,17 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
 /// The `report` subcommand: compares the latest run-history ledger
 /// record against a baseline and scores paper fidelity. With `--check`,
 /// returns `Err` (process exit code 1) when the analysis fails.
-#[allow(clippy::too_many_arguments)]
 fn run_report(
     ledger_path: &str,
-    baseline: Option<String>,
-    window: usize,
-    format: cli::ReportFormat,
+    format: rf_obs::trend::Format,
     out: Option<String>,
-    prom: Option<String>,
     check: bool,
-    max_regress_pct: f64,
-    band_scale: f64,
-    fidelity: rf_obs::trend::FidelityMode,
-    profile_drift: rf_obs::trend::FidelityMode,
+    opts: &rf_obs::trend::Options,
 ) -> Result<(), String> {
     let records = rf_obs::ledger::read_ledger(std::path::Path::new(ledger_path))
         .map_err(|e| format!("cannot read ledger: {e}"))?;
-    let opts = rf_obs::trend::Options {
-        baseline,
-        window,
-        max_regress_pct,
-        band_scale,
-        fidelity,
-        profile_drift,
-        ..rf_obs::trend::Options::default()
-    };
-    let analysis = rf_obs::trend::analyze(&records, &opts)?;
-    let rendered = match format {
-        cli::ReportFormat::Text => rf_obs::trend::render_text(&analysis),
-        cli::ReportFormat::Markdown => rf_obs::trend::render_markdown(&analysis),
-    };
+    let analysis = rf_obs::trend::analyze(&records, opts)?;
+    let rendered = rf_obs::trend::render(&analysis, format);
     match out {
         Some(path) => {
             std::fs::write(&path, &rendered)
@@ -880,12 +839,6 @@ fn run_report(
             eprintln!("report -> {path} ({} bytes)", rendered.len());
         }
         None => print!("{rendered}"),
-    }
-    if let Some(path) = prom {
-        let exposition = rf_obs::trend::render_prometheus(&analysis);
-        std::fs::write(&path, &exposition)
-            .map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!("prometheus exposition -> {path} ({} bytes)", exposition.len());
     }
     if check && !analysis.passed() {
         return Err(format!(

@@ -139,30 +139,45 @@ fn check_fails_on_fidelity_drift_unless_warned_off() {
 }
 
 #[test]
-fn report_writes_markdown_and_prometheus_artifacts() {
+fn report_writes_a_markdown_artifact() {
     let ledger = write_ledger("artifacts", &[record(1, 1.0, &[]), record(2, 1.0, &[])]);
     let md = std::env::temp_dir()
         .join(format!("rfstudy-report-gate-{}.md", std::process::id()));
-    let prom = std::env::temp_dir()
-        .join(format!("rfstudy-report-gate-{}.prom", std::process::id()));
-    let (ok, text) = run_report(
-        &ledger,
-        &[
-            "--format",
-            "markdown",
-            "--out",
-            md.to_str().unwrap(),
-            "--prom",
-            prom.to_str().unwrap(),
-        ],
-    );
+    let (ok, text) = run_report(&ledger, &["--format", "markdown", "--out", md.to_str().unwrap()]);
     assert!(ok, "{text}");
     let md_text = std::fs::read_to_string(&md).unwrap();
     assert!(md_text.contains("| harness |"), "markdown table present:\n{md_text}");
-    let prom_text = std::fs::read_to_string(&prom).unwrap();
-    assert!(prom_text.contains("# TYPE rf_suite_total_seconds gauge"), "{prom_text}");
-    assert!(prom_text.contains("rf_fidelity_within"), "{prom_text}");
+    assert!(md_text.contains("| fig10.bips_ratio_precise |"), "scorecard rows:\n{md_text}");
+    assert!(md_text.contains("- peak RSS: 12288 KiB"), "{md_text}");
     let _ = std::fs::remove_file(&ledger);
     let _ = std::fs::remove_file(&md);
-    let _ = std::fs::remove_file(&prom);
+}
+
+#[test]
+fn report_rejects_an_empty_window_and_an_unbounded_threshold() {
+    // Either value would leave a 3x slower run ungated: an empty window
+    // has no baseline, an infinite threshold no bound. Both, and the
+    // removed options, are usage errors (exit 2) before any analysis.
+    let slow = write_ledger("usage", &[record(1, 1.0, &[]), record(2, 3.0, &[])]);
+    let (ok, text) = run_report(&slow, &[]);
+    let finding = "TOTAL took 9.000s vs baseline 3.000s (+200.0% > 10.0%)";
+    assert!(!ok && text.contains(finding), "{text}");
+    for extra in [
+        ["--window", "0"],
+        ["--max-regress-pct", "inf"],
+        ["--max-regress-pct", "-1"],
+        ["--prom", "metrics.prom"],
+        ["--profile-drift", "gate"],
+        ["--band-scale", "3"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rfstudy"))
+            .args(["report", "--ledger", slow.to_str().unwrap(), "--check"])
+            .args(extra)
+            .output()
+            .expect("rfstudy runs");
+        assert_eq!(out.status.code(), Some(2), "{extra:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(extra[0]), "{extra:?} named in:\n{stderr}");
+    }
+    let _ = std::fs::remove_file(&slow);
 }
