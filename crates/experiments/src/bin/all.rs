@@ -12,17 +12,11 @@
 //!
 //! # Arguments (strict)
 //!
-//! ```text
-//! all [COMMITS] [--only NAME[,NAME...]] [--deadline-secs N] [--help]
-//! ```
-//!
-//! `COMMITS` is the per-simulation commit budget (default: `RF_COMMITS`
-//! or 200000). `--only` runs the named harnesses alone, in suite order.
-//! `--deadline-secs N` bounds the suite's one simulation batch to `N`
-//! wall seconds (cooperative cancellation; overrunning specs fail, and
-//! with them the harnesses that planned them). A malformed argument, an
-//! unknown harness name or a malformed environment variable exits 2
-//! with a message, and `--help` prints usage instead of simulating.
+//! `all [COMMITS] [--only NAMES] [--deadline-secs S] [--help]`, declared
+//! once as [`GRAMMAR`], which also renders `all --help`. An unknown,
+//! repeated or value-less option, a second `COMMITS`, a malformed value,
+//! an unknown harness name or a malformed environment variable exits 2
+//! with a message before simulating.
 //!
 //! # Fault tolerance
 //!
@@ -39,6 +33,7 @@
 //! feature, `RF_FAULT=<harness>` adds a panicking simulation to that
 //! harness's plan (the CI smoke path).
 
+use rf_experiments::args::{self, Grammar, Group, Opt};
 use rf_experiments::bench::SuiteBench;
 use rf_experiments::runner::{self, BatchOpts, RunConfig, RunSpec, Scale, SimPool};
 use rf_experiments::suite::{Answers, Harness, Plan, HARNESSES};
@@ -54,24 +49,30 @@ use std::time::Duration;
 /// percentiles annotate the harness in the ledger record).
 const PROBE_COMMITS: u64 = 5_000;
 
-const USAGE: &str = "usage: all [COMMITS] [--only NAME[,NAME...]] [--deadline-secs N] [--help]
-
-Runs the table/figure harnesses: answers the union of their plans in one
+/// The suite binary's command line.
+const GRAMMAR: Grammar = Grammar::new("all", &[
+    Group::of(&[Opt::new(
+        "[--only NAMES]",
+        "run only these comma-separated harnesses (table1, fig3, fig4, fig5, fig6, fig7, fig8, \
+         fig10, ablation, extensions, sensitivity, dataflow)",
+    )]),
+    args::DEADLINE,
+    Group::of(&[Opt::new("[--help]", "print this usage and exit")]),
+])
+.positional(Opt::new(
+    "[COMMITS]",
+    "committed instructions per simulation (default: RF_COMMITS or 200000)",
+))
+.about(
+    "Runs the table/figure harnesses: answers the union of their plans in one
 simulation batch, writes each report under results/, appends one record
 to the run-history ledger results/history/suite.jsonl, and exits 1 if any
-harness failed or the sanitizer probe found a violation.
+harness failed or the sanitizer probe found a violation. A spec that
+overruns --deadline-secs fails, and with it every harness that planned it.
+",
+);
 
-arguments:
-  COMMITS             committed instructions per simulation
-                      (default: RF_COMMITS or 200000)
-  --only NAMES        run only these comma-separated harnesses (table1,
-                      fig3, fig4, fig5, fig6, fig7, fig8, fig10, ablation,
-                      extensions, sensitivity, dataflow)
-  --deadline-secs N   wall-clock budget for the suite's one simulation
-                      batch; overrunning specs fail, and with them the
-                      harnesses that planned them
-
-environment:
+const ENVIRONMENT: &str = "environment:
   RF_COMMITS      default commit budget
   RF_JOBS         parallel simulation workers (default: all cores)
   RF_STORE        1/on/true/yes enables the durable content-addressed
@@ -86,6 +87,15 @@ environment:
   RF_TELEMETRY_INTERVAL_MS
                   sampler period in milliseconds (default 250)";
 
+fn usage() -> String {
+    format!(
+        "{}\n{}\narguments:\n{}\n{ENVIRONMENT}",
+        GRAMMAR.synopsis("usage: all "),
+        GRAMMAR.about,
+        GRAMMAR.help()
+    )
+}
+
 /// Parsed command line.
 struct Args {
     commits: Option<u64>,
@@ -94,53 +104,32 @@ struct Args {
     deadline_secs: Option<f64>,
 }
 
-/// Parses the strict argument contract. `Ok(None)` means `--help` was
-/// printed; `Err` carries the usage-error message (exit 2).
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut commits = None;
-    let mut only: Option<Vec<String>> = None;
-    let mut deadline_secs = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--only" => {
-                let raw = args.next().ok_or_else(|| "--only needs a value".to_owned())?;
-                let names: Vec<String> = raw.split(',').map(str::to_owned).collect();
-                let unknown = |n: &&String| rf_experiments::suite::harness(n).is_none();
-                if let Some(bad) = names.iter().find(unknown) {
-                    return Err(format!("--only: unknown harness {bad:?}"));
-                }
-                only.get_or_insert_with(Vec::new).extend(names);
-            }
-            "--deadline-secs" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| "--deadline-secs needs a value".to_owned())?;
-                deadline_secs = Some(rf_experiments::runner::parse_deadline_secs(&raw)?);
-            }
-            _ if arg.starts_with('-') => {
-                return Err(format!("unknown option {arg:?}"));
-            }
-            _ => {
-                if commits.is_some() {
-                    return Err(format!("unexpected argument {arg:?}"));
-                }
-                let budget: u64 = arg.parse().map_err(|_| {
-                    format!("commit budget {arg:?} is not a non-negative integer")
-                })?;
-                commits = Some(budget);
-            }
-        }
+/// Checks the command line against [`GRAMMAR`]. `Ok(None)` means
+/// `--help` was printed; `Err` carries the usage-error message (exit 2).
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let a = GRAMMAR.parse(argv)?;
+    if a.has("--help") {
+        println!("{}", usage());
+        return Ok(None);
     }
-    let harnesses = HARNESSES
-        .iter()
-        .filter(|h| only.as_ref().is_none_or(|names| names.iter().any(|n| n == h.name)))
-        .collect();
-    Ok(Some(Args { commits, harnesses, deadline_secs }))
+    let only = a.get("--only", |_, raw| {
+        let names: Vec<&str> = raw.split(',').collect();
+        match names.iter().find(|n| rf_experiments::suite::harness(n).is_none()) {
+            Some(bad) => Err(format!("--only: unknown harness {bad:?}")),
+            None => Ok(names),
+        }
+    })?;
+    let commits = a.positional().map(|c| {
+        c.parse().map_err(|_| format!("commit budget {c:?} is not a non-negative integer"))
+    });
+    Ok(Some(Args {
+        commits: commits.transpose()?,
+        harnesses: HARNESSES
+            .iter()
+            .filter(|h| only.as_ref().is_none_or(|names| names.contains(&h.name)))
+            .collect(),
+        deadline_secs: a.get("--deadline-secs", |_, v| runner::parse_deadline_secs(v))?,
+    }))
 }
 
 /// The harness name RF_FAULT injects a panicking simulation into
@@ -236,11 +225,14 @@ fn reuse_audit<'p>(plan: &'p Plan, answers: &Answers) -> Option<(&'p RunSpec, bo
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    // `-h` is the one short spelling, of `--help`.
+    let argv: Vec<String> =
+        std::env::args().skip(1).map(|a| if a == "-h" { "--help".into() } else { a }).collect();
+    let args = match parse_args(&argv) {
         Ok(Some(args)) => args,
         Ok(None) => return ExitCode::SUCCESS,
         Err(message) => {
-            eprintln!("all: {message}\n{USAGE}");
+            eprintln!("all: {message}\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -390,4 +382,27 @@ fn run_suite(
             ExitCode::FAILURE
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_declared_option_parses_and_appears_in_usage() {
+        let usage = usage();
+        for opt in GRAMMAR.opts().chain(GRAMMAR.positional.iter()) {
+            let argv: Vec<String> = match opt.name() {
+                "COMMITS" => vec!["300".into()],
+                "--only" => vec!["--only".into(), "fig3,fig6".into()],
+                "--deadline-secs" => vec!["--deadline-secs".into(), "1.5".into()],
+                name => vec![name.into()],
+            };
+            assert!(parse_args(&argv).is_ok(), "{argv:?}");
+            assert!(usage.contains(opt.bare()), "usage lacks {}", opt.word);
+        }
+        let args = parse_args(&["--only".into(), "fig6,fig3".into()]).unwrap().unwrap();
+        let names: Vec<_> = args.harnesses.iter().map(|h| h.name).collect();
+        assert_eq!(names, ["fig3", "fig6"], "suite order, whatever the order given");
+    }
 }

@@ -48,6 +48,7 @@
 
 pub mod ablation;
 pub mod aggregate;
+pub mod args;
 pub mod bench;
 pub mod codec;
 pub mod dataflow;

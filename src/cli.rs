@@ -1,11 +1,17 @@
 //! Argument parsing for the `rfstudy` command-line simulator.
 //!
-//! Hand-rolled (no dependency) subcommand parser. See `main.rs` for the
-//! command implementations and `rfstudy help` for usage.
+//! Every subcommand declares its options once, as an
+//! [`rf_experiments::args::Grammar`]: one parser checks a command line
+//! against that table and [`usage`] renders the help from it. See
+//! `main.rs` for the command implementations and `rfstudy help` for
+//! usage.
 
 use rf_bpred::PredictorKind;
 use rf_core::{ExceptionModel, MachineConfig, RunSpec, SchedPolicy, DEFAULT_COMMITS, DEFAULT_SEED};
+use rf_experiments::args::{choice, Args, Grammar, Group, Opt, DEADLINE};
+use rf_experiments::runner::parse_deadline_secs;
 use rf_mem::CacheOrg;
+use rf_obs::trend::{Format, Mode};
 
 /// The workload seed `run`, `trace` and `record` default to, and the
 /// one `dataflow` always analyses.
@@ -22,20 +28,6 @@ pub enum TraceFormat {
     Summary,
 }
 
-impl TraceFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "chrome" => Ok(TraceFormat::Chrome),
-            "text" => Ok(TraceFormat::Text),
-            "summary" => Ok(TraceFormat::Summary),
-            other => Err(format!(
-                "unknown trace format {other:?} (expected chrome, text, or summary)"
-            )),
-        }
-    }
-}
-
 /// Output format of the `profile` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileFormat {
@@ -47,20 +39,6 @@ pub enum ProfileFormat {
     Text,
 }
 
-impl ProfileFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "flame" => Ok(ProfileFormat::Flame),
-            "json" => Ok(ProfileFormat::Json),
-            "text" => Ok(ProfileFormat::Text),
-            other => Err(format!(
-                "unknown profile format {other:?} (expected flame, json, or text)"
-            )),
-        }
-    }
-}
-
 /// Output format of the `model` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFormat {
@@ -68,17 +46,6 @@ pub enum ModelFormat {
     Text,
     /// JSON array of per-configuration estimate objects.
     Json,
-}
-
-impl ModelFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "text" => Ok(ModelFormat::Text),
-            "json" => Ok(ModelFormat::Json),
-            other => Err(format!("unknown model format {other:?} (expected text or json)")),
-        }
-    }
 }
 
 /// The check-style configuration matrix pinning shared by `check`,
@@ -143,21 +110,6 @@ pub enum StoreAction {
     /// Compact and additionally drop records written under a stale
     /// key-schema version.
     Gc,
-}
-
-impl StoreAction {
-    /// Parses the positional ACTION argument.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "stats" => Ok(StoreAction::Stats),
-            "verify" => Ok(StoreAction::Verify),
-            "compact" => Ok(StoreAction::Compact),
-            "gc" => Ok(StoreAction::Gc),
-            other => Err(format!(
-                "unknown store action {other:?} (expected stats, verify, compact, or gc)"
-            )),
-        }
-    }
 }
 
 /// A parsed command line.
@@ -306,63 +258,235 @@ pub enum Command {
     Help,
 }
 
-/// Parses the options of `run`, `trace` and `replay` into a spec of
-/// `bench`: [`RunSpec::baseline`] at seed [`RUN_SEED`] and `commits`,
-/// each option overriding one field, `--dq` defaulting to the baseline
-/// queue of the final `--width`. `own` lists the command's other
-/// options, which are skipped.
-fn parse_spec(
-    bench: &str,
-    commits: u64,
-    opts: &[(String, Option<String>)],
-    own: &[&str],
-) -> Result<RunSpec, String> {
-    let mut spec = RunSpec { seed: RUN_SEED, ..RunSpec::baseline(bench, 4).commits(commits) };
-    let mut dq = None;
-    for (opt, value) in opts.iter().filter(|(o, _)| !own.contains(&o.as_str())) {
-        let v = || value.as_deref().ok_or_else(|| format!("{opt} requires a value"));
-        match opt.as_str() {
-            "--width" => spec.width = size_num(opt, v()?)?,
-            "--dq" => dq = Some(size_num(opt, v()?)?),
-            "--regs" => spec.regs = size_num(opt, v()?)?,
-            "--commits" => spec.commits = parse_num(opt, v()?)?,
-            "--seed" => spec.seed = parse_num(opt, v()?)?,
-            "--exceptions" => spec.exceptions = parse_exceptions(v()?)?,
-            "--cache" => {
-                spec.cache = match v()? {
-                    "perfect" => CacheOrg::Perfect,
-                    "lockup" => CacheOrg::Lockup,
-                    "lockup-free" => CacheOrg::LockupFree,
-                    other => return Err(format!("unknown cache organisation {other:?}")),
-                }
-            }
-            "--sched" => {
-                spec.policy = match v()? {
-                    "oldest-first" => SchedPolicy::OldestFirst,
-                    "youngest-first" => SchedPolicy::YoungestFirst,
-                    other => return Err(format!("unknown scheduler policy {other:?}")),
-                }
-            }
-            "--predictor" => {
-                spec.predictor = match v()? {
-                    "bimodal" => PredictorKind::Bimodal,
-                    "gshare" => PredictorKind::Gshare,
-                    "combining" => PredictorKind::Combining,
-                    other => return Err(format!("unknown predictor {other:?}")),
-                }
-            }
-            "--split-queues" => spec.split_dq = true,
-            _ => return Err(format!("unknown option {opt:?}")),
-        }
-    }
-    spec.dq = dq.unwrap_or_else(|| RunSpec::baseline(bench, spec.width).dq);
-    Ok(spec)
-}
+const TRACE_FORMATS: [(&str, TraceFormat); 3] = [
+    ("chrome", TraceFormat::Chrome),
+    ("text", TraceFormat::Text),
+    ("summary", TraceFormat::Summary),
+];
+const PROFILE_FORMATS: [(&str, ProfileFormat); 3] =
+    [("flame", ProfileFormat::Flame), ("json", ProfileFormat::Json), ("text", ProfileFormat::Text)];
+const MODEL_FORMATS: [(&str, ModelFormat); 2] =
+    [("text", ModelFormat::Text), ("json", ModelFormat::Json)];
+const REPORT_FORMATS: [(&str, Format); 2] =
+    [("text", Format::Text), ("markdown", Format::Markdown)];
+const FIDELITY_MODES: [(&str, Mode); 3] =
+    [("gate", Mode::Gate), ("warn", Mode::Warn), ("off", Mode::Off)];
+const STORE_ACTIONS: [(&str, StoreAction); 4] = [
+    ("stats", StoreAction::Stats),
+    ("verify", StoreAction::Verify),
+    ("compact", StoreAction::Compact),
+    ("gc", StoreAction::Gc),
+];
+const EXCEPTION_MODELS: [(&str, ExceptionModel); 3] = [
+    ("precise", ExceptionModel::Precise),
+    ("imprecise", ExceptionModel::Imprecise),
+    ("alpha-hybrid", ExceptionModel::AlphaHybrid),
+];
+const CACHE_ORGS: [(&str, CacheOrg); 3] = [
+    ("perfect", CacheOrg::Perfect),
+    ("lockup", CacheOrg::Lockup),
+    ("lockup-free", CacheOrg::LockupFree),
+];
+const SCHED_POLICIES: [(&str, SchedPolicy); 2] =
+    [("oldest-first", SchedPolicy::OldestFirst), ("youngest-first", SchedPolicy::YoungestFirst)];
+const PREDICTORS: [(&str, PredictorKind); 3] = [
+    ("bimodal", PredictorKind::Bimodal),
+    ("gshare", PredictorKind::Gshare),
+    ("combining", PredictorKind::Combining),
+];
 
-/// Parses a `--width`, `--dq` or `--regs` value, `dataflow`'s
-/// `--window`, or the matrix commands' `--commits`: the one check every
-/// size passes, rejecting a size no machine, window or check can have (a
-/// zero width, queue, window or commit budget, fewer registers than
+const BENCH: Opt = Opt::new("--bench NAME", "benchmark (`rfstudy list` names them)");
+const SEED: Opt = Opt::new("[--seed N]", "workload seed (default 1; replay reads the file's)");
+const OUT: Opt = Opt::new("[--out FILE]", "write to FILE instead of stdout");
+
+/// The machine options of `run`, `trace` and `replay`.
+const MACHINE: Group = Group {
+    title: Some("machine options"),
+    opts: &[
+        Opt::new("[--width N]", "issue width (default 4, at least 1)"),
+        Opt::new("[--dq N]", "dispatch-queue entries (default 8 x width, at least 1)"),
+        Opt::new("[--regs N]", "registers per class (default 2048, at least 32)"),
+        Opt::new("[--exceptions MODEL]", "precise | imprecise | alpha-hybrid"),
+        Opt::new("[--cache ORG]", "perfect | lockup | lockup-free"),
+        Opt::new("[--sched POLICY]", "oldest-first | youngest-first"),
+        Opt::new("[--predictor KIND]", "bimodal | gshare | combining"),
+        Opt::new("[--split-queues]", "split the dispatch queue (extension)"),
+    ],
+};
+
+/// The matrix pins of `check`, `model` and `profile`.
+const MATRIX: Group = Group {
+    title: Some("matrix options"),
+    opts: &[
+        Opt::new("[--bench NAME]", "one benchmark (default all nine)"),
+        Opt::new("[--width N]", "one issue width (default 4 and 8, at least 1)"),
+        Opt::new("[--exceptions MODEL]", "one exception model (default precise and imprecise)"),
+        Opt::new("[--regs N]", "one register count (default 2048 and 64, at least 32)"),
+        Opt::new("[--commits N]", "commits per configuration (default RF_COMMITS or 10000)"),
+        Opt::new("[--seed N]", "workload seed (default 12)"),
+    ],
+};
+
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+static COMMANDS: [Grammar; 14] = [
+    Grammar::new("list", &[]),
+    Grammar::new("run", &[
+        Group::of(&[
+            BENCH,
+            Opt::new("[--commits N]", "instructions to commit (default 200000)"),
+            SEED,
+        ]),
+        DEADLINE,
+        MACHINE,
+    ])
+    .about(
+        "  the deadline also bounds the trace fill; a cancelled run's partial
+  statistics are discarded.
+",
+    ),
+    Grammar::new("trace", &[
+        Group::of(&[
+            BENCH,
+            Opt::new("[--commits N]", "instructions to commit (default 10000)"),
+            SEED,
+            Opt::new("[--format chrome|text|summary]", "export format (default summary)"),
+            Opt::new("[--window CYCLES]", "keep the last CYCLES cycles of detail (at least 1)"),
+            OUT,
+        ]),
+        MACHINE,
+    ])
+    .about(
+        "  chrome is Perfetto-loadable trace-event JSON, text a per-instruction
+  cycle timeline, summary the stall attribution and latency percentiles
+  reconciled against the simulator statistics. Aggregates always cover
+  the whole run.
+",
+    ),
+    Grammar::new("record", &[Group::of(&[
+        BENCH,
+        Opt::new("--out FILE", "trace file to write"),
+        Opt::new("[--count N]", "instructions to record (default 1000000)"),
+        Opt::new("[--seed N]", "workload seed"),
+    ])])
+    .about("  records the benchmark's workload at --seed N (default 1).\n"),
+    Grammar::new("replay", &[
+        Group::of(&[
+            Opt::new("--trace FILE", "trace file (it names the benchmark and seed)"),
+            Opt::new("[--commits N]", "instructions to commit (default 0: the whole trace)"),
+        ]),
+        MACHINE,
+    ]),
+    Grammar::new("check", &[MATRIX, DEADLINE]).about(
+        "  without options, checks all nine benchmarks at widths 4 and 8, precise
+  and imprecise exceptions, 2048 and 64 registers; each matrix option pins
+  one dimension. --seed defaults to 12. --deadline-secs bounds the whole
+  matrix. Exits non-zero if any invariant or static bound is violated.
+",
+    ),
+    Grammar::new("model", &[
+        MATRIX,
+        Group::of(&[
+            Opt::new("[--check]", "simulate every configuration and gate on the model's error"),
+            Opt::new("[--format text|json]", "one line per configuration, or a JSON array"),
+        ]),
+        DEADLINE,
+    ])
+    .about(
+        "  evaluates the static analytic model (rf-model) over the matrix of
+  `rfstudy check`, microseconds per configuration. With --check, every
+  configuration is also simulated: exits non-zero when the mean absolute
+  IPC error, any single configuration's error, or a register-pressure
+  bracket leaves the accepted bands. --deadline-secs bounds that batch.
+",
+    ),
+    Grammar::new("dataflow", &[Group::of(&[
+        BENCH,
+        Opt::new("[--window N]", "instruction i waits for i - N to finish (at least 1)"),
+        Opt::new("[--count N]", "instructions to analyse (default 200000)"),
+    ])])
+    .about(
+        "  prints the dataflow ILP limit (perfect prediction and memory,
+  unlimited units and registers; unbounded without --window) of the
+  benchmark's trace at the fixed seed 1, not
+  the suite's seed 12 that results/dataflow.txt analyses.
+",
+    ),
+    Grammar::new("report", &[Group::of(&[
+        Opt::new("[--ledger FILE]", "ledger to read (default results/history/suite.jsonl)"),
+        Opt::new("[--baseline REV]", "compare with the records of this git-revision prefix"),
+        Opt::new("[--window N]", "else the last N comparable runs' median (default 5, at least 1)"),
+        Opt::new("[--format text|markdown]", "aligned tables (default), or the same as pipes"),
+        OUT,
+        Opt::new("[--check]", "exit non-zero on a perf regression or a fidelity drift"),
+        Opt::new("[--max-regress-pct P]", "regression threshold (finite, >= 0, default 10)"),
+        Opt::new("[--fidelity gate|warn|off]", "gate on fidelity drift (default), warn, or skip"),
+    ])])
+    .about(
+        "  compares the latest record of the ledger the `all` suite binary
+  writes with a baseline, and scores its headlines against the paper.
+  The threshold is widened per harness by run-to-run noise. When records
+  carry rf-prof self-profiles, a profile-drift section tracks each span's
+  share of suite self time; like the analytic-model row, it only warns.
+",
+    ),
+    Grammar::new("profile", &[
+        MATRIX,
+        Group::of(&[
+            Opt::new("[--format flame|json|text]", "render format (default text)"),
+            Opt::new("[--top N]", "rows in the text table (default 20)"),
+            OUT,
+        ]),
+        DEADLINE,
+    ])
+    .about(
+        "  forces the rf-prof self-profiler on, runs the check matrix, and renders
+  where the wall time went: text is a table of the --top N hottest spans
+  plus a coverage line, flame is collapsed-stack text every standard
+  flamegraph renderer loads, json is the ledger's profile-tree encoding.
+  --deadline-secs bounds the wall time of the instrumented batch.
+",
+    ),
+    Grammar::new("top", &[Group::of(&[
+        Opt::new("[--file FILE]", "stream to follow (default results/telemetry/live.jsonl)"),
+        Opt::new("[--interval-ms N]", "refresh period (default 500, at least 1)"),
+        Opt::new("[--once]", "render a single frame and exit"),
+    ])])
+    .about(
+        "  attaches to the live telemetry stream a suite run started with
+  RF_TELEMETRY=1 writes and renders an in-place terminal view: per-worker
+  utilization bars, sims in flight / done / failed, commits per second,
+  cache hit rate, and the suite's specs answered of specs planned with an
+  ETA at the stream's own answer rate.
+",
+    ),
+    Grammar::new("store", &[Group::of(&[Opt::new(
+        "[--dir DIR]",
+        "store directory (default RF_STORE_DIR or results/store)",
+    )])])
+    .positional(Opt::new("ACTION", "an action: stats, verify, compact, or gc"))
+    .about(
+        "  operates on the durable content-addressed run store that suite runs
+  populate under RF_STORE=1. stats prints snapshot statistics: live
+  entries, records scanned, segments, bytes, torn/corrupt tails skipped,
+  the per-schema mix and the record-format mix (RFR1 records predate the
+  current RFR2 format). verify re-reads and checksums every live record
+  and exits 1 if any record fails. compact rewrites the store down to its
+  latest record per digest (dropping superseded writes and torn tails),
+  every record in the RFR2 format. gc additionally drops records written
+  under a stale key-schema version.
+",
+    ),
+    Grammar::new("timing", &[Group::of(&[Opt::new("[--width N]", "issue width (default 4)")])]),
+    Grammar::new("dump", &[Group::of(&[
+        Opt::new("--trace FILE", "trace file to print"),
+        Opt::new("[--count N]", "instructions to print (default 0: all)"),
+    ])]),
+];
+
+/// Parses a `--width`, `--dq`, `--regs`, `--window` or `--interval-ms`
+/// value: the one check every size passes, rejecting a size no machine,
+/// window or period can have (zero, or fewer registers than
 /// [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
 fn size_num(opt: &str, v: &str) -> Result<usize, String> {
     let n = parse_num(opt, v)?;
@@ -385,71 +509,71 @@ pub fn commit_budget(n: u64) -> Result<u64, String> {
     size_min("--commits", n)
 }
 
-fn parse_exceptions(v: &str) -> Result<ExceptionModel, String> {
-    match v {
-        "precise" => Ok(ExceptionModel::Precise),
-        "imprecise" => Ok(ExceptionModel::Imprecise),
-        "alpha-hybrid" => Ok(ExceptionModel::AlphaHybrid),
-        other => Err(format!("unknown exception model {other:?}")),
-    }
-}
-
 fn parse_num<T: std::str::FromStr>(opt: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid value {v:?} for {opt}"))
 }
 
-/// The `--bench` value, if given. The one check of a benchmark name: an
-/// unknown one is a usage error on every command that takes `--bench`.
-fn take_bench(opts: &[(String, Option<String>)]) -> Result<Option<String>, String> {
-    let bench = opts.iter().find(|(o, _)| o == "--bench").and_then(|(_, v)| v.clone());
-    if let Some(b) = &bench {
-        rf_workload::spec92::by_name(b).ok_or_else(|| format!("unknown benchmark {b:?}"))?;
-    }
-    Ok(bench)
+/// The one check of a benchmark name: an unknown one is a usage error on
+/// every command that takes `--bench`.
+fn bench(_: &str, v: &str) -> Result<String, String> {
+    rf_workload::spec92::by_name(v).ok_or_else(|| format!("unknown benchmark {v:?}"))?;
+    Ok(v.to_owned())
 }
 
-/// Parses the pinnable matrix dimensions of `check` / `profile` /
-/// `model` out of the collected option pairs.
-fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
-    let take = |name: &str| -> Option<String> {
-        opts.iter().find(|(o, _)| o == name).and_then(|(_, v)| v.clone())
-    };
-    Ok(MatrixPins {
-        bench: take_bench(opts)?,
-        width: take("--width").map(|v| size_num("--width", &v)).transpose()?,
-        exceptions: take("--exceptions").map(|v| parse_exceptions(&v)).transpose()?,
-        regs: take("--regs").map(|v| size_num("--regs", &v)).transpose()?,
-        commits: take("--commits")
-            .map(|v| parse_num("--commits", &v).and_then(commit_budget))
-            .transpose()?,
-        seed: take("--seed").map_or(Ok(DEFAULT_SEED), |v| parse_num("--seed", &v))?,
+fn text(_: &str, v: &str) -> Result<String, String> {
+    Ok(v.to_owned())
+}
+
+fn exceptions(_: &str, v: &str) -> Result<ExceptionModel, String> {
+    choice("exception model", v, &EXCEPTION_MODELS)
+}
+
+/// `opt`'s value, one of the `what` names of `table`, else `default`.
+fn pick<T: Copy>(
+    a: &Args,
+    opt: &str,
+    what: &str,
+    table: &[(&str, T)],
+    default: T,
+) -> Result<T, String> {
+    Ok(a.get(opt, |_, v| choice(what, v, table))?.unwrap_or(default))
+}
+
+/// The run of `run`, `trace` or `replay`: `bench`'s baseline at
+/// [`RUN_SEED`] and `commits`, each machine option overriding one field,
+/// `--dq` defaulting to the baseline queue of `--width`.
+fn machine_spec(a: &Args, bench: &str, commits: u64) -> Result<RunSpec, String> {
+    let base = RunSpec::baseline(bench, a.get("--width", size_num)?.unwrap_or(4));
+    Ok(RunSpec {
+        dq: a.get("--dq", size_num)?.unwrap_or(base.dq),
+        regs: a.get("--regs", size_num)?.unwrap_or(base.regs),
+        commits: a.get("--commits", parse_num)?.unwrap_or(commits),
+        exceptions: a.get("--exceptions", exceptions)?.unwrap_or(base.exceptions),
+        cache: pick(a, "--cache", "cache organisation", &CACHE_ORGS, base.cache)?,
+        policy: pick(a, "--sched", "scheduler policy", &SCHED_POLICIES, base.policy)?,
+        predictor: pick(a, "--predictor", "predictor", &PREDICTORS, base.predictor)?,
+        split_dq: a.has("--split-queues"),
+        seed: RUN_SEED,
+        ..base
     })
 }
 
-fn parse_report_format(v: &str) -> Result<rf_obs::trend::Format, String> {
-    match v {
-        "text" => Ok(rf_obs::trend::Format::Text),
-        "markdown" => Ok(rf_obs::trend::Format::Markdown),
-        other => Err(format!("unknown report format {other:?} (expected text or markdown)")),
-    }
+/// [`machine_spec`] of `--bench` at `--seed`.
+fn run_spec(a: &Args, commits: u64) -> Result<RunSpec, String> {
+    let spec = machine_spec(a, &a.req("--bench", bench)?, commits)?;
+    Ok(RunSpec { seed: a.get("--seed", parse_num)?.unwrap_or(spec.seed), ..spec })
 }
 
-fn parse_fidelity(v: &str) -> Result<rf_obs::trend::Mode, String> {
-    match v {
-        "gate" => Ok(rf_obs::trend::Mode::Gate),
-        "warn" => Ok(rf_obs::trend::Mode::Warn),
-        "off" => Ok(rf_obs::trend::Mode::Off),
-        other => Err(format!("unknown --fidelity mode {other:?} (expected gate, warn, or off)")),
-    }
-}
-
-/// The `--deadline-secs` value of `run`, `check`, `model` or `profile`.
-fn parse_deadline(opts: &[(String, Option<String>)]) -> Result<Option<f64>, String> {
-    opts.iter()
-        .find(|(o, _)| o == "--deadline-secs")
-        .and_then(|(_, v)| v.as_deref())
-        .map(rf_experiments::runner::parse_deadline_secs)
-        .transpose()
+/// The pinnable matrix dimensions of `check`, `profile` and `model`.
+fn pins(a: &Args) -> Result<MatrixPins, String> {
+    Ok(MatrixPins {
+        bench: a.get("--bench", bench)?,
+        width: a.get("--width", size_num)?,
+        exceptions: a.get("--exceptions", exceptions)?,
+        regs: a.get("--regs", size_num)?,
+        commits: a.get("--commits", |o, v| parse_num(o, v).and_then(commit_budget))?,
+        seed: a.get("--seed", parse_num)?.unwrap_or(DEFAULT_SEED),
+    })
 }
 
 /// Parses a full argument vector (without the program name).
@@ -459,320 +583,136 @@ fn parse_deadline(opts: &[(String, Option<String>)]) -> Result<Option<f64>, Stri
 /// Returns a human-readable message for unknown commands, options, or
 /// malformed values.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().map(String::as_str).peekable();
-    let cmd = match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
-        Some(c) => c,
-    };
-    // `store` is the one subcommand with a positional ACTION argument;
-    // grab it before the option loop (which rejects bare words).
-    let mut store_action: Option<String> = None;
-    if cmd == "store" {
-        if let Some(a) = it.peek() {
-            if !a.starts_with("--") {
-                store_action = it.next().map(str::to_owned);
-            }
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) if !matches!(cmd.as_str(), "help" | "--help" | "-h") => {
+            (cmd.as_str(), rest)
         }
-    }
-    // Collect option/value pairs.
-    let mut opts: Vec<(String, Option<String>)> = Vec::new();
-    while let Some(opt) = it.next() {
-        if !opt.starts_with("--") {
-            return Err(format!("unexpected argument {opt:?}"));
-        }
-        let value = if matches!(opt, "--split-queues" | "--check" | "--once") {
-            None
-        } else {
-            it.next().map(str::to_owned)
-        };
-        opts.push((opt.to_owned(), value));
-    }
-    let take = |name: &str, opts: &[(String, Option<String>)]| -> Option<String> {
-        opts.iter().find(|(o, _)| o == name).and_then(|(_, v)| v.clone())
+        _ => return Ok(Command::Help),
     };
-
-    match cmd {
-        "list" => Ok(Command::List),
+    let grammar = COMMANDS
+        .iter()
+        .find(|g| g.name == cmd)
+        .ok_or_else(|| format!("unknown command {cmd:?}; try `rfstudy help`"))?;
+    if cmd == "replay" && rest.iter().any(|w| w == "--seed") {
+        return Err("replay takes its seed from the trace file; --seed applies to record".into());
+    }
+    let a = grammar.parse(rest)?;
+    let out = || a.value("--out").map(str::to_owned);
+    let deadline_secs = || a.get("--deadline-secs", |_, v| parse_deadline_secs(v));
+    Ok(match cmd {
+        "list" => Command::List,
         "run" => {
-            let bench = take_bench(&opts)?.ok_or("run requires --bench")?;
-            Ok(Command::Run {
-                deadline_secs: parse_deadline(&opts)?,
-                spec: parse_spec(&bench, DEFAULT_COMMITS, &opts, &["--bench", "--deadline-secs"])?,
-            })
+            Command::Run { spec: run_spec(&a, DEFAULT_COMMITS)?, deadline_secs: deadline_secs()? }
         }
-        "trace" => {
-            let bench = take_bench(&opts)?.ok_or("trace requires --bench")?;
-            Ok(Command::Trace {
-                format: take("--format", &opts)
-                    .map_or(Ok(TraceFormat::Summary), |v| TraceFormat::parse(&v))?,
-                window: take("--window", &opts).map(|v| parse_num("--window", &v)).transpose()?,
-                out: take("--out", &opts),
-                spec: parse_spec(
-                    &bench,
-                    10_000,
-                    &opts,
-                    &["--bench", "--format", "--window", "--out"],
-                )?,
-            })
-        }
-        "record" => Ok(Command::Record {
-            bench: take_bench(&opts)?.ok_or("record requires --bench")?,
-            out: take("--out", &opts).ok_or("record requires --out")?,
-            count: take("--count", &opts).map_or(Ok(1_000_000), |v| parse_num("--count", &v))?,
-            seed: take("--seed", &opts).map_or(Ok(RUN_SEED), |v| parse_num("--seed", &v))?,
-        }),
+        "trace" => Command::Trace {
+            spec: run_spec(&a, 10_000)?,
+            format: pick(&a, "--format", "trace format", &TRACE_FORMATS, TraceFormat::Summary)?,
+            window: a.get("--window", size_num)?.map(|w| w as u64),
+            out: out(),
+        },
+        "record" => Command::Record {
+            bench: a.req("--bench", bench)?,
+            out: a.req("--out", text)?,
+            count: a.get("--count", parse_num)?.unwrap_or(1_000_000),
+            seed: a.get("--seed", parse_num)?.unwrap_or(RUN_SEED),
+        },
         "replay" => {
-            let trace = take("--trace", &opts).ok_or("replay requires --trace")?;
-            if opts.iter().any(|(o, _)| o == "--seed") {
-                return Err("replay takes its seed from the trace file; --seed applies to record"
-                    .into());
-            }
-            Ok(Command::Replay { spec: parse_spec("", 0, &opts, &["--trace"])?, trace })
+            Command::Replay { trace: a.req("--trace", text)?, spec: machine_spec(&a, "", 0)? }
         }
-        "check" => Ok(Command::Check {
-            pins: parse_pins(&opts)?,
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "model" => Ok(Command::Model {
-            pins: parse_pins(&opts)?,
-            check: opts.iter().any(|(o, _)| o == "--check"),
-            format: take("--format", &opts)
-                .map_or(Ok(ModelFormat::Text), |v| ModelFormat::parse(&v))?,
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "dataflow" => Ok(Command::Dataflow {
-            bench: take_bench(&opts)?.ok_or("dataflow requires --bench")?,
-            window: take("--window", &opts).map(|v| size_num("--window", &v)).transpose()?,
-            count: take("--count", &opts).map_or(Ok(200_000), |v| parse_num("--count", &v))?,
-        }),
+        "check" => Command::Check { pins: pins(&a)?, deadline_secs: deadline_secs()? },
+        "model" => Command::Model {
+            pins: pins(&a)?,
+            check: a.has("--check"),
+            format: pick(&a, "--format", "model format", &MODEL_FORMATS, ModelFormat::Text)?,
+            deadline_secs: deadline_secs()?,
+        },
+        "dataflow" => Command::Dataflow {
+            bench: a.req("--bench", bench)?,
+            window: a.get("--window", size_num)?,
+            count: a.get("--count", parse_num)?.unwrap_or(200_000),
+        },
+        // `trend` ignores the window once a baseline revision is pinned.
+        "report" if a.has("--baseline") && a.has("--window") => {
+            return Err("report takes --baseline REV or --window N, not both".into())
+        }
         "report" => {
-            const KNOWN: [&str; 8] = [
-                "--ledger", "--baseline", "--window", "--format", "--out", "--check",
-                "--max-regress-pct", "--fidelity",
-            ];
-            if let Some((o, _)) = opts.iter().find(|(o, _)| !KNOWN.contains(&o.as_str())) {
-                return Err(format!("unknown option {o:?} for report"));
-            }
+            let percent = |opt: &str, v: &str| {
+                parse_num(opt, v)
+                    .ok()
+                    .filter(|p: &f64| p.is_finite() && *p >= 0.0)
+                    .ok_or_else(|| format!("{opt} {v:?} is not a finite percentage >= 0"))
+            };
             let defaults = rf_obs::trend::Options::default();
-            let max_regress_pct = take("--max-regress-pct", &opts)
-                .map(|v| {
-                    parse_num("--max-regress-pct", &v)
-                        .ok()
-                        .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-                        .ok_or_else(|| {
-                            format!("--max-regress-pct {v:?} is not a finite percentage >= 0")
-                        })
-                })
-                .transpose()?;
-            Ok(Command::Report {
-                ledger: take("--ledger", &opts)
-                    .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
-                format: take("--format", &opts)
-                    .map_or(Ok(rf_obs::trend::Format::Text), |v| parse_report_format(&v))?,
-                out: take("--out", &opts),
-                check: opts.iter().any(|(o, _)| o == "--check"),
+            let fidelity =
+                pick(&a, "--fidelity", "--fidelity mode", &FIDELITY_MODES, defaults.fidelity)?;
+            Command::Report {
+                ledger: a.value("--ledger").unwrap_or(rf_obs::ledger::LEDGER_PATH).to_owned(),
+                format: pick(&a, "--format", "report format", &REPORT_FORMATS, Format::Text)?,
+                out: out(),
+                check: a.has("--check"),
                 opts: rf_obs::trend::Options {
-                    baseline: take("--baseline", &opts),
-                    window: take("--window", &opts)
-                        .map_or(Ok(defaults.window), |v| size_num("--window", &v))?,
-                    max_regress_pct: max_regress_pct.unwrap_or(defaults.max_regress_pct),
-                    fidelity: take("--fidelity", &opts)
-                        .map_or(Ok(defaults.fidelity), |v| parse_fidelity(&v))?,
+                    baseline: a.value("--baseline").map(str::to_owned),
+                    window: a.get("--window", size_num)?.unwrap_or(defaults.window),
+                    max_regress_pct: a
+                        .get("--max-regress-pct", percent)?
+                        .unwrap_or(defaults.max_regress_pct),
+                    fidelity,
                 },
-            })
-        }
-        "profile" => Ok(Command::Profile {
-            pins: parse_pins(&opts)?,
-            format: take("--format", &opts)
-                .map_or(Ok(ProfileFormat::Text), |v| ProfileFormat::parse(&v))?,
-            top: take("--top", &opts).map_or(Ok(20), |v| parse_num("--top", &v))?,
-            out: take("--out", &opts),
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "top" => {
-            if let Some((o, _)) = opts.iter().find(|(o, _)| {
-                !matches!(o.as_str(), "--file" | "--interval-ms" | "--once")
-            }) {
-                return Err(format!("unknown option {o:?} for top"));
             }
-            let interval_ms: u64 = take("--interval-ms", &opts)
-                .map_or(Ok(500), |v| parse_num("--interval-ms", &v))?;
-            if interval_ms == 0 {
-                return Err("--interval-ms must be a positive number of milliseconds".into());
-            }
-            Ok(Command::Top {
-                file: take("--file", &opts)
-                    .unwrap_or_else(|| rf_obs::live::LIVE_PATH.to_owned()),
-                interval_ms,
-                once: opts.iter().any(|(o, _)| o == "--once"),
-            })
         }
-        "store" => {
-            let action = store_action
-                .ok_or("store requires an action: stats, verify, compact, or gc")?;
-            Ok(Command::Store {
-                action: StoreAction::parse(&action)?,
-                dir: take("--dir", &opts),
-            })
-        }
-        "timing" => Ok(Command::Timing {
-            width: take("--width", &opts).map_or(Ok(4), |v| parse_num("--width", &v))?,
-        }),
-        "dump" => Ok(Command::Dump {
-            trace: take("--trace", &opts).ok_or("dump requires --trace")?,
-            count: take("--count", &opts).map_or(Ok(0), |v| parse_num("--count", &v))?,
-        }),
-        other => Err(format!("unknown command {other:?}; try `rfstudy help`")),
-    }
+        "profile" => Command::Profile {
+            pins: pins(&a)?,
+            format: pick(&a, "--format", "profile format", &PROFILE_FORMATS, ProfileFormat::Text)?,
+            top: a.get("--top", parse_num)?.unwrap_or(20),
+            out: out(),
+            deadline_secs: deadline_secs()?,
+        },
+        "top" => Command::Top {
+            file: a.value("--file").unwrap_or(rf_obs::live::LIVE_PATH).to_owned(),
+            interval_ms: a.get("--interval-ms", size_num)?.map_or(500, |ms| ms as u64),
+            once: a.has("--once"),
+        },
+        "store" => Command::Store {
+            action: choice("store action", a.positional().unwrap_or_default(), &STORE_ACTIONS)?,
+            dir: a.value("--dir").map(str::to_owned),
+        },
+        "timing" => Command::Timing { width: a.get("--width", size_num)?.unwrap_or(4) },
+        "dump" => Command::Dump {
+            trace: a.req("--trace", text)?,
+            count: a.get("--count", parse_num)?.unwrap_or(0),
+        },
+        _ => unreachable!("every command in COMMANDS has a builder"),
+    })
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-rfstudy — register-file design study simulator (HPCA'96 reproduction)
-
-USAGE:
-  rfstudy list
-  rfstudy run      --bench NAME [--commits N] [--deadline-secs S]
-                   [machine options]
-  rfstudy trace    --bench NAME [--commits N] [--format chrome|text|summary]
-                   [--window CYCLES] [--out FILE] [machine options]
-  rfstudy record   --bench NAME --out FILE [--count N] [--seed N (default 1)]
-  rfstudy replay   --trace FILE [--commits N] [machine options]
-  rfstudy check    [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N] [--deadline-secs S]
-  rfstudy model    [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N] [--check]
-                   [--format text|json] [--deadline-secs S]
-  rfstudy dataflow --bench NAME [--window N] [--count N]
-  rfstudy report   [--ledger FILE] [--baseline REV | --window N]
-                   [--format text|markdown] [--out FILE] [--check]
-                   [--max-regress-pct P] [--fidelity gate|warn|off]
-  rfstudy profile  [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N]
-                   [--format flame|json|text] [--top N] [--out FILE]
-                   [--deadline-secs S]
-  rfstudy top      [--file FILE] [--interval-ms N] [--once]
-  rfstudy store    stats|verify|compact|gc [--dir DIR]
-  rfstudy timing   [--width N]
-  rfstudy dump     --trace FILE [--count N]
-  rfstudy help
-
-MACHINE OPTIONS:
-  --width N             issue width (default 4, at least 1)
-  --dq N                dispatch-queue entries (default 8 x width, at least 1)
-  --regs N              physical registers per class (default 2048, at
-                        least 32)
-  --exceptions MODEL    precise | imprecise | alpha-hybrid
-  --cache ORG           perfect | lockup | lockup-free
-  --sched POLICY        oldest-first | youngest-first
-  --predictor KIND      bimodal | gshare | combining
-  --split-queues        split the dispatch queue (extension)
-  --seed N              workload seed (default 1; run and trace only:
-                        replay takes the benchmark and seed from the
-                        trace file)
-
-RUN OPTIONS:
-  --deadline-secs S     wall-clock budget in seconds for the trace fill
-                        and the simulation; an overrunning simulation is
-                        cancelled cooperatively (its partial statistics
-                        are discarded) and rfstudy exits 1
-
-TRACE OPTIONS:
-  --format FMT          chrome (Perfetto-loadable trace-event JSON),
-                        text (per-instruction cycle timeline), or
-                        summary (stall attribution + latency percentiles,
-                        reconciled against the simulator statistics)
-  --window CYCLES       keep only the last CYCLES cycles of per-instruction
-                        detail (aggregates always cover the whole run)
-  --out FILE            write the export to FILE instead of stdout
-
-CHECK OPTIONS:
-  without options, checks all nine benchmarks at widths 4 and 8, precise
-  and imprecise exceptions, 2048 and 64 registers; each option pins one
-  dimension (--width and --regs take the machine options' minimums).
-  --commits defaults to the RF_COMMITS environment variable, or 10000;
-  --seed defaults to 12. --deadline-secs bounds the wall time of the whole matrix
-  (an overrunning run is cancelled and rfstudy exits 1). Exits non-zero
-  if any invariant or static bound is violated.
-
-MODEL OPTIONS:
-  evaluates the static analytic model (rf-model) over the same pinnable
-  matrix as `rfstudy check` (--commits and --seed default as there) —
-  no simulation, microseconds per configuration. --format text (default) prints one line per
-  configuration; json prints an array of estimate objects. With
-  --check, every configuration is additionally simulated and the model
-  prediction is compared against the measurement: exits non-zero when
-  the mean absolute IPC error, any single configuration's error, or a
-  register-pressure bracket leaves the accepted bands. --deadline-secs
-  bounds the wall time of the --check simulation batch (overrunning
-  configurations fail and rfstudy exits 1).
-
-DATAFLOW OPTIONS:
-  prints the dataflow ILP limit (perfect prediction and memory,
-  unlimited units and registers) of the first --count instructions
-  (default 200000) of the benchmark's trace at the fixed seed 1, not
-  the suite's seed 12 that results/dataflow.txt analyses. --window N
-  (at least 1) makes instruction i wait for instruction i - N to
-  finish; without it the limit is unbounded.
-
-REPORT OPTIONS:
-  reads the run-history ledger written by the `all` suite binary
-  (default results/history/suite.jsonl) and compares the latest record
-  against a baseline: --baseline REV pins a git-revision prefix, else
-  the rolling median of the last --window comparable runs (default 5,
-  at least 1). Also scores the latest headline numbers against the
-  paper-fidelity targets. --format text (default) renders aligned
-  tables, markdown renders the same tables as pipes; --out FILE writes
-  the report instead of stdout. --check exits non-zero on a perf
-  regression beyond --max-regress-pct (a finite percentage >= 0,
-  default 10, widened per harness by run-to-run noise) or a fidelity
-  drift outside the accepted band (--fidelity warn reports drift
-  without gating, off skips it). When ledger records carry rf-prof
-  self-profiles, a profile-drift section tracks each span's share of
-  suite self time vs the baseline window; like the analytic-model
-  row, its out-of-band shifts only ever warn.
-
-PROFILE OPTIONS:
-  forces the rf-prof self-profiler on, runs the check matrix (same
-  pinnable dimensions as `rfstudy check`; --commits defaults to
-  RF_COMMITS or 10000, --seed to 12), and renders where the wall time went:
-  --format text (default) is a table of the --top N hottest spans
-  plus a coverage line, flame is collapsed-stack text every standard
-  flamegraph renderer loads, json is the ledger's profile-tree
-  encoding. --out FILE writes the rendering instead of stdout.
-  --deadline-secs bounds the wall time of the instrumented batch
-  (an overrunning run is cancelled and rfstudy exits 1).
-
-TOP OPTIONS:
-  attaches to the live telemetry stream a suite run started with
-  RF_TELEMETRY=1 writes (default results/telemetry/live.jsonl; --file
-  overrides) and renders an in-place terminal view: per-worker
-  utilization bars, sims in flight / done / failed, commits per second,
-  cache hit rate, and the suite's specs answered of specs planned with
-  an ETA at the stream's own answer rate. --interval-ms sets the
-  refresh period (default 500). --once renders a single frame and
-  exits — useful in scripts and CI.
-
-STORE OPTIONS:
-  operates on the durable content-addressed run store that suite runs
-  populate under RF_STORE=1 (--dir overrides the directory; default
-  RF_STORE_DIR or results/store). stats prints snapshot statistics:
-  live entries, records scanned, segments, bytes, torn/corrupt tails
-  skipped, the per-schema mix and the record-format mix (RFR1 records
-  predate the current RFR2 format). verify re-reads and checksums every
-  live record and exits 1 if any record fails. compact rewrites the
-  store down to its latest record per digest (dropping superseded
-  writes and torn tails), every record in the RFR2 format. gc
-  additionally drops records written under a stale key-schema version.
-
+/// Usage text: the synopsis and option lines rendered from the command
+/// grammars, each command's prose after its options.
+pub fn usage() -> String {
+    let mut text = String::from(
+        "rfstudy — register-file design study simulator (HPCA'96 reproduction)\n\nUSAGE:\n",
+    );
+    for g in &COMMANDS {
+        text += &g.synopsis(&format!("  rfstudy {:<8} ", g.name));
+    }
+    text += "  rfstudy help\n";
+    for group in [MACHINE, MATRIX] {
+        text += &format!("\n{}:\n{}", group.title.unwrap_or_default().to_uppercase(), group.help());
+    }
+    for g in COMMANDS.iter().filter(|g| !g.groups.is_empty()) {
+        let gap = if g.about.is_empty() { "" } else { "\n" };
+        text += &format!("\n{} OPTIONS:\n{}{gap}{}", g.name.to_uppercase(), g.help(), g.about);
+    }
+    text + "
 EXIT STATUS:
   0  success
   1  runtime failure (simulation error, sanitizer violation, failed
      check/report gate, store verification failure, exceeded
      --deadline-secs)
-  2  usage error (unknown command or option, malformed value or RF_*
-     variable, a `top` attach to a stream file that does not exist)
-";
+  2  usage error (an unknown command; an unknown, repeated or value-less
+     option; a malformed value or RF_* variable; a `top` attach to a
+     stream file that does not exist)
+"
+}
 
 #[cfg(test)]
 mod tests {
@@ -1070,7 +1010,7 @@ mod tests {
     #[test]
     fn parses_report_with_all_options() {
         match parse(&argv(
-            "report --ledger /tmp/l.jsonl --baseline abc123 --window 9 \
+            "report --ledger /tmp/l.jsonl --baseline abc123 \
              --format markdown --out /tmp/r.md --check \
              --max-regress-pct 25 --fidelity warn",
         ))
@@ -1079,7 +1019,6 @@ mod tests {
             Command::Report { ledger, format, out, check, opts } => {
                 assert_eq!(ledger, "/tmp/l.jsonl");
                 assert_eq!(opts.baseline.as_deref(), Some("abc123"));
-                assert_eq!(opts.window, 9);
                 assert_eq!(format, rf_obs::trend::Format::Markdown);
                 assert_eq!(out.as_deref(), Some("/tmp/r.md"));
                 assert!(check);
@@ -1093,6 +1032,10 @@ mod tests {
             ("report --fidelity maybe", "unknown --fidelity mode \"maybe\" (expected gate, warn, or off)"),
             ("report --window abc", "invalid value \"abc\" for --window"),
             ("report --window 0", "--window 0 is below the minimum of 1"),
+            (
+                "report --baseline abc --window 3",
+                "report takes --baseline REV or --window N, not both",
+            ),
             ("report --prom /tmp/r.prom", "unknown option \"--prom\" for report"),
             ("report --band-scale 3", "unknown option \"--band-scale\" for report"),
             ("report --profile-drift gate", "unknown option \"--profile-drift\" for report"),
@@ -1268,17 +1211,120 @@ mod tests {
 
     #[test]
     fn usage_lists_every_subcommand() {
+        let usage = usage();
         for sub in [
             "list", "run", "trace", "record", "replay", "check", "model", "dataflow",
             "report", "profile", "top", "store", "timing", "dump",
         ] {
-            assert!(USAGE.contains(&format!("rfstudy {sub}")), "usage missing {sub}");
+            assert!(usage.contains(&format!("rfstudy {sub}")), "usage missing {sub}");
         }
-        assert!(USAGE.contains(&format!("--seed N (default {RUN_SEED})")));
-        assert!(USAGE.contains(&format!("workload seed (default {RUN_SEED};")));
-        assert!(USAGE.contains(&format!("--seed defaults to {DEFAULT_SEED}.")));
+        assert!(usage.contains(&format!("--seed N (default {RUN_SEED})")));
+        assert!(usage.contains(&format!("workload seed (default {RUN_SEED};")));
+        assert!(usage.contains(&format!("--seed defaults to {DEFAULT_SEED}.")));
         let dataflow_seeds = format!("fixed seed {RUN_SEED}, not\n  the suite's seed {DEFAULT_SEED}");
-        assert!(USAGE.contains(&dataflow_seeds));
+        assert!(usage.contains(&dataflow_seeds));
+    }
+
+    /// `opt` as a command line gives it: a value `--name META` accepts is
+    /// the first alternative of a choice metavar, else a sample of its kind.
+    fn words(opt: &Opt) -> Vec<String> {
+        let (name, meta) = opt.bare().split_once(' ').unwrap_or((opt.bare(), ""));
+        let value = match meta {
+            m if m.contains('|') => m.split('|').next().unwrap(),
+            "" => return vec![name.to_owned()],
+            "NAME" => "compress",
+            "MODEL" => "imprecise",
+            "ORG" => "perfect",
+            "POLICY" => "youngest-first",
+            "KIND" => "gshare",
+            _ => "64",
+        };
+        vec![name.to_owned(), value.to_owned()]
+    }
+
+    /// The shortest valid command line of `g` (its name, its required
+    /// positional argument and its required options), less `skip`.
+    fn minimal(g: &'static Grammar, skip: Option<&str>) -> Vec<String> {
+        let positional = g.positional.iter().map(|_| "stats".to_owned());
+        let required = g.opts().filter(|o| o.required() && Some(o.name()) != skip);
+        let words = positional.chain(required.flat_map(words));
+        std::iter::once(g.name.to_owned()).chain(words).collect()
+    }
+
+    #[test]
+    fn every_declared_option_parses_and_appears_in_usage() {
+        let usage = usage();
+        for g in &COMMANDS {
+            assert!(parse(&minimal(g, None)).is_ok(), "{:?}", minimal(g, None));
+            for opt in g.opts() {
+                let line = [minimal(g, Some(opt.name())), words(opt)].concat();
+                assert!(parse(&line).is_ok(), "{line:?}: {:?}", parse(&line));
+                assert!(usage.contains(opt.bare()), "usage lacks {} of {}", opt.word, g.name);
+                if opt.required() {
+                    let err = parse(&minimal(g, Some(opt.name()))).unwrap_err();
+                    assert_eq!(err, format!("{} requires {}", g.name, opt.name()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_repeated_and_value_less_options_are_rejected_on_every_command() {
+        for g in &COMMANDS {
+            let line = [minimal(g, None), argv("--bogus 1")].concat();
+            let unknown = format!("unknown option \"--bogus\" for {}", g.name);
+            assert_eq!(parse(&line).unwrap_err(), unknown);
+            for opt in g.opts() {
+                let line = [minimal(g, Some(opt.name())), words(opt), words(opt)].concat();
+                let repeated = format!("repeated option {:?} for {}", opt.name(), g.name);
+                assert_eq!(parse(&line).unwrap_err(), repeated);
+                if opt.takes_value() {
+                    let line = [minimal(g, Some(opt.name())), vec![opt.name().to_owned()]].concat();
+                    let value_less = format!("{} requires a value", opt.name());
+                    assert_eq!(parse(&line).unwrap_err(), value_less);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_choice_appears_in_usage() {
+        let usage = usage();
+        let tables: [&[&str]; 10] = [
+            &TRACE_FORMATS.map(|(n, _)| n),
+            &PROFILE_FORMATS.map(|(n, _)| n),
+            &MODEL_FORMATS.map(|(n, _)| n),
+            &REPORT_FORMATS.map(|(n, _)| n),
+            &FIDELITY_MODES.map(|(n, _)| n),
+            &STORE_ACTIONS.map(|(n, _)| n),
+            &EXCEPTION_MODELS.map(|(n, _)| n),
+            &CACHE_ORGS.map(|(n, _)| n),
+            &SCHED_POLICIES.map(|(n, _)| n),
+            &PREDICTORS.map(|(n, _)| n),
+        ];
+        for name in tables.into_iter().flatten() {
+            assert!(usage.contains(name), "usage lacks {name}");
+        }
+        for (cmd, what, expected) in [
+            ("--exceptions", "exception model", "precise, imprecise, or alpha-hybrid"),
+            ("--cache", "cache organisation", "perfect, lockup, or lockup-free"),
+            ("--sched", "scheduler policy", "oldest-first or youngest-first"),
+            ("--predictor", "predictor", "bimodal, gshare, or combining"),
+        ] {
+            let err = parse(&argv(&format!("run --bench ora {cmd} x"))).unwrap_err();
+            assert_eq!(err, format!("unknown {what} \"x\" (expected {expected})"));
+        }
+    }
+
+    #[test]
+    fn sizes_no_machine_or_window_can_have_are_rejected() {
+        for (cmd, err) in [
+            ("timing --width 0", "--width 0 is below the minimum of 1"),
+            ("trace --bench ora --window 0", "--window 0 is below the minimum of 1"),
+            ("top --interval-ms 0", "--interval-ms 0 is below the minimum of 1"),
+        ] {
+            assert_eq!(parse(&argv(cmd)).unwrap_err(), err, "{cmd}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", cli::USAGE);
+            eprintln!("{}", cli::usage());
             return ExitCode::from(2);
         }
     };
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
     // does; every other command first parses the run configuration, so
     // a malformed `RF_*` knob is a usage error before any work.
     if cmd == Command::Help {
-        println!("{}", cli::USAGE);
+        println!("{}", cli::usage());
         return ExitCode::SUCCESS;
     }
     let cfg = match rf_experiments::runner::init_config() {

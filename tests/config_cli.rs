@@ -81,7 +81,7 @@ fn rf_sanitize_switches_the_run_sanitizer() {
 fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
     // A matrix command's zero commit budget is one too: its check would
     // see no cycle.
-    let rows: [(&[&str], &str); 13] = [
+    let rows: [(&[&str], &str); 15] = [
         (&["run", "--bench", "gcc1", "--regs", "16"], "--regs 16"),
         (&["run", "--bench", "gcc1", "--width", "0"], "--width 0"),
         (&["run", "--bench", "gcc1", "--dq", "0"], "--dq 0"),
@@ -95,6 +95,8 @@ fn a_machine_size_no_machine_can_have_is_a_usage_error_on_every_command() {
         (&["model", "--check", "--bench", "compress", "--commits", "0"], "--commits 0"),
         (&["profile", "--bench", "compress", "--commits", "0"], "--commits 0"),
         (&["dataflow", "--bench", "gcc1", "--window", "0"], "--window 0"),
+        (&["trace", "--bench", "gcc1", "--window", "0"], "--window 0"),
+        (&["timing", "--width", "0"], "--width 0"),
     ];
     for (args, opt) in rows {
         let out = rfstudy("RF_COMMITS", "1000", args);
