@@ -21,6 +21,11 @@ pub enum PredictorKind {
     Combining,
 }
 
+impl PredictorKind {
+    /// Every kind, in the order the CLI lists them.
+    pub const ALL: [Self; 3] = [Self::Bimodal, Self::Gshare, Self::Combining];
+}
+
 impl std::fmt::Display for PredictorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -12,8 +12,7 @@
 //! Recycling is invisible to the simulation: every constructor that
 //! accepts recycled buffers clears them first, so a pipeline built from
 //! the pool is byte-for-byte equivalent to one built from fresh
-//! allocations (the run cost shows up only in the `profile-alloc`
-//! counters). Buffers are recycled only when a run completes normally —
+//! allocations (the saving shows up only in time and memory). Buffers are recycled only when a run completes normally —
 //! a panicked or cancelled pipeline drops its state, preserving the
 //! fault-isolation rule that a poisoned run leaks nothing into later
 //! ones.

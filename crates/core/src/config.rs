@@ -35,6 +35,11 @@ pub enum ExceptionModel {
     AlphaHybrid,
 }
 
+impl ExceptionModel {
+    /// Every model, in the order the CLI lists them.
+    pub const ALL: [Self; 3] = [Self::Precise, Self::Imprecise, Self::AlphaHybrid];
+}
+
 impl fmt::Display for ExceptionModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -58,6 +63,11 @@ pub enum SchedPolicy {
     OldestFirst,
     /// Greedy youngest-first (ablation).
     YoungestFirst,
+}
+
+impl SchedPolicy {
+    /// Every policy, in the order the CLI lists them.
+    pub const ALL: [Self; 2] = [Self::OldestFirst, Self::YoungestFirst];
 }
 
 impl fmt::Display for SchedPolicy {

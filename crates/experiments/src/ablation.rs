@@ -11,11 +11,6 @@ use crate::table::Table;
 use rf_bpred::PredictorKind;
 use rf_core::{SchedPolicy, SimStats};
 
-/// Scheduler selection policies compared.
-const POLICIES: [SchedPolicy; 2] = [SchedPolicy::OldestFirst, SchedPolicy::YoungestFirst];
-/// Branch predictors compared.
-const PREDICTORS: [PredictorKind; 3] =
-    [PredictorKind::Bimodal, PredictorKind::Gshare, PredictorKind::Combining];
 /// Dispatch-queue insertion bandwidths compared.
 const INSERT_BW: [usize; 3] = [4, 6, 8];
 
@@ -31,10 +26,10 @@ fn suite(configure: impl Fn(RunSpec) -> RunSpec, scale: &Scale) -> Vec<RunSpec> 
 /// Every ablation's suite, in report order.
 pub fn plan(scale: &Scale) -> Vec<RunSpec> {
     let mut specs = Vec::new();
-    for policy in POLICIES {
+    for policy in SchedPolicy::ALL {
         specs.extend(suite(|c| c.policy(policy), scale));
     }
-    for kind in PREDICTORS {
+    for kind in PredictorKind::ALL {
         specs.extend(suite(|c| c.predictor(kind), scale));
     }
     for bw in INSERT_BW {
@@ -53,7 +48,7 @@ pub fn render(scale: &Scale, answers: &Answers) -> String {
 
     out.push_str("Scheduler selection policy\n");
     let mut t = Table::new(vec!["policy", "avg issue IPC", "avg commit IPC"]);
-    for policy in POLICIES {
+    for policy in SchedPolicy::ALL {
         let runs = runs(&|c| c.policy(policy));
         t.row(vec![
             policy.to_string(),
@@ -65,7 +60,7 @@ pub fn render(scale: &Scale, answers: &Answers) -> String {
 
     out.push_str("\nBranch predictor (paper: McFarling combining, 12 Kbit)\n");
     let mut t = Table::new(vec!["predictor", "avg mispredict %", "avg commit IPC"]);
-    for kind in PREDICTORS {
+    for kind in PredictorKind::ALL {
         let runs = runs(&|c| c.predictor(kind));
         t.row(vec![
             kind.to_string(),

@@ -1,56 +1,117 @@
 //! One command grammar for the `rfstudy` subcommands and the suite binary
-//! `all`. Each command declares its options once, as a [`Grammar`]; one
-//! parser checks a command line against it and the usage text is rendered
-//! from it. On every command an undeclared, repeated or value-less option,
-//! a missing required option and a surplus positional argument are usage
-//! errors, on which both binaries exit 2.
+//! `all`. Each command declares its options once, as a [`Grammar`]: each
+//! option with its help line, its default and the values it accepts. One
+//! parser checks a command line against it, reads the defaults from it,
+//! and the usage text is rendered from it. On every command an
+//! undeclared, repeated or value-less option, a missing required option
+//! and a surplus positional argument are usage errors, on which both
+//! binaries exit 2, and `--help` asks for the usage.
+
+use std::fmt::Display;
 
 /// Column the help text of an option line starts at.
 const HELP_COLUMN: usize = 24;
 /// Column usage lines wrap before.
 const WIDTH: usize = 78;
 
+/// A closed set of values named by their `Display`, such as a machine
+/// enum's `ALL` or the suite's harnesses.
+pub trait Choices: Sync {
+    /// The names, in declaration order.
+    fn names(&self) -> Vec<String>;
+}
+
+impl<T: Display + Sync, const N: usize> Choices for [T; N] {
+    fn names(&self) -> Vec<String> {
+        self.iter().map(T::to_string).collect()
+    }
+}
+
 /// One declared option, written as a synopsis shows it: `--once` is a
 /// flag, `--width N` takes a value, and brackets make it optional. A
-/// positional argument is declared by its metavar (`ACTION`, `[COMMITS]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// positional argument is declared by its metavar (`ACTION`, `[COMMITS]`),
+/// an environment knob by its variable (`RF_JOBS`).
+///
+/// The word and the help line may show the declaration's facts through
+/// placeholders: `{default}` is the default, and `{a|b}`, `{a | b}`,
+/// `{a, b}` and `{a, b, or c}` are the choices joined that way.
+#[derive(Clone, Copy)]
 pub struct Opt {
     /// The synopsis word, such as `[--width N]`.
     pub word: &'static str,
     /// The help line.
     pub help: &'static str,
+    /// The value [`Args::req`] reads when the option is not given.
+    pub default: Option<&'static (dyn Display + Sync)>,
+    /// The values the option accepts, for the usage text.
+    pub choices: Option<&'static dyn Choices>,
 }
 
 impl Opt {
     /// Declares `word` with its help line.
     pub const fn new(word: &'static str, help: &'static str) -> Self {
-        Opt { word, help }
+        Opt { word, help, default: None, choices: None }
     }
 
-    /// The word without its brackets, as a help line shows it.
-    pub fn bare(&self) -> &'static str {
-        self.word.trim_start_matches('[').trim_end_matches(']')
+    /// With the default `value`.
+    pub const fn default(self, value: &'static (dyn Display + Sync)) -> Self {
+        Opt { default: Some(value), ..self }
+    }
+
+    /// With the accepted values `all`.
+    pub const fn choices(self, all: &'static dyn Choices) -> Self {
+        Opt { choices: Some(all), ..self }
+    }
+
+    /// `text` with the placeholders filled in.
+    fn render(&self, text: &str) -> String {
+        let names = self.choices.map_or_else(Vec::new, |c| c.names());
+        let default = self.default.map_or_else(String::new, |d| d.to_string());
+        text.replace("{default}", &default)
+            .replace("{a|b}", &names.join("|"))
+            .replace("{a | b}", &names.join(" | "))
+            .replace("{a, b}", &names.join(", "))
+            .replace("{a, b, or c}", &one_of(&names))
+    }
+
+    /// The word as a help line shows it: rendered, without its brackets.
+    pub fn shown(&self) -> String {
+        self.render(self.word.trim_start_matches('[').trim_end_matches(']'))
     }
 
     /// The option as typed, such as `--width`, or a positional's metavar.
     pub fn name(&self) -> &'static str {
-        self.bare().split(' ').next().unwrap_or_default()
+        self.word.trim_start_matches('[').split([' ', ']']).next().unwrap_or_default()
     }
 
     /// Whether the option takes a value.
     pub fn takes_value(&self) -> bool {
-        self.bare().contains(' ')
+        self.word.contains(' ')
     }
 
     /// Whether the command cannot run without it.
     pub fn required(&self) -> bool {
         !self.word.starts_with('[')
     }
+
+    /// `  word    help`, the help starting at `column` and wrapped as wide
+    /// as an option's; a word too long for its column gets a line of its
+    /// own.
+    pub fn help_line(&self, column: usize) -> String {
+        let word = self.shown();
+        let lead = if word.len() + 4 > column {
+            format!("  {word}\n{:column$}", "")
+        } else {
+            format!("  {word:<w$}", w = column - 2)
+        };
+        let help = self.render(self.help);
+        wrap(&lead, help.split(' ').map(str::to_owned), WIDTH - HELP_COLUMN + column)
+    }
 }
 
 /// Options shared by several commands. A titled group is one `[title]`
 /// word in a synopsis and gets its own help section.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct Group {
     /// The section title, if any.
     pub title: Option<&'static str>,
@@ -66,7 +127,7 @@ impl Group {
 
     /// One help line per option.
     pub fn help(&self) -> String {
-        self.opts.iter().map(help_line).collect()
+        self.opts.iter().map(|o| o.help_line(HELP_COLUMN)).collect()
     }
 }
 
@@ -77,7 +138,7 @@ pub const DEADLINE: Group = Group::of(&[Opt::new(
 )]);
 
 /// One command's declaration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct Grammar {
     /// The command's name.
     pub name: &'static str,
@@ -110,25 +171,32 @@ impl Grammar {
         self.groups.iter().flat_map(|g| g.opts)
     }
 
-    fn opt(&self, name: &str) -> Option<&'static Opt> {
-        self.opts().find(|o| o.name() == name)
+    /// The option or positional argument `name`.
+    fn opt(&self, name: &str) -> Option<&Opt> {
+        let positional = self.positional.as_ref().filter(|p| p.name() == name);
+        self.opts().find(|o| o.name() == name).or(positional)
     }
 
     /// Checks the words after the command's name, or returns the usage
     /// error; an unknown option is reported before any other fault.
-    pub fn parse(&self, argv: &[String]) -> Result<Args<'_>, String> {
+    /// `Ok(None)` means `--help` is among the words: the caller prints
+    /// the usage instead.
+    pub fn parse(&self, argv: &[String]) -> Result<Option<Args<'_>>, String> {
         let name = self.name;
+        if argv.iter().any(|w| w == "--help") {
+            return Ok(None);
+        }
         if let Some(bad) = argv.iter().find(|w| w.starts_with("--") && self.opt(w).is_none()) {
             return Err(format!("unknown option {bad:?} for {name}"));
         }
-        let mut args = Args { grammar: self, given: Vec::new(), positional: None };
+        let mut args = Args { grammar: self, given: Vec::new() };
         let mut words = argv.iter();
         while let Some(word) = words.next() {
-            let Some(opt) = self.opt(word) else {
-                if self.positional.is_none() || args.positional.is_some() {
-                    return Err(format!("unexpected argument {word:?} for {name}"));
+            let Some(opt) = self.opt(word).filter(|o| o.name().starts_with("--")) else {
+                match self.positional {
+                    Some(p) if !args.has(p.name()) => args.given.push((p.name(), word.clone())),
+                    _ => return Err(format!("unexpected argument {word:?} for {name}")),
                 }
-                args.positional = Some(word.clone());
                 continue;
             };
             if args.has(opt.name()) {
@@ -144,12 +212,12 @@ impl Grammar {
             };
             args.given.push((opt.name(), value));
         }
-        if let Some(p) = self.positional.filter(|p| p.required() && args.positional.is_none()) {
-            return Err(format!("{name} requires {}", p.help));
+        if let Some(p) = self.positional.filter(|p| p.required() && !args.has(p.name())) {
+            return Err(format!("{name} requires {}", p.render(p.help)));
         }
         match self.opts().find(|o| o.required() && !args.has(o.name())) {
             Some(missing) => Err(format!("{name} requires {}", missing.name())),
-            None => Ok(args),
+            None => Ok(Some(args)),
         }
     }
 
@@ -158,24 +226,23 @@ impl Grammar {
     pub fn synopsis(&self, lead: &str) -> String {
         let groups = self.groups.iter().flat_map(|g| match g.title {
             Some(title) => vec![format!("[{title}]")],
-            None => g.opts.iter().map(|o| o.word.to_owned()).collect(),
+            None => g.opts.iter().map(|o| o.render(o.word)).collect(),
         });
-        wrap(lead, self.positional.iter().map(|p| p.word.to_owned()).chain(groups))
+        wrap(lead, self.positional.iter().map(|p| p.word.to_owned()).chain(groups), WIDTH)
     }
 
     /// Help lines for the positional argument and the untitled groups.
     pub fn help(&self) -> String {
         let untitled = self.groups.iter().filter(|g| g.title.is_none()).flat_map(|g| g.opts);
-        self.positional.iter().chain(untitled).map(help_line).collect()
+        self.positional.iter().chain(untitled).map(|o| o.help_line(HELP_COLUMN)).collect()
     }
 }
 
 /// A command line checked against its [`Grammar`].
-#[derive(Debug)]
 pub struct Args<'g> {
     grammar: &'g Grammar,
+    /// The options and the positional argument given, by name.
     given: Vec<(&'static str, String)>,
-    positional: Option<String>,
 }
 
 impl Args<'_> {
@@ -199,56 +266,68 @@ impl Args<'_> {
         self.value(name).map(|v| parse(name, v)).transpose()
     }
 
-    /// A required option's value converted by `parse(name, value)`.
-    pub fn req<'a, T>(
-        &'a self,
+    /// The option's value, else its declared default, converted by
+    /// `parse(name, value)`; an option with neither is missing.
+    pub fn req<T>(
+        &self,
         name: &str,
-        parse: impl FnOnce(&str, &'a str) -> Result<T, String>,
+        parse: impl FnOnce(&str, &str) -> Result<T, String>,
     ) -> Result<T, String> {
-        self.get(name, parse)?.ok_or_else(|| format!("{} requires {name}", self.grammar.name))
-    }
-
-    /// The positional argument, if one was given.
-    pub fn positional(&self) -> Option<&str> {
-        self.positional.as_deref()
+        let default = self.grammar.opt(name).and_then(|o| o.default).map(|d| d.to_string());
+        match self.value(name).or(default.as_deref()) {
+            Some(v) => parse(name, v),
+            None => Err(format!("{} requires {name}", self.grammar.name)),
+        }
     }
 }
 
-/// Looks `v` up in a table of named values, or says
+/// A parser of one of `all`'s names, or of the error
 /// `unknown <what> "<v>" (expected a, b, or c)`.
-pub fn choice<T: Copy>(what: &str, v: &str, table: &[(&str, T)]) -> Result<T, String> {
-    if let Some(&(_, t)) = table.iter().find(|(name, _)| *name == v) {
-        return Ok(t);
+pub fn choice<T: Copy + Display>(
+    what: &'static str,
+    all: &'static [T],
+) -> impl Fn(&str, &str) -> Result<T, String> {
+    move |_, v| match all.iter().find(|t| t.to_string() == v) {
+        Some(&t) => Ok(t),
+        None => {
+            let names: Vec<String> = all.iter().map(T::to_string).collect();
+            Err(format!("unknown {what} {v:?} (expected {})", one_of(&names)))
+        }
     }
-    let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
-    let expected = match names.split_last() {
+}
+
+/// `n` if it is at least `min`, else the usage error naming `opt`.
+pub fn at_least(opt: &str, n: u64, min: u64) -> Result<u64, String> {
+    match n {
+        n if n < min => Err(format!("{opt} {n} is below the minimum of {min}")),
+        n => Ok(n),
+    }
+}
+
+/// Checks a commit budget: from `all`'s argument, from `rfstudy check`,
+/// `model` or `profile`'s `--commits`, or from `RF_COMMITS` for either.
+/// A run of no commits has nothing to report, check or model.
+pub fn commit_budget(n: u64) -> Result<u64, String> {
+    at_least("--commits", n, 1)
+}
+
+/// `a`, `a or b`, `a, b, or c`.
+fn one_of(names: &[String]) -> String {
+    match names.split_last() {
         Some((last, [one])) => format!("{one} or {last}"),
-        Some((last, init)) => format!("{}, or {last}", init.join(", ")),
-        None => String::new(),
-    };
-    Err(format!("unknown {what} {v:?} (expected {expected})"))
+        Some((last, init)) if !init.is_empty() => format!("{}, or {last}", init.join(", ")),
+        _ => names.join(""),
+    }
 }
 
-/// `  --width N             help`, the help wrapped at [`HELP_COLUMN`]; a
-/// word too long for its column gets a line of its own.
-fn help_line(opt: &Opt) -> String {
-    let word = opt.bare();
-    let lead = if word.len() + 4 > HELP_COLUMN {
-        format!("  {word}\n{:HELP_COLUMN$}", "")
-    } else {
-        format!("  {word:<w$}", w = HELP_COLUMN - 2)
-    };
-    wrap(&lead, opt.help.split(' ').map(str::to_owned))
-}
-
-/// `lead` then `words`, wrapped before [`WIDTH`] with continuation lines
+/// `lead` then `words`, wrapped before `width` with continuation lines
 /// indented to the width of `lead`'s last line.
-fn wrap(lead: &str, words: impl IntoIterator<Item = String>) -> String {
+fn wrap(lead: &str, words: impl IntoIterator<Item = String>, width: usize) -> String {
     let indent = lead.rsplit('\n').next().unwrap_or(lead).chars().count();
     let (mut out, mut col) = (lead.to_owned(), indent);
     for word in words {
         let n = word.chars().count();
-        if col > indent && col + 1 + n > WIDTH {
+        if col > indent && col + 1 + n > width {
             out += &format!("\n{:indent$}", "");
             col = indent;
         } else if col > indent {
@@ -266,10 +345,13 @@ fn wrap(lead: &str, words: impl IntoIterator<Item = String>) -> String {
 mod tests {
     use super::*;
 
+    const FORMATS: [&str; 2] = ["text", "json"];
+
     const TOP: Grammar = Grammar::new(
         "top",
         &[Group::of(&[
-            Opt::new("[--file FILE]", "stream to follow"),
+            Opt::new("[--file FILE]", "stream to follow (default {default})").default(&"live.jsonl"),
+            Opt::new("[--format {a|b}]", "one of {a, b, or c}").choices(&FORMATS),
             Opt::new("[--once]", "render one frame and exit"),
         ])],
     );
@@ -280,10 +362,9 @@ mod tests {
 
     #[test]
     fn parse_checks_a_command_line_against_the_table() {
-        let args = TOP.parse(&argv("--once --file live.jsonl")).unwrap();
+        let args = TOP.parse(&argv("--once --file live.jsonl")).unwrap().unwrap();
         assert!(args.has("--once"));
         assert_eq!(args.value("--file"), Some("live.jsonl"));
-        assert_eq!(args.positional(), None);
         for (line, err) in [
             ("--once --bogus", "unknown option \"--bogus\" for top"),
             ("--file --bogus", "unknown option \"--bogus\" for top"),
@@ -292,38 +373,67 @@ mod tests {
             ("--file --once", "--file requires a value"),
             ("extra", "unexpected argument \"extra\" for top"),
         ] {
-            assert_eq!(TOP.parse(&argv(line)).unwrap_err(), err, "{line}");
+            assert_eq!(TOP.parse(&argv(line)).err().unwrap(), err, "{line}");
         }
         let store = Grammar::new("store", &[]).positional(Opt::new("ACTION", "an action"));
-        assert_eq!(store.parse(&argv("gc")).unwrap().positional(), Some("gc"));
-        assert_eq!(store.parse(&[]).unwrap_err(), "store requires an action");
-        let surplus = store.parse(&argv("gc gc")).unwrap_err();
+        let gc = store.parse(&argv("gc")).unwrap().unwrap();
+        assert_eq!(gc.req("ACTION", |_, v| Ok(v.to_owned())), Ok("gc".to_owned()));
+        assert_eq!(store.parse(&[]).err().unwrap(), "store requires an action");
+        let surplus = store.parse(&argv("gc gc")).err().unwrap();
         assert_eq!(surplus, "unexpected argument \"gc\" for store");
     }
 
     #[test]
+    fn help_wins_over_every_other_word() {
+        for line in ["--help", "--once --help", "--bogus --help", "--file --help", "x --help"] {
+            assert!(TOP.parse(&argv(line)).unwrap().is_none(), "{line}");
+        }
+    }
+
+    #[test]
+    fn req_reads_the_declared_default() {
+        let args = TOP.parse(&[]).unwrap().unwrap();
+        let text = |_: &str, v: &str| Ok(v.to_owned());
+        assert_eq!(args.req("--file", text), Ok("live.jsonl".to_owned()));
+        assert_eq!(args.get("--file", text), Ok(None), "get reads given values only");
+        assert_eq!(args.req("--format", text).unwrap_err(), "top requires --format");
+    }
+
+    #[test]
     fn choice_names_the_alternatives() {
-        let table = [("a", 1), ("b", 2), ("c", 3)];
-        assert_eq!(choice("letter", "b", &table), Ok(2));
+        assert_eq!(choice("format", &FORMATS)("--format", "json"), Ok("json"));
         assert_eq!(
-            choice("letter", "z", &table).unwrap_err(),
-            "unknown letter \"z\" (expected a, b, or c)"
+            choice("format", &FORMATS)("--format", "xml").unwrap_err(),
+            "unknown format \"xml\" (expected text or json)"
         );
+        const LETTERS: [char; 3] = ['a', 'b', 'c'];
         assert_eq!(
-            choice("pair", "z", &table[..2]).unwrap_err(),
-            "unknown pair \"z\" (expected a or b)"
+            choice("letter", &LETTERS)("", "z").unwrap_err(),
+            "unknown letter \"z\" (expected a, b, or c)"
         );
     }
 
     #[test]
+    fn a_commit_budget_is_at_least_one() {
+        assert_eq!(commit_budget(1), Ok(1));
+        assert_eq!(commit_budget(0).unwrap_err(), "--commits 0 is below the minimum of 1");
+    }
+
+    #[test]
     fn usage_is_rendered_from_the_table() {
-        assert_eq!(TOP.synopsis("  top "), "  top [--file FILE] [--once]\n");
-        let help = TOP.help();
-        assert_eq!(help.lines().next(), Some("  --file FILE           stream to follow"));
-        assert_eq!(help.lines().nth(1), Some("  --once                render one frame and exit"));
-        let text = wrap("lead: ", (0..30).map(|i| format!("w{i}")));
+        assert_eq!(
+            TOP.synopsis("  top "),
+            "  top [--file FILE] [--format text|json] [--once]\n"
+        );
+        let help: Vec<String> = TOP.help().lines().map(str::to_owned).collect();
+        assert_eq!(help[0], "  --file FILE           stream to follow (default live.jsonl)");
+        assert_eq!(help[1], "  --format text|json    one of text or json");
+        assert_eq!(help[2], "  --once                render one frame and exit");
+        let text = wrap("lead: ", (0..30).map(|i| format!("w{i}")), WIDTH);
         assert!(text.lines().all(|l| l.chars().count() <= WIDTH), "{text}");
         assert!(text.lines().skip(1).all(|l| l.starts_with("      w")), "{text}");
         assert!(text.ends_with("w29\n"));
+        let knob = Opt::new("RF_LONG_KNOB_NAME", "help").help_line(18);
+        assert_eq!(knob, "  RF_LONG_KNOB_NAME\n                  help\n");
     }
 }

@@ -15,7 +15,7 @@ use crate::runner::{payload_text, BatchOpts, RunSpec, SimPool};
 use crate::suite::{Answers, Plan};
 use rf_core::{NullObserver, Observer as _, Pipeline, StallCause};
 use rf_obs::ledger::{
-    AllocRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
+    HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
     SanitizerRecord, StoreRecord, TelemetryRecord,
 };
 use rf_obs::Recorder;
@@ -177,18 +177,9 @@ impl SuiteBench {
     /// Builds the run-history ledger record for this suite run (see
     /// `rf_obs::ledger`): config knobs, totals (the sums of the harness
     /// records, plus the batch's kernel, cache and store counters), the
-    /// batch's phase timers and profile, the per-harness records, the
-    /// extracted figure headlines, and the allocation profile when the
-    /// counting allocator is installed (`profile-alloc` feature).
+    /// batch's phase timers and profile, the per-harness records and the
+    /// extracted figure headlines.
     pub fn to_ledger_record(&self, headlines: Vec<(String, f64)>) -> LedgerRecord {
-        let alloc = rf_obs::alloc::is_active().then(|| {
-            let snap = rf_obs::alloc::snapshot();
-            AllocRecord {
-                allocations: snap.allocations,
-                deallocations: snap.deallocations,
-                allocated_bytes: snap.allocated_bytes,
-            }
-        });
         let b = |c| self.batch.get(c);
         let sum = |f: fn(&HarnessRecord) -> u64| self.harnesses.iter().map(f).sum();
         LedgerRecord {
@@ -215,7 +206,6 @@ impl SuiteBench {
             harnesses: self.harnesses.clone(),
             headlines,
             model_error: self.model_error.clone(),
-            alloc,
             telemetry: self.telemetry.clone(),
             store: crate::runner::store_counters().map(|_| StoreRecord {
                 hits: b(Counter::StoreHits),

@@ -15,8 +15,9 @@
 //! `all [COMMITS] [--only NAMES] [--deadline-secs S] [--help]`, declared
 //! once as [`GRAMMAR`], which also renders `all --help`. An unknown,
 //! repeated or value-less option, a second `COMMITS`, a malformed value,
-//! an unknown harness name or a malformed environment variable exits 2
-//! with a message before simulating.
+//! a commit budget of 0 (from `COMMITS` or `RF_COMMITS`), an unknown
+//! harness name or a malformed environment variable exits 2 with a
+//! message before simulating.
 //!
 //! # Fault tolerance
 //!
@@ -28,14 +29,16 @@
 //! ledger record is appended first, then the process exits 1 with a
 //! suite-level failure summary.
 //!
-//! The `RF_*` knobs in the usage text are parsed once, by
-//! [`runner::init_config`], before any work. With the `fault-probe`
-//! feature, `RF_FAULT=<harness>` adds a panicking simulation to that
-//! harness's plan (the CI smoke path).
+//! The `RF_*` knobs are parsed once, by [`runner::init_config`], before
+//! any work; the usage text renders them from [`runner::KNOBS`]. With
+//! the `fault-probe` feature, `RF_FAULT=<harness>` adds a panicking
+//! simulation to that harness's plan (the CI smoke path).
 
-use rf_experiments::args::{self, Grammar, Group, Opt};
+use rf_experiments::args::{self, commit_budget, Grammar, Group, Opt};
 use rf_experiments::bench::SuiteBench;
-use rf_experiments::runner::{self, BatchOpts, RunConfig, RunSpec, Scale, SimPool};
+use rf_experiments::runner::{
+    self, BatchOpts, RunConfig, RunSpec, Scale, SimPool, DEFAULT_COMMITS, KNOBS,
+};
 use rf_experiments::suite::{Answers, Harness, Plan, HARNESSES};
 use rf_obs::fidelity;
 use rf_obs::ledger;
@@ -51,18 +54,15 @@ const PROBE_COMMITS: u64 = 5_000;
 
 /// The suite binary's command line.
 const GRAMMAR: Grammar = Grammar::new("all", &[
-    Group::of(&[Opt::new(
-        "[--only NAMES]",
-        "run only these comma-separated harnesses (table1, fig3, fig4, fig5, fig6, fig7, fig8, \
-         fig10, ablation, extensions, sensitivity, dataflow)",
-    )]),
+    Group::of(&[Opt::new("[--only NAMES]", "run only these comma-separated harnesses ({a, b})")
+        .choices(&HARNESSES)]),
     args::DEADLINE,
     Group::of(&[Opt::new("[--help]", "print this usage and exit")]),
 ])
-.positional(Opt::new(
-    "[COMMITS]",
-    "committed instructions per simulation (default: RF_COMMITS or 200000)",
-))
+.positional(
+    Opt::new("[COMMITS]", "committed instructions per simulation (default: RF_COMMITS or {default})")
+        .default(&DEFAULT_COMMITS),
+)
 .about(
     "Runs the table/figure harnesses: answers the union of their plans in one
 simulation batch, writes each report under results/, appends one record
@@ -72,28 +72,24 @@ overruns --deadline-secs fails, and with it every harness that planned it.
 ",
 );
 
-const ENVIRONMENT: &str = "environment:
-  RF_COMMITS      default commit budget
-  RF_JOBS         parallel simulation workers (default: all cores)
-  RF_STORE        1/on/true/yes enables the durable content-addressed
-                  run store: executed results persist under RF_STORE_DIR
-                  and warm re-runs are served from disk byte-identically
-  RF_STORE_DIR    store directory (default: results/store)
-  RF_PROFILE      1/on/true/yes embeds an rf-prof self-profile in the
-                  ledger record
-  RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
-                  results/telemetry/live.jsonl while the suite runs
-                  (attach with `rfstudy top`); off-runs are unaffected
-  RF_TELEMETRY_INTERVAL_MS
-                  sampler period in milliseconds (default 250)";
+/// Column the help text of a knob line starts at.
+const KNOB_COLUMN: usize = 18;
 
+/// The usage text: the grammar's, then the knobs the suite reads (all
+/// but `RF_SANITIZE`: the suite always runs its own sanitizer probe).
 fn usage() -> String {
-    format!(
-        "{}\n{}\narguments:\n{}\n{ENVIRONMENT}",
+    let knobs: String = KNOBS
+        .iter()
+        .filter(|k| k.name() != runner::SANITIZE.name())
+        .map(|k| k.help_line(KNOB_COLUMN))
+        .collect();
+    let text = format!(
+        "{}\n{}\narguments:\n{}\nenvironment:\n{knobs}",
         GRAMMAR.synopsis("usage: all "),
         GRAMMAR.about,
         GRAMMAR.help()
-    )
+    );
+    text.trim_end().to_owned()
 }
 
 /// Parsed command line.
@@ -107,11 +103,10 @@ struct Args {
 /// Checks the command line against [`GRAMMAR`]. `Ok(None)` means
 /// `--help` was printed; `Err` carries the usage-error message (exit 2).
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let a = GRAMMAR.parse(argv)?;
-    if a.has("--help") {
+    let Some(a) = GRAMMAR.parse(argv)? else {
         println!("{}", usage());
         return Ok(None);
-    }
+    };
     let only = a.get("--only", |_, raw| {
         let names: Vec<&str> = raw.split(',').collect();
         match names.iter().find(|n| rf_experiments::suite::harness(n).is_none()) {
@@ -119,11 +114,12 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             None => Ok(names),
         }
     })?;
-    let commits = a.positional().map(|c| {
-        c.parse().map_err(|_| format!("commit budget {c:?} is not a non-negative integer"))
-    });
+    let commits = a.get("COMMITS", |_, c| {
+        let n = c.parse().map_err(|_| format!("commit budget {c:?} is not a non-negative integer"));
+        n.and_then(commit_budget)
+    })?;
     Ok(Some(Args {
-        commits: commits.transpose()?,
+        commits,
         harnesses: HARNESSES
             .iter()
             .filter(|h| only.as_ref().is_none_or(|names| names.contains(&h.name)))
@@ -163,9 +159,6 @@ fn model_error_probe(
     answers: &Answers,
     jobs: usize,
 ) -> Option<ledger::ModelErrorRecord> {
-    if scale.commits == 0 {
-        return None;
-    }
     let compared: Vec<(RunSpec, f64)> = rf_experiments::table1::baselines(4, scale)
         .into_iter()
         .filter_map(|spec| {
@@ -399,7 +392,7 @@ mod tests {
                 name => vec![name.into()],
             };
             assert!(parse_args(&argv).is_ok(), "{argv:?}");
-            assert!(usage.contains(opt.bare()), "usage lacks {}", opt.word);
+            assert!(usage.contains(&opt.shown()), "usage lacks {}", opt.word);
         }
         let args = parse_args(&["--only".into(), "fig6,fig3".into()]).unwrap().unwrap();
         let names: Vec<_> = args.harnesses.iter().map(|h| h.name).collect();

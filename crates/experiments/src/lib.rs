@@ -69,12 +69,3 @@ pub mod table1;
 
 pub use runner::{RunCache, RunSpec, Scale, SimPool};
 pub use suite::Answers;
-
-/// With `--features profile-alloc`, every binary and test linking this
-/// crate counts allocations through [`rf_obs::alloc::CountingAlloc`];
-/// suite ledger records then carry an `"alloc"` profile block. Off by
-/// default: the system allocator is used untouched and ledger records
-/// say `"alloc": null`.
-#[cfg(feature = "profile-alloc")]
-#[global_allocator]
-static PROFILE_ALLOC: rf_obs::alloc::CountingAlloc = rf_obs::alloc::CountingAlloc::new();

@@ -16,15 +16,15 @@
 //!
 //! # Environment variables (strict)
 //!
-//! [`RunConfig`] is the one parser of the run knobs: `RF_COMMITS`,
-//! `RF_JOBS`, `RF_STORE`, `RF_STORE_DIR`, `RF_PROFILE`, `RF_SANITIZE`,
-//! `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`. A malformed value (for
-//! example `RF_COMMITS=200k` or `RF_TELEMETRY=maybe`) is an error naming
-//! the variable and the value, never a silent fall-back to the default.
+//! [`RunConfig`] is the one parser of the run knobs, [`KNOBS`], each
+//! declared once with the help text `all --help` renders. A malformed
+//! value (for example `RF_COMMITS=200k` or `RF_TELEMETRY=maybe`) is an
+//! error naming the variable and the value, never a silent fall-back.
 //! Binaries call [`init_config`] at startup to turn that into a clean
 //! exit 2 before any work; everything below reads the resulting
 //! [`config`] snapshot, and no lower crate reads the environment.
 
+use crate::args::Opt;
 use rf_core::{CancelToken, Pipeline, SimStats};
 use rf_prof::counters::{self, Counter};
 use rf_workload::{spec92, SharedTrace};
@@ -53,28 +53,58 @@ impl Scale {
     }
 }
 
+const COMMITS: Opt = Opt::new("RF_COMMITS", "default commit budget");
+const JOBS: Opt = Opt::new("RF_JOBS", "parallel simulation workers (default: all cores)");
+const STORE: Opt = Opt::new(
+    "RF_STORE",
+    "1/on/true/yes enables the durable content-addressed run store: executed results persist \
+     under RF_STORE_DIR and warm re-runs are served from disk byte-identically",
+);
+const STORE_DIR: Opt = Opt::new("RF_STORE_DIR", "store directory (default: results/store)");
+const PROFILE: Opt =
+    Opt::new("RF_PROFILE", "1/on/true/yes embeds an rf-prof self-profile in the ledger record");
+/// The knob only `rfstudy run` and `replay` read: the suite always runs
+/// its own sanitizer probe.
+pub const SANITIZE: Opt = Opt::new(
+    "RF_SANITIZE",
+    "1/on/true/yes attaches the invariant sanitizer to `rfstudy run` and `replay`",
+);
+const TELEMETRY: Opt = Opt::new(
+    "RF_TELEMETRY",
+    "1/on/true/yes streams live counter snapshots to results/telemetry/live.jsonl while the \
+     suite runs (attach with `rfstudy top`); off-runs are unaffected",
+);
+const TELEMETRY_INTERVAL_MS: Opt =
+    Opt::new("RF_TELEMETRY_INTERVAL_MS", "sampler period in milliseconds (default {default})")
+        .default(&rf_obs::live::DEFAULT_INTERVAL_MS);
+
+/// Every `RF_*` run knob, in usage order, each declared once with its
+/// help text: [`RunConfig::from_vars`] reads them and `all --help`
+/// renders them.
+pub const KNOBS: [Opt; 8] =
+    [COMMITS, JOBS, STORE, STORE_DIR, PROFILE, SANITIZE, TELEMETRY, TELEMETRY_INTERVAL_MS];
+
 /// Every run knob of the process, parsed once from its `RF_*` variable
 /// (see the module docs). Values are well formed by construction: a
 /// malformed variable fails [`RunConfig::from_vars`] instead.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// `RF_COMMITS`: the commit budget per simulation. `None` leaves the
-    /// default to the caller ([`DEFAULT_COMMITS`] for the suite, 10000
-    /// for `rfstudy check`/`model`/`profile`).
+    /// `RF_COMMITS`: the commit budget per simulation, at least 1 like
+    /// `all`'s and `--commits`. `None` leaves the default to the caller ([`DEFAULT_COMMITS`] for the suite, a
+    /// smaller one for `rfstudy check`/`model`/`profile`).
     pub commits: Option<u64>,
     /// `RF_JOBS`: parallel simulation workers (default: all cores).
     pub jobs: usize,
-    /// `RF_STORE`: whether the durable on-disk run store is on (default
-    /// off).
+    /// `RF_STORE`: whether the durable on-disk run store is on.
     pub store: bool,
     /// `RF_STORE_DIR`: the store directory (default `results/store`),
     /// validated even while the store is off.
     pub store_dir: std::path::PathBuf,
     /// `RF_PROFILE`: whether the suite embeds rf-prof self-profiles in
-    /// its ledger record (default off).
+    /// its ledger record.
     pub profile: bool,
     /// `RF_SANITIZE`: whether `rfstudy run`/`replay` attach the
-    /// invariant sanitizer (default off).
+    /// invariant sanitizer.
     pub sanitize: bool,
     /// `RF_TELEMETRY` and `RF_TELEMETRY_INTERVAL_MS`: the live sampler,
     /// `None` when off (the interval is validated either way).
@@ -101,45 +131,48 @@ impl RunConfig {
     /// Returns the first malformed variable's message, in one format
     /// that names the variable and the value.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let invalid = |name: &str, raw: &str, expected: &str| {
-            format!("{name}={raw:?} is invalid: expected {expected}")
+        let invalid = |k: Opt, raw: &str, expected: &str| {
+            format!("{}={raw:?} is invalid: expected {expected}", k.name())
         };
-        let switch = |name: &str, default: bool| match var(name) {
-            None => Ok(default),
+        let switch = |k: Opt| match var(k.name()) {
+            None => Ok(false),
             Some(raw) => match raw.trim().to_ascii_lowercase().as_str() {
                 "1" | "on" | "true" | "yes" => Ok(true),
                 "0" | "off" | "false" | "no" => Ok(false),
-                _ => Err(invalid(name, &raw, "1/on/true/yes or 0/off/false/no")),
+                _ => Err(invalid(k, &raw, "1/on/true/yes or 0/off/false/no")),
             },
         };
-        let int = |name: &str, min: u64| match var(name) {
+        let int = |k: Opt, min: u64| match var(k.name()) {
             None => Ok(None),
             Some(raw) => match raw.trim().parse::<u64>() {
                 Ok(n) if n >= min => Ok(Some(n)),
-                _ if min == 0 => Err(invalid(name, &raw, "a non-negative integer")),
-                _ => Err(invalid(name, &raw, "a positive integer")),
+                _ if min == 0 => Err(invalid(k, &raw, "a non-negative integer")),
+                _ => Err(invalid(k, &raw, "a positive integer")),
             },
         };
-        let store_dir = match var("RF_STORE_DIR") {
+        let store_dir = match var(STORE_DIR.name()) {
             None => std::path::PathBuf::from("results/store"),
             Some(raw) if raw.trim().is_empty() => {
-                return Err(invalid("RF_STORE_DIR", &raw, "a directory path"))
+                return Err(invalid(STORE_DIR, &raw, "a directory path"))
             }
             Some(raw) => raw.into(),
         };
         let interval_ms =
-            int("RF_TELEMETRY_INTERVAL_MS", 1)?.unwrap_or(rf_obs::live::DEFAULT_INTERVAL_MS);
+            int(TELEMETRY_INTERVAL_MS, 1)?.unwrap_or(rf_obs::live::DEFAULT_INTERVAL_MS);
         Ok(Self {
-            commits: int("RF_COMMITS", 0)?,
-            jobs: match int("RF_JOBS", 1)? {
+            commits: int(COMMITS, 0)?
+                .map(crate::args::commit_budget)
+                .transpose()
+                .map_err(|e| format!("{}: {e}", COMMITS.name()))?,
+            jobs: match int(JOBS, 1)? {
                 Some(n) => n as usize,
                 None => std::thread::available_parallelism().map_or(1, |n| n.get()),
             },
-            store: switch("RF_STORE", false)?,
+            store: switch(STORE)?,
             store_dir,
-            profile: switch("RF_PROFILE", false)?,
-            sanitize: switch("RF_SANITIZE", false)?,
-            telemetry: switch("RF_TELEMETRY", false)?.then(|| rf_obs::live::LiveConfig {
+            profile: switch(PROFILE)?,
+            sanitize: switch(SANITIZE)?,
+            telemetry: switch(TELEMETRY)?.then(|| rf_obs::live::LiveConfig {
                 interval: Duration::from_millis(interval_ms),
             }),
         })
@@ -1438,6 +1471,21 @@ mod tests {
     }
 
     #[test]
+    fn from_vars_reads_exactly_the_declared_knobs() {
+        let read = Mutex::new(Vec::new());
+        RunConfig::from_vars(|name| {
+            read.lock().unwrap().push(name.to_owned());
+            None
+        })
+        .unwrap();
+        let mut read = read.into_inner().unwrap();
+        read.sort();
+        let mut declared: Vec<_> = KNOBS.iter().map(|k| k.name().to_owned()).collect();
+        declared.sort();
+        assert_eq!(read, declared);
+    }
+
+    #[test]
     fn run_config_parsing_is_strict() {
         // Unset knobs take their defaults.
         let cfg = parse(&[]).unwrap();
@@ -1468,6 +1516,9 @@ mod tests {
             let err = parse(&[(var, value)]).expect_err(var);
             assert!(err.contains(needle), "{var}={value} error: {err}");
         }
+        // A zero budget is the usage error `--commits 0` is.
+        let zero = parse(&[("RF_COMMITS", "0")]).unwrap_err();
+        assert_eq!(zero, "RF_COMMITS: --commits 0 is below the minimum of 1");
         // All four switches take the same spellings, trimmed and in any
         // case, and `off` really is off.
         type Get = fn(&RunConfig) -> bool;

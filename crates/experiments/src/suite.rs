@@ -93,6 +93,13 @@ pub struct Harness {
     pub probe: &'static str,
 }
 
+/// A harness is named by its report, as `all --only` names it.
+impl std::fmt::Display for Harness {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
 /// Every harness, in suite order.
 pub const HARNESSES: [Harness; 12] = [
     Harness {

@@ -68,7 +68,7 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     assert_eq!(others, ["./results", "results/history"], "no other run-record file");
 
     // A run in a different directory reproduces the same deterministic
-    // payload: strip volatile members (timestamps, seconds, alloc) and
+    // payload: strip volatile members (timestamps, seconds, peak RSS) and
     // the renderings must be byte-identical. This is the determinism
     // guarantee the ledger's cross-run comparisons rest on.
     let dir_b = workdir("b");

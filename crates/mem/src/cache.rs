@@ -24,6 +24,11 @@ pub enum CacheOrg {
     LockupFree,
 }
 
+impl CacheOrg {
+    /// Every organisation, in the order the CLI lists them.
+    pub const ALL: [Self; 3] = [Self::Perfect, Self::Lockup, Self::LockupFree];
+}
+
 impl fmt::Display for CacheOrg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -37,7 +37,7 @@ proptest! {
     /// hit/miss accounting always balances.
     #[test]
     fn accounting_balances(addrs in prop::collection::vec(0u64..8192, 1..200)) {
-        for org in [CacheOrg::Perfect, CacheOrg::Lockup, CacheOrg::LockupFree] {
+        for org in CacheOrg::ALL {
             let mut cache = DataCache::new(small_config(), org);
             let mut now = 0u64;
             for (i, addr) in addrs.iter().enumerate() {

@@ -88,7 +88,10 @@ use std::path::Path;
 /// v12 added `totals.peak_rss_kb`: the suite process's peak resident
 /// set size (`VmHWM`), null where the platform does not report it. It
 /// depends on the allocator and the host, so it is volatile.
-pub const SCHEMA_VERSION: u64 = 12;
+///
+/// v13 dropped the `alloc` block with the counting allocator that filled
+/// it; `totals.peak_rss_kb` records the suite's memory.
+pub const SCHEMA_VERSION: u64 = 13;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -178,18 +181,6 @@ pub struct ModelErrorRecord {
     pub worst_config: String,
 }
 
-/// Allocation counters for the whole run (only present when the suite
-/// was built with the `profile-alloc` feature).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocRecord {
-    /// Allocations (including reallocations).
-    pub allocations: u64,
-    /// Deallocations.
-    pub deallocations: u64,
-    /// Bytes requested.
-    pub allocated_bytes: u64,
-}
-
 /// Live-telemetry summary for a run that streamed snapshots
 /// (`RF_TELEMETRY=1`): the sampler configuration plus the digest of the
 /// final `live.jsonl` snapshot, so a ledger record and its telemetry
@@ -276,8 +267,6 @@ pub struct LedgerRecord {
     /// Analytic-model cross-validation telemetry (`None` when the suite
     /// did not measure it).
     pub model_error: Option<ModelErrorRecord>,
-    /// Allocation profile, when the counting allocator is installed.
-    pub alloc: Option<AllocRecord>,
     /// Live-telemetry summary (`None` when `RF_TELEMETRY` was off).
     pub telemetry: Option<TelemetryRecord>,
     /// Durable run-store counters (`None` when `RF_STORE` was off).
@@ -359,17 +348,6 @@ impl LedgerRecord {
                     ("mean_abs_pct_err".to_owned(), num(round6(m.mean_abs_pct_err))),
                     ("worst_pct_err".to_owned(), num(round6(m.worst_pct_err))),
                     ("worst_config".to_owned(), Value::String(m.worst_config.clone())),
-                ]),
-                None => Value::Null,
-            },
-        ));
-        root.push((
-            "alloc".to_owned(),
-            match &self.alloc {
-                Some(a) => Value::Object(vec![
-                    ("allocations".to_owned(), int(a.allocations)),
-                    ("deallocations".to_owned(), int(a.deallocations)),
-                    ("allocated_bytes".to_owned(), int(a.allocated_bytes)),
                 ]),
                 None => Value::Null,
             },
@@ -573,7 +551,6 @@ pub fn unix_timestamp() -> u64 {
 /// that legitimately differs between byte-identical simulation runs.
 fn is_volatile_key(key: &str) -> bool {
     key == "timestamp_unix"
-        || key == "alloc"
         || key == "profile"
         || key == "model_error"
         || key == "telemetry"
@@ -586,9 +563,9 @@ fn is_volatile_key(key: &str) -> bool {
         || key.contains("seconds")
 }
 
-/// Strips volatile members (timestamps, wall seconds, allocator
-/// counters) from a parsed record, leaving only the deterministic
-/// metric payload. Two `RF_JOBS=1` suite runs of the same build must
+/// Strips volatile members (timestamps, wall seconds, peak RSS, store
+/// and telemetry counters) from a parsed record, leaving only the
+/// deterministic metric payload. Two `RF_JOBS=1` suite runs of the same build must
 /// produce identical payloads — the determinism test renders
 /// both with `Value::to_string` and compares.
 pub fn metric_payload(record: &Value) -> Value {
@@ -664,7 +641,6 @@ mod tests {
                 worst_pct_err: 27.25,
                 worst_config: "mdljdp2 width=4 precise regs=64".to_owned(),
             }),
-            alloc: None,
             telemetry: Some(TelemetryRecord {
                 interval_ms: 250,
                 snapshots: 9,
@@ -738,7 +714,6 @@ mod tests {
             v.get("headlines").unwrap().get_f64("fig3.commit_ipc.4way_dq32"),
             Some(2.68)
         );
-        assert_eq!(v.get("alloc"), Some(&Value::Null));
         let m = v.get("model_error").unwrap();
         assert_eq!(m.get_f64("configs"), Some(72.0));
         assert_eq!(m.get_f64("mean_abs_pct_err"), Some(9.5));
@@ -833,11 +808,6 @@ mod tests {
         rec.harnesses[0].seconds = 42.0;
         rec.phase.simulate = 9.0;
         rec.profile.as_mut().unwrap().total_ns = 7;
-        rec.alloc = Some(AllocRecord {
-            allocations: 1,
-            deallocations: 2,
-            allocated_bytes: 3,
-        });
         // Model error is derived cross-validation telemetry, not a
         // simulation metric: it must not perturb the determinism payload.
         rec.model_error.as_mut().unwrap().mean_abs_pct_err = 99.0;

@@ -36,9 +36,6 @@
 //!   JSON encoding, collapsed-stack flamegraph export, the text table
 //!   behind `rfstudy profile`, and the phase-share extraction feeding
 //!   the report's profile-drift section.
-//! - [`alloc`] is an optional counting global allocator for suite
-//!   self-profiling (installed behind `rf-experiments`'s `profile-alloc`
-//!   feature).
 //! - [`live`] is the real-time layer: a sampler thread that renders the
 //!   `rf-prof` counter registry, the run pool's per-worker busy cells and
 //!   the suite's specs answered of specs planned as snapshots in
@@ -50,7 +47,6 @@
 //! state, a traced run's `SimStats` are byte-identical to an untraced
 //! run's (asserted by this crate's determinism tests).
 
-pub mod alloc;
 pub mod chrome;
 pub mod fidelity;
 pub mod json;

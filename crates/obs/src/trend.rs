@@ -35,6 +35,22 @@ pub enum Mode {
     Off,
 }
 
+impl Mode {
+    /// Every mode, in the order `rfstudy report --fidelity` lists them.
+    pub const ALL: [Self; 3] = [Self::Gate, Self::Warn, Self::Off];
+}
+
+/// The name `rfstudy report --fidelity` takes.
+impl std::fmt::Display for Mode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Mode::Gate => "gate",
+            Mode::Warn => "warn",
+            Mode::Off => "off",
+        })
+    }
+}
+
 /// Output format of [`render`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
@@ -42,6 +58,21 @@ pub enum Format {
     Text,
     /// Markdown (the CI artifact format).
     Markdown,
+}
+
+impl Format {
+    /// Every format, in the order `rfstudy report --format` lists them.
+    pub const ALL: [Self; 2] = [Self::Text, Self::Markdown];
+}
+
+/// The name `rfstudy report --format` takes.
+impl std::fmt::Display for Format {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Format::Text => "text",
+            Format::Markdown => "markdown",
+        })
+    }
 }
 
 /// The `rfstudy report` options [`analyze`] takes.

@@ -13,7 +13,7 @@
 
 use rf_obs::json::{self, Value};
 use rf_obs::ledger::{
-    AllocRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
+    HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
     SanitizerRecord, StoreRecord, TelemetryRecord, SCHEMA_VERSION,
 };
 
@@ -122,11 +122,6 @@ fn full_record() -> LedgerRecord {
             worst_pct_err: 27.25,
             worst_config: "mdljdp2 width=4 precise regs=64".to_owned(),
         }),
-        alloc: Some(AllocRecord {
-            allocations: 1_000_000,
-            deallocations: 999_999,
-            allocated_bytes: 64_000_000,
-        }),
         telemetry: Some(TelemetryRecord {
             interval_ms: 250,
             snapshots: 338,
@@ -159,7 +154,6 @@ fn minimal_record() -> LedgerRecord {
         harnesses: Vec::new(),
         headlines: Vec::new(),
         model_error: None,
-        alloc: None,
         telemetry: None,
         store: None,
         sanitizer: None,
@@ -269,7 +263,6 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(Some(profile), full_record().profile);
     let served = &v.get("harnesses").unwrap().as_array().unwrap()[2];
     assert_eq!(served.get("cache_served"), Some(&Value::Bool(true)));
-    assert_eq!(v.get("alloc").unwrap().get_f64("allocated_bytes"), Some(64_000_000.0));
     assert_eq!(v.get("totals").unwrap().get_f64("peak_rss_kb"), Some(14_652.0));
     // The model-error telemetry block survives the round trip.
     let model = v.get("model_error").unwrap();
@@ -291,7 +284,6 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(sanitizer.get_f64("events"), Some(1_310_720.0));
     assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
     let minimal = json::parse(GOLDEN.lines().nth(1).unwrap()).unwrap();
-    assert_eq!(minimal.get("alloc"), Some(&Value::Null));
     assert_eq!(minimal.get("totals").unwrap().get("peak_rss_kb"), Some(&Value::Null));
     assert_eq!(minimal.get("profile"), Some(&Value::Null));
     assert_eq!(minimal.get("model_error"), Some(&Value::Null));

@@ -83,7 +83,6 @@ fn record(seq: u64, scale: f64, kill_ns: u64, model_err: f64, drift: f64) -> Led
             worst_pct_err: model_err + 15.0,
             worst_config: "mdljdp2 width=4 precise regs=64".to_owned(),
         }),
-        alloc: None,
         telemetry: None,
         store: None,
         sanitizer: None,

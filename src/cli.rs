@@ -1,21 +1,43 @@
 //! Argument parsing for the `rfstudy` command-line simulator.
 //!
 //! Every subcommand declares its options once, as an
-//! [`rf_experiments::args::Grammar`]: one parser checks a command line
-//! against that table and [`usage`] renders the help from it. See
-//! `main.rs` for the command implementations and `rfstudy help` for
-//! usage.
+//! [`rf_experiments::args::Grammar`]: each option with its default and
+//! the values it accepts. One parser checks a command line against that
+//! table and reads the defaults from it, and [`usage`] renders the help
+//! from it. See `main.rs` for the command implementations and `rfstudy
+//! help` for usage.
 
 use rf_bpred::PredictorKind;
 use rf_core::{ExceptionModel, MachineConfig, RunSpec, SchedPolicy, DEFAULT_COMMITS, DEFAULT_SEED};
-use rf_experiments::args::{choice, Args, Grammar, Group, Opt, DEADLINE};
+use rf_experiments::args::{at_least, choice, commit_budget, Args, Grammar, Group, Opt, DEADLINE};
 use rf_experiments::runner::parse_deadline_secs;
 use rf_mem::CacheOrg;
 use rf_obs::trend::{Format, Mode};
+use std::fmt;
 
 /// The workload seed `run`, `trace` and `record` default to, and the
 /// one `dataflow` always analyses.
 pub const RUN_SEED: u64 = 1;
+
+/// The issue width `run`, `trace`, `replay` and `timing` default to.
+const WIDTH: usize = 4;
+
+/// `ALL` and the `Display` of a CLI-only choice: the one place its
+/// names are spelt.
+macro_rules! named {
+    ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $ty {
+            /// Every value, in usage order.
+            pub const ALL: [Self; [$($name),+].len()] = [$(Self::$variant),+];
+        }
+
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self { $(Self::$variant => $name),+ })
+            }
+        }
+    };
+}
 
 /// Output format of the `trace` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +69,10 @@ pub enum ModelFormat {
     /// JSON array of per-configuration estimate objects.
     Json,
 }
+
+named!(TraceFormat { Chrome => "chrome", Text => "text", Summary => "summary" });
+named!(ProfileFormat { Flame => "flame", Json => "json", Text => "text" });
+named!(ModelFormat { Text => "text", Json => "json" });
 
 /// The check-style configuration matrix pinning shared by `check`,
 /// `profile`, and `model`: without options the full default matrix
@@ -112,6 +138,8 @@ pub enum StoreAction {
     Gc,
 }
 
+named!(StoreAction { Stats => "stats", Verify => "verify", Compact => "compact", Gc => "gc" });
+
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -120,7 +148,7 @@ pub enum Command {
     /// Simulate a benchmark with the pipeline observer attached and
     /// export the recorded trace.
     Trace {
-        /// The run: benchmark, commit budget (default 10000) and machine.
+        /// The run: benchmark, commit budget and machine.
         spec: RunSpec,
         /// Export format.
         format: TraceFormat,
@@ -196,7 +224,7 @@ pub enum Command {
     /// Compare the latest run-history ledger record against a baseline
     /// and score paper fidelity.
     Report {
-        /// Ledger path (default `results/history/suite.jsonl`).
+        /// Ledger path.
         ledger: String,
         /// Report format.
         format: rf_obs::trend::Format,
@@ -226,8 +254,7 @@ pub enum Command {
     /// Attach to a running (or finished) telemetry stream and render a
     /// live terminal view of the suite.
     Top {
-        /// Telemetry stream path (default
-        /// `results/telemetry/live.jsonl`).
+        /// Telemetry stream path.
         file: String,
         /// Refresh period in milliseconds.
         interval_ms: u64,
@@ -254,62 +281,27 @@ pub enum Command {
         /// Maximum instructions to print (0 = all).
         count: u64,
     },
-    /// Print usage.
-    Help,
+    /// Print the usage of one command (`None` = of every command).
+    Help(Option<&'static str>),
 }
 
-const TRACE_FORMATS: [(&str, TraceFormat); 3] = [
-    ("chrome", TraceFormat::Chrome),
-    ("text", TraceFormat::Text),
-    ("summary", TraceFormat::Summary),
-];
-const PROFILE_FORMATS: [(&str, ProfileFormat); 3] =
-    [("flame", ProfileFormat::Flame), ("json", ProfileFormat::Json), ("text", ProfileFormat::Text)];
-const MODEL_FORMATS: [(&str, ModelFormat); 2] =
-    [("text", ModelFormat::Text), ("json", ModelFormat::Json)];
-const REPORT_FORMATS: [(&str, Format); 2] =
-    [("text", Format::Text), ("markdown", Format::Markdown)];
-const FIDELITY_MODES: [(&str, Mode); 3] =
-    [("gate", Mode::Gate), ("warn", Mode::Warn), ("off", Mode::Off)];
-const STORE_ACTIONS: [(&str, StoreAction); 4] = [
-    ("stats", StoreAction::Stats),
-    ("verify", StoreAction::Verify),
-    ("compact", StoreAction::Compact),
-    ("gc", StoreAction::Gc),
-];
-const EXCEPTION_MODELS: [(&str, ExceptionModel); 3] = [
-    ("precise", ExceptionModel::Precise),
-    ("imprecise", ExceptionModel::Imprecise),
-    ("alpha-hybrid", ExceptionModel::AlphaHybrid),
-];
-const CACHE_ORGS: [(&str, CacheOrg); 3] = [
-    ("perfect", CacheOrg::Perfect),
-    ("lockup", CacheOrg::Lockup),
-    ("lockup-free", CacheOrg::LockupFree),
-];
-const SCHED_POLICIES: [(&str, SchedPolicy); 2] =
-    [("oldest-first", SchedPolicy::OldestFirst), ("youngest-first", SchedPolicy::YoungestFirst)];
-const PREDICTORS: [(&str, PredictorKind); 3] = [
-    ("bimodal", PredictorKind::Bimodal),
-    ("gshare", PredictorKind::Gshare),
-    ("combining", PredictorKind::Combining),
-];
-
 const BENCH: Opt = Opt::new("--bench NAME", "benchmark (`rfstudy list` names them)");
-const SEED: Opt = Opt::new("[--seed N]", "workload seed (default 1; replay reads the file's)");
+const SEED: Opt =
+    Opt::new("[--seed N]", "workload seed (default {default}; replay reads the file's)")
+        .default(&RUN_SEED);
 const OUT: Opt = Opt::new("[--out FILE]", "write to FILE instead of stdout");
 
 /// The machine options of `run`, `trace` and `replay`.
 const MACHINE: Group = Group {
     title: Some("machine options"),
     opts: &[
-        Opt::new("[--width N]", "issue width (default 4, at least 1)"),
+        Opt::new("[--width N]", "issue width (default {default}, at least 1)").default(&WIDTH),
         Opt::new("[--dq N]", "dispatch-queue entries (default 8 x width, at least 1)"),
         Opt::new("[--regs N]", "registers per class (default 2048, at least 32)"),
-        Opt::new("[--exceptions MODEL]", "precise | imprecise | alpha-hybrid"),
-        Opt::new("[--cache ORG]", "perfect | lockup | lockup-free"),
-        Opt::new("[--sched POLICY]", "oldest-first | youngest-first"),
-        Opt::new("[--predictor KIND]", "bimodal | gshare | combining"),
+        Opt::new("[--exceptions MODEL]", "{a | b}").choices(&ExceptionModel::ALL),
+        Opt::new("[--cache ORG]", "{a | b}").choices(&CacheOrg::ALL),
+        Opt::new("[--sched POLICY]", "{a | b}").choices(&SchedPolicy::ALL),
+        Opt::new("[--predictor KIND]", "{a | b}").choices(&PredictorKind::ALL),
         Opt::new("[--split-queues]", "split the dispatch queue (extension)"),
     ],
 };
@@ -322,19 +314,22 @@ const MATRIX: Group = Group {
         Opt::new("[--width N]", "one issue width (default 4 and 8, at least 1)"),
         Opt::new("[--exceptions MODEL]", "one exception model (default precise and imprecise)"),
         Opt::new("[--regs N]", "one register count (default 2048 and 64, at least 32)"),
-        Opt::new("[--commits N]", "commits per configuration (default RF_COMMITS or 10000)"),
-        Opt::new("[--seed N]", "workload seed (default 12)"),
+        // `RF_COMMITS` overrides this default, so `main` applies it.
+        Opt::new("[--commits N]", "commits per configuration (default RF_COMMITS or {default})")
+            .default(&MATRIX_COMMITS),
+        Opt::new("[--seed N]", "workload seed (default {default})").default(&DEFAULT_SEED),
     ],
 };
 
 /// Every subcommand, in usage order.
 #[rustfmt::skip]
-static COMMANDS: [Grammar; 14] = [
+static COMMANDS: [Grammar; 15] = [
     Grammar::new("list", &[]),
     Grammar::new("run", &[
         Group::of(&[
             BENCH,
-            Opt::new("[--commits N]", "instructions to commit (default 200000)"),
+            Opt::new("[--commits N]", "instructions to commit (default {default})")
+                .default(&DEFAULT_COMMITS),
             SEED,
         ]),
         DEADLINE,
@@ -348,9 +343,11 @@ static COMMANDS: [Grammar; 14] = [
     Grammar::new("trace", &[
         Group::of(&[
             BENCH,
-            Opt::new("[--commits N]", "instructions to commit (default 10000)"),
+            Opt::new("[--commits N]", "instructions to commit (default {default})")
+                .default(&10_000u64),
             SEED,
-            Opt::new("[--format chrome|text|summary]", "export format (default summary)"),
+            Opt::new("[--format {a|b}]", "export format (default {default})")
+                .choices(&TraceFormat::ALL).default(&TraceFormat::Summary),
             Opt::new("[--window CYCLES]", "keep the last CYCLES cycles of detail (at least 1)"),
             OUT,
         ]),
@@ -366,14 +363,16 @@ static COMMANDS: [Grammar; 14] = [
     Grammar::new("record", &[Group::of(&[
         BENCH,
         Opt::new("--out FILE", "trace file to write"),
-        Opt::new("[--count N]", "instructions to record (default 1000000)"),
-        Opt::new("[--seed N]", "workload seed"),
+        Opt::new("[--count N]", "instructions to record (default {default})")
+            .default(&1_000_000u64),
+        Opt::new("[--seed N]", "workload seed").default(&RUN_SEED),
     ])])
     .about("  records the benchmark's workload at --seed N (default 1).\n"),
     Grammar::new("replay", &[
         Group::of(&[
             Opt::new("--trace FILE", "trace file (it names the benchmark and seed)"),
-            Opt::new("[--commits N]", "instructions to commit (default 0: the whole trace)"),
+            Opt::new("[--commits N]", "instructions to commit (default {default}: the whole trace)")
+                .default(&0u64),
         ]),
         MACHINE,
     ]),
@@ -388,7 +387,8 @@ static COMMANDS: [Grammar; 14] = [
         MATRIX,
         Group::of(&[
             Opt::new("[--check]", "simulate every configuration and gate on the model's error"),
-            Opt::new("[--format text|json]", "one line per configuration, or a JSON array"),
+            Opt::new("[--format {a|b}]", "one line per configuration, or a JSON array")
+                .choices(&ModelFormat::ALL).default(&ModelFormat::Text),
         ]),
         DEADLINE,
     ])
@@ -403,7 +403,7 @@ static COMMANDS: [Grammar; 14] = [
     Grammar::new("dataflow", &[Group::of(&[
         BENCH,
         Opt::new("[--window N]", "instruction i waits for i - N to finish (at least 1)"),
-        Opt::new("[--count N]", "instructions to analyse (default 200000)"),
+        Opt::new("[--count N]", "instructions to analyse (default {default})").default(&200_000u64),
     ])])
     .about(
         "  prints the dataflow ILP limit (perfect prediction and memory,
@@ -413,14 +413,17 @@ static COMMANDS: [Grammar; 14] = [
 ",
     ),
     Grammar::new("report", &[Group::of(&[
-        Opt::new("[--ledger FILE]", "ledger to read (default results/history/suite.jsonl)"),
+        Opt::new("[--ledger FILE]", "ledger to read (default {default})")
+            .default(&rf_obs::ledger::LEDGER_PATH),
         Opt::new("[--baseline REV]", "compare with the records of this git-revision prefix"),
         Opt::new("[--window N]", "else the last N comparable runs' median (default 5, at least 1)"),
-        Opt::new("[--format text|markdown]", "aligned tables (default), or the same as pipes"),
+        Opt::new("[--format {a|b}]", "aligned tables (default), or the same as pipes")
+            .choices(&Format::ALL).default(&Format::Text),
         OUT,
         Opt::new("[--check]", "exit non-zero on a perf regression or a fidelity drift"),
         Opt::new("[--max-regress-pct P]", "regression threshold (finite, >= 0, default 10)"),
-        Opt::new("[--fidelity gate|warn|off]", "gate on fidelity drift (default), warn, or skip"),
+        Opt::new("[--fidelity {a|b}]", "gate on fidelity drift (default), warn, or skip")
+            .choices(&Mode::ALL),
     ])])
     .about(
         "  compares the latest record of the ledger the `all` suite binary
@@ -433,8 +436,9 @@ static COMMANDS: [Grammar; 14] = [
     Grammar::new("profile", &[
         MATRIX,
         Group::of(&[
-            Opt::new("[--format flame|json|text]", "render format (default text)"),
-            Opt::new("[--top N]", "rows in the text table (default 20)"),
+            Opt::new("[--format {a|b}]", "render format (default {default})")
+                .choices(&ProfileFormat::ALL).default(&ProfileFormat::Text),
+            Opt::new("[--top N]", "rows in the text table (default {default})").default(&20usize),
             OUT,
         ]),
         DEADLINE,
@@ -448,8 +452,10 @@ static COMMANDS: [Grammar; 14] = [
 ",
     ),
     Grammar::new("top", &[Group::of(&[
-        Opt::new("[--file FILE]", "stream to follow (default results/telemetry/live.jsonl)"),
-        Opt::new("[--interval-ms N]", "refresh period (default 500, at least 1)"),
+        Opt::new("[--file FILE]", "stream to follow (default {default})")
+            .default(&rf_obs::live::LIVE_PATH),
+        Opt::new("[--interval-ms N]", "refresh period (default {default}, at least 1)")
+            .default(&500usize),
         Opt::new("[--once]", "render a single frame and exit"),
     ])])
     .about(
@@ -464,7 +470,7 @@ static COMMANDS: [Grammar; 14] = [
         "[--dir DIR]",
         "store directory (default RF_STORE_DIR or results/store)",
     )])])
-    .positional(Opt::new("ACTION", "an action: stats, verify, compact, or gc"))
+    .positional(Opt::new("ACTION", "an action: {a, b, or c}").choices(&StoreAction::ALL))
     .about(
         "  operates on the durable content-addressed run store that suite runs
   populate under RF_STORE=1. stats prints snapshot statistics: live
@@ -477,36 +483,23 @@ static COMMANDS: [Grammar; 14] = [
   under a stale key-schema version.
 ",
     ),
-    Grammar::new("timing", &[Group::of(&[Opt::new("[--width N]", "issue width (default 4)")])]),
+    Grammar::new("timing", &[Group::of(&[
+        Opt::new("[--width N]", "issue width (default {default})").default(&WIDTH),
+    ])]),
     Grammar::new("dump", &[Group::of(&[
         Opt::new("--trace FILE", "trace file to print"),
-        Opt::new("[--count N]", "instructions to print (default 0: all)"),
+        Opt::new("[--count N]", "instructions to print (default {default}: all)").default(&0u64),
     ])]),
+    Grammar::new("help", &[]),
 ];
 
 /// Parses a `--width`, `--dq`, `--regs`, `--window` or `--interval-ms`
-/// value: the one check every size passes, rejecting a size no machine,
-/// window or period can have (zero, or fewer registers than
-/// [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
+/// value: the one check every size passes, rejecting a
+/// size no machine, window or period can have (zero, or fewer registers
+/// than [`MachineConfig::MIN_PHYS_REGS`]) as a usage error.
 fn size_num(opt: &str, v: &str) -> Result<usize, String> {
-    let n = parse_num(opt, v)?;
-    size_min(opt, n as u64)?;
-    Ok(n)
-}
-
-fn size_min(opt: &str, n: u64) -> Result<u64, String> {
-    let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS as u64 } else { 1 };
-    match n {
-        n if n < min => Err(format!("{opt} {n} is below the minimum of {min}")),
-        n => Ok(n),
-    }
-}
-
-/// Checks a `check`, `model` or `profile` commit budget, from
-/// `--commits` or `RF_COMMITS`, against [`size_num`]'s minimum of 1: a
-/// matrix run of no commits has nothing to check or model.
-pub fn commit_budget(n: u64) -> Result<u64, String> {
-    size_min("--commits", n)
+    let min = if opt == "--regs" { MachineConfig::MIN_PHYS_REGS } else { 1 };
+    Ok(at_least(opt, parse_num(opt, v)?, min as u64)? as usize)
 }
 
 fn parse_num<T: std::str::FromStr>(opt: &str, v: &str) -> Result<T, String> {
@@ -524,34 +517,27 @@ fn text(_: &str, v: &str) -> Result<String, String> {
     Ok(v.to_owned())
 }
 
-fn exceptions(_: &str, v: &str) -> Result<ExceptionModel, String> {
-    choice("exception model", v, &EXCEPTION_MODELS)
-}
-
-/// `opt`'s value, one of the `what` names of `table`, else `default`.
-fn pick<T: Copy>(
-    a: &Args,
-    opt: &str,
-    what: &str,
-    table: &[(&str, T)],
-    default: T,
-) -> Result<T, String> {
-    Ok(a.get(opt, |_, v| choice(what, v, table))?.unwrap_or(default))
-}
-
 /// The run of `run`, `trace` or `replay`: `bench`'s baseline at
-/// [`RUN_SEED`] and `commits`, each machine option overriding one field,
+/// `--width` and `--commits`, each machine option overriding one field,
 /// `--dq` defaulting to the baseline queue of `--width`.
-fn machine_spec(a: &Args, bench: &str, commits: u64) -> Result<RunSpec, String> {
-    let base = RunSpec::baseline(bench, a.get("--width", size_num)?.unwrap_or(4));
+fn machine_spec(a: &Args, bench: &str) -> Result<RunSpec, String> {
+    let base = RunSpec::baseline(bench, a.req("--width", size_num)?);
     Ok(RunSpec {
         dq: a.get("--dq", size_num)?.unwrap_or(base.dq),
         regs: a.get("--regs", size_num)?.unwrap_or(base.regs),
-        commits: a.get("--commits", parse_num)?.unwrap_or(commits),
-        exceptions: a.get("--exceptions", exceptions)?.unwrap_or(base.exceptions),
-        cache: pick(a, "--cache", "cache organisation", &CACHE_ORGS, base.cache)?,
-        policy: pick(a, "--sched", "scheduler policy", &SCHED_POLICIES, base.policy)?,
-        predictor: pick(a, "--predictor", "predictor", &PREDICTORS, base.predictor)?,
+        commits: a.req("--commits", parse_num)?,
+        exceptions: a
+            .get("--exceptions", choice("exception model", &ExceptionModel::ALL))?
+            .unwrap_or(base.exceptions),
+        cache: a
+            .get("--cache", choice("cache organisation", &CacheOrg::ALL))?
+            .unwrap_or(base.cache),
+        policy: a
+            .get("--sched", choice("scheduler policy", &SchedPolicy::ALL))?
+            .unwrap_or(base.policy),
+        predictor: a
+            .get("--predictor", choice("predictor", &PredictorKind::ALL))?
+            .unwrap_or(base.predictor),
         split_dq: a.has("--split-queues"),
         seed: RUN_SEED,
         ..base
@@ -559,9 +545,9 @@ fn machine_spec(a: &Args, bench: &str, commits: u64) -> Result<RunSpec, String> 
 }
 
 /// [`machine_spec`] of `--bench` at `--seed`.
-fn run_spec(a: &Args, commits: u64) -> Result<RunSpec, String> {
-    let spec = machine_spec(a, &a.req("--bench", bench)?, commits)?;
-    Ok(RunSpec { seed: a.get("--seed", parse_num)?.unwrap_or(spec.seed), ..spec })
+fn run_spec(a: &Args) -> Result<RunSpec, String> {
+    let spec = machine_spec(a, &a.req("--bench", bench)?)?;
+    Ok(RunSpec { seed: a.req("--seed", parse_num)?, ..spec })
 }
 
 /// The pinnable matrix dimensions of `check`, `profile` and `model`.
@@ -569,10 +555,10 @@ fn pins(a: &Args) -> Result<MatrixPins, String> {
     Ok(MatrixPins {
         bench: a.get("--bench", bench)?,
         width: a.get("--width", size_num)?,
-        exceptions: a.get("--exceptions", exceptions)?,
+        exceptions: a.get("--exceptions", choice("exception model", &ExceptionModel::ALL))?,
         regs: a.get("--regs", size_num)?,
         commits: a.get("--commits", |o, v| parse_num(o, v).and_then(commit_budget))?,
-        seed: a.get("--seed", parse_num)?.unwrap_or(DEFAULT_SEED),
+        seed: a.req("--seed", parse_num)?,
     })
 }
 
@@ -584,10 +570,9 @@ fn pins(a: &Args) -> Result<MatrixPins, String> {
 /// malformed values.
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let (cmd, rest) = match args.split_first() {
-        Some((cmd, rest)) if !matches!(cmd.as_str(), "help" | "--help" | "-h") => {
-            (cmd.as_str(), rest)
-        }
-        _ => return Ok(Command::Help),
+        Some((cmd, rest)) if !matches!(cmd.as_str(), "--help" | "-h") => (cmd.as_str(), rest),
+        _ if args.len() > 1 => return Err(format!("unexpected argument {:?} for help", args[1])),
+        _ => return Ok(Command::Help(None)),
     };
     let grammar = COMMANDS
         .iter()
@@ -596,40 +581,37 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if cmd == "replay" && rest.iter().any(|w| w == "--seed") {
         return Err("replay takes its seed from the trace file; --seed applies to record".into());
     }
-    let a = grammar.parse(rest)?;
+    let Some(a) = grammar.parse(rest)? else { return Ok(Command::Help(Some(grammar.name))) };
     let out = || a.value("--out").map(str::to_owned);
     let deadline_secs = || a.get("--deadline-secs", |_, v| parse_deadline_secs(v));
     Ok(match cmd {
         "list" => Command::List,
-        "run" => {
-            Command::Run { spec: run_spec(&a, DEFAULT_COMMITS)?, deadline_secs: deadline_secs()? }
-        }
+        "help" => Command::Help(None),
+        "run" => Command::Run { spec: run_spec(&a)?, deadline_secs: deadline_secs()? },
         "trace" => Command::Trace {
-            spec: run_spec(&a, 10_000)?,
-            format: pick(&a, "--format", "trace format", &TRACE_FORMATS, TraceFormat::Summary)?,
+            spec: run_spec(&a)?,
+            format: a.req("--format", choice("trace format", &TraceFormat::ALL))?,
             window: a.get("--window", size_num)?.map(|w| w as u64),
             out: out(),
         },
         "record" => Command::Record {
             bench: a.req("--bench", bench)?,
             out: a.req("--out", text)?,
-            count: a.get("--count", parse_num)?.unwrap_or(1_000_000),
-            seed: a.get("--seed", parse_num)?.unwrap_or(RUN_SEED),
+            count: a.req("--count", parse_num)?,
+            seed: a.req("--seed", parse_num)?,
         },
-        "replay" => {
-            Command::Replay { trace: a.req("--trace", text)?, spec: machine_spec(&a, "", 0)? }
-        }
+        "replay" => Command::Replay { trace: a.req("--trace", text)?, spec: machine_spec(&a, "")? },
         "check" => Command::Check { pins: pins(&a)?, deadline_secs: deadline_secs()? },
         "model" => Command::Model {
             pins: pins(&a)?,
             check: a.has("--check"),
-            format: pick(&a, "--format", "model format", &MODEL_FORMATS, ModelFormat::Text)?,
+            format: a.req("--format", choice("model format", &ModelFormat::ALL))?,
             deadline_secs: deadline_secs()?,
         },
         "dataflow" => Command::Dataflow {
             bench: a.req("--bench", bench)?,
             window: a.get("--window", size_num)?,
-            count: a.get("--count", parse_num)?.unwrap_or(200_000),
+            count: a.req("--count", parse_num)?,
         },
         // `trend` ignores the window once a baseline revision is pinned.
         "report" if a.has("--baseline") && a.has("--window") => {
@@ -643,11 +625,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .ok_or_else(|| format!("{opt} {v:?} is not a finite percentage >= 0"))
             };
             let defaults = rf_obs::trend::Options::default();
-            let fidelity =
-                pick(&a, "--fidelity", "--fidelity mode", &FIDELITY_MODES, defaults.fidelity)?;
+            let fidelity = a.get("--fidelity", choice("--fidelity mode", &Mode::ALL))?;
             Command::Report {
-                ledger: a.value("--ledger").unwrap_or(rf_obs::ledger::LEDGER_PATH).to_owned(),
-                format: pick(&a, "--format", "report format", &REPORT_FORMATS, Format::Text)?,
+                ledger: a.req("--ledger", text)?,
+                format: a.req("--format", choice("report format", &Format::ALL))?,
                 out: out(),
                 check: a.has("--check"),
                 opts: rf_obs::trend::Options {
@@ -656,51 +637,65 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     max_regress_pct: a
                         .get("--max-regress-pct", percent)?
                         .unwrap_or(defaults.max_regress_pct),
-                    fidelity,
+                    fidelity: fidelity.unwrap_or(defaults.fidelity),
                 },
             }
         }
         "profile" => Command::Profile {
             pins: pins(&a)?,
-            format: pick(&a, "--format", "profile format", &PROFILE_FORMATS, ProfileFormat::Text)?,
-            top: a.get("--top", parse_num)?.unwrap_or(20),
+            format: a.req("--format", choice("profile format", &ProfileFormat::ALL))?,
+            top: a.req("--top", parse_num)?,
             out: out(),
             deadline_secs: deadline_secs()?,
         },
         "top" => Command::Top {
-            file: a.value("--file").unwrap_or(rf_obs::live::LIVE_PATH).to_owned(),
-            interval_ms: a.get("--interval-ms", size_num)?.map_or(500, |ms| ms as u64),
+            file: a.req("--file", text)?,
+            interval_ms: a.req("--interval-ms", size_num)? as u64,
             once: a.has("--once"),
         },
         "store" => Command::Store {
-            action: choice("store action", a.positional().unwrap_or_default(), &STORE_ACTIONS)?,
+            action: a.req("ACTION", choice("store action", &StoreAction::ALL))?,
             dir: a.value("--dir").map(str::to_owned),
         },
-        "timing" => Command::Timing { width: a.get("--width", size_num)?.unwrap_or(4) },
-        "dump" => Command::Dump {
-            trace: a.req("--trace", text)?,
-            count: a.get("--count", parse_num)?.unwrap_or(0),
-        },
+        "timing" => Command::Timing { width: a.req("--width", size_num)? },
+        "dump" => Command::Dump { trace: a.req("--trace", text)?, count: a.req("--count", parse_num)? },
         _ => unreachable!("every command in COMMANDS has a builder"),
     })
 }
 
+/// One command's options and prose, under its `NAME OPTIONS:` title.
+fn section(g: &Grammar) -> String {
+    let gap = if g.about.is_empty() { "" } else { "\n" };
+    format!("\n{} OPTIONS:\n{}{gap}{}", g.name.to_uppercase(), g.help(), g.about)
+}
+
+/// A titled group's options, under its title.
+fn group_section(group: &Group) -> String {
+    format!("\n{}:\n{}", group.title.unwrap_or_default().to_uppercase(), group.help())
+}
+
 /// Usage text: the synopsis and option lines rendered from the command
-/// grammars, each command's prose after its options.
-pub fn usage() -> String {
+/// grammars, each command's prose after its options. With a command,
+/// only its synopsis and the sections of its options.
+pub fn usage(command: Option<&str>) -> String {
+    if let Some(g) = COMMANDS.iter().find(|g| Some(g.name) == command) {
+        let titled = g.groups.iter().filter(|group| group.title.is_some());
+        let own = if g.groups.is_empty() { String::new() } else { section(g) };
+        let text = g.synopsis(&format!("usage: rfstudy {} ", g.name)) + &own;
+        return titled.fold(text, |text, group| text + &group_section(group));
+    }
     let mut text = String::from(
         "rfstudy — register-file design study simulator (HPCA'96 reproduction)\n\nUSAGE:\n",
     );
     for g in &COMMANDS {
         text += &g.synopsis(&format!("  rfstudy {:<8} ", g.name));
     }
-    text += "  rfstudy help\n";
+    text += "  rfstudy COMMAND --help\n";
     for group in [MACHINE, MATRIX] {
-        text += &format!("\n{}:\n{}", group.title.unwrap_or_default().to_uppercase(), group.help());
+        text += &group_section(&group);
     }
     for g in COMMANDS.iter().filter(|g| !g.groups.is_empty()) {
-        let gap = if g.about.is_empty() { "" } else { "\n" };
-        text += &format!("\n{} OPTIONS:\n{}{gap}{}", g.name.to_uppercase(), g.help(), g.about);
+        text += &section(g);
     }
     text + "
 EXIT STATUS:
@@ -1211,7 +1206,7 @@ mod tests {
 
     #[test]
     fn usage_lists_every_subcommand() {
-        let usage = usage();
+        let usage = usage(None);
         for sub in [
             "list", "run", "trace", "record", "replay", "check", "model", "dataflow",
             "report", "profile", "top", "store", "timing", "dump",
@@ -1228,7 +1223,8 @@ mod tests {
     /// `opt` as a command line gives it: a value `--name META` accepts is
     /// the first alternative of a choice metavar, else a sample of its kind.
     fn words(opt: &Opt) -> Vec<String> {
-        let (name, meta) = opt.bare().split_once(' ').unwrap_or((opt.bare(), ""));
+        let shown = opt.shown();
+        let (name, meta) = shown.split_once(' ').unwrap_or((&shown, ""));
         let value = match meta {
             m if m.contains('|') => m.split('|').next().unwrap(),
             "" => return vec![name.to_owned()],
@@ -1253,13 +1249,13 @@ mod tests {
 
     #[test]
     fn every_declared_option_parses_and_appears_in_usage() {
-        let usage = usage();
+        let usage = usage(None);
         for g in &COMMANDS {
             assert!(parse(&minimal(g, None)).is_ok(), "{:?}", minimal(g, None));
             for opt in g.opts() {
                 let line = [minimal(g, Some(opt.name())), words(opt)].concat();
                 assert!(parse(&line).is_ok(), "{line:?}: {:?}", parse(&line));
-                assert!(usage.contains(opt.bare()), "usage lacks {} of {}", opt.word, g.name);
+                assert!(usage.contains(&opt.shown()), "usage lacks {} of {}", opt.word, g.name);
                 if opt.required() {
                     let err = parse(&minimal(g, Some(opt.name()))).unwrap_err();
                     assert_eq!(err, format!("{} requires {}", g.name, opt.name()));
@@ -1289,21 +1285,21 @@ mod tests {
 
     #[test]
     fn every_choice_appears_in_usage() {
-        let usage = usage();
-        let tables: [&[&str]; 10] = [
-            &TRACE_FORMATS.map(|(n, _)| n),
-            &PROFILE_FORMATS.map(|(n, _)| n),
-            &MODEL_FORMATS.map(|(n, _)| n),
-            &REPORT_FORMATS.map(|(n, _)| n),
-            &FIDELITY_MODES.map(|(n, _)| n),
-            &STORE_ACTIONS.map(|(n, _)| n),
-            &EXCEPTION_MODELS.map(|(n, _)| n),
-            &CACHE_ORGS.map(|(n, _)| n),
-            &SCHED_POLICIES.map(|(n, _)| n),
-            &PREDICTORS.map(|(n, _)| n),
+        let usage = usage(None);
+        let names = [
+            TraceFormat::ALL.map(|v| v.to_string()).to_vec(),
+            ProfileFormat::ALL.map(|v| v.to_string()).to_vec(),
+            ModelFormat::ALL.map(|v| v.to_string()).to_vec(),
+            Format::ALL.map(|v| v.to_string()).to_vec(),
+            Mode::ALL.map(|v| v.to_string()).to_vec(),
+            StoreAction::ALL.map(|v| v.to_string()).to_vec(),
+            ExceptionModel::ALL.map(|v| v.to_string()).to_vec(),
+            CacheOrg::ALL.map(|v| v.to_string()).to_vec(),
+            SchedPolicy::ALL.map(|v| v.to_string()).to_vec(),
+            PredictorKind::ALL.map(|v| v.to_string()).to_vec(),
         ];
-        for name in tables.into_iter().flatten() {
-            assert!(usage.contains(name), "usage lacks {name}");
+        for name in names.iter().flatten() {
+            assert!(usage.contains(name.as_str()), "usage lacks {name}");
         }
         for (cmd, what, expected) in [
             ("--exceptions", "exception model", "precise, imprecise, or alpha-hybrid"),
@@ -1337,8 +1333,30 @@ mod tests {
 
     #[test]
     fn empty_and_help_yield_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+        assert_eq!(parse(&[]).unwrap(), Command::Help(None));
+        assert_eq!(parse(&argv("help")).unwrap(), Command::Help(None));
+        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help(None));
+        for (line, err) in [
+            ("help run", "unexpected argument \"run\" for help"),
+            ("help --bogus", "unknown option \"--bogus\" for help"),
+            ("--help run", "unexpected argument \"run\" for help"),
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap_err(), err, "{line}");
+        }
+    }
+
+    #[test]
+    fn help_on_a_command_yields_its_usage() {
+        for g in &COMMANDS {
+            let line = [minimal(g, None), argv("--help")].concat();
+            assert_eq!(parse(&line).unwrap(), Command::Help(Some(g.name)), "{line:?}");
+            let text = usage(Some(g.name));
+            assert!(text.starts_with(&format!("usage: rfstudy {}", g.name)), "{text}");
+            for opt in g.opts().chain(&g.positional) {
+                assert!(text.contains(&opt.shown()), "{} --help lacks {}", g.name, opt.word);
+            }
+        }
+        // Help wins over a fault elsewhere on the line.
+        assert_eq!(parse(&argv("run --bogus --help")).unwrap(), Command::Help(Some("run")));
     }
 }

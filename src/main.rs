@@ -1,13 +1,6 @@
-//! The `rfstudy` command-line simulator.
-//!
-//! Run `rfstudy help` for usage. Commands: `list`, `run`, `record`,
-//! `replay`, `check`, `model`, `profile`, `top`, `dump`, `dataflow`,
-//! `report`, `timing`.
-//!
-//! Exit status: 0 on success, 1 on a runtime failure (simulation error,
-//! sanitizer violation, failed gate, exceeded deadline), 2 on a usage
-//! error (unknown command/option, malformed value, or a `top` attach to
-//! a telemetry stream file that does not exist).
+//! The `rfstudy` command-line simulator. `rfstudy help` lists the
+//! commands, their options and the exit statuses, all rendered from the
+//! command grammars in `cli.rs`.
 
 mod cli;
 
@@ -30,15 +23,15 @@ fn main() -> ExitCode {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", cli::usage());
+            eprintln!("{}", cli::usage(None));
             return ExitCode::from(2);
         }
     };
     // `help` prints even under a malformed environment, as `all --help`
     // does; every other command first parses the run configuration, so
     // a malformed `RF_*` knob is a usage error before any work.
-    if cmd == Command::Help {
-        println!("{}", cli::usage());
+    if let Command::Help(command) = cmd {
+        println!("{}", cli::usage(command));
         return ExitCode::SUCCESS;
     }
     let cfg = match rf_experiments::runner::init_config() {
@@ -48,16 +41,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // A matrix command's budget from `RF_COMMITS` meets `--commits`'s
-    // minimum, too.
-    if let Command::Check { pins, .. } | Command::Model { pins, .. } | Command::Profile { pins, .. } =
-        &cmd
-    {
-        if let (None, Some(Err(e))) = (pins.commits, cfg.commits.map(cli::commit_budget)) {
-            eprintln!("error: RF_COMMITS: {e}");
-            return ExitCode::from(2);
-        }
-    }
     // Attaching to a stream file that does not exist is a usage error
     // (exit 2), not something to hang on: no suite run has started the
     // stream, so waiting for the file could wait forever.
@@ -84,7 +67,7 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
     // the suite's.
     let matrix_commits = cfg.commits.unwrap_or(cli::MATRIX_COMMITS);
     match cmd {
-        Command::Help => unreachable!("main prints help before parsing the run configuration"),
+        Command::Help(_) => unreachable!("main prints help before parsing the run configuration"),
         Command::List => {
             println!("{:<10} {:>6} {:>6} {:>8}", "benchmark", "fp?", "loops", "body");
             for p in spec92::all() {

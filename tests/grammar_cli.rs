@@ -1,14 +1,15 @@
 //! CLI contract for the one command grammar: every `rfstudy` subcommand
 //! exits 2 on an unknown option, a repeated option and a trailing
 //! option without its value, before any work, so a misspelt or doubled
-//! option can never run a machine other than the one asked for. The
+//! option can never run a machine other than the one asked for; and
+//! every subcommand prints its usage and exits 0 on `--help`. The
 //! suite binary's rows are in `crates/experiments/tests/all_args.rs`.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rf-grammar-cli-{}", std::process::id()));
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rf-grammar-cli-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -34,7 +35,7 @@ fn unknown_repeated_and_value_less_options_are_usage_errors_on_every_subcommand(
         (&["timing"], &["--width", "4", "--width", "8"], "--width"),
         (&["dump", "--trace", "t.rft"], &["--count", "1", "--count", "2"], "--count"),
     ];
-    let dir = workdir();
+    let dir = workdir("options");
     for (base, repeated, value_less) in rows {
         let cmd = base[0];
         let unknown = format!("unknown option \"--bogus\" for {cmd}");
@@ -57,6 +58,39 @@ fn unknown_repeated_and_value_less_options_are_usage_errors_on_every_subcommand(
             assert!(stderr.contains(&message), "rfstudy {args:?}: says {message:?}: {stderr}");
             assert!(out.stdout.is_empty(), "rfstudy {args:?}: no work before the usage error");
         }
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "nothing is written: {written:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn help_on_every_subcommand_prints_its_usage_and_exits_0() {
+    let commands = [
+        "list", "run", "trace", "record", "replay", "check", "model", "dataflow", "report",
+        "profile", "top", "store", "timing", "dump", "help",
+    ];
+    let dir = workdir("help");
+    for cmd in commands {
+        let out = Command::new(env!("CARGO_BIN_EXE_rfstudy"))
+            .args([cmd, "--help"])
+            .current_dir(&dir)
+            .output()
+            .expect("rfstudy runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "rfstudy {cmd} --help");
+        assert!(stdout.starts_with(&format!("usage: rfstudy {cmd}")), "{cmd}: {stdout}");
+    }
+    // `help` itself takes no argument: anything after it is a usage error.
+    for args in [&["help", "--bogus"][..], &["help", "run"], &["--help", "run"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rfstudy"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("rfstudy runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rfstudy {args:?}: {stderr}");
+        assert!(stderr.contains("for help"), "rfstudy {args:?}: {stderr}");
     }
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(written.is_empty(), "nothing is written: {written:?}");

@@ -54,7 +54,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         harnesses: vec![harness("fig3", 1.0 * scale), harness("fig6", 2.0 * scale)],
         headlines,
         model_error: None,
-        alloc: None,
         telemetry: None,
         store: None,
         sanitizer: None,
