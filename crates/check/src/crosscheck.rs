@@ -23,7 +23,7 @@ use crate::oracle::{self, TraceOracle};
 use crate::sanitizer::Sanitizer;
 use rf_core::{
     CancelToken, Cancelled, ExceptionModel, LiveModel, MachineConfig, Pipeline, RunSpec,
-    SimStats, DEFAULT_SEED,
+    SimStats,
 };
 use rf_isa::{OpKind, RegClass};
 use rf_workload::{spec92, SharedTrace, TraceGenerator};
@@ -99,8 +99,8 @@ impl ClassCheck {
 /// The full reconciliation report for one run.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
-    /// The parameters checked.
-    pub params: CheckParams,
+    /// The run checked.
+    pub spec: RunSpec,
     /// Sanitizer observer events consumed.
     pub sanitizer_events: u64,
     /// Sanitizer violations (0 on a clean run).
@@ -129,11 +129,11 @@ impl CheckReport {
 
     /// Renders the human-readable reconciliation report.
     pub fn render(&self) -> String {
-        let p = &self.params;
+        let p = &self.spec;
         let mut out = String::new();
         out.push_str(&format!(
             "check {b} width={w} {e} regs={r} commits={c} seed={s}: {verdict}\n",
-            b = p.bench,
+            b = p.benchmark,
             w = p.width,
             e = p.exceptions,
             r = p.regs,
@@ -196,18 +196,18 @@ pub fn config_for(p: &CheckParams) -> MachineConfig {
     p.spec().machine_config()
 }
 
-/// Runs one sanitized simulation plus the static analysis of the same
-/// trace prefix, the two on two threads, and reconciles them. `Err` only
-/// for unusable parameters (unknown benchmark); check failures are
-/// reported via [`CheckReport::passed`].
+/// Cross-validates a matrix point: [`cross_validate_cancellable`] of its
+/// [`CheckParams::spec`] without a cancel token. `Err` only for unusable
+/// parameters (unknown benchmark); check failures are reported via
+/// [`CheckReport::passed`].
 pub fn cross_validate(params: &CheckParams) -> Result<CheckReport, String> {
-    cross_validate_cancellable(params, None)
+    cross_validate_cancellable(&params.spec(), None)
 }
 
-/// [`cross_validate`] with an optional cooperative cancel token (the
-/// `rfstudy check --deadline-secs` wall-clock budget): when the token
-/// fires mid-check, the partial state of both halves is discarded and an
-/// `Err` describing the cancellation is returned.
+/// Runs one sanitized simulation of `spec` plus the static analysis of
+/// the same trace prefix and reconciles them. The optional cancel token
+/// is the `rfstudy check --deadline-secs` budget: when it fires mid-check,
+/// both halves' partial state is discarded and an `Err` says so.
 ///
 /// The two halves run at once. A scoped thread regenerates the
 /// committed prefix from a fresh [`TraceGenerator`] and runs the oracle
@@ -219,18 +219,18 @@ pub fn cross_validate(params: &CheckParams) -> Result<CheckReport, String> {
 /// instructions, and stops too once the simulation has failed. A panic
 /// in either half panics the check.
 pub fn cross_validate_cancellable(
-    params: &CheckParams,
+    spec: &RunSpec,
     cancel: Option<&CancelToken>,
 ) -> Result<CheckReport, String> {
-    let profile = spec92::by_name(&params.bench)
-        .ok_or_else(|| format!("unknown benchmark '{}'", params.bench))?;
-    let config = config_for(params);
+    let profile = spec92::by_name(&spec.benchmark)
+        .ok_or_else(|| format!("unknown benchmark '{}'", spec.benchmark))?;
+    let config = spec.machine_config();
     let insert_bw = config.effective_insert_bandwidth();
     let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let cancelled = |at: String| {
         format!(
             "check {} width={} {} regs={} cancelled {at} (partial statistics discarded)",
-            params.bench, params.width, params.exceptions, params.regs
+            spec.benchmark, spec.width, spec.exceptions, spec.regs
         )
     };
 
@@ -238,13 +238,13 @@ pub fn cross_validate_cancellable(
     let (oracle, sim) = thread::scope(|s| {
         // Static analysis of the committed prefix: commit is in-order,
         // the generator is deterministic and infinite, so a completed run
-        // commits exactly the first `params.commits` entries of a fresh
+        // commits exactly the first `spec.commits` entries of a fresh
         // trace (the dataflow count check below holds this). The prefix
         // streams; it is never held.
         let oracle = s.spawn(|| {
             let mut cut = false;
-            let prefix = TraceGenerator::new(&profile, params.seed)
-                .take(params.commits as usize)
+            let prefix = TraceGenerator::new(&profile, spec.seed)
+                .take(spec.commits as usize)
                 .enumerate()
                 .take_while(|&(i, _)| {
                     cut = i % POLL_EVERY == 0
@@ -261,15 +261,15 @@ pub fn cross_validate_cancellable(
         // one, buffered up to the cap and read from the tail generator
         // past it.
         let sim = panic::catch_unwind(AssertUnwindSafe(|| {
-            let len = params.commits.min(SharedTrace::MAX_BUFFERED) as usize;
-            let shared = SharedTrace::build(&profile, params.seed, len, is_cancelled)
+            let len = spec.commits.min(SharedTrace::MAX_BUFFERED) as usize;
+            let shared = SharedTrace::build(&profile, spec.seed, len, is_cancelled)
                 .ok_or(Cancelled { at_cycle: 0 })?;
             let mut pipeline =
-                Pipeline::with_observer(config, Sanitizer::new(params.regs, params.exceptions));
+                Pipeline::with_observer(config, Sanitizer::new(spec.regs, spec.exceptions));
             if let Some(token) = cancel {
                 pipeline = pipeline.with_cancel(token.clone());
             }
-            pipeline.run(&mut shared.cursor(), &mut shared.wrong_path(), params.commits)
+            pipeline.run(&mut shared.cursor(), &mut shared.wrong_path(), spec.commits)
         }));
         if !matches!(sim, Ok(Ok(_))) {
             sim_failed.store(true, Ordering::Relaxed);
@@ -292,7 +292,7 @@ pub fn cross_validate_cancellable(
                 class,
                 floor: co.floor,
                 sim_max_live: stats.live_percentile(class, LiveModel::Precise, 100.0),
-                ceiling: oracle.upper_bound(class, params.regs, slack),
+                ceiling: oracle.upper_bound(class, spec.regs, slack),
                 ideal_demand: co.ideal_demand,
                 ideal_cat_means: co.ideal_cat_means,
                 sim_cat_means: stats.category_means(class),
@@ -313,7 +313,7 @@ pub fn cross_validate_cancellable(
     .collect();
 
     Ok(CheckReport {
-        params: params.clone(),
+        spec: spec.clone(),
         sanitizer_events: sanitizer.events(),
         sanitizer_violations: sanitizer.total_violations(),
         sanitizer_report: sanitizer.report(),
@@ -345,52 +345,6 @@ pub fn default_matrix(commits: u64, seed: u64) -> Vec<CheckParams> {
         }
     }
     out
-}
-
-/// Aggregate sanitizer status over the experiment suite's probe runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SuiteSanitizer {
-    /// Sanitized probe runs executed.
-    pub probes: u64,
-    /// Total observer events consumed across probes.
-    pub events: u64,
-    /// Total invariant violations (0 when clean).
-    pub violations: u64,
-}
-
-impl SuiteSanitizer {
-    /// `"clean"` when no probe tripped, `"VIOLATED"` otherwise — the
-    /// verdict the suite runner prints.
-    pub fn status(&self) -> &'static str {
-        if self.violations == 0 {
-            "clean"
-        } else {
-            "VIOLATED"
-        }
-    }
-}
-
-/// Runs the suite's sanitized probe set: a small representative corner of
-/// the full matrix (one integer-heavy and one FP-heavy benchmark, both
-/// widths, both models, scarce registers) so every suite run re-proves
-/// the invariants on the exact binary being measured.
-pub fn suite_probe(commits: u64) -> SuiteSanitizer {
-    let mut agg = SuiteSanitizer::default();
-    let probes = default_matrix(commits, DEFAULT_SEED)
-        .into_iter()
-        .filter(|p| matches!(p.bench.as_str(), "compress" | "tomcatv") && p.regs == 64);
-    for params in probes {
-        let report = cross_validate(&params).expect("suite probe benchmarks exist");
-        agg.probes += 1;
-        agg.events += report.sanitizer_events;
-        agg.violations += report.sanitizer_violations;
-        if !report.dataflow_errors.is_empty()
-            || !report.classes.iter().all(ClassCheck::bracket_holds)
-        {
-            agg.violations += 1;
-        }
-    }
-    agg
 }
 
 #[cfg(test)]
@@ -440,7 +394,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let err = cross_validate_cancellable(
-            &params("compress", ExceptionModel::Precise, 64),
+            &params("compress", ExceptionModel::Precise, 64).spec(),
             Some(&token),
         )
         .unwrap_err();
@@ -448,7 +402,7 @@ mod tests {
         // An unfired token changes nothing.
         let fresh = CancelToken::new();
         let r = cross_validate_cancellable(
-            &params("compress", ExceptionModel::Precise, 64),
+            &params("compress", ExceptionModel::Precise, 64).spec(),
             Some(&fresh),
         )
         .unwrap();
@@ -487,7 +441,7 @@ mod tests {
             thread::sleep(std::time::Duration::from_millis(50));
             fire.cancel();
         });
-        let err = cross_validate_cancellable(&p, Some(&token)).unwrap_err();
+        let err = cross_validate_cancellable(&p.spec(), Some(&token)).unwrap_err();
         helper.join().unwrap();
         assert!(err.contains("cancelled"), "{err}");
         assert!(start.elapsed().as_secs() < 5, "took {:?}", start.elapsed());

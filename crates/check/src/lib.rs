@@ -17,14 +17,13 @@
 //!   divergence (double alloc/free, freelist conservation, rename-map
 //!   bijectivity, commit order, squash completeness).
 //!
-//! [`crosscheck`] ties the two together: one sanitized simulation per
-//! configuration, reconciled against the static analysis of the same
-//! trace prefix (the two run on two threads, each over its own copy of
-//! the trace), surfaced as the `rfstudy check` subcommand and as
-//! sanitized probe runs in the experiment suite. A configuration is a
-//! [`CheckParams`], one point of the check matrix ([`default_matrix`]),
-//! and the run it names is [`CheckParams::spec`], an
-//! [`rf_core::RunSpec`] like every other simulation's. [`inject`] proves every
+//! [`crosscheck`] ties the two together: one sanitized simulation of an
+//! [`rf_core::RunSpec`], reconciled against the static analysis of the
+//! same trace prefix (the two run on two threads, each over its own copy
+//! of the trace), surfaced as the `rfstudy check` subcommand and as the
+//! experiment suite's audit of a sample of its own answers. A point of
+//! the check matrix ([`default_matrix`]) is a [`CheckParams`], and the
+//! run it names is [`CheckParams::spec`]. [`inject`] proves every
 //! sanitizer checker can actually fail. [`wstats`] adds the windowed
 //! dataflow limits to the oracle's pass, as the schedule-independent
 //! workload summary the `rf-model` analytic estimator consumes.
@@ -39,7 +38,7 @@ pub mod oracle;
 pub mod sanitizer;
 pub mod wstats;
 
-pub use crosscheck::{config_for, cross_validate, cross_validate_cancellable, default_matrix, suite_probe, CheckParams, CheckReport, SuiteSanitizer};
+pub use crosscheck::{config_for, cross_validate, cross_validate_cancellable, default_matrix, CheckParams, CheckReport};
 pub use inject::{Fault, FaultInjector};
 pub use oracle::{analyze, ClassOracle, TraceOracle};
 pub use sanitizer::{Sanitizer, Violation, ViolationKind};

@@ -122,6 +122,11 @@ impl MachineConfig {
     /// mapping, and the paper notes systems below 32 deadlock.
     pub const MIN_PHYS_REGS: usize = 32;
 
+    /// Physical registers per class of the baseline machine.
+    pub const BASELINE_PHYS_REGS: usize = 2048;
+    /// Dispatch-queue entries per unit of issue width of the baseline.
+    pub const DQ_PER_WIDTH: usize = 8;
+
     /// Creates a configuration for a machine of the given issue width.
     ///
     /// # Panics
@@ -131,8 +136,8 @@ impl MachineConfig {
         assert!(width > 0, "issue width must be positive");
         Self {
             width,
-            dq_size: width * 8,
-            phys_regs: 2048,
+            dq_size: width * Self::DQ_PER_WIDTH,
+            phys_regs: Self::BASELINE_PHYS_REGS,
             exceptions: ExceptionModel::Precise,
             cache_org: CacheOrg::LockupFree,
             cache_config: CacheConfig::baseline(),

@@ -9,14 +9,14 @@
 //! attribution and latency percentiles) and builds the suite's one run
 //! record: the [`LedgerRecord`] appended to
 //! `results/history/suite.jsonl`. Work outside the batch and the renders
-//! (the post-suite probes) never reaches it.
+//! (the post-suite probes and the answer audit) never reaches it.
 
 use crate::runner::{payload_text, BatchOpts, RunSpec, SimPool};
-use crate::suite::{Answers, Plan};
+use crate::suite::{Answers, Audit, Plan};
 use rf_core::{NullObserver, Observer as _, Pipeline, StallCause};
 use rf_obs::ledger::{
-    HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
-    SanitizerRecord, StoreRecord, TelemetryRecord,
+    HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord, StoreRecord,
+    TelemetryRecord,
 };
 use rf_obs::Recorder;
 use rf_prof::counters::{self, Counter, Counts};
@@ -64,7 +64,7 @@ pub struct SuiteBench {
     /// Wall seconds spent rendering reports.
     render_seconds: f64,
     harnesses: Vec<HarnessRecord>,
-    sanitizer: Option<SanitizerRecord>,
+    audit: Option<Audit>,
     model_error: Option<ModelErrorRecord>,
     telemetry: Option<TelemetryRecord>,
 }
@@ -80,16 +80,16 @@ impl SuiteBench {
             profile: None,
             render_seconds: 0.0,
             harnesses: Vec::new(),
-            sanitizer: None,
+            audit: None,
             model_error: None,
             telemetry: None,
         }
     }
 
-    /// Records the sanitized-probe outcome for the ledger record; any
-    /// violation fails the suite's [`SuiteBench::verdict`].
-    pub fn set_sanitizer(&mut self, record: SanitizerRecord) {
-        self.sanitizer = Some(record);
+    /// Records the answer audit for the ledger record; any violation
+    /// fails the suite's [`SuiteBench::verdict`].
+    pub fn set_audit(&mut self, audit: Audit) {
+        self.audit = Some(audit);
     }
 
     /// Records the analytic-model cross-validation telemetry for the
@@ -176,7 +176,7 @@ impl SuiteBench {
 
     /// Builds the run-history ledger record for this suite run (see
     /// `rf_obs::ledger`): config knobs, totals (the sums of the harness
-    /// records, plus the batch's kernel, cache and store counters), the
+    /// records, plus the batch's kernel and store counters), the
     /// batch's phase timers and profile, the per-harness records and the
     /// extracted figure headlines.
     pub fn to_ledger_record(&self, headlines: Vec<(String, f64)>) -> LedgerRecord {
@@ -195,8 +195,6 @@ impl SuiteBench {
             cycles_skipped: b(Counter::CyclesSkipped),
             wakeup_events: b(Counter::WakeupEvents),
             reused: b(Counter::SimsReused),
-            cache_hits: b(Counter::CacheHits),
-            cache_misses: b(Counter::CacheMisses),
             phase: PhaseRecord {
                 generate: b(Counter::GenerateNs) as f64 / 1e9,
                 simulate: b(Counter::SimulateNs) as f64 / 1e9,
@@ -212,14 +210,14 @@ impl SuiteBench {
                 misses: b(Counter::StoreMisses),
                 writes: b(Counter::StoreWrites),
             }),
-            sanitizer: self.sanitizer,
+            audit: self.audit.as_ref().map(|a| a.record),
         }
     }
 
     /// The suite's exit verdict: `Ok` when every harness completed and
-    /// the sanitizer probe found no violation; otherwise the failure
+    /// the answer audit found no violation; otherwise the failure
     /// summary, naming the failed harnesses with their errors and the
-    /// sanitizer's violation count.
+    /// audit's violation count and failed samples.
     pub fn verdict(&self) -> Result<(), String> {
         let failed: Vec<&HarnessRecord> =
             self.harnesses.iter().filter(|h| h.error.is_some()).collect();
@@ -231,10 +229,12 @@ impl SuiteBench {
                 self.harnesses.len()
             ));
         }
-        if let Some(s) = self.sanitizer.filter(|s| s.violations > 0) {
+        let audit = self.audit.as_ref().filter(|a| a.record.violations > 0);
+        if let Some(a) = audit {
             reasons.push(format!(
-                "sanitizer found {} invariant violations in {} probes",
-                s.violations, s.probes
+                "{} of {} audited answers failed",
+                a.record.violations,
+                a.record.samples.iter().sum::<u64>()
             ));
         }
         if reasons.is_empty() {
@@ -243,6 +243,9 @@ impl SuiteBench {
         let mut summary = format!("suite FAILED: {}", reasons.join("; "));
         for h in failed {
             let _ = write!(summary, "\n  {}: {}", h.name, h.error.as_deref().unwrap_or_default());
+        }
+        for failure in audit.iter().flat_map(|a| &a.failures) {
+            let _ = write!(summary, "\n  audit: {failure}");
         }
         Err(summary)
     }
@@ -258,6 +261,7 @@ mod tests {
     use super::*;
     use crate::runner::{Answer, RunError};
     use rf_core::SimStats;
+    use rf_obs::ledger::AuditRecord;
     use std::sync::Arc;
 
     /// A one-harness plan over nothing, rendered to an empty report.
@@ -282,14 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn ledger_record_carries_probe_stalls_and_sanitizer() {
+    fn ledger_record_carries_probe_stalls_and_audit() {
         let mut bench = SuiteBench::start(500);
         rendered_noop(&mut bench);
         bench.attach_probe("ora", 1_000);
-        bench.set_sanitizer(SanitizerRecord { probes: 8, events: 1_000, violations: 0 });
+        bench.set_audit(audit(0));
         let record = bench.to_ledger_record(Vec::new());
         assert_eq!(record.commits, 500);
-        assert_eq!(record.sanitizer.map(|s| s.events), Some(1_000));
+        assert_eq!(record.audit.map(|a| a.events), Some(1_000));
         let h = &record.harnesses[0];
         assert_eq!(h.name, "noop");
         assert!(h.cache_served, "a harness that owns no spec is cache-served");
@@ -302,7 +306,15 @@ mod tests {
             .and_then(rf_obs::json::Value::as_object)
             .expect("six-cause stalls recorded");
         assert_eq!(stalls.len(), StallCause::COUNT);
-        assert_eq!(v.get("sanitizer").unwrap().get_f64("probes"), Some(8.0));
+        let samples = v.get("audit").unwrap().get("samples").unwrap();
+        assert_eq!(samples.get_f64("fresh"), Some(11.0));
+    }
+
+    /// An audit of 13 samples that found `violations`.
+    fn audit(violations: u64) -> Audit {
+        let record = AuditRecord { samples: [11, 1, 1], events: 1_000, violations };
+        let failures = (0..violations).map(|i| format!("sample {i} differs")).collect();
+        Audit { record, failures }
     }
 
     fn stats(committed: u64, cycles: u64) -> Arc<SimStats> {
@@ -403,32 +415,36 @@ mod tests {
     }
 
     #[test]
-    fn verdict_covers_clean_failed_harness_and_sanitizer_violation() {
-        let clean = SanitizerRecord { probes: 8, events: 1_000, violations: 0 };
+    fn verdict_covers_clean_failed_harness_and_audit_violation() {
         let plan = Plan::new(vec![("broken", Vec::new()), ("fine", Vec::new())]);
         let answers = Answers::default();
 
-        // Clean: every harness completed and the sanitizer found nothing.
+        // Clean: every harness completed and the audit found nothing.
         let mut bench = SuiteBench::start(500);
         let _ = bench.render(&plan, 1, &answers, String::new);
-        bench.set_sanitizer(clean);
+        bench.set_audit(audit(0));
         assert_eq!(bench.verdict(), Ok(()));
 
         // A failed harness: the summary counts it and names its error.
         let mut bench = SuiteBench::start(500);
         let _ = bench.render(&plan, 0, &answers, || panic!("boom"));
         let _ = bench.render(&plan, 1, &answers, String::new);
-        bench.set_sanitizer(clean);
+        bench.set_audit(audit(0));
         let summary = bench.verdict().expect_err("a failed harness fails the suite");
         assert!(summary.starts_with("suite FAILED: 1/2 harnesses did not complete"), "{summary}");
         assert!(summary.contains("\n  broken: harness \"broken\" failed: boom"), "{summary}");
-        assert!(!summary.contains("sanitizer"), "{summary}");
+        assert!(!summary.contains("audit"), "{summary}");
 
-        // A sanitizer violation fails a suite whose harnesses all ran.
+        // An audit violation fails a suite whose harnesses all ran, and
+        // the summary names each failed sample.
         let mut bench = SuiteBench::start(500);
         let _ = bench.render(&plan, 1, &answers, String::new);
-        bench.set_sanitizer(SanitizerRecord { violations: 3, ..clean });
+        bench.set_audit(audit(2));
         let summary = bench.verdict().expect_err("a violation fails the suite");
-        assert_eq!(summary, "suite FAILED: sanitizer found 3 invariant violations in 8 probes");
+        assert_eq!(
+            summary,
+            "suite FAILED: 2 of 13 audited answers failed\n  \
+             audit: sample 0 differs\n  audit: sample 1 differs"
+        );
     }
 }

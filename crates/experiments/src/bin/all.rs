@@ -5,7 +5,7 @@
 //! `rf_experiments::suite`). Every invocation also appends one
 //! schema-versioned record to the run-history ledger
 //! `results/history/suite.jsonl`: the suite's one run record (timings,
-//! counters, probes, sanitizer outcome, headlines), which `rfstudy
+//! counters, probes, answer audit, headlines), which `rfstudy
 //! report` reads. Under `RF_TELEMETRY=1` the suite also streams live
 //! snapshots to `results/telemetry/live.jsonl`, its one progress stream,
 //! which `rfstudy top` follows.
@@ -24,8 +24,9 @@
 //! A failed spec fails exactly the harnesses whose plans contain it, and
 //! a panicking render fails only its own harness: its ledger harness
 //! record carries `"error": ...`, its report file is not written, and
-//! the other harnesses still write theirs. A sanitizer probe that finds
-//! an invariant violation likewise fails the suite. Either way the
+//! the other harnesses still write theirs. An audited answer that breaks
+//! an invariant or does not re-derive likewise fails the suite (see
+//! [`rf_experiments::suite::audit`]). Either way the
 //! ledger record is appended first, then the process exits 1 with a
 //! suite-level failure summary.
 //!
@@ -39,7 +40,7 @@ use rf_experiments::bench::SuiteBench;
 use rf_experiments::runner::{
     self, BatchOpts, RunConfig, RunSpec, Scale, SimPool, DEFAULT_COMMITS, KNOBS,
 };
-use rf_experiments::suite::{Answers, Harness, Plan, HARNESSES};
+use rf_experiments::suite::{self, Answers, Harness, Plan, HARNESSES};
 use rf_obs::fidelity;
 use rf_obs::ledger;
 use std::fs;
@@ -76,7 +77,7 @@ overruns --deadline-secs fails, and with it every harness that planned it.
 const KNOB_COLUMN: usize = 18;
 
 /// The usage text: the grammar's, then the knobs the suite reads (all
-/// but `RF_SANITIZE`: the suite always runs its own sanitizer probe).
+/// but `RF_SANITIZE`: the suite always audits its answers sanitized).
 fn usage() -> String {
     let knobs: String = KNOBS
         .iter()
@@ -206,17 +207,6 @@ fn model_error_probe(
     })
 }
 
-/// Re-simulates the first spec in plan order that the batch answered by
-/// saturation reuse and compares the run with that answer: `None` when
-/// nothing was reused, else the spec and whether the two agree.
-fn reuse_audit<'p>(plan: &'p Plan, answers: &Answers) -> Option<(&'p RunSpec, bool)> {
-    let (spec, stats) = plan.specs.iter().find_map(|spec| {
-        let answer = answers.answer(spec).filter(|a| a.reused)?;
-        Some((spec, answer.outcome.as_ref().ok()?))
-    })?;
-    Some((spec, runner::try_simulate(spec).is_ok_and(|fresh| fresh == **stats)))
-}
-
 fn main() -> ExitCode {
     // `-h` is the one short spelling, of `--help`.
     let argv: Vec<String> =
@@ -310,8 +300,8 @@ fn run_suite(
         }
     }
     // Stop the sampler once the suite's measured work is complete: the
-    // sanitizer and model probes below are out-of-band checks, not
-    // suite work.
+    // audit and the model probe below are out-of-band checks, not suite
+    // work.
     if let Some(t) = rf_obs::live::finalize() {
         println!(
             "telemetry: {} snapshots @ {}ms -> {} (digest {})",
@@ -326,31 +316,11 @@ fn run_suite(
             digest: t.digest,
         });
     }
-    // Sanitized probes: invariant-checked simulations over a small corner
-    // of the configuration space, so every suite report certifies the
-    // rename/freeing protocol of the binary that produced it.
-    let probe = rf_check::suite_probe(scale.commits.min(2_000));
-    let mut sanitizer = ledger::SanitizerRecord {
-        probes: probe.probes,
-        events: probe.events,
-        violations: probe.violations,
-    };
-    println!("sanitizer: {} ({} probes, {} events)", probe.status(), probe.probes, probe.events);
-    // One more probe: a reused answer must equal a fresh simulation.
-    if let Some((spec, agrees)) = reuse_audit(&plan, &answers) {
-        sanitizer.probes += 1;
-        sanitizer.violations += u64::from(!agrees);
-        println!(
-            "reuse audit: {} ({} width={} regs={} {:?} {:?} re-simulated)",
-            if agrees { "clean" } else { "MISMATCH" },
-            spec.benchmark,
-            spec.width,
-            spec.regs,
-            spec.exceptions,
-            spec.cache,
-        );
-    }
-    bench.set_sanitizer(sanitizer);
+    // Every report certifies, on a sample of the answers it was rendered
+    // from, the rename/freeing protocol and the answers themselves.
+    let audit = suite::audit(&plan, &answers);
+    println!("audit: {audit}");
+    bench.set_audit(audit);
     if let Some(m) = model_error_probe(scale, &answers, cfg.jobs) {
         println!(
             "model error: mean |IPC err| {:.1}% over {} baselines, worst {:.1}% ({})",

@@ -60,11 +60,14 @@ const STORE: Opt = Opt::new(
     "1/on/true/yes enables the durable content-addressed run store: executed results persist \
      under RF_STORE_DIR and warm re-runs are served from disk byte-identically",
 );
-const STORE_DIR: Opt = Opt::new("RF_STORE_DIR", "store directory (default: results/store)");
+/// The durable store's directory when `RF_STORE_DIR` does not set one.
+pub const DEFAULT_STORE_DIR: &str = "results/store";
+const STORE_DIR: Opt =
+    Opt::new("RF_STORE_DIR", "store directory (default: {default})").default(&DEFAULT_STORE_DIR);
 const PROFILE: Opt =
     Opt::new("RF_PROFILE", "1/on/true/yes embeds an rf-prof self-profile in the ledger record");
-/// The knob only `rfstudy run` and `replay` read: the suite always runs
-/// its own sanitizer probe.
+/// The knob only `rfstudy run` and `replay` read: the suite's answer
+/// audit always runs sanitized.
 pub const SANITIZE: Opt = Opt::new(
     "RF_SANITIZE",
     "1/on/true/yes attaches the invariant sanitizer to `rfstudy run` and `replay`",
@@ -97,7 +100,7 @@ pub struct RunConfig {
     pub jobs: usize,
     /// `RF_STORE`: whether the durable on-disk run store is on.
     pub store: bool,
-    /// `RF_STORE_DIR`: the store directory (default `results/store`),
+    /// `RF_STORE_DIR`: the store directory (default [`DEFAULT_STORE_DIR`]),
     /// validated even while the store is off.
     pub store_dir: std::path::PathBuf,
     /// `RF_PROFILE`: whether the suite embeds rf-prof self-profiles in
@@ -151,7 +154,7 @@ impl RunConfig {
             },
         };
         let store_dir = match var(STORE_DIR.name()) {
-            None => std::path::PathBuf::from("results/store"),
+            None => DEFAULT_STORE_DIR.into(),
             Some(raw) if raw.trim().is_empty() => {
                 return Err(invalid(STORE_DIR, &raw, "a directory path"))
             }

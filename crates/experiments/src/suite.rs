@@ -15,9 +15,14 @@
 //! A failed spec fails exactly the harnesses whose plans contain it:
 //! [`Plan::failure`] names the error before rendering, and
 //! [`Answers::get`] panics with it should a render read a failed spec.
+//!
+//! [`audit`] then re-derives a deterministic sample of the answers the
+//! reports read ([`audit_sample`]) under the sanitizer and the oracle.
 
+use crate::codec;
 use crate::runner::{Answer, BatchOpts, RunCache, RunError, RunSpec, Scale, SimPool};
 use rf_core::SimStats;
+use rf_obs::ledger::{AuditRecord, AUDIT_TIERS};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -241,6 +246,87 @@ impl Plan {
     }
 }
 
+/// The specs [`audit`] re-derives, each with its tier's index in
+/// [`AUDIT_TIERS`]: of the answered specs ranked by key digest, the
+/// lowest ⌈1%⌉, plus the lowest-ranked spec of each tier those miss.
+pub fn audit_sample<'p>(plan: &'p Plan, answers: &Answers) -> Vec<(&'p RunSpec, usize)> {
+    let mut ranked: Vec<_> = plan
+        .specs
+        .iter()
+        .filter_map(|spec| {
+            let a = answers.answer(spec).filter(|a| a.outcome.is_ok())?;
+            // Served without a task: the suite's cache is batch-local and
+            // its plan holds no duplicates, so the durable store served it.
+            let tier = match (a.reused, a.task_ns) {
+                (true, _) => 1,
+                (false, Some(_)) => 0,
+                (false, None) => 2,
+            };
+            Some((codec::spec_digest(spec), spec, tier))
+        })
+        .collect();
+    ranked.sort_unstable_by_key(|&(digest, ..)| digest);
+    let mut sample = ranked[..ranked.len().div_ceil(100)].to_vec();
+    for t in 0..AUDIT_TIERS.len() {
+        if !sample.iter().any(|&(.., s)| s == t) {
+            sample.extend(ranked.iter().find(|&&(.., s)| s == t));
+        }
+    }
+    sample.into_iter().map(|(_, spec, t)| (spec, t)).collect()
+}
+
+/// The outcome of [`audit`].
+#[derive(Debug, Clone, Default)]
+pub struct Audit {
+    /// Samples per tier, sanitizer events and violations, as the ledger
+    /// records them.
+    pub record: AuditRecord,
+    /// One line per failed sample, naming its spec and what failed.
+    pub failures: Vec<String>,
+}
+
+/// The verdict, its counts and a line per failed sample, as the suite
+/// prints them after `audit: `.
+impl std::fmt::Display for Audit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let r = &self.record;
+        let [fresh, reused, store] = r.samples;
+        let verdict = if r.violations == 0 { "clean" } else { "VIOLATED" };
+        let samples = format!("{fresh} fresh, {reused} reused, {store} store samples");
+        let failed = r.violations;
+        write!(f, "{verdict} ({samples}, {failed} failed; {} sanitizer events)", r.events)?;
+        self.failures.iter().try_for_each(|line| write!(f, "\n  {line}"))
+    }
+}
+
+/// Audits the answers the reports read: each spec of [`audit_sample`]
+/// runs once, in turn, through [`rf_check::cross_validate_cancellable`],
+/// whose statistics equal a plain run's, so the sanitized, oracle-checked
+/// run also re-derives the answer; it must match the served one's bytes.
+pub fn audit(plan: &Plan, answers: &Answers) -> Audit {
+    let mut audit = Audit::default();
+    for (spec, tier) in audit_sample(plan, answers) {
+        audit.record.samples[tier] += 1;
+        let why = match rf_check::cross_validate_cancellable(spec, None) {
+            Ok(report) => {
+                audit.record.events += report.sanitizer_events;
+                let served = codec::encode_stats(&answers.get(spec));
+                let same = codec::encode_stats(&report.stats) == served;
+                match (report.passed(), same) {
+                    (true, true) => continue,
+                    (true, false) => "the re-derived statistics differ".to_owned(),
+                    (false, _) => report.render().trim_end().to_owned(),
+                }
+            }
+            Err(e) => e,
+        };
+        audit.record.violations += 1;
+        let (tier, digest) = (AUDIT_TIERS[tier], codec::spec_digest(spec));
+        audit.failures.push(format!("{tier} answer {digest} {spec:?}: {why}"));
+    }
+    audit
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +351,108 @@ mod tests {
         assert_eq!(plan.owner, vec![0, 0, 1]);
         assert_eq!(plan.owned(1).collect::<Vec<_>>(), vec![&spec("tomcatv")]);
         assert_eq!(plan.owned(2).count(), 0);
+    }
+
+    /// An answer of `tier` (or a failed one), without simulating.
+    fn synthetic(tier: Option<usize>) -> Answer {
+        let error = RunError::WorkerPanic {
+            benchmark: "x".into(),
+            payload: "boom".into(),
+        };
+        Answer {
+            outcome: tier.map(|_| Arc::new(SimStats::new(64))).ok_or(error),
+            task_ns: (tier == Some(FRESH)).then_some(1),
+            reused: tier == Some(REUSED),
+        }
+    }
+
+    /// The tiers' indices in [`AUDIT_TIERS`]: fresh, reused, store.
+    const FRESH: usize = 0;
+    const REUSED: usize = 1;
+    const STORE: usize = 2;
+
+    #[test]
+    fn the_audit_sample_is_a_pure_function_of_the_plan_and_covers_every_tier() {
+        let specs = (crate::fig7::plan)(&Scale { commits: 300 });
+        let plan = || Plan::new(vec![("fig7", specs.clone())]);
+        let (a, b) = (plan(), plan());
+        let mut by_rank = a.specs.clone();
+        by_rank.sort_by_key(codec::spec_digest);
+        let n = by_rank.len();
+        assert!(n > 200, "a plan of {n} specs samples more than one");
+        // The two highest-ranked answers are the only reused and store
+        // ones, so no rank cut reaches them; the lowest-ranked one
+        // failed and has nothing to audit.
+        let tier = |spec: &RunSpec| match by_rank.iter().position(|s| s == spec) {
+            Some(0) => None,
+            Some(k) if k == n - 1 => Some(STORE),
+            Some(k) if k == n - 2 => Some(REUSED),
+            _ => Some(FRESH),
+        };
+        let answers: Answers = a
+            .specs
+            .iter()
+            .map(|s| (s.clone(), synthetic(tier(s))))
+            .collect();
+
+        let sample = audit_sample(&a, &answers);
+        assert_eq!(
+            sample,
+            audit_sample(&b, &answers),
+            "equal plans sample equally"
+        );
+        let cut = (n - 1).div_ceil(100);
+        let want: Vec<(&RunSpec, usize)> = by_rank[1..=cut]
+            .iter()
+            .map(|s| (s, FRESH))
+            .chain([(&by_rank[n - 2], REUSED), (&by_rank[n - 1], STORE)])
+            .collect();
+        assert_eq!(
+            sample, want,
+            "the lowest ranks, then each missing tier's lowest"
+        );
+    }
+
+    #[test]
+    fn a_reused_answer_with_one_field_changed_fails_the_audit() {
+        let scale = Scale { commits: 300 };
+        let plan = Plan::new(vec![("fig6", (crate::fig6::plan)(&scale))]);
+        let answers = answer(&plan.specs);
+        let clean = audit(&plan, &answers);
+        assert_eq!(clean.record.violations, 0, "{clean}");
+        let [fresh, reused, store] = clean.record.samples;
+        assert!(fresh > 0 && reused > 0 && store == 0, "{clean}");
+        assert!(clean.record.events > 0);
+
+        let (reused, _) = audit_sample(&plan, &answers)
+            .into_iter()
+            .find(|&(_, tier)| tier == REUSED)
+            .expect("a reused answer is sampled");
+        let tampered: Answers = plan
+            .specs
+            .iter()
+            .map(|spec| {
+                let mut answer = answers.answer(spec).expect("answered").clone();
+                if spec == reused {
+                    let mut stats = (*answers.get(spec)).clone();
+                    stats.committed_loads += 1;
+                    answer.outcome = Ok(Arc::new(stats));
+                }
+                (spec.clone(), answer)
+            })
+            .collect();
+        let failed = audit(&plan, &tampered);
+        assert_eq!(
+            failed.record,
+            AuditRecord {
+                violations: 1,
+                ..clean.record
+            }
+        );
+        assert_eq!(failed.failures.len(), 1);
+        let digest = codec::spec_digest(reused);
+        let named = format!("reused answer {digest} {reused:?}: the re-derived statistics differ");
+        assert_eq!(failed.failures, [named]);
+        assert!(failed.to_string().starts_with("VIOLATED ("), "{failed}");
     }
 }

@@ -88,15 +88,20 @@ fn suite_runs_append_deterministic_schema_versioned_records() {
     assert_eq!(config.get_f64("commits"), Some(300.0));
     assert_eq!(config.get_f64("jobs"), Some(1.0));
     assert_eq!(config.get("cache"), None, "the RF_CACHE flag is gone");
-    // The sanitizer block replaced the constant `config.sanitize` flag.
+    // The audit block replaced the constant `config.sanitize` flag and
+    // then the sanitizer block. A run without the store samples fresh
+    // answers and reused ones: the register sweeps reuse saturated runs
+    // even at this scale.
     assert_eq!(config.get("sanitize"), None);
-    // Eight sanitized configurations, plus the reuse audit: the register
-    // sweeps reuse saturated runs even at this scale.
-    let sanitizer = rec.get("sanitizer").unwrap();
+    assert_eq!(rec.get("sanitizer"), None);
+    let audit = rec.get("audit").unwrap();
+    let samples = audit.get("samples").unwrap();
     assert!(rec.get("totals").unwrap().get_f64("reused").unwrap() > 0.0);
-    assert_eq!(sanitizer.get_f64("probes"), Some(9.0));
-    assert!(sanitizer.get_f64("events").unwrap() > 0.0);
-    assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
+    assert!(samples.get_f64("fresh").unwrap() > 0.0);
+    assert!(samples.get_f64("reused").unwrap() > 0.0);
+    assert_eq!(samples.get_f64("store"), Some(0.0));
+    assert!(audit.get_f64("events").unwrap() > 0.0);
+    assert_eq!(audit.get_f64("violations"), Some(0.0));
     let phase = rec.get("phase_seconds").unwrap();
     for key in ["generate", "simulate", "aggregate"] {
         assert!(phase.get_f64(key).unwrap() >= 0.0);

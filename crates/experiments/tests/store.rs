@@ -1,10 +1,14 @@
 //! End-to-end durable-store behavior through the real suite binary:
 //! `RF_STORE=1` must be output-neutral on a cold run, serve a warm
 //! re-run from disk byte-identically, recover from a crash-torn segment
-//! tail, and stay consistent under two concurrent writer processes.
+//! tail, and stay consistent under two concurrent writer processes. The
+//! suite's answer audit samples what the store served, so a wrong stored
+//! answer fails a warm run.
 
+use rf_experiments::codec;
+use rf_experiments::runner::{self, Scale};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Commit budget for the miniature suite runs (matches tests/faults.rs).
 const COMMITS: &str = "300";
@@ -74,6 +78,17 @@ fn ledger_store(dir: &Path) -> rf_obs::json::Value {
     records.last().expect("one record per run").get("store").expect("store key").clone()
 }
 
+/// The `(fresh, reused, store, violations)` audit block of the newest
+/// record in a run's ledger.
+fn audit_block(dir: &Path) -> (u64, u64, u64, u64) {
+    let records =
+        rf_obs::ledger::read_ledger(&dir.join(rf_obs::ledger::LEDGER_PATH)).expect("ledger");
+    let audit = records.last().expect("one record per run").get("audit").expect("audit key");
+    let samples = audit.get("samples").expect("audit samples");
+    let n = |v: &rf_obs::json::Value, key: &str| v.get_f64(key).expect(key) as u64;
+    (n(samples, "fresh"), n(samples, "reused"), n(samples, "store"), n(audit, "violations"))
+}
+
 /// The `(hits, misses, writes)` store block of a run's ledger record.
 fn store_block(dir: &Path) -> (u64, u64, u64) {
     let s = ledger_store(dir);
@@ -107,6 +122,9 @@ fn store_is_neutral_cold_serves_warm_runs_and_recovers_from_a_torn_tail() {
     assert_eq!(cold_hits, 0, "an empty store serves nothing");
     assert!(cold_writes > 0, "the cold run persists its results");
     assert_eq!(cold_writes, cold_misses, "every cold miss is written behind");
+    let (fresh, reused, store, violations) = audit_block(&cold_dir);
+    assert!(fresh > 0 && reused > 0, "a cold run audits fresh and reused answers");
+    assert_eq!((store, violations), (0, 0), "a clean cold run passes its audit");
 
     // Warm re-run in a fresh working directory: byte-identical reports,
     // with at least 95% of store lookups served from disk.
@@ -119,6 +137,9 @@ fn store_is_neutral_cold_serves_warm_runs_and_recovers_from_a_torn_tail() {
         "warm run must serve >=95% from disk (hits {hits}, misses {misses})"
     );
     assert_eq!(writes, misses, "only re-executed results are re-persisted");
+    let (_, _, store, violations) = audit_block(&warm_dir);
+    assert!(store > 0, "a warm run audits what the store served");
+    assert_eq!(violations, 0, "a clean warm run passes its audit");
 
     // Crash simulation: tear the active segment's tail mid-record. The
     // next run must recover (rotate past the damage), re-execute only
@@ -176,5 +197,53 @@ fn two_concurrent_suite_processes_share_one_store_consistently() {
 
     let _ = std::fs::remove_dir_all(&a_dir);
     let _ = std::fs::remove_dir_all(&b_dir);
+    let _ = std::fs::remove_dir_all(store_dir.parent().unwrap());
+}
+
+#[test]
+fn a_wrong_store_answer_fails_the_warm_audit() {
+    let cold_dir = workdir("tamper-cold");
+    let warm_dir = workdir("tamper-warm");
+    let store_dir = workdir("tamper").join("store");
+    let only_fig8 = |dir: &Path| {
+        let mut cmd = suite_command(dir, Some(&store_dir));
+        cmd.args(["--only", "fig8"]).stdout(Stdio::piped()).stderr(Stdio::piped());
+        cmd.output().expect("suite binary runs")
+    };
+    assert!(only_fig8(&cold_dir).status.success(), "cold run exits 0");
+
+    // On a warm store every answer is a store answer, so the sample
+    // holds the lowest-ranked spec. Supersede its record with one whose
+    // statistics are wrong, under the spec's real key: the record is
+    // well formed and its checksum valid, only the answer is wrong.
+    let plan = (rf_experiments::suite::harness("fig8").unwrap().plan)(&Scale {
+        commits: COMMITS.parse().unwrap(),
+    });
+    let spec = plan.iter().min_by_key(|s| codec::spec_digest(s)).expect("fig8 plans specs");
+    let mut wrong = runner::try_simulate(spec).expect("simulates");
+    wrong.cycles += 1;
+    let key = codec::spec_key_bytes(spec);
+    let store = rf_store::Store::open(&store_dir).unwrap();
+    let digest = rf_store::Digest::of(&key);
+    store.append(codec::DIGEST_SCHEMA, digest, &key, &codec::encode_stored_stats(&wrong)).unwrap();
+    store.sync().unwrap();
+
+    let warm = only_fig8(&warm_dir);
+    let stdout = String::from_utf8_lossy(&warm.stdout);
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert_eq!(warm.status.code(), Some(1), "a wrong answer fails the suite: {stdout}");
+    let named = format!("store answer {digest} {spec:?}: ");
+    assert!(stdout.contains("audit: VIOLATED ("), "{stdout}");
+    assert!(stdout.contains(&named), "the violation names the spec: {stdout}");
+    assert!(stderr.contains("suite FAILED: 1 of "), "{stderr}");
+    assert!(stderr.contains(&named), "{stderr}");
+    // The record is appended before the exit.
+    let (_, _, store_samples, violations) = audit_block(&warm_dir);
+    assert!(store_samples > 0);
+    assert_eq!(violations, 1);
+
+    for dir in [&cold_dir, &warm_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let _ = std::fs::remove_dir_all(store_dir.parent().unwrap());
 }

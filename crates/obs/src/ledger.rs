@@ -91,7 +91,10 @@ use std::path::Path;
 ///
 /// v13 dropped the `alloc` block with the counting allocator that filled
 /// it; `totals.peak_rss_kb` records the suite's memory.
-pub const SCHEMA_VERSION: u64 = 13;
+///
+/// v14 replaced the `sanitizer` block with the answer `audit` and dropped
+/// `totals.cache_hits`/`cache_misses`, which the deduplicated plan pins.
+pub const SCHEMA_VERSION: u64 = 14;
 
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/history/suite.jsonl";
@@ -207,18 +210,24 @@ pub struct StoreRecord {
     pub writes: u64,
 }
 
-/// Outcome of the suite's sanitized probe runs: invariant-checked
-/// simulations re-proving the rename/freeing protocol on the binary
-/// that produced the record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SanitizerRecord {
-    /// Sanitized probe runs executed.
-    pub probes: u64,
-    /// Observer events checked across the probes.
+/// Outcome of the suite's answer audit: a sample of the plan's own
+/// answers, each re-derived by one sanitized, oracle-checked simulation
+/// of the binary that produced the record and compared byte for byte
+/// with the answer the reports were rendered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AuditRecord {
+    /// Sampled answers per answering tier, in [`AUDIT_TIERS`] order.
+    pub samples: [u64; 3],
+    /// Sanitizer observer events across the samples.
     pub events: u64,
-    /// Invariant violations found (0 on a healthy build).
+    /// Samples that failed: a sanitizer violation, a failed oracle check,
+    /// or an answer the re-derivation did not reproduce (0 when healthy).
     pub violations: u64,
 }
+
+/// The answering tiers as `audit.samples` names them: a fresh
+/// simulation, saturation reuse, the durable store.
+pub const AUDIT_TIERS: [&str; 3] = ["fresh", "reused", "store"];
 
 /// One suite run: the unit the ledger appends.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,10 +258,6 @@ pub struct LedgerRecord {
     pub wakeup_events: u64,
     /// Batch tasks answered by saturation reuse instead of simulating.
     pub reused: u64,
-    /// Run-cache hits across the suite.
-    pub cache_hits: u64,
-    /// Run-cache misses across the suite.
-    pub cache_misses: u64,
     /// Phase timer breakdown.
     pub phase: PhaseRecord,
     /// Self-profiler span tree of the suite's batch (`RF_PROFILE=1`
@@ -271,8 +276,8 @@ pub struct LedgerRecord {
     pub telemetry: Option<TelemetryRecord>,
     /// Durable run-store counters (`None` when `RF_STORE` was off).
     pub store: Option<StoreRecord>,
-    /// Sanitized-probe outcome (`None` when the suite did not run it).
-    pub sanitizer: Option<SanitizerRecord>,
+    /// Answer-audit outcome (`None` when the suite did not run it).
+    pub audit: Option<AuditRecord>,
 }
 
 /// Rounds to microsecond precision so seconds fields stay compact.
@@ -313,8 +318,6 @@ impl LedgerRecord {
                     ("cycles_skipped".to_owned(), int(self.cycles_skipped)),
                     ("wakeup_events".to_owned(), int(self.wakeup_events)),
                     ("reused".to_owned(), int(self.reused)),
-                    ("cache_hits".to_owned(), int(self.cache_hits)),
-                    ("cache_misses".to_owned(), int(self.cache_misses)),
                 ]),
             ),
             (
@@ -375,13 +378,19 @@ impl LedgerRecord {
             },
         ));
         root.push((
-            "sanitizer".to_owned(),
-            match &self.sanitizer {
-                Some(s) => Value::Object(vec![
-                    ("probes".to_owned(), int(s.probes)),
-                    ("events".to_owned(), int(s.events)),
-                    ("violations".to_owned(), int(s.violations)),
-                ]),
+            "audit".to_owned(),
+            match &self.audit {
+                Some(a) => {
+                    let samples = AUDIT_TIERS.iter().zip(a.samples);
+                    Value::Object(vec![
+                        (
+                            "samples".to_owned(),
+                            Value::Object(samples.map(|(t, n)| (t.to_string(), int(n))).collect()),
+                        ),
+                        ("events".to_owned(), int(a.events)),
+                        ("violations".to_owned(), int(a.violations)),
+                    ])
+                }
                 None => Value::Null,
             },
         ));
@@ -601,8 +610,6 @@ mod tests {
             cycles_skipped: 30_000,
             wakeup_events: 1_500,
             reused: 12,
-            cache_hits: 40,
-            cache_misses: 100,
             phase: PhaseRecord { generate: 0.01, simulate: 0.4, aggregate: 0.09 },
             profile: Some(rf_prof::ProfileNode {
                 name: "all".to_owned(),
@@ -647,7 +654,7 @@ mod tests {
                 digest: "00ff00ff00ff00ff".to_owned(),
             }),
             store: Some(StoreRecord { hits: 60, misses: 40, writes: 40 }),
-            sanitizer: Some(SanitizerRecord { probes: 8, events: 12_000, violations: 0 }),
+            audit: Some(AuditRecord { samples: [11, 1, 1], events: 12_000, violations: 0 }),
         }
     }
 
@@ -684,17 +691,21 @@ mod tests {
         assert_eq!(labels, want, "six causes in StallCause::ALL order");
         assert_eq!(stalls[5].1.as_f64(), Some(11.0));
         assert_eq!(h.get("error"), Some(&Value::Null));
-        // v9 replaced config.sanitize with the sanitizer block: config
-        // and totals hold exactly these keys.
+        // v9 replaced config.sanitize with the sanitizer block, v14 that
+        // with the audit block: config and totals hold exactly these keys.
         let keys = |block: &str| -> Vec<String> {
             let members = v.get(block).and_then(Value::as_object).expect(block);
             members.iter().map(|(k, _)| k.clone()).collect()
         };
         assert_eq!(keys("config"), ["commits", "jobs"]);
-        let san = v.get("sanitizer").unwrap();
-        assert_eq!(san.get_f64("probes"), Some(8.0));
-        assert_eq!(san.get_f64("events"), Some(12_000.0));
-        assert_eq!(san.get_f64("violations"), Some(0.0));
+        assert!(v.get("sanitizer").is_none(), "v14 replaced the sanitizer block");
+        let audit = v.get("audit").unwrap();
+        let samples = audit.get("samples").unwrap();
+        assert_eq!(samples.get_f64("fresh"), Some(11.0));
+        assert_eq!(samples.get_f64("reused"), Some(1.0));
+        assert_eq!(samples.get_f64("store"), Some(1.0));
+        assert_eq!(audit.get_f64("events"), Some(12_000.0));
+        assert_eq!(audit.get_f64("violations"), Some(0.0));
         assert_eq!(
             keys("totals"),
             [
@@ -705,9 +716,7 @@ mod tests {
                 "cycles",
                 "cycles_skipped",
                 "wakeup_events",
-                "reused",
-                "cache_hits",
-                "cache_misses"
+                "reused"
             ]
         );
         assert_eq!(

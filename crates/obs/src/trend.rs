@@ -8,8 +8,9 @@
 //! delta must stay inside. For perf seconds, profile shares and the
 //! analytic model's error the reference is the baseline: an explicit git
 //! revision from the ledger or — the default — the median of the last N
-//! comparable prior runs (same `RF_COMMITS` and `RF_JOBS`, so smoke
-//! records never gate a full run), and one rule sets every band:
+//! comparable prior runs (same `RF_COMMITS`, `RF_JOBS` and store mode, so
+//! smoke records never gate a full run and warm-store runs never a cold
+//! one), and one rule sets every band:
 //! `max(floor, k · 1.4826 · MAD)` of the window, the usual robust-sigma
 //! construction, so a noisy row earns a wide band and a single-sample
 //! blip does not fire. A fidelity row's reference is its target's
@@ -90,10 +91,10 @@ pub struct Options {
     pub fidelity: Mode,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Self { baseline: None, window: 5, max_regress_pct: 10.0, fidelity: Mode::Gate }
-    }
+impl Options {
+    /// The defaults, which `rfstudy report`'s help states.
+    pub const DEFAULT: Self =
+        Self { baseline: None, window: 5, max_regress_pct: 10.0, fidelity: Mode::Gate };
 }
 
 /// MAD multiplier `k` of every windowed band.
@@ -399,6 +400,8 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
             (vec![hit], desc)
         }
         None => {
+            // A warm run, one the durable store answered, times store reads.
+            let warm = |r: &Value| r.get("store").and_then(|s| s.get_f64("hits")) > Some(0.0);
             let comparable: Vec<&Value> = prior
                 .iter()
                 .rev()
@@ -406,13 +409,14 @@ pub fn analyze(records: &[Value], opts: &Options) -> Result<Analysis, String> {
                     r.get_f64("schema").map(|s| s as u64) == Some(SCHEMA_VERSION)
                         && config_u64(r, "commits") == Some(commits)
                         && config_u64(r, "jobs") == Some(jobs)
+                        && warm(r) == warm(latest)
                 })
                 .take(opts.window)
                 .collect();
             let skipped = prior.len() - comparable.len();
             if skipped > 0 && comparable.len() < opts.window {
                 warnings.push(format!(
-                    "{skipped} prior record(s) ignored (different scale/jobs/schema)"
+                    "{skipped} prior record(s) ignored (different scale/jobs/store/schema)"
                 ));
             }
             let desc = if comparable.is_empty() {
@@ -652,8 +656,7 @@ mod tests {
                 "\"config\":{{\"commits\":2000,\"jobs\":1}},",
                 "\"totals\":{{\"seconds\":{total},\"peak_rss_kb\":8192,\"sims\":10,",
                 "\"committed\":20000,",
-                "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,\"reused\":0,",
-                "\"cache_hits\":1,\"cache_misses\":9}},",
+                "\"cycles\":9000,\"cycles_skipped\":0,\"wakeup_events\":0,\"reused\":0}},",
                 "\"phase_seconds\":{{\"generate\":0,\"simulate\":0,\"aggregate\":0}},",
                 "\"profile\":null,",
                 "\"harnesses\":[",
@@ -773,7 +776,7 @@ mod tests {
     #[test]
     fn clean_rerun_passes() {
         let records = ledger_of(&[1.0, 1.01, 0.99, 1.0]);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(a.passed(), "failures: {:?}", a.failures);
         assert_eq!(a.perf.rows.len(), 3, "two harnesses and the total");
         assert_eq!(a.baseline_runs, 3);
@@ -785,7 +788,7 @@ mod tests {
     fn injected_20pct_slowdown_fires_and_small_jitter_does_not() {
         // Three steady runs then a 20% slower one: beyond the 10% floor.
         let slow = ledger_of(&[1.0, 1.0, 1.0, 1.2]);
-        let a = analyze(&slow, &Options::default()).unwrap();
+        let a = analyze(&slow, &Options::DEFAULT).unwrap();
         assert!(!a.passed());
         assert!(
             a.failures.iter().any(|f| f.starts_with("perf: TOTAL")),
@@ -796,7 +799,52 @@ mod tests {
 
         // 2% jitter stays inside the floor.
         let ok = ledger_of(&[1.0, 1.0, 1.0, 1.02]);
-        assert!(analyze(&ok, &Options::default()).unwrap().passed());
+        assert!(analyze(&ok, &Options::DEFAULT).unwrap().passed());
+    }
+
+    /// Gives a fixture the `store` block of a run the durable store
+    /// served `hits` specs of.
+    fn with_store_hits(mut record: Value, hits: u64) -> Value {
+        let Value::Object(members) = &mut record else { unreachable!() };
+        members.push((
+            "store".to_owned(),
+            Value::Object(vec![
+                ("hits".to_owned(), Value::Number(hits as f64)),
+                ("misses".to_owned(), Value::Number(0.0)),
+                ("writes".to_owned(), Value::Number(0.0)),
+            ]),
+        ));
+        record
+    }
+
+    #[test]
+    fn warm_store_runs_never_share_a_cold_runs_window() {
+        // Two warm-store priors (0.6 s) and two cold ones (45 s; one ran
+        // with the store off, one on an empty store), then a cold run
+        // three times slower. Mixed into one window, the warm records
+        // would pull the median down and open the MAD band wide enough
+        // to pass it.
+        let warm = |rev: &str| with_store_hits(record(rev, 0.2, &[]), 1226);
+        let mut records = vec![
+            warm("warm0"),
+            with_store_hits(record("cold0", 15.0, &[]), 0),
+            warm("warm1"),
+            record("cold1", 15.0, &[]),
+            record("slow", 45.0, &[]),
+        ];
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
+        assert_eq!(a.baseline_runs, 2, "only the cold priors are comparable");
+        assert_eq!(total(&a).reference, Some(45.0), "the median of the cold priors");
+        assert!(total(&a).flagged);
+        assert!(!a.passed(), "a cold run three times slower fails the gate");
+
+        // A warm run is judged by the warm priors alone.
+        records.pop();
+        records.push(warm("warm2"));
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
+        assert_eq!(a.baseline_runs, 2, "only the warm priors are comparable");
+        assert!(total(&a).reference.is_some_and(|r| (r - 0.6).abs() < 1e-9));
+        assert!(a.passed(), "failures: {:?}", a.failures);
     }
 
     #[test]
@@ -804,7 +852,7 @@ mod tests {
         // Noisy window: MAD-based threshold should exceed the 10% floor
         // and absorb a 30% excursion that the floor alone would flag.
         let records = ledger_of(&[1.0, 1.6, 0.7, 1.4, 0.8, 1.3]);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(total(&a).band > 10.0, "threshold {}", total(&a).band);
         assert!(a.passed(), "failures: {:?}", a.failures);
     }
@@ -815,16 +863,16 @@ mod tests {
         // fig10 ratio drifts 20% beyond its 5% band.
         let t = fidelity::target("fig10.bips_ratio_precise").unwrap();
         records.push(record("drift", 1.0, &[("fig10.bips_ratio_precise", t.accepted * 1.2)]));
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(!a.passed());
         assert!(a.failures.iter().any(|f| f.contains("fig10.bips_ratio_precise")));
 
-        let warn = Options { fidelity: Mode::Warn, ..Options::default() };
+        let warn = Options { fidelity: Mode::Warn, ..Options::DEFAULT };
         let a = analyze(&records, &warn).unwrap();
         assert!(a.passed(), "warn mode must not gate: {:?}", a.failures);
         assert!(a.warnings.iter().any(|w| w.contains("fig10.bips_ratio_precise")));
 
-        let off = Options { fidelity: Mode::Off, ..Options::default() };
+        let off = Options { fidelity: Mode::Off, ..Options::DEFAULT };
         let a = analyze(&records, &off).unwrap();
         assert!(a.passed());
         assert!(a.scorecard.rows.is_empty());
@@ -874,7 +922,7 @@ mod tests {
             }
         }
         records.push(latest);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(!a.passed());
         assert!(a
             .failures
@@ -891,13 +939,13 @@ mod tests {
         let mut latest = record("latest", 1.0, &[]);
         mark_cache_served(&mut latest, "fig6");
         records.push(latest);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert_eq!(a.perf.rows.len(), 2, "only fig3 earns a perf row beside the total");
         assert_eq!(a.perf.rows[0].name, "fig3");
         assert!(a.passed(), "failures: {:?}", a.failures);
 
         mark_cache_served(&mut records[0], "fig3");
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         let fig3 = &a.perf.rows[0];
         assert_eq!(
             fig3.reference,
@@ -918,7 +966,7 @@ mod tests {
             attach_profile(&mut r, spans);
             records.push(r);
         }
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(a.profile.title.contains("2 profiled baseline run(s)"), "{}", a.profile.title);
         assert!(a.passed(), "profile drift only warns: {:?}", a.failures);
         assert!(
@@ -943,7 +991,7 @@ mod tests {
             attach_profile(&mut r, &steady);
             steady_records.push(r);
         }
-        let a = analyze(&steady_records, &Options::default()).unwrap();
+        let a = analyze(&steady_records, &Options::DEFAULT).unwrap();
         assert!(a.profile.rows.iter().all(|r| !r.flagged));
         assert!(a.warnings.iter().all(|w| !w.contains("profile:")));
     }
@@ -951,7 +999,7 @@ mod tests {
     #[test]
     fn unprofiled_ledger_renders_no_drift_section() {
         let records = ledger_of(&[1.0, 1.0]);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(a.profile.rows.is_empty());
         assert!(!render(&a, Format::Text).contains("profile drift"));
         assert!(!render(&a, Format::Markdown).contains("## profile drift"));
@@ -961,7 +1009,7 @@ mod tests {
         let mut latest = record("p0", 1.0, &[]);
         attach_profile(&mut latest, &[("cycle.issue", 900), ("cache.load", 100)]);
         records.push(latest);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(a.profile.title.contains("0 profiled baseline run(s)"), "{}", a.profile.title);
         assert!(a.profile.rows.iter().all(|r| r.reference.is_none() && !r.flagged));
         let text = render(&a, Format::Text);
@@ -980,7 +1028,7 @@ mod tests {
             attach_model_error(&mut r, mean, mean + 15.0);
             records.push(r);
         }
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert!(a.passed(), "model drift must not gate: {:?}", a.failures);
         let m = a.model.rows.first().expect("model row");
         assert!(m.flagged, "{m:?}");
@@ -999,7 +1047,7 @@ mod tests {
             attach_model_error(&mut r, 8.0, 23.0);
             steady.push(r);
         }
-        let a = analyze(&steady, &Options::default()).unwrap();
+        let a = analyze(&steady, &Options::DEFAULT).unwrap();
         assert!(!a.model.rows[0].flagged);
         assert!(a.warnings.iter().all(|w| !w.contains("model:")));
 
@@ -1008,12 +1056,12 @@ mod tests {
         let mut latest = record("m0", 1.0, &[]);
         attach_model_error(&mut latest, 9.0, 27.0);
         records.push(latest);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         let m = &a.model.rows[0];
         assert!(m.reference.is_none() && !m.flagged);
 
         // An unmeasured ledger carries no row and renders no section.
-        let a = analyze(&ledger_of(&[1.0, 1.0]), &Options::default()).unwrap();
+        let a = analyze(&ledger_of(&[1.0, 1.0]), &Options::DEFAULT).unwrap();
         assert!(a.model.rows.is_empty());
         assert!(!render(&a, Format::Text).contains("analytic model"));
         assert!(!render(&a, Format::Markdown).contains("## analytic model"));
@@ -1022,21 +1070,21 @@ mod tests {
     #[test]
     fn explicit_baseline_rev_and_mismatch_errors() {
         let records = ledger_of(&[1.0, 1.5, 1.0]);
-        let opts = Options { baseline: Some("rev0".to_owned()), ..Options::default() };
+        let opts = Options { baseline: Some("rev0".to_owned()), ..Options::DEFAULT };
         let a = analyze(&records, &opts).unwrap();
         assert!(a.baseline_desc.contains("rev0"));
         assert_eq!(a.baseline_runs, 1);
         assert!(a.passed());
 
-        let missing = Options { baseline: Some("nope".to_owned()), ..Options::default() };
+        let missing = Options { baseline: Some("nope".to_owned()), ..Options::DEFAULT };
         assert!(analyze(&records, &missing).is_err());
-        assert!(analyze(&[], &Options::default()).is_err());
+        assert!(analyze(&[], &Options::DEFAULT).is_err());
 
         // A latest record from before the last schema bump is refused.
         let current = crate::ledger::SCHEMA_VERSION;
         let mut stale = ledger_of(&[1.0]);
         stale.push(with_schema(record("old", 1.0, &[]), current - 1));
-        let err = analyze(&stale, &Options::default()).expect_err("stale latest schema");
+        let err = analyze(&stale, &Options::DEFAULT).expect_err("stale latest schema");
         assert_eq!(
             err,
             format!("latest record has schema {}, this build reads {current}", current - 1)
@@ -1046,7 +1094,7 @@ mod tests {
     #[test]
     fn first_run_has_no_baseline_and_passes_perf() {
         let records = ledger_of(&[1.0]);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert_eq!(a.baseline_runs, 0);
         assert!(total(&a).reference.is_none());
         assert!(a.passed());
@@ -1072,7 +1120,7 @@ mod tests {
         }
         records.push(smoke);
         records.push(record("full1", 1.0, &[]));
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         assert_eq!(a.baseline_runs, 1, "only the comparable prior run counts");
         assert!(a.passed());
         assert!(!a.warnings.is_empty());
@@ -1083,12 +1131,12 @@ mod tests {
         let mut mixed: Vec<Value> =
             ledger_of(&[1.0, 1.0]).into_iter().map(|r| with_schema(r, current - 1)).collect();
         mixed.push(record("latest", 1.0, &[]));
-        let a = analyze(&mixed, &Options::default()).unwrap();
+        let a = analyze(&mixed, &Options::DEFAULT).unwrap();
         assert_eq!(a.baseline_runs, 0, "older-schema priors never enter the window");
         assert!(
             a.warnings
                 .iter()
-                .any(|w| w == "2 prior record(s) ignored (different scale/jobs/schema)"),
+                .any(|w| w == "2 prior record(s) ignored (different scale/jobs/store/schema)"),
             "warnings: {:?}",
             a.warnings
         );
@@ -1097,7 +1145,7 @@ mod tests {
     #[test]
     fn renders_cover_all_sections() {
         let records = ledger_of(&[1.0, 1.0, 1.3]);
-        let a = analyze(&records, &Options::default()).unwrap();
+        let a = analyze(&records, &Options::DEFAULT).unwrap();
         let text = render(&a, Format::Text);
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("\npeak RSS     8192 KiB\n"), "{text}");
@@ -1114,7 +1162,7 @@ mod tests {
         assert_eq!(a.failures.len(), 3);
 
         // A passing analysis renders PASS.
-        let ok = analyze(&ledger_of(&[1.0, 1.0]), &Options::default()).unwrap();
+        let ok = analyze(&ledger_of(&[1.0, 1.0]), &Options::DEFAULT).unwrap();
         assert!(render(&ok, Format::Text).contains("check: PASS"));
         assert!(render(&ok, Format::Markdown).contains("## check: PASS"));
     }

@@ -13,8 +13,8 @@
 
 use rf_obs::json::{self, Value};
 use rf_obs::ledger::{
-    HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
-    SanitizerRecord, StoreRecord, TelemetryRecord, SCHEMA_VERSION,
+    AuditRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
+    StoreRecord, TelemetryRecord, SCHEMA_VERSION,
 };
 
 const GOLDEN: &str = include_str!("golden/ledger_record.jsonl");
@@ -34,8 +34,6 @@ fn full_record() -> LedgerRecord {
         cycles_skipped: 750_000,
         wakeup_events: 31_000,
         reused: 108,
-        cache_hits: 321,
-        cache_misses: 913,
         phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
         profile: Some(rf_prof::ProfileNode {
             name: "all".to_owned(),
@@ -128,7 +126,7 @@ fn full_record() -> LedgerRecord {
             digest: "9d2c5e7f01a3b486".to_owned(),
         }),
         store: Some(StoreRecord { hits: 1_156, misses: 78, writes: 78 }),
-        sanitizer: Some(SanitizerRecord { probes: 8, events: 1_310_720, violations: 0 }),
+        audit: Some(AuditRecord { samples: [11, 1, 1], events: 1_310_720, violations: 0 }),
     }
 }
 
@@ -147,8 +145,6 @@ fn minimal_record() -> LedgerRecord {
         cycles_skipped: 0,
         wakeup_events: 0,
         reused: 0,
-        cache_hits: 0,
-        cache_misses: 0,
         phase: PhaseRecord::default(),
         profile: None,
         harnesses: Vec::new(),
@@ -156,7 +152,7 @@ fn minimal_record() -> LedgerRecord {
         model_error: None,
         telemetry: None,
         store: None,
-        sanitizer: None,
+        audit: None,
     }
 }
 
@@ -193,7 +189,7 @@ fn golden_lines_parse_back_to_current_schema() {
             "model_error",
             "telemetry",
             "store",
-            "sanitizer",
+            "audit",
         ] {
             assert!(v.get(key).is_some(), "line {} missing {key}", i + 1);
         }
@@ -202,6 +198,7 @@ fn golden_lines_parse_back_to_current_schema() {
             assert!(config.get(key).is_some(), "config missing {key}");
         }
         assert!(config.get("sanitize").is_none(), "v9 moved sanitize to the sanitizer block");
+        assert!(v.get("sanitizer").is_none(), "v14 replaced the sanitizer block with audit");
         assert!(config.get("cache").is_none(), "v10 dropped the RF_CACHE flag");
         let totals = v.get("totals").unwrap();
         for key in [
@@ -213,10 +210,11 @@ fn golden_lines_parse_back_to_current_schema() {
             "cycles_skipped",
             "wakeup_events",
             "reused",
-            "cache_hits",
-            "cache_misses",
         ] {
             assert!(totals.get(key).is_some(), "totals missing {key}");
+        }
+        for key in ["cache_hits", "cache_misses"] {
+            assert!(totals.get(key).is_none(), "v14 dropped totals.{key}");
         }
         for h in v.get("harnesses").unwrap().as_array().unwrap() {
             for key in [
@@ -278,16 +276,19 @@ fn full_golden_line_round_trips_through_the_parser() {
     assert_eq!(store.get_f64("hits"), Some(1_156.0));
     assert_eq!(store.get_f64("misses"), Some(78.0));
     assert_eq!(store.get_f64("writes"), Some(78.0));
-    // The sanitizer block survives the round trip.
-    let sanitizer = v.get("sanitizer").unwrap();
-    assert_eq!(sanitizer.get_f64("probes"), Some(8.0));
-    assert_eq!(sanitizer.get_f64("events"), Some(1_310_720.0));
-    assert_eq!(sanitizer.get_f64("violations"), Some(0.0));
+    // The audit block survives the round trip.
+    let audit = v.get("audit").unwrap();
+    let samples = audit.get("samples").unwrap();
+    for (tier, want) in [("fresh", 11.0), ("reused", 1.0), ("store", 1.0)] {
+        assert_eq!(samples.get_f64(tier), Some(want), "{tier}");
+    }
+    assert_eq!(audit.get_f64("events"), Some(1_310_720.0));
+    assert_eq!(audit.get_f64("violations"), Some(0.0));
     let minimal = json::parse(GOLDEN.lines().nth(1).unwrap()).unwrap();
     assert_eq!(minimal.get("totals").unwrap().get("peak_rss_kb"), Some(&Value::Null));
     assert_eq!(minimal.get("profile"), Some(&Value::Null));
     assert_eq!(minimal.get("model_error"), Some(&Value::Null));
     assert_eq!(minimal.get("telemetry"), Some(&Value::Null));
     assert_eq!(minimal.get("store"), Some(&Value::Null));
-    assert_eq!(minimal.get("sanitizer"), Some(&Value::Null));
+    assert_eq!(minimal.get("audit"), Some(&Value::Null));
 }

@@ -58,8 +58,6 @@ fn record(seq: u64, scale: f64, kill_ns: u64, model_err: f64, drift: f64) -> Led
         cycles_skipped: 0,
         wakeup_events: 0,
         reused: 0,
-        cache_hits: 0,
-        cache_misses: 80,
         phase: PhaseRecord { generate: 0.0, simulate: 3.5 * scale, aggregate: 0.0 },
         profile: Some(ProfileNode {
             name: "all".to_owned(),
@@ -85,7 +83,7 @@ fn record(seq: u64, scale: f64, kill_ns: u64, model_err: f64, drift: f64) -> Led
         }),
         telemetry: None,
         store: None,
-        sanitizer: None,
+        audit: None,
     }
 }
 
@@ -98,7 +96,7 @@ fn ledger() -> Vec<json::Value> {
 
 #[test]
 fn report_renders_match_golden_files() {
-    let a = analyze(&ledger(), &Options::default()).expect("fixture analyses");
+    let a = analyze(&ledger(), &Options::DEFAULT).expect("fixture analyses");
     // Everything the fixture is built to show: the perf gate and the
     // fidelity gate fail, profile and model drift only warn.
     assert_eq!(a.failures.len(), 4, "fig3, fig6, TOTAL, fidelity: {:?}", a.failures);

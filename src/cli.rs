@@ -101,24 +101,25 @@ pub struct MatrixPins {
 pub const MATRIX_COMMITS: u64 = 10_000;
 
 impl MatrixPins {
-    /// The check matrix ([`rf_check::default_matrix`]) with each pinned
-    /// dimension substituted, duplicates dropped, in matrix order;
-    /// `default_commits` applies when `--commits` is absent.
-    pub fn expand(&self, default_commits: u64) -> Vec<rf_check::CheckParams> {
-        let mut params = Vec::new();
+    /// The runs of the check matrix ([`rf_check::default_matrix`]) with
+    /// each pinned dimension substituted, duplicates dropped, in matrix
+    /// order; `default_commits` applies when `--commits` is absent.
+    pub fn expand(&self, default_commits: u64) -> Vec<RunSpec> {
+        let mut specs = Vec::new();
         for p in rf_check::default_matrix(self.commits.unwrap_or(default_commits), self.seed) {
-            let p = rf_check::CheckParams {
+            let spec = rf_check::CheckParams {
                 bench: self.bench.clone().unwrap_or(p.bench),
                 width: self.width.unwrap_or(p.width),
                 exceptions: self.exceptions.unwrap_or(p.exceptions),
                 regs: self.regs.unwrap_or(p.regs),
                 ..p
-            };
-            if !params.contains(&p) {
-                params.push(p);
+            }
+            .spec();
+            if !specs.contains(&spec) {
+                specs.push(spec);
             }
         }
-        params
+        specs
     }
 }
 
@@ -296,8 +297,10 @@ const MACHINE: Group = Group {
     title: Some("machine options"),
     opts: &[
         Opt::new("[--width N]", "issue width (default {default}, at least 1)").default(&WIDTH),
-        Opt::new("[--dq N]", "dispatch-queue entries (default 8 x width, at least 1)"),
-        Opt::new("[--regs N]", "registers per class (default 2048, at least 32)"),
+        Opt::new("[--dq N]", "dispatch-queue entries (default {default} x width, at least 1)")
+            .default(&MachineConfig::DQ_PER_WIDTH),
+        Opt::new("[--regs N]", "registers per class (default {default}, at least 32)")
+            .default(&MachineConfig::BASELINE_PHYS_REGS),
         Opt::new("[--exceptions MODEL]", "{a | b}").choices(&ExceptionModel::ALL),
         Opt::new("[--cache ORG]", "{a | b}").choices(&CacheOrg::ALL),
         Opt::new("[--sched POLICY]", "{a | b}").choices(&SchedPolicy::ALL),
@@ -416,12 +419,14 @@ static COMMANDS: [Grammar; 15] = [
         Opt::new("[--ledger FILE]", "ledger to read (default {default})")
             .default(&rf_obs::ledger::LEDGER_PATH),
         Opt::new("[--baseline REV]", "compare with the records of this git-revision prefix"),
-        Opt::new("[--window N]", "else the last N comparable runs' median (default 5, at least 1)"),
+        Opt::new("[--window N]", "else the last N comparable runs' median (default {default}, at least 1)")
+            .default(&rf_obs::trend::Options::DEFAULT.window),
         Opt::new("[--format {a|b}]", "aligned tables (default), or the same as pipes")
             .choices(&Format::ALL).default(&Format::Text),
         OUT,
         Opt::new("[--check]", "exit non-zero on a perf regression or a fidelity drift"),
-        Opt::new("[--max-regress-pct P]", "regression threshold (finite, >= 0, default 10)"),
+        Opt::new("[--max-regress-pct P]", "regression threshold (finite, >= 0, default {default})")
+            .default(&rf_obs::trend::Options::DEFAULT.max_regress_pct),
         Opt::new("[--fidelity {a|b}]", "gate on fidelity drift (default), warn, or skip")
             .choices(&Mode::ALL),
     ])])
@@ -468,8 +473,9 @@ static COMMANDS: [Grammar; 15] = [
     ),
     Grammar::new("store", &[Group::of(&[Opt::new(
         "[--dir DIR]",
-        "store directory (default RF_STORE_DIR or results/store)",
-    )])])
+        "store directory (default RF_STORE_DIR or {default})",
+    )
+    .default(&rf_experiments::runner::DEFAULT_STORE_DIR)])])
     .positional(Opt::new("ACTION", "an action: {a, b, or c}").choices(&StoreAction::ALL))
     .about(
         "  operates on the durable content-addressed run store that suite runs
@@ -524,7 +530,7 @@ fn machine_spec(a: &Args, bench: &str) -> Result<RunSpec, String> {
     let base = RunSpec::baseline(bench, a.req("--width", size_num)?);
     Ok(RunSpec {
         dq: a.get("--dq", size_num)?.unwrap_or(base.dq),
-        regs: a.get("--regs", size_num)?.unwrap_or(base.regs),
+        regs: a.req("--regs", size_num)?,
         commits: a.req("--commits", parse_num)?,
         exceptions: a
             .get("--exceptions", choice("exception model", &ExceptionModel::ALL))?
@@ -624,7 +630,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .filter(|p: &f64| p.is_finite() && *p >= 0.0)
                     .ok_or_else(|| format!("{opt} {v:?} is not a finite percentage >= 0"))
             };
-            let defaults = rf_obs::trend::Options::default();
             let fidelity = a.get("--fidelity", choice("--fidelity mode", &Mode::ALL))?;
             Command::Report {
                 ledger: a.req("--ledger", text)?,
@@ -633,11 +638,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 check: a.has("--check"),
                 opts: rf_obs::trend::Options {
                     baseline: a.value("--baseline").map(str::to_owned),
-                    window: a.get("--window", size_num)?.unwrap_or(defaults.window),
-                    max_regress_pct: a
-                        .get("--max-regress-pct", percent)?
-                        .unwrap_or(defaults.max_regress_pct),
-                    fidelity: fidelity.unwrap_or(defaults.fidelity),
+                    window: a.req("--window", size_num)?,
+                    max_regress_pct: a.req("--max-regress-pct", percent)?,
+                    fidelity: fidelity.unwrap_or(rf_obs::trend::Options::DEFAULT.fidelity),
                 },
             }
         }
@@ -922,11 +925,11 @@ mod tests {
             commits: Some(500),
             seed: 12,
         };
-        let params = pins.expand(MATRIX_COMMITS);
-        assert_eq!(params.len(), 72);
-        assert!(params.iter().all(|p| p.commits == 500 && p.seed == 12));
-        assert_eq!(params[0].width, 4);
-        assert_eq!(params[0].regs, 2048);
+        let specs = pins.expand(MATRIX_COMMITS);
+        assert_eq!(specs.len(), 72);
+        assert!(specs.iter().all(|s| s.commits == 500 && s.seed == 12));
+        assert_eq!(specs[0].width, 4);
+        assert_eq!(specs[0].regs, 2048);
         // Pinning every dimension yields exactly one configuration.
         let pinned = MatrixPins {
             bench: Some("compress".into()),
@@ -936,15 +939,16 @@ mod tests {
             commits: Some(100),
             seed: 3,
         };
-        let params = pinned.expand(MATRIX_COMMITS);
-        assert_eq!(params.len(), 1);
-        assert_eq!(params[0].bench, "compress");
-        assert_eq!(params[0].width, 8);
-        assert_eq!(params[0].exceptions, ExceptionModel::Imprecise);
-        assert_eq!(params[0].regs, 64);
+        let specs = pinned.expand(MATRIX_COMMITS);
+        assert_eq!(specs.len(), 1);
+        assert_eq!(specs[0].benchmark, "compress");
+        assert_eq!(specs[0].width, 8);
+        assert_eq!(specs[0].exceptions, ExceptionModel::Imprecise);
+        assert_eq!(specs[0].regs, 64);
+        assert_eq!((specs[0].commits, specs[0].seed), (100, 3));
         // Without --commits the caller's default applies.
         let unbudgeted = MatrixPins { commits: None, ..pins };
-        assert!(unbudgeted.expand(700).iter().all(|p| p.commits == 700));
+        assert!(unbudgeted.expand(700).iter().all(|s| s.commits == 700));
     }
 
     #[test]
@@ -957,16 +961,15 @@ mod tests {
             commits: None,
             seed: 5,
         };
-        assert_eq!(unpinned.expand(900), rf_check::default_matrix(900, 5));
+        let matrix: Vec<RunSpec> =
+            rf_check::default_matrix(900, 5).iter().map(rf_check::CheckParams::spec).collect();
+        assert_eq!(unpinned.expand(900), matrix);
         // A pinned size outside the matrix replaces both of its sizes.
-        let params = MatrixPins { regs: Some(96), ..unpinned }.expand(900);
-        let expected: Vec<_> = rf_check::default_matrix(900, 5)
-            .into_iter()
-            .filter(|p| p.regs == 2048)
-            .map(|p| rf_check::CheckParams { regs: 96, ..p })
-            .collect();
-        assert_eq!(params.len(), 36);
-        assert_eq!(params, expected);
+        let specs = MatrixPins { regs: Some(96), ..unpinned }.expand(900);
+        let expected: Vec<_> =
+            matrix.into_iter().filter(|s| s.regs == 2048).map(|s| s.regs(96)).collect();
+        assert_eq!(specs.len(), 36);
+        assert_eq!(specs, expected);
     }
 
     #[test]
@@ -993,7 +996,7 @@ mod tests {
                 assert_eq!(format, rf_obs::trend::Format::Text);
                 assert_eq!(out, None);
                 assert!(!check);
-                assert_eq!(opts, rf_obs::trend::Options::default());
+                assert_eq!(opts, rf_obs::trend::Options::DEFAULT);
                 assert_eq!(opts.window, 5);
                 assert_eq!(opts.max_regress_pct, 10.0);
                 assert_eq!(opts.fidelity, rf_obs::trend::Mode::Gate);

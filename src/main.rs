@@ -5,7 +5,7 @@
 mod cli;
 
 use cli::{Command, StoreAction, TraceFormat};
-use rf_check::{CheckParams, Sanitizer};
+use rf_check::Sanitizer;
 use rf_core::dataflow::analyze;
 use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, RunSpec, SimStats};
 use std::collections::HashMap;
@@ -152,10 +152,10 @@ fn dispatch(cmd: Command, cfg: &RunConfig) -> Result<(), String> {
             run_check(&pins.expand(matrix_commits), deadline_secs)
         }
         Command::Model { pins, check, format, deadline_secs } => {
-            run_model(&specs(&pins.expand(matrix_commits)), check, format, deadline_secs)
+            run_model(&pins.expand(matrix_commits), check, format, deadline_secs)
         }
         Command::Profile { pins, format, top, out, deadline_secs } => {
-            run_profile(&specs(&pins.expand(matrix_commits)), format, top, out, deadline_secs)
+            run_profile(&pins.expand(matrix_commits), format, top, out, deadline_secs)
         }
         Command::Top { file, interval_ms, once } => run_top(&file, interval_ms, once),
         Command::Report { ledger, format, out, check, opts } => {
@@ -280,7 +280,7 @@ fn simulate(
 /// The `check` subcommand: cross-validates the simulator against the
 /// static oracle over the requested configuration matrix (the full
 /// default matrix when no dimension is pinned).
-fn run_check(matrix: &[CheckParams], deadline_secs: Option<f64>) -> Result<(), String> {
+fn run_check(matrix: &[RunSpec], deadline_secs: Option<f64>) -> Result<(), String> {
     // One watchdog for the whole matrix: every cross-validation pipeline
     // polls the same token, so the deadline covers the matrix, not each
     // configuration separately.
@@ -288,8 +288,8 @@ fn run_check(matrix: &[CheckParams], deadline_secs: Option<f64>) -> Result<(), S
 
     let mut failures = 0u64;
     let mut runs = 0u64;
-    for params in matrix {
-        let report = rf_check::cross_validate_cancellable(params, cancel.as_ref())?;
+    for spec in matrix {
+        let report = rf_check::cross_validate_cancellable(spec, cancel.as_ref())?;
         runs += 1;
         if report.passed() {
             // One summary line per clean configuration.
@@ -306,11 +306,6 @@ fn run_check(matrix: &[CheckParams], deadline_secs: Option<f64>) -> Result<(), S
     } else {
         Ok(())
     }
-}
-
-/// The runs a slice of the check matrix names.
-fn specs(matrix: &[CheckParams]) -> Vec<RunSpec> {
-    matrix.iter().map(CheckParams::spec).collect()
 }
 
 /// Per-configuration cap on the model's absolute IPC error in

@@ -47,8 +47,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         cycles_skipped: 128_000,
         wakeup_events: 4_000,
         reused: 0,
-        cache_hits: 10,
-        cache_misses: 70,
         phase: PhaseRecord { generate: 0.002, simulate: 2.7 * scale, aggregate: 0.0 },
         profile: None,
         harnesses: vec![harness("fig3", 1.0 * scale), harness("fig6", 2.0 * scale)],
@@ -56,7 +54,7 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         model_error: None,
         telemetry: None,
         store: None,
-        sanitizer: None,
+        audit: None,
     }
 }
 
