@@ -10,6 +10,11 @@
 //! hook existed — rfbench's sweeps and every other untraced caller pay
 //! nothing.
 //!
+//! An observer sees every simulated cycle, including the ones the
+//! event-driven kernel skips: the pipeline replays a skipped cycle's
+//! stall, register-file and cycle-end calls in the order a stepped cycle
+//! makes them, so an observer cannot tell the two apart.
+//!
 //! The `rf-obs` crate builds recorders, metric registries and trace
 //! exporters (Chrome trace-event JSON, text timelines) on top of this
 //! trait; `rf-core` only defines the hook and its event vocabulary.

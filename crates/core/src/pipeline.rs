@@ -42,16 +42,6 @@ pub fn skip_telemetry() -> (u64, u64) {
     (c.get(Counter::CyclesSkipped), c.get(Counter::WakeupEvents))
 }
 
-/// The stall attribution of a skipped cycle: which insert-phase counter
-/// the legacy loop would have incremented once per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IdleStall {
-    /// `insert_stall_dq_full` (dispatch queue or reorder cap).
-    DqFull,
-    /// `insert_stall_no_reg` (destination class has no free register).
-    NoReg,
-}
-
 /// A cooperative cancellation flag shared between a running simulation
 /// and whoever supervises it (a batch deadline watchdog, a CLI timeout).
 ///
@@ -410,10 +400,9 @@ impl<O: Observer> Pipeline<O> {
                 );
             }
             // Event-driven kernel: jump over cycles in which provably
-            // nothing can happen, accounting for them in bulk. Observed
-            // runs always take the per-cycle loop (`O::ACTIVE` is a
-            // compile-time constant, so this folds away entirely).
-            if !O::ACTIVE && self.stats.committed < n_commits {
+            // nothing can happen, accounting for them in bulk (an observer
+            // sees each of them replayed).
+            if self.stats.committed < n_commits {
                 let _s = self.pspan("cycle.idle_skip");
                 let inserted = self.stats.inserted != inserted_before;
                 if let Some((wake, stall)) = self.idle_wake(inserted, last_progress.0) {
@@ -424,7 +413,9 @@ impl<O: Observer> Pipeline<O> {
                     }
                     let skipped = wake - 1 - self.now;
                     self.now = wake - 1;
-                    self.account_idle(skipped, stall);
+                    self.skipped_cycles += skipped;
+                    self.wakeup_events += 1;
+                    self.account(skipped, stall, true);
                 }
             }
         }
@@ -503,14 +494,12 @@ impl<O: Observer> Pipeline<O> {
             let _s = self.pspan("cycle.issue");
             self.issue_phase();
         }
-        {
+        let stall = {
             let _s = self.pspan("cycle.insert");
-            self.insert_phase(trace, wrong_path);
-        }
-        {
-            let _s = self.pspan("cycle.account");
-            self.account_phase();
-        }
+            self.insert_phase(trace, wrong_path)
+        };
+        let _s = self.pspan("cycle.account");
+        self.account(1, stall, false);
     }
 
     // ------------------------------------------------------------------
@@ -955,25 +944,19 @@ impl<O: Observer> Pipeline<O> {
 
     /// Inserts up to `1.5 x width` instructions into the dispatch queue,
     /// renaming as it goes; switches to the wrong-path stream after a
-    /// mispredicted branch is inserted.
-    fn insert_phase<T, W>(&mut self, trace: &mut T, wrong_path: &mut W)
+    /// mispredicted branch is inserted. Returns the stall that stopped
+    /// insertion this cycle, if any (counted by [`account`](Self::account)).
+    fn insert_phase<T, W>(&mut self, trace: &mut T, wrong_path: &mut W) -> Option<StallCause>
     where
         T: Iterator<Item = Instruction> + ?Sized,
         W: Iterator<Item = Instruction> + ?Sized,
     {
         if self.now < self.fetch_resume_at {
-            if O::ACTIVE {
-                self.obs.stall(self.now, StallCause::FetchStarved);
-            }
-            return;
+            return Some(StallCause::FetchStarved);
         }
         for _slot in 0..self.config.effective_insert_bandwidth() {
             if self.dq_total() >= self.config.dq_size() {
-                self.stats.insert_stall_dq_full += 1;
-                if O::ACTIVE {
-                    self.obs.stall(self.now, StallCause::DqFull);
-                }
-                break;
+                return Some(StallCause::DqFull);
             }
             // Bounded reorder buffer (extension): no insertion while the
             // active list is at capacity.
@@ -982,11 +965,7 @@ impl<O: Observer> Pipeline<O> {
                 .reorder_capacity()
                 .is_some_and(|cap| self.active.len() >= cap)
             {
-                self.stats.insert_stall_dq_full += 1;
-                if O::ACTIVE {
-                    self.obs.stall(self.now, StallCause::DqFull);
-                }
-                break;
+                return Some(StallCause::DqFull);
             }
             // Fetch (or reuse the stalled buffer).
             let (inst, on_wrong_path) = match self.fetch_buffer.take() {
@@ -1001,7 +980,7 @@ impl<O: Observer> Pipeline<O> {
                             Some(i) => (i, false),
                             None => {
                                 self.trace_done = true;
-                                break;
+                                return None;
                             }
                         }
                     }
@@ -1013,34 +992,27 @@ impl<O: Observer> Pipeline<O> {
                 if let Some(resume) = ic.fetch(inst.pc(), self.now) {
                     self.fetch_resume_at = self.fetch_resume_at.max(resume);
                     self.fetch_buffer = Some((inst, on_wrong_path));
-                    break;
+                    return None;
                 }
             }
             // Split queues: the target queue must have room (in-order
             // insertion, so a full queue blocks everything behind it).
             let q = Self::queue_of(self.config.has_split_queues(), inst.kind());
             if self.dq_counts[q] >= self.queue_cap(q) {
-                self.stats.insert_stall_dq_full += 1;
-                if O::ACTIVE {
-                    self.obs.stall(self.now, StallCause::DqFull);
-                }
                 self.fetch_buffer = Some((inst, on_wrong_path));
-                break;
+                return Some(StallCause::DqFull);
             }
             // Rename destination; stall (buffering the instruction) if no
             // register is free.
             if let Some(d) = inst.dest() {
                 if self.regs[d.class().index()].free_count() == 0 {
-                    self.stats.insert_stall_no_reg += 1;
-                    if O::ACTIVE {
-                        self.obs.stall(self.now, StallCause::NoFreeReg);
-                    }
                     self.fetch_buffer = Some((inst, on_wrong_path));
-                    break;
+                    return Some(StallCause::NoFreeReg);
                 }
             }
             self.insert_one(inst, on_wrong_path);
         }
+        None
     }
 
     /// Renames and dispatches one instruction.
@@ -1151,42 +1123,66 @@ impl<O: Observer> Pipeline<O> {
     // Accounting
     // ------------------------------------------------------------------
 
-    /// Per-cycle statistics, then staged register frees become reusable.
-    fn account_phase(&mut self) {
-        self.stats.cycles += 1;
+    /// Accounts the `k` cycles ending at `now`, each of which stopped
+    /// insertion at `stall`: the per-cycle statistics multiplied out, then
+    /// staged register frees become reusable. A stepped cycle passes `k` =
+    /// 1, which folds the arithmetic back to plain increments. A `skipped`
+    /// window is `k` cycles proved inert by [`idle_wake`](Self::idle_wake):
+    /// every quantity read here is constant across it, and an observer
+    /// sees each of its cycles as the per-cycle loop would have shown it.
+    #[inline(always)]
+    fn account(&mut self, k: u64, stall: Option<StallCause>, skipped: bool) {
+        debug_assert!(
+            !skipped || self.regs.iter().all(|f| f.staged_count() == 0),
+            "a frozen machine stages nothing"
+        );
+        self.stats.cycles += k;
         let int_empty = self.regs[0].free_count() == 0;
         let fp_empty = self.regs[1].free_count() == 0;
-        self.stats.no_free_int_cycles += u64::from(int_empty);
-        self.stats.no_free_fp_cycles += u64::from(fp_empty);
-        self.stats.no_free_any_cycles += u64::from(int_empty || fp_empty);
-        self.stats.dq_occupancy_sum += self.dq_total() as u64;
+        self.stats.no_free_int_cycles += k * u64::from(int_empty);
+        self.stats.no_free_fp_cycles += k * u64::from(fp_empty);
+        self.stats.no_free_any_cycles += k * u64::from(int_empty || fp_empty);
+        self.stats.dq_occupancy_sum += k * self.dq_total() as u64;
+        match stall {
+            Some(StallCause::DqFull) => self.stats.insert_stall_dq_full += k,
+            Some(StallCause::NoFreeReg) => self.stats.insert_stall_no_reg += k,
+            _ => {}
+        }
         for class in RegClass::ALL {
             let file = &self.regs[class.index()];
-            let live = file.live_count();
-            let live_imp = file.live_count_imprecise();
-            if O::ACTIVE {
-                self.obs.reg_file_state(
-                    self.now,
-                    class,
-                    file.free_count(),
-                    live,
-                    file.staged_count(),
-                );
-            }
-            self.live_hist[class.index()][live] += 1;
-            self.live_hist_imprecise[class.index()][live_imp] += 1;
+            self.live_hist[class.index()][file.live_count()] += k;
+            self.live_hist_imprecise[class.index()][file.live_count_imprecise()] += k;
             let counts = file.category_counts();
             for (sum, &c) in
                 self.stats.cat_sums[class.index()].iter_mut().zip(counts.iter())
             {
-                *sum += u64::from(c);
+                *sum += k * u64::from(c);
+            }
+        }
+        if O::ACTIVE {
+            // A skipped cycle's commit and issue phases would have stalled
+            // as the stepped cycle before it did (a budget block vetoes the
+            // skip, so only the divider can leave FU work behind).
+            let replayed = [
+                (skipped && !self.active.is_empty(), StallCause::CommitBlocked),
+                (skipped && self.blocks.cache, StallCause::CacheMissBlocked),
+                (skipped && self.blocks.div, StallCause::FuBusy),
+            ];
+            for cycle in self.now + 1 - k..=self.now {
+                for cause in replayed.iter().filter(|r| r.0).map(|r| r.1).chain(stall) {
+                    self.obs.stall(cycle, cause);
+                }
+                for class in RegClass::ALL {
+                    let file = &self.regs[class.index()];
+                    let (free, live, staged) =
+                        (file.free_count(), file.live_count(), file.staged_count());
+                    self.obs.reg_file_state(cycle, class, free, live, staged);
+                }
+                self.obs.cycle_end(cycle, int_empty, fp_empty);
             }
         }
         self.regs[0].end_cycle();
         self.regs[1].end_cycle();
-        if O::ACTIVE {
-            self.obs.cycle_end(self.now, int_empty, fp_empty);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1197,9 +1193,9 @@ impl<O: Observer> Pipeline<O> {
     /// no phase can change any statistic until a known future wake-up
     /// cycle. Returns `Some((wake, stall))` when cycles
     /// `now+1 ..= wake-1` are provably inert — the caller jumps `now` to
-    /// `wake - 1`, bulk-accounts the gap via [`account_idle`] with `stall`
-    /// as the per-cycle insert attribution, and the next [`step`] executes
-    /// cycle `wake` exactly as the per-cycle loop would have.
+    /// `wake - 1`, accounts the gap via [`account`] with `stall` as the
+    /// per-cycle insert attribution, and the next [`step`] executes cycle
+    /// `wake` exactly as the per-cycle loop would have.
     ///
     /// The freeze argument, phase by phase (between wake-ups, no phase
     /// mutates state, so a decision made now holds for every skipped
@@ -1224,20 +1220,22 @@ impl<O: Observer> Pipeline<O> {
     ///   inserted this cycle vetoes (a just-inserted entry was not an
     ///   issue candidate this cycle but is one next cycle).
     /// * **account**: per-cycle increments of frozen quantities, applied
-    ///   `k`-fold by [`account_idle`]. Staged frees are empty post-step
-    ///   (asserted there), so `end_cycle` is a no-op on skipped cycles.
+    ///   `k`-fold by [`account`]. Staged frees are empty post-step
+    ///   (asserted there in debug builds; in a sanitized run a staged
+    ///   register carried across a window is a conservation violation),
+    ///   so `end_cycle` is a no-op on skipped cycles.
     ///
     /// The deadlock horizon caps every jump so the no-progress panic fires
     /// at exactly the cycle the per-cycle loop would have reported.
     ///
-    /// [`account_idle`]: Self::account_idle
+    /// [`account`]: Self::account
     /// [`classify_idle_insert`]: Self::classify_idle_insert
     /// [`step`]: Self::step
     fn idle_wake(
         &self,
         inserted_any: bool,
         horizon_base: u64,
-    ) -> Option<(u64, Option<IdleStall>)> {
+    ) -> Option<(u64, Option<StallCause>)> {
         if inserted_any {
             return None;
         }
@@ -1265,24 +1263,24 @@ impl<O: Observer> Pipeline<O> {
     /// Classifies what the insert phase would do on every cycle of a
     /// prospective skip window: `None` means it would mutate state (fetch,
     /// insert, or probe the i-cache) and the window must not open;
-    /// `Some((stall, cap))` means it is inert, incrementing `stall`'s
-    /// counter once per cycle, valid up to cycle `cap` (exclusive). The
+    /// `Some((stall, cap))` means it is inert, stopping at `stall` (if
+    /// anything) once per cycle, valid up to cycle `cap` (exclusive). The
     /// branch order mirrors `insert_phase` exactly, so the attribution
     /// matches what the per-cycle loop would have recorded.
-    fn classify_idle_insert(&self) -> Option<(Option<IdleStall>, u64)> {
+    fn classify_idle_insert(&self) -> Option<(Option<StallCause>, u64)> {
         // Fetch starved: insert returns before touching anything, but only
         // until the redirect lands — cap the window there.
         if self.now + 1 < self.fetch_resume_at {
-            return Some((None, self.fetch_resume_at));
+            return Some((Some(StallCause::FetchStarved), self.fetch_resume_at));
         }
         if self.config.effective_insert_bandwidth() == 0 {
             return Some((None, u64::MAX));
         }
         if self.dq_total() >= self.config.dq_size() {
-            return Some((Some(IdleStall::DqFull), u64::MAX));
+            return Some((Some(StallCause::DqFull), u64::MAX));
         }
         if self.config.reorder_capacity().is_some_and(|cap| self.active.len() >= cap) {
-            return Some((Some(IdleStall::DqFull), u64::MAX));
+            return Some((Some(StallCause::DqFull), u64::MAX));
         }
         match &self.fetch_buffer {
             Some((inst, _)) => {
@@ -1294,11 +1292,11 @@ impl<O: Observer> Pipeline<O> {
                 }
                 let q = Self::queue_of(self.config.has_split_queues(), inst.kind());
                 if self.dq_counts[q] >= self.queue_cap(q) {
-                    return Some((Some(IdleStall::DqFull), u64::MAX));
+                    return Some((Some(StallCause::DqFull), u64::MAX));
                 }
                 if let Some(d) = inst.dest() {
                     if self.regs[d.class().index()].free_count() == 0 {
-                        return Some((Some(IdleStall::NoReg), u64::MAX));
+                        return Some((Some(StallCause::NoFreeReg), u64::MAX));
                     }
                 }
                 // The buffered instruction would insert next cycle.
@@ -1317,40 +1315,6 @@ impl<O: Observer> Pipeline<O> {
                     None
                 }
             }
-        }
-    }
-
-    /// Bulk accounting for `k` skipped cycles: applies exactly what `k`
-    /// iterations of `account_phase` (plus the per-cycle insert-stall
-    /// increment) would have, multiplied out. Valid only on a frozen
-    /// machine — every quantity read here is constant across the window.
-    fn account_idle(&mut self, k: u64, stall: Option<IdleStall>) {
-        debug_assert_eq!(self.regs[0].staged_count(), 0, "frozen machine stages nothing");
-        debug_assert_eq!(self.regs[1].staged_count(), 0, "frozen machine stages nothing");
-        self.skipped_cycles += k;
-        self.wakeup_events += 1;
-        self.stats.cycles += k;
-        let int_empty = self.regs[0].free_count() == 0;
-        let fp_empty = self.regs[1].free_count() == 0;
-        self.stats.no_free_int_cycles += k * u64::from(int_empty);
-        self.stats.no_free_fp_cycles += k * u64::from(fp_empty);
-        self.stats.no_free_any_cycles += k * u64::from(int_empty || fp_empty);
-        self.stats.dq_occupancy_sum += k * self.dq_total() as u64;
-        for class in RegClass::ALL {
-            let file = &self.regs[class.index()];
-            self.live_hist[class.index()][file.live_count()] += k;
-            self.live_hist_imprecise[class.index()][file.live_count_imprecise()] += k;
-            let counts = file.category_counts();
-            for (sum, &c) in
-                self.stats.cat_sums[class.index()].iter_mut().zip(counts.iter())
-            {
-                *sum += k * u64::from(c);
-            }
-        }
-        match stall {
-            Some(IdleStall::DqFull) => self.stats.insert_stall_dq_full += k,
-            Some(IdleStall::NoReg) => self.stats.insert_stall_no_reg += k,
-            None => {}
         }
     }
 }

@@ -160,12 +160,13 @@ impl SuiteBench {
         outcome
     }
 
-    /// Attaches a traced probe to the most recently rendered harness: a
-    /// small observed run of `bench` giving full six-cause stall
-    /// attribution and latency percentiles for the ledger record.
-    pub fn attach_probe(&mut self, bench: &str, commits: u64) {
-        if let Some(last) = self.harnesses.last_mut() {
-            last.probe = Some(probe(bench, commits));
+    /// Attaches a traced probe to the record of harness `h` (the `h`-th
+    /// [`render`](Self::render)), if it rendered: a small observed run of
+    /// `bench` giving full six-cause stall attribution and latency
+    /// percentiles for the ledger record.
+    pub fn attach_probe(&mut self, h: usize, bench: &str, commits: u64) {
+        if let Some(record) = self.harnesses.get_mut(h).filter(|r| r.error.is_none()) {
+            record.probe = Some(probe(bench, commits));
         }
     }
 
@@ -275,7 +276,7 @@ mod tests {
     fn probe_attaches_attribution_and_latencies() {
         let mut bench = SuiteBench::start(500);
         rendered_noop(&mut bench);
-        bench.attach_probe("compress", 2_000);
+        bench.attach_probe(0, "compress", 2_000);
         let p = bench.harnesses()[0].probe.as_ref().expect("probe attached");
         assert_eq!(p.bench, "compress");
         assert!(p.cycles > 0);
@@ -289,7 +290,7 @@ mod tests {
     fn ledger_record_carries_probe_stalls_and_audit() {
         let mut bench = SuiteBench::start(500);
         rendered_noop(&mut bench);
-        bench.attach_probe("ora", 1_000);
+        bench.attach_probe(0, "ora", 1_000);
         bench.set_audit(audit(0));
         let record = bench.to_ledger_record(Vec::new());
         assert_eq!(record.commits, 500);

@@ -68,8 +68,9 @@ const GRAMMAR: Grammar = Grammar::new("all", &[
     "Runs the table/figure harnesses: answers the union of their plans in one
 simulation batch, writes each report under results/, appends one record
 to the run-history ledger results/history/suite.jsonl, and exits 1 if any
-harness failed or the sanitizer probe found a violation. A spec that
-overruns --deadline-secs fails, and with it every harness that planned it.
+harness failed or the answer audit (a sanitized, oracle-checked re-run of
+a sample of the answers) failed a sample. A spec that overruns
+--deadline-secs fails, and with it every harness that planned it.
 ",
 );
 
@@ -278,7 +279,6 @@ fn run_suite(
         let name = harness.name;
         match bench.render(&plan, h, &answers, || (harness.render)(scale, &answers)) {
             Ok(report) => {
-                bench.attach_probe(harness.probe, PROBE_COMMITS.min(scale.commits));
                 headlines.extend(
                     fidelity::extract_headlines(name, &report)
                         .into_iter()
@@ -300,8 +300,9 @@ fn run_suite(
         }
     }
     // Stop the sampler once the suite's measured work is complete: the
-    // audit and the model probe below are out-of-band checks, not suite
-    // work.
+    // harness probes, the audit and the model probe below are
+    // out-of-band checks, not suite work (and, idle skips included,
+    // would count kernel work the ledger totals do not).
     if let Some(t) = rf_obs::live::finalize() {
         println!(
             "telemetry: {} snapshots @ {}ms -> {} (digest {})",
@@ -315,6 +316,9 @@ fn run_suite(
             snapshots: t.snapshots,
             digest: t.digest,
         });
+    }
+    for (h, harness) in harnesses.iter().enumerate() {
+        bench.attach_probe(h, harness.probe, PROBE_COMMITS.min(scale.commits));
     }
     // Every report certifies, on a sample of the answers it was rendered
     // from, the rename/freeing protocol and the answers themselves.

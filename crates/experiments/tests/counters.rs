@@ -77,7 +77,7 @@ fn work_outside_the_batch_stays_out_of_the_suite_totals() {
 fn ledger_record_carries_phases_probes_and_headlines() {
     let _serial = serial();
     let mut bench = tiny_suite(RunSpec::baseline("ora", 4).commits(1_000));
-    bench.attach_probe("ora", 1_000);
+    bench.attach_probe(0, "ora", 1_000);
     let record = bench.to_ledger_record(vec![("fig3.commit_ipc.4way_dq32".to_owned(), 2.68)]);
     assert_eq!(record.commits, 1_000);
     assert_eq!(record.harnesses.len(), 1);

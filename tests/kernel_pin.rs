@@ -19,13 +19,20 @@
 //! dispatch-queue and cache configurations the probe matrix leaves out.
 //! It digests each spec's statistics together with the six-cause stall
 //! cycles of an observed run of the same spec. The observed run matters:
-//! unobserved runs skip idle cycles exactly, so a spurious "blocked"
-//! verdict from the issue phase can leave `SimStats` unchanged, while the
-//! observed per-cycle loop attributes every blocked cycle to a cause.
+//! idle cycles are skipped exactly, so a spurious "blocked" verdict from
+//! the issue phase can leave `SimStats` unchanged, while the observer
+//! sees every blocked cycle attributed to a cause, stepped or skipped.
+//!
+//! A third pin, `TRACE_PIN`, covers what observers see: the recorder's
+//! chrome, text and summary renderings and the sanitizer's event count
+//! and verdict, over the determinism tests' five machine shapes. It was
+//! taken when observed runs still stepped every cycle, so it holds the
+//! idle skip's observer replay to the per-cycle loop.
 
+use rf_check::Sanitizer;
 use rf_obs::Recorder;
 use rfstudy::bpred::PredictorKind;
-use rfstudy::core::{ExceptionModel, Pipeline, SchedPolicy, StallCause};
+use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline, SchedPolicy, StallCause};
 use rfstudy::experiments::codec::encode_stats;
 use rfstudy::experiments::runner::{simulate, RunSpec};
 use rfstudy::mem::CacheOrg;
@@ -37,6 +44,10 @@ const KERNEL_PIN: &str = "e8dfe1b56e5498303f36303e026f2326";
 /// The digest of the issue-path matrix: encoded statistics plus observed
 /// stall cycles per spec.
 const ISSUE_PIN: &str = "cee41abe0a094ce8133cb0bd61e3f8c9";
+
+/// The digest of the observer matrix: each run's chrome, text and summary
+/// renderings plus its sanitizer report (event count and verdict).
+const TRACE_PIN: &str = "6188fe7baedcde48e36d39b7a9dc523d";
 
 fn probe_matrix() -> Vec<RunSpec> {
     let mut specs = Vec::new();
@@ -102,7 +113,7 @@ fn issue_matrix() -> Vec<RunSpec> {
 }
 
 /// The six-cause stall cycles of `spec` simulated with a recorder
-/// attached (the per-cycle loop, no idle skipping).
+/// attached (skipped cycles included, replayed to the recorder).
 fn observed_stalls(spec: &RunSpec) -> [u64; 6] {
     let profile = spec92::by_name(&spec.benchmark).expect("a SPEC92 profile");
     let trace = SharedTrace::new(&profile, spec.seed, spec.commits as usize);
@@ -126,5 +137,53 @@ fn issue_matrix_statistics_and_stalls_match_the_pin() {
         digest, ISSUE_PIN,
         "the issue path's simulated behaviour changed: update ISSUE_PIN only \
          if the change is intended"
+    );
+}
+
+/// The rf-obs determinism tests' five machine shapes: generous,
+/// register-starved, queue-starved, imprecise and a lockup cache.
+fn observer_matrix() -> Vec<MachineConfig> {
+    vec![
+        MachineConfig::new(4).dispatch_queue(32).physical_regs(2048),
+        MachineConfig::new(4).dispatch_queue(32).physical_regs(40),
+        MachineConfig::new(8).dispatch_queue(8).physical_regs(256),
+        MachineConfig::new(4)
+            .dispatch_queue(32)
+            .physical_regs(48)
+            .exceptions(ExceptionModel::Imprecise),
+        MachineConfig::new(4).dispatch_queue(32).physical_regs(96).cache(CacheOrg::Lockup),
+    ]
+}
+
+#[test]
+fn observer_matrix_renderings_match_the_pin() {
+    const COMMITS: u64 = 2_000;
+    let mut bytes = Vec::new();
+    for config in observer_matrix() {
+        for bench in ["compress", "tomcatv"] {
+            let profile = spec92::by_name(bench).expect("a SPEC92 profile");
+            let trace = SharedTrace::new(&profile, 7, COMMITS as usize);
+            let (stats, mut rec) = Pipeline::with_observer(config.clone(), Recorder::unbounded())
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+                .expect("no cancel token attached");
+            rec.seal();
+            let sanitizer = Sanitizer::new(config.phys_regs(), config.exception_model());
+            let (_, sanitizer) = Pipeline::with_observer(config.clone(), sanitizer)
+                .run(&mut trace.cursor(), &mut trace.wrong_path(), COMMITS)
+                .expect("no cancel token attached");
+            for rendered in [
+                rf_obs::chrome_trace(&rec),
+                rf_obs::text_timeline(&rec),
+                rf_obs::summary(&rec, &stats),
+                sanitizer.report(),
+            ] {
+                bytes.extend_from_slice(rendered.as_bytes());
+            }
+        }
+    }
+    let digest = rf_store::Digest::of(&bytes).to_hex();
+    assert_eq!(
+        digest, TRACE_PIN,
+        "what observers see changed: update TRACE_PIN only if the change is intended"
     );
 }
