@@ -376,11 +376,11 @@ mod tests {
             assert_eq!(TOP.parse(&argv(line)).err().unwrap(), err, "{line}");
         }
         let store = Grammar::new("store", &[]).positional(Opt::new("ACTION", "an action"));
-        let gc = store.parse(&argv("gc")).unwrap().unwrap();
-        assert_eq!(gc.req("ACTION", |_, v| Ok(v.to_owned())), Ok("gc".to_owned()));
+        let compact = store.parse(&argv("compact")).unwrap().unwrap();
+        assert_eq!(compact.req("ACTION", |_, v| Ok(v.to_owned())), Ok("compact".to_owned()));
         assert_eq!(store.parse(&[]).err().unwrap(), "store requires an action");
-        let surplus = store.parse(&argv("gc gc")).err().unwrap();
-        assert_eq!(surplus, "unexpected argument \"gc\" for store");
+        let surplus = store.parse(&argv("compact compact")).err().unwrap();
+        assert_eq!(surplus, "unexpected argument \"compact\" for store");
     }
 
     #[test]

@@ -14,33 +14,41 @@
 //! in-memory [`RunCache`](crate::runner::RunCache) and the store key by
 //! this digest, so the two tiers always agree on identity.
 //!
-//! # Versioning
+//! # Versioning: one answer generation
 //!
-//! - [`DIGEST_SCHEMA`] stamps each store record with the key-encoding
-//!   generation. Changing the `RunSpec` encoding (new field, reordered
-//!   field, widened enum) MUST bump it; `rfstudy store gc` then drops
-//!   the stale generation. The golden test below pins the current
-//!   encoding so an accidental change fails loudly instead of silently
-//!   orphaning (or worse, misreading) the corpus.
-//! - A version word prefixes each stats payload, and it names one of two
-//!   layouts that differ only in the liveness histograms:
-//!   - [`DENSE_STATS_VERSION`] (1), written by [`encode_stats`], pads
-//!     every histogram to its logical length, `phys_regs + 1` buckets.
-//!     It is the answer's identity form: the kernel pins and rfbench's
-//!     digests hash these bytes, so it stays dense and byte-stable.
-//!     Every store record written before the stored layout existed
-//!     holds it too.
-//!   - [`STORED_STATS_VERSION`] (2), written by [`encode_stored_stats`]
-//!     for the run store, keeps only each histogram's buckets up to its
-//!     last non-zero one. A 2048-register answer's histograms reach a
-//!     few hundred of their 2049 buckets, so the record is a fraction of
-//!     the dense size, and a store hit reads, checksums and decodes that
-//!     much less.
+//! Each store record carries one version word, its schema, and the store
+//! serves a record only under the schema it was written with. Here that
+//! word is [`DIGEST_SCHEMA`], the *answer generation*: a fold of every
+//! input that decides what a record's bytes mean or hold.
 //!
-//!   [`decode_stats`] reads both into the same compact [`SimStats`] and
-//!   rejects any other version, so a stale payload shape can never be
-//!   half-read into a current one. The payload version is not part of
-//!   the record's key, so the store serves old and new records alike.
+//! - `KEY_ENCODING`, the version of [`spec_key_bytes`]. A change to the
+//!   `RunSpec` encoding (new field, reordered field, widened enum) MUST
+//!   bump it. The golden test below pins the current encoding, so an
+//!   accidental change fails loudly.
+//! - [`STORED_STATS_VERSION`], the layout of the stored payload.
+//! - [`KERNEL_PIN`] and [`ISSUE_PIN`], the digests of the kernel's
+//!   simulated behaviour that `tests/kernel_pin.rs` checks. A change
+//!   that alters what the kernel computes must move a pin, and so
+//!   retires every record an older kernel wrote.
+//!
+//! A record of another generation is a miss: the spec is simulated again
+//! and its answer written under the current generation, and
+//! `rfstudy store compact` drops what is left of the old one.
+//!
+//! Two payload layouts exist, and they differ only in the liveness
+//! histograms:
+//!
+//! - [`encode_stats`] pads every histogram to its logical length,
+//!   `phys_regs + 1` buckets. It is the answer's identity form: the
+//!   kernel pins, the suite's answer audit and rfbench's digests hash
+//!   these bytes, so it stays dense and byte-stable. Nothing reads it
+//!   back.
+//! - [`encode_stored_stats`], the run store's record form, keeps only
+//!   each histogram's buckets up to its last non-zero one. A
+//!   2048-register answer's histograms reach a few hundred of their 2049
+//!   buckets, so a store hit reads, checksums and decodes that much less.
+//!
+//! [`decode_stats`] reads the stored layout alone.
 
 use crate::runner::RunSpec;
 use rf_bpred::{PredictorKind, PredictorStats};
@@ -48,18 +56,51 @@ use rf_core::{ExceptionModel, SchedPolicy, SimStats};
 use rf_mem::{CacheConfig, CacheOrg, CacheStats};
 use rf_store::Digest;
 
-/// Version of the canonical `RunSpec` byte encoding (the store's record
-/// schema field). Bump on ANY change to [`spec_key_bytes`].
-pub const DIGEST_SCHEMA: u32 = 1;
+/// The digest of the kernel's probe matrix: every statistic of a fixed
+/// set of simulations (`tests/kernel_pin.rs`). Part of [`DIGEST_SCHEMA`].
+pub const KERNEL_PIN: &str = "e8dfe1b56e5498303f36303e026f2326";
+
+/// The digest of the issue-path matrix: statistics plus observed stall
+/// cycles of a fixed set of simulations (`tests/kernel_pin.rs`). Part of
+/// [`DIGEST_SCHEMA`].
+pub const ISSUE_PIN: &str = "cee41abe0a094ce8133cb0bd61e3f8c9";
+
+/// Version of the canonical `RunSpec` byte encoding, the word
+/// [`spec_key_bytes`] writes after its magic. Bump on ANY change to it.
+const KEY_ENCODING: u32 = 1;
+
+/// The answer generation: the schema every store record is written and
+/// read under. A fold of the key encoding, the stored payload layout and
+/// the two kernel pins, so a change to any of them retires every record
+/// written before it.
+pub const DIGEST_SCHEMA: u32 =
+    answer_generation(KEY_ENCODING, STORED_STATS_VERSION, KERNEL_PIN, ISSUE_PIN);
 
 /// Version of the dense `SimStats` payload, [`encode_stats`]'s layout.
-/// A change to it needs a new version, which [`decode_stats`] learns.
-pub const DENSE_STATS_VERSION: u32 = 1;
+const DENSE_STATS_VERSION: u32 = 1;
 
 /// Version of the stored `SimStats` payload, [`encode_stored_stats`]'s
 /// layout: the dense one with each histogram cut after its last
-/// non-zero bucket.
+/// non-zero bucket. Part of [`DIGEST_SCHEMA`].
 pub const STORED_STATS_VERSION: u32 = 2;
+
+/// 32-bit FNV-1a over the two version words (little-endian) and the two
+/// pins' bytes.
+const fn answer_generation(key: u32, stats: u32, kernel_pin: &str, issue_pin: &str) -> u32 {
+    let (key, stats) = (key.to_le_bytes(), stats.to_le_bytes());
+    let parts: [&[u8]; 4] = [&key, &stats, kernel_pin.as_bytes(), issue_pin.as_bytes()];
+    let mut h: u32 = 0x811c_9dc5;
+    let mut p = 0;
+    while p < parts.len() {
+        let mut i = 0;
+        while i < parts[p].len() {
+            h = (h ^ parts[p][i] as u32).wrapping_mul(0x0100_0193);
+            i += 1;
+        }
+        p += 1;
+    }
+    h
+}
 
 /// Magic prefix of a canonical spec key (guards against feeding foreign
 /// bytes to the digest).
@@ -76,7 +117,7 @@ const STATS_MAGIC: &[u8; 6] = b"rfstat";
 pub fn spec_key_bytes(spec: &RunSpec) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
     out.extend_from_slice(SPEC_MAGIC);
-    put_u32(&mut out, DIGEST_SCHEMA);
+    put_u32(&mut out, KEY_ENCODING);
     put_bytes(&mut out, spec.benchmark.as_bytes());
     put_u64(&mut out, spec.width as u64);
     put_u64(&mut out, spec.dq as u64);
@@ -127,7 +168,7 @@ pub fn spec_digest(spec: &RunSpec) -> Digest {
 }
 
 /// Encodes a [`SimStats`] into its dense payload bytes, the answer's
-/// identity form.
+/// identity form. Write-only: [`decode_stats`] rejects it.
 ///
 /// Each liveness histogram is written at its logical length,
 /// `phys_regs + 1` buckets, with the zeros past its stored end padded
@@ -139,8 +180,7 @@ pub fn encode_stats(stats: &SimStats) -> Vec<u8> {
 /// Encodes a [`SimStats`] into its stored payload bytes, the run store's
 /// record form: each liveness histogram is written as its logical
 /// length, its stored length, and only the stored buckets.
-/// [`decode_stats`] turns it back into the same `SimStats` as the dense
-/// form.
+/// [`decode_stats`] turns it back into the same `SimStats`.
 pub fn encode_stored_stats(stats: &SimStats) -> Vec<u8> {
     encode(stats, STORED_STATS_VERSION)
 }
@@ -216,25 +256,25 @@ fn encode(stats: &SimStats, version: u32) -> Vec<u8> {
     out
 }
 
-/// Decodes a payload produced by [`encode_stats`] or
-/// [`encode_stored_stats`], keeping each histogram compact.
+/// Decodes a payload produced by [`encode_stored_stats`].
+///
+/// Every cycle is counted in one bucket of each liveness histogram, so
+/// each histogram must sum to `cycles`; a payload that breaks this is
+/// rejected.
 ///
 /// # Errors
 ///
-/// A descriptive message when the magic, version, length, or any field
-/// bound does not hold — a corrupt or stale payload never becomes a
-/// half-initialized `SimStats`.
+/// A descriptive message when the magic, version, length, any field
+/// bound or the histogram sums do not hold — a corrupt or stale payload
+/// never becomes a half-initialized `SimStats`.
 pub fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(STATS_MAGIC.len())? != STATS_MAGIC {
         return Err("stats payload: bad magic".into());
     }
     let version = r.u32()?;
-    if version != DENSE_STATS_VERSION && version != STORED_STATS_VERSION {
-        return Err(format!(
-            "stats payload: version {version}, expected {DENSE_STATS_VERSION} \
-             or {STORED_STATS_VERSION}"
-        ));
+    if version != STORED_STATS_VERSION {
+        return Err(format!("stats payload: version {version}, expected {STORED_STATS_VERSION}"));
     }
     let mut stats = SimStats::new(0);
     stats.cycles = r.u64()?;
@@ -281,30 +321,32 @@ pub fn decode_stats(bytes: &[u8]) -> Result<SimStats, String> {
         if *buckets.get_or_insert(len) != len {
             return Err("stats payload: histogram lengths differ".into());
         }
-        let stored = if version == STORED_STATS_VERSION {
-            let stored = r.u32()? as usize;
-            if stored > len {
-                return Err("stats payload: stored histogram exceeds its length".into());
-            }
-            stored
-        } else {
-            len
-        };
+        let stored = r.u32()? as usize;
+        if stored > len {
+            return Err("stats payload: stored histogram exceeds its length".into());
+        }
         // Each stored bucket costs 8 payload bytes, so the length field
         // can never legitimately exceed what remains.
         if stored > r.remaining() / 8 {
             return Err("stats payload: histogram length exceeds payload".into());
         }
-        // Keep the compact form: the buckets up to the last non-zero one.
-        let words = r.take(8 * stored)?.chunks_exact(8);
-        let kept = words.clone().rposition(|w| w.iter().any(|&b| b != 0)).map_or(0, |i| i + 1);
-        if kept != stored && version == STORED_STATS_VERSION {
-            return Err("stats payload: stored histogram ends in a zero bucket".into());
-        }
-        *hist = words
-            .take(kept)
+        *hist = r
+            .take(8 * stored)?
+            .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
             .collect();
+        if hist.last() == Some(&0) {
+            return Err("stats payload: stored histogram ends in a zero bucket".into());
+        }
+        // A separate pass: summing inside the decoding iterator keeps
+        // the copy above from vectorizing, which costs far more.
+        let sum = hist.iter().fold(0u64, |sum, &v| sum.wrapping_add(v));
+        if sum != stats.cycles {
+            return Err(format!(
+                "stats payload: a liveness histogram sums to {sum}, not {} cycles",
+                stats.cycles
+            ));
+        }
     }
     stats.phys_regs = buckets.expect("four histograms were read") - 1;
     let [h0, h1, h2, h3] = hists;
@@ -397,7 +439,7 @@ mod tests {
 
     fn busy_stats() -> SimStats {
         let mut s = SimStats::new(8);
-        s.cycles = 12_345;
+        s.cycles = 1_000;
         s.committed = 2_000;
         s.issued = 2_500;
         s.inserted = 2_600;
@@ -425,9 +467,11 @@ mod tests {
         s.insert_stall_no_reg = 9;
         s.insert_stall_dq_full = 21;
         s.dq_occupancy_sum = 98_765;
-        s.live_hist[0] = vec![0, 0, 0, 42];
-        s.live_hist[1] = vec![0, 0, 0, 0, 0, 7];
-        s.live_hist_imprecise[0] = vec![0, 0, 13];
+        // Each histogram counts every cycle once.
+        s.live_hist[0] = vec![0, 0, 958, 42];
+        s.live_hist[1] = vec![0, 0, 0, 0, 993, 7];
+        s.live_hist_imprecise[0] = vec![0, 987, 13];
+        s.live_hist_imprecise[1] = vec![1_000];
         s.cat_sums[0][0] = 1_000;
         s.cat_sums[1][3] = 77;
         s
@@ -435,9 +479,8 @@ mod tests {
 
     /// GOLDEN: pins the canonical encoding and its digest. If this test
     /// fails because you changed `spec_key_bytes` (or any type it
-    /// encodes), bump [`DIGEST_SCHEMA`], update the pinned values, and
-    /// note in the changelog that existing store corpora need
-    /// `rfstudy store gc`.
+    /// encodes), bump `KEY_ENCODING` and update the pinned values; the
+    /// new [`DIGEST_SCHEMA`] retires every stored record.
     #[test]
     fn spec_digest_is_pinned() {
         let spec = sample_spec();
@@ -503,25 +546,42 @@ mod tests {
         assert_eq!(spec_digest(&base), d0);
     }
 
-    type Encoder = fn(&SimStats) -> Vec<u8>;
+    /// `pin` with its last hex digit changed.
+    fn perturbed(pin: &str) -> String {
+        let last = if pin.ends_with('0') { '1' } else { '0' };
+        format!("{}{last}", &pin[..pin.len() - 1])
+    }
 
-    /// Both layouts: the dense one every store written before the stored
-    /// layout holds, and the stored one.
-    const LAYOUTS: [(u32, Encoder); 2] = [
-        (DENSE_STATS_VERSION, encode_stats),
-        (STORED_STATS_VERSION, encode_stored_stats),
-    ];
+    #[test]
+    fn the_answer_generation_moves_with_each_of_its_inputs() {
+        assert_ne!(DIGEST_SCHEMA, 1, "records of the key-only schema are retired");
+        let (k, v) = (KEY_ENCODING, STORED_STATS_VERSION);
+        assert_eq!(answer_generation(k, v, KERNEL_PIN, ISSUE_PIN), DIGEST_SCHEMA);
+        let (kernel, issue) = (perturbed(KERNEL_PIN), perturbed(ISSUE_PIN));
+        for moved in [
+            answer_generation(k + 1, v, KERNEL_PIN, ISSUE_PIN),
+            answer_generation(k, v + 1, KERNEL_PIN, ISSUE_PIN),
+            answer_generation(k, v, &kernel, ISSUE_PIN),
+            answer_generation(k, v, KERNEL_PIN, &issue),
+            answer_generation(k, v, ISSUE_PIN, KERNEL_PIN),
+        ] {
+            assert_ne!(moved, DIGEST_SCHEMA);
+        }
+    }
 
     #[test]
     fn stats_round_trip() {
         let stats = busy_stats();
-        for (version, encode) in LAYOUTS {
-            let bytes = encode(&stats);
-            assert_eq!(bytes[6..10], version.to_le_bytes());
-            let back = decode_stats(&bytes).expect("decode");
-            assert_eq!(back, stats, "version {version}");
-            assert_eq!(encode_stats(&back), encode_stats(&stats), "version {version}");
-        }
+        let bytes = encode_stored_stats(&stats);
+        assert_eq!(bytes[6..10], STORED_STATS_VERSION.to_le_bytes());
+        let back = decode_stats(&bytes).expect("decode");
+        assert_eq!(back, stats);
+        assert_eq!(encode_stats(&back), encode_stats(&stats));
+        // The dense identity form is never read back.
+        let dense = encode_stats(&stats);
+        assert_eq!(dense[6..10], DENSE_STATS_VERSION.to_le_bytes());
+        let err = decode_stats(&dense).expect_err("dense payload");
+        assert!(err.contains("version 1, expected 2"), "{err}");
     }
 
     /// Offset of the first histogram length field: magic(6) + ver(4) +
@@ -529,45 +589,26 @@ mod tests {
     const HIST_OFF: usize = 6 + 4 + 27 * 8;
 
     #[test]
-    fn a_simulated_answer_round_trips_compact_through_both_layouts() {
+    fn a_simulated_answer_round_trips_compact() {
         let stats = crate::runner::simulate(&sample_spec());
         assert_eq!(stats.phys_regs, 2048);
         assert!(stats.histograms_are_compact());
         let bytes = encode_stats(&stats);
-        // The histogram section keeps the dense layout: four u32 lengths
-        // of 2049, each followed by 2049 u64 buckets; the cat sums
-        // (8 u64s) follow it.
+        // The identity form keeps the dense layout: four u32 lengths of
+        // 2049, each followed by 2049 u64 buckets; the cat sums (8 u64s)
+        // follow it.
         assert_eq!(bytes.len() - HIST_OFF - 8 * 8, 4 * (4 + 2049 * 8));
-        let back = decode_stats(&bytes).expect("decode");
-        assert!(back.histograms_are_compact());
-        assert_eq!(back, stats);
-        assert_eq!(encode_stats(&back), bytes);
         // The stored layout keeps only the buckets the run reached.
         let stored = encode_stored_stats(&stats);
         assert!(4 * stored.len() < bytes.len(), "{} of {} bytes", stored.len(), bytes.len());
         let back = decode_stats(&stored).expect("decode stored");
+        assert!(back.histograms_are_compact());
         assert_eq!(back, stats);
         assert_eq!(encode_stats(&back), bytes);
     }
 
     #[test]
-    fn stats_decode_rejects_histograms_of_different_lengths() {
-        let bytes = encode_stats(&busy_stats());
-        // The second length field follows the first histogram's 9 buckets.
-        let second = HIST_OFF + 4 + 9 * 8;
-        assert_eq!(bytes[second..second + 4], 9u32.to_le_bytes());
-        let mut uneven = bytes.clone();
-        uneven[second..second + 4].copy_from_slice(&8u32.to_le_bytes());
-        let err = decode_stats(&uneven).expect_err("uneven lengths");
-        assert!(err.contains("lengths differ"), "{err}");
-        // A zero-length histogram names no register file.
-        let mut empty = bytes;
-        empty[HIST_OFF..HIST_OFF + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(decode_stats(&empty).is_err());
-    }
-
-    #[test]
-    fn stored_decode_rejects_lengths_the_stored_layout_cannot_have() {
+    fn decode_rejects_histograms_the_stored_layout_cannot_have() {
         let bytes = encode_stored_stats(&busy_stats());
         // The first histogram: logical length 9, stored length 4, then
         // its 4 buckets, the last of them 42.
@@ -575,9 +616,13 @@ mod tests {
         let last = HIST_OFF + 8 + 3 * 8;
         assert_eq!(bytes[last..last + 8], 42u64.to_le_bytes());
         let cases = [
-            (HIST_OFF + 4, 10u64.to_le_bytes()[..4].to_vec(), "exceeds its length"),
+            (HIST_OFF, 0u32.to_le_bytes().to_vec(), "empty histogram"),
+            (HIST_OFF + 4, 10u32.to_le_bytes().to_vec(), "exceeds its length"),
             (last, 0u64.to_le_bytes().to_vec(), "ends in a zero bucket"),
             (HIST_OFF + 8 + 4 * 8, 8u32.to_le_bytes().to_vec(), "lengths differ"),
+            (last, 41u64.to_le_bytes().to_vec(), "sums to 999, not 1000 cycles"),
+            // `cycles` is the first counter after the magic and version.
+            (10, 999u64.to_le_bytes().to_vec(), "sums to 1000, not 999 cycles"),
         ];
         for (at, patch, why) in cases {
             let mut bad = bytes.clone();
@@ -589,28 +634,26 @@ mod tests {
 
     #[test]
     fn stats_decode_rejects_malformed_payloads() {
-        for (_, encode) in LAYOUTS {
-            let bytes = encode(&busy_stats());
-            // Truncation anywhere must fail, never partially decode.
-            for cut in [0, 5, 6, 9, 10, HIST_OFF + 6, bytes.len() / 2, bytes.len() - 1] {
-                assert!(decode_stats(&bytes[..cut]).is_err(), "cut at {cut}");
-            }
-            // Trailing garbage is rejected too.
-            let mut extended = bytes.clone();
-            extended.push(0);
-            assert!(decode_stats(&extended).is_err());
-            // Wrong magic.
-            let mut wrong = bytes.clone();
-            wrong[0] ^= 0xff;
-            assert!(decode_stats(&wrong).is_err());
-            // Wrong version.
-            let mut stale = bytes.clone();
-            stale[6] = 0xee;
-            assert!(decode_stats(&stale).is_err());
-            // Absurd histogram length cannot cause a huge allocation.
-            let mut hist_bomb = bytes;
-            hist_bomb[HIST_OFF..HIST_OFF + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode_stats(&hist_bomb).is_err());
+        let bytes = encode_stored_stats(&busy_stats());
+        // Truncation anywhere must fail, never partially decode.
+        for cut in [0, 5, 6, 9, 10, HIST_OFF + 6, bytes.len() / 2, bytes.len() - 1] {
+            assert!(decode_stats(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        // Trailing garbage is rejected too.
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert!(decode_stats(&extended).is_err());
+        // Wrong magic.
+        let mut wrong = bytes.clone();
+        wrong[0] ^= 0xff;
+        assert!(decode_stats(&wrong).is_err());
+        // Wrong version.
+        let mut stale = bytes.clone();
+        stale[6] = 0xee;
+        assert!(decode_stats(&stale).is_err());
+        // Absurd histogram length cannot cause a huge allocation.
+        let mut hist_bomb = bytes;
+        hist_bomb[HIST_OFF..HIST_OFF + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_stats(&hist_bomb).is_err());
     }
 }

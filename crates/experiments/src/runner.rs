@@ -633,12 +633,14 @@ impl RunCache {
 /// Reads go through one [`rf_store::Snapshot`] opened at first use —
 /// batch resolution must be immune to concurrent appends and
 /// compactions by other processes. Its header walk is the open's only
-/// one: it also finds the torn tail crash recovery rotates past. Writes
-/// append behind the executed result, deduplicated against the snapshot
-/// (same key-schema only) and against this process's own appends. Both
-/// sides share the cache's stable identity from [`crate::codec`], so a
-/// result written by any past process is a hit here. Records are written in the codec's
-/// stored layout; dense records from older stores still decode.
+/// one: it also finds the torn tail crash recovery rotates past. Both
+/// sides share the cache's stable identity from [`crate::codec`] and read
+/// and write under its answer generation, [`crate::codec::DIGEST_SCHEMA`],
+/// so a result a past process wrote under the current generation is a
+/// hit here, and one of an older generation is a miss. Writes append
+/// behind each executed result, in the codec's stored layout, once per
+/// digest per process. An executed spec is one the tier failed to serve,
+/// so its write also replaces a damaged or stale record.
 struct StoreTier {
     store: rf_store::Store,
     snapshot: rf_store::Snapshot,
@@ -700,14 +702,11 @@ impl StoreTier {
         found
     }
 
-    /// Appends an executed result unless the store already has it under
-    /// the current key schema (or this process already appended it).
+    /// Appends an executed result unless this process already appended
+    /// it.
     fn put(&self, spec: &RunSpec, stats: &SimStats) {
         let key = crate::codec::spec_key_bytes(spec);
         let digest = rf_store::Digest::of(&key);
-        if self.snapshot.contains_schema(crate::codec::DIGEST_SCHEMA, &digest) {
-            return;
-        }
         {
             let mut written =
                 self.written.lock().unwrap_or_else(PoisonError::into_inner);

@@ -200,28 +200,67 @@ fn two_concurrent_suite_processes_share_one_store_consistently() {
     let _ = std::fs::remove_dir_all(store_dir.parent().unwrap());
 }
 
+/// Runs the suite's fig8 harness alone in `dir` against `store_dir`.
+fn only_fig8(dir: &Path, store_dir: &Path) -> std::process::Output {
+    let mut cmd = suite_command(dir, Some(store_dir));
+    cmd.args(["--only", "fig8"]).stdout(Stdio::piped()).stderr(Stdio::piped());
+    cmd.output().expect("suite binary runs")
+}
+
+#[test]
+fn a_damaged_record_is_rewritten_by_the_next_run() {
+    let dirs = ["heal-cold", "heal-first", "heal-second"].map(workdir);
+    let store_dir = workdir("heal").join("store");
+    assert!(only_fig8(&dirs[0], &store_dir).status.success(), "cold run exits 0");
+    let (_, planned, _) = store_block(&dirs[0]);
+
+    // Flip the last payload byte of the last record: its checksum fails.
+    let seg = std::fs::read_dir(&store_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .max()
+        .expect("the cold run wrote a segment");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    // The next run simulates and rewrites that one spec; the run after
+    // it is served entirely from the store.
+    assert!(only_fig8(&dirs[1], &store_dir).status.success(), "first warm run exits 0");
+    assert_eq!(store_block(&dirs[1]), (planned - 1, 1, 1), "hits, misses, writes");
+    assert!(only_fig8(&dirs[2], &store_dir).status.success(), "second warm run exits 0");
+    assert_eq!(store_block(&dirs[2]), (planned, 0, 0), "hits, misses, writes");
+    for dir in &dirs[1..] {
+        let (a, b) = (dirs[0].join("results/fig8.txt"), dir.join("results/fig8.txt"));
+        assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap(), "fig8 report");
+    }
+
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let _ = std::fs::remove_dir_all(store_dir.parent().unwrap());
+}
+
 #[test]
 fn a_wrong_store_answer_fails_the_warm_audit() {
     let cold_dir = workdir("tamper-cold");
     let warm_dir = workdir("tamper-warm");
     let store_dir = workdir("tamper").join("store");
-    let only_fig8 = |dir: &Path| {
-        let mut cmd = suite_command(dir, Some(&store_dir));
-        cmd.args(["--only", "fig8"]).stdout(Stdio::piped()).stderr(Stdio::piped());
-        cmd.output().expect("suite binary runs")
-    };
+    let only_fig8 = |dir: &Path| only_fig8(dir, &store_dir);
     assert!(only_fig8(&cold_dir).status.success(), "cold run exits 0");
 
     // On a warm store every answer is a store answer, so the sample
     // holds the lowest-ranked spec. Supersede its record with one whose
     // statistics are wrong, under the spec's real key: the record is
-    // well formed and its checksum valid, only the answer is wrong.
+    // well formed, its checksum valid and its histograms still sum to
+    // its cycles, only the answer is wrong.
     let plan = (rf_experiments::suite::harness("fig8").unwrap().plan)(&Scale {
         commits: COMMITS.parse().unwrap(),
     });
     let spec = plan.iter().min_by_key(|s| codec::spec_digest(s)).expect("fig8 plans specs");
     let mut wrong = runner::try_simulate(spec).expect("simulates");
-    wrong.cycles += 1;
+    wrong.issued += 1;
     let key = codec::spec_key_bytes(spec);
     let store = rf_store::Store::open(&store_dir).unwrap();
     let digest = rf_store::Digest::of(&key);

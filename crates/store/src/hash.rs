@@ -9,7 +9,7 @@
 //! algorithm), with keys and seeds pinned as constants, so a value
 //! computed today names the same bytes in every future process and build.
 //!
-//! Three derived forms are exposed:
+//! Two derived forms are exposed:
 //!
 //! - [`digest128`]: a 128-bit content digest (two independently-keyed
 //!   SipHash-2-4 passes), wide enough that accidental collisions across a
@@ -21,8 +21,6 @@
 //!   not keyed and not collision-resistant against an adversary, which a
 //!   checksum does not need; it runs about ten times faster than
 //!   SipHash, and a warm store read pays it over every byte it returns.
-//! - [`checksum`]: the SipHash-2-4 checksum of legacy `RFR1` records,
-//!   kept so stores written before `RFR2` still verify.
 
 /// SipHash-2-4 of `data` under the 128-bit key `(k0, k1)`.
 ///
@@ -88,18 +86,9 @@ pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
     v0 ^ v1 ^ v2 ^ v3
 }
 
-/// Fixed key pair for record checksums. Arbitrary but *pinned*: changing
-/// it would invalidate every existing segment file.
-const CHECKSUM_KEY: (u64, u64) = (0x7266_5f73_746f_7265, 0x6368_6563_6b73_756d);
-
 /// Fixed key pairs for the two halves of [`digest128`]. Also pinned.
 const DIGEST_KEY_LO: (u64, u64) = (0x7266_5f73_746f_7265, 0x6469_6765_7374_2d6c);
 const DIGEST_KEY_HI: (u64, u64) = (0x7266_5f73_746f_7265, 0x6469_6765_7374_2d68);
-
-/// The stable 64-bit checksum of legacy `RFR1` records.
-pub fn checksum(data: &[u8]) -> u64 {
-    siphash24(CHECKSUM_KEY.0, CHECKSUM_KEY.1, data)
-}
 
 /// The stable 128-bit content digest: two SipHash-2-4 passes under
 /// independent fixed keys, little-endian concatenated.
@@ -283,20 +272,18 @@ mod tests {
         }
     }
 
-    /// GOLDEN: pins the fixed keys through their derived outputs. These
+    /// GOLDEN: pins the fixed keys through their derived output. These
     /// values name on-disk records — if this test fails, existing store
     /// corpora are orphaned; do not "fix" it by updating the constants
     /// without a digest-schema bump and a changelog note.
     #[test]
-    fn checksum_and_digest_are_stable_and_distinct() {
-        assert_eq!(checksum(b"rfstudy"), 0x1ae1_a8ba_2b06_b7a9);
+    fn digest_is_stable_and_distinct() {
         let d = digest128(b"rfstudy");
         let hex: String = d.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, "7674a38f83263e5d326e3636180271f1");
         assert_ne!(&d[..8], &d[8..], "the two digest halves use distinct keys");
         // Different inputs, different digests.
         assert_ne!(digest128(b"a"), digest128(b"b"));
-        assert_ne!(checksum(b"a"), checksum(b"b"));
         // Deterministic across calls.
         assert_eq!(digest128(b"same"), digest128(b"same"));
     }

@@ -25,18 +25,18 @@
 //! | digest [16] | checksum u64 | key bytes | payload bytes
 //! ```
 //!
-//! All integers are little-endian. The checksum covers everything after
-//! the magic except the checksum itself: header bytes 4..32, then the key
-//! and the payload, streamed without copying them together. The magic
-//! names the record format ([`RecordFormat`]), and with it the checksum:
+//! All integers are little-endian. The checksum is xxHash64 under a
+//! pinned seed ([`hash::record_hasher`]) over everything after the magic
+//! except the checksum itself: header bytes 4..32, then the key and the
+//! payload, streamed without copying them together. `RFR2` is the one
+//! record format: a header with any other magic (the retired `RFR1`
+//! format among them) is corruption, so a reader stops at it and
+//! [`Store::compact`] drops it.
 //!
-//! - `RFR2` (what appends and compaction write): xxHash64 under a pinned
-//!   seed ([`hash::record_hasher`]);
-//! - `RFR1` (older stores): SipHash-2-4 under a pinned key
-//!   ([`hash::checksum`]). Such records stay readable and verifiable, and
-//!   [`Store::compact`] re-encodes them as `RFR2`.
-//!
-//! Both formats share the header layout, so one segment may hold both.
+//! The `schema` field is opaque to the store. The caller stamps each
+//! record with it and passes it back on read: [`Snapshot::get`] serves
+//! only a record of the schema asked for, and [`Store::compact`] keeps
+//! only records of the schema it is given.
 //!
 //! # Durability & concurrency
 //!
@@ -62,9 +62,8 @@
 //!
 //! Records are immutable once written; re-appending a digest supersedes
 //! the older record (last-written wins, with later segments outranking
-//! earlier ones). [`Store::compact`] rewrites the live record set into a
-//! fresh segment and deletes the old ones; its `keep_schema` filter is
-//! how stale key-schema generations are garbage-collected.
+//! earlier ones). [`Store::compact`] rewrites the live records of one
+//! schema into a fresh segment and deletes the old segments.
 
 #![warn(missing_docs)]
 
@@ -127,64 +126,22 @@ impl fmt::Display for Digest {
     }
 }
 
-/// A record format version, named by the record's magic bytes. The
-/// formats share one header layout and differ only in their checksum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RecordFormat {
-    /// `RFR1`: SipHash-2-4 checksum. Read and verified, never written.
-    Rfr1,
-    /// `RFR2`: xxHash64 checksum.
-    Rfr2,
-}
+/// The magic bytes opening every record.
+const MAGIC: &[u8; 4] = b"RFR2";
 
-impl RecordFormat {
-    /// The format appends and compaction write.
-    pub const CURRENT: Self = Self::Rfr2;
-
-    /// The magic bytes opening a record of this format.
-    pub fn magic(self) -> [u8; 4] {
-        match self {
-            Self::Rfr1 => *b"RFR1",
-            Self::Rfr2 => *b"RFR2",
-        }
-    }
-
-    fn from_magic(magic: &[u8]) -> Option<Self> {
-        [Self::Rfr1, Self::Rfr2].into_iter().find(|f| f.magic() == magic)
-    }
-
-    /// The checksum of an encoded record: header bytes 4..32, then the
-    /// key and payload.
-    fn checksum(self, record: &[u8]) -> u64 {
-        let (head, body) = (&record[4..32], &record[HEADER_LEN..]);
-        match self {
-            Self::Rfr1 => hash::checksum(&[head, body].concat()),
-            Self::Rfr2 => {
-                let mut h = hash::record_hasher();
-                h.update(head);
-                h.update(body);
-                h.finish()
-            }
-        }
-    }
-}
-
-impl fmt::Display for RecordFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(std::str::from_utf8(&self.magic()).expect("ASCII magic"))
-    }
+/// The checksum of an encoded record: header bytes 4..32, then the key
+/// and payload.
+fn record_checksum(record: &[u8]) -> u64 {
+    let mut h = hash::record_hasher();
+    h.update(&record[4..32]);
+    h.update(&record[HEADER_LEN..]);
+    h.finish()
 }
 
 /// Serialises one record into its on-disk byte form.
-fn encode_record(
-    format: RecordFormat,
-    schema: u32,
-    digest: Digest,
-    key: &[u8],
-    payload: &[u8],
-) -> Vec<u8> {
+fn encode_record(schema: u32, digest: Digest, key: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + key.len() + payload.len());
-    buf.extend_from_slice(&format.magic());
+    buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&schema.to_le_bytes());
     buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -192,7 +149,7 @@ fn encode_record(
     buf.extend_from_slice(&[0u8; 8]); // checksum placeholder
     buf.extend_from_slice(key);
     buf.extend_from_slice(payload);
-    let sum = format.checksum(&buf);
+    let sum = record_checksum(&buf);
     buf[32..40].copy_from_slice(&sum.to_le_bytes());
     buf
 }
@@ -201,7 +158,6 @@ fn encode_record(
 /// verification recomputes it against the stored bytes directly.)
 #[derive(Debug, Clone, Copy)]
 struct Header {
-    format: RecordFormat,
     schema: u32,
     key_len: u32,
     payload_len: u32,
@@ -210,12 +166,13 @@ struct Header {
 
 impl Header {
     fn parse(bytes: &[u8; HEADER_LEN]) -> Option<Self> {
-        let format = RecordFormat::from_magic(&bytes[..4])?;
+        if bytes[..4] != *MAGIC {
+            return None;
+        }
         let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
         let mut digest = [0u8; 16];
         digest.copy_from_slice(&bytes[16..32]);
         Some(Self {
-            format,
             schema: u32_at(4),
             key_len: u32_at(8),
             payload_len: u32_at(12),
@@ -448,7 +405,7 @@ impl Store {
         key: &[u8],
         payload: &[u8],
     ) -> io::Result<()> {
-        let record = encode_record(RecordFormat::CURRENT, schema, digest, key, payload);
+        let record = encode_record(schema, digest, key, payload);
         let lock = self.lock_file()?;
         loop {
             lock.lock_shared()?;
@@ -519,17 +476,17 @@ impl Store {
         Err(last_err.expect("retries imply at least one error"))
     }
 
-    /// Compacts the store: rewrites the live record set (latest record
-    /// per digest, valid checksum, and — when `keep_schema` is given —
-    /// only that key-schema version) into one fresh segment, every record
-    /// re-encoded in the current [`RecordFormat`], then deletes the old
-    /// segments. Runs entirely under the exclusive lock; readers with
-    /// open snapshots are unaffected.
+    /// Compacts the store: rewrites its live records of schema
+    /// `keep_schema` (latest record per digest, valid checksum) into one
+    /// fresh segment, then deletes the old segments. Records of any other
+    /// schema, superseded writes and damaged records are dropped. Runs
+    /// entirely under the exclusive lock; readers with open snapshots are
+    /// unaffected.
     ///
     /// # Errors
     ///
     /// Any I/O error reading, writing, or replacing segments.
-    pub fn compact(&self, keep_schema: Option<u32>) -> io::Result<CompactReport> {
+    pub fn compact(&self, keep_schema: u32) -> io::Result<CompactReport> {
         let lock = self.lock_file()?;
         lock.lock()?;
         let result = self.compact_locked(keep_schema);
@@ -537,7 +494,7 @@ impl Store {
         result
     }
 
-    fn compact_locked(&self, keep_schema: Option<u32>) -> io::Result<CompactReport> {
+    fn compact_locked(&self, keep_schema: u32) -> io::Result<CompactReport> {
         let snap = Snapshot::open(self)?;
         let old_segs = self.segments()?;
         let max_no = old_segs.last().map_or(0, |(no, _)| *no);
@@ -567,14 +524,11 @@ impl Store {
                 report.dropped_corrupt += 1;
                 continue;
             };
-            if keep_schema.is_some_and(|keep| h.schema != keep) {
+            if h.schema != keep_schema {
                 report.dropped_stale_schema += 1;
                 continue;
             }
             debug_assert_eq!(h.digest, *digest);
-            let key_end = HEADER_LEN + h.key_len as usize;
-            let (key, payload) = (&record[HEADER_LEN..key_end], &record[key_end..]);
-            let record = encode_record(RecordFormat::CURRENT, h.schema, h.digest, key, payload);
             out.write_all(&record)?;
             report.bytes_after += record.len() as u64;
             report.kept += 1;
@@ -595,7 +549,7 @@ impl Store {
 pub struct CompactReport {
     /// Records carried into the compacted segment.
     pub kept: u64,
-    /// Live records dropped because their key-schema version was stale.
+    /// Live records dropped because their schema was not the one kept.
     pub dropped_stale_schema: u64,
     /// Superseded records (older writes of a re-appended digest).
     pub dropped_superseded: u64,
@@ -614,7 +568,6 @@ struct Loc {
     offset: u64,
     len: u64,
     schema: u32,
-    format: RecordFormat,
 }
 
 /// A payload returned by [`Snapshot::get`]. It holds the whole record as
@@ -665,11 +618,8 @@ pub struct Snapshot {
     /// Records abandoned to corruption (bad magic / absurd lengths); the
     /// rest of that segment is unreachable and also uncounted.
     pub corrupt: u64,
-    /// Live record count per key-schema version.
+    /// Live record count per schema.
     pub schemas: BTreeMap<u32, u64>,
-    /// Live record count per record format (what [`Store::compact`]
-    /// would upgrade: everything not [`RecordFormat::CURRENT`]).
-    pub formats: BTreeMap<RecordFormat, u64>,
 }
 
 #[derive(Debug)]
@@ -690,7 +640,6 @@ impl Snapshot {
             torn: 0,
             corrupt: 0,
             schemas: BTreeMap::new(),
-            formats: BTreeMap::new(),
         };
         for (no, path) in store.segments()? {
             let file = File::open(&path)?;
@@ -702,7 +651,6 @@ impl Snapshot {
         }
         for loc in snap.index.values() {
             *snap.schemas.entry(loc.schema).or_insert(0) += 1;
-            *snap.formats.entry(loc.format).or_insert(0) += 1;
         }
         Ok(snap)
     }
@@ -713,13 +661,7 @@ impl Snapshot {
         let Self { segs, index, records, .. } = self;
         let seg = &mut segs[s];
         let tail = walk_segment(&seg.file, seg.len, |offset, h| {
-            let loc = Loc {
-                seg: s,
-                offset,
-                len: h.record_len(),
-                schema: h.schema,
-                format: h.format,
-            };
+            let loc = Loc { seg: s, offset, len: h.record_len(), schema: h.schema };
             index.insert(h.digest, loc);
             *records += 1;
         })?;
@@ -750,7 +692,7 @@ impl Snapshot {
             return None;
         }
         let stored = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        (h.format.checksum(&buf) == stored).then_some((h, buf))
+        (record_checksum(&buf) == stored).then_some((h, buf))
     }
 
     /// Distinct digests resolvable through this snapshot.
@@ -768,20 +710,8 @@ impl Snapshot {
         self.segs.len()
     }
 
-    /// Whether `digest` has a (not necessarily valid) record.
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.index.contains_key(digest)
-    }
-
-    /// Whether `digest` has a record under exactly this key-schema
-    /// version (what a write-behind tier checks before appending — a
-    /// stale-schema record must not suppress the fresh write).
-    pub fn contains_schema(&self, schema: u32, digest: &Digest) -> bool {
-        self.index.get(digest).is_some_and(|loc| loc.schema == schema)
-    }
-
     /// Looks up a payload by digest, verifying the record end to end:
-    /// the key-schema version must match, the record checksum must hold,
+    /// its schema must be `schema`, the record checksum must hold,
     /// and the stored key bytes must equal `key` exactly — so even a
     /// digest collision cannot return another key's payload.
     pub fn get(&self, schema: u32, digest: &Digest, key: &[u8]) -> Option<Payload> {
@@ -805,7 +735,6 @@ impl Snapshot {
             corrupt: self.corrupt,
             bad_checksum: 0,
             schemas: self.schemas.clone(),
-            formats: self.formats.clone(),
         };
         for loc in self.index.values() {
             if self.read_record(loc).is_none() {
@@ -831,10 +760,8 @@ pub struct VerifyReport {
     pub corrupt: u64,
     /// Live records whose checksum failed on re-read.
     pub bad_checksum: u64,
-    /// Live record count per key-schema version.
+    /// Live record count per schema.
     pub schemas: BTreeMap<u32, u64>,
-    /// Live record count per record format.
-    pub formats: BTreeMap<RecordFormat, u64>,
 }
 
 impl VerifyReport {
@@ -961,7 +888,7 @@ mod tests {
         // at the torn record, so the re-appended record must land in a
         // *fresh* segment to be visible. Verify compaction heals this:
         // compact drops the torn tail and the store stays usable.
-        let report = store.compact(None).unwrap();
+        let report = store.compact(1).unwrap();
         assert_eq!(report.kept, 1);
         assert_eq!(report.dropped_corrupt, 1);
         let healed = store.snapshot().unwrap();
@@ -992,7 +919,7 @@ mod tests {
         assert!(snap.get(1, &Digest::of(ka), ka).is_some());
         assert!(snap.get(1, &Digest::of(kc), kc).is_some(), "post-crash append visible");
         // A clean store reopens without rotating.
-        store.compact(None).unwrap();
+        store.compact(1).unwrap();
         let before = store.segments().unwrap();
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.segments().unwrap(), before);
@@ -1013,7 +940,7 @@ mod tests {
         bytes[last] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         let snap = store.snapshot().unwrap();
-        assert!(snap.contains(&digest), "indexed by header");
+        assert_eq!(snap.len(), 1, "indexed by header");
         assert_eq!(snap.get(7, &digest, key), None, "checksum rejects the payload");
         let report = snap.verify();
         assert_eq!(report.bad_checksum, 1);
@@ -1052,7 +979,7 @@ mod tests {
             store.append(1, Digest::of(&key), &key, &i.to_le_bytes()).unwrap();
         }
         let snap = store.snapshot().unwrap();
-        let report = store.compact(None).unwrap();
+        let report = store.compact(1).unwrap();
         assert_eq!(report.kept, 4);
         // The old segments are gone from the directory, but the open
         // snapshot still reads coherently through its captured FDs.
@@ -1071,13 +998,13 @@ mod tests {
     }
 
     #[test]
-    fn gc_drops_stale_schema_generations() {
-        let dir = temp_dir("gc");
+    fn compaction_keeps_only_the_given_schema() {
+        let dir = temp_dir("keep-schema");
         let store = Store::open(&dir).unwrap();
         let (old_key, new_key) = (b"old".as_slice(), b"new".as_slice());
         store.append(1, Digest::of(old_key), old_key, b"v1 payload").unwrap();
         store.append(2, Digest::of(new_key), new_key, b"v2 payload").unwrap();
-        let report = store.compact(Some(2)).unwrap();
+        let report = store.compact(2).unwrap();
         assert_eq!(report.kept, 1);
         assert_eq!(report.dropped_stale_schema, 1);
         let snap = store.snapshot().unwrap();
@@ -1142,8 +1069,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Appends `record` bytes to the active segment as they are, the way
-    /// an older build of the store wrote them.
+    /// Appends `record` bytes to the active segment as they are.
     fn append_raw(store: &Store, record: &[u8]) {
         let (_, path) = store.active_segment().unwrap();
         OpenOptions::new().create(true).append(true).open(path).unwrap().write_all(record).unwrap();
@@ -1151,11 +1077,11 @@ mod tests {
 
     /// GOLDEN: pins the `RFR2` record checksum (xxHash64 under the pinned
     /// seed, over header bytes 4..32, the key and the payload). If this
-    /// fails, every `RFR2` record on disk fails verification.
+    /// fails, every record on disk fails verification.
     #[test]
     fn rfr2_record_checksum_is_pinned() {
         let key = b"rfstudy".as_slice();
-        let record = encode_record(RecordFormat::Rfr2, 1, Digest::of(key), key, b"payload");
+        let record = encode_record(1, Digest::of(key), key, b"payload");
         assert_eq!(&record[..4], b"RFR2");
         let stored = u64::from_le_bytes(record[32..40].try_into().unwrap());
         assert_eq!(stored, 0xb714_3315_2f80_4291);
@@ -1164,77 +1090,31 @@ mod tests {
         streamed.update(key);
         streamed.update(b"payload");
         assert_eq!(streamed.finish(), stored);
-        // The same record as RFR1 differs only in magic and checksum.
-        let old = encode_record(RecordFormat::Rfr1, 1, Digest::of(key), key, b"payload");
-        assert_eq!(&old[..4], b"RFR1");
-        assert_eq!(old[4..32], record[4..32]);
-        assert_eq!(old[40..], record[40..]);
-        let want = hash::checksum(&[&old[4..32], &old[40..]].concat());
-        assert_eq!(old[32..40], want.to_le_bytes());
     }
 
+    /// A record under the retired `RFR1` magic is corruption: the walk
+    /// stops at it, so it is never served, verification fails, and
+    /// compaction drops it while keeping the records before it.
     #[test]
-    fn mixed_rfr1_and_rfr2_segment_reads_back_and_compacts_to_rfr2() {
-        let dir = temp_dir("mixed");
+    fn an_rfr1_record_is_never_served_and_compaction_drops_it() {
+        let dir = temp_dir("rfr1");
         let store = Store::open(&dir).unwrap();
-        let keys: Vec<[u8; 4]> = (0u32..6).map(u32::to_le_bytes).collect();
-        let payload = |i: usize| vec![i as u8; 50 + i];
-        for (i, key) in keys[..3].iter().enumerate() {
-            let record = encode_record(RecordFormat::Rfr1, 1, Digest::of(key), key, &payload(i));
-            append_raw(&store, &record);
-        }
-        for (i, key) in keys.iter().enumerate().skip(3) {
-            store.append(1, Digest::of(key), key, &payload(i)).unwrap();
-        }
+        let (ka, kb) = (b"a".as_slice(), b"b".as_slice());
+        store.append(1, Digest::of(ka), ka, b"payload a").unwrap();
+        let mut old = encode_record(1, Digest::of(kb), kb, b"payload b");
+        old[..4].copy_from_slice(b"RFR1");
+        append_raw(&store, &old);
         let snap = store.snapshot().unwrap();
-        assert_eq!(snap.segment_count(), 1, "one segment holds both formats");
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(snap.get(1, &Digest::of(key), key).as_deref(), Some(&payload(i)[..]));
-        }
-        let mix = BTreeMap::from([(RecordFormat::Rfr1, 3), (RecordFormat::Rfr2, 3)]);
-        assert_eq!(snap.formats, mix);
-        let report = snap.verify();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.formats, mix);
-
-        let compacted = store.compact(None).unwrap();
-        assert_eq!(compacted.kept, 6);
-        let snap = store.snapshot().unwrap();
-        assert_eq!(snap.formats, BTreeMap::from([(RecordFormat::Rfr2, 6)]));
-        assert!(snap.verify().is_clean());
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(snap.get(1, &Digest::of(key), key).as_deref(), Some(&payload(i)[..]));
-        }
-        // Every record on disk now opens with the RFR2 magic.
-        let (_, path) = store.active_segment().unwrap();
-        let file = File::open(&path).unwrap();
-        let mut magics = Vec::new();
-        let tail = walk_segment(&file, file.metadata().unwrap().len(), |_, h| magics.push(h.format))
-            .unwrap();
-        assert_eq!(tail, Tail::Clean);
-        assert_eq!(magics, vec![RecordFormat::Rfr2; 6]);
+        assert_eq!(snap.get(1, &Digest::of(kb), kb), None, "the RFR1 record is not served");
+        assert!(snap.get(1, &Digest::of(ka), ka).is_some(), "the record before it is");
+        assert_eq!((snap.len(), snap.corrupt), (1, 1));
+        assert!(!snap.verify().is_clean());
+        let report = store.compact(1).unwrap();
+        assert_eq!((report.kept, report.dropped_corrupt), (1, 1));
+        let healed = store.snapshot().unwrap();
+        assert!(healed.verify().is_clean());
+        assert_eq!(healed.get(1, &Digest::of(ka), ka).as_deref(), Some(b"payload a".as_slice()));
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_flipped_payload_byte_fails_either_checksum() {
-        for format in [RecordFormat::Rfr1, RecordFormat::Rfr2] {
-            let dir = temp_dir(&format!("flip-{format}"));
-            let store = Store::open(&dir).unwrap();
-            let key = b"k".as_slice();
-            let digest = Digest::of(key);
-            let mut record = encode_record(format, 3, digest, key, b"payload bytes");
-            let last = record.len() - 1;
-            record[last] ^= 0x01;
-            append_raw(&store, &record);
-            let snap = store.snapshot().unwrap();
-            assert!(snap.contains(&digest), "{format}: indexed by header");
-            assert_eq!(snap.get(3, &digest, key), None, "{format}: checksum rejects it");
-            let report = snap.verify();
-            assert_eq!(report.bad_checksum, 1, "{format}");
-            assert!(!report.is_clean(), "{format}");
-            fs::remove_dir_all(&dir).unwrap();
-        }
     }
 
     /// Every file in `dir` with its length, modification time and bytes.

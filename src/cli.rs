@@ -126,20 +126,18 @@ impl MatrixPins {
 /// Maintenance action of the `store` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreAction {
-    /// Print snapshot statistics (records, segments, schema and
-    /// record-format mix).
+    /// Print snapshot statistics (records, segments, the current answer
+    /// generation and the schema mix).
     Stats,
     /// Re-read and checksum-verify every live record; exit nonzero on
     /// corruption.
     Verify,
-    /// Rewrite the store down to its latest record per digest.
+    /// Rewrite the store down to its latest record per digest of the
+    /// current answer generation.
     Compact,
-    /// Compact and additionally drop records written under a stale
-    /// key-schema version.
-    Gc,
 }
 
-named!(StoreAction { Stats => "stats", Verify => "verify", Compact => "compact", Gc => "gc" });
+named!(StoreAction { Stats => "stats", Verify => "verify", Compact => "compact" });
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -479,14 +477,14 @@ static COMMANDS: [Grammar; 15] = [
     .positional(Opt::new("ACTION", "an action: {a, b, or c}").choices(&StoreAction::ALL))
     .about(
         "  operates on the durable content-addressed run store that suite runs
-  populate under RF_STORE=1. stats prints snapshot statistics: live
-  entries, records scanned, segments, bytes, torn/corrupt tails skipped,
-  the per-schema mix and the record-format mix (RFR1 records predate the
-  current RFR2 format). verify re-reads and checksums every live record
-  and exits 1 if any record fails. compact rewrites the store down to its
-  latest record per digest (dropping superseded writes and torn tails),
-  every record in the RFR2 format. gc additionally drops records written
-  under a stale key-schema version.
+  populate under RF_STORE=1. Every record carries the answer generation
+  it was written under; only the current one is ever served. stats prints
+  snapshot statistics: live entries, records scanned, segments, bytes,
+  torn/corrupt tails skipped, the current generation and the per-schema
+  mix. verify re-reads and checksums every live record and exits 1 if
+  any record fails. compact rewrites the store down to the latest record
+  per digest of the current generation, dropping superseded writes,
+  older generations and damaged records.
 ",
     ),
     Grammar::new("timing", &[Group::of(&[
@@ -1146,10 +1144,6 @@ mod tests {
         assert_eq!(
             parse(&argv("store compact")).unwrap(),
             Command::Store { action: StoreAction::Compact, dir: None }
-        );
-        assert_eq!(
-            parse(&argv("store gc")).unwrap(),
-            Command::Store { action: StoreAction::Gc, dir: None }
         );
         let err = parse(&argv("store")).unwrap_err();
         assert!(err.contains("requires an action"), "{err}");

@@ -725,15 +725,14 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
         ));
     }
     let store = rf_store::Store::open(dir).map_err(|e| format!("cannot open store: {e}"))?;
-    fn fmt_mix<K>(mix: &std::collections::BTreeMap<K, u64>, name: impl Fn(&K) -> String) -> String {
+    fn fmt_schemas(mix: &std::collections::BTreeMap<u32, u64>) -> String {
         if mix.is_empty() {
             "none".to_owned()
         } else {
-            mix.iter().map(|(k, n)| format!("{}: {n}", name(k))).collect::<Vec<_>>().join(", ")
+            mix.iter().map(|(s, n)| format!("v{s}: {n}")).collect::<Vec<_>>().join(", ")
         }
     }
-    let fmt_schemas = |schemas| fmt_mix(schemas, |schema| format!("v{schema}"));
-    let fmt_formats = |formats| fmt_mix(formats, rf_store::RecordFormat::to_string);
+    let generation = rf_experiments::codec::DIGEST_SCHEMA;
     match action {
         StoreAction::Stats => {
             let snap = store.snapshot().map_err(|e| format!("cannot read store: {e}"))?;
@@ -744,8 +743,8 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
             println!("bytes            : {}", snap.bytes);
             println!("torn tails       : {}", snap.torn);
             println!("corrupt records  : {}", snap.corrupt);
+            println!("generation       : v{generation}");
             println!("schema mix       : {}", fmt_schemas(&snap.schemas));
-            println!("record formats   : {}", fmt_formats(&snap.formats));
             Ok(())
         }
         StoreAction::Verify => {
@@ -753,14 +752,13 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
             let report = snap.verify();
             println!(
                 "verified {} live record(s) over {} bytes: {} bad checksum, \
-                 {} corrupt, {} torn (schema mix {}; record formats {})",
+                 {} corrupt, {} torn (schema mix {})",
                 report.live,
                 report.bytes,
                 report.bad_checksum,
                 report.corrupt,
                 report.torn,
                 fmt_schemas(&report.schemas),
-                fmt_formats(&report.formats),
             );
             if report.is_clean() {
                 Ok(())
@@ -772,15 +770,9 @@ fn run_store(action: StoreAction, dir: &std::path::Path) -> Result<(), String> {
                 ))
             }
         }
-        StoreAction::Compact | StoreAction::Gc => {
-            // `gc` keeps only the current key-schema generation; plain
-            // `compact` keeps every schema.
-            let keep = match action {
-                StoreAction::Gc => Some(rf_experiments::codec::DIGEST_SCHEMA),
-                _ => None,
-            };
+        StoreAction::Compact => {
             let report =
-                store.compact(keep).map_err(|e| format!("compaction failed: {e}"))?;
+                store.compact(generation).map_err(|e| format!("compaction failed: {e}"))?;
             println!(
                 "kept {} record(s); dropped {} superseded, {} stale-schema, {} corrupt; \
                  {} -> {} bytes",

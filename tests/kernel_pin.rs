@@ -28,22 +28,19 @@
 //! and verdict, over the determinism tests' five machine shapes. It was
 //! taken when observed runs still stepped every cycle, so it holds the
 //! idle skip's observer replay to the per-cycle loop.
+//!
+//! `KERNEL_PIN` and `ISSUE_PIN` live in `rf_experiments::codec`, where
+//! they are part of the run store's answer generation (`DIGEST_SCHEMA`):
+//! moving either one retires every stored answer an older kernel wrote.
 
 use rf_check::Sanitizer;
 use rf_obs::Recorder;
 use rfstudy::bpred::PredictorKind;
 use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline, SchedPolicy, StallCause};
-use rfstudy::experiments::codec::encode_stats;
+use rfstudy::experiments::codec::{encode_stats, ISSUE_PIN, KERNEL_PIN};
 use rfstudy::experiments::runner::{simulate, RunSpec};
 use rfstudy::mem::CacheOrg;
 use rfstudy::workload::{spec92, SharedTrace};
-
-/// The digest of the probe matrix's encoded statistics.
-const KERNEL_PIN: &str = "e8dfe1b56e5498303f36303e026f2326";
-
-/// The digest of the issue-path matrix: encoded statistics plus observed
-/// stall cycles per spec.
-const ISSUE_PIN: &str = "cee41abe0a094ce8133cb0bd61e3f8c9";
 
 /// The digest of the observer matrix: each run's chrome, text and summary
 /// renderings plus its sanitizer report (event count and verdict).

@@ -55,12 +55,13 @@ fn store_maintenance_works_on_a_populated_store() {
     let dir = temp_path("real-store");
     let _ = std::fs::remove_dir_all(&dir);
     let store = rf_store::Store::open(&dir).unwrap();
+    let generation = rfstudy::experiments::codec::DIGEST_SCHEMA;
     for key in [b"alpha".as_slice(), b"beta".as_slice()] {
-        store.append(1, rf_store::Digest::of(key), key, b"payload").unwrap();
+        store.append(generation, rf_store::Digest::of(key), key, b"payload").unwrap();
     }
-    // Supersede one record and leave a stale-schema generation behind.
-    store.append(1, rf_store::Digest::of(b"alpha"), b"alpha", b"payload v2").unwrap();
-    store.append(0, rf_store::Digest::of(b"old"), b"old", b"stale").unwrap();
+    // Supersede one record and leave a record of a retired generation.
+    store.append(generation, rf_store::Digest::of(b"alpha"), b"alpha", b"payload v2").unwrap();
+    store.append(1, rf_store::Digest::of(b"old"), b"old", b"stale").unwrap();
     store.sync().unwrap();
     let d = dir.to_str().unwrap();
 
@@ -68,21 +69,20 @@ fn store_maintenance_works_on_a_populated_store() {
     assert_eq!(code, Some(0), "{text}");
     assert!(text.contains("live entries     : 3"), "{text}");
     assert!(text.contains("records scanned  : 4"), "{text}");
-    assert!(text.contains("v0: 1, v1: 2"), "{text}");
+    assert!(text.contains(&format!("generation       : v{generation}\n")), "{text}");
+    assert!(text.contains(&format!("schema mix       : v1: 1, v{generation}: 2\n")), "{text}");
 
     let (code, text) = rfstudy(&["store", "verify", "--dir", d]);
     assert_eq!(code, Some(0), "{text}");
     assert!(text.contains("0 bad checksum"), "{text}");
 
+    // Compaction keeps the current generation's latest records only.
     let (code, text) = rfstudy(&["store", "compact", "--dir", d]);
     assert_eq!(code, Some(0), "{text}");
-    assert!(text.contains("kept 3 record(s); dropped 1 superseded"), "{text}");
-
-    // gc additionally drops the schema-0 generation.
-    let (code, text) = rfstudy(&["store", "gc", "--dir", d]);
+    assert!(text.contains("kept 2 record(s); dropped 1 superseded, 1 stale-schema"), "{text}");
+    let (code, text) = rfstudy(&["store", "stats", "--dir", d]);
     assert_eq!(code, Some(0), "{text}");
-    assert!(text.contains("kept 2 record(s)"), "{text}");
-    assert!(text.contains("1 stale-schema"), "{text}");
+    assert!(text.contains(&format!("schema mix       : v{generation}: 2\n")), "{text}");
 
     // Corruption makes verify exit 1.
     let seg = std::fs::read_dir(&dir)
