@@ -4,11 +4,9 @@
 //!
 //! # Why not `std::hash::Hash`?
 //!
-//! The run cache used to key entries through `HashMap<RunSpec, _>`,
-//! i.e. std's per-process-randomized SipHash. That is fine for one
-//! process's lifetime but useless as a durable name: the same spec
-//! hashes differently in every process and build, so it cannot address
-//! an on-disk record. This module defines the canonical encoding once —
+//! std's SipHash is randomized per process: the same spec hashes
+//! differently in every process and build, so it cannot name an on-disk
+//! record. This module defines the canonical encoding once —
 //! [`spec_key_bytes`] — and derives the 128-bit [`spec_digest`] from it
 //! with the *fixed-key* SipHash in [`rf_store::hash`]. Both the
 //! in-memory [`RunCache`](crate::runner::RunCache) and the store key by
@@ -26,10 +24,12 @@
 //!   bump it. The golden test below pins the current encoding, so an
 //!   accidental change fails loudly.
 //! - [`STORED_STATS_VERSION`], the layout of the stored payload.
-//! - [`KERNEL_PIN`] and [`ISSUE_PIN`], the digests of the kernel's
-//!   simulated behaviour that `tests/kernel_pin.rs` checks. A change
-//!   that alters what the kernel computes must move a pin, and so
-//!   retires every record an older kernel wrote.
+//! - [`PLAN_PIN`] and [`ISSUE_PIN`], the digests of the kernel's
+//!   simulated behaviour that `tests/kernel_pin.rs` checks: the suite's
+//!   whole plan at 2k commits (so changing a harness's plan moves it
+//!   too), and the points the plan leaves out. A change that alters
+//!   what the kernel computes must move a pin, and so retires every
+//!   record an older kernel wrote.
 //!
 //! A record of another generation is a miss: the spec is simulated again
 //! and its answer written under the current generation, and
@@ -56,14 +56,14 @@ use rf_core::{ExceptionModel, SchedPolicy, SimStats};
 use rf_mem::{CacheConfig, CacheOrg, CacheStats};
 use rf_store::Digest;
 
-/// The digest of the kernel's probe matrix: every statistic of a fixed
-/// set of simulations (`tests/kernel_pin.rs`). Part of [`DIGEST_SCHEMA`].
-pub const KERNEL_PIN: &str = "e8dfe1b56e5498303f36303e026f2326";
+/// The digest of every statistic of every spec the suite plans at 2k
+/// commits, in plan order (`tests/kernel_pin.rs`). Part of [`DIGEST_SCHEMA`].
+pub const PLAN_PIN: &str = "612c6f78ad2ef2efc89404c0c9057fc2";
 
 /// The digest of the issue-path matrix: statistics plus observed stall
-/// cycles of a fixed set of simulations (`tests/kernel_pin.rs`). Part of
-/// [`DIGEST_SCHEMA`].
-pub const ISSUE_PIN: &str = "cee41abe0a094ce8133cb0bd61e3f8c9";
+/// cycles of the points the plan leaves out (`tests/kernel_pin.rs`). Part
+/// of [`DIGEST_SCHEMA`].
+pub const ISSUE_PIN: &str = "ffd5d4c8eec4d545627605dc7fac5bab";
 
 /// Version of the canonical `RunSpec` byte encoding, the word
 /// [`spec_key_bytes`] writes after its magic. Bump on ANY change to it.
@@ -74,7 +74,7 @@ const KEY_ENCODING: u32 = 1;
 /// the two kernel pins, so a change to any of them retires every record
 /// written before it.
 pub const DIGEST_SCHEMA: u32 =
-    answer_generation(KEY_ENCODING, STORED_STATS_VERSION, KERNEL_PIN, ISSUE_PIN);
+    answer_generation(KEY_ENCODING, STORED_STATS_VERSION, PLAN_PIN, ISSUE_PIN);
 
 /// Version of the dense `SimStats` payload, [`encode_stats`]'s layout.
 const DENSE_STATS_VERSION: u32 = 1;
@@ -86,9 +86,9 @@ pub const STORED_STATS_VERSION: u32 = 2;
 
 /// 32-bit FNV-1a over the two version words (little-endian) and the two
 /// pins' bytes.
-const fn answer_generation(key: u32, stats: u32, kernel_pin: &str, issue_pin: &str) -> u32 {
+const fn answer_generation(key: u32, stats: u32, plan_pin: &str, issue_pin: &str) -> u32 {
     let (key, stats) = (key.to_le_bytes(), stats.to_le_bytes());
-    let parts: [&[u8]; 4] = [&key, &stats, kernel_pin.as_bytes(), issue_pin.as_bytes()];
+    let parts: [&[u8]; 4] = [&key, &stats, plan_pin.as_bytes(), issue_pin.as_bytes()];
     let mut h: u32 = 0x811c_9dc5;
     let mut p = 0;
     while p < parts.len() {
@@ -556,14 +556,14 @@ mod tests {
     fn the_answer_generation_moves_with_each_of_its_inputs() {
         assert_ne!(DIGEST_SCHEMA, 1, "records of the key-only schema are retired");
         let (k, v) = (KEY_ENCODING, STORED_STATS_VERSION);
-        assert_eq!(answer_generation(k, v, KERNEL_PIN, ISSUE_PIN), DIGEST_SCHEMA);
-        let (kernel, issue) = (perturbed(KERNEL_PIN), perturbed(ISSUE_PIN));
+        assert_eq!(answer_generation(k, v, PLAN_PIN, ISSUE_PIN), DIGEST_SCHEMA);
+        let (plan, issue) = (perturbed(PLAN_PIN), perturbed(ISSUE_PIN));
         for moved in [
-            answer_generation(k + 1, v, KERNEL_PIN, ISSUE_PIN),
-            answer_generation(k, v + 1, KERNEL_PIN, ISSUE_PIN),
-            answer_generation(k, v, &kernel, ISSUE_PIN),
-            answer_generation(k, v, KERNEL_PIN, &issue),
-            answer_generation(k, v, ISSUE_PIN, KERNEL_PIN),
+            answer_generation(k + 1, v, PLAN_PIN, ISSUE_PIN),
+            answer_generation(k, v + 1, PLAN_PIN, ISSUE_PIN),
+            answer_generation(k, v, &plan, ISSUE_PIN),
+            answer_generation(k, v, PLAN_PIN, &issue),
+            answer_generation(k, v, ISSUE_PIN, PLAN_PIN),
         ] {
             assert_ne!(moved, DIGEST_SCHEMA);
         }

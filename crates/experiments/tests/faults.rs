@@ -10,6 +10,7 @@
 
 #![cfg(feature = "fault-probe")]
 
+use rf_experiments::suite::HARNESSES;
 use rf_obs::ledger;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,21 +22,6 @@ const COMMITS: &str = "300";
 /// the suite so the test observes both "already ran" and "still to run"
 /// harnesses surviving the panic.
 const VICTIM: &str = "fig5";
-
-const ALL_HARNESSES: [&str; 12] = [
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig10",
-    "ablation",
-    "extensions",
-    "sensitivity",
-    "dataflow",
-];
 
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rf-faults-e2e-{}-{name}", std::process::id()));
@@ -75,7 +61,7 @@ fn injected_panic_loses_only_the_faulted_harness() {
         !fault_dir.join(format!("results/{VICTIM}.txt")).exists(),
         "a failed harness must not write a report file"
     );
-    for name in ALL_HARNESSES.iter().filter(|n| **n != VICTIM) {
+    for name in HARNESSES.iter().map(|h| h.name).filter(|&n| n != VICTIM) {
         let path = format!("results/{name}.txt");
         let clean = std::fs::read(clean_dir.join(&path)).expect(&path);
         let faulted = std::fs::read(fault_dir.join(&path)).expect(&path);

@@ -7,26 +7,12 @@
 
 use rf_experiments::codec;
 use rf_experiments::runner::{self, Scale};
+use rf_experiments::suite::HARNESSES;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 /// Commit budget for the miniature suite runs (matches tests/faults.rs).
 const COMMITS: &str = "300";
-
-const ALL_HARNESSES: [&str; 12] = [
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig10",
-    "ablation",
-    "extensions",
-    "sensitivity",
-    "dataflow",
-];
 
 fn workdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rf-store-e2e-{}-{name}", std::process::id()));
@@ -63,7 +49,7 @@ fn run_suite(dir: &Path, store_dir: Option<&Path>) -> i32 {
 
 /// Asserts every harness report in `a` and `b` is byte-identical.
 fn assert_reports_identical(a: &Path, b: &Path, context: &str) {
-    for name in ALL_HARNESSES {
+    for name in HARNESSES.iter().map(|h| h.name) {
         let path = format!("results/{name}.txt");
         let left = std::fs::read(a.join(&path)).expect(&path);
         let right = std::fs::read(b.join(&path)).expect(&path);

@@ -1,27 +1,29 @@
 //! Pins the simulation kernel's observable behaviour.
 //!
-//! Every probe point below is simulated afresh and its full `SimStats`
+//! Every pinned point below is simulated afresh and its full `SimStats`
 //! payload (`codec::encode_stats`, every counter and histogram) is fed
 //! into one digest. A kernel change that is meant to be a pure
 //! refactor — a new container, a reordered loop — must leave the digest
 //! unchanged; a change that alters simulated behaviour must update the
 //! pin on purpose and say why.
 //!
-//! The matrix is small enough for a debug-build test run: the nine
-//! SPEC92 profiles at both paper widths with 2k commits each, plus two
-//! points that reach the kernel paths the baselines do not: a
-//! register-starved lockup-cache imprecise machine (long miss latencies
-//! at the edge of the completion horizon, frequent register stalls) and
-//! an Alpha-style hybrid machine (memory operations as exception
-//! barriers in the kill engine).
+//! The first pin, `PLAN_PIN`, is the suite's own plan: every distinct
+//! spec the harnesses plan at 2k commits, in plan order, answered by the
+//! pool with no cache or store tier (a pin taken from stored answers
+//! would pin the store, not the kernel). Any dimension a harness varies
+//! — predictor, insert bandwidth, instruction cache, cache geometry —
+//! is pinned by construction, and a new harness joins with no edit here.
+//! Changing a harness's plan moves the pin as well.
 //!
-//! A second pin, `ISSUE_PIN`, covers the issue path: the scheduling,
-//! dispatch-queue and cache configurations the probe matrix leaves out.
-//! It digests each spec's statistics together with the six-cause stall
-//! cycles of an observed run of the same spec. The observed run matters:
-//! idle cycles are skipped exactly, so a spurious "blocked" verdict from
-//! the issue phase can leave `SimStats` unchanged, while the observer
-//! sees every blocked cycle attributed to a cause, stepped or skipped.
+//! A second pin, `ISSUE_PIN`, covers the points the plan leaves out:
+//! youngest-first selection, split dispatch queues, a reorder cap,
+//! lockup caches under the imprecise and hybrid exception models, and a
+//! divide-heavy point. It digests each spec's statistics together with
+//! the six-cause stall cycles of an observed run of the same spec. The
+//! observed run matters: idle cycles are skipped exactly, so a spurious
+//! "blocked" verdict from the issue phase can leave `SimStats`
+//! unchanged, while the observer sees every blocked cycle attributed to
+//! a cause, stepped or skipped.
 //!
 //! A third pin, `TRACE_PIN`, covers what observers see: the recorder's
 //! chrome, text and summary renderings and the sanitizer's event count
@@ -29,7 +31,7 @@
 //! taken when observed runs still stepped every cycle, so it holds the
 //! idle skip's observer replay to the per-cycle loop.
 //!
-//! `KERNEL_PIN` and `ISSUE_PIN` live in `rf_experiments::codec`, where
+//! `PLAN_PIN` and `ISSUE_PIN` live in `rf_experiments::codec`, where
 //! they are part of the run store's answer generation (`DIGEST_SCHEMA`):
 //! moving either one retires every stored answer an older kernel wrote.
 
@@ -37,8 +39,9 @@ use rf_check::Sanitizer;
 use rf_obs::Recorder;
 use rfstudy::bpred::PredictorKind;
 use rfstudy::core::{ExceptionModel, MachineConfig, Pipeline, SchedPolicy, StallCause};
-use rfstudy::experiments::codec::{encode_stats, ISSUE_PIN, KERNEL_PIN};
-use rfstudy::experiments::runner::{simulate, RunSpec};
+use rfstudy::experiments::codec::{encode_stats, ISSUE_PIN, PLAN_PIN};
+use rfstudy::experiments::runner::{simulate, BatchOpts, RunCache, RunSpec, Scale, SimPool};
+use rfstudy::experiments::suite::{Plan, HARNESSES};
 use rfstudy::mem::CacheOrg;
 use rfstudy::workload::{spec92, SharedTrace};
 
@@ -46,49 +49,35 @@ use rfstudy::workload::{spec92, SharedTrace};
 /// renderings plus its sanitizer report (event count and verdict).
 const TRACE_PIN: &str = "6188fe7baedcde48e36d39b7a9dc523d";
 
-fn probe_matrix() -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for profile in spec92::all() {
-        for width in [4, 8] {
-            specs.push(RunSpec::baseline(&profile.name, width).commits(2_000));
-        }
-    }
-    specs.push(
-        RunSpec::baseline("compress", 4)
-            .regs(40)
-            .cache(CacheOrg::Lockup)
-            .exceptions(ExceptionModel::Imprecise)
-            .commits(2_000),
-    );
-    specs.push(
-        RunSpec::baseline("tomcatv", 8)
-            .regs(64)
-            .exceptions(ExceptionModel::AlphaHybrid)
-            .predictor(PredictorKind::Gshare)
-            .commits(2_000),
-    );
-    specs
-}
-
 #[test]
-fn probe_matrix_statistics_match_the_pin() {
+fn plan_statistics_match_the_pin() {
+    let scale = Scale { commits: 2_000 };
+    let plan = Plan::new(HARNESSES.iter().map(|h| (h.name, (h.plan)(&scale))).collect());
+    let answers = SimPool::from_env().try_run_many_opts(
+        &plan.specs,
+        &RunCache::disabled(),
+        BatchOpts::default(),
+    );
     let mut bytes = Vec::new();
-    for spec in probe_matrix() {
-        bytes.extend_from_slice(&encode_stats(&simulate(&spec)));
+    for (spec, answer) in plan.specs.iter().zip(answers) {
+        let stats = answer.unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        bytes.extend_from_slice(&encode_stats(&stats));
     }
     let digest = rf_store::Digest::of(&bytes).to_hex();
     assert_eq!(
-        digest, KERNEL_PIN,
-        "the kernel's simulated behaviour changed: update KERNEL_PIN only if \
+        digest, PLAN_PIN,
+        "the suite plan's simulated behaviour changed: update PLAN_PIN only if \
          the change is intended"
     );
 }
 
-/// Configurations that reach issue-phase paths the probe matrix does not:
+/// Configurations that reach paths the suite plan does not:
 /// youngest-first selection, split dispatch queues, a register-starved
 /// lockup-free machine, a reorder-buffer cap, a lockup cache under the
-/// hybrid exception model, and a divide-heavy benchmark whose dividers
-/// run out.
+/// hybrid exception model, a divide-heavy benchmark whose dividers run
+/// out, a register-starved lockup-cache imprecise machine (long misses
+/// at the edge of the completion horizon) and a wide Alpha-hybrid gshare
+/// machine (memory operations as exception barriers in the kill engine).
 fn issue_matrix() -> Vec<RunSpec> {
     vec![
         RunSpec::baseline("espresso", 4).policy(SchedPolicy::YoungestFirst).commits(2_000),
@@ -106,6 +95,16 @@ fn issue_matrix() -> Vec<RunSpec> {
             .regs(64)
             .commits(2_000),
         RunSpec::baseline("ora", 4).dq(64).commits(2_000),
+        RunSpec::baseline("compress", 4)
+            .regs(40)
+            .cache(CacheOrg::Lockup)
+            .exceptions(ExceptionModel::Imprecise)
+            .commits(2_000),
+        RunSpec::baseline("tomcatv", 8)
+            .regs(64)
+            .exceptions(ExceptionModel::AlphaHybrid)
+            .predictor(PredictorKind::Gshare)
+            .commits(2_000),
     ]
 }
 
